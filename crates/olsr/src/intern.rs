@@ -1,84 +1,17 @@
-//! Dense [`NodeId`] interning, shared across the routing layer and the
-//! interned link-state store.
+//! Persistent dense [`NodeId`] interning for the interned link-state
+//! store.
 //!
-//! Two interning disciplines live here:
-//!
-//! * [`DenseIds`] — the *per-computation* sorted interner the route BFS
-//!   has always used (sorted unique ids; the dense index of an id is its
-//!   rank), extracted from `routing.rs` so every layer that needs
-//!   "sorted ids → dense indices" shares one implementation;
-//! * [`InternTable`] — a *persistent* arrival-order interner for
-//!   long-lived state (the shared [`LinkSetStore`]): ids keep their
-//!   dense index for the lifetime of the table, so per-originator
-//!   bookkeeping can live in flat `Vec`s indexed by dense id instead of
-//!   maps keyed by `NodeId`.
+//! [`InternTable`] is an arrival-order interner for long-lived state (the
+//! shared [`LinkSetStore`]): ids keep their dense index for the lifetime
+//! of the table, so per-originator bookkeeping can live in flat `Vec`s
+//! indexed by dense id instead of maps keyed by `NodeId`. The route BFS
+//! interns per computation through its own hashed table in
+//! [`RouteScratch`].
 //!
 //! [`LinkSetStore`]: crate::store::LinkSetStore
+//! [`RouteScratch`]: crate::routing::RouteScratch
 
 use qolsr_graph::NodeId;
-
-/// Per-computation sorted interner: collect the mentioned ids, seal,
-/// then resolve ids to dense indices by binary search. Sorted order
-/// makes dense-index order equal id order, which deterministic
-/// algorithms (the route BFS tie-break) rely on.
-#[derive(Debug, Default, Clone)]
-pub struct DenseIds {
-    ids: Vec<NodeId>,
-}
-
-impl DenseIds {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all interned ids, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.ids.clear();
-    }
-
-    /// Adds an id to the pending set (duplicates welcome; they collapse
-    /// at [`DenseIds::seal`]).
-    pub fn push(&mut self, id: NodeId) {
-        self.ids.push(id);
-    }
-
-    /// Adds a slice of ids to the pending set.
-    pub fn extend_from_slice(&mut self, ids: &[NodeId]) {
-        self.ids.extend_from_slice(ids);
-    }
-
-    /// Sorts and deduplicates the pending ids; afterwards
-    /// [`DenseIds::index_of`] resolves any interned id.
-    pub fn seal(&mut self) {
-        self.ids.sort_unstable();
-        self.ids.dedup();
-    }
-
-    /// Dense index of an interned id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not interned before the last seal.
-    pub fn index_of(&self, id: NodeId) -> u32 {
-        self.ids.binary_search(&id).expect("id was interned") as u32
-    }
-
-    /// The id at dense index `i`.
-    pub fn resolve(&self, i: u32) -> NodeId {
-        self.ids[i as usize]
-    }
-
-    /// Number of interned ids (after seal).
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` when no ids are interned.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
 
 /// Persistent arrival-order interner: the first `intern` of an id
 /// assigns the next dense index, and the assignment never changes.
@@ -167,21 +100,6 @@ impl InternTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dense_ids_sorted_semantics() {
-        let mut d = DenseIds::new();
-        d.push(NodeId(9));
-        d.extend_from_slice(&[NodeId(2), NodeId(9), NodeId(4)]);
-        d.seal();
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.index_of(NodeId(2)), 0);
-        assert_eq!(d.index_of(NodeId(4)), 1);
-        assert_eq!(d.index_of(NodeId(9)), 2);
-        assert_eq!(d.resolve(1), NodeId(4));
-        d.clear();
-        assert!(d.is_empty());
-    }
 
     #[test]
     fn intern_table_is_arrival_ordered_and_stable() {

@@ -5,29 +5,36 @@
 //! Two layers live here:
 //!
 //! * [`compute_routes`] / [`compute_routes_keys_into`] — the from-scratch
-//!   BFS, rewritten over dense `NodeId → index` interning with CSR
-//!   adjacency in reusable [`RouteScratch`] buffers (the original
-//!   `BTreeMap`-per-call formulation survives as [`reference_routes`],
-//!   the oracle the differential suites compare against);
+//!   BFS: ids are interned in arrival order through a hashed table, the
+//!   undirected adjacency is laid out as CSR by counting sort, and only
+//!   the root's row and the finished table are ever sorted, all in
+//!   reusable [`RouteScratch`] buffers (the original `BTreeMap`-per-call
+//!   formulation survives as [`reference_routes`], the oracle the
+//!   differential suites compare against);
 //! * [`RouteCache`] — the incremental layer [`OlsrNode`] owns: routes
 //!   are recomputed only when the route-relevant table content actually
 //!   changed (dirty flag from HELLO/TC integration, expiry horizon from
 //!   the tables' min-expiry accessors, and a cheap key comparison when
-//!   the horizon passes), otherwise served from the cached table.
+//!   the horizon passes), otherwise served from the cached table. Every
+//!   cache on a thread recomputes through that thread's one scratch.
 //!
-//! Determinism: BFS over adjacency sorted by node id, so equal-length
-//! routes resolve to the smallest-id next hop — identical in every
-//! layer, proven by proptest.
+//! Determinism: equal-length routes resolve to the smallest-id next hop,
+//! identical in every layer and proven by proptest. The BFS enqueues the
+//! first hops in ascending id order and every deeper node inherits the
+//! first hop of whichever parent reaches it first, so each BFS level is
+//! queued in non-decreasing first-hop order and the first parent to reach
+//! a node carries its smallest shortest-path first hop. No other row
+//! order matters.
 //!
 //! [`OlsrNode`]: crate::node::OlsrNode
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_sim::SimTime;
 
-use crate::intern::DenseIds;
 use crate::tables::{NeighborTables, TopologyLinks};
 
 /// One routing-table entry.
@@ -41,23 +48,35 @@ pub struct RouteEntry {
     pub hops: u32,
 }
 
+/// Dense index marking a free slot of the interning table.
+const FREE: u32 = u32::MAX;
+
+/// BFS hop count of an unreached index.
+const UNREACHED: u32 = u32::MAX;
+
 /// Reusable buffers for [`compute_routes_keys_into`]: interning table,
 /// CSR adjacency and BFS state. One instance amortizes every allocation
 /// of repeated route computations to zero.
 #[derive(Debug, Default, Clone)]
 pub struct RouteScratch {
-    /// Sorted interner: the dense index of an id is its rank (see
-    /// [`DenseIds`]).
-    ids: DenseIds,
-    /// Directed edge list as dense index pairs.
+    /// Open-addressing `(id, dense index)` table, linear probing, a power
+    /// of two long; a slot whose index is [`FREE`] is empty.
+    slots: Vec<(NodeId, u32)>,
+    /// `64 - log2(slots.len())`: turns a 64-bit hash into a slot.
+    shift: u32,
+    /// Dense index → id, in arrival order.
+    ids: Vec<NodeId>,
+    /// One dense index pair per input link.
     edges: Vec<(u32, u32)>,
-    /// CSR row offsets into `edges` (len = ids.len() + 1).
+    /// CSR row offsets into `adj` (len = ids.len() + 1).
     offsets: Vec<u32>,
-    /// BFS hop count per index (`u32::MAX` = unreached).
+    /// CSR adjacency. Rows are unordered and may repeat an index.
+    adj: Vec<u32>,
+    /// BFS hop count per index ([`UNREACHED`] until reached).
     dist: Vec<u32>,
-    /// First-hop index per reached index.
-    next: Vec<u32>,
-    /// BFS queue of dense indices.
+    /// First hop per reached index.
+    next: Vec<NodeId>,
+    /// BFS queue of dense indices; ends up holding every reached index.
     queue: Vec<u32>,
 }
 
@@ -65,6 +84,44 @@ impl RouteScratch {
     /// Creates empty scratch buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the interning table, sized so that `mentions` (≥ 1)
+    /// distinct ids would fill at most half of it.
+    fn reset_ids(&mut self, mentions: usize) {
+        let len = (2 * mentions).next_power_of_two();
+        self.slots.clear();
+        self.slots.resize(len, (NodeId(0), FREE));
+        self.shift = 64 - len.trailing_zeros();
+        self.ids.clear();
+    }
+
+    /// The slot a probe for `id` starts at.
+    fn home(&self, id: NodeId) -> usize {
+        // The ids are assigned by the simulator's own deployment and
+        // carried over the simulated radio, not taken from outside input,
+        // so a fixed multiplicative hash is safe from crafted collisions;
+        // linear probing at load ≤ 1/2 keeps the probe runs short.
+        (u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Dense index of `id`, assigning the next one on first sight.
+    fn intern(&mut self, id: NodeId) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(id);
+        loop {
+            let (held, dense) = self.slots[slot];
+            if dense == FREE {
+                let dense = self.ids.len() as u32;
+                self.slots[slot] = (id, dense);
+                self.ids.push(id);
+                return dense;
+            }
+            if held == id {
+                return dense;
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 }
 
@@ -76,7 +133,7 @@ impl RouteScratch {
 /// Inputs: `sym` are the symmetric neighbor ids, `reported` the
 /// `(reporter, other end)` pairs from HELLOs, `advertised` the
 /// `(originator, advertised)` pairs from TCs. All edges are treated
-/// bidirectionally.
+/// bidirectionally; order, repeats and self-loops are irrelevant.
 pub fn compute_routes_keys_into(
     me: NodeId,
     sym: &[NodeId],
@@ -85,90 +142,102 @@ pub fn compute_routes_keys_into(
     scratch: &mut RouteScratch,
     out: &mut Vec<RouteEntry>,
 ) {
-    // Intern every mentioned id; sorted order makes dense-index order
-    // equal id order, which keeps the BFS tie-break identical to the
-    // reference formulation.
-    scratch.ids.clear();
-    scratch.ids.push(me);
-    scratch.ids.extend_from_slice(sym);
-    for &(a, b) in reported.iter().chain(advertised) {
-        scratch.ids.push(a);
-        scratch.ids.push(b);
+    // Intern every mentioned id in arrival order (`me` is index 0) and
+    // keep each link as a dense pair.
+    scratch.reset_ids(1 + sym.len() + 2 * (reported.len() + advertised.len()));
+    let root = scratch.intern(me);
+    scratch.edges.clear();
+    for &nbr in sym {
+        let i = scratch.intern(nbr);
+        scratch.edges.push((root, i));
     }
-    scratch.ids.seal();
+    for &(a, b) in reported.iter().chain(advertised) {
+        let ia = scratch.intern(a);
+        let ib = scratch.intern(b);
+        scratch.edges.push((ia, ib));
+    }
     let n = scratch.ids.len();
 
-    // Directed edge list, sorted + deduped, then CSR rows: each row's
-    // neighbors come out ascending by id.
-    scratch.edges.clear();
-    let me_idx = scratch.ids.index_of(me);
-    for &nbr in sym {
-        let i = scratch.ids.index_of(nbr);
-        scratch.edges.push((me_idx, i));
-        scratch.edges.push((i, me_idx));
+    // Undirected CSR by counting sort. Repeated links are left in:
+    // the BFS skips an already-reached index anyway.
+    let RouteScratch {
+        ids,
+        edges,
+        offsets,
+        adj,
+        dist,
+        next,
+        queue,
+        ..
+    } = scratch;
+    offsets.clear();
+    offsets.resize(n + 1, 0);
+    for &(a, b) in edges.iter() {
+        offsets[a as usize] += 1;
+        offsets[b as usize] += 1;
     }
-    for &(a, b) in reported.iter().chain(advertised) {
-        let (ia, ib) = (scratch.ids.index_of(a), scratch.ids.index_of(b));
-        scratch.edges.push((ia, ib));
-        scratch.edges.push((ib, ia));
+    // Running sums make `offsets[i]` the end of row `i`; filling each row
+    // backwards then leaves it at the row's start.
+    let mut end = 0;
+    for o in offsets.iter_mut() {
+        end += *o;
+        *o = end;
     }
-    scratch.edges.sort_unstable();
-    scratch.edges.dedup();
+    adj.clear();
+    adj.resize(end as usize, 0);
+    for &(a, b) in edges.iter() {
+        offsets[a as usize] -= 1;
+        adj[offsets[a as usize] as usize] = b;
+        offsets[b as usize] -= 1;
+        adj[offsets[b as usize] as usize] = a;
+    }
+    let offsets = &offsets[..];
+    let row = |x: u32| offsets[x as usize] as usize..offsets[x as usize + 1] as usize;
 
-    scratch.offsets.clear();
-    scratch.offsets.resize(n + 1, 0);
-    for &(src, _) in &scratch.edges {
-        scratch.offsets[src as usize + 1] += 1;
+    // BFS from `me`, first hops enqueued in ascending id order (see the
+    // module docs for why no other row needs sorting).
+    dist.clear();
+    dist.resize(n, UNREACHED);
+    next.clear();
+    next.resize(n, me);
+    queue.clear();
+    dist[root as usize] = 0;
+    let first_hops = &mut adj[row(root)];
+    first_hops.sort_unstable_by_key(|&y| ids[y as usize]);
+    for &y in first_hops.iter() {
+        if dist[y as usize] == UNREACHED {
+            dist[y as usize] = 1;
+            next[y as usize] = ids[y as usize];
+            queue.push(y);
+        }
     }
-    for i in 0..n {
-        scratch.offsets[i + 1] += scratch.offsets[i];
-    }
-
-    // BFS from `me`, remembering the first hop.
-    scratch.dist.clear();
-    scratch.dist.resize(n, u32::MAX);
-    scratch.next.clear();
-    scratch.next.resize(n, u32::MAX);
-    scratch.queue.clear();
-    scratch.dist[me_idx as usize] = 0;
-    scratch.next[me_idx as usize] = me_idx;
-    scratch.queue.push(me_idx);
     let mut head = 0;
-    while head < scratch.queue.len() {
-        let x = scratch.queue[head];
+    while let Some(&x) = queue.get(head) {
         head += 1;
-        let d = scratch.dist[x as usize];
-        let nh = scratch.next[x as usize];
-        let row = scratch.offsets[x as usize] as usize..scratch.offsets[x as usize + 1] as usize;
-        for &(_, y) in &scratch.edges[row] {
-            if scratch.dist[y as usize] != u32::MAX {
-                continue;
+        let (d, nh) = (dist[x as usize] + 1, next[x as usize]);
+        for &y in &adj[row(x)] {
+            if dist[y as usize] == UNREACHED {
+                dist[y as usize] = d;
+                next[y as usize] = nh;
+                queue.push(y);
             }
-            scratch.dist[y as usize] = d + 1;
-            scratch.next[y as usize] = if x == me_idx { y } else { nh };
-            scratch.queue.push(y);
         }
     }
 
     out.clear();
-    for i in 0..n {
-        if i as u32 == me_idx || scratch.dist[i] == u32::MAX {
-            continue;
-        }
-        out.push(RouteEntry {
-            dest: scratch.ids.resolve(i as u32),
-            next_hop: scratch.ids.resolve(scratch.next[i]),
-            hops: scratch.dist[i],
-        });
-    }
+    out.extend(queue.iter().map(|&x| RouteEntry {
+        dest: ids[x as usize],
+        next_hop: next[x as usize],
+        hops: dist[x as usize],
+    }));
+    out.sort_unstable_by_key(|e| e.dest);
 }
 
 /// Computes hop-count routes from `me` given its symmetric neighbors, the
 /// links its neighbors reported, and the advertised links learned from
 /// TCs. Returns a map keyed by destination.
 ///
-/// Determinism: BFS over adjacency sorted by node id, so equal-length
-/// routes resolve to the smallest-id next hop.
+/// Determinism: equal-length routes resolve to the smallest-id next hop.
 pub fn compute_routes(
     me: NodeId,
     sym_neighbors: &[(NodeId, LinkQos)],
@@ -243,6 +312,15 @@ pub fn reference_routes(
     routes
 }
 
+thread_local! {
+    /// The BFS buffers every [`RouteCache`] on this thread recomputes
+    /// through. They hold nothing between recomputes, so one copy per
+    /// thread serves all of its nodes. The sharded engine's per-window
+    /// worker threads each start from an empty copy, which costs a few
+    /// allocations per window and shard.
+    static SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::new());
+}
+
 /// The incremental routing layer: a cached route table plus the
 /// bookkeeping deciding when the cache is still exact.
 ///
@@ -258,7 +336,8 @@ pub fn reference_routes(
 ///    (lifetime refreshes and QoS drift don't alter hop routes). Costs
 ///    one allocation-free table scan and comparison, no BFS.
 /// 3. **recompute** — the keys differ from the cached table's, or no
-///    table was ever computed: full BFS through [`RouteScratch`].
+///    table was ever computed: full BFS through the thread's
+///    [`RouteScratch`].
 #[derive(Debug, Default)]
 pub struct RouteCache {
     /// No route-relevant table change was flagged since the last
@@ -278,7 +357,6 @@ pub struct RouteCache {
     gather_reported: Vec<(NodeId, NodeId)>,
     gather_topo: Vec<(NodeId, NodeId)>,
     routes: Vec<RouteEntry>,
-    scratch: RouteScratch,
     recomputes: u64,
     hits: u64,
 }
@@ -339,14 +417,16 @@ impl RouteCache {
             return;
         }
 
-        compute_routes_keys_into(
-            me,
-            &self.gather_sym,
-            &self.gather_reported,
-            &self.gather_topo,
-            &mut self.scratch,
-            &mut self.routes,
-        );
+        SCRATCH.with_borrow_mut(|scratch| {
+            compute_routes_keys_into(
+                me,
+                &self.gather_sym,
+                &self.gather_reported,
+                &self.gather_topo,
+                scratch,
+                &mut self.routes,
+            )
+        });
         std::mem::swap(&mut self.key_sym, &mut self.gather_sym);
         std::mem::swap(&mut self.key_reported, &mut self.gather_reported);
         std::mem::swap(&mut self.key_topo, &mut self.gather_topo);
@@ -498,6 +578,29 @@ mod tests {
         cache.ensure(me, &nt, &tb, t(3));
         assert_eq!(cache.counters(), (2, 1));
         assert_eq!(cache.entries().len(), 2);
+    }
+
+    #[test]
+    fn colliding_ids_probe_past_the_table_end() {
+        // `me` plus three neighbors size the table at eight slots; all
+        // four ids below start probing at the last one, so three wrap.
+        let mut scratch = RouteScratch::new();
+        scratch.reset_ids(4);
+        let last = scratch.slots.len() - 1;
+        let ids: Vec<NodeId> = (0u32..)
+            .map(NodeId)
+            .filter(|&id| scratch.home(id) == last)
+            .take(4)
+            .collect();
+        let (me, sym) = (ids[0], &ids[1..]);
+        let mut out = Vec::new();
+        compute_routes_keys_into(me, sym, &[], &[], &mut scratch, &mut out);
+        assert_eq!(scratch.slots.len(), last + 1);
+        let sym_q: Vec<(NodeId, LinkQos)> = sym.iter().map(|&n| (n, q())).collect();
+        let reference: Vec<RouteEntry> = reference_routes(me, &sym_q, &[], &[])
+            .into_values()
+            .collect();
+        assert_eq!(out, reference);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! every query identically to [`reference_routes`] — the original
 //! `BTreeMap` BFS — recomputed from scratch on the live table contents.
 //! The interned [`compute_routes`] is pinned to the reference on the
-//! same inputs.
+//! same inputs, and so are caches that share one thread's scratch, taking
+//! turns on one thread and recomputing at once on two.
 //!
 //! [`OlsrNode`]: qolsr_proto::OlsrNode
 //! [`RouteCache`]: qolsr_proto::RouteCache
@@ -13,6 +14,7 @@
 //! [`reference_routes`]: qolsr_proto::routing::reference_routes
 
 use std::collections::BTreeMap;
+use std::sync::Barrier;
 
 use proptest::prelude::*;
 use qolsr_graph::NodeId;
@@ -192,26 +194,153 @@ proptest! {
         prop_assert_eq!(cached, from_scratch(&nt, &tb, now));
     }
 
-    /// The interned CSR BFS matches the reference formulation on raw
-    /// input lists (duplicates, self-loop-free arbitrary pairs).
+    /// The hashed-interning BFS matches the reference formulation on raw
+    /// input lists. Ids span the whole `u32` range and are drawn from a
+    /// small pool, so they repeat: `me` (the pool's first id) shows up
+    /// inside reported/advertised pairs and in `sym`, self-loops occur,
+    /// and `sym` comes unsorted with duplicates.
     #[test]
     fn interned_bfs_equals_reference(
-        sym in proptest::collection::vec(1u32..12, 0..6),
-        reported in proptest::collection::vec((0u32..12, 0u32..12), 0..10),
-        advertised in proptest::collection::vec((0u32..12, 0u32..12), 0..10),
+        pool in proptest::collection::vec(wide_id(), 1..16),
+        sym in proptest::collection::vec(0usize..16, 0..8),
+        reported in proptest::collection::vec((0usize..16, 0usize..16), 0..16),
+        advertised in proptest::collection::vec((0usize..16, 0usize..16), 0..24),
     ) {
+        let id = |i: usize| NodeId(pool[i % pool.len()]);
+        let me = id(0);
         let sym: Vec<(NodeId, LinkQos)> =
-            sym.iter().map(|&n| (NodeId(n), LinkQos::uniform(1))).collect();
-        let pairs = |v: &[(u32, u32)]| -> Vec<(NodeId, NodeId, LinkQos)> {
+            sym.iter().map(|&i| (id(i), LinkQos::uniform(1))).collect();
+        let pairs = |v: &[(usize, usize)]| -> Vec<(NodeId, NodeId, LinkQos)> {
             v.iter()
-                .map(|&(a, b)| (NodeId(a), NodeId(b), LinkQos::uniform(1)))
+                .map(|&(a, b)| (id(a), id(b), LinkQos::uniform(1)))
                 .collect()
         };
         let reported = pairs(&reported);
         let advertised = pairs(&advertised);
         prop_assert_eq!(
-            compute_routes(ME, &sym, &reported, &advertised),
-            reference_routes(ME, &sym, &reported, &advertised),
+            compute_routes(me, &sym, &reported, &advertised),
+            reference_routes(me, &sym, &reported, &advertised),
         );
     }
+}
+
+/// Ids over the whole `u32` range: arbitrary values, `u32::MAX`, and ids
+/// that differ only in their high bits (`k << 20`), so that hashed slots
+/// collide.
+fn wide_id() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        Just(u32::MAX),
+        (0u32..4096).prop_map(|k| k << 20),
+    ]
+}
+
+/// A node's tables and route cache, driven through a fixed sequence of
+/// TCs that each change its topology.
+struct TcDriven {
+    me: NodeId,
+    nt: NeighborTables,
+    tb: TopologyBase,
+    cache: RouteCache,
+    /// The neighbor whose TCs the node integrates.
+    orig: NodeId,
+    /// Ids the TCs advertise; TC `s` advertises the first `s + 1`.
+    far: Vec<NodeId>,
+}
+
+impl TcDriven {
+    /// `me` with symmetric neighbors `nbrs`, learning TCs from `nbrs[0]`.
+    fn new(me: NodeId, nbrs: &[NodeId], far: Vec<NodeId>) -> Self {
+        let mut nt = NeighborTables::new();
+        let hello = Hello {
+            neighbors: vec![HelloNeighbor {
+                id: me,
+                state: LinkState::Symmetric,
+                qos: LinkQos::uniform(1),
+            }],
+        };
+        let hold = SimTime::ZERO + SimDuration::from_secs(1000);
+        for &n in nbrs {
+            nt.process_hello(me, n, LinkQos::uniform(1), &hello, SimTime::ZERO, hold);
+        }
+        Self {
+            me,
+            nt,
+            tb: TopologyBase::new(),
+            cache: RouteCache::new(),
+            orig: nbrs[0],
+            far,
+        }
+    }
+
+    /// Integrates TC `s`, then checks that the cache recomputed and that
+    /// its table equals the reference on the live tables.
+    fn step(&mut self, s: usize) {
+        let now = SimTime::ZERO + SimDuration::from_secs(1);
+        let advertised: Vec<(NodeId, LinkQos)> = self.far[..=s]
+            .iter()
+            .map(|&n| (n, LinkQos::uniform(1)))
+            .collect();
+        let hold = now + SimDuration::from_secs(1000);
+        let update = self
+            .tb
+            .process_tc_tracked(self.orig, s as u16, &advertised, now, hold);
+        assert!(update.links_changed);
+        self.cache.invalidate();
+        self.cache.ensure(self.me, &self.nt, &self.tb, now);
+        assert_eq!(self.cache.counters().0, s as u64 + 1, "TC {s} recomputed");
+        let cached: BTreeMap<NodeId, RouteEntry> =
+            self.cache.entries().iter().map(|&e| (e.dest, e)).collect();
+        let reference = reference_routes(
+            self.me,
+            &self.nt.symmetric_neighbors(now),
+            &self.nt.reported_links(now),
+            &self.tb.links(now),
+        );
+        assert_eq!(cached, reference, "node {:?} after TC {s}", self.me);
+    }
+}
+
+/// Two nodes with different tables: a small one with low ids and a
+/// larger one with high-bit ids, including `u32::MAX` as its own id.
+fn two_nodes() -> (TcDriven, TcDriven) {
+    let small = TcDriven::new(
+        NodeId(0),
+        &[NodeId(1), NodeId(2)],
+        (10..16).map(NodeId).collect(),
+    );
+    let large = TcDriven::new(
+        NodeId(u32::MAX),
+        &[NodeId(1 << 20), NodeId(2 << 20), NodeId(3 << 20)],
+        (4..40).map(|k| NodeId(k << 20)).collect(),
+    );
+    (small, large)
+}
+
+/// Every route cache recomputes through its thread's one scratch, so
+/// nodes taking turns on a thread, and nodes recomputing at the same
+/// time on two threads, must each get exactly the reference table.
+#[test]
+fn route_caches_share_a_thread_scratch_without_carrying_state() {
+    const STEPS: usize = 6;
+
+    let (mut small, mut large) = two_nodes();
+    for s in 0..STEPS {
+        large.step(s);
+        small.step(s);
+    }
+
+    let (mut small, mut large) = two_nodes();
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for node in [&mut small, &mut large] {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                for s in 0..STEPS {
+                    barrier.wait();
+                    node.step(s);
+                }
+            });
+        }
+    });
 }
