@@ -65,10 +65,9 @@
 //!                scale --live only: duplicate-set formulation, ring
 //!                (default) or per-originator (the pre-ring reference)
 //!   --shards K   scale --live / overhead / churn / loss / faults /
-//!                traffic: engine shard count (default 1 = single-queue
-//!                reference engine; K >= 2 runs the region-sharded
-//!                parallel engine, which must produce identical
-//!                counters)
+//!                traffic: engine shard count (default 1; K >= 2 steps
+//!                K spatial shards in parallel, which must produce
+//!                identical counters)
 //!   --lossy      scale --live only: run the radio under
 //!                PhyModel::Lossy (40% edge drop) instead of Ideal —
 //!                combined with --verify-shards this is the CI gate
@@ -99,7 +98,7 @@
 //!                churn intensity as the x-axis instead of time
 //!   --verify-shards
 //!                scale --live / faults / traffic: run the sharded
-//!                experiment AND a --shards 1 reference in lockstep,
+//!                experiment AND a --shards 1 run in lockstep,
 //!                exiting non-zero on any divergence (CI determinism
 //!                gate)
 //!   --warmup N   scale --live only: unmeasured warm-up seconds
@@ -894,7 +893,7 @@ fn main() -> ExitCode {
                 }
                 let results = if args.verify_shards {
                     // Panics (non-zero exit) on any divergence between the
-                    // sharded engine and the single-queue reference.
+                    // sharded run and the one-shard run.
                     fault_experiment_verified_with(metric, &cfg, &SelectorKind::PAPER)
                 } else {
                     fault_experiment_with(metric, &cfg, &SelectorKind::PAPER)
@@ -902,7 +901,7 @@ fn main() -> ExitCode {
                 if args.verify_shards {
                     println!(
                         "# shard verification ok ({}): curves and recovery aggregates \
-                         identical to the single-queue reference\n",
+                         identical to the one-shard run\n",
                         fault.name()
                     );
                 }
@@ -967,7 +966,7 @@ fn main() -> ExitCode {
             let m = metric.name();
             let results = if args.verify_shards {
                 // Panics (non-zero exit) on any divergence between the
-                // sharded engine and the single-queue reference.
+                // sharded run and the one-shard run.
                 traffic_experiment_verified_with(metric, &cfg, &SelectorKind::PAPER)
             } else {
                 traffic_experiment_with(metric, &cfg, &SelectorKind::PAPER)
@@ -975,7 +974,7 @@ fn main() -> ExitCode {
             if args.verify_shards {
                 println!(
                     "# shard verification ok: QoS curves and drop-cause totals \
-                     identical to the single-queue reference\n"
+                     identical to the one-shard run\n"
                 );
             }
             println!(
@@ -1087,7 +1086,7 @@ fn main() -> ExitCode {
             }
             let points = if args.verify_shards {
                 // Panics (non-zero exit) on any counter divergence between
-                // the sharded engine and the single-queue reference.
+                // the sharded run and the one-shard run.
                 live_sweep_verified(&cfg)
             } else {
                 live_sweep(&cfg)
@@ -1107,7 +1106,7 @@ fn main() -> ExitCode {
             if args.verify_shards {
                 println!(
                     "# shard verification ok: counters identical to the \
-                     single-queue reference at every size\n"
+                     one-shard run at every size\n"
                 );
             }
             println!(

@@ -140,9 +140,8 @@ pub struct ChurnConfig {
     /// churn experiment under non-default timing, TC scoping
     /// ([`qolsr_proto::TcScoping`]) or decode-path settings.
     pub olsr: OlsrConfig,
-    /// Engine shard count: `1` runs the single-queue reference engine,
-    /// `k >= 2` the region-sharded parallel engine (identical counters
-    /// either way — see [`crate::eval::exec_mode`]).
+    /// Engine shard count (identical counters at any count — see
+    /// [`crate::eval::exec_mode`]).
     pub shards: u32,
 }
 

@@ -24,9 +24,9 @@
 //! Faults are injected through the seed-deterministic scenario models in
 //! [`qolsr_sim::scenario`] ([`PartitionWindow`], [`RegionalBlackout`],
 //! [`CrashStorm`]), optionally on top of a corrupting radio
-//! ([`FrameCorruption`]), and the whole experiment runs unchanged on the
-//! single-queue or the region-sharded engine —
-//! [`fault_experiment_verified`] pins the two against each other.
+//! ([`FrameCorruption`]), and the whole experiment runs unchanged at any
+//! engine shard count — [`fault_experiment_verified`] pins a sharded run
+//! against the one-shard run.
 
 use qolsr_graph::connectivity::Components;
 use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
@@ -137,9 +137,8 @@ pub struct FaultConfig {
     pub sustain: usize,
     /// Protocol configuration of every node.
     pub olsr: OlsrConfig,
-    /// Engine shard count: `1` runs the single-queue reference engine,
-    /// `k >= 2` the region-sharded parallel engine (identical results
-    /// either way — see [`fault_experiment_verified`]).
+    /// Engine shard count (identical results at any count — see
+    /// [`fault_experiment_verified`]).
     pub shards: u32,
 }
 
@@ -346,8 +345,8 @@ pub fn fault_experiment_with(
     }
 }
 
-/// Runs the experiment on the configured shard count *and* on the
-/// single-queue reference engine, and asserts every aggregate — validity
+/// Runs the experiment on the configured shard count *and* on one
+/// shard, and asserts every aggregate — validity
 /// and staleness curves, recovery times, byte costs, censoring counts —
 /// is identical before returning the sharded result. The fault-injection
 /// analogue of [`crate::eval::scale::live_sweep_verified`]: partitions,
@@ -355,7 +354,7 @@ pub fn fault_experiment_with(
 ///
 /// # Panics
 ///
-/// Panics if the two engines diverge anywhere.
+/// Panics if the two runs diverge anywhere.
 pub fn fault_experiment_verified<M: EvalMetric>(
     cfg: &FaultConfig,
     kinds: &[SelectorKind],
@@ -374,7 +373,7 @@ pub fn fault_experiment_verified<M: EvalMetric>(
             assert_eq!(
                 stats(&a.validity),
                 stats(&b.validity),
-                "{} t={}: sharded engine (shards={}) diverged from the single-queue reference",
+                "{} t={}: the engine at shards={} diverged from the one-shard run",
                 s.kind.label(),
                 a.at_secs,
                 cfg.shards,
@@ -729,7 +728,7 @@ mod tests {
             ..tiny_cfg(FaultKind::Blackout)
         };
         // `fault_experiment_verified` asserts curve and recovery parity
-        // between the sharded and single-queue engines internally.
+        // between the two-shard and one-shard runs internally.
         let results = fault_experiment_verified::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
         assert_eq!(results[0].recovered_runs + results[0].censored_runs, 2);
     }

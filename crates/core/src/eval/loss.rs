@@ -78,8 +78,8 @@ pub struct LossConfig {
     /// Protocol configuration of every node — the hook for sweeping
     /// under link hysteresis and/or the ETX metric.
     pub olsr: OlsrConfig,
-    /// Engine shard count (1 = single-queue reference; loss sampling is
-    /// shard-count-invariant, pinned by `tests/phy_differential.rs`).
+    /// Engine shard count (loss sampling is shard-count-invariant,
+    /// pinned by `tests/phy_differential.rs`).
     pub shards: u32,
 }
 

@@ -189,12 +189,10 @@ impl EvalConfig {
 }
 
 /// Maps an experiment `--shards` knob onto an engine execution mode:
-/// `0`/`1` select the single-queue reference engine, `k ≥ 2` the
-/// region-sharded parallel engine with `k` shards. With the default
-/// zero radio jitter the two replay byte-identically, so experiment
-/// counters are shard-count-invariant (the store/residency gauges are
-/// the documented exception — arena boundaries follow shard
-/// boundaries).
+/// `0`/`1` select one shard, `k ≥ 2` run `k` shards in parallel. Every
+/// shard count replays byte-identically, so experiment counters are
+/// shard-count-invariant (the store/residency gauges are the documented
+/// exception — arena boundaries follow shard boundaries).
 pub fn exec_mode(shards: u32) -> qolsr_sim::ExecMode {
     if shards <= 1 {
         qolsr_sim::ExecMode::SingleShard

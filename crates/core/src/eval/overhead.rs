@@ -57,9 +57,8 @@ pub struct OverheadConfig {
     pub probes: usize,
     /// The scoping policies to compare, with their table labels.
     pub policies: Vec<(String, TcScoping)>,
-    /// Engine shard count: `1` runs the single-queue reference engine,
-    /// `k >= 2` the region-sharded parallel engine (identical counters
-    /// either way — see [`crate::eval::exec_mode`]).
+    /// Engine shard count (identical counters at any count — see
+    /// [`crate::eval::exec_mode`]).
     pub shards: u32,
 }
 

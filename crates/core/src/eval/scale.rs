@@ -242,9 +242,8 @@ pub struct LiveConfig {
     /// by default; [`DuplicateStore::PerOriginator`] is the reference,
     /// for memory comparisons).
     pub dup_store: DuplicateStore,
-    /// Engine shard count: `1` runs the single-queue reference engine,
-    /// `k >= 2` the region-sharded parallel engine (identical counters
-    /// either way — see [`crate::eval::exec_mode`]).
+    /// Engine shard count (identical counters at any count — see
+    /// [`crate::eval::exec_mode`]).
     pub shards: u32,
     /// PHY model of the radio ([`PhyModel::Ideal`] by default;
     /// [`PhyModel::Lossy`] exercises the drop/collision paths — loss
@@ -441,17 +440,17 @@ pub fn live_sweep(cfg: &LiveConfig) -> Vec<LivePoint> {
         .collect()
 }
 
-/// Runs the live sweep on the configured engine **and** on the
-/// single-queue reference, asserting that every protocol and engine
+/// Runs the live sweep on the configured shard count **and** on one
+/// shard, asserting that every protocol and engine
 /// counter matches exactly — the shard-invariance smoke CI runs with
 /// `--shards 2 --verify-shards`. The resident-memory gauges are the
 /// one legitimate difference (per-shard intern arenas aggregate
 /// differently), so they are excluded from the comparison. Returns the
-/// configured engine's points.
+/// configured run's points.
 ///
 /// # Panics
 ///
-/// Panics if any compared counter differs between the two engines.
+/// Panics if any compared counter differs between the two runs.
 pub fn live_sweep_verified(cfg: &LiveConfig) -> Vec<LivePoint> {
     let sharded = live_sweep(cfg);
     let reference = live_sweep(&LiveConfig {
@@ -475,7 +474,7 @@ pub fn live_sweep_verified(cfg: &LiveConfig) -> Vec<LivePoint> {
         assert_eq!(
             comparable(&s.totals),
             comparable(&r.totals),
-            "n={}: sharded engine (shards={}) diverged from the single-queue reference",
+            "n={}: the engine at shards={} diverged from the one-shard run",
             s.nodes,
             cfg.shards,
         );

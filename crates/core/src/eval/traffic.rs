@@ -25,8 +25,8 @@
 //! Every selector replays the *same* deployments, the same flow set and
 //! the same mobility schedule at every loss level, so curves differ only
 //! by selection policy and channel. The whole experiment runs unchanged
-//! on the single-queue or region-sharded engine;
-//! [`traffic_experiment_verified`] pins the two against each other.
+//! at any engine shard count; [`traffic_experiment_verified`] pins a
+//! sharded run against the one-shard run.
 
 use qolsr_graph::deploy::UniformWeights;
 use qolsr_graph::{NodeId, Topology};
@@ -93,7 +93,7 @@ pub struct TrafficConfig {
     /// Protocol configuration of every node (queue capacity, service
     /// rate and data TTL live in [`OlsrConfig::traffic`]).
     pub olsr: OlsrConfig,
-    /// Engine shard count (1 = single-queue reference; see
+    /// Engine shard count (identical results at any count; see
     /// [`traffic_experiment_verified`]).
     pub shards: u32,
 }
@@ -367,8 +367,8 @@ pub fn traffic_experiment_with(
     }
 }
 
-/// Runs the sweep on the configured shard count *and* on the
-/// single-queue reference engine, and asserts every aggregate — QoS
+/// Runs the sweep on the configured shard count *and* on one shard, and
+/// asserts every aggregate — QoS
 /// curves and the exact drop-cause totals — is identical before
 /// returning the sharded result. Data frames ride the same radio path
 /// as control frames, so the barrier merge must commute with queues,
@@ -376,7 +376,7 @@ pub fn traffic_experiment_with(
 ///
 /// # Panics
 ///
-/// Panics if the two engines diverge anywhere.
+/// Panics if the two runs diverge anywhere.
 pub fn traffic_experiment_verified<M: EvalMetric>(
     cfg: &TrafficConfig,
     kinds: &[SelectorKind],
@@ -407,8 +407,7 @@ pub fn traffic_experiment_verified<M: EvalMetric>(
                     stats(&b.jitter_ms),
                     stats(&b.hops),
                 ),
-                "{} level={}ppm: sharded engine (shards={}) diverged from the single-queue \
-                 reference",
+                "{} level={}ppm: the engine at shards={} diverged from the one-shard run",
                 s.kind.label(),
                 a.edge_drop_ppm,
                 cfg.shards,

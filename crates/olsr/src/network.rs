@@ -11,34 +11,22 @@ use std::collections::BTreeMap;
 
 use qolsr_sim::trace::TraceBuffer;
 use qolsr_sim::{
-    ExecMode, FlowRecord, FlowSpec, FlowState, RadioConfig, Scenario, SchedulerKind,
-    ShardedSimulator, SimDuration, SimRng, SimStats, SimTime, Simulator, TrafficStats,
-    TRAFFIC_STREAM_SALT,
+    ExecMode, FlowRecord, FlowSpec, FlowState, RadioConfig, Scenario, SchedulerKind, SimDuration,
+    SimRng, SimStats, SimTime, Simulator, TrafficStats, TRAFFIC_STREAM_SALT,
 };
 
 use crate::config::{OlsrConfig, TopologyStore};
 use crate::node::{AdvertisePolicy, MprSelectorPolicy, NodeStats, OlsrNode, TableFootprint};
 use crate::store::{SharedLinkStore, StoreGauges};
 
-/// The execution engine behind an [`OlsrNetwork`]: the single-queue
-/// reference loop, or the region-sharded parallel loop. With zero radio
-/// jitter the two replay byte-identically (the sharded engine's
-/// determinism contract), so every protocol-level observable is
-/// engine-independent.
-enum Engine<P: AdvertisePolicy> {
-    Single(Simulator<OlsrNode<P>>),
-    Sharded(ShardedSimulator<OlsrNode<P>>),
-}
-
 /// An OLSR network simulation: one [`OlsrNode`] per topology node.
 pub struct OlsrNetwork<P: AdvertisePolicy> {
-    engine: Engine<P>,
+    sim: Simulator<OlsrNode<P>>,
     /// The interned link-set arenas nodes share under
-    /// [`TopologyStore::Shared`]: one network-wide store on the
-    /// single-queue engine, one arena *per shard* on the sharded engine
-    /// (nodes only ever intern into their home shard's arena, keeping
-    /// the store lock uncontended across shard threads). Empty under
-    /// the per-node reference.
+    /// [`TopologyStore::Shared`]: one arena *per shard* (nodes only ever
+    /// intern into their home shard's arena, keeping the store lock
+    /// uncontended across shard threads). Empty under the per-node
+    /// reference.
     stores: Vec<SharedLinkStore>,
 }
 
@@ -102,15 +90,14 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
     }
 
     /// Like [`OlsrNetwork::with_scheduler`], but with an explicit
-    /// execution mode. Under [`ExecMode::Sharded`] the network runs on
-    /// the region-sharded parallel engine; with the default zero radio
-    /// jitter every observable (stats, traces, tables, routes) is
-    /// byte-identical to [`ExecMode::SingleShard`] for any shard count.
+    /// execution mode: the number of spatial shards the engine steps in
+    /// parallel. Every observable (stats, traces, tables, routes) is
+    /// byte-identical for any shard count.
     ///
-    /// Under [`TopologyStore::Shared`] the sharded network builds one
-    /// intern arena per shard and each node feeds its home shard's
-    /// arena (re-binding when churn re-homes it), so shard threads
-    /// never contend on a store lock. Store gauges therefore aggregate
+    /// Under [`TopologyStore::Shared`] the network builds one intern
+    /// arena per shard and each node feeds its home shard's arena
+    /// (re-binding when churn re-homes it), so shard threads never
+    /// contend on a store lock. Store gauges therefore aggregate
     /// differently across shard counts — they are the one observable
     /// excluded from the shard-invariance contract.
     pub fn with_exec(
@@ -122,60 +109,29 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
         exec: ExecMode,
         mut policy: impl FnMut(NodeId) -> P,
     ) -> Self {
-        match exec {
-            ExecMode::SingleShard => {
-                let store = match config.topology_store {
-                    TopologyStore::Shared => Some(SharedLinkStore::new()),
-                    TopologyStore::PerNode => None,
-                };
-                let sim =
-                    Simulator::with_scheduler(
-                        topology,
-                        radio,
-                        seed,
-                        scheduler,
-                        |id| match &store {
-                            Some(store) => {
-                                OlsrNode::with_store(id, config, policy(id), store.clone())
-                            }
-                            None => OlsrNode::new(id, config, policy(id)),
-                        },
-                    );
-                Self {
-                    engine: Engine::Single(sim),
-                    stores: store.into_iter().collect(),
+        // Mirror the engine's shard-count clamp so the arena table and
+        // the shard map always agree.
+        let k = (exec.shards() as usize).min(topology.len().max(1));
+        let arenas: Option<Arc<[SharedLinkStore]>> = match config.topology_store {
+            TopologyStore::Shared => Some((0..k).map(|_| SharedLinkStore::new()).collect()),
+            TopologyStore::PerNode => None,
+        };
+        let sim = Simulator::with_shards(
+            topology,
+            radio,
+            seed,
+            scheduler,
+            exec.shards(),
+            |id, shard| match &arenas {
+                Some(arenas) => {
+                    OlsrNode::with_store_table(id, config, policy(id), arenas.clone(), shard)
                 }
-            }
-            ExecMode::Sharded { shards } => {
-                // Mirror the engine's shard-count clamp so the arena
-                // table and the shard map always agree.
-                let k = (shards.max(1) as usize).min(topology.len().max(1));
-                let arenas: Option<Arc<[SharedLinkStore]>> = match config.topology_store {
-                    TopologyStore::Shared => Some((0..k).map(|_| SharedLinkStore::new()).collect()),
-                    TopologyStore::PerNode => None,
-                };
-                let sim = ShardedSimulator::with_scheduler(
-                    topology,
-                    radio,
-                    seed,
-                    scheduler,
-                    shards,
-                    |id, shard| match &arenas {
-                        Some(arenas) => OlsrNode::with_store_table(
-                            id,
-                            config,
-                            policy(id),
-                            arenas.clone(),
-                            shard,
-                        ),
-                        None => OlsrNode::new(id, config, policy(id)),
-                    },
-                );
-                Self {
-                    engine: Engine::Sharded(sim),
-                    stores: arenas.map(|a| a.to_vec()).unwrap_or_default(),
-                }
-            }
+                None => OlsrNode::new(id, config, policy(id)),
+            },
+        );
+        Self {
+            sim,
+            stores: arenas.map(|a| a.to_vec()).unwrap_or_default(),
         }
     }
 
@@ -213,10 +169,7 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
                 .filter(|f| f.src == id)
                 .map(|f| FlowState::new(*f))
                 .collect();
-            match &mut self.engine {
-                Engine::Single(sim) => sim.actor_mut(id).install_traffic(node_flows, rng),
-                Engine::Sharded(sim) => sim.actor_mut(id).install_traffic(node_flows, rng),
-            }
+            self.sim.actor_mut(id).install_traffic(node_flows, rng);
         }
     }
 
@@ -258,119 +211,59 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
     /// Schedules a scenario shifted to begin at `start` (warm up the
     /// protocol on the static world first, then let it move).
     pub fn install_scenario_at(&mut self, scenario: &Scenario, start: SimTime) {
-        match &mut self.engine {
-            Engine::Single(sim) => scenario.install_at(sim, start),
-            Engine::Sharded(sim) => {
-                let offset = start - SimTime::ZERO;
-                sim.schedule_world_events(
-                    scenario
-                        .events()
-                        .iter()
-                        .map(|te| (te.at + offset, te.event)),
-                );
-            }
-        }
+        scenario.install_at(&mut self.sim, start);
     }
 
-    /// Schedules a single world event, engine-independently.
+    /// Schedules a single world event.
     pub fn schedule_world(&mut self, at: SimTime, event: WorldEvent) {
-        match &mut self.engine {
-            Engine::Single(sim) => sim.schedule_world(at, event),
-            Engine::Sharded(sim) => sim.schedule_world(at, event),
-        }
+        self.sim.schedule_world(at, event);
     }
 
     /// Advances the simulation by `d`.
     pub fn run_for(&mut self, d: SimDuration) {
-        match &mut self.engine {
-            Engine::Single(sim) => sim.run_for(d),
-            Engine::Sharded(sim) => sim.run_for(d),
-        }
+        self.sim.run_for(d);
     }
 
     /// Advances the simulation up to the absolute instant `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        match &mut self.engine {
-            Engine::Single(sim) => sim.run_until(t),
-            Engine::Sharded(sim) => sim.run_until(t),
-        }
+        self.sim.run_until(t);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.engine {
-            Engine::Single(sim) => sim.now(),
-            Engine::Sharded(sim) => sim.now(),
-        }
+        self.sim.now()
     }
 
     /// Engine statistics so far (events dispatched, deliveries, world
-    /// changes, …) — engine-independent, unlike [`OlsrNetwork::sim`].
+    /// changes, …).
     pub fn engine_stats(&self) -> SimStats {
-        match &self.engine {
-            Engine::Single(sim) => sim.stats(),
-            Engine::Sharded(sim) => sim.stats(),
-        }
+        self.sim.stats()
     }
 
     /// Enables the engine event-trace ring buffer.
     pub fn enable_trace(&mut self, capacity: usize) {
-        match &mut self.engine {
-            Engine::Single(sim) => sim.enable_trace(capacity),
-            Engine::Sharded(sim) => sim.enable_trace(capacity),
-        }
+        self.sim.enable_trace(capacity);
     }
 
     /// The engine trace buffer, if tracing is enabled.
     pub fn trace(&self) -> Option<&TraceBuffer> {
-        match &self.engine {
-            Engine::Single(sim) => sim.trace(),
-            Engine::Sharded(sim) => sim.trace(),
-        }
+        self.sim.trace()
     }
 
-    /// The underlying single-queue simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`ExecMode::Sharded`] — use the engine-independent
-    /// facade ([`OlsrNetwork::engine_stats`],
-    /// [`OlsrNetwork::schedule_world`], [`OlsrNetwork::trace`], …)
-    /// in code that must run on both engines.
+    /// The underlying simulator.
     pub fn sim(&self) -> &Simulator<OlsrNode<P>> {
-        match &self.engine {
-            Engine::Single(sim) => sim,
-            Engine::Sharded(_) => panic!("OlsrNetwork::sim on a sharded network"),
-        }
+        &self.sim
     }
 
-    /// Mutable access to the underlying single-queue simulator (e.g. to
-    /// schedule world events directly).
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`ExecMode::Sharded`]; see [`OlsrNetwork::sim`].
+    /// Mutable access to the underlying simulator (e.g. to schedule
+    /// world events directly).
     pub fn sim_mut(&mut self) -> &mut Simulator<OlsrNode<P>> {
-        match &mut self.engine {
-            Engine::Single(sim) => sim,
-            Engine::Sharded(_) => panic!("OlsrNetwork::sim_mut on a sharded network"),
-        }
-    }
-
-    /// The underlying sharded simulator, if running sharded.
-    pub fn sharded(&self) -> Option<&ShardedSimulator<OlsrNode<P>>> {
-        match &self.engine {
-            Engine::Single(_) => None,
-            Engine::Sharded(sim) => Some(sim),
-        }
+        &mut self.sim
     }
 
     /// The current ground-truth world.
     pub fn world(&self) -> &DynamicTopology {
-        match &self.engine {
-            Engine::Single(sim) => sim.world(),
-            Engine::Sharded(sim) => sim.world(),
-        }
+        self.sim.world()
     }
 
     /// An immutable snapshot of the current ground-truth topology.
@@ -384,19 +277,12 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
     ///
     /// Panics if `n` is out of range.
     pub fn node(&self, n: NodeId) -> &OlsrNode<P> {
-        match &self.engine {
-            Engine::Single(sim) => sim.actor(n),
-            Engine::Sharded(sim) => sim.actor(n),
-        }
+        self.sim.actor(n)
     }
 
-    /// Iterates every protocol node in ascending node-id order,
-    /// engine-independently.
-    fn actors(&self) -> Box<dyn Iterator<Item = (NodeId, &OlsrNode<P>)> + '_> {
-        match &self.engine {
-            Engine::Single(sim) => Box::new(sim.actors()),
-            Engine::Sharded(sim) => Box::new(sim.actors()),
-        }
+    /// Iterates every protocol node in ascending node-id order.
+    fn actors(&self) -> impl Iterator<Item = (NodeId, &OlsrNode<P>)> {
+        self.sim.actors()
     }
 
     /// Symmetric neighbors of `n` at the current time, ascending.
@@ -447,7 +333,7 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
     }
 
     /// The shared stores' resident-memory and dedup statistics (summed
-    /// over the per-shard arenas under [`ExecMode::Sharded`]), or the
+    /// over the per-shard arenas), or the
     /// zero gauges under [`TopologyStore::PerNode`] (nothing is shared
     /// there — the per-node bytes show up in
     /// [`OlsrNetwork::total_footprint`] instead). Because arena

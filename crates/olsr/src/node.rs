@@ -143,11 +143,11 @@ pub struct OlsrNode<P> {
     config: OlsrConfig,
     neighbors: NeighborTables,
     topology: NodeTopology,
-    /// The per-shard intern-arena table under the sharded engine with
-    /// [`TopologyStore::Shared`]: [`Actor::on_rehome`] re-binds
+    /// The per-shard intern-arena table under [`TopologyStore::Shared`]
+    /// ([`OlsrNode::with_store_table`]): [`Actor::on_rehome`] re-binds
     /// `topology` to the destination shard's arena when churn moves
-    /// this node across shards. `None` on the single-queue engine (one
-    /// network-wide arena, never re-bound) and under
+    /// this node across shards. `None` for nodes built on one fixed
+    /// store ([`OlsrNode::with_store`]) and under
     /// [`TopologyStore::PerNode`].
     stores: Option<Arc<[SharedLinkStore]>>,
     duplicates: Duplicates,
@@ -240,10 +240,10 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
         }
     }
 
-    /// Creates a node for the sharded engine: under
-    /// [`TopologyStore::Shared`] it interns into the arena of its home
-    /// `shard` and re-binds to the destination shard's arena whenever
-    /// the engine re-homes it after a churn rejoin
+    /// Creates a node for a network with one intern arena per engine
+    /// shard: under [`TopologyStore::Shared`] it interns into the arena
+    /// of its home `shard` and re-binds to the destination shard's arena
+    /// whenever the engine re-homes it after a churn rejoin
     /// ([`Actor::on_rehome`]). Under [`TopologyStore::PerNode`] the
     /// arena table is unused (not retained).
     ///
@@ -961,9 +961,9 @@ impl<P: AdvertisePolicy> Actor for OlsrNode<P> {
     }
 
     fn on_rehome(&mut self, shard: usize) {
-        // The sharded engine re-homed this node after a rejoin reset:
-        // re-bind the shared topology base to the destination shard's
-        // intern arena. `on_reset` already ran, so `topology.clear()`
+        // The engine moved this node to another shard after a rejoin
+        // reset: re-bind the shared topology base to the destination
+        // shard's intern arena. `on_reset` already ran, so `topology.clear()`
         // has released every handle into the old shard's arena.
         if let Some(stores) = &self.stores {
             self.topology = NodeTopology::Shared(SharedTopology::new(stores[shard].clone()));

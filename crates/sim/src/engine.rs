@@ -1,4 +1,5 @@
-//! The actor-based discrete-event engine and its ideal-MAC radio model.
+//! The actor model and the ideal-MAC radio model that the engine
+//! ([`Simulator`]) runs.
 //!
 //! The engine runs against a *mutable* world: a scheduled stream of
 //! [`WorldEvent`]s (link up/down, QoS drift, motion, node churn) is
@@ -8,13 +9,16 @@
 
 use std::cmp::Ordering;
 
-use qolsr_graph::{DynamicTopology, NodeId, Topology, WorldEvent};
+#[cfg(doc)]
+use qolsr_graph::WorldEvent;
+use qolsr_graph::{DynamicTopology, NodeId};
 use qolsr_metrics::LinkQos;
 
-use crate::queue::{EventQueue, QueueItem, SchedulerKind};
+use crate::queue::QueueItem;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
+#[cfg(doc)]
+use crate::Simulator;
 
 /// Identifier a protocol uses to distinguish its timers (opaque to the
 /// engine).
@@ -49,12 +53,13 @@ pub trait Actor {
     /// runs again immediately afterwards.
     fn on_reset(&mut self) {}
 
-    /// Called by the sharded engine ([`crate::ShardedSimulator`]) right
-    /// after [`Actor::on_reset`] when a rejoining node is re-homed to the
-    /// shard covering its current position; `shard` is the destination
-    /// shard index. Actors holding shard-affine resources (e.g. a handle
-    /// into a per-shard store arena) rebind them here. The single-queue
-    /// engine never calls this; the default is a no-op.
+    /// Called right after [`Actor::on_reset`] when a rejoining node's
+    /// current position lies in another shard than its old home, and the
+    /// engine moves it there; `shard` is the destination shard index. A
+    /// node that rejoins inside its home shard stays put and is not told,
+    /// so one-shard runs never call this. Actors holding shard-affine
+    /// resources (e.g. a handle into a per-shard store arena) rebind them
+    /// here; the default is a no-op.
     fn on_rehome(&mut self, shard: usize) {
         let _ = shard;
     }
@@ -83,11 +88,11 @@ pub trait Actor {
         None
     }
 
-    /// Classifies a message as a data-plane frame so the engines can
+    /// Classifies a message as a data-plane frame so the engine can
     /// account for it in the [`SimStats`] `data_*` counters (sent,
     /// delivered, and every in-flight drop cause) without understanding
     /// the payload. Pure classification: implementations must not draw
-    /// randomness or mutate anything, and the engines never branch on
+    /// randomness or mutate anything, and the engine never branches on
     /// the answer — event order, RNG streams and delivery schedules are
     /// identical whether a frame is data or control. The default (`false`
     /// for everything) keeps control-plane-only protocols untouched.
@@ -133,14 +138,14 @@ impl Default for RadioConfig {
 ///
 /// `Ideal` is the living reference formulation every lossy run is
 /// differentially pinned against (the same pattern as
-/// [`SchedulerKind`]'s heap or `TcScoping::Uniform`): it performs **no
-/// PHY randomness at all**, so `Ideal` runs are byte-identical to the
-/// engine as it existed before the PHY layer landed. `Lossy` draws its
-/// randomness from dedicated per-sender streams split from
-/// `seed ^ LOSS_STREAM_SALT` — never from the engine or actor streams —
-/// so switching models cannot perturb protocol jitter or actor draws,
-/// and drop decisions are identical across [`Simulator`] and
-/// [`crate::ShardedSimulator`] at every shard count.
+/// [`SchedulerKind`](crate::SchedulerKind)'s heap or
+/// `TcScoping::Uniform`): it performs **no PHY randomness at all**, so
+/// `Ideal` runs are byte-identical to the engine as it existed before
+/// the PHY layer landed. `Lossy` draws its randomness from dedicated
+/// per-sender streams split from `seed ^ LOSS_STREAM_SALT` — never from
+/// the engine or actor streams — so switching models cannot perturb
+/// protocol jitter or actor draws, and drop decisions are identical at
+/// every shard count of the [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PhyModel {
     /// Perfect channel: every frame within radio range is delivered.
@@ -196,6 +201,24 @@ impl LossyPhy {
         };
         f64::from(self.edge_drop_ppm) / 1e6 * frac.powi(self.exponent as i32)
     }
+
+    /// First-frame capture at a receiver busy until `busy_until`: `true`
+    /// when a frame arriving at `now` collides with a previously captured
+    /// frame and is lost; otherwise the frame is received and occupies
+    /// the receiver for the capture window. Deterministic and
+    /// shard-invariant, because a receiver's deliveries dispatch in the
+    /// same global `(time, seq)` order at every shard count.
+    pub(crate) fn collides(&self, now: SimTime, busy_until: &mut SimTime) -> bool {
+        if self.capture_window == SimDuration::ZERO {
+            return false;
+        }
+        if now < *busy_until {
+            true
+        } else {
+            *busy_until = now + self.capture_window;
+            false
+        }
+    }
 }
 
 /// The radio-path frame-corruption injector: seeded bit-flips and
@@ -208,8 +231,8 @@ impl LossyPhy {
 /// per-sender streams split from `seed ^ CORRUPT_STREAM_SALT` — never
 /// from the engine, actor or PHY-loss streams — with exactly one gate
 /// draw per surviving delivery attempt, so corruption decisions are a
-/// pure function of the sender's send history: identical across
-/// [`Simulator`] and [`crate::ShardedSimulator`] at every shard count.
+/// pure function of the sender's send history: identical at every shard
+/// count of the [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrameCorruption {
     /// No corruption (the reference default).
@@ -271,7 +294,7 @@ pub struct FrameDamage {
 
 impl FrameDamage {
     /// Draws one damage description from a corruption stream (called by
-    /// the engines after the per-delivery gate draw hits).
+    /// the engine after the per-delivery gate draw hits).
     pub(crate) fn sample(params: &CorruptionParams, rng: &mut SimRng) -> Self {
         if rng.next_f64() < f64::from(params.truncate_ppm) / 1e6 {
             Self {
@@ -310,8 +333,7 @@ impl FrameDamage {
 
 /// Salt separating the PHY loss streams from the engine seed: the loss
 /// master RNG is `seed ^ LOSS_STREAM_SALT`, split once per node in node
-/// order. Both engines derive the streams identically, and `Ideal` runs
-/// never touch them.
+/// order. `Ideal` runs never touch them.
 pub(crate) const LOSS_STREAM_SALT: u64 = 0x4c4f_5353_5048_5921; // "LOSSPHY!"
 
 /// Salt separating the frame-corruption streams from the engine seed
@@ -332,58 +354,6 @@ pub(crate) fn corrupt_streams(seed: u64, n: usize, corruption: FrameCorruption) 
     }
 }
 
-/// The fate the corruption injector decided for one in-flight frame
-/// copy.
-pub(crate) enum InFlight<M> {
-    /// Deliver the original frame untouched.
-    Intact,
-    /// Deliver this damaged copy instead.
-    Damaged(M),
-    /// The damage was caught by the link-layer frame check: no delivery.
-    DroppedByFcs,
-}
-
-/// Samples the corruption injector for one surviving delivery attempt
-/// from the sender's stream (`corrupt_rngs[slot]`) and asks the actor
-/// type for the damaged copy. Exactly one gate draw per call (even when
-/// the corruption probability is zero); when the gate hits, the damage
-/// draws and one FCS draw follow — the stream position stays a pure
-/// function of the sender's send history, identical across engines and
-/// shard counts. Counts `fcs_drops` for detected damage and
-/// `corrupted_frames` only when a mangled frame will actually arrive
-/// (opaque message types opt out via the `corrupt_frame` default and
-/// pass intact).
-pub(crate) fn corrupt_in_flight<A: Actor>(
-    corruption: FrameCorruption,
-    corrupt_rngs: &mut [SimRng],
-    slot: usize,
-    msg: &A::Msg,
-    stats: &mut SimStats,
-) -> InFlight<A::Msg> {
-    if corrupt_rngs.is_empty() {
-        return InFlight::Intact;
-    }
-    let FrameCorruption::On(params) = corruption else {
-        return InFlight::Intact;
-    };
-    let rng = &mut corrupt_rngs[slot];
-    if rng.next_f64() >= f64::from(params.corrupt_ppm) / 1e6 {
-        return InFlight::Intact;
-    }
-    let damage = FrameDamage::sample(&params, rng);
-    if rng.next_f64() >= f64::from(params.fcs_evade_ppm) / 1e6 {
-        stats.fcs_drops += 1;
-        return InFlight::DroppedByFcs;
-    }
-    match A::corrupt_frame(msg, &damage) {
-        Some(damaged) => {
-            stats.corrupted_frames += 1;
-            InFlight::Damaged(damaged)
-        }
-        None => InFlight::Intact,
-    }
-}
-
 /// Builds the per-sender PHY loss streams for `n` nodes — empty under
 /// [`PhyModel::Ideal`] (no PHY randomness exists to track).
 pub(crate) fn loss_streams(seed: u64, n: usize, phy: PhyModel) -> Vec<SimRng> {
@@ -396,47 +366,6 @@ pub(crate) fn loss_streams(seed: u64, n: usize, phy: PhyModel) -> Vec<SimRng> {
     }
 }
 
-/// Samples the PHY for one delivery attempt from `from` to `to`:
-/// `true` when the frame is dropped in flight. `Ideal` never drops and
-/// consumes no randomness; `Lossy` draws exactly one value from the
-/// sender's loss stream per attempt (even at probability zero), so the
-/// stream position is a pure function of the sender's send history —
-/// identical across engines and shard counts.
-pub(crate) fn phy_drops_frame(
-    phy: PhyModel,
-    world: &DynamicTopology,
-    from: NodeId,
-    to: NodeId,
-    loss_rng: &mut SimRng,
-) -> bool {
-    let PhyModel::Lossy(lossy) = phy else {
-        return false;
-    };
-    let d = world.position(from).distance(world.position(to));
-    loss_rng.next_f64() < lossy.drop_probability(d, world.radius())
-}
-
-/// First-frame-capture collision check at delivery dispatch: a frame
-/// arriving while the receiver is still busy with a previous frame is
-/// lost; otherwise it is received and occupies the receiver for the
-/// capture window. Deterministic (no randomness) and shard-invariant,
-/// because a receiver's deliveries dispatch in the same global
-/// `(time, seq)` order in every engine.
-pub(crate) fn phy_collides(phy: PhyModel, now: SimTime, busy_until: &mut SimTime) -> bool {
-    let PhyModel::Lossy(lossy) = phy else {
-        return false;
-    };
-    if lossy.capture_window == SimDuration::ZERO {
-        return false;
-    }
-    if now < *busy_until {
-        true
-    } else {
-        *busy_until = now + lossy.capture_window;
-        false
-    }
-}
-
 /// Effects an actor can request during a handler invocation.
 pub(crate) enum Effect<M> {
     Broadcast(M),
@@ -444,16 +373,13 @@ pub(crate) enum Effect<M> {
     Timer(SimDuration, TimerId),
 }
 
-/// Handler-side interface to the engine. Fields are crate-visible so the
-/// sharded engine ([`crate::ShardedSimulator`]) can construct contexts for
-/// the same handlers.
+/// Handler-side interface to the engine.
 pub struct Context<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) world: &'a DynamicTopology,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) effects: &'a mut Vec<Effect<M>>,
-    pub(crate) stop: &'a mut bool,
 }
 
 impl<M> Context<'_, M> {
@@ -505,18 +431,12 @@ impl<M> Context<'_, M> {
     pub fn set_timer(&mut self, after: SimDuration, timer: TimerId) {
         self.effects.push(Effect::Timer(after, timer));
     }
-
-    /// Requests the simulation to stop after this handler returns.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 pub(crate) enum EventKind<M> {
     Start,
     Timer(TimerId),
     Deliver { from: NodeId, msg: M },
-    World(WorldEvent),
 }
 
 pub(crate) struct Scheduled<M> {
@@ -524,8 +444,7 @@ pub(crate) struct Scheduled<M> {
     pub(crate) seq: u64,
     pub(crate) node: NodeId,
     /// The node generation this event belongs to; events from a previous
-    /// life (before a `Leave`) are dropped at dispatch. World events
-    /// always dispatch (`u32::MAX` sentinel, never compared).
+    /// life (before a `Leave` or a `Crash`) are dropped at dispatch.
     pub(crate) generation: u32,
     pub(crate) kind: EventKind<M>,
 }
@@ -623,6 +542,32 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Field-wise sum: the engine keeps one set of counters per shard and
+    /// adds them up on read.
+    pub(crate) fn merge(&mut self, other: &SimStats) {
+        self.events += other.events;
+        self.broadcasts += other.broadcasts;
+        self.unicasts += other.unicasts;
+        self.deliveries += other.deliveries;
+        self.dropped_unicasts += other.dropped_unicasts;
+        self.timers += other.timers;
+        self.world_changes += other.world_changes;
+        self.stale_dropped += other.stale_dropped;
+        self.phy_drops += other.phy_drops;
+        self.collisions += other.collisions;
+        self.partition_drops += other.partition_drops;
+        self.corrupted_frames += other.corrupted_frames;
+        self.fcs_drops += other.fcs_drops;
+        self.data_unicasts += other.data_unicasts;
+        self.data_deliveries += other.data_deliveries;
+        self.data_no_link_drops += other.data_no_link_drops;
+        self.data_phy_drops += other.data_phy_drops;
+        self.data_fcs_drops += other.data_fcs_drops;
+        self.data_partition_drops += other.data_partition_drops;
+        self.data_collisions += other.data_collisions;
+        self.data_stale_drops += other.data_stale_drops;
+    }
+
     /// Data frames that left a sender but reached no receiver: the
     /// in-flight loss the engine (not a node) is responsible for. After
     /// the event queue quiesces this equals
@@ -638,511 +583,11 @@ impl SimStats {
     }
 }
 
-/// The discrete-event simulator: one [`Actor`] per topology node, an
-/// event queue ordered by `(time, sequence)` interleaving actor events
-/// with scheduled [`WorldEvent`]s, and the ideal-MAC radio over the
-/// resulting [`DynamicTopology`].
-///
-/// Determinism: all randomness flows from the construction seed (each node
-/// receives a split stream), world events are applied at fixed scheduled
-/// instants, and simultaneous events dispatch in schedule order, so
-/// identical inputs yield identical executions.
-pub struct Simulator<A: Actor> {
-    world: DynamicTopology,
-    radio: RadioConfig,
-    actors: Vec<A>,
-    /// Per-node lifetime counter; bumped when the node leaves the network
-    /// so pending events of the old life are dropped at dispatch.
-    generations: Vec<u32>,
-    rngs: Vec<SimRng>,
-    engine_rng: SimRng,
-    /// Per-sender PHY loss streams (see [`loss_streams`]); empty under
-    /// [`PhyModel::Ideal`].
-    loss_rngs: Vec<SimRng>,
-    /// Per-sender corruption streams (see [`corrupt_streams`]); empty
-    /// under [`FrameCorruption::Off`].
-    corrupt_rngs: Vec<SimRng>,
-    /// Per-receiver capture state for the collision model; empty unless
-    /// the PHY is lossy.
-    busy_until: Vec<SimTime>,
-    queue: EventQueue<Scheduled<A::Msg>>,
-    now: SimTime,
-    seq: u64,
-    stats: SimStats,
-    stop: bool,
-    trace: Option<TraceBuffer>,
-}
-
-impl<A: Actor> Simulator<A> {
-    /// Creates a simulator over `topology`, building one actor per node
-    /// with `build`, and schedules every actor's start event at time 0.
-    pub fn new(
-        topology: Topology,
-        radio: RadioConfig,
-        seed: u64,
-        build: impl FnMut(NodeId) -> A,
-    ) -> Self {
-        Self::with_scheduler(topology, radio, seed, SchedulerKind::default(), build)
-    }
-
-    /// Like [`Simulator::new`], but with an explicit event-queue
-    /// scheduler. The timer wheel (default) and the binary heap pop in
-    /// exactly the same `(time, seq)` order, so runs replay identically
-    /// under either — the differential suites pin this; the heap exists
-    /// as the reference to test the wheel against.
-    pub fn with_scheduler(
-        topology: Topology,
-        radio: RadioConfig,
-        seed: u64,
-        scheduler: SchedulerKind,
-        mut build: impl FnMut(NodeId) -> A,
-    ) -> Self {
-        let mut engine_rng = SimRng::seed_from_u64(seed);
-        let n = topology.len();
-        let actors: Vec<A> = topology.nodes().map(&mut build).collect();
-        let rngs: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
-        let loss_rngs = loss_streams(seed, n, radio.phy);
-        let corrupt_rngs = corrupt_streams(seed, n, radio.corruption);
-        let busy_until = if loss_rngs.is_empty() {
-            Vec::new()
-        } else {
-            vec![SimTime::ZERO; n]
-        };
-        let mut sim = Self {
-            world: DynamicTopology::new(&topology),
-            radio,
-            actors,
-            generations: vec![0; n],
-            rngs,
-            engine_rng,
-            loss_rngs,
-            corrupt_rngs,
-            busy_until,
-            queue: EventQueue::new(scheduler),
-            now: SimTime::ZERO,
-            seq: 0,
-            stats: SimStats::default(),
-            stop: false,
-            trace: None,
-        };
-        for node in sim.world.nodes() {
-            sim.push(SimTime::ZERO, node, EventKind::Start);
-        }
-        sim
-    }
-
-    fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind<A::Msg>) {
-        let generation = match kind {
-            EventKind::World(_) => u32::MAX,
-            _ => self.generations[node.index()],
-        };
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            time,
-            seq,
-            node,
-            generation,
-            kind,
-        });
-    }
-
-    /// Schedules a world event for application at virtual time `at`
-    /// (clamped to now). Events scheduled for the same instant apply in
-    /// scheduling order, interleaved with actor events by `(time, seq)`.
-    pub fn schedule_world(&mut self, at: SimTime, event: WorldEvent) {
-        let at = at.max(self.now);
-        self.push(at, NodeId(0), EventKind::World(event));
-    }
-
-    /// Schedules delivery of a raw frame from `from` to `to` after
-    /// `after`, bypassing the radio (no neighbor check, no PHY sampling).
-    /// A fault-injection/test hook: robustness suites use it to feed a
-    /// node arbitrary — including garbage — frames through the real
-    /// dispatch path.
-    pub fn inject_frame(&mut self, after: SimDuration, from: NodeId, to: NodeId, msg: A::Msg) {
-        let at = self.now + after;
-        self.push(at, to, EventKind::Deliver { from, msg });
-    }
-
-    /// Schedules a whole stream of timed world events (e.g. a generated
-    /// scenario schedule).
-    pub fn schedule_world_events(
-        &mut self,
-        events: impl IntoIterator<Item = (SimTime, WorldEvent)>,
-    ) {
-        for (at, ev) in events {
-            self.schedule_world(at, ev);
-        }
-    }
-
-    /// Enables event tracing with the given ring-buffer capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Engine statistics so far.
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    /// The simulated world (current ground truth).
-    pub fn world(&self) -> &DynamicTopology {
-        &self.world
-    }
-
-    /// Mutable access to the world, for out-of-band mutation between
-    /// `run_*` calls (scheduled [`WorldEvent`]s via
-    /// [`Simulator::schedule_world`] are the deterministic way to change
-    /// the world mid-run).
-    pub fn world_mut(&mut self) -> &mut DynamicTopology {
-        &mut self.world
-    }
-
-    /// Immutable access to the actor of node `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range.
-    pub fn actor(&self, n: NodeId) -> &A {
-        &self.actors[n.index()]
-    }
-
-    /// Mutable access to the actor of node `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range.
-    pub fn actor_mut(&mut self, n: NodeId) -> &mut A {
-        &mut self.actors[n.index()]
-    }
-
-    /// Iterates over `(id, actor)` pairs.
-    pub fn actors(&self) -> impl Iterator<Item = (NodeId, &A)> {
-        self.actors
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (NodeId(i as u32), a))
-    }
-
-    /// Dispatches the next event. Returns `false` when the queue is empty
-    /// or a handler requested a stop.
-    pub fn step(&mut self) -> bool {
-        if self.stop {
-            return false;
-        }
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(ev.time >= self.now, "time must be monotone");
-        self.now = ev.time;
-        self.stats.events += 1;
-
-        let node = ev.node;
-        if let EventKind::World(world_event) = ev.kind {
-            self.apply_world_event(world_event);
-            return true;
-        }
-        // Events of a previous node life (armed before a `Leave`) are
-        // dropped: the node's timers died with it, and in-flight frames
-        // have no receiver.
-        if ev.generation != self.generations[node.index()] {
-            self.stats.stale_dropped += 1;
-            if let EventKind::Deliver { msg, .. } = &ev.kind {
-                if A::is_data(msg) {
-                    self.stats.data_stale_drops += 1;
-                }
-            }
-            return true;
-        }
-        // An active partition drops cross-cut frames at dispatch —
-        // including frames already in flight when the cut landed — and
-        // leaves no mark on the receiver (checked before the capture
-        // window, which a never-received frame cannot occupy).
-        if let EventKind::Deliver { from, msg } = &ev.kind {
-            if self.world.partitioned(*from, node) {
-                self.stats.partition_drops += 1;
-                if A::is_data(msg) {
-                    self.stats.data_partition_drops += 1;
-                }
-                return true;
-            }
-        }
-        // Receiver capture: a frame landing inside the busy window of a
-        // previously received frame collides and is lost before the
-        // actor sees it (like a stale drop, it leaves no trace record).
-        if let EventKind::Deliver { msg, .. } = &ev.kind {
-            if !self.busy_until.is_empty()
-                && phy_collides(self.radio.phy, self.now, &mut self.busy_until[node.index()])
-            {
-                self.stats.collisions += 1;
-                if A::is_data(msg) {
-                    self.stats.data_collisions += 1;
-                }
-                return true;
-            }
-        }
-
-        let mut effects: Vec<Effect<A::Msg>> = Vec::new();
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                world: &self.world,
-                rng: &mut self.rngs[node.index()],
-                effects: &mut effects,
-                stop: &mut self.stop,
-            };
-            let actor = &mut self.actors[node.index()];
-            match ev.kind {
-                EventKind::Start => {
-                    actor.on_start(&mut ctx);
-                }
-                EventKind::Timer(t) => {
-                    self.stats.timers += 1;
-                    actor.on_timer(&mut ctx, t);
-                }
-                EventKind::Deliver { from, msg } => {
-                    self.stats.deliveries += 1;
-                    if A::is_data(&msg) {
-                        self.stats.data_deliveries += 1;
-                    }
-                    actor.on_message(&mut ctx, from, msg);
-                }
-                EventKind::World(_) => unreachable!("world events dispatch above"),
-            }
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                time: self.now,
-                node,
-                kind: TraceKind::Dispatched,
-            });
-        }
-        self.apply_effects(node, effects);
-        true
-    }
-
-    fn apply_world_event(&mut self, event: WorldEvent) {
-        let changed = self.world.apply(&event);
-        if changed {
-            self.stats.world_changes += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    time: self.now,
-                    node: match event {
-                        WorldEvent::LinkUp { a, .. }
-                        | WorldEvent::LinkDown { a, .. }
-                        | WorldEvent::QosChange { a, .. } => a,
-                        WorldEvent::Move { node, .. }
-                        | WorldEvent::Join { node }
-                        | WorldEvent::Leave { node }
-                        | WorldEvent::Crash { node } => node,
-                        // Network-level faults have no single subject.
-                        WorldEvent::Partition { .. } | WorldEvent::Heal => NodeId(0),
-                    },
-                    kind: TraceKind::WorldChanged,
-                });
-            }
-        }
-        match event {
-            WorldEvent::Leave { node } if changed => {
-                // Cancel the old life's pending timers and deliveries.
-                self.generations[node.index()] += 1;
-            }
-            WorldEvent::Join { node } if changed => {
-                // The node boots fresh: protocol state resets and the
-                // start handler runs again (in the *current* generation,
-                // so its new timers are live). The radio front-end is
-                // new hardware too — no capture window survives a
-                // power cycle.
-                self.actors[node.index()].on_reset();
-                if let Some(busy) = self.busy_until.get_mut(node.index()) {
-                    *busy = SimTime::ZERO;
-                }
-                self.push(self.now, node, EventKind::Start);
-            }
-            WorldEvent::Crash { node } if changed => {
-                // Instant reboot: the node never deactivates and keeps
-                // its links, but the old life's timers and in-flight
-                // deliveries die with the crash, the actor wipes
-                // everything (including sequence numbers — see
-                // `Actor::on_crash`), and the start handler runs again
-                // in the new generation.
-                self.generations[node.index()] += 1;
-                self.actors[node.index()].on_crash();
-                if let Some(busy) = self.busy_until.get_mut(node.index()) {
-                    *busy = SimTime::ZERO;
-                }
-                self.push(self.now, node, EventKind::Start);
-            }
-            _ => {}
-        }
-    }
-
-    /// Samples the PHY for one send from `from` to `to`; counts and
-    /// reports an in-flight drop. Dropped frames never become delivery
-    /// events (and consume no jitter draw — under zero jitter none
-    /// exists, and with jitter the per-draw schedule is already a
-    /// documented divergence between the engines).
-    fn phy_drops(&mut self, from: NodeId, to: NodeId) -> bool {
-        if self.loss_rngs.is_empty() {
-            return false;
-        }
-        let dropped = phy_drops_frame(
-            self.radio.phy,
-            &self.world,
-            from,
-            to,
-            &mut self.loss_rngs[from.index()],
-        );
-        if dropped {
-            self.stats.phy_drops += 1;
-        }
-        dropped
-    }
-
-    /// Samples the corruption injector for one surviving send from
-    /// `from` and decides the frame copy's fate: intact, damaged, or
-    /// caught by the link-layer frame check and dropped at the radio.
-    fn corrupt_one(&mut self, from: NodeId, msg: &A::Msg) -> InFlight<A::Msg> {
-        corrupt_in_flight::<A>(
-            self.radio.corruption,
-            &mut self.corrupt_rngs,
-            from.index(),
-            msg,
-            &mut self.stats,
-        )
-    }
-
-    fn delivery_delay(&mut self) -> SimDuration {
-        let jitter_us = self.radio.jitter.as_micros();
-        if jitter_us == 0 {
-            self.radio.latency
-        } else {
-            self.radio.latency + SimDuration::from_micros(self.engine_rng.next_below(jitter_us))
-        }
-    }
-
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect<A::Msg>>) {
-        for effect in effects {
-            match effect {
-                Effect::Broadcast(msg) => {
-                    self.stats.broadcasts += 1;
-                    let neighbors: Vec<NodeId> =
-                        self.world.neighbors(node).map(|(n, _)| n).collect();
-                    for to in neighbors {
-                        if self.phy_drops(node, to) {
-                            continue;
-                        }
-                        let payload = match self.corrupt_one(node, &msg) {
-                            InFlight::Intact => msg.clone(),
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => continue,
-                        };
-                        let delay = self.delivery_delay();
-                        let at = self.now + delay;
-                        self.push(
-                            at,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    }
-                }
-                Effect::Unicast(to, msg) => {
-                    self.stats.unicasts += 1;
-                    let is_data = A::is_data(&msg);
-                    if is_data {
-                        self.stats.data_unicasts += 1;
-                    }
-                    if self.world.has_link(node, to) {
-                        if self.phy_drops(node, to) {
-                            if is_data {
-                                self.stats.data_phy_drops += 1;
-                            }
-                            continue;
-                        }
-                        let payload = match self.corrupt_one(node, &msg) {
-                            InFlight::Intact => msg,
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => {
-                                if is_data {
-                                    self.stats.data_fcs_drops += 1;
-                                }
-                                continue;
-                            }
-                        };
-                        let delay = self.delivery_delay();
-                        let at = self.now + delay;
-                        self.push(
-                            at,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    } else {
-                        self.stats.dropped_unicasts += 1;
-                        if is_data {
-                            self.stats.data_no_link_drops += 1;
-                        }
-                    }
-                }
-                Effect::Timer(after, timer) => {
-                    let at = self.now + after;
-                    self.push(at, node, EventKind::Timer(timer));
-                }
-            }
-        }
-    }
-
-    /// Runs until the queue drains, a handler stops the simulation, or
-    /// virtual time would exceed `deadline`; afterwards `now() ==
-    /// deadline` unless stopped early. A deadline already in the past is
-    /// a no-op — virtual time never rewinds.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let deadline = deadline.max(self.now);
-        loop {
-            match self.queue.next_due() {
-                Some(due) if due <= deadline.as_micros() => {
-                    if !self.step() {
-                        return;
-                    }
-                }
-                _ => break,
-            }
-        }
-        if !self.stop {
-            self.now = deadline;
-        }
-    }
-
-    /// Runs for `d` of virtual time from the current instant.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qolsr_graph::{Point2, TopologyBuilder};
-    use qolsr_metrics::LinkQos;
+    use crate::{SchedulerKind, Simulator};
+    use qolsr_graph::{Point2, Topology, TopologyBuilder, WorldEvent};
 
     /// Three nodes in a line: 0—1—2.
     fn line3() -> Topology {
@@ -1198,7 +643,10 @@ mod tests {
 
     #[test]
     fn messages_take_latency_to_arrive() {
-        struct Once;
+        #[derive(Default)]
+        struct Once {
+            arrived: Vec<SimTime>,
+        }
         impl Actor for Once {
             type Msg = ();
             fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
@@ -1208,13 +656,12 @@ mod tests {
             }
             fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _t: TimerId) {}
             fn on_message(&mut self, ctx: &mut Context<'_, ()>, _f: NodeId, _m: ()) {
-                assert_eq!(ctx.now(), SimTime::from_micros(1_000));
-                ctx.stop();
+                self.arrived.push(ctx.now());
             }
         }
-        let mut sim = Simulator::new(line3(), RadioConfig::default(), 1, |_| Once);
+        let mut sim = Simulator::new(line3(), RadioConfig::default(), 1, |_| Once::default());
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        assert_eq!(sim.now(), SimTime::from_micros(1_000));
+        assert_eq!(sim.actor(NodeId(1)).arrived, [SimTime::from_micros(1_000)]);
     }
 
     #[test]
@@ -1496,7 +943,7 @@ mod tests {
     #[test]
     fn wheel_and_heap_schedulers_replay_identically() {
         let run = |kind: SchedulerKind| {
-            let mut sim = Simulator::with_scheduler(
+            let mut sim = Simulator::with_shards(
                 line3(),
                 RadioConfig {
                     latency: SimDuration::from_millis(1),
@@ -1505,7 +952,8 @@ mod tests {
                 },
                 11,
                 kind,
-                |_| Flood::default(),
+                1,
+                |_, _| Flood::default(),
             );
             sim.schedule_world(
                 SimTime::from_micros(400_000),

@@ -11,20 +11,19 @@
 //! * [`SimRng`] — a seedable xoshiro256\*\* generator with stream
 //!   splitting, so every run is exactly reproducible independent of
 //!   external crate versions;
-//! * [`Simulator`] — an actor-per-node event loop over a *mutable world*
-//!   (`qolsr_graph::DynamicTopology`): actors receive timers and
-//!   messages and emit effects through a [`Context`]; scheduled
-//!   `WorldEvent`s (link up/down, QoS drift, motion, node churn)
-//!   interleave with actor events in the same deterministic
+//! * [`Simulator`] — the one engine: an actor-per-node event loop over a
+//!   *mutable world* (`qolsr_graph::DynamicTopology`): actors receive
+//!   timers and messages and emit effects through a [`Context`];
+//!   scheduled `WorldEvent`s (link up/down, QoS drift, motion, node
+//!   churn) interleave with actor events in the same deterministic
 //!   `(time, sequence)` order. A node that leaves the network loses its
 //!   pending timers and in-flight frames; on rejoin its actor is reset
 //!   ([`Actor::on_reset`]) and restarted;
-//! * [`ShardedSimulator`] / [`ExecMode`] — region-sharded parallel
-//!   execution: nodes partition into spatial shards, each with its own
-//!   timer wheel, stepping in bounded windows with a deterministic
-//!   barrier merge; with zero radio jitter the observable schedule is
-//!   byte-identical to [`Simulator`] for any shard count (see
-//!   [`shard`]);
+//! * [`ExecMode`] — how many spatial shards the engine runs on: nodes
+//!   partition into stripes, each with its own timer wheel, stepping in
+//!   bounded windows (in parallel when several shards have work) with a
+//!   deterministic barrier merge; the observable schedule is
+//!   byte-identical for every shard count (see [`shard`]);
 //! * [`scenario`] — reusable mobility/churn models (random waypoint,
 //!   Poisson churn, Gauss–Markov weight drift) that pre-generate a
 //!   seed-deterministic world-event schedule for the engine;
@@ -41,7 +40,7 @@
 //!
 //! # Timer-wheel semantics
 //!
-//! The event queue behind [`Simulator`] is a slotted timer wheel
+//! Each shard's event queue is a slotted timer wheel
 //! ([`queue`]): a small *due heap* for the slot window currently being
 //! consumed, a ring of 1 ms buckets with `O(1)` hash-by-time inserts
 //! covering the next ~8 s (the dominant horizon: periodic HELLO/TC and
@@ -56,12 +55,12 @@
 //! # Determinism contract
 //!
 //! Every run is a pure function of its inputs: the construction seed
-//! feeds one [`SimRng`] that splits into per-node streams (and an engine
-//! stream for radio jitter), world events apply at fixed scheduled
-//! instants, and simultaneous events dispatch in schedule order. Two
-//! simulators built with equal `(topology, radio, seed, scheduler)`
-//! therefore replay byte-identically — same stats, same traces, same end
-//! state — on any machine. Experiment harnesses extend the contract to
+//! feeds one [`SimRng`] that splits into per-node streams, world events
+//! apply at fixed scheduled instants, and simultaneous events dispatch in
+//! schedule order. Two simulators built with equal
+//! `(topology, radio, seed, scheduler)` therefore replay byte-identically
+//! — same stats, same traces, same end state — on any machine, and at
+//! any shard count. Experiment harnesses extend the contract to
 //! *thread-count invariance*: runs are sharded, but per-run results are
 //! merged in run order, so aggregates never depend on worker count.
 //!
@@ -152,12 +151,12 @@ pub mod traffic;
 
 pub use engine::{
     Actor, Context, CorruptionParams, FrameCorruption, FrameDamage, LossyPhy, PhyModel,
-    RadioConfig, SimStats, Simulator, TimerId,
+    RadioConfig, SimStats, TimerId,
 };
 pub use queue::SchedulerKind;
 pub use rng::SimRng;
 pub use scenario::{apply_recorded, MobilityModel, NeighborScan, Scenario, ScenarioBuilder};
-pub use shard::{ExecMode, ShardedSimulator};
+pub use shard::{ExecMode, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use traffic::{
     DataPacket, DropCause, FlowModel, FlowRecord, FlowSpec, FlowState, TrafficStats, TxQueue,

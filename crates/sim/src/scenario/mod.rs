@@ -64,9 +64,10 @@ pub use waypoint::{RandomWaypoint, WaypointSampling};
 
 use qolsr_graph::{DynamicTopology, Topology, WorldEvent};
 
-use crate::engine::{Actor, Simulator};
+use crate::engine::Actor;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use crate::Simulator;
 
 /// A world event stamped with its application time.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,83 +1,84 @@
-//! Region-sharded parallel execution of the discrete-event engine.
+//! The simulation engine: one event loop over spatial shards, stepped in
+//! bounded windows with a deterministic barrier merge.
 //!
-//! [`ShardedSimulator`] partitions the node population into `K` shards by
+//! [`Simulator`] partitions the node population into `K` shards by
 //! vertical stripes over the deployment's x-extent (the same spatial
-//! locality the grid-based neighbor discovery exploits), gives each shard
-//! a private [`EventQueue`] timer wheel, and advances virtual time in
+//! locality the grid-based neighbor discovery exploits) — one shard
+//! unless built with [`Simulator::with_shards`] — gives each shard a
+//! private [`EventQueue`] timer wheel, and advances virtual time in
 //! bounded windows:
 //!
-//! * **Parallel phase** — every shard with work due in the window
-//!   `[t0, t1)` steps on its own scoped thread (`crossbeam::thread::scope`
-//!   from `vendor/`). The window width never exceeds the radio latency,
-//!   so a delivery emitted inside a window is always due at or after the
-//!   window's end — shards can run a whole window without observing each
-//!   other. Self-timers that land inside the window execute locally under
-//!   *provisional* sequence numbers (high bit set).
-//! * **Barrier** — each shard hands back its dispatch log plus the
-//!   deliveries and post-window timers it produced. A k-way merge walks
-//!   the logs in globally sorted `(time, seq)` order — each shard's log
-//!   is already sorted, because local dispatch order equals the serial
-//!   order restricted to that shard — assigns exact sequence numbers to
-//!   every newly created event in that order (resolving the provisional
-//!   ones), routes deliveries to their receivers' home shards, and
-//!   appends dispatch records to the trace. The observable schedule is
-//!   therefore identical to the single-queue [`Simulator`](crate::Simulator).
-//! * **Serial instants** — scheduled [`WorldEvent`]s and the run deadline
-//!   are barriers by construction: everything due at such an instant is
-//!   dispatched serially in exact `(time, seq)` order (including
-//!   zero-delay effect chains), and a rejoining node is re-homed to the
-//!   shard covering its current position ([`Actor::on_rehome`] runs after
-//!   [`Actor::on_reset`]). A zero-latency radio degrades every instant to
-//!   this serial path — correct, but with nothing left to parallelize.
+//! * **Window** — every shard with work due in the window `[t0, t1)`
+//!   steps through it, each on its own scoped thread
+//!   (`crossbeam::thread::scope` from `vendor/`) when more than one shard
+//!   has work. The window width never exceeds the radio latency, so a
+//!   frame sent inside a window is always due at or after the window's
+//!   end — shards can run a whole window without observing each other.
+//!   Each dispatch appends a record and its children (the timers and
+//!   frames it created) to the shard's log; self-timers that land inside
+//!   the window execute locally under *provisional* sequence numbers
+//!   (high bit set).
+//! * **Barrier** — a k-way merge walks the logs in globally sorted
+//!   `(time, seq)` order (each log is already sorted, because local
+//!   dispatch order equals the global order restricted to that shard)
+//!   and commits each record: it appends the dispatch to the trace,
+//!   assigns exact sequence numbers to the record's children in creation
+//!   order (resolving the provisional ones), draws each delivery's jitter
+//!   from the one engine stream and routes deliveries to their receivers'
+//!   home shards.
+//! * **Serial instants** — scheduled [`WorldEvent`]s are barriers by
+//!   construction: everything due at such an instant is dispatched in
+//!   exact `(time, seq)` order, each record committed at once by the same
+//!   commit step (so zero-delay effect chains run at that instant), and a
+//!   rejoining node whose position now lies in another stripe is re-homed
+//!   there ([`Actor::on_rehome`] runs after [`Actor::on_reset`]). A
+//!   zero-latency radio degrades every instant to this serial path —
+//!   correct, but with nothing left to parallelize.
 //!
 //! # Determinism contract
 //!
-//! With zero radio jitter (the [`RadioConfig`] default), a run is
-//! **byte-identical** to [`Simulator`](crate::Simulator) under the same seed — engine
-//! stats, dispatch traces, per-node RNG streams and actor end states —
-//! for *any* shard count; `tests/shard_differential.rs` pins this
-//! against the single-queue reference. Two intentional divergences:
-//! with `jitter > 0` delivery jitter is drawn from per-node streams (in
-//! deterministic send order, so runs stay seed-reproducible and
-//! shard-count-invariant) instead of the single engine stream, and
-//! [`Context::stop`] takes effect at the next barrier rather than
-//! mid-window.
+//! A run is **byte-identical for every shard count** — engine stats,
+//! dispatch traces, per-node RNG streams and actor end states, with or
+//! without radio jitter — because every order-dependent step (sequence
+//! numbers, trace records, jitter draws) happens at commit, in global
+//! `(time, seq)` order. That order and that jitter draw order are the
+//! ones of the single-queue event loop this engine replaced: goldens
+//! recorded from that loop pin every shard count in this module's tests,
+//! and `tests/shard_differential.rs` pins whole OLSR networks at `K > 1`
+//! against the one-shard run.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::iter::Peekable;
 
 use qolsr_graph::{DynamicTopology, NodeId, Point2, Topology, WorldEvent};
 
 use crate::engine::{
-    corrupt_in_flight, corrupt_streams, loss_streams, phy_collides, phy_drops_frame, Actor,
-    Context, Effect, EventKind, FrameCorruption, InFlight, PhyModel, RadioConfig, Scheduled,
-    SimStats, TimerId,
+    corrupt_streams, loss_streams, Actor, Context, Effect, EventKind, FrameCorruption, FrameDamage,
+    PhyModel, RadioConfig, Scheduled, SimStats, TimerId,
 };
 use crate::queue::{EventQueue, SchedulerKind};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 
-/// How a simulation executes: the single-queue reference engine, or the
-/// region-sharded parallel engine with a deterministic barrier merge.
+/// How many spatial shards a simulation runs on.
 ///
-/// `SingleShard` (the default) is [`Simulator`](crate::Simulator), the differential
-/// reference every optimization in this workspace is pinned against.
-/// `Sharded { shards }` partitions nodes into `shards` spatial stripes
-/// and steps them in parallel windows; with zero radio jitter its
-/// observable schedule is byte-identical to the reference for any shard
-/// count (see the [module docs](self) for the contract).
+/// Both variants run the one engine, [`Simulator`]: `SingleShard` (the
+/// default) is one shard, and `Sharded { shards }` partitions the nodes
+/// into `shards` spatial stripes that step through each window in
+/// parallel. Every observable is identical for every shard count (see the
+/// [module docs](self) for the contract), so the mode is a performance
+/// knob, never a semantics knob.
 ///
 /// # Examples
 ///
-/// A seeded two-shard run replays the single-queue engine exactly:
+/// A seeded two-shard run replays the one-shard run exactly:
 ///
 /// ```
 /// use qolsr_graph::{NodeId, Point2, TopologyBuilder};
 /// use qolsr_metrics::LinkQos;
 /// use qolsr_sim::{
-///     Actor, Context, ExecMode, RadioConfig, ShardedSimulator, SimDuration, Simulator, TimerId,
+///     Actor, Context, ExecMode, RadioConfig, SchedulerKind, SimDuration, Simulator, TimerId,
 /// };
 ///
 /// struct Beacon;
@@ -105,23 +106,23 @@ use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 /// assert_eq!(ExecMode::default(), ExecMode::SingleShard);
 /// let mode = ExecMode::Sharded { shards: 2 };
 ///
-/// let mut single = Simulator::new(topo.clone(), RadioConfig::default(), 7, |_| Beacon);
-/// single.run_for(SimDuration::from_secs(2));
+/// let mut one = Simulator::new(topo.clone(), RadioConfig::default(), 7, |_| Beacon);
+/// one.run_for(SimDuration::from_secs(2));
 ///
-/// let mut sharded =
-///     ShardedSimulator::new(topo, RadioConfig::default(), 7, mode.shards(), |_, _| Beacon);
-/// sharded.run_for(SimDuration::from_secs(2));
+/// let radio = RadioConfig::default();
+/// let scheduler = SchedulerKind::default();
+/// let mut two = Simulator::with_shards(topo, radio, 7, scheduler, mode.shards(), |_, _| Beacon);
+/// two.run_for(SimDuration::from_secs(2));
 ///
-/// assert_eq!(single.stats(), sharded.stats());
+/// assert_eq!(two.shard_count(), 2);
+/// assert_eq!(one.stats(), two.stats());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The single-queue engine ([`Simulator`](crate::Simulator)) — the differential
-    /// reference.
+    /// One shard.
     #[default]
     SingleShard,
-    /// The region-sharded engine ([`ShardedSimulator`]) with the given
-    /// shard count (clamped to at least 1).
+    /// The given number of spatial shards (clamped to at least 1).
     Sharded {
         /// Number of spatial shards.
         shards: u32,
@@ -140,9 +141,9 @@ impl ExecMode {
 
 /// Marker bit of a provisional in-window sequence number. Provisional
 /// numbers sort after every committed number at the same instant — which
-/// matches the serial engine, where an event created in the current
-/// window necessarily receives a larger sequence number than anything
-/// scheduled before the window started.
+/// matches the exact numbering, where an event created in the current
+/// window necessarily receives a larger number than anything scheduled
+/// before the window started.
 const PROVISIONAL: u64 = 1 << 63;
 
 /// Static x-stripe partition of the deployment area. A node's *home
@@ -187,7 +188,7 @@ impl RegionMap {
     }
 }
 
-/// One dispatch performed inside a parallel window, in local order.
+/// One dispatch (a handler ran), in local order.
 #[derive(Clone, Copy)]
 struct DispatchRecord {
     time: SimTime,
@@ -201,69 +202,78 @@ struct DispatchRecord {
     children_end: u32,
 }
 
-/// An event created inside a parallel window, awaiting its exact
-/// sequence number at the barrier.
+/// An event a dispatch created, awaiting its exact sequence number at
+/// commit.
 enum Child<M> {
     /// A self-timer due within the window: already pushed into the local
-    /// queue under the next provisional number; the barrier walk maps
-    /// that number to an exact one.
+    /// queue under the next provisional number; the commit maps that
+    /// number to an exact one.
     LocalTimer,
     /// A self-timer due at or after the window end.
-    Timer {
-        at: SimTime,
-        timer: TimerId,
-        generation: u32,
-    },
-    /// A radio delivery (always due at or after the window end, because
-    /// the window is narrower than the radio latency).
-    Deliver {
-        at: SimTime,
-        to: NodeId,
-        from: NodeId,
-        msg: M,
-        generation: u32,
-    },
+    Timer { at: SimTime, timer: TimerId },
+    /// A frame to `to`, sent at its record's time. The commit adds
+    /// `latency + jitter`, so it lands at or after the window end (the
+    /// window is never wider than the latency, and jitter is never
+    /// negative).
+    Deliver { to: NodeId, msg: M },
+}
+
+/// The radio's verdict on one transmission.
+enum InFlight<M> {
+    /// Deliver the original frame untouched.
+    Intact,
+    /// Deliver this damaged copy instead.
+    Damaged(M),
+    /// Lost in flight: dropped by the PHY, or damaged and caught by the
+    /// link-layer frame check.
+    Lost,
+}
+
+/// The engine state every shard reads during a window and none mutates:
+/// world events, generation bumps and re-homing only happen between
+/// windows.
+#[derive(Clone, Copy)]
+struct Frozen<'a> {
+    world: &'a DynamicTopology,
+    generations: &'a [u32],
+    locs: &'a [(u32, u32)],
+    radio: RadioConfig,
 }
 
 /// One spatial shard: its member actors and their RNG streams, a private
-/// event queue, and the per-window logs the barrier consumes.
+/// event queue, its counters, and the dispatch log the commit consumes.
 struct Shard<A: Actor> {
     queue: EventQueue<Scheduled<A::Msg>>,
-    /// Member node ids; `actors[i]`, `rngs[i]` and `jitter_rngs[i]`
-    /// belong to `members[i]`.
+    /// Member node ids; `actors[i]`, `rngs[i]` and the per-node PHY state
+    /// at `i` belong to `members[i]`.
     members: Vec<NodeId>,
     actors: Vec<A>,
     rngs: Vec<SimRng>,
-    /// Per-node delivery-jitter streams (split from the engine seed in
-    /// node order). Unused when the radio has zero jitter.
-    jitter_rngs: Vec<SimRng>,
-    /// Per-node PHY loss streams (split from `seed ^ LOSS_STREAM_SALT`
-    /// in node order, exactly as in the single-queue engine). Empty
-    /// under [`PhyModel::Ideal`].
+    /// Per-node PHY loss streams (see [`loss_streams`]); empty under
+    /// [`PhyModel::Ideal`].
     loss_rngs: Vec<SimRng>,
-    /// Per-node frame-corruption streams (split from
-    /// `seed ^ CORRUPT_STREAM_SALT` in node order, exactly as in the
-    /// single-queue engine). Empty under [`FrameCorruption::Off`].
+    /// Per-node frame-corruption streams (see [`corrupt_streams`]); empty
+    /// under [`FrameCorruption::Off`].
     corrupt_rngs: Vec<SimRng>,
     /// Per-node receiver-capture state for the collision model; empty
     /// unless the PHY is lossy.
     busy_until: Vec<SimTime>,
-    /// Window dispatch log, in local dispatch order.
+    /// Dispatch log since the last barrier, in local dispatch order.
     records: Vec<DispatchRecord>,
+    /// How many of `records` the running barrier walk has committed.
+    committed: usize,
     /// Flat per-record child log (see [`DispatchRecord::children_end`]).
     children: Vec<Child<A::Msg>>,
+    /// Provisional numbers handed out since the last barrier.
+    provisional: u64,
     /// Provisional number -> exact number, filled by the barrier walk in
     /// provisional-assignment order.
     prov_map: Vec<u64>,
     /// Effect scratch buffer for handler invocations.
     effects: Vec<Effect<A::Msg>>,
-    /// Stats accumulated during the current window; folded into the
-    /// global counters at the barrier (all fields are order-independent
-    /// sums).
-    window_stats: SimStats,
-    /// Set when a handler called [`Context::stop`]; honored at the
-    /// barrier.
-    stop: bool,
+    /// Counters of this shard's dispatches; [`Simulator::stats`] adds up
+    /// every shard's (all fields are order-independent sums).
+    stats: SimStats,
 }
 
 impl<A: Actor> Shard<A> {
@@ -273,16 +283,218 @@ impl<A: Actor> Shard<A> {
             members: Vec::new(),
             actors: Vec::new(),
             rngs: Vec::new(),
-            jitter_rngs: Vec::new(),
             loss_rngs: Vec::new(),
             corrupt_rngs: Vec::new(),
             busy_until: Vec::new(),
             records: Vec::new(),
+            committed: 0,
             children: Vec::new(),
+            provisional: 0,
             prov_map: Vec::new(),
             effects: Vec::new(),
-            window_stats: SimStats::default(),
-            stop: false,
+            stats: SimStats::default(),
+        }
+    }
+
+    /// Appends `node` as a member, with its actor and streams (a loss
+    /// stream comes with a fresh capture state).
+    fn admit(
+        &mut self,
+        node: NodeId,
+        actor: A,
+        rng: SimRng,
+        loss: Option<SimRng>,
+        corrupt: Option<SimRng>,
+    ) {
+        self.members.push(node);
+        self.actors.push(actor);
+        self.rngs.push(rng);
+        if let Some(loss) = loss {
+            self.loss_rngs.push(loss);
+            self.busy_until.push(SimTime::ZERO);
+        }
+        self.corrupt_rngs.extend(corrupt);
+    }
+
+    /// Dispatches everything this shard has due before `end`.
+    fn run_window(&mut self, f: Frozen<'_>, end: u64) {
+        while self.queue.next_due().is_some_and(|due| due < end) {
+            let ev = self.queue.pop().expect("due item present");
+            self.dispatch(ev, f, end);
+        }
+    }
+
+    /// Dispatches one event popped from this shard's queue. The event is
+    /// dropped if it belongs to a previous node life, crosses an active
+    /// partition or collides at the receiver; otherwise its handler runs,
+    /// each transmission is sampled by the radio, and the dispatch record
+    /// with its children joins the log. A timer due before `end` goes
+    /// straight back into the queue under a provisional number.
+    fn dispatch(&mut self, ev: Scheduled<A::Msg>, f: Frozen<'_>, end: u64) {
+        let node = ev.node;
+        let data = matches!(&ev.kind, EventKind::Deliver { msg, .. } if A::is_data(msg));
+        self.stats.events += 1;
+        // Events of a previous node life (armed before a `Leave` or a
+        // `Crash`) are dropped: the node's timers died with it, and
+        // in-flight frames have no receiver.
+        if ev.generation != f.generations[node.index()] {
+            self.stats.stale_dropped += 1;
+            self.stats.data_stale_drops += u64::from(data);
+            return;
+        }
+        let slot = f.locs[node.index()].1 as usize;
+        debug_assert_eq!(self.members[slot], node);
+        if let EventKind::Deliver { from, .. } = &ev.kind {
+            // An active partition drops cross-cut frames at dispatch —
+            // including frames already in flight when the cut landed —
+            // and leaves no mark on the receiver (checked before the
+            // capture window, which a never-received frame cannot occupy).
+            if f.world.partitioned(*from, node) {
+                self.stats.partition_drops += 1;
+                self.stats.data_partition_drops += u64::from(data);
+                return;
+            }
+            // Receiver capture: a frame landing inside the busy window of
+            // a previously received frame collides and is lost before the
+            // actor sees it (like a stale drop, it leaves no trace
+            // record).
+            if let (PhyModel::Lossy(lossy), Some(busy)) =
+                (f.radio.phy, self.busy_until.get_mut(slot))
+            {
+                if lossy.collides(ev.time, busy) {
+                    self.stats.collisions += 1;
+                    self.stats.data_collisions += u64::from(data);
+                    return;
+                }
+            }
+        }
+        let mut effects = std::mem::take(&mut self.effects);
+        let mut ctx = Context {
+            now: ev.time,
+            node,
+            world: f.world,
+            rng: &mut self.rngs[slot],
+            effects: &mut effects,
+        };
+        let actor = &mut self.actors[slot];
+        match ev.kind {
+            EventKind::Start => actor.on_start(&mut ctx),
+            EventKind::Timer(t) => {
+                self.stats.timers += 1;
+                actor.on_timer(&mut ctx, t);
+            }
+            EventKind::Deliver { from, msg } => {
+                self.stats.deliveries += 1;
+                self.stats.data_deliveries += u64::from(data);
+                actor.on_message(&mut ctx, from, msg);
+            }
+        }
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Broadcast(msg) => {
+                    self.stats.broadcasts += 1;
+                    for (to, _) in f.world.neighbors(node) {
+                        let msg = match self.transmit(f, slot, to, &msg, false) {
+                            InFlight::Intact => msg.clone(),
+                            InFlight::Damaged(damaged) => damaged,
+                            InFlight::Lost => continue,
+                        };
+                        self.children.push(Child::Deliver { to, msg });
+                    }
+                }
+                Effect::Unicast(to, msg) => {
+                    self.stats.unicasts += 1;
+                    let data = A::is_data(&msg);
+                    self.stats.data_unicasts += u64::from(data);
+                    if !f.world.has_link(node, to) {
+                        self.stats.dropped_unicasts += 1;
+                        self.stats.data_no_link_drops += u64::from(data);
+                        continue;
+                    }
+                    let msg = match self.transmit(f, slot, to, &msg, data) {
+                        InFlight::Intact => msg,
+                        InFlight::Damaged(damaged) => damaged,
+                        InFlight::Lost => continue,
+                    };
+                    self.children.push(Child::Deliver { to, msg });
+                }
+                Effect::Timer(after, timer) => {
+                    let at = ev.time + after;
+                    if at.as_micros() < end {
+                        self.queue.push(Scheduled {
+                            time: at,
+                            seq: PROVISIONAL | self.provisional,
+                            node,
+                            generation: ev.generation,
+                            kind: EventKind::Timer(timer),
+                        });
+                        self.provisional += 1;
+                        self.children.push(Child::LocalTimer);
+                    } else {
+                        self.children.push(Child::Timer { at, timer });
+                    }
+                }
+            }
+        }
+        self.effects = effects;
+        self.records.push(DispatchRecord {
+            time: ev.time,
+            seq: ev.seq,
+            node,
+            children_end: self.children.len() as u32,
+        });
+    }
+
+    /// Samples the radio for one transmission of `msg` from member `slot`
+    /// to `to`: first the PHY (one draw from the sender's loss stream per
+    /// attempt under [`PhyModel::Lossy`], even at probability zero), then,
+    /// if the frame survives, the corruption injector (one gate draw from
+    /// the sender's corruption stream under [`FrameCorruption::On`]; when
+    /// it hits, the damage draws and one frame-check draw follow). Stream
+    /// positions stay a pure function of the sender's send history, so
+    /// they are identical at every shard count. Counts every loss, and its
+    /// `data_*` subset when `data` is set; `corrupted_frames` counts only
+    /// damage that will actually arrive (message types opaque to
+    /// [`Actor::corrupt_frame`] pass intact).
+    fn transmit(
+        &mut self,
+        f: Frozen<'_>,
+        slot: usize,
+        to: NodeId,
+        msg: &A::Msg,
+        data: bool,
+    ) -> InFlight<A::Msg> {
+        if let (PhyModel::Lossy(lossy), Some(rng)) = (f.radio.phy, self.loss_rngs.get_mut(slot)) {
+            let d = f
+                .world
+                .position(self.members[slot])
+                .distance(f.world.position(to));
+            if rng.next_f64() < lossy.drop_probability(d, f.world.radius()) {
+                self.stats.phy_drops += 1;
+                self.stats.data_phy_drops += u64::from(data);
+                return InFlight::Lost;
+            }
+        }
+        let (FrameCorruption::On(params), Some(rng)) =
+            (f.radio.corruption, self.corrupt_rngs.get_mut(slot))
+        else {
+            return InFlight::Intact;
+        };
+        if rng.next_f64() >= f64::from(params.corrupt_ppm) / 1e6 {
+            return InFlight::Intact;
+        }
+        let damage = FrameDamage::sample(&params, rng);
+        if rng.next_f64() >= f64::from(params.fcs_evade_ppm) / 1e6 {
+            self.stats.fcs_drops += 1;
+            self.stats.data_fcs_drops += u64::from(data);
+            return InFlight::Lost;
+        }
+        match A::corrupt_frame(msg, &damage) {
+            Some(damaged) => {
+                self.stats.corrupted_frames += 1;
+                InFlight::Damaged(damaged)
+            }
+            None => InFlight::Intact,
         }
     }
 }
@@ -314,280 +526,70 @@ impl Ord for WorldItem {
     }
 }
 
-/// Per-sender delivery delay. The serial engine draws jitter from the
-/// single engine stream in global dispatch order; here each sender owns a
-/// stream, so draws are deterministic in the sender's send order and
-/// independent of the shard count.
-fn delivery_delay(radio: RadioConfig, jitter_rng: &mut SimRng) -> SimDuration {
-    let jitter_us = radio.jitter.as_micros();
-    if jitter_us == 0 {
-        radio.latency
-    } else {
-        radio.latency + SimDuration::from_micros(jitter_rng.next_below(jitter_us))
-    }
-}
-
-/// Runs one shard through the window `[its next due, end)`. Reads shared
-/// world/generation/location state (all frozen between barriers), mutates
-/// only the shard itself.
-fn run_window<A: Actor>(
-    shard: &mut Shard<A>,
-    world: &DynamicTopology,
-    generations: &[u32],
-    locs: &[(u32, u32)],
-    radio: RadioConfig,
-    end: u64,
-) {
-    debug_assert!(shard.records.is_empty() && shard.children.is_empty());
-    let mut prov: u64 = 0;
-    while !shard.stop && shard.queue.next_due().is_some_and(|due| due < end) {
-        let ev = shard.queue.pop().expect("due item present");
-        let node = ev.node;
-        shard.window_stats.events += 1;
-        if ev.generation != generations[node.index()] {
-            shard.window_stats.stale_dropped += 1;
-            if let EventKind::Deliver { msg, .. } = &ev.kind {
-                if A::is_data(msg) {
-                    shard.window_stats.data_stale_drops += 1;
-                }
-            }
-            continue;
-        }
-        let slot = locs[node.index()].1 as usize;
-        debug_assert_eq!(shard.members[slot], node);
-        // An active partition drops cross-cut frames at dispatch, before
-        // the capture window — exactly as in `Simulator::step`. World
-        // events are barriers, so the cut is frozen for the whole
-        // window and this check commutes with the merge.
-        if let EventKind::Deliver { from, msg } = &ev.kind {
-            if world.partitioned(*from, node) {
-                shard.window_stats.partition_drops += 1;
-                if A::is_data(msg) {
-                    shard.window_stats.data_partition_drops += 1;
-                }
-                continue;
-            }
-        }
-        // Receiver capture, exactly as in `Simulator::step`: a frame
-        // landing inside the busy window collides before the actor sees
-        // it. Receiver state is shard-local, so this commutes with the
-        // barrier (a node's deliveries always dispatch on its home
-        // shard, in global `(time, seq)` order).
-        if let EventKind::Deliver { msg, .. } = &ev.kind {
-            if !shard.busy_until.is_empty()
-                && phy_collides(radio.phy, ev.time, &mut shard.busy_until[slot])
-            {
-                shard.window_stats.collisions += 1;
-                if A::is_data(msg) {
-                    shard.window_stats.data_collisions += 1;
-                }
-                continue;
-            }
-        }
-        shard.effects.clear();
-        {
-            let mut ctx = Context {
-                now: ev.time,
-                node,
-                world,
-                rng: &mut shard.rngs[slot],
-                effects: &mut shard.effects,
-                stop: &mut shard.stop,
-            };
-            let actor = &mut shard.actors[slot];
-            match ev.kind {
-                EventKind::Start => actor.on_start(&mut ctx),
-                EventKind::Timer(t) => {
-                    shard.window_stats.timers += 1;
-                    actor.on_timer(&mut ctx, t);
-                }
-                EventKind::Deliver { from, msg } => {
-                    shard.window_stats.deliveries += 1;
-                    if A::is_data(&msg) {
-                        shard.window_stats.data_deliveries += 1;
-                    }
-                    actor.on_message(&mut ctx, from, msg);
-                }
-                EventKind::World(_) => unreachable!("world events are barriers"),
-            }
-        }
-        for effect in shard.effects.drain(..) {
-            match effect {
-                Effect::Broadcast(msg) => {
-                    shard.window_stats.broadcasts += 1;
-                    for (to, _) in world.neighbors(node) {
-                        if !shard.loss_rngs.is_empty()
-                            && phy_drops_frame(
-                                radio.phy,
-                                world,
-                                node,
-                                to,
-                                &mut shard.loss_rngs[slot],
-                            )
-                        {
-                            shard.window_stats.phy_drops += 1;
-                            continue;
-                        }
-                        let payload = match corrupt_in_flight::<A>(
-                            radio.corruption,
-                            &mut shard.corrupt_rngs,
-                            slot,
-                            &msg,
-                            &mut shard.window_stats,
-                        ) {
-                            InFlight::Intact => msg.clone(),
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => continue,
-                        };
-                        let delay = delivery_delay(radio, &mut shard.jitter_rngs[slot]);
-                        shard.children.push(Child::Deliver {
-                            at: ev.time + delay,
-                            to,
-                            from: node,
-                            msg: payload,
-                            generation: generations[to.index()],
-                        });
-                    }
-                }
-                Effect::Unicast(to, msg) => {
-                    shard.window_stats.unicasts += 1;
-                    let is_data = A::is_data(&msg);
-                    if is_data {
-                        shard.window_stats.data_unicasts += 1;
-                    }
-                    if world.has_link(node, to) {
-                        if !shard.loss_rngs.is_empty()
-                            && phy_drops_frame(
-                                radio.phy,
-                                world,
-                                node,
-                                to,
-                                &mut shard.loss_rngs[slot],
-                            )
-                        {
-                            shard.window_stats.phy_drops += 1;
-                            if is_data {
-                                shard.window_stats.data_phy_drops += 1;
-                            }
-                        } else {
-                            let payload = match corrupt_in_flight::<A>(
-                                radio.corruption,
-                                &mut shard.corrupt_rngs,
-                                slot,
-                                &msg,
-                                &mut shard.window_stats,
-                            ) {
-                                InFlight::Intact => msg,
-                                InFlight::Damaged(damaged) => damaged,
-                                InFlight::DroppedByFcs => {
-                                    if is_data {
-                                        shard.window_stats.data_fcs_drops += 1;
-                                    }
-                                    continue;
-                                }
-                            };
-                            let delay = delivery_delay(radio, &mut shard.jitter_rngs[slot]);
-                            shard.children.push(Child::Deliver {
-                                at: ev.time + delay,
-                                to,
-                                from: node,
-                                msg: payload,
-                                generation: generations[to.index()],
-                            });
-                        }
-                    } else {
-                        shard.window_stats.dropped_unicasts += 1;
-                        if is_data {
-                            shard.window_stats.data_no_link_drops += 1;
-                        }
-                    }
-                }
-                Effect::Timer(after, timer) => {
-                    let at = ev.time + after;
-                    if at.as_micros() < end {
-                        shard.queue.push(Scheduled {
-                            time: at,
-                            seq: PROVISIONAL | prov,
-                            node,
-                            generation: ev.generation,
-                            kind: EventKind::Timer(timer),
-                        });
-                        prov += 1;
-                        shard.children.push(Child::LocalTimer);
-                    } else {
-                        shard.children.push(Child::Timer {
-                            at,
-                            timer,
-                            generation: ev.generation,
-                        });
-                    }
-                }
-            }
-        }
-        shard.records.push(DispatchRecord {
-            time: ev.time,
-            seq: ev.seq,
-            node,
-            children_end: shard.children.len() as u32,
-        });
-    }
-}
-
-/// The region-sharded parallel engine. See the [module docs](self) for
-/// the window/barrier algorithm and the determinism contract; see
-/// [`ExecMode`] for a doctest proving two-shard/single-queue parity.
-pub struct ShardedSimulator<A: Actor> {
+/// The discrete-event simulator: one [`Actor`] per topology node, spread
+/// over spatial shards with an event queue each, scheduled
+/// [`WorldEvent`]s interleaved with actor events by `(time, sequence)`,
+/// and the ideal-MAC radio over the resulting [`DynamicTopology`]. See
+/// the [module docs](self) for the window/barrier algorithm.
+///
+/// Determinism: all randomness flows from the construction seed (each
+/// node receives a split stream, and the rest of the engine stream draws
+/// delivery jitter), world events apply at fixed scheduled instants, and
+/// simultaneous events dispatch in schedule order, so identical inputs
+/// yield identical executions — at every shard count.
+pub struct Simulator<A: Actor> {
     world: DynamicTopology,
     radio: RadioConfig,
     region: RegionMap,
     shards: Vec<Shard<A>>,
     /// Per node: `(home shard, slot within the shard)`.
     locs: Vec<(u32, u32)>,
-    /// Per-node lifetime counters, as in [`Simulator`](crate::Simulator). Only mutated at
-    /// barriers, so shard workers may read them as a frozen slice.
+    /// Per-node lifetime counters, bumped when the node leaves or crashes
+    /// so pending events of the old life are dropped at dispatch. Only
+    /// mutated between windows, so shards read them as a frozen slice.
     generations: Vec<u32>,
+    /// The engine stream, left over after the per-node splits: delivery
+    /// jitter, drawn at commit.
+    engine_rng: SimRng,
     world_queue: BinaryHeap<WorldItem>,
     now: SimTime,
     seq: u64,
+    /// World-event counters; the dispatch counters live in the shards.
     stats: SimStats,
-    stop: bool,
     trace: Option<TraceBuffer>,
-    /// Parallel-window width in µs; at most the radio latency (the
-    /// lookahead bound), `0` iff the latency is zero (serial instants
-    /// only).
+    /// Window width in µs; at most the radio latency (the lookahead
+    /// bound), `0` iff the latency is zero (serial instants only).
     window_micros: u64,
     /// Scratch for the serial-instant batch.
     instant_scratch: Vec<Scheduled<A::Msg>>,
 }
 
-impl<A: Actor + Send> ShardedSimulator<A>
-where
-    A::Msg: Send,
-{
-    /// Creates a sharded simulator over `topology` with `shards` spatial
-    /// stripes (clamped to `1..=node count`), building one actor per node
-    /// with `build(node, home_shard)` in node-id order, and schedules
-    /// every actor's start event at time 0.
+impl<A: Actor> Simulator<A> {
+    /// Creates a one-shard simulator over `topology`, building one actor
+    /// per node with `build`, and schedules every actor's start event at
+    /// time 0.
     pub fn new(
         topology: Topology,
         radio: RadioConfig,
         seed: u64,
-        shards: u32,
-        build: impl FnMut(NodeId, usize) -> A,
+        mut build: impl FnMut(NodeId) -> A,
     ) -> Self {
-        Self::with_scheduler(
+        Self::with_shards(
             topology,
             radio,
             seed,
             SchedulerKind::default(),
-            shards,
-            build,
+            1,
+            |id, _| build(id),
         )
     }
 
-    /// Like [`ShardedSimulator::new`] with an explicit per-shard queue
-    /// scheduler (see [`Simulator::with_scheduler`](crate::Simulator::with_scheduler)).
-    pub fn with_scheduler(
+    /// Like [`Simulator::new`], with an explicit event-queue scheduler
+    /// and `shards` spatial stripes (clamped to `1..=node count`);
+    /// `build(node, home_shard)` runs in node-id order. The timer wheel
+    /// (default) and the binary heap pop in exactly the same
+    /// `(time, seq)` order, and every shard count replays the same run.
+    pub fn with_shards(
         topology: Topology,
         radio: RadioConfig,
         seed: u64,
@@ -601,53 +603,28 @@ where
         let world = DynamicTopology::new(&topology);
         let region = RegionMap::new(&world, k);
 
-        // Mirror the single-queue construction order exactly: actors in
-        // node order first, then one RNG split per node. The extra
-        // jitter streams are split afterwards so node RNG streams stay
-        // byte-identical to `Simulator`'s.
+        // Actors in node order first, then one RNG split per node; the
+        // rest of the engine stream draws delivery jitter. The loss and
+        // corruption streams come from their own salted masters, one per
+        // node in node order (none under the ideal PHY or with
+        // corruption off).
         let actors: Vec<A> = topology
             .nodes()
             .map(|id| build(id, region.shard_of(world.position(id))))
             .collect();
         let rngs: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
-        let jitter_rngs: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
-        // Same derivation as the single-queue engine: one loss stream
-        // per node in node order, from the salted loss master. Empty
-        // (and never consulted) under the ideal PHY.
-        let mut loss_iter = loss_streams(seed, n, radio.phy).into_iter();
-        let lossy = matches!(radio.phy, PhyModel::Lossy(_));
-        // Likewise for the corruption streams: same salted master, same
-        // per-node split order as the single-queue engine. Empty (and
-        // never consulted) under `FrameCorruption::Off`.
-        let mut corrupt_iter = corrupt_streams(seed, n, radio.corruption).into_iter();
-        let corrupting = matches!(radio.corruption, FrameCorruption::On(_));
-
+        let mut loss = loss_streams(seed, n, radio.phy).into_iter();
+        let mut corrupt = corrupt_streams(seed, n, radio.corruption).into_iter();
         let mut shard_vec: Vec<Shard<A>> = (0..k).map(|_| Shard::new(scheduler)).collect();
-        let mut locs = vec![(0u32, 0u32); n];
-        for (((i, actor), rng), jitter) in actors.into_iter().enumerate().zip(rngs).zip(jitter_rngs)
-        {
+        let mut locs = Vec::with_capacity(n);
+        for (i, (actor, rng)) in actors.into_iter().zip(rngs).enumerate() {
             let node = NodeId(i as u32);
             let home = region.shard_of(world.position(node));
             let shard = &mut shard_vec[home];
-            locs[i] = (home as u32, shard.members.len() as u32);
-            shard.members.push(node);
-            shard.actors.push(actor);
-            shard.rngs.push(rng);
-            shard.jitter_rngs.push(jitter);
-            if lossy {
-                shard
-                    .loss_rngs
-                    .push(loss_iter.next().expect("one loss stream per node"));
-                shard.busy_until.push(SimTime::ZERO);
-            }
-            if corrupting {
-                shard
-                    .corrupt_rngs
-                    .push(corrupt_iter.next().expect("one corruption stream per node"));
-            }
+            locs.push((home as u32, shard.members.len() as u32));
+            shard.admit(node, actor, rng, loss.next(), corrupt.next());
         }
 
-        let window_micros = radio.latency.as_micros();
         let mut sim = Self {
             world,
             radio,
@@ -655,17 +632,17 @@ where
             shards: shard_vec,
             locs,
             generations: vec![0; n],
+            engine_rng,
             world_queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
             stats: SimStats::default(),
-            stop: false,
             trace: None,
-            window_micros,
+            window_micros: radio.latency.as_micros(),
             instant_scratch: Vec::new(),
         };
         for i in 0..n {
-            sim.push_exact(SimTime::ZERO, NodeId(i as u32), EventKind::Start);
+            sim.push(SimTime::ZERO, NodeId(i as u32), EventKind::Start);
         }
         sim
     }
@@ -677,26 +654,23 @@ where
         s
     }
 
-    /// Pushes an actor event with an exact sequence number into its
-    /// node's home-shard queue.
-    fn push_exact(&mut self, time: SimTime, node: NodeId, kind: EventKind<A::Msg>) {
-        debug_assert!(!matches!(kind, EventKind::World(_)));
-        let generation = self.generations[node.index()];
+    /// Pushes an event of `node`'s current life, under the next exact
+    /// sequence number, into its home shard's queue.
+    fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind<A::Msg>) {
         let seq = self.next_seq();
         let home = self.locs[node.index()].0 as usize;
         self.shards[home].queue.push(Scheduled {
             time,
             seq,
             node,
-            generation,
+            generation: self.generations[node.index()],
             kind,
         });
     }
 
     /// Schedules a world event for application at virtual time `at`
-    /// (clamped to now), interleaved with actor events by `(time, seq)`
-    /// exactly as in [`Simulator::schedule_world`](crate::Simulator::schedule_world). World instants are
-    /// window barriers.
+    /// (clamped to now). Events scheduled for the same instant apply in
+    /// scheduling order, interleaved with actor events by `(time, seq)`.
     pub fn schedule_world(&mut self, at: SimTime, event: WorldEvent) {
         let at = at.max(self.now);
         let seq = self.next_seq();
@@ -707,7 +681,7 @@ where
         });
     }
 
-    /// Schedules a stream of timed world events (e.g. a generated
+    /// Schedules a whole stream of timed world events (e.g. a generated
     /// scenario schedule).
     pub fn schedule_world_events(
         &mut self,
@@ -718,8 +692,18 @@ where
         }
     }
 
+    /// Schedules delivery of a raw frame from `from` to `to` after
+    /// `after`, bypassing the radio (no neighbor check, no PHY sampling).
+    /// A fault-injection/test hook: robustness suites use it to feed a
+    /// node arbitrary — including garbage — frames through the real
+    /// dispatch path.
+    pub fn inject_frame(&mut self, after: SimDuration, from: NodeId, to: NodeId, msg: A::Msg) {
+        let at = self.now + after;
+        self.push(at, to, EventKind::Deliver { from, msg });
+    }
+
     /// Enables event tracing with the given ring-buffer capacity. Trace
-    /// records are emitted at barriers, in exact serial dispatch order.
+    /// records are emitted at commit, in global dispatch order.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(TraceBuffer::new(capacity));
     }
@@ -734,9 +718,13 @@ where
         self.now
     }
 
-    /// Engine statistics so far (aggregated across shards at barriers).
+    /// Engine statistics so far, summed over the shards.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        let mut total = self.stats;
+        for shard in &self.shards {
+            total.merge(&shard.stats);
+        }
+        total
     }
 
     /// The simulated world (current ground truth).
@@ -745,7 +733,9 @@ where
     }
 
     /// Mutable access to the world, for out-of-band mutation between
-    /// `run_*` calls.
+    /// `run_*` calls (scheduled [`WorldEvent`]s via
+    /// [`Simulator::schedule_world`] are the deterministic way to change
+    /// the world mid-run).
     pub fn world_mut(&mut self) -> &mut DynamicTopology {
         &mut self.world
     }
@@ -784,8 +774,8 @@ where
         &self.shards[shard].members
     }
 
-    /// Overrides the parallel-window width (testing support: the shard
-    /// differential proptests sweep arbitrary widths). Clamped into
+    /// Overrides the window width (testing support: the shard
+    /// proptests sweep arbitrary widths). Clamped into
     /// `[1 µs, radio latency]` — wider than the latency would break the
     /// lookahead bound; with a zero-latency radio the width stays 0 and
     /// every instant runs serially.
@@ -824,211 +814,106 @@ where
         })
     }
 
-    /// Runs until every queue drains, a handler requests a stop, or
-    /// virtual time would exceed `deadline`; afterwards `now() ==
-    /// deadline` unless stopped early. A deadline already in the past is
-    /// a no-op.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let deadline = deadline.max(self.now);
-        let dl = deadline.as_micros();
-        while !self.stop {
-            let next_actor = self
-                .shards
-                .iter_mut()
-                .filter_map(|s| s.queue.next_due())
-                .min();
-            let next_world = self.world_queue.peek().map(|w| w.time.as_micros());
-            let next = match (next_actor, next_world) {
-                (None, None) => break,
-                (a, w) => a.unwrap_or(u64::MAX).min(w.unwrap_or(u64::MAX)),
-            };
-            if next > dl {
-                break;
-            }
-            // The window may not cross the next world instant (a global
-            // barrier) or extend past the deadline; `end <= next` means
-            // the instant itself must run serially.
-            let end = next
-                .saturating_add(self.window_micros)
-                .min(next_world.unwrap_or(u64::MAX))
-                .min(dl.saturating_add(1));
-            if end <= next {
-                self.run_instant(SimTime::from_micros(next));
-            } else {
-                self.run_window_parallel(end);
-                self.now = self.now.max(SimTime::from_micros(end - 1));
-            }
-        }
-        if !self.stop {
-            self.now = deadline;
-        }
-    }
-
-    /// Runs for `d` of virtual time from the current instant.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-
-    /// Steps every shard with due work through `[its next due, end)` in
-    /// parallel, then merges at the barrier.
-    fn run_window_parallel(&mut self, end: u64) {
-        {
-            let world = &self.world;
-            let generations = &self.generations[..];
-            let locs = &self.locs[..];
-            let radio = self.radio;
-            let mut active: Vec<&mut Shard<A>> = Vec::new();
-            for shard in self.shards.iter_mut() {
-                if shard.queue.next_due().is_some_and(|due| due < end) {
-                    active.push(shard);
-                }
-            }
-            if active.len() <= 1 {
-                for shard in active {
-                    run_window(shard, world, generations, locs, radio, end);
-                }
-            } else {
-                crossbeam::thread::scope(|scope| {
-                    for shard in active.drain(..) {
-                        scope.spawn(move |_| {
-                            run_window(shard, world, generations, locs, radio, end)
-                        });
-                    }
-                })
-                .expect("shard worker panicked");
-            }
-        }
-        self.barrier_merge();
-    }
-
-    /// K-way merges the shards' window logs in globally sorted
-    /// `(time, seq)` order, assigning exact sequence numbers to every
-    /// child event in that order and routing cross-shard deliveries to
-    /// their receivers' queues. Reproduces the serial engine's trace and
-    /// sequence assignment exactly.
-    fn barrier_merge(&mut self) {
-        let k = self.shards.len();
-        let mut rec_cursor = vec![0usize; k];
-        let mut child_cursor = vec![0usize; k];
+    /// Commits every shard's dispatch log in globally sorted
+    /// `(time, seq)` order — a k-way merge of the already sorted logs —
+    /// then clears the logs.
+    fn barrier(&mut self) {
         loop {
             let mut best: Option<(u64, u64, usize)> = None;
             for (i, shard) in self.shards.iter().enumerate() {
-                let Some(rec) = shard.records.get(rec_cursor[i]) else {
+                let Some(rec) = shard.records.get(shard.committed) else {
                     continue;
                 };
-                // Resolve a provisional head: its parent record is
-                // earlier in the same log, hence already walked.
+                // Resolve a provisional head: the record that created it
+                // is earlier in the same log, hence already committed.
                 let seq = if rec.seq & PROVISIONAL != 0 {
                     shard.prov_map[(rec.seq & !PROVISIONAL) as usize]
                 } else {
                     rec.seq
                 };
-                let key = (rec.time.as_micros(), seq);
-                if best.is_none_or(|(t, s, _)| key < (t, s)) {
-                    best = Some((key.0, key.1, i));
+                let key = (rec.time.as_micros(), seq, i);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
                 }
             }
             let Some((_, _, i)) = best else { break };
-            let rec = self.shards[i].records[rec_cursor[i]];
-            rec_cursor[i] += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    time: rec.time,
-                    node: rec.node,
-                    kind: TraceKind::Dispatched,
-                });
-            }
-            let start = child_cursor[i];
-            let child_end = rec.children_end as usize;
-            child_cursor[i] = child_end;
-            for ci in start..child_end {
-                // Move the child out; `LocalTimer` doubles as the cheap
-                // placeholder so the log keeps its allocation.
-                let child = std::mem::replace(&mut self.shards[i].children[ci], Child::LocalTimer);
-                match child {
-                    Child::LocalTimer => {
-                        let exact = self.next_seq();
-                        self.shards[i].prov_map.push(exact);
-                    }
-                    Child::Timer {
-                        at,
-                        timer,
-                        generation,
-                    } => {
-                        let seq = self.next_seq();
-                        self.shards[i].queue.push(Scheduled {
-                            time: at,
-                            seq,
-                            node: rec.node,
-                            generation,
-                            kind: EventKind::Timer(timer),
-                        });
-                    }
-                    Child::Deliver {
-                        at,
-                        to,
-                        from,
-                        msg,
-                        generation,
-                    } => {
-                        let seq = self.next_seq();
-                        let home = self.locs[to.index()].0 as usize;
-                        self.shards[home].queue.push(Scheduled {
-                            time: at,
-                            seq,
-                            node: to,
-                            generation,
-                            kind: EventKind::Deliver { from, msg },
-                        });
-                    }
-                }
-            }
+            let shard = &mut self.shards[i];
+            let first = match shard.committed {
+                0 => 0,
+                c => shard.records[c - 1].children_end as usize,
+            };
+            let rec = shard.records[shard.committed];
+            shard.committed += 1;
+            self.commit(i, rec, first);
         }
         for shard in &mut self.shards {
-            let w = shard.window_stats;
-            self.stats.events += w.events;
-            self.stats.broadcasts += w.broadcasts;
-            self.stats.unicasts += w.unicasts;
-            self.stats.deliveries += w.deliveries;
-            self.stats.dropped_unicasts += w.dropped_unicasts;
-            self.stats.timers += w.timers;
-            self.stats.world_changes += w.world_changes;
-            self.stats.stale_dropped += w.stale_dropped;
-            self.stats.phy_drops += w.phy_drops;
-            self.stats.collisions += w.collisions;
-            self.stats.partition_drops += w.partition_drops;
-            self.stats.corrupted_frames += w.corrupted_frames;
-            self.stats.fcs_drops += w.fcs_drops;
-            self.stats.data_unicasts += w.data_unicasts;
-            self.stats.data_deliveries += w.data_deliveries;
-            self.stats.data_no_link_drops += w.data_no_link_drops;
-            self.stats.data_phy_drops += w.data_phy_drops;
-            self.stats.data_fcs_drops += w.data_fcs_drops;
-            self.stats.data_partition_drops += w.data_partition_drops;
-            self.stats.data_collisions += w.data_collisions;
-            self.stats.data_stale_drops += w.data_stale_drops;
-            shard.window_stats = SimStats::default();
-            self.stop |= shard.stop;
             shard.records.clear();
+            shard.committed = 0;
             shard.children.clear();
+            shard.provisional = 0;
             shard.prov_map.clear();
         }
     }
 
-    /// Serially dispatches everything due at exactly `t` — world events
-    /// interleaved with actor events by `(time, seq)`, including
-    /// zero-delay effect chains landing back at `t` — with effects
-    /// applied immediately under exact sequence numbers.
+    /// Commits one dispatch record of shard `i`, whose children start at
+    /// `first` in the shard's child log: traces the dispatch, then gives
+    /// each child the next exact sequence number in creation order. A
+    /// local timer just records its number; a timer joins its node's
+    /// queue; a frame draws its jitter from the engine stream and joins
+    /// its receiver's home queue.
+    fn commit(&mut self, i: usize, rec: DispatchRecord, first: usize) {
+        if let Some(trace) = &mut self.trace {
+            trace.record(TraceEvent {
+                time: rec.time,
+                node: rec.node,
+                kind: TraceKind::Dispatched,
+            });
+        }
+        for ci in first..rec.children_end as usize {
+            // Move the child out; `LocalTimer` doubles as the cheap
+            // placeholder so the log keeps its allocation.
+            match std::mem::replace(&mut self.shards[i].children[ci], Child::LocalTimer) {
+                Child::LocalTimer => {
+                    let exact = self.next_seq();
+                    self.shards[i].prov_map.push(exact);
+                }
+                Child::Timer { at, timer } => self.push(at, rec.node, EventKind::Timer(timer)),
+                Child::Deliver { to, msg } => {
+                    let at = rec.time + self.delivery_delay();
+                    self.push(
+                        at,
+                        to,
+                        EventKind::Deliver {
+                            from: rec.node,
+                            msg,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// The radio latency plus a uniform jitter drawn from the engine
+    /// stream. Commits call this in global `(time, seq)` order, so the
+    /// draws are the same at every shard count.
+    fn delivery_delay(&mut self) -> SimDuration {
+        let jitter_us = self.radio.jitter.as_micros();
+        if jitter_us == 0 {
+            self.radio.latency
+        } else {
+            self.radio.latency + SimDuration::from_micros(self.engine_rng.next_below(jitter_us))
+        }
+    }
+
+    /// Dispatches everything due at exactly `t` in `(time, seq)` order —
+    /// world events interleaved with actor events, including zero-delay
+    /// effect chains landing back at `t` — committing each record at
+    /// once.
     fn run_instant(&mut self, t: SimTime) {
         self.now = t;
         let t_us = t.as_micros();
         let mut batch = std::mem::take(&mut self.instant_scratch);
         loop {
-            if self.stop {
-                break;
-            }
-            batch.clear();
             for shard in &mut self.shards {
                 while shard.queue.next_due() == Some(t_us) {
                     batch.push(shard.queue.pop().expect("due item present"));
@@ -1040,326 +925,122 @@ where
             }
             batch.sort_unstable_by_key(|e| e.seq);
             let mut events = batch.drain(..).peekable();
-            self.drain_instant(t, &mut events);
-            // A stop mid-instant leaves pre-popped events unprocessed:
-            // hand them back to their queues, as the serial engine would
-            // have left them.
-            for ev in events {
-                let home = self.locs[ev.node.index()].0 as usize;
-                self.shards[home].queue.push(ev);
+            loop {
+                let world_seq = self
+                    .world_queue
+                    .peek()
+                    .filter(|w| w.time == t)
+                    .map(|w| w.seq);
+                let world_first = match (events.peek(), world_seq) {
+                    (None, None) => break,
+                    (ev, Some(ws)) => ev.is_none_or(|ev| ws < ev.seq),
+                    (Some(_), None) => false,
+                };
+                if world_first {
+                    let item = self.world_queue.pop().expect("peeked world item");
+                    self.stats.events += 1;
+                    self.apply_world_event(item.event);
+                } else {
+                    let ev = events.next().expect("peeked actor event");
+                    let home = self.locs[ev.node.index()].0 as usize;
+                    let f = Frozen {
+                        world: &self.world,
+                        generations: &self.generations,
+                        locs: &self.locs,
+                        radio: self.radio,
+                    };
+                    self.shards[home].dispatch(ev, f, t_us);
+                    self.barrier();
+                }
             }
         }
         self.instant_scratch = batch;
     }
 
-    /// Interleaves one sorted actor-event batch with the world events
-    /// due at `t`, in `(time, seq)` order.
-    fn drain_instant(
-        &mut self,
-        t: SimTime,
-        events: &mut Peekable<std::vec::Drain<'_, Scheduled<A::Msg>>>,
-    ) {
-        loop {
-            if self.stop {
-                return;
-            }
-            let world_seq = self
-                .world_queue
-                .peek()
-                .filter(|w| w.time == t)
-                .map(|w| w.seq);
-            let world_first = match (events.peek(), world_seq) {
-                (None, None) => return,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(ev), Some(ws)) => ws < ev.seq,
-            };
-            if world_first {
-                let item = self.world_queue.pop().expect("peeked world item");
-                self.stats.events += 1;
-                self.apply_world_event(item.event);
-            } else {
-                let ev = events.next().expect("peeked actor event");
-                self.dispatch_serial(ev);
-            }
-        }
-    }
-
-    /// Dispatches one actor event serially (instant phase), applying its
-    /// effects immediately with exact sequence numbers — the same code
-    /// path shape as [`Simulator::step`](crate::Simulator::step).
-    fn dispatch_serial(&mut self, ev: Scheduled<A::Msg>) {
-        debug_assert_eq!(ev.seq & PROVISIONAL, 0, "instants only see exact seqs");
-        self.stats.events += 1;
-        let node = ev.node;
-        if ev.generation != self.generations[node.index()] {
-            self.stats.stale_dropped += 1;
-            if let EventKind::Deliver { msg, .. } = &ev.kind {
-                if A::is_data(msg) {
-                    self.stats.data_stale_drops += 1;
-                }
-            }
+    /// Applies one world event between windows: mutates the world, bumps
+    /// the node generation on `Leave` and `Crash`, and restarts a
+    /// rejoining or crashed node — moving a rejoiner to the shard covering
+    /// its current position first.
+    fn apply_world_event(&mut self, event: WorldEvent) {
+        if !self.world.apply(&event) {
             return;
         }
-        let (shard_ix, slot) = self.locs[node.index()];
-        let (shard_ix, slot) = (shard_ix as usize, slot as usize);
-        // Active partitions drop cross-cut frames at dispatch, before
-        // the capture window — same order as `Simulator::step`.
-        if let EventKind::Deliver { from, msg } = &ev.kind {
-            if self.world.partitioned(*from, node) {
-                self.stats.partition_drops += 1;
-                if A::is_data(msg) {
-                    self.stats.data_partition_drops += 1;
-                }
-                return;
-            }
-        }
-        if let EventKind::Deliver { msg, .. } = &ev.kind {
-            let shard = &mut self.shards[shard_ix];
-            if !shard.busy_until.is_empty()
-                && phy_collides(self.radio.phy, ev.time, &mut shard.busy_until[slot])
-            {
-                self.stats.collisions += 1;
-                if A::is_data(msg) {
-                    self.stats.data_collisions += 1;
-                }
-                return;
-            }
-        }
-        let mut effects: Vec<Effect<A::Msg>> = Vec::new();
-        {
-            let shard = &mut self.shards[shard_ix];
-            let mut ctx = Context {
-                now: ev.time,
-                node,
-                world: &self.world,
-                rng: &mut shard.rngs[slot],
-                effects: &mut effects,
-                stop: &mut self.stop,
-            };
-            let actor = &mut shard.actors[slot];
-            match ev.kind {
-                EventKind::Start => actor.on_start(&mut ctx),
-                EventKind::Timer(t) => {
-                    self.stats.timers += 1;
-                    actor.on_timer(&mut ctx, t);
-                }
-                EventKind::Deliver { from, msg } => {
-                    self.stats.deliveries += 1;
-                    if A::is_data(&msg) {
-                        self.stats.data_deliveries += 1;
-                    }
-                    actor.on_message(&mut ctx, from, msg);
-                }
-                EventKind::World(_) => unreachable!("world events apply via apply_world_event"),
-            }
-        }
+        self.stats.world_changes += 1;
         if let Some(trace) = &mut self.trace {
             trace.record(TraceEvent {
-                time: ev.time,
-                node,
-                kind: TraceKind::Dispatched,
+                time: self.now,
+                node: match event {
+                    WorldEvent::LinkUp { a, .. }
+                    | WorldEvent::LinkDown { a, .. }
+                    | WorldEvent::QosChange { a, .. } => a,
+                    WorldEvent::Move { node, .. }
+                    | WorldEvent::Join { node }
+                    | WorldEvent::Leave { node }
+                    | WorldEvent::Crash { node } => node,
+                    // Network-level faults have no single subject.
+                    WorldEvent::Partition { .. } | WorldEvent::Heal => NodeId(0),
+                },
+                kind: TraceKind::WorldChanged,
             });
         }
-        for effect in effects {
-            match effect {
-                Effect::Broadcast(msg) => {
-                    self.stats.broadcasts += 1;
-                    let neighbors: Vec<NodeId> =
-                        self.world.neighbors(node).map(|(n, _)| n).collect();
-                    for to in neighbors {
-                        if self.phy_drops_serial(shard_ix, slot, node, to) {
-                            continue;
-                        }
-                        let payload = match self.corrupt_serial(shard_ix, slot, &msg) {
-                            InFlight::Intact => msg.clone(),
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => continue,
-                        };
-                        let delay = delivery_delay(
-                            self.radio,
-                            &mut self.shards[shard_ix].jitter_rngs[slot],
-                        );
-                        self.push_exact(
-                            ev.time + delay,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    }
-                }
-                Effect::Unicast(to, msg) => {
-                    self.stats.unicasts += 1;
-                    let is_data = A::is_data(&msg);
-                    if is_data {
-                        self.stats.data_unicasts += 1;
-                    }
-                    if self.world.has_link(node, to) {
-                        if self.phy_drops_serial(shard_ix, slot, node, to) {
-                            if is_data {
-                                self.stats.data_phy_drops += 1;
-                            }
-                            continue;
-                        }
-                        let payload = match self.corrupt_serial(shard_ix, slot, &msg) {
-                            InFlight::Intact => msg,
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => {
-                                if is_data {
-                                    self.stats.data_fcs_drops += 1;
-                                }
-                                continue;
-                            }
-                        };
-                        let delay = delivery_delay(
-                            self.radio,
-                            &mut self.shards[shard_ix].jitter_rngs[slot],
-                        );
-                        self.push_exact(
-                            ev.time + delay,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    } else {
-                        self.stats.dropped_unicasts += 1;
-                        if is_data {
-                            self.stats.data_no_link_drops += 1;
-                        }
-                    }
-                }
-                Effect::Timer(after, timer) => {
-                    self.push_exact(ev.time + after, node, EventKind::Timer(timer));
-                }
-            }
-        }
-    }
-
-    /// Serial-instant counterpart of the in-window drop sampling: one
-    /// draw from the sender's loss stream per delivery attempt, counted
-    /// into the global stats directly.
-    fn phy_drops_serial(&mut self, shard_ix: usize, slot: usize, from: NodeId, to: NodeId) -> bool {
-        let shard = &mut self.shards[shard_ix];
-        if shard.loss_rngs.is_empty() {
-            return false;
-        }
-        let dropped = phy_drops_frame(
-            self.radio.phy,
-            &self.world,
-            from,
-            to,
-            &mut shard.loss_rngs[slot],
-        );
-        if dropped {
-            self.stats.phy_drops += 1;
-        }
-        dropped
-    }
-
-    /// Serial-instant counterpart of the in-window corruption sampling:
-    /// one gate draw from the sender's corruption stream per surviving
-    /// delivery attempt, counted into the global stats directly.
-    fn corrupt_serial(&mut self, shard_ix: usize, slot: usize, msg: &A::Msg) -> InFlight<A::Msg> {
-        let shard = &mut self.shards[shard_ix];
-        corrupt_in_flight::<A>(
-            self.radio.corruption,
-            &mut shard.corrupt_rngs,
-            slot,
-            msg,
-            &mut self.stats,
-        )
-    }
-
-    /// Applies one world event at a barrier: mutates the world, bumps
-    /// generations on `Leave`, and on `Join` resets the actor, re-homes
-    /// it to the shard covering its current position and restarts it —
-    /// mirroring the serial engine plus the shard migration.
-    fn apply_world_event(&mut self, event: WorldEvent) {
-        let changed = self.world.apply(&event);
-        if changed {
-            self.stats.world_changes += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    time: self.now,
-                    node: match event {
-                        WorldEvent::LinkUp { a, .. }
-                        | WorldEvent::LinkDown { a, .. }
-                        | WorldEvent::QosChange { a, .. } => a,
-                        WorldEvent::Move { node, .. }
-                        | WorldEvent::Join { node }
-                        | WorldEvent::Leave { node }
-                        | WorldEvent::Crash { node } => node,
-                        // Network-level faults have no single subject.
-                        WorldEvent::Partition { .. } | WorldEvent::Heal => NodeId(0),
-                    },
-                    kind: TraceKind::WorldChanged,
-                });
-            }
-        }
         match event {
-            WorldEvent::Leave { node } if changed => {
-                // Cancel the old life's pending timers and deliveries
-                // (they may sit in the old home shard's queue; the
-                // generation check drops them there).
+            WorldEvent::Leave { node } => {
+                // Cancel the old life's pending timers and deliveries,
+                // wherever they sit: the generation check drops them.
                 self.generations[node.index()] += 1;
             }
-            WorldEvent::Join { node } if changed => {
-                let (shard_ix, slot) = self.locs[node.index()];
-                self.shards[shard_ix as usize].actors[slot as usize].on_reset();
+            WorldEvent::Join { node } => {
+                // The node boots fresh: protocol state resets and the
+                // start handler runs again (in the *current* generation,
+                // so its new timers are live), on the shard covering
+                // where it rejoined.
+                self.actor_mut(node).on_reset();
                 let dest = self.region.shard_of(self.world.position(node));
-                self.rehome(node, dest);
-                let (shard_ix, slot) = self.locs[node.index()];
-                self.shards[shard_ix as usize].actors[slot as usize].on_rehome(shard_ix as usize);
-                // No capture window survives a power cycle (mirrors the
-                // single-queue engine's Join handling).
-                if let Some(busy) = self.shards[shard_ix as usize]
-                    .busy_until
-                    .get_mut(slot as usize)
-                {
-                    *busy = SimTime::ZERO;
+                if dest != self.shard_of(node) {
+                    self.rehome(node, dest);
+                    self.actor_mut(node).on_rehome(dest);
                 }
-                self.push_exact(self.now, node, EventKind::Start);
+                self.restart(node);
             }
-            WorldEvent::Crash { node } if changed => {
-                // Instant reboot, mirroring the single-queue engine: the
-                // node keeps its position and links (no re-homing), but
-                // the old life's events die by generation, the actor
-                // wipes everything including sequence numbers, and the
-                // start handler runs again in the new generation.
+            WorldEvent::Crash { node } => {
+                // Instant reboot: the node keeps its position, links and
+                // home shard, but the old life's timers and in-flight
+                // deliveries die with the crash, the actor wipes
+                // everything (including sequence numbers — see
+                // `Actor::on_crash`), and the start handler runs again in
+                // the new generation.
                 self.generations[node.index()] += 1;
-                let (shard_ix, slot) = self.locs[node.index()];
-                self.shards[shard_ix as usize].actors[slot as usize].on_crash();
-                if let Some(busy) = self.shards[shard_ix as usize]
-                    .busy_until
-                    .get_mut(slot as usize)
-                {
-                    *busy = SimTime::ZERO;
-                }
-                self.push_exact(self.now, node, EventKind::Start);
+                self.actor_mut(node).on_crash();
+                self.restart(node);
             }
             _ => {}
         }
     }
 
-    /// Moves a node's actor and RNG streams to shard `dest` (no-op when
-    /// already home). Only called at barriers, from `Join` handling; the
-    /// node's pre-Leave events in the old shard are stale-generation and
-    /// die there.
+    /// Runs `node`'s start handler again at the current instant. The
+    /// radio front-end is new hardware too: no capture window survives a
+    /// power cycle.
+    fn restart(&mut self, node: NodeId) {
+        let (shard, slot) = self.locs[node.index()];
+        if let Some(busy) = self.shards[shard as usize]
+            .busy_until
+            .get_mut(slot as usize)
+        {
+            *busy = SimTime::ZERO;
+        }
+        self.push(self.now, node, EventKind::Start);
+    }
+
+    /// Moves a node's actor and streams to shard `dest`. Only called
+    /// between windows, from `Join` handling; the node's pre-`Leave`
+    /// events in the old shard are of a stale generation and die there.
     fn rehome(&mut self, node: NodeId, dest: usize) {
         let (from, slot) = self.locs[node.index()];
         let (from, slot) = (from as usize, slot as usize);
-        if from == dest {
-            return;
-        }
         let shard = &mut self.shards[from];
         debug_assert_eq!(shard.members[slot], node);
         let actor = shard.actors.swap_remove(slot);
         let rng = shard.rngs.swap_remove(slot);
-        let jitter = shard.jitter_rngs.swap_remove(slot);
         let loss = (!shard.loss_rngs.is_empty()).then(|| {
             shard.busy_until.swap_remove(slot);
             shard.loss_rngs.swap_remove(slot)
@@ -1367,30 +1048,95 @@ where
         let corrupt =
             (!shard.corrupt_rngs.is_empty()).then(|| shard.corrupt_rngs.swap_remove(slot));
         shard.members.swap_remove(slot);
-        if slot < shard.members.len() {
-            let moved = shard.members[slot];
+        if let Some(&moved) = shard.members.get(slot) {
             self.locs[moved.index()] = (from as u32, slot as u32);
         }
         let shard = &mut self.shards[dest];
         self.locs[node.index()] = (dest as u32, shard.members.len() as u32);
-        shard.members.push(node);
-        shard.actors.push(actor);
-        shard.rngs.push(rng);
-        shard.jitter_rngs.push(jitter);
-        if let Some(loss) = loss {
-            shard.loss_rngs.push(loss);
-            shard.busy_until.push(SimTime::ZERO);
+        shard.admit(node, actor, rng, loss, corrupt);
+    }
+}
+
+impl<A: Actor + Send> Simulator<A>
+where
+    A::Msg: Send,
+{
+    /// Runs until every queue drains or virtual time would exceed
+    /// `deadline`; afterwards `now() == deadline`. A deadline already in
+    /// the past is a no-op — virtual time never rewinds.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        let deadline = deadline.max(self.now);
+        let dl = deadline.as_micros();
+        loop {
+            let next_actor = self
+                .shards
+                .iter_mut()
+                .filter_map(|s| s.queue.next_due())
+                .min();
+            let next_world = self.world_queue.peek().map(|w| w.time.as_micros());
+            let Some(next) = next_actor.into_iter().chain(next_world).min() else {
+                break;
+            };
+            if next > dl {
+                break;
+            }
+            // The window may not cross the next world instant (a barrier)
+            // or extend past the deadline; `end <= next` means the
+            // instant itself must run serially.
+            let end = next
+                .saturating_add(self.window_micros)
+                .min(next_world.unwrap_or(u64::MAX))
+                .min(dl.saturating_add(1));
+            if end <= next {
+                self.run_instant(SimTime::from_micros(next));
+            } else {
+                self.run_window(end);
+                self.now = self.now.max(SimTime::from_micros(end - 1));
+            }
         }
-        if let Some(corrupt) = corrupt {
-            shard.corrupt_rngs.push(corrupt);
+        self.now = deadline;
+    }
+
+    /// Runs for `d` of virtual time from the current instant.
+    pub fn run_for(&mut self, d: SimDuration) {
+        let deadline = self.now + d;
+        self.run_until(deadline);
+    }
+
+    /// Steps every shard with work due before `end` through the window —
+    /// on scoped threads when more than one has work — then commits at
+    /// the barrier.
+    fn run_window(&mut self, end: u64) {
+        let f = Frozen {
+            world: &self.world,
+            generations: &self.generations,
+            locs: &self.locs,
+            radio: self.radio,
+        };
+        let mut active = Vec::new();
+        for shard in &mut self.shards {
+            if shard.queue.next_due().is_some_and(|due| due < end) {
+                active.push(shard);
+            }
         }
+        if let [shard] = &mut active[..] {
+            shard.run_window(f, end);
+        } else {
+            crossbeam::thread::scope(|scope| {
+                for shard in active {
+                    scope.spawn(move |_| shard.run_window(f, end));
+                }
+            })
+            .expect("shard worker panicked");
+        }
+        self.barrier();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
+    use crate::engine::{CorruptionParams, LossyPhy};
     use qolsr_graph::TopologyBuilder;
     use qolsr_metrics::LinkQos;
 
@@ -1455,133 +1201,10 @@ mod tests {
         b.build()
     }
 
-    fn fingerprint(
-        stats: SimStats,
-        actors: Vec<(NodeId, Chatty)>,
-        now: SimTime,
-    ) -> (SimStats, Vec<(NodeId, Chatty)>, SimTime) {
-        (stats, actors, now)
-    }
-
-    fn run_single(
-        seed: u64,
-        events: &[(u64, WorldEvent)],
-    ) -> (SimStats, Vec<(NodeId, Chatty)>, SimTime) {
-        let mut sim = Simulator::new(strip5(), RadioConfig::default(), seed, |_| {
-            Chatty::default()
-        });
-        for &(at, ev) in events {
-            sim.schedule_world(SimTime::from_micros(at), ev);
-        }
-        sim.run_for(SimDuration::from_secs(2));
-        fingerprint(
-            sim.stats(),
-            sim.actors().map(|(n, a)| (n, a.clone())).collect(),
-            sim.now(),
-        )
-    }
-
-    fn run_sharded(
-        seed: u64,
-        shards: u32,
-        window: Option<SimDuration>,
-        events: &[(u64, WorldEvent)],
-    ) -> (SimStats, Vec<(NodeId, Chatty)>, SimTime) {
-        let mut sim =
-            ShardedSimulator::new(strip5(), RadioConfig::default(), seed, shards, |_, _| {
-                Chatty::default()
-            });
-        if let Some(w) = window {
-            sim.set_window(w);
-        }
-        for &(at, ev) in events {
-            sim.schedule_world(SimTime::from_micros(at), ev);
-        }
-        sim.run_for(SimDuration::from_secs(2));
-        fingerprint(
-            sim.stats(),
-            sim.actors().map(|(n, a)| (n, a.clone())).collect(),
-            sim.now(),
-        )
-    }
-
-    /// The sharded engine's delivery handlers must also see the world
-    /// as of *receive* time when a QoS drift lands mid-flight — across
-    /// a shard boundary, where the frame crosses via the barrier merge
-    /// and the world mutation is applied by the coordinator between
-    /// windows. A stale read here would make the quality of a link
-    /// depend on the shard count.
-    #[test]
-    fn cross_shard_delivery_sees_world_at_receive_time() {
-        #[derive(Default, Clone)]
-        struct QosProbe {
-            seen: Vec<(NodeId, Option<LinkQos>)>,
-        }
-        impl Actor for QosProbe {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
-                if ctx.node_id() == NodeId(2) {
-                    ctx.broadcast(());
-                }
-            }
-            fn on_timer(&mut self, _c: &mut Context<'_, ()>, _t: TimerId) {}
-            fn on_message(&mut self, ctx: &mut Context<'_, ()>, from: NodeId, _m: ()) {
-                self.seen.push((from, ctx.link_qos(from)));
-            }
-        }
-        for shards in [1u32, 2, 4] {
-            let mut sim =
-                ShardedSimulator::new(strip5(), RadioConfig::default(), 9, shards, |_, _| {
-                    QosProbe::default()
-                });
-            // Node 2 broadcasts at t = 0; delivery lands at t = 1 ms.
-            // The 2—3 QoS drifts at 0.5 ms, while the frame is in
-            // flight (at 4 shards, crossing a shard boundary).
-            sim.schedule_world(
-                SimTime::from_micros(500),
-                WorldEvent::QosChange {
-                    a: NodeId(2),
-                    b: NodeId(3),
-                    qos: LinkQos::uniform(7),
-                },
-            );
-            sim.run_for(SimDuration::from_secs(1));
-            let (_, probe) = sim
-                .actors()
-                .find(|&(n, _)| n == NodeId(3))
-                .expect("node 3 exists");
-            assert_eq!(
-                probe.seen,
-                vec![(NodeId(2), Some(LinkQos::uniform(7)))],
-                "{shards} shards: handler must measure the drifted QoS"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_replays_single_queue_exactly() {
-        let reference = run_single(42, &[]);
-        for shards in [1, 2, 4] {
-            assert_eq!(
-                run_sharded(42, shards, None, &[]),
-                reference,
-                "{shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn window_width_is_an_implementation_detail() {
-        let reference = run_single(7, &[]);
-        for micros in [1, 13, 250, 999, 1000] {
-            let got = run_sharded(7, 3, Some(SimDuration::from_micros(micros)), &[]);
-            assert_eq!(got, reference, "window {micros} µs");
-        }
-    }
-
-    #[test]
-    fn churn_and_rehoming_replay_single_queue() {
-        let events = [
+    /// Churn across shard boundaries: node 4 powers off, moves next to
+    /// node 0 and rejoins there, plus link and QoS changes.
+    fn churn() -> [(u64, WorldEvent); 5] {
+        [
             (300_000, WorldEvent::Leave { node: NodeId(4) }),
             (
                 350_000,
@@ -1607,20 +1230,220 @@ mod tests {
                     qos: LinkQos::uniform(9),
                 },
             ),
-        ];
-        let reference = run_single(11, &events);
-        for shards in [2, 4] {
-            let got = run_sharded(11, shards, None, &events);
-            assert_eq!(got, reference, "{shards} shards");
+        ]
+    }
+
+    const JITTER: RadioConfig = RadioConfig {
+        latency: SimDuration::from_millis(1),
+        jitter: SimDuration::from_millis(2),
+        phy: PhyModel::Ideal,
+        corruption: FrameCorruption::Off,
+    };
+
+    /// A lossy PHY with receiver capture and frame corruption, so the
+    /// loss, capture and corruption state all migrate on re-homing.
+    fn lossy() -> RadioConfig {
+        RadioConfig {
+            phy: PhyModel::Lossy(LossyPhy {
+                edge_drop_ppm: 600_000,
+                exponent: 2,
+                capture_window: SimDuration::from_micros(150),
+            }),
+            corruption: FrameCorruption::On(CorruptionParams::default()),
+            ..RadioConfig::default()
         }
-        // The rejoiner moved to x=1.0: it must now be homed with node 0.
-        let mut sim = ShardedSimulator::new(strip5(), RadioConfig::default(), 11, 4, |_, _| {
-            Chatty::default()
-        });
-        for &(at, ev) in &events {
+    }
+
+    fn run(
+        radio: RadioConfig,
+        seed: u64,
+        shards: u32,
+        window: Option<SimDuration>,
+        events: &[(u64, WorldEvent)],
+        secs: SimDuration,
+    ) -> Simulator<Chatty> {
+        let mut sim = Simulator::with_shards(
+            strip5(),
+            radio,
+            seed,
+            SchedulerKind::default(),
+            shards,
+            |_, _| Chatty::default(),
+        );
+        if let Some(w) = window {
+            sim.set_window(w);
+        }
+        sim.enable_trace(1 << 16);
+        for &(at, ev) in events {
             sim.schedule_world(SimTime::from_micros(at), ev);
         }
-        sim.run_for(SimDuration::from_secs(2));
+        sim.run_for(secs);
+        sim
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Hash of everything observable about a finished run: stats, every
+    /// actor's end state, the clock and the full trace.
+    fn fingerprint(sim: &Simulator<Chatty>) -> u64 {
+        let trace = sim.trace().expect("trace enabled");
+        assert!(trace.total_recorded() < 1 << 16, "trace must be complete");
+        let actors: Vec<(NodeId, Chatty)> = sim.actors().map(|(n, a)| (n, a.clone())).collect();
+        let events: Vec<TraceEvent> = trace.iter().copied().collect();
+        let all = (
+            sim.stats(),
+            actors,
+            sim.now(),
+            trace.total_recorded(),
+            events,
+        );
+        fnv1a(format!("{all:?}").as_bytes())
+    }
+
+    /// Fingerprints of the [`churn`] scenario run for 2 s, recorded from
+    /// the single-queue event loop this engine replaced: `(seed, ideal
+    /// radio, lossy radio, 2 ms-jitter radio)`.
+    const GOLDEN: [(u64, u64, u64, u64); 3] = [
+        (
+            5,
+            0x7c2e_b68e_d990_9845,
+            0x6606_7898_7bad_49c6,
+            0xa209_d703_1229_eab6,
+        ),
+        (
+            11,
+            0xcbed_b260_a173_01c4,
+            0x217a_3173_bce8_d3bc,
+            0x2960_6887_9d31_791d,
+        ),
+        (
+            42,
+            0x2125_b948_5f6c_4bd8,
+            0x37b4_fce3_7c54_fa57,
+            0x4abc_9a4f_f097_bebe,
+        ),
+    ];
+
+    fn assert_golden(radio: RadioConfig, seed: u64, want: u64) {
+        for shards in [1, 2, 4] {
+            let sim = run(
+                radio,
+                seed,
+                shards,
+                None,
+                &churn(),
+                SimDuration::from_secs(2),
+            );
+            assert_eq!(
+                fingerprint(&sim),
+                want,
+                "{shards} shards, seed {seed}, {radio:?}"
+            );
+        }
+    }
+
+    /// The sharded engine's delivery handlers must also see the world
+    /// as of *receive* time when a QoS drift lands mid-flight — across
+    /// a shard boundary, where the frame crosses via the barrier merge
+    /// and the world mutation is applied between windows. A stale read
+    /// here would make the quality of a link depend on the shard count.
+    #[test]
+    fn cross_shard_delivery_sees_world_at_receive_time() {
+        #[derive(Default, Clone)]
+        struct QosProbe {
+            seen: Vec<(NodeId, Option<LinkQos>)>,
+        }
+        impl Actor for QosProbe {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+                if ctx.node_id() == NodeId(2) {
+                    ctx.broadcast(());
+                }
+            }
+            fn on_timer(&mut self, _c: &mut Context<'_, ()>, _t: TimerId) {}
+            fn on_message(&mut self, ctx: &mut Context<'_, ()>, from: NodeId, _m: ()) {
+                self.seen.push((from, ctx.link_qos(from)));
+            }
+        }
+        for shards in [1u32, 2, 4] {
+            let mut sim = Simulator::with_shards(
+                strip5(),
+                RadioConfig::default(),
+                9,
+                SchedulerKind::default(),
+                shards,
+                |_, _| QosProbe::default(),
+            );
+            // Node 2 broadcasts at t = 0; delivery lands at t = 1 ms.
+            // The 2—3 QoS drifts at 0.5 ms, while the frame is in
+            // flight (at 4 shards, crossing a shard boundary).
+            sim.schedule_world(
+                SimTime::from_micros(500),
+                WorldEvent::QosChange {
+                    a: NodeId(2),
+                    b: NodeId(3),
+                    qos: LinkQos::uniform(7),
+                },
+            );
+            sim.run_for(SimDuration::from_secs(1));
+            assert_eq!(
+                sim.actor(NodeId(3)).seen,
+                vec![(NodeId(2), Some(LinkQos::uniform(7)))],
+                "{shards} shards: handler must measure the drifted QoS"
+            );
+        }
+    }
+
+    /// Every shard count replays the single queue's recorded runs, with
+    /// and without delivery jitter: the jitter is drawn at commit from
+    /// the one engine stream, in the single queue's own draw order.
+    #[test]
+    fn sharded_replays_single_queue_exactly() {
+        for (seed, ideal, _, jittered) in GOLDEN {
+            assert_golden(RadioConfig::default(), seed, ideal);
+            assert_golden(JITTER, seed, jittered);
+        }
+    }
+
+    #[test]
+    fn lossy_phy_replays_single_queue_exactly() {
+        for (seed, _, lossy_golden, _) in GOLDEN {
+            assert_golden(lossy(), seed, lossy_golden);
+        }
+        let stats = run(lossy(), 5, 4, None, &churn(), SimDuration::from_secs(2)).stats();
+        assert!(stats.phy_drops > 0, "the loss model must bite");
+        assert!(stats.collisions > 0, "the capture window must bite");
+        assert!(stats.fcs_drops > 0, "the corruption injector must bite");
+    }
+
+    #[test]
+    fn window_width_is_an_implementation_detail() {
+        let secs = SimDuration::from_secs(2);
+        let reference = fingerprint(&run(JITTER, 7, 1, None, &churn(), secs));
+        for micros in [1, 13, 250, 999, 1000] {
+            let window = Some(SimDuration::from_micros(micros));
+            let got = fingerprint(&run(JITTER, 7, 3, window, &churn(), secs));
+            assert_eq!(got, reference, "window {micros} µs");
+        }
+    }
+
+    #[test]
+    fn churn_and_rehoming_replay_single_queue() {
+        let (seed, ideal, _, _) = GOLDEN[1];
+        let sim = run(
+            RadioConfig::default(),
+            seed,
+            4,
+            None,
+            &churn(),
+            SimDuration::from_secs(2),
+        );
+        assert_eq!(fingerprint(&sim), ideal);
+        // The rejoiner moved to x=1.0: it must now be homed with node 0.
         assert_eq!(sim.shard_of(NodeId(4)), sim.shard_of(NodeId(0)));
         assert_eq!(
             sim.shard_of(NodeId(4)),
@@ -1628,126 +1451,99 @@ mod tests {
         );
     }
 
+    /// A rejoining node is told about a new home only when it actually
+    /// moved to another shard — never at one shard, never when it rejoins
+    /// inside its old stripe.
     #[test]
-    fn traces_match_the_reference() {
-        let run = |shards: Option<u32>| -> (usize, Vec<TraceEvent>) {
-            let events = [(400_000, WorldEvent::Leave { node: NodeId(2) })];
-            match shards {
-                None => {
-                    let mut sim =
-                        Simulator::new(strip5(), RadioConfig::default(), 5, |_| Chatty::default());
-                    sim.enable_trace(4096);
-                    for &(at, ev) in &events {
-                        sim.schedule_world(SimTime::from_micros(at), ev);
-                    }
-                    sim.run_for(SimDuration::from_millis(800));
-                    let t = sim.trace().unwrap();
-                    (t.total_recorded() as usize, t.iter().copied().collect())
-                }
-                Some(k) => {
-                    let mut sim =
-                        ShardedSimulator::new(strip5(), RadioConfig::default(), 5, k, |_, _| {
-                            Chatty::default()
-                        });
-                    sim.enable_trace(4096);
-                    for &(at, ev) in &events {
-                        sim.schedule_world(SimTime::from_micros(at), ev);
-                    }
-                    sim.run_for(SimDuration::from_millis(800));
-                    let t = sim.trace().unwrap();
-                    (t.total_recorded() as usize, t.iter().copied().collect())
-                }
+    fn rehome_fires_only_when_the_home_shard_changes() {
+        #[derive(Default)]
+        struct Rehomes(Vec<usize>);
+        impl Actor for Rehomes {
+            type Msg = ();
+            fn on_timer(&mut self, _c: &mut Context<'_, ()>, _t: TimerId) {}
+            fn on_message(&mut self, _c: &mut Context<'_, ()>, _f: NodeId, _m: ()) {}
+            fn on_rehome(&mut self, shard: usize) {
+                self.0.push(shard);
             }
+        }
+        let cycle = |node: u32, at: u64| {
+            [
+                (at, WorldEvent::Leave { node: NodeId(node) }),
+                (at + 100_000, WorldEvent::Join { node: NodeId(node) }),
+            ]
         };
-        let reference = run(None);
-        assert!(reference.0 > 0);
-        for shards in [1, 2, 4] {
-            assert_eq!(run(Some(shards)), reference, "{shards} shards");
+        let mut events = cycle(1, 100_000).to_vec();
+        events.extend(churn());
+        for shards in [1u32, 4] {
+            let mut sim = Simulator::with_shards(
+                strip5(),
+                RadioConfig::default(),
+                3,
+                SchedulerKind::default(),
+                shards,
+                |_, _| Rehomes::default(),
+            );
+            for &(at, ev) in &events {
+                sim.schedule_world(SimTime::from_micros(at), ev);
+            }
+            sim.run_for(SimDuration::from_secs(1));
+            let moved = sim.shard_for_position(Point2::new(1.0, 1.0));
+            let want_4: &[usize] = if shards == 1 { &[] } else { &[moved] };
+            assert_eq!(sim.actor(NodeId(1)).0, [0usize; 0], "{shards} shards");
+            assert_eq!(sim.actor(NodeId(4)).0, want_4, "{shards} shards");
         }
     }
 
     #[test]
-    fn lossy_phy_replays_single_queue_exactly() {
-        use crate::engine::{LossyPhy, PhyModel};
-        let radio = RadioConfig {
-            phy: PhyModel::Lossy(LossyPhy {
-                edge_drop_ppm: 600_000,
-                exponent: 2,
-                capture_window: SimDuration::from_micros(150),
-            }),
-            ..RadioConfig::default()
-        };
-        // Churn so rehoming must migrate the loss streams and capture
-        // state along with the actor.
-        let events = [
-            (300_000, WorldEvent::Leave { node: NodeId(4) }),
-            (
-                350_000,
-                WorldEvent::Move {
-                    node: NodeId(4),
-                    to: Point2::new(1.0, 1.0),
-                },
-            ),
-            (600_000, WorldEvent::Join { node: NodeId(4) }),
-            (
-                600_000,
-                WorldEvent::LinkUp {
-                    a: NodeId(4),
-                    b: NodeId(0),
-                    qos: LinkQos::uniform(1),
-                },
-            ),
-        ];
-        let reference = {
-            let mut sim = Simulator::new(strip5(), radio, 13, |_| Chatty::default());
-            for &(at, ev) in &events {
-                sim.schedule_world(SimTime::from_micros(at), ev);
-            }
-            sim.run_for(SimDuration::from_secs(2));
-            fingerprint(
-                sim.stats(),
-                sim.actors().map(|(n, a)| (n, a.clone())).collect(),
-                sim.now(),
-            )
-        };
-        assert!(reference.0.phy_drops > 0, "the loss model must bite");
+    fn traces_match_the_reference() {
+        // Trace hash of this run, recorded from the single-queue loop.
+        const GOLDEN_TRACE: (u64, u64) = (1533, 0xa3b1_e944_5c34_e5bc);
+        let events = [(400_000, WorldEvent::Leave { node: NodeId(2) })];
         for shards in [1, 2, 4] {
-            let mut sim =
-                ShardedSimulator::new(strip5(), radio, 13, shards, |_, _| Chatty::default());
+            let mut sim = Simulator::with_shards(
+                strip5(),
+                RadioConfig::default(),
+                5,
+                SchedulerKind::default(),
+                shards,
+                |_, _| Chatty::default(),
+            );
+            sim.enable_trace(4096);
             for &(at, ev) in &events {
                 sim.schedule_world(SimTime::from_micros(at), ev);
             }
-            sim.run_for(SimDuration::from_secs(2));
-            let got = fingerprint(
-                sim.stats(),
-                sim.actors().map(|(n, a)| (n, a.clone())).collect(),
-                sim.now(),
+            sim.run_for(SimDuration::from_millis(800));
+            let t = sim.trace().unwrap();
+            let trace: Vec<TraceEvent> = t.iter().copied().collect();
+            let got = (
+                t.total_recorded(),
+                fnv1a(format!("{:?}", (t.total_recorded(), trace)).as_bytes()),
             );
-            assert_eq!(got, reference, "{shards} shards");
+            assert_eq!(got, GOLDEN_TRACE, "{shards} shards");
         }
     }
 
     #[test]
     fn membership_stays_a_partition() {
-        let mut sim = ShardedSimulator::new(strip5(), RadioConfig::default(), 3, 4, |_, _| {
-            Chatty::default()
-        });
-        sim.schedule_world(
-            SimTime::from_micros(100_000),
-            WorldEvent::Leave { node: NodeId(0) },
+        let events = [
+            (100_000, WorldEvent::Leave { node: NodeId(0) }),
+            (
+                150_000,
+                WorldEvent::Move {
+                    node: NodeId(0),
+                    to: Point2::new(100.0, 0.0),
+                },
+            ),
+            (200_000, WorldEvent::Join { node: NodeId(0) }),
+        ];
+        let sim = run(
+            RadioConfig::default(),
+            3,
+            4,
+            None,
+            &events,
+            SimDuration::from_secs(1),
         );
-        sim.schedule_world(
-            SimTime::from_micros(150_000),
-            WorldEvent::Move {
-                node: NodeId(0),
-                to: Point2::new(100.0, 0.0),
-            },
-        );
-        sim.schedule_world(
-            SimTime::from_micros(200_000),
-            WorldEvent::Join { node: NodeId(0) },
-        );
-        sim.run_for(SimDuration::from_secs(1));
         let mut seen = vec![0u32; sim.node_count()];
         for shard in 0..sim.shard_count() {
             for (slot, &node) in sim.shard_members(shard).iter().enumerate() {

@@ -6,18 +6,17 @@
 //!    agrees with the member lists, and a node that re-joins after a
 //!    `Leave` is re-homed to the shard covering its current position.
 //! 2. **Order** — cross-shard frames are applied in global `(time, seq)`
-//!    order whatever the parallel window width: for *any* window size
-//!    and any churn history, the sharded trace and end state are
-//!    byte-identical to the single-queue reference, and dispatch times
-//!    never go backwards.
+//!    order whatever the parallel window width: for *any* shard count,
+//!    window size and churn history, the trace and end state are
+//!    byte-identical to the one-shard run at the default window, and
+//!    dispatch times never go backwards.
 
 use proptest::prelude::*;
 use qolsr_graph::{NodeId, Point2, Topology, TopologyBuilder, WorldEvent};
 use qolsr_metrics::LinkQos;
 use qolsr_sim::trace::{TraceEvent, TraceKind};
 use qolsr_sim::{
-    Actor, Context, RadioConfig, ShardedSimulator, SimDuration, SimStats, SimTime, Simulator,
-    TimerId,
+    Actor, Context, RadioConfig, SchedulerKind, SimDuration, SimStats, SimTime, Simulator, TimerId,
 };
 
 /// Minimal chatty actor: periodic broadcast, remembers what it heard —
@@ -137,11 +136,12 @@ fn run_sharded(
     shards: u32,
     window_us: Option<u64>,
     events: &[(SimTime, WorldEvent)],
-) -> ShardedSimulator<Echo> {
-    let mut sim = ShardedSimulator::new(
+) -> Simulator<Echo> {
+    let mut sim = Simulator::with_shards(
         topo.clone(),
         RadioConfig::default(),
         seed,
+        SchedulerKind::default(),
         shards,
         |_, _| Echo::default(),
     );
@@ -158,12 +158,12 @@ fn run_sharded(
 
 type Fingerprint = (SimStats, Vec<(NodeId, Echo)>, Vec<TraceEvent>);
 
-fn fingerprint(
-    stats: SimStats,
-    actors: Vec<(NodeId, Echo)>,
-    trace: Vec<TraceEvent>,
-) -> Fingerprint {
-    (stats, actors, trace)
+fn fingerprint(sim: &Simulator<Echo>) -> Fingerprint {
+    (
+        sim.stats(),
+        sim.actors().map(|(id, a)| (id, a.clone())).collect(),
+        sim.trace().unwrap().iter().copied().collect(),
+    )
 }
 
 proptest! {
@@ -212,13 +212,13 @@ proptest! {
         }
     }
 
-    /// Order invariant: whatever the parallel window width, the sharded
+    /// Order invariant: whatever the shard count and window width, the
     /// run's trace (and stats, and every actor's end state) is identical
-    /// to the single-queue engine's, and dispatch times are monotone.
+    /// to the one-shard run's, and dispatch times are monotone.
     #[test]
     fn cross_shard_order_is_window_size_invariant(
         positions in proptest::collection::vec(((0.0..500.0f64), (0.0..500.0f64)), 2..10),
-        shards in 2u32..5,
+        shards in 1u32..5,
         window_us in 1u64..2_500,
         ops in churn_ops(2),
     ) {
@@ -230,27 +230,12 @@ proptest! {
             .collect();
         let events = world_events(n, &ops);
 
-        let mut reference = Simulator::new(topo.clone(), RadioConfig::default(), 7, |_| {
-            Echo::default()
-        });
-        reference.enable_trace(1 << 14);
-        for &(t, ev) in &events {
-            reference.schedule_world(t, ev);
-        }
-        reference.run_for(SimDuration::from_millis(800));
-        let want = fingerprint(
-            reference.stats(),
-            reference.actors().map(|(id, a)| (id, a.clone())).collect(),
-            reference.trace().unwrap().iter().copied().collect(),
+        let want = fingerprint(&run_sharded(&topo, 7, 1, None, &events));
+        let got = fingerprint(&run_sharded(&topo, 7, shards, Some(window_us), &events));
+        prop_assert_eq!(
+            &got, &want,
+            "{} shards, window {}µs diverge from the one-shard run", shards, window_us
         );
-
-        let sharded = run_sharded(&topo, 7, shards, Some(window_us), &events);
-        let got = fingerprint(
-            sharded.stats(),
-            sharded.actors().map(|(id, a)| (id, a.clone())).collect(),
-            sharded.trace().unwrap().iter().copied().collect(),
-        );
-        prop_assert_eq!(&got, &want, "window {}µs diverges from reference", window_us);
 
         // Dispatch order never runs backwards in time.
         let mut last = SimTime::ZERO;

@@ -8,8 +8,7 @@
 //!    golden fingerprints `phy_differential.rs` pins must keep matching.
 //! 2. **Shard invariance** — partitions, crash storms and frame
 //!    corruption all commute with the barrier merge: shards ∈ {1, 2, 4}
-//!    (1 = the single-queue engine) replay identically, including the
-//!    new fault counters.
+//!    replay identically, including the new fault counters.
 //! 3. **Recovery semantics** — a `Join` landing while a partition is
 //!    active re-links correctly on heal, and corruption counters replay
 //!    exactly across runs and engines.
@@ -419,7 +418,7 @@ fn join_during_partition_net(shards: u32) -> OlsrNetwork<Policy> {
 /// A node that leaves and rejoins *during* a partition must be fully
 /// re-linked on its own side while the cut is active, and end-to-end
 /// routes across the healed cut must come back afterwards — identically
-/// on the single-queue and sharded engines.
+/// at one and at several shards.
 #[test]
 fn join_during_partition_relinks_on_heal() {
     let mut states = Vec::new();

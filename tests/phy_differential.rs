@@ -4,7 +4,7 @@
 //! pinned by golden fingerprints captured from the build immediately
 //! before the PHY landed. The `Lossy` model must be shard-count
 //! invariant: drop sampling commutes with the barrier merge, so shards
-//! ∈ {1, 2, 4} (1 = the single-queue engine) replay identically. The
+//! ∈ {1, 2, 4} replay identically. The
 //! same invariance must survive the quality-aware protocol knobs (link
 //! hysteresis, ETX metric) stacked on top.
 
@@ -210,8 +210,7 @@ fn ideal_phy_matches_pre_phy_goldens() {
 }
 
 /// Lossy drop sampling commutes with the barrier merge: the full
-/// protocol fingerprint is identical across shard counts {1, 2, 4},
-/// with 1 running the plain single-queue engine.
+/// protocol fingerprint is identical across shard counts {1, 2, 4}.
 #[test]
 fn lossy_phy_is_shard_count_invariant() {
     let topo = common::medium_topology(41, 7.0);

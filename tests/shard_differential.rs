@@ -1,14 +1,14 @@
-//! Differential acceptance suite of the region-sharded engine: a full
-//! OLSR run on the sharded executor must be **observably identical** to
-//! the single-queue reference — same engine statistics, same protocol
-//! counters, same event trace, same routing tables at every node — for
-//! every shard count, across seeds, and under churn. The shard count is
-//! a performance knob, never a semantics knob.
+//! Differential acceptance suite of the engine's shard count: a full
+//! OLSR run on several shards must be **observably identical** to the
+//! one-shard run — same engine statistics, same protocol counters, same
+//! event trace, same routing tables at every node — for every shard
+//! count, across seeds, and under churn. The shard count is a
+//! performance knob, never a semantics knob.
 //!
 //! The only quantities excluded from comparison are the shared-store
-//! residency *gauges* (`store_gauges`, `resident_*`): the sharded
-//! engine interns into one arena per shard, so dedup ratios and
-//! resident byte totals legitimately depend on the shard count.
+//! residency *gauges* (`store_gauges`, `resident_*`): the network
+//! interns into one arena per shard, so dedup ratios and resident byte
+//! totals legitimately depend on the shard count.
 
 mod common;
 
@@ -99,7 +99,7 @@ fn churn_scenario(topo: &Topology, seed: u64) -> Scenario {
         .generate(SimDuration::from_secs(30))
 }
 
-/// Static topology: every shard count replays the single-queue run
+/// Static topology: every shard count replays the one-shard run
 /// byte-for-byte, across seeds and densities.
 #[test]
 fn static_runs_are_shard_count_invariant() {
@@ -120,7 +120,7 @@ fn static_runs_are_shard_count_invariant() {
 
 /// Under random-waypoint motion + Poisson churn — node leaves, rejoins
 /// and shard re-homing in flight — the sharded runs must still replay
-/// the reference exactly.
+/// the one-shard run exactly.
 #[test]
 fn churn_runs_are_shard_count_invariant() {
     let topo = common::medium_topology(41, 7.0);

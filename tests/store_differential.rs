@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use qolsr_graph::{NodeId, WorldEvent};
 use qolsr_metrics::LinkQos;
 use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::{NodeStats, OlsrConfig, RouteEntry, StoreGauges, TopologyStore};
+use qolsr_proto::{NodeStats, OlsrConfig, RouteEntry, StoreGauges, TableFootprint, TopologyStore};
 use qolsr_sim::trace::TraceEvent;
 use qolsr_sim::{RadioConfig, SimDuration, SimStats, SimTime};
 
@@ -51,6 +51,7 @@ struct RunOutcome {
     trace: Vec<TraceEvent>,
     routes: Vec<BTreeMap<NodeId, RouteEntry>>,
     gauges: StoreGauges,
+    footprint: TableFootprint,
     resident_entries: u64,
     resident_bytes: u64,
 }
@@ -96,6 +97,7 @@ fn run_protocol(store: TopologyStore, seed: u64) -> RunOutcome {
         trace,
         routes,
         gauges: net.store_gauges(),
+        footprint: net.total_footprint(),
         resident_entries,
         resident_bytes,
     }
@@ -151,6 +153,52 @@ fn shared_store_replays_per_node_exactly() {
             shared.resident_entries,
             per_node.resident_entries
         );
+    }
+}
+
+/// A node that rejoins inside its home shard keeps its shared topology
+/// base (and the capacity it retains): the one-shard run's per-node
+/// footprint and store gauges equal the values recorded from the
+/// single-queue engine, which never re-bound a rejoining node. The
+/// scenario power-cycles node 3.
+#[test]
+fn one_shard_churn_keeps_the_single_queue_footprint() {
+    let footprint =
+        |topology_entries, topology_bytes, duplicate_entries, duplicate_bytes| TableFootprint {
+            topology_entries,
+            topology_bytes,
+            duplicate_entries,
+            duplicate_bytes,
+        };
+    let gauges =
+        |live_slots, resident_links, resident_bytes, dedup_hits, slots_interned| StoreGauges {
+            live_slots,
+            resident_links,
+            resident_bytes,
+            dedup_hits,
+            slots_interned,
+        };
+    let golden = [
+        (
+            1,
+            footprint(823, 38_416, 4292, 144_672),
+            gauges(36, 65, 6308, 4087, 211),
+        ),
+        (
+            7,
+            footprint(830, 38_064, 4458, 165_168),
+            gauges(36, 62, 6296, 4247, 217),
+        ),
+        (
+            0x51C0_2010,
+            footprint(825, 35_008, 4413, 168_992),
+            gauges(37, 68, 6304, 4204, 217),
+        ),
+    ];
+    for (seed, want_footprint, want_gauges) in golden {
+        let run = run_protocol(TopologyStore::Shared, seed);
+        assert_eq!(run.footprint, want_footprint, "seed {seed}");
+        assert_eq!(run.gauges, want_gauges, "seed {seed}");
     }
 }
 

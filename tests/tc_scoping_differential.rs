@@ -4,9 +4,10 @@
 //! * **uniform scoping ≡ PR 4** — the default configuration
 //!   (`TcScoping::Uniform`, whichever decode path) must replay the
 //!   *golden* seeded end state captured from the pre-scoping
-//!   implementation, byte for byte. The literals below were recorded
-//!   from the PR 4 build of this repository; any drift in RNG draw
-//!   order, emission cadence or table semantics trips this pin.
+//!   implementation, byte for byte, at every engine shard count. The
+//!   literals below were recorded from that pre-scoping build; any
+//!   drift in RNG draw order (the 2 ms radio jitter included),
+//!   emission cadence or table semantics trips this pin.
 //! * **peek decode ≡ full decode** — for both scoping policies, a full
 //!   protocol run under `DecodePath::Peek` must produce identical
 //!   engine statistics, event traces, routing tables and protocol
@@ -26,7 +27,7 @@ use qolsr_proto::{
     DecodePath, FisheyeRing, FisheyeRings, NodeStats, OlsrConfig, RouteEntry, TcScoping,
 };
 use qolsr_sim::trace::TraceEvent;
-use qolsr_sim::{RadioConfig, SimDuration, SimStats, SimTime};
+use qolsr_sim::{ExecMode, RadioConfig, SchedulerKind, SimDuration, SimStats, SimTime};
 
 /// Scripted world events of the golden scenario: link churn and a node
 /// power cycle, identical to what the PR 4 capture ran.
@@ -61,14 +62,14 @@ struct RunOutcome {
     route_sum: usize,
 }
 
-fn run_protocol(scoping: TcScoping, decode: DecodePath, seed: u64) -> RunOutcome {
+fn run_protocol(scoping: TcScoping, decode: DecodePath, seed: u64, exec: ExecMode) -> RunOutcome {
     let topo = common::small_random_topology(17);
     let config = OlsrConfig {
         tc_scoping: scoping,
         decode,
         ..OlsrConfig::default()
     };
-    let mut net = OlsrNetwork::new(
+    let mut net = OlsrNetwork::with_exec(
         topo,
         config,
         RadioConfig {
@@ -77,6 +78,8 @@ fn run_protocol(scoping: TcScoping, decode: DecodePath, seed: u64) -> RunOutcome
             ..RadioConfig::default()
         },
         seed,
+        SchedulerKind::default(),
+        exec,
         |_| qolsr_proto::MprSelectorPolicy,
     );
     net.sim_mut().enable_trace(4096);
@@ -148,13 +151,24 @@ const GOLDEN: [[u64; 14]; 3] = [
 
 /// The default configuration must replay the PR 4 golden traces byte
 /// for byte — under both decode paths, since the decode path may not
-/// change protocol behaviour at all.
+/// change protocol behaviour at all, and at every shard count, since
+/// the engine draws the radio jitter in the same global order at every
+/// shard count.
 #[test]
 fn uniform_scoping_replays_pr4_golden_traces() {
+    let execs = [
+        ExecMode::SingleShard,
+        ExecMode::Sharded { shards: 1 },
+        ExecMode::Sharded { shards: 2 },
+        ExecMode::Sharded { shards: 4 },
+    ];
     for want in &GOLDEN {
         let seed = want[0];
-        for decode in [DecodePath::Peek, DecodePath::Full] {
-            let r = run_protocol(TcScoping::Uniform, decode, seed);
+        for (decode, exec) in [DecodePath::Peek, DecodePath::Full]
+            .into_iter()
+            .flat_map(|d| execs.map(|e| (d, e)))
+        {
+            let r = run_protocol(TcScoping::Uniform, decode, seed, exec);
             let s = r.node_stats;
             let e = r.engine;
             let got = [
@@ -173,7 +187,10 @@ fn uniform_scoping_replays_pr4_golden_traces() {
                 e.stale_dropped,
                 r.route_sum as u64,
             ];
-            assert_eq!(&got, want, "golden drift (seed {seed}, {decode:?})");
+            assert_eq!(
+                &got, want,
+                "golden drift (seed {seed}, {decode:?}, {exec:?})"
+            );
             assert_eq!(s.decode_errors, 0);
             assert_eq!(
                 s.tc_sent_ring, [0; 4],
@@ -194,8 +211,8 @@ fn peek_decode_replays_full_decode_exactly() {
         TcScoping::Fisheye(FisheyeRings::default()),
     ] {
         for seed in [1, 7, 0x51C0_2010] {
-            let peek = run_protocol(scoping, DecodePath::Peek, seed);
-            let full = run_protocol(scoping, DecodePath::Full, seed);
+            let peek = run_protocol(scoping, DecodePath::Peek, seed, ExecMode::SingleShard);
+            let full = run_protocol(scoping, DecodePath::Full, seed, ExecMode::SingleShard);
             assert_eq!(
                 peek.engine, full.engine,
                 "engine stats diverge ({scoping:?}, seed {seed})"

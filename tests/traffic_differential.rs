@@ -7,7 +7,7 @@
 //!    fingerprints `fault_differential.rs` pins must keep matching.
 //! 2. **Shard invariance** — flow arrivals, queue service draws and
 //!    per-hop forwarding all commute with the barrier merge: shards
-//!    ∈ {1, 2, 4} (1 = the single-queue engine) replay identically,
+//!    ∈ {1, 2, 4} replay identically,
 //!    including the traffic counters, the per-flow delivery records and
 //!    the event trace, under traffic + churn + loss at once.
 //! 3. **Replay exactness** — equal seeds reproduce the full data-plane
