@@ -61,9 +61,6 @@
 //!                shared (default) or per-node (the pre-store
 //!                reference — use one process per formulation when
 //!                comparing RSS)
-//!   --dup-store S
-//!                scale --live only: duplicate-set formulation, ring
-//!                (default) or per-originator (the pre-ring reference)
 //!   --shards K   scale --live / overhead / churn / loss / faults /
 //!                traffic: engine shard count (default 1; K >= 2 steps
 //!                K spatial shards in parallel, which must produce
@@ -122,7 +119,7 @@ use qolsr::eval::figures::{
     bandwidth_experiment, delay_experiment, FigureOptions,
 };
 use qolsr::report::Figure;
-use qolsr_proto::{DuplicateStore, TopologyStore};
+use qolsr_proto::TopologyStore;
 
 struct Args {
     command: String,
@@ -131,7 +128,6 @@ struct Args {
     live: bool,
     sizes: Option<Vec<usize>>,
     store: Option<TopologyStore>,
-    dup_store: Option<DuplicateStore>,
     shards: Option<u32>,
     verify_shards: bool,
     warmup: Option<u64>,
@@ -159,7 +155,6 @@ fn parse_args() -> Result<Args, String> {
     let mut live = false;
     let mut sizes: Option<Vec<usize>> = None;
     let mut store: Option<TopologyStore> = None;
-    let mut dup_store: Option<DuplicateStore> = None;
     let mut shards: Option<u32> = None;
     let mut verify_shards = false;
     let mut warmup: Option<u64> = None;
@@ -215,14 +210,6 @@ fn parse_args() -> Result<Args, String> {
                     "shared" => TopologyStore::Shared,
                     "per-node" | "pernode" => TopologyStore::PerNode,
                     _ => return Err(format!("bad --store value: {v} (shared|per-node)")),
-                });
-            }
-            "--dup-store" => {
-                let v = it.next().ok_or("--dup-store needs a value")?;
-                dup_store = Some(match v.as_str() {
-                    "ring" => DuplicateStore::Ring,
-                    "per-originator" | "per-orig" => DuplicateStore::PerOriginator,
-                    _ => return Err(format!("bad --dup-store value: {v} (ring|per-originator)")),
                 });
             }
             "--shards" => {
@@ -357,7 +344,6 @@ fn parse_args() -> Result<Args, String> {
     let live_scale = command == "scale" && live;
     for (set, flag) in [
         (store.is_some(), "--store"),
-        (dup_store.is_some(), "--dup-store"),
         (warmup.is_some(), "--warmup"),
         (seconds.is_some(), "--seconds"),
         (max_resident_bytes.is_some(), "--max-resident-bytes"),
@@ -424,7 +410,6 @@ fn parse_args() -> Result<Args, String> {
         live,
         sizes,
         store,
-        dup_store,
         shards,
         verify_shards,
         warmup,
@@ -488,7 +473,7 @@ fn main() -> ExitCode {
                 "commands: fig6 fig7 fig8 fig9 all ablations robustness churn scale overhead \
                  loss faults traffic; \
                  options: --runs N --seed S --threads T --metric bandwidth|delay \
-                 --live --sizes L --store shared|per-node --dup-store ring|per-originator \
+                 --live --sizes L --store shared|per-node \
                  --shards K --verify-shards --warmup N --seconds N \
                  --max-resident-bytes B --lossy --nodes N --levels L \
                  --hysteresis --etx --capture-us W --fault F --corrupt --leave-rate L \
@@ -1064,9 +1049,6 @@ fn main() -> ExitCode {
             if let Some(store) = args.store {
                 cfg.store = store;
             }
-            if let Some(dup_store) = args.dup_store {
-                cfg.dup_store = dup_store;
-            }
             if let Some(shards) = args.shards {
                 cfg.shards = shards;
             }
@@ -1092,11 +1074,10 @@ fn main() -> ExitCode {
                 live_sweep(&cfg)
             };
             println!(
-                "# live protocol ({:?} topology store, {:?} duplicate set, {} shard(s), \
+                "# live protocol ({:?} topology store, {} shard(s), \
                  {} radio): {} s warm-up (unmeasured) \
                  + {} s measured, {} probe nodes sampled per simulated second\n",
                 cfg.store,
-                cfg.dup_store,
                 cfg.shards,
                 if args.lossy { "lossy" } else { "ideal" },
                 cfg.warmup_seconds,

@@ -26,7 +26,7 @@ use qolsr_graph::deploy::{deploy_at, Deployment, UniformWeights};
 use qolsr_graph::{NodeId, Point2, Topology};
 use qolsr_metrics::BandwidthMetric;
 use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::{DuplicateStore, OlsrConfig, TopologyStore};
+use qolsr_proto::{OlsrConfig, TopologyStore};
 use qolsr_sim::scenario::{RandomWaypoint, ScenarioBuilder};
 use qolsr_sim::stats::{HotPathCounters, OnlineStats};
 use qolsr_sim::{PhyModel, RadioConfig, SchedulerKind, SimDuration, SimRng};
@@ -238,10 +238,6 @@ pub struct LiveConfig {
     /// by default; [`TopologyStore::PerNode`] is the pre-store
     /// reference, for memory comparisons).
     pub store: TopologyStore,
-    /// Duplicate-set representation the nodes run (expiry-ordered ring
-    /// by default; [`DuplicateStore::PerOriginator`] is the reference,
-    /// for memory comparisons).
-    pub dup_store: DuplicateStore,
     /// Engine shard count (identical counters at any count — see
     /// [`crate::eval::exec_mode`]).
     pub shards: u32,
@@ -269,7 +265,6 @@ impl LiveConfig {
             sim_seconds: 10,
             probes: 64,
             store: TopologyStore::default(),
-            dup_store: DuplicateStore::default(),
             shards: 1,
             phy: PhyModel::Ideal,
         }
@@ -363,7 +358,6 @@ pub fn live_sweep(cfg: &LiveConfig) -> Vec<LivePoint> {
                 let topo = deploy_field(n, side, cfg.radius, cfg.density, &cfg.weights, seed);
                 let proto_cfg = OlsrConfig {
                     topology_store: cfg.store,
-                    duplicate_store: cfg.dup_store,
                     ..OlsrConfig::default()
                 };
                 let mut net = OlsrNetwork::with_exec(
@@ -618,36 +612,6 @@ mod tests {
         // lossy channel must commute with the barrier merge.
         let points = live_sweep_verified(&cfg);
         assert!(points[0].totals.events_popped > 0);
-    }
-
-    #[test]
-    fn duplicate_store_is_counter_invisible() {
-        let run = |dup_store| {
-            let cfg = LiveConfig {
-                sizes: vec![30],
-                warmup_seconds: 2,
-                sim_seconds: 2,
-                probes: 4,
-                dup_store,
-                ..LiveConfig::new(1)
-            };
-            let p = live_sweep(&cfg);
-            let t = p[0].totals;
-            // Everything except the representation-dependent residency
-            // gauges must match across duplicate-store formulations.
-            (
-                t.events_popped,
-                t.timers_fired,
-                t.routes_recomputed,
-                t.route_cache_hits,
-                t.dup_peek_hits,
-                t.bytes_decoded,
-            )
-        };
-        assert_eq!(
-            run(DuplicateStore::Ring),
-            run(DuplicateStore::PerOriginator)
-        );
     }
 
     #[test]

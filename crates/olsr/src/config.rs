@@ -172,22 +172,6 @@ pub enum TopologyStore {
     PerNode,
 }
 
-/// Which duplicate-set representation nodes use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicateStore {
-    /// A single expiry-ordered ring buffer with a hashed position index
-    /// ([`crate::tables::DuplicateRing`]): inserts append at the back,
-    /// the sweep pops expired entries off the front in O(expired), and
-    /// lookups are one hash probe instead of two binary searches.
-    #[default]
-    Ring,
-    /// Per-originator seq-sorted entry lists
-    /// ([`crate::tables::DuplicateSet`]) — the original formulation,
-    /// kept alive as the differential reference the ring is pinned
-    /// against.
-    PerOriginator,
-}
-
 /// RFC 3626 §14 link-hysteresis parameters, in parts per million so the
 /// config stays `Eq`. The shared per-link quality EWMA `q` is updated on
 /// every HELLO arrival: one decay step `q ← q·(1−scaling)` per HELLO
@@ -337,9 +321,6 @@ pub struct OlsrConfig {
     /// Topology-base formulation (shared interned store by default;
     /// [`TopologyStore::PerNode`] is the differential reference).
     pub topology_store: TopologyStore,
-    /// Duplicate-set representation (expiry-ordered ring by default;
-    /// [`DuplicateStore::PerOriginator`] is the differential reference).
-    pub duplicate_store: DuplicateStore,
     /// RFC 3626 §14 link hysteresis (off by default — the differential
     /// reference admits links on the raw symmetry handshake).
     pub link_hysteresis: LinkHysteresis,
@@ -362,7 +343,6 @@ impl Default for OlsrConfig {
             tc_scoping: TcScoping::Uniform,
             decode: DecodePath::Peek,
             topology_store: TopologyStore::Shared,
-            duplicate_store: DuplicateStore::Ring,
             link_hysteresis: LinkHysteresis::Off,
             link_metric: LinkMetric::Measured,
             traffic: TxQueueConfig::default(),
@@ -411,7 +391,6 @@ mod tests {
         assert_eq!(c.tc_scoping, TcScoping::Uniform);
         assert_eq!(c.decode, DecodePath::Peek);
         assert_eq!(c.topology_store, TopologyStore::Shared);
-        assert_eq!(c.duplicate_store, DuplicateStore::Ring);
     }
 
     #[test]

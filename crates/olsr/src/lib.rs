@@ -148,8 +148,8 @@ pub mod tables;
 pub mod wire;
 
 pub use config::{
-    DecodePath, DuplicateStore, EtxParams, FisheyeRing, FisheyeRings, HysteresisParams,
-    LinkHysteresis, LinkMetric, OlsrConfig, SensingParams, TcScoping, TopologyStore,
+    DecodePath, EtxParams, FisheyeRing, FisheyeRings, HysteresisParams, LinkHysteresis, LinkMetric,
+    OlsrConfig, SensingParams, TcScoping, TopologyStore,
 };
 pub use node::{AdvertisePolicy, MprSelectorPolicy, NodeStats, OlsrNode, TableFootprint};
 pub use routing::{RouteCache, RouteEntry, RouteScratch};

@@ -517,30 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_ring_is_protocol_invisible() {
-        use crate::config::DuplicateStore;
-
-        // The duplicate-set representation must not change a single
-        // protocol answer: identical stats and advertised topology
-        // under the ring and the per-originator reference.
-        let run = |dup| {
-            let cfg = OlsrConfig {
-                duplicate_store: dup,
-                ..OlsrConfig::default()
-            };
-            let mut net = OlsrNetwork::new(line5(), cfg, RadioConfig::default(), 21, |_| {
-                MprSelectorPolicy
-            });
-            net.run_for(SimDuration::from_secs(40));
-            (net.total_stats(), net.advertised_topology())
-        };
-        assert_eq!(
-            run(DuplicateStore::Ring),
-            run(DuplicateStore::PerOriginator)
-        );
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
             let mut net = OlsrNetwork::with_defaults(line5(), seed);

@@ -17,7 +17,7 @@ use crate::messages::{Body, DataBody, Hello, HelloNeighbor, LinkState, Message, 
 use crate::mpr::select_mprs;
 use crate::routing::{reference_routes, RouteCache, RouteEntry};
 use crate::store::{SharedLinkStore, SharedTopology};
-use crate::tables::{Duplicates, NeighborTables, NodeTopology, TopologyBase};
+use crate::tables::{DuplicateSet, NeighborTables, NodeTopology, TopologyBase};
 use crate::wire;
 use crate::wire::{DataPeek, Peek, TcPeek};
 
@@ -150,7 +150,7 @@ pub struct OlsrNode<P> {
     /// store ([`OlsrNode::with_store`]) and under
     /// [`TopologyStore::PerNode`].
     stores: Option<Arc<[SharedLinkStore]>>,
-    duplicates: Duplicates,
+    duplicates: DuplicateSet,
     mprs: BTreeSet<NodeId>,
     last_ans: Vec<(NodeId, LinkQos)>,
     ansn: u16,
@@ -216,7 +216,7 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
             neighbors: NeighborTables::new(),
             topology,
             stores: None,
-            duplicates: Duplicates::new(config.duplicate_store),
+            duplicates: DuplicateSet::new(),
             mprs: BTreeSet::new(),
             last_ans: Vec::new(),
             ansn: 0,
@@ -922,7 +922,7 @@ impl<P: AdvertisePolicy> Actor for OlsrNode<P> {
         // so do the route-cache counters).
         self.neighbors = NeighborTables::new();
         self.topology.clear();
-        self.duplicates = Duplicates::new(self.config.duplicate_store);
+        self.duplicates = DuplicateSet::new();
         self.mprs = BTreeSet::new();
         self.last_ans = Vec::new();
         // Restart the fisheye rotation at the full-radius ring: a

@@ -9,15 +9,15 @@
 //! the `*_into` accessors fill caller-owned scratch buffers so the
 //! per-tick read paths allocate nothing. The allocating accessors remain
 //! for convenience and are pinned ≡ the flat storage by differential
-//! tests against the original `BTreeMap` model.
-
-use std::collections::VecDeque;
+//! tests against the original `BTreeMap` model. The duplicate set, the
+//! largest table at scale, is a flat open-addressed hash table instead,
+//! pinned against a naive map.
 
 use qolsr_graph::{LocalView, NodeId};
 use qolsr_metrics::LinkQos;
 use qolsr_sim::SimTime;
 
-use crate::config::{DuplicateStore, LinkHysteresis, LinkMetric, SensingParams};
+use crate::config::{LinkHysteresis, LinkMetric, SensingParams};
 use crate::messages::Hello;
 use crate::store::SharedTopology;
 
@@ -855,28 +855,21 @@ impl TopologyLinks for NodeTopology {
 /// `(until_micros << 17) | (forwarded << 16) | seq`.
 ///
 /// The 47 until-bits cover ~4.4 simulated years — far beyond any run,
-/// and `debug_assert`ed at pack time. Packing cuts the per-entry cost
-/// from a 24-byte padded struct to 8 bytes, which matters because the
-/// duplicate set is the second-largest table at scale (one entry per
-/// `(originator, seq)` heard within the 30 s hold).
-///
-/// # Ordering under wraparound
-///
-/// Entry lists sort ascending by the **raw 16-bit seq** (the low bits),
-/// and every lookup is an *exact-match* binary search keyed on
-/// [`entry_seq`] — never on the whole packed word, whose high until-bits
-/// would dominate, and never a range query, which raw-u16 order would
-/// misanswer when an originator's seq space wraps mid-hold (…65535, 0…
-/// stores as 0 < … < 65535). Exact-match lookups are insensitive to
-/// where the wrap falls, so raw order is correct here; the wraparound
-/// proptest in `dup_wraparound` pins this against a naive map.
+/// and `debug_assert`ed at pack time. Packing keeps the per-entry cost
+/// at 8 bytes (plus the 4-byte originator the table stores beside it),
+/// which matters because the duplicate set is the largest table at
+/// scale (one entry per `(originator, seq)` heard within the 30 s
+/// hold). Lookups compare the raw 16-bit seq for equality only, so
+/// where an originator's seq space wraps mid-hold (…65535, 0…) is
+/// irrelevant; the wraparound proptest in `topology_store_properties`
+/// pins this against a naive map.
 fn pack_entry(seq: u16, until: SimTime, forwarded: bool) -> u64 {
     let micros = until.as_micros();
     debug_assert!(micros < 1 << 47, "duplicate hold beyond packable range");
     (micros << 17) | (u64::from(forwarded) << 16) | u64::from(seq)
 }
 
-/// The raw sequence number of a packed entry — the binary-search key.
+/// The raw sequence number of a packed entry.
 fn entry_seq(e: u64) -> u16 {
     (e & 0xFFFF) as u16
 }
@@ -889,17 +882,46 @@ fn entry_until(e: u64) -> SimTime {
     SimTime::from_micros(e >> 17)
 }
 
+/// Packed value of a free [`DuplicateSet`] slot. Only `(seq 0, until 0,
+/// not forwarded)` packs to it, which `slot_entry` rules out.
+const EMPTY: u64 = 0;
+
+/// Packs a duplicate-table entry, flooring the hold horizon at 1 µs so
+/// no entry packs to [`EMPTY`]. A horizon at time zero has expired at
+/// every later sweep either way, and the protocol's is `now + 30 s`.
+fn slot_entry(seq: u16, hold_until: SimTime, forwarded: bool) -> u64 {
+    pack_entry(seq, hold_until.max(SimTime::from_micros(1)), forwarded)
+}
+
+/// Smallest non-zero table capacity, so tiny tables do not resize on
+/// every insert.
+const MIN_SLOTS: usize = 8;
+
 /// Duplicate suppression for flooded messages (RFC 3626 §3.4).
 ///
-/// Stored as one seq-sorted packed-entry list per originator so the
-/// per-message lookup — the hottest query in a TC flood — is two small
-/// binary searches over contiguous memory. See `pack_entry` above for
-/// the 8-byte entry layout and why raw-seq order is wraparound-safe.
+/// One flat open-addressed table per node keyed by `(originator, seq)`,
+/// in 12-byte slots split over two parallel arrays: the packed entry
+/// (see `pack_entry`; 0 marks a free slot) and the originator id. A
+/// deterministic Fibonacci hash picks the home slot by
+/// multiply-shift range reduction, which works for any capacity, so the
+/// capacity follows the live count instead of the next power of two:
+/// every resize lands at load 7/10, inserts grow the table past load
+/// 4/5, and sweeps shrink it under 3/5 (releasing it entirely once
+/// empty), so the load stays within 0.6–0.8 for tables above the
+/// minimum size. Collisions probe linearly and deletions shift the
+/// rest of the probe chain back, so there are no tombstones; a lookup
+/// is one probe chain, and the sweep is one pass over the slots.
+/// Nothing depends on the order of hold horizons, and no seeded hasher
+/// is involved, so runs replay byte-identically.
 #[derive(Debug, Default, Clone)]
 pub struct DuplicateSet {
-    /// Per-originator packed entries, outer ascending by originator,
-    /// inner by raw sequence number.
-    seen: Vec<(NodeId, Vec<u64>)>,
+    /// Packed `(seq, until, forwarded)` entries; [`EMPTY`] marks a free
+    /// slot.
+    entries: Vec<u64>,
+    /// Originator of each occupied slot, parallel to `entries`.
+    origins: Vec<u32>,
+    /// Occupied slots.
+    live: usize,
 }
 
 impl DuplicateSet {
@@ -908,365 +930,151 @@ impl DuplicateSet {
         Self::default()
     }
 
-    fn entry(&mut self, originator: NodeId, seq: u16) -> (&mut Vec<u64>, Result<usize, usize>) {
-        let i = match self.seen.binary_search_by_key(&originator, |s| s.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.seen.insert(i, (originator, Vec::new()));
-                i
-            }
-        };
-        let list = &mut self.seen[i].1;
-        let pos = list.binary_search_by_key(&seq, |&e| entry_seq(e));
-        (list, pos)
+    /// Slot count that holds `live` entries at load 7/10.
+    fn slots_for(live: usize) -> usize {
+        (live * 10).div_ceil(7).max(MIN_SLOTS)
     }
 
-    /// Records `(originator, seq)`; returns `true` if it was not already
-    /// known (i.e. the message content should be processed).
-    pub fn fresh(&mut self, originator: NodeId, seq: u16, hold_until: SimTime) -> bool {
-        let (list, pos) = self.entry(originator, seq);
-        match pos {
-            Ok(j) => {
-                list[j] = pack_entry(seq, hold_until, entry_forwarded(list[j]));
-                false
-            }
-            Err(j) => {
-                list.insert(j, pack_entry(seq, hold_until, false));
-                true
-            }
-        }
+    /// Home slot of `(originator, seq)`: the top 32 bits of a Fibonacci
+    /// hash, scaled onto the capacity.
+    fn home(&self, originator: u32, seq: u16) -> usize {
+        let key = (u64::from(originator) << 16) | u64::from(seq);
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        ((hash * self.entries.len() as u64) >> 32) as usize
     }
 
-    /// Marks `(originator, seq)` as forwarded; returns `true` if it had
-    /// not been forwarded before (i.e. this node should retransmit now).
-    pub fn mark_forwarded(&mut self, originator: NodeId, seq: u16, hold_until: SimTime) -> bool {
-        let (list, pos) = self.entry(originator, seq);
-        let j = match pos {
-            Ok(j) => j,
-            Err(j) => {
-                list.insert(j, pack_entry(seq, hold_until, false));
-                j
-            }
-        };
-        let first = !entry_forwarded(list[j]);
-        list[j] |= 1 << 16;
-        first
-    }
-
-    /// Discards expired entries — and originators whose every entry
-    /// expired, so departed nodes stop costing memory (the churn-leak
-    /// fix; empty lists used to be retained forever).
-    pub fn sweep(&mut self, now: SimTime) {
-        self.seen.retain_mut(|(_, list)| {
-            list.retain(|&e| entry_until(e) > now);
-            !list.is_empty()
-        });
-    }
-
-    /// Originator entries currently held.
-    pub fn originators(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Resident footprint as `(entries, approximate heap bytes)`.
-    pub fn footprint(&self) -> (usize, usize) {
-        let mut entries = 0;
-        let mut bytes = self.seen.capacity() * std::mem::size_of::<(NodeId, Vec<u64>)>();
-        for (_, list) in &self.seen {
-            entries += list.len();
-            bytes += list.capacity() * std::mem::size_of::<u64>();
-        }
-        (entries, bytes)
-    }
-}
-
-/// Empty slot sentinel in the [`DuplicateRing`] position index. The
-/// compaction rebase keeps every stored absolute position strictly
-/// below it.
-const EMPTY_POS: u32 = u32::MAX;
-
-/// Tombstone marker for ring slots vacated by a refresh re-push.
-const RING_TOMB: u64 = u64::MAX;
-
-fn ring_key(originator: NodeId, seq: u16) -> u64 {
-    (u64::from(originator.0) << 16) | u64::from(seq)
-}
-
-/// Duplicate suppression over a single expiry-ordered ring buffer — the
-/// default representation [`DuplicateSet`] is the differential
-/// reference for.
-///
-/// Entries live in one insertion-ordered ring shared by all
-/// originators, with a small open-addressed index mapping
-/// `(originator, seq)` to the entry's position. The protocol always
-/// calls with non-decreasing hold horizons (`now + DUP_HOLD_TIME` with
-/// a constant hold), so ring order **is** expiry order: a refresh
-/// tombstones the old slot and re-pushes at the back, keeping the
-/// invariant, and the sweep just pops expired entries off the front —
-/// `O(expired)` instead of a full retain scan over every originator
-/// list. Lookups are one hash probe instead of two binary searches,
-/// and inserts never shift list tails.
-///
-/// The index stores only 4-byte *absolute* ring positions (`popped`
-/// front removals + relative index) — the key itself lives in the ring
-/// slot the position points at, so a probe verifies candidates by
-/// reading the ring. Deterministic multiplicative hashing with linear
-/// probing and backward-shift deletion; compaction (triggered when
-/// refresh tombstones pile up) drops tombstoned slots, rebases
-/// `popped` to zero, and shrinks both the ring and the index back to
-/// the live population, so a refresh-heavy workload cannot pin peak
-/// capacities forever. Everything is seed-free and iteration-order
-/// deterministic, so runs replay byte-identically —
-/// `duplicate_ring_matches_reference` differentially pins
-/// `fresh`/`mark_forwarded`/`sweep` answers and entry counts against
-/// [`DuplicateSet`].
-#[derive(Debug, Default, Clone)]
-pub struct DuplicateRing {
-    /// `(key, packed entry)` in insertion (= expiry) order; slots a
-    /// refresh vacated carry [`RING_TOMB`] keys until compaction.
-    ring: VecDeque<(u64, u64)>,
-    /// Lifetime count of slots popped off the front: an index entry's
-    /// relative position is `abs - popped`.
-    popped: u64,
-    /// Live (non-tombstone) ring entries; equals the indexed key count.
-    live: usize,
-    /// Tombstoned ring slots awaiting compaction.
-    tombs: usize,
-    /// Open-addressed index of absolute ring positions (power-of-two
-    /// capacity, [`EMPTY_POS`] marks free slots). A slot's key is read
-    /// from the ring entry it points at, keeping slots to 4 bytes.
-    index: Vec<u32>,
-    /// Largest hold horizon accepted so far — monotonicity guard for
-    /// the expiry-order invariant (`debug_assert`ed on insert).
-    last_until: SimTime,
-}
-
-impl DuplicateRing {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn hash(&self, key: u64) -> usize {
-        // Fibonacci multiplicative hash onto the power-of-two index —
-        // deterministic (no std `RandomState`), so replays are exact.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.index.len().trailing_zeros()))
-            as usize
-    }
-
-    /// The key stored in the ring slot an index position points at.
-    /// Index entries always track their entry's current position, so
-    /// the slot is live (never a tombstone).
-    fn key_at(&self, abs: u32) -> u64 {
-        self.ring[(u64::from(abs) - self.popped) as usize].0
-    }
-
-    /// The index slot holding `key`, if present. Candidate slots are
-    /// verified by reading the key back from the ring.
-    fn find(&self, key: u64) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mask = self.index.len() - 1;
-        let mut i = self.hash(key);
-        loop {
-            let abs = self.index[i];
-            if abs == EMPTY_POS {
-                return None;
-            }
-            if self.key_at(abs) == key {
-                return Some(i);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts a position for a key known to be absent into the
-    /// (pre-sized) index.
-    fn index_insert(&mut self, key: u64, abs: u32) {
-        let mask = self.index.len() - 1;
-        let mut i = self.hash(key);
-        while self.index[i] != EMPTY_POS {
-            i = (i + 1) & mask;
-        }
-        self.index[i] = abs;
-    }
-
-    /// Removes the entry at index slot `i` by backward-shift deletion:
-    /// later entries of the probe chain move up into the hole, so no
-    /// index tombstones are needed.
-    fn index_delete(&mut self, mut i: usize) {
-        let mask = self.index.len() - 1;
-        let mut j = i;
-        loop {
-            self.index[i] = EMPTY_POS;
-            loop {
-                j = (j + 1) & mask;
-                let abs = self.index[j];
-                if abs == EMPTY_POS {
-                    return;
-                }
-                // The entry at `j` may slide into the hole at `i` only
-                // if `i` lies on its probe path from its home slot.
-                let h = self.hash(self.key_at(abs));
-                if (i.wrapping_sub(h) & mask) < (j.wrapping_sub(h) & mask) {
-                    self.index[i] = abs;
-                    i = j;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Rebuilds the index at capacity `cap` from the live ring entries
-    /// (in ring order — deterministic).
-    fn rebuild_index(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two() && self.live * 3 <= cap * 2);
-        self.index.clear();
-        self.index.shrink_to(cap);
-        self.index.resize(cap, EMPTY_POS);
-        let mask = cap - 1;
-        for (rel, &(k, _)) in self.ring.iter().enumerate() {
-            if k == RING_TOMB {
-                continue;
-            }
-            let mut i = self.hash(k);
-            while self.index[i] != EMPTY_POS {
-                i = (i + 1) & mask;
-            }
-            self.index[i] = (self.popped + rel as u64) as u32;
-        }
-    }
-
-    /// Drops tombstoned slots, rebases `popped` to zero, and shrinks
-    /// the ring and index back to the live population — a refresh storm
-    /// cannot pin the peak capacities it forced.
-    fn compact(&mut self) {
-        self.ring.retain(|&(k, _)| k != RING_TOMB);
-        self.tombs = 0;
-        self.popped = 0;
-        // Leave exactly the headroom the next storm can use before
-        // compaction re-triggers (`maybe_compact` fires at live/2 + 9
-        // tombstones), so the steady state never reallocates between
-        // compaction cycles.
-        self.ring.shrink_to(self.live + self.live / 2 + 16);
-        let cap = (self.live + self.live / 2 + 16).next_power_of_two();
-        self.rebuild_index(cap);
-    }
-
-    /// Compacts once refresh tombstones reach half the live count, so
-    /// a refresh-heavy workload cannot grow the ring unboundedly
-    /// between sweeps (amortized `O(1)` per refresh).
-    fn maybe_compact(&mut self) {
-        if self.tombs > self.live / 2 + 8 {
-            self.compact();
-        }
-    }
-
-    fn push_new(&mut self, key: u64, packed: u64, hold_until: SimTime) {
-        debug_assert!(
-            hold_until >= self.last_until,
-            "duplicate hold horizons must be non-decreasing"
-        );
-        self.last_until = hold_until;
-        if self.popped + self.ring.len() as u64 >= u64::from(EMPTY_POS) {
-            // Rebase before an absolute position could overflow the
-            // 4-byte index slots (compaction resets `popped`).
-            self.compact();
-        }
-        let abs = (self.popped + self.ring.len() as u64) as u32;
-        self.ring.push_back((key, packed));
-        self.live += 1;
-        if self.live * 3 > self.index.len() * 2 {
-            // Keep the index at most two-thirds full (probe chains stay
-            // short under linear probing, and the 4-byte slots stay
-            // cheap). The rebuild walks the ring, which already holds
-            // the new entry, so it is indexed by the rebuild itself.
-            let cap = (self.index.len() * 2).max(8);
-            self.rebuild_index(cap);
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.entries.len() {
+            0
         } else {
-            self.index_insert(key, abs);
+            i + 1
         }
+    }
+
+    /// The slot holding `(originator, seq)`, or the free slot that ends
+    /// its probe chain. The table must have a free slot.
+    fn probe(&self, originator: u32, seq: u16) -> Result<usize, usize> {
+        let mut i = self.home(originator, seq);
+        loop {
+            let e = self.entries[i];
+            if e == EMPTY {
+                return Err(i);
+            }
+            if self.origins[i] == originator && entry_seq(e) == seq {
+                return Ok(i);
+            }
+            i = self.next(i);
+        }
+    }
+
+    /// Rehashes every entry, in slot order, into `slots` fresh slots.
+    fn resize(&mut self, slots: usize) {
+        let entries = std::mem::replace(&mut self.entries, vec![EMPTY; slots]);
+        let origins = std::mem::replace(&mut self.origins, vec![0; slots]);
+        for (e, o) in entries.into_iter().zip(origins) {
+            if e != EMPTY {
+                let Err(i) = self.probe(o, entry_seq(e)) else {
+                    unreachable!("keys are unique");
+                };
+                self.entries[i] = e;
+                self.origins[i] = o;
+            }
+        }
+    }
+
+    /// The slot of `(originator, seq)`, inserting a new entry that holds
+    /// until `hold_until` when the key is unknown; `true` when it was
+    /// inserted.
+    fn insert(&mut self, originator: NodeId, seq: u16, hold_until: SimTime) -> (usize, bool) {
+        let o = originator.0;
+        if self.entries.is_empty() {
+            self.resize(MIN_SLOTS);
+        }
+        let vacant = match self.probe(o, seq) {
+            Ok(i) => return (i, false),
+            Err(i) if (self.live + 1) * 5 <= self.entries.len() * 4 => i,
+            Err(_) => {
+                self.resize(Self::slots_for(self.live + 1));
+                self.probe(o, seq)
+                    .expect_err("the key was absent before the resize")
+            }
+        };
+        self.entries[vacant] = slot_entry(seq, hold_until, false);
+        self.origins[vacant] = o;
+        self.live += 1;
+        (vacant, true)
+    }
+
+    /// Empties slot `hole` by backward-shift deletion: walking on to the
+    /// next free slot, each entry whose probe path passes the hole moves
+    /// back into it and leaves its own slot as the new hole, so no probe
+    /// chain is broken.
+    fn remove_at(&mut self, mut hole: usize) {
+        let cap = self.entries.len();
+        let dist = |from: usize, to: usize| {
+            if to >= from {
+                to - from
+            } else {
+                to + cap - from
+            }
+        };
+        let mut j = hole;
+        loop {
+            j = self.next(j);
+            let e = self.entries[j];
+            if e == EMPTY {
+                break;
+            }
+            let home = self.home(self.origins[j], entry_seq(e));
+            if dist(home, hole) < dist(home, j) {
+                self.entries[hole] = e;
+                self.origins[hole] = self.origins[j];
+                hole = j;
+            }
+        }
+        self.entries[hole] = EMPTY;
+        self.live -= 1;
     }
 
     /// Records `(originator, seq)`; returns `true` if it was not already
     /// known (i.e. the message content should be processed). A known
-    /// entry is refreshed to the new hold horizon by re-pushing it at
-    /// the back of the ring (preserving expiry order).
+    /// entry is refreshed to the new hold horizon and keeps its
+    /// forwarded flag.
     pub fn fresh(&mut self, originator: NodeId, seq: u16, hold_until: SimTime) -> bool {
-        let key = ring_key(originator, seq);
-        if self.popped + self.ring.len() as u64 + 1 >= u64::from(EMPTY_POS) {
-            // Rebase before a refresh could store an absolute position
-            // that collides with the 4-byte index sentinel.
-            self.compact();
+        let (i, inserted) = self.insert(originator, seq, hold_until);
+        if !inserted {
+            self.entries[i] = slot_entry(seq, hold_until, entry_forwarded(self.entries[i]));
         }
-        match self.find(key) {
-            Some(i) => {
-                debug_assert!(
-                    hold_until >= self.last_until,
-                    "duplicate hold horizons must be non-decreasing"
-                );
-                self.last_until = hold_until;
-                let rel = (u64::from(self.index[i]) - self.popped) as usize;
-                let forwarded = entry_forwarded(self.ring[rel].1);
-                self.ring[rel].0 = RING_TOMB;
-                self.tombs += 1;
-                self.ring
-                    .push_back((key, pack_entry(seq, hold_until, forwarded)));
-                self.index[i] = (self.popped + self.ring.len() as u64 - 1) as u32;
-                self.maybe_compact();
-                false
-            }
-            None => {
-                self.push_new(key, pack_entry(seq, hold_until, false), hold_until);
-                true
-            }
-        }
+        inserted
     }
 
     /// Marks `(originator, seq)` as forwarded; returns `true` if it had
     /// not been forwarded before (i.e. this node should retransmit now).
-    /// An existing entry keeps its hold horizon (only [`Self::fresh`]
-    /// refreshes), so the in-place bit set cannot break expiry order.
+    /// A known entry keeps its hold horizon; only [`Self::fresh`]
+    /// refreshes it.
     pub fn mark_forwarded(&mut self, originator: NodeId, seq: u16, hold_until: SimTime) -> bool {
-        let key = ring_key(originator, seq);
-        match self.find(key) {
-            Some(i) => {
-                let rel = (u64::from(self.index[i]) - self.popped) as usize;
-                let first = !entry_forwarded(self.ring[rel].1);
-                self.ring[rel].1 |= 1 << 16;
-                first
-            }
-            None => {
-                self.push_new(key, pack_entry(seq, hold_until, true), hold_until);
-                true
-            }
-        }
+        let (i, _) = self.insert(originator, seq, hold_until);
+        let first = !entry_forwarded(self.entries[i]);
+        self.entries[i] |= 1 << 16;
+        first
     }
 
-    /// Discards expired entries by popping off the front — `O(expired)`
-    /// thanks to the expiry-order invariant, against the reference's
-    /// full retain scan.
+    /// Discards expired entries in one pass over the slots, then shrinks
+    /// the table if the survivors leave it under load 3/5. A deletion
+    /// moves later entries of its probe chain back: into the slot being
+    /// visited, which is checked again, into slots the pass has yet to
+    /// visit, or — for a chain that wraps past the last slot — from
+    /// visited slots into visited slots. So every entry is checked.
     pub fn sweep(&mut self, now: SimTime) {
-        while let Some(&(k, e)) = self.ring.front() {
-            if k == RING_TOMB {
-                self.tombs -= 1;
-            } else if entry_until(e) <= now {
-                let i = self.find(k).expect("live ring entry is indexed");
-                self.index_delete(i);
-                self.live -= 1;
-            } else {
-                break;
+        for i in 0..self.entries.len() {
+            while self.entries[i] != EMPTY && entry_until(self.entries[i]) <= now {
+                self.remove_at(i);
             }
-            self.ring.pop_front();
-            self.popped += 1;
         }
-        if self.ring.capacity() > 4 * (self.ring.len() + 16) {
-            // Mass expiry (e.g. departed originators under churn) can
-            // leave the capacity far above the survivors — release it
-            // rather than pin the peak (the churn-leak story extends
-            // to capacities, not just entries).
-            self.compact();
+        if self.live == 0 {
+            *self = Self::default();
+        } else if self.live * 5 < self.entries.len() * 3 && self.entries.len() > MIN_SLOTS {
+            self.resize(Self::slots_for(self.live));
         }
     }
 
@@ -1282,65 +1090,9 @@ impl DuplicateRing {
 
     /// Resident footprint as `(entries, approximate heap bytes)`.
     pub fn footprint(&self) -> (usize, usize) {
-        let ring_slot = std::mem::size_of::<(u64, u64)>();
-        let index_slot = std::mem::size_of::<u32>();
-        (
-            self.live,
-            self.ring.capacity() * ring_slot + self.index.capacity() * index_slot,
-        )
-    }
-}
-
-/// A node's duplicate table behind the [`DuplicateStore`] knob: the
-/// ring (default) or the per-originator reference, answering
-/// identically (`duplicate_ring_matches_reference` pins this).
-#[derive(Debug, Clone)]
-pub enum Duplicates {
-    /// Expiry-ordered ring buffer (the default).
-    Ring(DuplicateRing),
-    /// Per-originator seq-sorted lists (the differential reference).
-    PerOriginator(DuplicateSet),
-}
-
-impl Duplicates {
-    /// Creates an empty table of the configured representation.
-    pub fn new(kind: DuplicateStore) -> Self {
-        match kind {
-            DuplicateStore::Ring => Self::Ring(DuplicateRing::new()),
-            DuplicateStore::PerOriginator => Self::PerOriginator(DuplicateSet::new()),
-        }
-    }
-
-    /// See [`DuplicateSet::fresh`].
-    pub fn fresh(&mut self, originator: NodeId, seq: u16, hold_until: SimTime) -> bool {
-        match self {
-            Self::Ring(r) => r.fresh(originator, seq, hold_until),
-            Self::PerOriginator(s) => s.fresh(originator, seq, hold_until),
-        }
-    }
-
-    /// See [`DuplicateSet::mark_forwarded`].
-    pub fn mark_forwarded(&mut self, originator: NodeId, seq: u16, hold_until: SimTime) -> bool {
-        match self {
-            Self::Ring(r) => r.mark_forwarded(originator, seq, hold_until),
-            Self::PerOriginator(s) => s.mark_forwarded(originator, seq, hold_until),
-        }
-    }
-
-    /// See [`DuplicateSet::sweep`].
-    pub fn sweep(&mut self, now: SimTime) {
-        match self {
-            Self::Ring(r) => r.sweep(now),
-            Self::PerOriginator(s) => s.sweep(now),
-        }
-    }
-
-    /// Resident footprint as `(entries, approximate heap bytes)`.
-    pub fn footprint(&self) -> (usize, usize) {
-        match self {
-            Self::Ring(r) => r.footprint(),
-            Self::PerOriginator(s) => s.footprint(),
-        }
+        let bytes = self.entries.capacity() * std::mem::size_of::<u64>()
+            + self.origins.capacity() * std::mem::size_of::<u32>();
+        (self.live, bytes)
     }
 }
 
@@ -1784,7 +1536,7 @@ mod tests {
     }
 
     /// The churn-leak regression: sweeps must reclaim per-originator
-    /// entries (set vecs, ANSN records, duplicate lists) once every
+    /// entries (set vecs, ANSN records, duplicate entries) once every
     /// tuple expired, not just the tuples inside them.
     #[test]
     fn sweep_reclaims_departed_originators() {
@@ -1800,147 +1552,104 @@ mod tests {
             ds.fresh(NodeId(orig), 1, t(10));
         }
         assert_eq!(tb.originators(), 100);
-        assert_eq!(ds.originators(), 100);
+        assert_eq!(ds.len(), 100);
         tb.sweep(t(11));
         ds.sweep(t(11));
         assert_eq!(tb.originators(), 0, "departed originators reclaimed");
-        assert_eq!(ds.originators(), 0, "departed originators reclaimed");
+        assert_eq!(ds.len(), 0, "departed originators reclaimed");
         assert_eq!(tb.footprint().0, 0);
         assert_eq!(ds.footprint().0, 0);
     }
 
-    /// A refresh storm on a small key set tombstones ring slots far
-    /// faster than entries expire — the compaction path must keep the
-    /// ring bounded while every answer stays identical to the
-    /// reference. A trickle of unique keys drives index growth and the
-    /// front-pop sweep at the same time, and seqs straddle the u16
-    /// wrap.
-    #[test]
-    fn duplicate_ring_survives_refresh_storm() {
-        let mut ring = DuplicateRing::new();
-        let mut reference = DuplicateSet::new();
-        for round in 0..200u64 {
-            let now = t(round);
-            let hold = now + SimDuration::from_secs(30);
-            for k in 0..8u16 {
-                let seq = (u16::MAX - 3).wrapping_add(k);
-                assert_eq!(
-                    ring.fresh(NodeId(1), seq, hold),
-                    reference.fresh(NodeId(1), seq, hold),
-                    "fresh diverged in round {round}"
-                );
-                assert_eq!(
-                    ring.mark_forwarded(NodeId(1), seq, hold),
-                    reference.mark_forwarded(NodeId(1), seq, hold),
-                    "mark_forwarded diverged in round {round}"
-                );
-            }
-            assert_eq!(
-                ring.fresh(NodeId(2), round as u16, hold),
-                reference.fresh(NodeId(2), round as u16, hold)
-            );
-            ring.sweep(now);
-            reference.sweep(now);
-            assert_eq!(
-                ring.len(),
-                reference.footprint().0,
-                "sizes diverged in round {round}"
-            );
-        }
-        // 200 rounds × 8 refreshed keys: without compaction the ring
-        // would hold ~1600 tombstoned slots. The hold window is 30 s,
-        // so at most ~30 unique-key entries plus the 8 hot keys are
-        // live — the ring must be within a small factor of that.
-        let (entries, _) = ring.footprint();
-        assert!(entries <= 40, "live entries bounded: {entries}");
-        assert!(
-            ring.ring.len() <= 4 * entries.max(16) + 1,
-            "tombstones compacted: {} slots for {} live",
-            ring.ring.len(),
-            entries
-        );
+    /// A fresh 8-slot duplicate table, and the first `n` originators
+    /// (at seq 0) whose home slot in it is `slot`.
+    fn homed_at(slot: usize, n: usize) -> (DuplicateSet, Vec<u32>) {
+        let ds = DuplicateSet {
+            entries: vec![EMPTY; MIN_SLOTS],
+            origins: vec![0; MIN_SLOTS],
+            live: 0,
+        };
+        let keys = (0u32..)
+            .filter(|&o| ds.home(o, 0) == slot)
+            .take(n)
+            .collect();
+        (ds, keys)
     }
 
-    /// The nastiest index interleaving: a key is refreshed (its old
-    /// ring slot becomes a tombstone, its index entry is repointed at
-    /// the back), then a *mass expiry* sweep pops the whole front of
-    /// the ring AND triggers the capacity-shrink compaction — which
-    /// rebases `popped` to zero and rebuilds the whole position index —
-    /// and in the *same tick* the survivor is refreshed again and
-    /// marked forwarded. Any stale absolute position left behind by the
-    /// rebase would make `find` read the wrong ring slot and misreport
-    /// the key as unseen (re-processing a duplicate flood) or lose its
-    /// forwarded bit (re-flooding). The reference representation pins
-    /// every answer.
-    #[test]
-    fn duplicate_ring_refresh_survives_same_tick_mass_expiry_compaction() {
-        let mut ring = DuplicateRing::new();
-        let mut reference = DuplicateSet::new();
-        let survivor = NodeId(9);
-        // 300 short-hold entries build up front mass and ring capacity.
-        for seq in 0..300u16 {
-            assert_eq!(
-                ring.fresh(NodeId(seq as u32 % 7), seq, t(4)),
-                reference.fresh(NodeId(seq as u32 % 7), seq, t(4))
-            );
-        }
-        // The survivor arrives, is forwarded, and is refreshed once —
-        // tombstoning its original slot mid-ring.
-        assert!(ring.fresh(survivor, 42, t(4)) && reference.fresh(survivor, 42, t(4)));
-        assert!(
-            ring.mark_forwarded(survivor, 42, t(4)) && reference.mark_forwarded(survivor, 42, t(4))
-        );
-        assert!(
-            !ring.fresh(survivor, 42, t(6)) && !reference.fresh(survivor, 42, t(6)),
-            "refresh must report the key as already known"
-        );
-        let capacity_before = ring.ring.capacity();
-        // Mass expiry: all 301 short-hold entries (including the
-        // survivor's tombstoned slot) age out at t(4); only the
-        // survivor's refreshed slot outlives the sweep. The capacity
-        // guard must fire and compact + rebase.
-        ring.sweep(t(4));
-        reference.sweep(t(4));
-        assert_eq!(ring.len(), 1);
-        assert_eq!(reference.footprint().0, 1);
-        assert_eq!(ring.popped, 0, "compaction must have rebased positions");
-        assert!(
-            ring.ring.capacity() < capacity_before,
-            "mass expiry must trigger the capacity-shrink compaction"
-        );
-        // Same tick, post-rebase: the survivor must still be found at
-        // its rebased position with its forwarded bit intact.
-        assert!(
-            !ring.fresh(survivor, 42, t(9)) && !reference.fresh(survivor, 42, t(9)),
-            "post-compaction lookup lost the survivor"
-        );
-        assert!(
-            !ring.mark_forwarded(survivor, 42, t(9))
-                && !reference.mark_forwarded(survivor, 42, t(9)),
-            "forwarded bit lost across tombstone refresh + compaction"
-        );
-        // And a fresh key keeps agreeing afterwards.
-        assert!(ring.fresh(NodeId(11), 7, t(9)) && reference.fresh(NodeId(11), 7, t(9)));
-        assert_eq!(ring.len(), reference.footprint().0);
+    fn slot_of(ds: &DuplicateSet, o: u32) -> Option<usize> {
+        ds.probe(o, 0).ok()
     }
 
-    /// The [`Duplicates`] dispatch constructs the representation the
-    /// config asks for and forwards every call.
+    /// Backward-shift deletion inside a probe chain that wraps past the
+    /// last slot: entries whose probe path passes the hole move back
+    /// across the wrap, while entries homed after the hole stay put —
+    /// one at its home, one displaced past it.
     #[test]
-    fn duplicates_dispatch_follows_config() {
-        let mut ring = Duplicates::new(DuplicateStore::Ring);
-        let mut per_orig = Duplicates::new(DuplicateStore::PerOriginator);
-        assert!(matches!(ring, Duplicates::Ring(_)));
-        assert!(matches!(per_orig, Duplicates::PerOriginator(_)));
-        for d in [&mut ring, &mut per_orig] {
-            assert!(d.fresh(NodeId(7), 3, t(10)));
-            assert!(!d.fresh(NodeId(7), 3, t(10)));
-            assert!(d.mark_forwarded(NodeId(7), 3, t(10)));
-            assert!(!d.mark_forwarded(NodeId(7), 3, t(10)));
-            assert_eq!(d.footprint().0, 1);
-            d.sweep(t(11));
-            assert_eq!(d.footprint().0, 0);
+    fn backward_shift_delete_wraps_the_table_end() {
+        let (mut ds, wrap) = homed_at(7, 3);
+        let (_, zero) = homed_at(0, 1);
+        let (_, three) = homed_at(3, 2);
+        let keys = [wrap[0], wrap[1], wrap[2], zero[0], three[0], three[1]];
+        for o in keys {
+            assert!(ds.fresh(NodeId(o), 0, t(30)));
         }
+        assert_eq!(ds.entries.len(), MIN_SLOTS, "no resize");
+        let at = |ds: &DuplicateSet| keys.map(|o| slot_of(ds, o));
+        assert_eq!(at(&ds), [7, 0, 1, 2, 3, 4].map(Some));
+        // Delete the entry just past the wrap: the next two shift back,
+        // and the chain ends at the hole they leave in slot 2; the
+        // entries homed at slot 3 stay.
+        ds.remove_at(0);
+        assert_eq!(at(&ds), [Some(7), None, Some(0), Some(1), Some(3), Some(4)]);
+        assert_eq!(ds.entries[2], EMPTY);
+        // Delete the entry in the last slot: two entries shift back
+        // across the wrap.
+        ds.remove_at(7);
+        assert_eq!(at(&ds), [None, None, Some(7), Some(0), Some(3), Some(4)]);
+        assert_eq!(ds.len(), 4);
+        for &o in &keys[2..] {
+            assert!(!ds.fresh(NodeId(o), 0, t(30)), "originator {o} known");
+        }
+        assert_eq!(ds.len(), 4);
+    }
+
+    /// A sweep over a table whose slot 0 sits in the middle of a probe
+    /// chain (slots 6, 7, 0, 1, 2), with expired entries on both sides
+    /// of the wrap: every survivor stays reachable from its home.
+    #[test]
+    fn sweep_handles_a_chain_across_slot_zero() {
+        let (mut ds, six) = homed_at(6, 4);
+        let (_, zero) = homed_at(0, 1);
+        // Holds: the entries in slots 6 and 0 expire at t(4).
+        let keys = [
+            (six[0], 4),
+            (six[1], 30),
+            (six[2], 4),
+            (six[3], 30),
+            (zero[0], 30),
+        ];
+        for (o, hold) in keys {
+            assert!(ds.fresh(NodeId(o), 0, t(hold)));
+        }
+        let at = |ds: &DuplicateSet| keys.map(|(o, _)| slot_of(ds, o));
+        assert_eq!(at(&ds), [Some(6), Some(7), Some(0), Some(1), Some(2)]);
+        ds.sweep(t(4));
+        assert_eq!(at(&ds), [None, Some(6), None, Some(7), Some(0)]);
+        assert_eq!(ds.len(), 3);
+        for (o, hold) in keys {
+            assert_eq!(ds.fresh(NodeId(o), 0, t(30)), hold == 4, "originator {o}");
+        }
+    }
+
+    /// A zero hold horizon must not pack to the free-slot marker.
+    #[test]
+    fn zero_hold_entry_is_not_a_free_slot() {
+        let mut ds = DuplicateSet::new();
+        assert!(ds.fresh(NodeId(0), 0, SimTime::ZERO));
+        assert!(!ds.fresh(NodeId(0), 0, SimTime::ZERO));
+        assert_eq!(ds.len(), 1);
+        ds.sweep(t(1));
+        assert!(ds.is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`SharedTopology`] over a network-shared [`SharedLinkStore`] must
 //! answer every query identically to the per-node [`TopologyBase`]
 //! reference (the PR 4 formulation `TopologyStore::PerNode` keeps
-//! alive). The ANSN accept/reject rule and the packed [`DuplicateSet`]
-//! are additionally pinned against naive map formulations.
+//! alive). The ANSN accept/reject rule and the flat [`DuplicateSet`]
+//! table are additionally pinned against naive map formulations.
 //!
 //! [`DuplicateSet`]: qolsr_proto::tables::DuplicateSet
 //! [`SharedLinkStore`]: qolsr_proto::SharedLinkStore
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_proto::store::SharedTopology;
-use qolsr_proto::tables::{seq_newer, DuplicateRing, DuplicateSet, TopologyBase};
+use qolsr_proto::tables::{seq_newer, DuplicateSet, TopologyBase};
 use qolsr_proto::SharedLinkStore;
 use qolsr_sim::{SimDuration, SimTime};
 
@@ -109,6 +109,49 @@ fn advertised_links(ids: &[u32]) -> Vec<(NodeId, LinkQos)> {
 fn sorted_links(mut links: Vec<(NodeId, NodeId, LinkQos)>) -> Vec<(NodeId, NodeId, LinkQos)> {
     links.sort_by_key(|&(a, b, _)| (a, b));
     links
+}
+
+/// The duplicate-set oracle: a naive map from `(originator, seq)` to
+/// `(hold horizon, forwarded)` with RFC 3626 §3.4 semantics — `fresh`
+/// refreshes the horizon, `mark_forwarded` keeps it.
+#[derive(Default)]
+struct NaiveDuplicateSet(BTreeMap<(u32, u16), (SimTime, bool)>);
+
+impl NaiveDuplicateSet {
+    fn fresh(&mut self, orig: u32, seq: u16, hold: SimTime) -> bool {
+        let known = self.0.contains_key(&(orig, seq));
+        self.0.entry((orig, seq)).or_insert((hold, false)).0 = hold;
+        !known
+    }
+
+    fn mark_forwarded(&mut self, orig: u32, seq: u16, hold: SimTime) -> bool {
+        let entry = self.0.entry((orig, seq)).or_insert((hold, false));
+        !std::mem::replace(&mut entry.1, true)
+    }
+
+    fn sweep(&mut self, now: SimTime) {
+        self.0.retain(|_, &mut (until, _)| until > now);
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// Time steps for duplicate-set histories, in milliseconds: mostly
+/// bursts at one instant (8 in 13), some sub-second steps (4 in 13) and
+/// rare 5–40 s jumps that expire part of the table (1 in 13).
+fn advance_ms() -> impl Strategy<Value = u64> {
+    (0u8..13, 0u64..35_000).prop_map(|(pick, ms)| match pick {
+        0..=7 => 0,
+        8..=11 => ms % 1_000,
+        _ => 5_000 + ms,
+    })
+}
+
+/// Slots a [`DuplicateSet`] has allocated (12 bytes each).
+fn dup_slots(dup: &DuplicateSet) -> usize {
+    dup.footprint().1 / 12
 }
 
 proptest! {
@@ -281,58 +324,67 @@ proptest! {
         }
     }
 
-    /// The packed `(seq, until, forwarded)` duplicate-set entries match
-    /// a naive `BTreeMap` keyed `(originator, seq)` — with sequence
-    /// numbers drawn to straddle both u16 wrap points, pinning the
-    /// raw-seq binary-search order as wraparound-safe.
+    /// The flat duplicate table answers `fresh` and `mark_forwarded`,
+    /// and keeps exactly the entries, of a naive `BTreeMap` keyed
+    /// `(originator, seq)`. 16 originators × 10 seqs give 160 distinct
+    /// keys; bursts at one instant grow the table through several
+    /// resizes (so probe chains land on, and wrap past, the last slot
+    /// of many capacities), and long jumps expire part of it, shrinking
+    /// it again. Holds of 1–60 s over irregular time steps are not
+    /// monotone, and seqs straddle both u16 wrap points.
     #[test]
     fn duplicate_set_matches_naive_map_across_wraparound(
         steps in proptest::collection::vec(
             (
-                0u32..4,
+                0u32..16,
                 prop_oneof![0u16..3, 0x7FFE_u16..=0x8001, 0xFFFD_u16..=0xFFFF],
                 any::<bool>(),
-                2u64..8,
-                0u64..4,
+                1u64..60,
+                advance_ms(),
                 any::<bool>(),
             ),
-            1..60,
+            1..300,
         )
     ) {
         let mut dup = DuplicateSet::new();
-        let mut naive: BTreeMap<(u32, u16), (SimTime, bool)> = BTreeMap::new();
+        let mut naive = NaiveDuplicateSet::default();
         let mut now = SimTime::ZERO;
-        for &(orig, seq, forward, hold_s, advance, sweep) in &steps {
-            now += SimDuration::from_secs(advance);
+        for &(orig, seq, forward, hold_s, advance_ms, sweep) in &steps {
+            now += SimDuration::from_millis(advance_ms);
             let hold = now + SimDuration::from_secs(hold_s);
             let o = NodeId(orig);
             if forward {
-                let entry = naive.entry((orig, seq)).or_insert((hold, false));
-                let expect_first = !entry.1;
-                entry.1 = true;
-                prop_assert_eq!(dup.mark_forwarded(o, seq, hold), expect_first);
+                prop_assert_eq!(
+                    dup.mark_forwarded(o, seq, hold),
+                    naive.mark_forwarded(orig, seq, hold),
+                    "mark_forwarded diverged at {}", now
+                );
             } else {
-                let expect_fresh = !naive.contains_key(&(orig, seq));
-                let entry = naive.entry((orig, seq)).or_insert((hold, false));
-                entry.0 = hold;
-                prop_assert_eq!(dup.fresh(o, seq, hold), expect_fresh);
+                prop_assert_eq!(
+                    dup.fresh(o, seq, hold),
+                    naive.fresh(orig, seq, hold),
+                    "fresh diverged at {}", now
+                );
             }
             if sweep {
                 dup.sweep(now);
-                naive.retain(|_, &mut (until, _)| until > now);
+                naive.sweep(now);
+                prop_assert!(
+                    dup_slots(&dup) <= (5 * dup.len() / 3).max(8),
+                    "{} slots for {} entries after a sweep", dup_slots(&dup), dup.len()
+                );
             }
             prop_assert_eq!(dup.footprint().0, naive.len(), "entry counts diverged at {}", now);
         }
     }
 
-    /// The expiry-ordered [`DuplicateRing`] answers `fresh` and
-    /// `mark_forwarded` byte-identically to the per-originator
-    /// [`DuplicateSet`] reference under the protocol's calling
-    /// convention — one constant hold duration over non-decreasing
-    /// `now` (what makes ring order expiry order) — and its front-pop
+    /// The duplicate table under the protocol's calling convention —
+    /// one constant hold duration over non-decreasing `now`, so entries
+    /// expire in arrival order, as in a ring — answers `fresh` and
+    /// `mark_forwarded` identically to the naive reference map, and its
     /// sweep retains exactly the reference's entries. Sequence numbers
-    /// straddle both u16 wrap points; dense key reuse drives the
-    /// refresh-tombstone compaction path.
+    /// straddle both u16 wrap points; dense key reuse drives repeated
+    /// refreshes of live entries.
     #[test]
     fn duplicate_ring_matches_reference(
         steps in proptest::collection::vec(
@@ -346,8 +398,8 @@ proptest! {
             1..150,
         )
     ) {
-        let mut ring = DuplicateRing::new();
-        let mut reference = DuplicateSet::new();
+        let mut dup = DuplicateSet::new();
+        let mut reference = NaiveDuplicateSet::default();
         let mut now = SimTime::ZERO;
         for &(orig, seq, forward, advance, sweep) in &steps {
             now += SimDuration::from_secs(advance);
@@ -355,26 +407,128 @@ proptest! {
             let o = NodeId(orig);
             if forward {
                 prop_assert_eq!(
-                    ring.mark_forwarded(o, seq, hold),
-                    reference.mark_forwarded(o, seq, hold),
+                    dup.mark_forwarded(o, seq, hold),
+                    reference.mark_forwarded(orig, seq, hold),
                     "mark_forwarded diverged at {}",
                     now
                 );
             } else {
                 prop_assert_eq!(
-                    ring.fresh(o, seq, hold),
-                    reference.fresh(o, seq, hold),
+                    dup.fresh(o, seq, hold),
+                    reference.fresh(orig, seq, hold),
                     "fresh diverged at {}",
                     now
                 );
             }
             if sweep {
-                ring.sweep(now);
+                dup.sweep(now);
                 reference.sweep(now);
             }
-            prop_assert_eq!(ring.len(), reference.footprint().0, "entry counts diverged at {}", now);
+            prop_assert_eq!(dup.len(), reference.len(), "entry counts diverged at {}", now);
         }
     }
+}
+
+/// A refresh storm on a small key set, with a trickle of unique keys
+/// driving growth and expiry at the same time and seqs straddling the
+/// u16 wrap: every answer matches the naive map, and the table stays
+/// sized to the live entries.
+#[test]
+fn duplicate_set_survives_refresh_storm() {
+    let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+    let mut dup = DuplicateSet::new();
+    let mut naive = NaiveDuplicateSet::default();
+    for round in 0..200u64 {
+        let now = t(round);
+        let hold = now + SimDuration::from_secs(30);
+        for k in 0..8u16 {
+            let seq = (u16::MAX - 3).wrapping_add(k);
+            assert_eq!(
+                dup.fresh(NodeId(1), seq, hold),
+                naive.fresh(1, seq, hold),
+                "fresh diverged in round {round}"
+            );
+            assert_eq!(
+                dup.mark_forwarded(NodeId(1), seq, hold),
+                naive.mark_forwarded(1, seq, hold),
+                "mark_forwarded diverged in round {round}"
+            );
+        }
+        assert_eq!(
+            dup.fresh(NodeId(2), round as u16, hold),
+            naive.fresh(2, round as u16, hold)
+        );
+        dup.sweep(now);
+        naive.sweep(now);
+        assert_eq!(dup.len(), naive.len(), "sizes diverged in round {round}");
+    }
+    // The hold window is 30 s, so at most ~30 unique-key entries plus
+    // the 8 hot keys are live, and the slots follow them.
+    let entries = dup.len();
+    assert!(entries <= 40, "live entries bounded: {entries}");
+    assert!(
+        3 * dup_slots(&dup) <= 5 * entries,
+        "{} slots for {entries} live entries",
+        dup_slots(&dup)
+    );
+}
+
+/// A key is forwarded and refreshed, then a mass expiry sweeps every
+/// other entry and shrinks the table, and in the same tick the
+/// survivor is refreshed again and marked forwarded. A survivor lost or
+/// misplaced by the shrink would be reported unseen (re-processing a
+/// duplicate flood) or lose its forwarded bit (re-flooding); the naive
+/// map pins every answer.
+#[test]
+fn duplicate_refresh_survives_same_tick_mass_expiry() {
+    let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+    let mut dup = DuplicateSet::new();
+    let mut naive = NaiveDuplicateSet::default();
+    let survivor = 9;
+    // 300 short-hold entries build up capacity.
+    for seq in 0..300u16 {
+        let orig = u32::from(seq) % 7;
+        assert_eq!(
+            dup.fresh(NodeId(orig), seq, t(4)),
+            naive.fresh(orig, seq, t(4))
+        );
+    }
+    // The survivor arrives, is forwarded, and is refreshed once.
+    assert!(dup.fresh(NodeId(survivor), 42, t(4)) && naive.fresh(survivor, 42, t(4)));
+    assert!(
+        dup.mark_forwarded(NodeId(survivor), 42, t(4)) && naive.mark_forwarded(survivor, 42, t(4))
+    );
+    assert!(
+        !dup.fresh(NodeId(survivor), 42, t(6)) && !naive.fresh(survivor, 42, t(6)),
+        "refresh must report the key as already known"
+    );
+    let slots_before = dup_slots(&dup);
+    // Mass expiry: all 300 short-hold entries age out at t(4); only the
+    // refreshed survivor outlives the sweep.
+    dup.sweep(t(4));
+    naive.sweep(t(4));
+    assert_eq!(dup.len(), 1);
+    assert_eq!(naive.len(), 1);
+    assert!(
+        dup_slots(&dup) < slots_before && dup_slots(&dup) <= 4 * dup.len() + 8,
+        "mass expiry must shrink the table: {} slots before, {} after",
+        slots_before,
+        dup_slots(&dup)
+    );
+    // Same tick, after the shrink: the survivor is still found, with
+    // its forwarded bit intact.
+    assert!(
+        !dup.fresh(NodeId(survivor), 42, t(9)) && !naive.fresh(survivor, 42, t(9)),
+        "lookup after the shrink lost the survivor"
+    );
+    assert!(
+        !dup.mark_forwarded(NodeId(survivor), 42, t(9))
+            && !naive.mark_forwarded(survivor, 42, t(9)),
+        "forwarded bit lost across refresh + shrink"
+    );
+    // And a fresh key keeps agreeing afterwards.
+    assert!(dup.fresh(NodeId(11), 7, t(9)) && naive.fresh(11, 7, t(9)));
+    assert_eq!(dup.len(), naive.len());
 }
 
 /// Sustained churn — a stream of originators that each advertise once
@@ -389,7 +543,6 @@ fn long_churn_keeps_tables_and_store_bounded() {
     let mut shared = SharedTopology::new(store.clone());
     let mut per_node = TopologyBase::new();
     let mut dup = DuplicateSet::new();
-    let mut ring = DuplicateRing::new();
     let mut now = SimTime::ZERO;
     for round in 0..500u32 {
         let orig = NodeId(round);
@@ -399,12 +552,10 @@ fn long_churn_keeps_tables_and_store_bounded() {
         shared.process_tc_tracked(orig, seq, 0, &adv, now, hold);
         per_node.process_tc_tracked(orig, 0, &adv, now, hold);
         dup.fresh(orig, seq, hold);
-        ring.fresh(orig, seq, hold);
         now += SimDuration::from_secs(1);
         shared.sweep(now);
         per_node.sweep(now);
         dup.sweep(now);
-        ring.sweep(now);
     }
     // Only originators inside the hold window may remain resident.
     let bound = HOLD_S as usize;
@@ -419,14 +570,14 @@ fn long_churn_keeps_tables_and_store_bounded() {
         per_node.originators()
     );
     assert!(
-        dup.originators() <= bound,
-        "duplicate-set originators leak: {}",
-        dup.originators()
+        dup.len() <= bound,
+        "duplicate-set entries leak: {}",
+        dup.len()
     );
     assert!(
-        ring.len() <= bound,
-        "duplicate-ring entries leak: {}",
-        ring.len()
+        dup_slots(&dup) <= 8,
+        "duplicate-set slots leak: {}",
+        dup_slots(&dup)
     );
     let gauges = store.gauges();
     assert!(
@@ -448,7 +599,7 @@ fn long_churn_keeps_tables_and_store_bounded() {
 /// record as never-heard — so a crashed node is locked out of the
 /// flood for at most the hold windows, never wedged network-wide until
 /// the u16 half-window wraps. Pinned in both topology formulations and
-/// both duplicate-set representations.
+/// the duplicate set.
 #[test]
 fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
     const TOPOLOGY_HOLD_S: u64 = 15;
@@ -457,7 +608,6 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
     let mut shared = SharedTopology::new(store);
     let mut per_node = TopologyBase::new();
     let mut dup_set = DuplicateSet::new();
-    let mut ring = DuplicateRing::new();
     let o = NodeId(3);
     let pre_crash = advertised_links(&[1, 2]);
     let post_crash = advertised_links(&[5]);
@@ -468,7 +618,6 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
     let topo_hold = |now: SimTime| now + SimDuration::from_secs(TOPOLOGY_HOLD_S);
     for seq in 0u16..3 {
         assert!(dup_set.fresh(o, seq, dup_hold(t0)));
-        assert!(ring.fresh(o, seq, dup_hold(t0)));
     }
     assert!(
         shared
@@ -485,7 +634,6 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
     // ANSN 0. Every store must suppress it — the old records live on.
     let t1 = t0 + SimDuration::from_secs(1);
     assert!(!dup_set.fresh(o, 0, dup_hold(t1)), "seq 0 is still held");
-    assert!(!ring.fresh(o, 0, dup_hold(t1)), "seq 0 is still held");
     assert!(!shared.accepts_ansn(o, 0, t1), "ANSN 0 looks stale");
     assert!(!per_node.accepts_ansn(o, 0, t1), "ANSN 0 looks stale");
     assert!(
@@ -530,10 +678,8 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
     // suppressed attempt — bounded, not forever.
     let t3 = t1 + SimDuration::from_secs(DUPLICATE_HOLD_S + 1);
     dup_set.sweep(t3);
-    ring.sweep(t3);
     assert!(
         dup_set.fresh(o, 0, dup_hold(t3)),
         "seq 0 reusable post-hold"
     );
-    assert!(ring.fresh(o, 0, dup_hold(t3)), "seq 0 reusable post-hold");
 }

@@ -160,7 +160,8 @@ fn shared_store_replays_per_node_exactly() {
 /// base (and the capacity it retains): the one-shard run's per-node
 /// footprint and store gauges equal the values recorded from the
 /// single-queue engine, which never re-bound a rejoining node. The
-/// scenario power-cycles node 3.
+/// duplicate bytes are those of the flat duplicate table. The scenario
+/// power-cycles node 3.
 #[test]
 fn one_shard_churn_keeps_the_single_queue_footprint() {
     let footprint =
@@ -181,17 +182,17 @@ fn one_shard_churn_keeps_the_single_queue_footprint() {
     let golden = [
         (
             1,
-            footprint(823, 38_416, 4292, 144_672),
+            footprint(823, 38_416, 4292, 68_004),
             gauges(36, 65, 6308, 4087, 211),
         ),
         (
             7,
-            footprint(830, 38_064, 4458, 165_168),
+            footprint(830, 38_064, 4458, 69_768),
             gauges(36, 62, 6296, 4247, 217),
         ),
         (
             0x51C0_2010,
-            footprint(825, 35_008, 4413, 168_992),
+            footprint(825, 35_008, 4413, 68_352),
             gauges(37, 68, 6304, 4204, 217),
         ),
     ];
