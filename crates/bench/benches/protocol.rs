@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the live protocol substrate: full
 //! discrete-event OLSR networks (HELLO/TC exchange, MPR flooding), the
 //! wire codec, the routing-table hot path (from-scratch interned BFS vs
-//! the `BTreeMap` reference vs the incremental cache), HELLO/TC table
+//! the `BTreeMap` reference vs the incremental cache, the latter also
+//! over the shared store at one mobile node's scale), HELLO/TC table
 //! integration throughput, and the event-queue scheduler (timer wheel vs
 //! binary heap) under a HELLO/TC-like timer mix.
 
@@ -15,6 +16,7 @@ use qolsr_metrics::{BandwidthMetric, LinkQos};
 use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState, Message, Tc};
 use qolsr_proto::network::OlsrNetwork;
 use qolsr_proto::routing::{compute_routes, compute_routes_keys_into, reference_routes};
+use qolsr_proto::store::{SharedLinkStore, SharedTopology};
 use qolsr_proto::tables::{NeighborTables, TopologyBase};
 use qolsr_proto::wire;
 use qolsr_proto::{RouteCache, RouteScratch};
@@ -204,9 +206,83 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, TopologyBase, SimTime) {
     (nt, tb, now)
 }
 
+/// One node's tables shaped like a `mobile-traffic-500` node's, on the
+/// shared store: 10 symmetric neighbors reporting ~107 pairs, and 440
+/// originators advertising ~2.1 ids each, over ~480 distinct ids. Returns
+/// the neighbor tables and two topology bases that differ only in
+/// originator 1's advertised set, as after one TC that changed it.
+fn mobile_node_tables() -> (NeighborTables, [SharedTopology; 2], SimTime) {
+    const IDS: u64 = 480;
+    let mut rng = SimRng::seed_from_u64(0x0152);
+    let now = SimTime::ZERO;
+    let hold = now + SimDuration::from_secs(6);
+    let q = LinkQos::uniform(3);
+    let mut nt = NeighborTables::new();
+    for v in 1..=10u32 {
+        let mut neighbors = vec![HelloNeighbor {
+            id: NodeId(0),
+            state: LinkState::Symmetric,
+            qos: q,
+        }];
+        // 107 reported pairs over the 10 reporters.
+        for _ in 0..(if v <= 7 { 11 } else { 10 }) {
+            neighbors.push(HelloNeighbor {
+                id: NodeId(11 + rng.next_below(IDS - 11) as u32),
+                state: LinkState::Symmetric,
+                qos: q,
+            });
+        }
+        nt.process_hello(NodeId(0), NodeId(v), q, &Hello { neighbors }, now, hold);
+    }
+    let store = SharedLinkStore::new();
+    let t_hold = now + SimDuration::from_secs(15);
+    let mut bases = [
+        SharedTopology::new(store.clone()),
+        SharedTopology::new(store),
+    ];
+    for orig in 1..=440u32 {
+        let count = if rng.next_below(10) == 0 { 3 } else { 2 };
+        let adv: Vec<(NodeId, LinkQos)> = (0..count)
+            .map(|_| {
+                let id = 1 + rng.next_below(IDS - 2) as u32;
+                let id = if id >= orig { id + 1 } else { id };
+                (NodeId(id), LinkQos::uniform(1 + rng.next_below(200)))
+            })
+            .collect();
+        for base in &mut bases {
+            base.process_tc_tracked(NodeId(orig), 1, 1, &adv, now, t_hold);
+        }
+    }
+    let changed = [(NodeId(2), q), (NodeId(IDS as u32 - 1), q)];
+    let update = bases[1].process_tc_tracked(NodeId(1), 2, 2, &changed, now, t_hold);
+    assert!(update.links_changed, "the second base differs in one set");
+    (nt, bases, now)
+}
+
 fn bench_route_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("route_cache");
     group.sample_size(10);
+    let (nt, bases, now) = mobile_node_tables();
+    let query_at = now + SimDuration::from_secs(1);
+    // Alternating between the two bases makes every query a recompute.
+    group.bench_function("shared_mobile_node/recompute_one_set_changed", |b| {
+        let mut cache = RouteCache::new();
+        let mut turn = 0;
+        b.iter(|| {
+            turn ^= 1;
+            cache.invalidate();
+            cache.ensure(NodeId(0), &nt, &bases[turn], query_at);
+            black_box(cache.entries().len())
+        });
+    });
+    group.bench_function("shared_mobile_node/window_hit", |b| {
+        let mut cache = RouteCache::new();
+        cache.ensure(NodeId(0), &nt, &bases[0], query_at);
+        b.iter(|| {
+            cache.ensure(NodeId(0), &nt, &bases[0], query_at);
+            black_box(cache.entries().len())
+        });
+    });
     for n in [1000u32, 4000] {
         let (nt, tb, now) = primed_tables(n, 10);
         let query_at = now + SimDuration::from_secs(1);

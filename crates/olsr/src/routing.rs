@@ -7,16 +7,19 @@
 //! * [`compute_routes`] / [`compute_routes_keys_into`] — the from-scratch
 //!   BFS: ids are interned in arrival order through a hashed table, the
 //!   undirected adjacency is laid out as CSR by counting sort, and only
-//!   the root's row and the finished table are ever sorted, all in
-//!   reusable [`RouteScratch`] buffers (the original `BTreeMap`-per-call
-//!   formulation survives as [`reference_routes`], the oracle the
-//!   differential suites compare against);
+//!   the root's row is ever sorted, all in reusable [`RouteScratch`]
+//!   buffers. The table comes out in BFS order, not sorted by
+//!   destination (the original `BTreeMap`-per-call formulation survives
+//!   as [`reference_routes`], the oracle the differential suites compare
+//!   against);
 //! * [`RouteCache`] — the incremental layer [`OlsrNode`] owns: routes
 //!   are recomputed only when the route-relevant table content actually
 //!   changed (dirty flag from HELLO/TC integration, expiry horizon from
-//!   the tables' min-expiry accessors, and a cheap key comparison when
-//!   the horizon passes), otherwise served from the cached table. Every
-//!   cache on a thread recomputes through that thread's one scratch.
+//!   the tables' min-expiry accessors, and, when the horizon passes, a
+//!   comparison of the freshly interned input graph with the cached
+//!   table's), otherwise served from the cached table. Every cache on a
+//!   thread interns and recomputes through that thread's one scratch,
+//!   reading the topology base's link keys straight into it.
 //!
 //! Determinism: equal-length routes resolve to the smallest-id next hop,
 //! identical in every layer and proven by proptest. The BFS enqueues the
@@ -55,8 +58,8 @@ const FREE: u32 = u32::MAX;
 const UNREACHED: u32 = u32::MAX;
 
 /// Reusable buffers for [`compute_routes_keys_into`]: interning table,
-/// CSR adjacency and BFS state. One instance amortizes every allocation
-/// of repeated route computations to zero.
+/// the interned input graph, CSR adjacency and BFS state. One instance
+/// amortizes every allocation of repeated route computations to zero.
 #[derive(Debug, Default, Clone)]
 pub struct RouteScratch {
     /// Open-addressing `(id, dense index)` table, linear probing, a power
@@ -64,10 +67,12 @@ pub struct RouteScratch {
     slots: Vec<(NodeId, u32)>,
     /// `64 - log2(slots.len())`: turns a 64-bit hash into a slot.
     shift: u32,
-    /// Dense index → id, in arrival order.
-    ids: Vec<NodeId>,
-    /// One dense index pair per input link.
-    edges: Vec<(u32, u32)>,
+    /// The input graph: dense index → id in arrival order, and one
+    /// dense index pair per input link.
+    graph: InternedGraph,
+    /// First id of the last pair pushed, with its dense index, so a run
+    /// of pairs sharing a first id interns it once.
+    run: (NodeId, u32),
     /// CSR row offsets into `adj` (len = ids.len() + 1).
     offsets: Vec<u32>,
     /// CSR adjacency. Rows are unordered and may repeat an index.
@@ -80,20 +85,48 @@ pub struct RouteScratch {
     queue: Vec<u32>,
 }
 
+/// The interned form of one route computation's input: the ids in
+/// arrival order (`me` first) and one dense edge per input link, with
+/// the symmetric section (one `(0, i)` edge per neighbor) first, the
+/// reported pairs next and the topology pairs last. Mapping the edges
+/// back through `ids`, and splitting them at the two section lengths,
+/// recovers the three input lists exactly, and interning is
+/// deterministic, so two graphs are equal exactly when their inputs are.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct InternedGraph {
+    /// Edges from symmetric neighbors (compared first, being cheapest).
+    sym: usize,
+    /// Edges from reported pairs.
+    reported: usize,
+    ids: Vec<NodeId>,
+    edges: Vec<(u32, u32)>,
+}
+
+impl InternedGraph {
+    /// Makes `self` equal to `other`, reusing its buffers (a derived
+    /// `clone_from` would allocate fresh ones).
+    fn copy_from(&mut self, other: &Self) {
+        self.sym = other.sym;
+        self.reported = other.reported;
+        self.ids.clone_from(&other.ids);
+        self.edges.clone_from(&other.edges);
+    }
+}
+
 impl RouteScratch {
     /// Creates empty scratch buffers.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Empties the interning table, sized so that `mentions` (≥ 1)
+    /// Empties the interning table, sized so that `bound` (≥ 1)
     /// distinct ids would fill at most half of it.
-    fn reset_ids(&mut self, mentions: usize) {
-        let len = (2 * mentions).next_power_of_two();
+    fn reset_ids(&mut self, bound: usize) {
+        let len = (2 * bound).next_power_of_two();
         self.slots.clear();
         self.slots.resize(len, (NodeId(0), FREE));
         self.shift = 64 - len.trailing_zeros();
-        self.ids.clear();
+        self.graph.ids.clear();
     }
 
     /// The slot a probe for `id` starts at.
@@ -112,9 +145,9 @@ impl RouteScratch {
         loop {
             let (held, dense) = self.slots[slot];
             if dense == FREE {
-                let dense = self.ids.len() as u32;
+                let dense = self.graph.ids.len() as u32;
                 self.slots[slot] = (id, dense);
-                self.ids.push(id);
+                self.graph.ids.push(id);
                 return dense;
             }
             if held == id {
@@ -123,12 +156,126 @@ impl RouteScratch {
             slot = (slot + 1) & mask;
         }
     }
+
+    /// Starts a new input graph rooted at `me` (dense index 0) holding
+    /// the neighbor-table keys, its interning table sized for them plus
+    /// `more_ids` distinct ids still to come through
+    /// [`RouteScratch::push_pair`].
+    fn begin(
+        &mut self,
+        me: NodeId,
+        sym: &[NodeId],
+        reported: &[(NodeId, NodeId)],
+        more_ids: usize,
+    ) {
+        self.reset_ids(1 + sym.len() + 2 * reported.len() + more_ids);
+        let root = self.intern(me);
+        self.run = (me, root);
+        self.graph.edges.clear();
+        for &nbr in sym {
+            let i = self.intern(nbr);
+            self.graph.edges.push((root, i));
+        }
+        for &(a, b) in reported {
+            self.push_pair(a, b);
+        }
+        self.graph.sym = sym.len();
+        self.graph.reported = reported.len();
+    }
+
+    /// Adds the link `a — b`.
+    fn push_pair(&mut self, a: NodeId, b: NodeId) {
+        if self.run.0 != a {
+            self.run = (a, self.intern(a));
+        }
+        let ib = self.intern(b);
+        self.graph.edges.push((self.run.1, ib));
+    }
+
+    /// Hop-count BFS over the graph pushed since [`RouteScratch::begin`],
+    /// writing the table to `out` in BFS order.
+    fn routes_into(&mut self, out: &mut Vec<RouteEntry>) {
+        let RouteScratch {
+            graph: InternedGraph { ids, edges, .. },
+            offsets,
+            adj,
+            dist,
+            next,
+            queue,
+            ..
+        } = self;
+        let n = ids.len();
+        let me = ids[0];
+
+        // Undirected CSR by counting sort. Repeated links are left in:
+        // the BFS skips an already-reached index anyway.
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for &(a, b) in edges.iter() {
+            offsets[a as usize] += 1;
+            offsets[b as usize] += 1;
+        }
+        // Running sums make `offsets[i]` the end of row `i`; filling each
+        // row backwards then leaves it at the row's start.
+        let mut end = 0;
+        for o in offsets.iter_mut() {
+            end += *o;
+            *o = end;
+        }
+        adj.clear();
+        adj.resize(end as usize, 0);
+        for &(a, b) in edges.iter() {
+            offsets[a as usize] -= 1;
+            adj[offsets[a as usize] as usize] = b;
+            offsets[b as usize] -= 1;
+            adj[offsets[b as usize] as usize] = a;
+        }
+        let offsets = &offsets[..];
+        let row = |x: u32| offsets[x as usize] as usize..offsets[x as usize + 1] as usize;
+
+        // BFS from `me`, first hops enqueued in ascending id order (see
+        // the module docs for why no other row needs sorting).
+        dist.clear();
+        dist.resize(n, UNREACHED);
+        next.clear();
+        next.resize(n, me);
+        queue.clear();
+        dist[0] = 0;
+        let first_hops = &mut adj[row(0)];
+        first_hops.sort_unstable_by_key(|&y| ids[y as usize]);
+        for &y in first_hops.iter() {
+            if dist[y as usize] == UNREACHED {
+                dist[y as usize] = 1;
+                next[y as usize] = ids[y as usize];
+                queue.push(y);
+            }
+        }
+        let mut head = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
+            let (d, nh) = (dist[x as usize] + 1, next[x as usize]);
+            for &y in &adj[row(x)] {
+                if dist[y as usize] == UNREACHED {
+                    dist[y as usize] = d;
+                    next[y as usize] = nh;
+                    queue.push(y);
+                }
+            }
+        }
+
+        out.clear();
+        out.extend(queue.iter().map(|&x| RouteEntry {
+            dest: ids[x as usize],
+            next_hop: next[x as usize],
+            hops: dist[x as usize],
+        }));
+    }
 }
 
 /// From-scratch hop-count BFS over the route-relevant *link pairs*
 /// (QoS labels never influence hop-count routes), writing the resulting
-/// table — ascending by destination — into `out` without allocating
-/// (steady state) thanks to `scratch`.
+/// table — in BFS order, so by non-decreasing hop count — into `out`
+/// without allocating (steady state) thanks to `scratch`.
 ///
 /// Inputs: `sym` are the symmetric neighbor ids, `reported` the
 /// `(reporter, other end)` pairs from HELLOs, `advertised` the
@@ -144,93 +291,11 @@ pub fn compute_routes_keys_into(
 ) {
     // Intern every mentioned id in arrival order (`me` is index 0) and
     // keep each link as a dense pair.
-    scratch.reset_ids(1 + sym.len() + 2 * (reported.len() + advertised.len()));
-    let root = scratch.intern(me);
-    scratch.edges.clear();
-    for &nbr in sym {
-        let i = scratch.intern(nbr);
-        scratch.edges.push((root, i));
+    scratch.begin(me, sym, reported, 2 * advertised.len());
+    for &(a, b) in advertised {
+        scratch.push_pair(a, b);
     }
-    for &(a, b) in reported.iter().chain(advertised) {
-        let ia = scratch.intern(a);
-        let ib = scratch.intern(b);
-        scratch.edges.push((ia, ib));
-    }
-    let n = scratch.ids.len();
-
-    // Undirected CSR by counting sort. Repeated links are left in:
-    // the BFS skips an already-reached index anyway.
-    let RouteScratch {
-        ids,
-        edges,
-        offsets,
-        adj,
-        dist,
-        next,
-        queue,
-        ..
-    } = scratch;
-    offsets.clear();
-    offsets.resize(n + 1, 0);
-    for &(a, b) in edges.iter() {
-        offsets[a as usize] += 1;
-        offsets[b as usize] += 1;
-    }
-    // Running sums make `offsets[i]` the end of row `i`; filling each row
-    // backwards then leaves it at the row's start.
-    let mut end = 0;
-    for o in offsets.iter_mut() {
-        end += *o;
-        *o = end;
-    }
-    adj.clear();
-    adj.resize(end as usize, 0);
-    for &(a, b) in edges.iter() {
-        offsets[a as usize] -= 1;
-        adj[offsets[a as usize] as usize] = b;
-        offsets[b as usize] -= 1;
-        adj[offsets[b as usize] as usize] = a;
-    }
-    let offsets = &offsets[..];
-    let row = |x: u32| offsets[x as usize] as usize..offsets[x as usize + 1] as usize;
-
-    // BFS from `me`, first hops enqueued in ascending id order (see the
-    // module docs for why no other row needs sorting).
-    dist.clear();
-    dist.resize(n, UNREACHED);
-    next.clear();
-    next.resize(n, me);
-    queue.clear();
-    dist[root as usize] = 0;
-    let first_hops = &mut adj[row(root)];
-    first_hops.sort_unstable_by_key(|&y| ids[y as usize]);
-    for &y in first_hops.iter() {
-        if dist[y as usize] == UNREACHED {
-            dist[y as usize] = 1;
-            next[y as usize] = ids[y as usize];
-            queue.push(y);
-        }
-    }
-    let mut head = 0;
-    while let Some(&x) = queue.get(head) {
-        head += 1;
-        let (d, nh) = (dist[x as usize] + 1, next[x as usize]);
-        for &y in &adj[row(x)] {
-            if dist[y as usize] == UNREACHED {
-                dist[y as usize] = d;
-                next[y as usize] = nh;
-                queue.push(y);
-            }
-        }
-    }
-
-    out.clear();
-    out.extend(queue.iter().map(|&x| RouteEntry {
-        dest: ids[x as usize],
-        next_hop: next[x as usize],
-        hops: dist[x as usize],
-    }));
-    out.sort_unstable_by_key(|e| e.dest);
+    scratch.routes_into(out);
 }
 
 /// Computes hop-count routes from `me` given its symmetric neighbors, the
@@ -313,9 +378,10 @@ pub fn reference_routes(
 }
 
 thread_local! {
-    /// The BFS buffers every [`RouteCache`] on this thread recomputes
-    /// through. They hold nothing between recomputes, so one copy per
-    /// thread serves all of its nodes. The sharded engine's per-window
+    /// The interning and BFS buffers every [`RouteCache`] on this thread
+    /// gathers and recomputes through. [`RouteScratch::begin`] clears
+    /// whatever an earlier query left in them, so one copy per thread
+    /// serves all of its nodes. The sharded engine's per-window
     /// worker threads each start from an empty copy, which costs a few
     /// allocations per window and shard.
     static SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::new());
@@ -331,31 +397,33 @@ thread_local! {
 ///    `[cached_at, valid_until)`, the span in which no contributing
 ///    tuple can expire. Zero work.
 /// 2. **revalidation hit** — the window lapsed, the dirty flag was set,
-///    or time moved non-monotonically, but re-gathering the live input
-///    *keys* shows the topology content still equals the cached table's
-///    (lifetime refreshes and QoS drift don't alter hop routes). Costs
-///    one allocation-free table scan and comparison, no BFS.
-/// 3. **recompute** — the keys differ from the cached table's, or no
-///    table was ever computed: full BFS through the thread's
-///    [`RouteScratch`].
+///    or time moved non-monotonically, but the live input *keys*,
+///    interned into the thread's [`RouteScratch`], form the same graph
+///    as the cached table's (lifetime refreshes and QoS drift don't
+///    alter hop routes). Costs one interning pass and comparison, no
+///    BFS.
+/// 3. **recompute** — the interned graph differs from the cached
+///    table's, or no table was ever computed: CSR and BFS over the
+///    graph already interned, which the cache then copies as its
+///    revalidation key.
+///
+/// The table is kept in BFS order (non-decreasing hop count), not
+/// sorted by destination; [`RouteCache::lookup`] scans it.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     /// No route-relevant table change was flagged since the last
     /// compute/revalidation.
     valid: bool,
-    /// A table has ever been computed (so `key_*`/`routes` are a
+    /// A table has ever been computed (so `key`/`routes` are a
     /// consistent pair and key equality implies route equality).
     computed: bool,
     cached_at: SimTime,
     valid_until: SimTime,
-    /// Input keys of the cached table.
-    key_sym: Vec<NodeId>,
-    key_reported: Vec<(NodeId, NodeId)>,
-    key_topo: Vec<(NodeId, NodeId)>,
-    /// Gather buffers for the current query's live keys.
+    /// Interned input graph of the cached table.
+    key: InternedGraph,
+    /// Gather buffers for the current query's neighbor-table keys.
     gather_sym: Vec<NodeId>,
     gather_reported: Vec<(NodeId, NodeId)>,
-    gather_topo: Vec<(NodeId, NodeId)>,
     routes: Vec<RouteEntry>,
     recomputes: u64,
     hits: u64,
@@ -393,62 +461,49 @@ impl RouteCache {
             self.hits += 1;
             return;
         }
-        // Gather the live input keys (and the earliest instant any of
-        // them can expire) without allocating in steady state. Keys
+        // Intern the live input keys (and find the earliest instant any
+        // of them can expire) without allocating in steady state. Keys
         // only: hop-count routing never reads the QoS labels, so QoS
-        // drift neither enters the comparison nor gets copied.
+        // drift neither enters the comparison nor gets decoded.
         let sym_exp = neighbors.symmetric_keys_into(now, &mut self.gather_sym);
         let rep_exp = neighbors.reported_keys_into(now, &mut self.gather_reported);
-        let topo_exp = topology.link_keys_into(now, &mut self.gather_topo);
-        let valid_until = sym_exp.min(rep_exp).min(topo_exp);
-
-        if self.computed
-            && self.gather_sym == self.key_sym
-            && self.gather_reported == self.key_reported
-            && self.gather_topo == self.key_topo
-        {
-            // Same topology content as the cached table — whether the
-            // window merely lapsed or a dirty flag turned out to be a
-            // no-op — so the routes are already exact: revalidate.
-            self.valid = true;
-            self.cached_at = now;
-            self.valid_until = valid_until;
-            self.hits += 1;
-            return;
-        }
-
         SCRATCH.with_borrow_mut(|scratch| {
-            compute_routes_keys_into(
+            scratch.begin(
                 me,
                 &self.gather_sym,
                 &self.gather_reported,
-                &self.gather_topo,
-                scratch,
-                &mut self.routes,
-            )
+                topology.id_bound(),
+            );
+            let topo_exp = topology.for_each_link_key(now, |a, b| scratch.push_pair(a, b));
+            self.cached_at = now;
+            self.valid_until = sym_exp.min(rep_exp).min(topo_exp);
+            self.valid = true;
+            if self.computed && scratch.graph == self.key {
+                // Same topology content as the cached table — whether
+                // the window merely lapsed or a dirty flag turned out to
+                // be a no-op — so the routes are already exact:
+                // revalidate.
+                self.hits += 1;
+                return;
+            }
+            scratch.routes_into(&mut self.routes);
+            // A copy, not a swap: swapping would hand the thread's
+            // scratch this cache's cold buffers for the next recompute.
+            self.key.copy_from(&scratch.graph);
+            self.computed = true;
+            self.recomputes += 1;
         });
-        std::mem::swap(&mut self.key_sym, &mut self.gather_sym);
-        std::mem::swap(&mut self.key_reported, &mut self.gather_reported);
-        std::mem::swap(&mut self.key_topo, &mut self.gather_topo);
-        self.valid = true;
-        self.computed = true;
-        self.cached_at = now;
-        self.valid_until = valid_until;
-        self.recomputes += 1;
     }
 
-    /// The cached route table, ascending by destination. Only valid
-    /// right after [`RouteCache::ensure`].
+    /// The cached route table in BFS order (non-decreasing hop count).
+    /// Only valid right after [`RouteCache::ensure`].
     pub fn entries(&self) -> &[RouteEntry] {
         &self.routes
     }
 
-    /// Looks up the cached route to `dest`.
+    /// Looks up the cached route to `dest` by a scan of the table.
     pub fn lookup(&self, dest: NodeId) -> Option<RouteEntry> {
-        self.routes
-            .binary_search_by_key(&dest, |e| e.dest)
-            .ok()
-            .map(|i| self.routes[i])
+        self.routes.iter().find(|e| e.dest == dest).copied()
     }
 }
 
@@ -544,10 +599,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dirty_but_unchanged_keys_revalidate_without_recompute() {
+    /// Drives one node's cache through a no-op invalidation, a QoS-only
+    /// TC refresh and two real changes, over the topology base `tb`
+    /// that `tc` integrates TCs into (`tc(base, seq, advertised, now)`
+    /// for originator 1, with ANSN = seq).
+    fn revalidates_unchanged_keys<T: TopologyLinks>(
+        mut tb: T,
+        tc: impl Fn(&mut T, u16, &[(NodeId, LinkQos)], SimTime) -> crate::tables::TcUpdate,
+    ) {
         use crate::messages::{Hello, HelloNeighbor, LinkState};
-        use crate::tables::TopologyBase;
         use qolsr_sim::SimDuration;
 
         let me = NodeId(0);
@@ -561,23 +621,99 @@ mod tests {
             }],
         };
         nt.process_hello(me, NodeId(1), q(), &hello, t(0), t(6));
-        let tb = TopologyBase::new();
+        assert!(tc(&mut tb, 1, &[(NodeId(3), q())], t(0)).links_changed);
 
         let mut cache = RouteCache::new();
         cache.ensure(me, &nt, &tb, t(1));
         assert_eq!(cache.counters(), (1, 0));
+        assert_eq!(cache.entries().len(), 2);
         // A no-op invalidation (content unchanged) must downgrade to a
         // revalidation hit, not a recompute.
         cache.invalidate();
         cache.ensure(me, &nt, &tb, t(2));
         assert_eq!(cache.counters(), (1, 1));
-        assert_eq!(cache.entries().len(), 1);
-        // A real content change still recomputes.
+        assert_eq!(cache.entries().len(), 2);
+        // So must a TC that only changes QoS.
+        let refresh = tc(&mut tb, 2, &[(NodeId(3), LinkQos::uniform(9))], t(2));
+        assert!(refresh.applied && !refresh.links_changed);
+        cache.invalidate();
+        cache.ensure(me, &nt, &tb, t(2));
+        assert_eq!(cache.counters(), (1, 2));
+        // A real content change still recomputes: a new neighbor...
         nt.process_hello(me, NodeId(2), q(), &hello, t(2), t(8));
         cache.invalidate();
         cache.ensure(me, &nt, &tb, t(3));
-        assert_eq!(cache.counters(), (2, 1));
-        assert_eq!(cache.entries().len(), 2);
+        assert_eq!(cache.counters(), (2, 2));
+        assert_eq!(cache.entries().len(), 3);
+        // ...and a TC that advertises one more link.
+        assert!(tc(&mut tb, 3, &[(NodeId(3), q()), (NodeId(4), q())], t(3)).links_changed);
+        cache.invalidate();
+        cache.ensure(me, &nt, &tb, t(3));
+        assert_eq!(cache.counters(), (3, 2));
+        assert_eq!(cache.lookup(NodeId(4)).map(|e| e.hops), Some(2));
+        assert_eq!(cache.entries().len(), 4);
+    }
+
+    #[test]
+    fn dirty_but_unchanged_keys_revalidate_without_recompute() {
+        use crate::tables::TopologyBase;
+        revalidates_unchanged_keys(TopologyBase::new(), |tb, seq, adv, now| {
+            let hold = now + qolsr_sim::SimDuration::from_secs(20);
+            tb.process_tc_tracked(NodeId(1), seq, adv, now, hold)
+        });
+    }
+
+    #[test]
+    fn dirty_but_unchanged_keys_revalidate_on_the_shared_store() {
+        use crate::store::{SharedLinkStore, SharedTopology};
+        let store = SharedLinkStore::new();
+        revalidates_unchanged_keys(SharedTopology::new(store.clone()), |tb, seq, adv, now| {
+            let hold = now + qolsr_sim::SimDuration::from_secs(20);
+            tb.process_tc_tracked(NodeId(1), seq, seq, adv, now, hold)
+        });
+        assert_eq!(
+            store.gauges().live_slots,
+            0,
+            "dropping the base releases its sets"
+        );
+    }
+
+    #[test]
+    fn a_link_moving_between_input_sections_recomputes() {
+        use crate::messages::{Hello, HelloNeighbor, LinkState};
+        use crate::tables::TopologyBase;
+        use qolsr_sim::SimDuration;
+
+        // The link 1 — 2 is first reported in a HELLO, then only
+        // advertised in a TC: the interned ids and edges come out the
+        // same, but the key lists differ, so the cache must recompute.
+        let me = NodeId(0);
+        let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let hello = |reports: &[u32]| Hello {
+            neighbors: std::iter::once(me)
+                .chain(reports.iter().map(|&r| NodeId(r)))
+                .map(|id| HelloNeighbor {
+                    id,
+                    state: LinkState::Symmetric,
+                    qos: q(),
+                })
+                .collect(),
+        };
+        let mut nt = NeighborTables::new();
+        let mut tb = TopologyBase::new();
+        nt.process_hello(me, NodeId(1), q(), &hello(&[2]), t(0), t(6));
+        let mut cache = RouteCache::new();
+        cache.ensure(me, &nt, &tb, t(1));
+        assert_eq!(cache.counters(), (1, 0));
+        // Keep 1 symmetric past t(6) without reporting 2 again.
+        nt.process_hello(me, NodeId(1), q(), &hello(&[]), t(4), t(14));
+        let update = tb.process_tc_tracked(NodeId(1), 1, &[(NodeId(2), q())], t(5), t(20));
+        assert!(update.links_changed);
+        cache.invalidate();
+        // At t(7) the reported copy expired and the advertised one holds.
+        cache.ensure(me, &nt, &tb, t(7));
+        assert_eq!(cache.counters(), (2, 0));
+        assert_eq!(cache.lookup(NodeId(2)).map(|e| e.hops), Some(2));
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! # Packing
 //!
 //! A slot's payload is the advertised list sorted ascending by id,
-//! delta-compressed: LEB128 varints of the id deltas followed by
-//! varints of the three QoS components. Typical advertised sets (a
-//! handful of nearby ids with small QoS values) pack into a few bytes
-//! per link instead of the 40-byte in-memory tuple.
+//! delta-compressed into two blocks: first the LEB128 varints of every
+//! id delta, then the varints of every link's three QoS components.
+//! Typical advertised sets (a handful of nearby ids with small QoS
+//! values) pack into a few bytes per link instead of the 40-byte
+//! in-memory tuple. The id block comes first so that the route
+//! computation, which reads only the ids, stops at its end.
 //!
 //! # Correctness under sequence reuse
 //!
@@ -70,14 +72,17 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
-/// Encodes a sorted advertised list into `out` (cleared first).
+/// Encodes a sorted advertised list into `out` (cleared first): the id
+/// block, then the QoS block (see the module docs).
 fn encode_links(links: &[(NodeId, LinkQos)], out: &mut Vec<u8>) {
     out.clear();
     let mut prev = 0u32;
-    for &(adv, qos) in links {
+    for &(adv, _) in links {
         debug_assert!(adv.0 >= prev, "advertised list must be sorted");
         put_varint(out, u64::from(adv.0 - prev));
         prev = adv.0;
+    }
+    for &(_, qos) in links {
         put_varint(out, qos.bandwidth.value());
         put_varint(out, qos.delay.value());
         put_varint(out, qos.energy.value());
@@ -265,36 +270,44 @@ impl LinkSetStore {
     /// Appends the referenced set as `(originator, advertised, qos)`
     /// triples, ascending by advertised id.
     pub fn links_append(&self, r: SetRef, orig: NodeId, out: &mut Vec<(NodeId, NodeId, LinkQos)>) {
-        self.decode(r, |adv, qos| out.push((orig, adv, qos)));
-    }
-
-    /// Appends the referenced set as `(originator, advertised)` pairs,
-    /// ascending by advertised id.
-    pub fn keys_append(&self, r: SetRef, orig: NodeId, out: &mut Vec<(NodeId, NodeId)>) {
-        self.decode(r, |adv, _| out.push((orig, adv)));
-    }
-
-    /// Appends the advertised ids of the referenced set, ascending.
-    pub fn ids_append(&self, r: SetRef, out: &mut Vec<NodeId>) {
-        self.decode(r, |adv, _| out.push(adv));
-    }
-
-    fn decode(&self, r: SetRef, mut visit: impl FnMut(NodeId, LinkQos)) {
-        let s = &self.slots[r.0 as usize];
-        debug_assert!(s.refs > 0, "decode of a freed slot");
-        let buf = &s.packed;
+        let buf = &self.slots[r.0 as usize].packed;
+        // The QoS block starts where the id block ends.
         let mut pos = 0;
-        let mut prev = 0u32;
-        for _ in 0..s.links {
-            prev += get_varint(buf, &mut pos) as u32;
+        for _ in 0..self.link_count(r) {
+            get_varint(buf, &mut pos);
+        }
+        for adv in self.ids(r) {
             let qos = LinkQos {
                 bandwidth: Bandwidth(get_varint(buf, &mut pos)),
                 delay: Delay(get_varint(buf, &mut pos)),
                 energy: Energy(get_varint(buf, &mut pos)),
             };
-            visit(NodeId(prev), qos);
+            out.push((orig, adv, qos));
         }
         debug_assert_eq!(pos, buf.len(), "payload fully consumed");
+    }
+
+    /// Appends the advertised ids of the referenced set, ascending.
+    pub fn ids_append(&self, r: SetRef, out: &mut Vec<NodeId>) {
+        // One push at a time, not `extend`: reserving the exact length
+        // up front would grow `out` to other capacities, and callers'
+        // footprints report those.
+        for id in self.ids(r) {
+            out.push(id);
+        }
+    }
+
+    /// The advertised ids of the referenced set, ascending: a walk over
+    /// the id block that never reads the QoS block.
+    pub fn ids(&self, r: SetRef) -> impl Iterator<Item = NodeId> + '_ {
+        let s = &self.slots[r.0 as usize];
+        debug_assert!(s.refs > 0, "decode of a freed slot");
+        let mut pos = 0;
+        let mut prev = 0u32;
+        (0..s.links).map(move |_| {
+            prev += get_varint(&s.packed, &mut pos) as u32;
+            NodeId(prev)
+        })
     }
 
     /// Current resident-memory and dedup statistics.
@@ -539,14 +552,22 @@ impl SharedTopology {
         min_expiry
     }
 
-    /// Key-only variant of [`SharedTopology::links_into`].
-    pub fn link_keys_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId)>) -> SimTime {
-        out.clear();
+    /// Calls `visit(originator, advertised)` for every live advertised
+    /// link, ascending by `(originator, advertised)`, reading only the
+    /// sets' id blocks; returns the earliest expiry among them
+    /// (far-future when there are none).
+    pub fn for_each_link_key(
+        &self,
+        now: SimTime,
+        mut visit: impl FnMut(NodeId, NodeId),
+    ) -> SimTime {
         let mut min_expiry = FAR_FUTURE;
         let st = self.store.lock();
         for o in &self.overlays {
             if o.until > now && st.link_count(o.set) > 0 {
-                st.keys_append(o.set, o.orig, out);
+                for adv in st.ids(o.set) {
+                    visit(o.orig, adv);
+                }
                 min_expiry = min_expiry.min(o.until);
             }
         }
@@ -596,6 +617,7 @@ impl Drop for SharedTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qolsr_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
@@ -689,6 +711,146 @@ mod tests {
         st.links_append(a, NodeId(4), &mut out);
         assert!(out.is_empty());
         st.release(a);
+    }
+
+    /// The acquire/release/repoint sequence whose gauges
+    /// `payload_size_and_overhead_are_pinned` pins.
+    fn gauge_history() -> (LinkSetStore, [StoreGauges; 2]) {
+        let wide = LinkQos::with_energy(Bandwidth(127), Delay(128), Energy(u64::MAX));
+        let mut st = LinkSetStore::new();
+        let a = st.acquire(NodeId(1), 1, &[(NodeId(2), q(0)), (NodeId(300), wide)]);
+        let b = st.acquire(NodeId(1), 1, &[(NodeId(2), q(0)), (NodeId(300), wide)]);
+        // Same key, new content: repointed.
+        let c = st.acquire(NodeId(1), 1, &[(NodeId(5), q(128))]);
+        let d = st.acquire(
+            NodeId(7),
+            9,
+            &[(NodeId(1 << 22), q(200)), (NodeId(u32::MAX), q(1))],
+        );
+        let e = st.acquire(NodeId(7), 10, &[]);
+        let mid = st.gauges();
+        st.release(a);
+        st.release(e);
+        let f = st.acquire(
+            NodeId(3),
+            4,
+            &[(NodeId(8), q(70_000)), (NodeId(9), q(u64::MAX))],
+        );
+        st.release(c);
+        let end = st.gauges();
+        for r in [b, d, f] {
+            st.release(r);
+        }
+        (st, [mid, end])
+    }
+
+    #[test]
+    fn payload_size_and_overhead_are_pinned() {
+        // Recorded before the id block and the QoS block were split: the
+        // layout moves the bytes, never their count.
+        let (st, [mid, end]) = gauge_history();
+        assert_eq!(
+            mid,
+            StoreGauges {
+                live_slots: 4,
+                resident_links: 5,
+                resident_bytes: 412,
+                dedup_hits: 1,
+                slots_interned: 4,
+            }
+        );
+        assert_eq!(
+            end,
+            StoreGauges {
+                live_slots: 3,
+                resident_links: 6,
+                resident_bytes: 494,
+                dedup_hits: 1,
+                slots_interned: 5,
+            }
+        );
+        assert_eq!(
+            st.gauges(),
+            StoreGauges {
+                live_slots: 0,
+                resident_links: 0,
+                resident_bytes: 416,
+                dedup_hits: 1,
+                slots_interned: 5,
+            }
+        );
+    }
+
+    /// LEB128 length of `v`.
+    fn varint_len(v: u64) -> usize {
+        (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+    }
+
+    /// QoS components at the varint length boundaries, plus anything.
+    fn component() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(127),
+            Just(128),
+            Just(u64::MAX),
+            any::<u64>(),
+        ]
+    }
+
+    /// Id gaps: small, at the one-byte boundary, and past 2^21 (four
+    /// varint bytes).
+    fn gap() -> impl Strategy<Value = u32> {
+        prop_oneof![1u32..4, Just(128), (1u32 << 21)..(1u32 << 24)]
+    }
+
+    proptest! {
+        /// Any sorted advertised list round-trips through the packed
+        /// form, id block and QoS block alike, and packs into exactly
+        /// the sum of its fields' varint lengths.
+        #[test]
+        fn packed_sets_round_trip(
+            start in 0u32..1000,
+            fields in proptest::collection::vec((gap(), component(), component(), component()), 0..12),
+        ) {
+            let mut links = Vec::new();
+            let mut id = start;
+            for (i, &(g, bw, delay, energy)) in fields.iter().enumerate() {
+                if i > 0 {
+                    id = id.saturating_add(g);
+                }
+                if links.last().is_some_and(|&(last, _)| last == NodeId(id)) {
+                    break;
+                }
+                links.push((NodeId(id), LinkQos::with_energy(Bandwidth(bw), Delay(delay), Energy(energy))));
+            }
+            let mut st = LinkSetStore::new();
+            let r = st.acquire(NodeId(7), 3, &links);
+            prop_assert_eq!(st.link_count(r), links.len());
+
+            let mut triples = Vec::new();
+            st.links_append(r, NodeId(7), &mut triples);
+            let expected: Vec<_> = links.iter().map(|&(adv, qos)| (NodeId(7), adv, qos)).collect();
+            prop_assert_eq!(triples, expected);
+            let mut ids = Vec::new();
+            st.ids_append(r, &mut ids);
+            let expected_ids: Vec<NodeId> = links.iter().map(|&(adv, _)| adv).collect();
+            prop_assert_eq!(ids, expected_ids);
+
+            let mut prev = 0;
+            let fields_len: usize = links
+                .iter()
+                .map(|&(adv, qos)| {
+                    let delta = u64::from(adv.0 - prev);
+                    prev = adv.0;
+                    varint_len(delta)
+                        + varint_len(qos.bandwidth.value())
+                        + varint_len(qos.delay.value())
+                        + varint_len(qos.energy.value())
+                })
+                .sum();
+            prop_assert_eq!(st.slots[r.0 as usize].packed.len(), fields_len);
+            prop_assert_eq!(st.payload_bytes, fields_len);
+        }
     }
 
     #[test]

@@ -628,22 +628,16 @@ impl TopologyBase {
         self.count = 0;
     }
 
-    /// Shared scan behind the advertised-link accessors: pushes
-    /// `map(originator, link)` for every live tuple, ascending by
+    /// Shared scan behind the advertised-link accessors: calls
+    /// `visit(originator, link)` for every live tuple, ascending by
     /// `(originator, advertised)`, and returns the earliest expiry among
     /// them (far-future when empty).
-    fn links_scan<T>(
-        &self,
-        now: SimTime,
-        out: &mut Vec<T>,
-        mut map: impl FnMut(NodeId, &TopoLink) -> T,
-    ) -> SimTime {
-        out.clear();
+    fn live_scan(&self, now: SimTime, mut visit: impl FnMut(NodeId, &TopoLink)) -> SimTime {
         let mut min_expiry = FAR_FUTURE;
         for (orig, set) in &self.sets {
             for l in set {
                 if l.until > now {
-                    out.push(map(*orig, l));
+                    visit(*orig, l);
                     min_expiry = min_expiry.min(l.until);
                 }
             }
@@ -656,14 +650,19 @@ impl TopologyBase {
     /// `(originator, advertised)`; returns the earliest expiry among
     /// them (far-future when empty).
     pub fn links_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId, LinkQos)>) -> SimTime {
-        self.links_scan(now, out, |orig, l| (orig, l.adv, l.qos))
+        out.clear();
+        self.live_scan(now, |orig, l| out.push((orig, l.adv, l.qos)))
     }
 
-    /// Key-only variant of [`TopologyBase::links_into`]: the
-    /// `(originator, advertised)` pairs alone, same order and min-expiry
-    /// return.
-    pub fn link_keys_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId)>) -> SimTime {
-        self.links_scan(now, out, |orig, l| (orig, l.adv))
+    /// Key-only visitor over the live links: calls
+    /// `visit(originator, advertised)` in the order of
+    /// [`TopologyBase::links_into`] and returns the same min-expiry.
+    pub fn for_each_link_key(
+        &self,
+        now: SimTime,
+        mut visit: impl FnMut(NodeId, NodeId),
+    ) -> SimTime {
+        self.live_scan(now, |orig, l| visit(orig, l.adv))
     }
 
     /// All live advertised links as `(originator, advertised, qos)`.
@@ -709,35 +708,34 @@ impl TopologyBase {
 /// [`NodeTopology`] dispatcher so the route cache works against any of
 /// them.
 pub trait TopologyLinks {
-    /// Fills `out` with all live advertised links as
-    /// `(originator, advertised, qos)`, ascending by
-    /// `(originator, advertised)`; returns the earliest expiry among
-    /// them (far-future when empty).
-    fn links_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId, LinkQos)>) -> SimTime;
+    /// An upper bound on the distinct ids the pairs of
+    /// [`TopologyLinks::for_each_link_key`] mention: one per originator
+    /// plus one per stored link, expired-but-unswept ones included.
+    fn id_bound(&self) -> usize;
 
-    /// Key-only variant of [`TopologyLinks::links_into`]: the
-    /// `(originator, advertised)` pairs alone, same order and
-    /// min-expiry return.
-    fn link_keys_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId)>) -> SimTime;
+    /// Calls `visit(originator, advertised)` for every live advertised
+    /// link, ascending by `(originator, advertised)`; returns the
+    /// earliest expiry among them (far-future when there are none).
+    fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime;
 }
 
 impl TopologyLinks for TopologyBase {
-    fn links_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId, LinkQos)>) -> SimTime {
-        TopologyBase::links_into(self, now, out)
+    fn id_bound(&self) -> usize {
+        self.originators() + self.len()
     }
 
-    fn link_keys_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId)>) -> SimTime {
-        TopologyBase::link_keys_into(self, now, out)
+    fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {
+        TopologyBase::for_each_link_key(self, now, visit)
     }
 }
 
 impl TopologyLinks for SharedTopology {
-    fn links_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId, LinkQos)>) -> SimTime {
-        SharedTopology::links_into(self, now, out)
+    fn id_bound(&self) -> usize {
+        self.originators() + self.len()
     }
 
-    fn link_keys_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId)>) -> SimTime {
-        SharedTopology::link_keys_into(self, now, out)
+    fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {
+        SharedTopology::for_each_link_key(self, now, visit)
     }
 }
 
@@ -836,17 +834,17 @@ impl NodeTopology {
 }
 
 impl TopologyLinks for NodeTopology {
-    fn links_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId, LinkQos)>) -> SimTime {
+    fn id_bound(&self) -> usize {
         match self {
-            Self::PerNode(t) => t.links_into(now, out),
-            Self::Shared(t) => t.links_into(now, out),
+            Self::PerNode(t) => t.id_bound(),
+            Self::Shared(t) => t.id_bound(),
         }
     }
 
-    fn link_keys_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId)>) -> SimTime {
+    fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {
         match self {
-            Self::PerNode(t) => t.link_keys_into(now, out),
-            Self::Shared(t) => t.link_keys_into(now, out),
+            Self::PerNode(t) => t.for_each_link_key(now, visit),
+            Self::Shared(t) => t.for_each_link_key(now, visit),
         }
     }
 }

@@ -4,12 +4,19 @@
 //! (invalidate on the tables' change flags, nothing else) must answer
 //! every query identically to [`reference_routes`] — the original
 //! `BTreeMap` BFS — recomputed from scratch on the live table contents.
+//! Every history drives two caches: one over the per-node
+//! [`TopologyBase`] and one over a [`SharedTopology`] on a
+//! [`SharedLinkStore`], the production path. Both must also count the
+//! hits and recomputes a model of the cache's freshness rules predicts.
 //! The interned [`compute_routes`] is pinned to the reference on the
 //! same inputs, and so are caches that share one thread's scratch, taking
 //! turns on one thread and recomputing at once on two.
 //!
 //! [`OlsrNode`]: qolsr_proto::OlsrNode
 //! [`RouteCache`]: qolsr_proto::RouteCache
+//! [`SharedLinkStore`]: qolsr_proto::store::SharedLinkStore
+//! [`SharedTopology`]: qolsr_proto::store::SharedTopology
+//! [`TopologyBase`]: qolsr_proto::tables::TopologyBase
 //! [`compute_routes`]: qolsr_proto::routing::compute_routes
 //! [`reference_routes`]: qolsr_proto::routing::reference_routes
 
@@ -21,6 +28,7 @@ use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState};
 use qolsr_proto::routing::{compute_routes, reference_routes};
+use qolsr_proto::store::{SharedLinkStore, SharedTopology};
 use qolsr_proto::tables::{NeighborTables, TopologyBase};
 use qolsr_proto::{RouteCache, RouteEntry};
 use qolsr_sim::{SimDuration, SimTime};
@@ -40,9 +48,12 @@ enum Op {
         reports: Vec<u32>,
         hold_s: u64,
     },
-    /// TC from `orig` advertising `advertised` under `ansn`.
+    /// TC from `orig` advertising `advertised` under `ansn`, sent as
+    /// message `seq`. Seqs come from a small range, so one `(orig, seq)`
+    /// recurs with other content and the store repoints its key.
     Tc {
         orig: u32,
+        seq: u16,
         ansn: u16,
         advertised: Vec<u32>,
         hold_s: u64,
@@ -74,12 +85,14 @@ fn op() -> impl Strategy<Value = Op> {
             }),
         (
             node,
+            0u16..3,
             0u16..4,
             proptest::collection::vec(1u32..10, 0..4),
             4u64..12
         )
-            .prop_map(|(orig, ansn, advertised, hold_s)| Op::Tc {
+            .prop_map(|(orig, seq, ansn, advertised, hold_s)| Op::Tc {
                 orig,
+                seq,
                 ansn,
                 advertised,
                 hold_s,
@@ -127,16 +140,117 @@ fn from_scratch(
     )
 }
 
+/// The live input keys a cache compares: symmetric neighbors, reported
+/// pairs and topology pairs.
+type Keys = (Vec<NodeId>, Vec<(NodeId, NodeId)>, Vec<(NodeId, NodeId)>);
+
+/// What a [`RouteCache`] counts, predicted from its freshness rules
+/// alone: a query inside the window of the last compute, with no
+/// invalidation since, is a hit; otherwise the live key lists are
+/// gathered, and the query is a hit when they equal the lists of the
+/// last recompute and a recompute when they do not.
+#[derive(Debug, Default)]
+struct CounterModel {
+    valid: bool,
+    cached_at: SimTime,
+    valid_until: SimTime,
+    /// Keys of the last recompute (`None` before the first).
+    keys: Option<Keys>,
+    recomputes: u64,
+    hits: u64,
+}
+
+impl CounterModel {
+    fn invalidate(&mut self) {
+        self.valid = false;
+    }
+
+    fn query(&mut self, nt: &NeighborTables, tb: &TopologyBase, now: SimTime) {
+        if self.valid && self.cached_at <= now && now < self.valid_until {
+            self.hits += 1;
+            return;
+        }
+        let (mut sym, mut reported, mut topo) = (Vec::new(), Vec::new(), Vec::new());
+        let horizon = nt
+            .symmetric_into(now, &mut sym)
+            .min(nt.reported_into(now, &mut reported))
+            .min(tb.links_into(now, &mut topo));
+        let keys: Keys = (
+            sym.iter().map(|&(n, _)| n).collect(),
+            reported.iter().map(|&(a, b, _)| (a, b)).collect(),
+            topo.iter().map(|&(a, b, _)| (a, b)).collect(),
+        );
+        if self.keys.as_ref() == Some(&keys) {
+            self.hits += 1;
+        } else {
+            self.recomputes += 1;
+            self.keys = Some(keys);
+        }
+        self.valid = true;
+        self.cached_at = now;
+        self.valid_until = horizon;
+    }
+
+    fn counters(&self) -> (u64, u64) {
+        (self.recomputes, self.hits)
+    }
+}
+
+/// Both caches, queried at `now`, equal the reference table, answer
+/// every point lookup like it, and count what `model` predicts.
+fn check_query(
+    caches: [&mut RouteCache; 2],
+    model: &mut CounterModel,
+    nt: &NeighborTables,
+    tb: &TopologyBase,
+    shared: &SharedTopology,
+    now: SimTime,
+) -> Result<(), TestCaseError> {
+    let [cache, shared_cache] = caches;
+    cache.ensure(ME, nt, tb, now);
+    shared_cache.ensure(ME, nt, shared, now);
+    model.query(nt, tb, now);
+    let reference = from_scratch(nt, tb, now);
+    for (name, c) in [("per-node", &*cache), ("shared-store", &*shared_cache)] {
+        let cached: BTreeMap<NodeId, RouteEntry> =
+            c.entries().iter().map(|&e| (e.dest, e)).collect();
+        prop_assert_eq!(
+            c.entries().len(),
+            cached.len(),
+            "{} cache repeats a destination",
+            name
+        );
+        prop_assert_eq!(&cached, &reference, "{} cache diverged at {}", name, now);
+        // Point lookups agree with the full table.
+        for (&dest, entry) in &reference {
+            prop_assert_eq!(c.lookup(dest), Some(*entry));
+        }
+        prop_assert_eq!(c.lookup(NodeId(99)), None);
+        prop_assert_eq!(
+            c.counters(),
+            model.counters(),
+            "{} cache counters at {}",
+            name,
+            now
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// Cached/incremental `routes()` ≡ from-scratch `compute_routes` ≡
-    /// the original reference, after arbitrary HELLO/TC/sweep histories.
+    /// the original reference, after arbitrary HELLO/TC/sweep histories,
+    /// over the per-node base and over the shared store alike.
     #[test]
     fn cache_equals_scratch_after_arbitrary_histories(
         ops in proptest::collection::vec(op(), 1..60)
     ) {
         let mut nt = NeighborTables::new();
         let mut tb = TopologyBase::new();
+        let mut shared = SharedTopology::new(SharedLinkStore::new());
         let mut cache = RouteCache::new();
+        let mut shared_cache = RouteCache::new();
+        let mut model = CounterModel::default();
         let mut now = SimTime::ZERO;
         for op in ops {
             match op {
@@ -145,17 +259,26 @@ proptest! {
                     let hold = now + SimDuration::from_secs(hold_s);
                     if nt.process_hello(ME, NodeId(from), LinkQos::uniform(5), &hello, now, hold) {
                         cache.invalidate();
+                        shared_cache.invalidate();
+                        model.invalidate();
                     }
                 }
-                Op::Tc { orig, ansn, advertised, hold_s } => {
+                Op::Tc { orig, seq, ansn, advertised, hold_s } => {
                     let advertised: Vec<(NodeId, LinkQos)> = advertised
                         .iter()
                         .map(|&n| (NodeId(n), LinkQos::uniform(1)))
                         .collect();
                     let hold = now + SimDuration::from_secs(hold_s);
                     let update = tb.process_tc_tracked(NodeId(orig), ansn, &advertised, now, hold);
+                    let shared_update = shared
+                        .process_tc_tracked(NodeId(orig), seq, ansn, &advertised, now, hold);
+                    prop_assert_eq!(update, shared_update);
                     if update.links_changed {
                         cache.invalidate();
+                        model.invalidate();
+                    }
+                    if shared_update.links_changed {
+                        shared_cache.invalidate();
                     }
                 }
                 Op::Sweep => {
@@ -164,34 +287,23 @@ proptest! {
                     // exactly how `OlsrNode`'s sweep timer behaves.
                     nt.sweep(now);
                     tb.sweep(now);
+                    shared.sweep(now);
                 }
                 Op::Advance(secs) => now += SimDuration::from_secs(secs),
                 Op::Query => {
-                    cache.ensure(ME, &nt, &tb, now);
-                    let cached: BTreeMap<NodeId, RouteEntry> =
-                        cache.entries().iter().map(|&e| (e.dest, e)).collect();
+                    check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, now)?;
                     let scratch = compute_routes(
                         ME,
                         &nt.symmetric_neighbors(now),
                         &nt.reported_links(now),
                         &tb.links(now),
                     );
-                    let reference = from_scratch(&nt, &tb, now);
-                    prop_assert_eq!(&cached, &reference, "cache diverged at {}", now);
-                    prop_assert_eq!(&scratch, &reference, "interned BFS diverged at {}", now);
-                    // Point lookups agree with the full table.
-                    for (&dest, entry) in &reference {
-                        prop_assert_eq!(cache.lookup(dest), Some(*entry));
-                    }
-                    prop_assert_eq!(cache.lookup(NodeId(99)), None);
+                    prop_assert_eq!(&scratch, &from_scratch(&nt, &tb, now), "interned BFS diverged at {}", now);
                 }
             }
         }
         // Final query so every history ends verified.
-        cache.ensure(ME, &nt, &tb, now);
-        let cached: BTreeMap<NodeId, RouteEntry> =
-            cache.entries().iter().map(|&e| (e.dest, e)).collect();
-        prop_assert_eq!(cached, from_scratch(&nt, &tb, now));
+        check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, now)?;
     }
 
     /// The hashed-interning BFS matches the reference formulation on raw
