@@ -3,8 +3,12 @@
 //! wire codec, the routing-table hot path (from-scratch interned BFS vs
 //! the `BTreeMap` reference vs the incremental cache, the latter also
 //! over the shared store at one mobile node's scale), HELLO/TC table
-//! integration throughput, and the event-queue scheduler (timer wheel vs
-//! binary heap) under a HELLO/TC-like timer mix.
+//! integration throughput, and the engine's timer wheel against a plain
+//! binary heap, its bench-local baseline, under a HELLO/TC-like timer
+//! mix.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,10 +21,10 @@ use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState, Message, Tc};
 use qolsr_proto::network::OlsrNetwork;
 use qolsr_proto::routing::{compute_routes, compute_routes_keys_into, reference_routes};
 use qolsr_proto::store::{SharedLinkStore, SharedTopology};
-use qolsr_proto::tables::{NeighborTables, TopologyBase};
+use qolsr_proto::tables::NeighborTables;
 use qolsr_proto::wire;
 use qolsr_proto::{RouteCache, RouteScratch};
-use qolsr_sim::queue::{EventQueue, QueueItem, SchedulerKind};
+use qolsr_sim::queue::{QueueItem, TimerWheel};
 use qolsr_sim::{SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 
@@ -173,7 +177,7 @@ fn bench_compute_routes(c: &mut Criterion) {
 }
 
 /// Tables primed with `n`-node knowledge for cache/process benches.
-fn primed_tables(n: u32, deg: u32) -> (NeighborTables, TopologyBase, SimTime) {
+fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) {
     let (sym, reported, advertised) = route_inputs(n, deg, 0x0151);
     let mut nt = NeighborTables::new();
     let now = SimTime::ZERO;
@@ -196,12 +200,12 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, TopologyBase, SimTime) {
         );
         nt.process_hello(NodeId(0), v, qos, &Hello { neighbors }, now, hold);
     }
-    let mut tb = TopologyBase::new();
+    let mut tb = SharedTopology::new(SharedLinkStore::new());
     let t_hold = now + SimDuration::from_secs(15);
     for chunk in advertised.chunks(4) {
         let orig = chunk[0].0;
         let adv: Vec<(NodeId, LinkQos)> = chunk.iter().map(|&(_, b, q)| (b, q)).collect();
-        tb.process_tc_tracked(orig, 1, &adv, now, t_hold);
+        tb.process_tc_tracked(orig, 1, 1, &adv, now, t_hold);
     }
     (nt, tb, now)
 }
@@ -338,7 +342,7 @@ fn bench_table_integration(c: &mut Criterion) {
         .map(|i| (NodeId(i), LinkQos::uniform(u64::from(i) + 1)))
         .collect();
     group.bench_function("process_tc_10_advertised", |b| {
-        let mut tb = TopologyBase::new();
+        let mut tb = SharedTopology::new(SharedLinkStore::new());
         let mut now = SimTime::ZERO;
         let mut ansn = 0u16;
         b.iter(|| {
@@ -346,6 +350,7 @@ fn bench_table_integration(c: &mut Criterion) {
             ansn = ansn.wrapping_add(1);
             black_box(tb.process_tc_tracked(
                 NodeId(42),
+                ansn,
                 ansn,
                 &advertised,
                 now,
@@ -368,63 +373,87 @@ impl QueueItem for BenchEvent {
     }
 }
 
+/// A queue the scheduler bench can time: the engine's [`TimerWheel`],
+/// or a plain binary heap — the baseline the wheel replaced, kept here
+/// so the wheel's advantage stays measurable.
+trait BenchQueue: Default {
+    fn push(&mut self, ev: BenchEvent);
+    fn pop(&mut self) -> Option<BenchEvent>;
+}
+
+impl BenchQueue for TimerWheel<BenchEvent> {
+    fn push(&mut self, ev: BenchEvent) {
+        TimerWheel::push(self, ev);
+    }
+
+    fn pop(&mut self) -> Option<BenchEvent> {
+        TimerWheel::pop(self)
+    }
+}
+
+impl BenchQueue for BinaryHeap<Reverse<BenchEvent>> {
+    fn push(&mut self, ev: BenchEvent) {
+        BinaryHeap::push(self, Reverse(ev));
+    }
+
+    fn pop(&mut self) -> Option<BenchEvent> {
+        BinaryHeap::pop(self).map(|Reverse(ev)| ev)
+    }
+}
+
+/// A HELLO/TC-like mix: per pop, re-arm a periodic timer (2 s or 5 s
+/// ahead) and push a burst of deliveries (1 ms ahead), mirroring the
+/// engine's event profile during a live-protocol run. Returns the pops.
+fn hello_tc_mix<Q: BenchQueue>() -> u64 {
+    let mut q = Q::default();
+    let mut seq = 0u64;
+    for i in 0..1000u64 {
+        q.push(BenchEvent {
+            time: i * 2_000,
+            seq,
+        });
+        seq += 1;
+    }
+    let mut popped = 0u64;
+    for _ in 0..20_000 {
+        let ev = q.pop().expect("queue stays loaded");
+        popped += 1;
+        // Re-arm: alternate HELLO (2 s) / TC (5 s).
+        let period = if ev.seq.is_multiple_of(5) {
+            5_000_000
+        } else {
+            2_000_000
+        };
+        q.push(BenchEvent {
+            time: ev.time + period,
+            seq,
+        });
+        seq += 1;
+        // Delivery fan-out: three frames 1 ms out.
+        for k in 0..3 {
+            q.push(BenchEvent {
+                time: ev.time + 1_000 + k,
+                seq,
+            });
+            seq += 1;
+        }
+        // Drain the deliveries to keep the queue bounded.
+        for _ in 0..3 {
+            q.pop();
+            popped += 1;
+        }
+    }
+    popped
+}
+
 fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler");
-    // A HELLO/TC-like mix: per pop, re-arm a periodic timer (2 s or 5 s
-    // ahead) and push a burst of deliveries (1 ms ahead), mirroring the
-    // engine's event profile during a live-protocol run.
-    for (label, kind) in [
-        ("wheel", SchedulerKind::TimerWheel),
-        ("heap", SchedulerKind::BinaryHeap),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("hello_tc_mix_n1000", label),
-            &kind,
-            |b, &kind| {
-                b.iter(|| {
-                    let mut q: EventQueue<BenchEvent> = EventQueue::new(kind);
-                    let mut seq = 0u64;
-                    for i in 0..1000u64 {
-                        q.push(BenchEvent {
-                            time: i * 2_000,
-                            seq,
-                        });
-                        seq += 1;
-                    }
-                    let mut popped = 0u64;
-                    for _ in 0..20_000 {
-                        let ev = q.pop().expect("queue stays loaded");
-                        popped += 1;
-                        // Re-arm: alternate HELLO (2 s) / TC (5 s).
-                        let period = if ev.seq.is_multiple_of(5) {
-                            5_000_000
-                        } else {
-                            2_000_000
-                        };
-                        q.push(BenchEvent {
-                            time: ev.time + period,
-                            seq,
-                        });
-                        seq += 1;
-                        // Delivery fan-out: three frames 1 ms out.
-                        for k in 0..3 {
-                            q.push(BenchEvent {
-                                time: ev.time + 1_000 + k,
-                                seq,
-                            });
-                            seq += 1;
-                        }
-                        // Drain the deliveries to keep the queue bounded.
-                        for _ in 0..3 {
-                            q.pop();
-                            popped += 1;
-                        }
-                    }
-                    black_box(popped)
-                });
-            },
-        );
-    }
+    group.bench_function(BenchmarkId::new("hello_tc_mix_n1000", "wheel"), |b| {
+        b.iter(|| black_box(hello_tc_mix::<TimerWheel<BenchEvent>>()))
+    });
+    group.bench_function(BenchmarkId::new("hello_tc_mix_n1000", "heap"), |b| {
+        b.iter(|| black_box(hello_tc_mix::<BinaryHeap<Reverse<BenchEvent>>>()))
+    });
     group.finish();
 }
 

@@ -4,7 +4,7 @@
 //! reference at n = 1000 and n = 4000, plus the incremental update path.
 //! The raw position scan is where brute force is *strongest* (branchless
 //! sequential arithmetic), so the crossover here is the conservative
-//! bound; in the real scenario tick the naive path also pays per-pair
+//! bound; in the real scenario tick an all-pairs scan also pays per-pair
 //! activity and link lookups.
 //!
 //! [`SpatialGrid`]: qolsr_graph::SpatialGrid
@@ -30,7 +30,7 @@ fn positions(n: usize, seed: u64) -> Vec<Point2> {
 }
 
 /// Full relink discovery, brute force: every unordered pair distance-
-/// tested — the path `NeighborScan::Naive` keeps for differential tests.
+/// tested — the baseline the grid is measured against.
 fn naive_relink(ps: &[Point2]) -> usize {
     let r_sq = RADIUS * RADIUS;
     let mut in_range = 0;

@@ -57,10 +57,6 @@
 //!   --sizes L    scale/overhead: comma-separated node counts
 //!                (default 250,1000,4000; lets CI smoke at small n —
 //!                the n=4000 live phases need tens of minutes per run)
-//!   --store S    scale --live only: topology-base formulation,
-//!                shared (default) or per-node (the pre-store
-//!                reference — use one process per formulation when
-//!                comparing RSS)
 //!   --shards K   scale --live / overhead / churn / loss / faults /
 //!                traffic: engine shard count (default 1; K >= 2 steps
 //!                K spatial shards in parallel, which must produce
@@ -119,7 +115,6 @@ use qolsr::eval::figures::{
     bandwidth_experiment, delay_experiment, FigureOptions,
 };
 use qolsr::report::Figure;
-use qolsr_proto::TopologyStore;
 
 struct Args {
     command: String,
@@ -127,7 +122,6 @@ struct Args {
     metric: qolsr::eval::churn::ChurnMetric,
     live: bool,
     sizes: Option<Vec<usize>>,
-    store: Option<TopologyStore>,
     shards: Option<u32>,
     verify_shards: bool,
     warmup: Option<u64>,
@@ -154,7 +148,6 @@ fn parse_args() -> Result<Args, String> {
     let mut metric_set = false;
     let mut live = false;
     let mut sizes: Option<Vec<usize>> = None;
-    let mut store: Option<TopologyStore> = None;
     let mut shards: Option<u32> = None;
     let mut verify_shards = false;
     let mut warmup: Option<u64> = None;
@@ -203,14 +196,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--sizes needs at least one node count".into());
                 }
                 sizes = Some(parsed);
-            }
-            "--store" => {
-                let v = it.next().ok_or("--store needs a value")?;
-                store = Some(match v.as_str() {
-                    "shared" => TopologyStore::Shared,
-                    "per-node" | "pernode" => TopologyStore::PerNode,
-                    _ => return Err(format!("bad --store value: {v} (shared|per-node)")),
-                });
             }
             "--shards" => {
                 let v = it.next().ok_or("--shards needs a value")?;
@@ -343,7 +328,6 @@ fn parse_args() -> Result<Args, String> {
     }
     let live_scale = command == "scale" && live;
     for (set, flag) in [
-        (store.is_some(), "--store"),
         (warmup.is_some(), "--warmup"),
         (seconds.is_some(), "--seconds"),
         (max_resident_bytes.is_some(), "--max-resident-bytes"),
@@ -409,7 +393,6 @@ fn parse_args() -> Result<Args, String> {
         metric,
         live,
         sizes,
-        store,
         shards,
         verify_shards,
         warmup,
@@ -473,7 +456,7 @@ fn main() -> ExitCode {
                 "commands: fig6 fig7 fig8 fig9 all ablations robustness churn scale overhead \
                  loss faults traffic; \
                  options: --runs N --seed S --threads T --metric bandwidth|delay \
-                 --live --sizes L --store shared|per-node \
+                 --live --sizes L \
                  --shards K --verify-shards --warmup N --seconds N \
                  --max-resident-bytes B --lossy --nodes N --levels L \
                  --hysteresis --etx --capture-us W --fault F --corrupt --leave-rate L \
@@ -1046,9 +1029,6 @@ fn main() -> ExitCode {
             if let Some(sizes) = args.sizes.clone() {
                 cfg.sizes = sizes;
             }
-            if let Some(store) = args.store {
-                cfg.store = store;
-            }
             if let Some(shards) = args.shards {
                 cfg.shards = shards;
             }
@@ -1074,10 +1054,9 @@ fn main() -> ExitCode {
                 live_sweep(&cfg)
             };
             println!(
-                "# live protocol ({:?} topology store, {} shard(s), \
-                 {} radio): {} s warm-up (unmeasured) \
-                 + {} s measured, {} probe nodes sampled per simulated second\n",
-                cfg.store,
+                "# live protocol ({} shard(s), {} radio): {} s warm-up \
+                 (unmeasured) + {} s measured, {} probe nodes sampled per \
+                 simulated second\n",
                 cfg.shards,
                 if args.lossy { "lossy" } else { "ideal" },
                 cfg.warmup_seconds,

@@ -26,7 +26,7 @@ use qolsr_graph::deploy::{deploy_at, Deployment, UniformWeights};
 use qolsr_graph::{NodeId, Point2, Topology};
 use qolsr_metrics::BandwidthMetric;
 use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::{OlsrConfig, TopologyStore};
+use qolsr_proto::OlsrConfig;
 use qolsr_sim::scenario::{RandomWaypoint, ScenarioBuilder};
 use qolsr_sim::stats::{HotPathCounters, OnlineStats};
 use qolsr_sim::{PhyModel, RadioConfig, SchedulerKind, SimDuration, SimRng};
@@ -234,10 +234,6 @@ pub struct LiveConfig {
     /// Nodes whose routing tables are queried after every simulated
     /// second (exercises the incremental route cache under load).
     pub probes: usize,
-    /// Topology-base formulation the nodes run (shared interned store
-    /// by default; [`TopologyStore::PerNode`] is the pre-store
-    /// reference, for memory comparisons).
-    pub store: TopologyStore,
     /// Engine shard count (identical counters at any count — see
     /// [`crate::eval::exec_mode`]).
     pub shards: u32,
@@ -264,7 +260,6 @@ impl LiveConfig {
             warmup_seconds: 15,
             sim_seconds: 10,
             probes: 64,
-            store: TopologyStore::default(),
             shards: 1,
             phy: PhyModel::Ideal,
         }
@@ -304,8 +299,8 @@ pub struct LivePoint {
     pub resident_bytes: OnlineStats,
     /// Process RSS (VmRSS) in bytes after each run, when the platform
     /// exposes it. **Cumulative across everything the process ran
-    /// before** — comparable between store formulations only via
-    /// separate process invocations.
+    /// before** — comparable between configurations only via separate
+    /// process invocations.
     pub rss_bytes: OnlineStats,
     /// Counter totals over all runs of this size (the resident gauge
     /// fields accumulate per-run end gauges; divide by `runs` for the
@@ -356,13 +351,9 @@ pub fn live_sweep(cfg: &LiveConfig) -> Vec<LivePoint> {
             for run in 0..cfg.runs {
                 let seed = derive_seed(cfg.seed ^ 0x11FE, si, run);
                 let topo = deploy_field(n, side, cfg.radius, cfg.density, &cfg.weights, seed);
-                let proto_cfg = OlsrConfig {
-                    topology_store: cfg.store,
-                    ..OlsrConfig::default()
-                };
                 let mut net = OlsrNetwork::with_exec(
                     topo,
-                    proto_cfg,
+                    OlsrConfig::default(),
                     RadioConfig {
                         phy: cfg.phy,
                         ..RadioConfig::default()

@@ -1,5 +1,6 @@
 //! Protocol configuration: RFC 3626 timing parameters plus the TC
-//! dissemination scope policy and the wire decode path.
+//! dissemination scope policy, the link-quality knobs and the
+//! data-plane transmit queue.
 
 use qolsr_sim::stats::TC_RING_SLOTS;
 use qolsr_sim::{SimDuration, TxQueueConfig};
@@ -144,34 +145,6 @@ pub enum TcScoping {
     Fisheye(FisheyeRings),
 }
 
-/// Which wire decode path the TC receive hot path uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecodePath {
-    /// Peek the fixed header ([`crate::wire::peek`]) and consult the
-    /// duplicate table and ANSN record *before* full decode, so the
-    /// dominant duplicate-drop path never parses or allocates the body.
-    #[default]
-    Peek,
-    /// Always decode the full message first — the original formulation,
-    /// kept alive as the differential reference for the peek path.
-    Full,
-}
-
-/// Which topology-base formulation nodes use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopologyStore {
-    /// Per-originator overlays over a network-shared interned link-set
-    /// store ([`crate::store::SharedLinkStore`]): each advertised set
-    /// is held once per network instead of once per receiver, breaking
-    /// the `O(n²)` memory wall.
-    #[default]
-    Shared,
-    /// Every node stores every originator's advertised set privately —
-    /// the original formulation, kept alive as the differential
-    /// reference the shared store is pinned against.
-    PerNode,
-}
-
 /// RFC 3626 §14 link-hysteresis parameters, in parts per million so the
 /// config stays `Eq`. The shared per-link quality EWMA `q` is updated on
 /// every HELLO arrival: one decay step `q ← q·(1−scaling)` per HELLO
@@ -286,7 +259,8 @@ impl SensingParams {
 }
 
 /// OLSR protocol configuration (RFC 3626 §18 timing defaults plus the
-/// TC scoping and decode-path knobs of this implementation).
+/// TC scoping, link-quality and transmit-queue knobs of this
+/// implementation).
 ///
 /// # Examples
 ///
@@ -315,12 +289,6 @@ pub struct OlsrConfig {
     pub sweep_interval: SimDuration,
     /// TC dissemination scope policy (RFC-uniform by default).
     pub tc_scoping: TcScoping,
-    /// Wire decode path of the TC receive hot path (header peek by
-    /// default; [`DecodePath::Full`] is the differential reference).
-    pub decode: DecodePath,
-    /// Topology-base formulation (shared interned store by default;
-    /// [`TopologyStore::PerNode`] is the differential reference).
-    pub topology_store: TopologyStore,
     /// RFC 3626 §14 link hysteresis (off by default — the differential
     /// reference admits links on the raw symmetry handshake).
     pub link_hysteresis: LinkHysteresis,
@@ -341,8 +309,6 @@ impl Default for OlsrConfig {
             max_jitter: SimDuration::from_millis(500),
             sweep_interval: SimDuration::from_secs(1),
             tc_scoping: TcScoping::Uniform,
-            decode: DecodePath::Peek,
-            topology_store: TopologyStore::Shared,
             link_hysteresis: LinkHysteresis::Off,
             link_metric: LinkMetric::Measured,
             traffic: TxQueueConfig::default(),
@@ -389,8 +355,6 @@ mod tests {
         assert_eq!(c.topology_hold_time(), SimDuration::from_secs(15));
         assert_eq!(c.duplicate_hold_time(), SimDuration::from_secs(30));
         assert_eq!(c.tc_scoping, TcScoping::Uniform);
-        assert_eq!(c.decode, DecodePath::Peek);
-        assert_eq!(c.topology_store, TopologyStore::Shared);
     }
 
     #[test]

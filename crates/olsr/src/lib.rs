@@ -48,9 +48,10 @@
 //!    With [`TcScoping::Fisheye`], emissions rotate through TTL-bounded
 //!    scope rings so near neighborhoods see frequent refreshes while
 //!    expensive full-radius floods happen only every few intervals. On
-//!    the receive side, [`DecodePath::Peek`] resolves duplicate
-//!    deliveries from the peeked header ([`wire::peek`]) without ever
-//!    parsing the body.
+//!    the receive side, every frame is first peeked ([`wire::peek`]):
+//!    duplicate and stale TC deliveries are resolved from the header
+//!    without ever parsing the body, and data frames are delivered or
+//!    forwarded from the header alone.
 //! 3. **Sweep** (default every 1 s): expired link, topology, and
 //!    duplicate tuples are evicted.
 //!
@@ -64,11 +65,13 @@
 //! all randomness (emission jitter, delivery jitter) flows from the
 //! engine's seeded per-node streams, so two runs with equal inputs
 //! replay byte-identically — stats, traces and routing tables. The
-//! differential suites lean on this: `TcScoping::Uniform`,
-//! `DecodePath::Full` and `SchedulerKind::BinaryHeap` keep the
-//! reference formulations alive, and seeded replays pin the optimized
-//! paths against them (`tests/tc_scoping_differential.rs`,
-//! `tests/scheduler_differential.rs`).
+//! differential suites lean on this: `TcScoping::Uniform` keeps the
+//! pre-scoping behaviour as a live configuration, and seeded replays
+//! pin each optimized path against the end state recorded from the
+//! reference formulation it replaced — the decode-first receive path
+//! (`tests/tc_scoping_differential.rs`), the binary-heap scheduler
+//! (`tests/scheduler_differential.rs`) and the per-node topology
+//! tables (`tests/store_differential.rs`).
 //!
 //! # Examples
 //!
@@ -148,8 +151,8 @@ pub mod tables;
 pub mod wire;
 
 pub use config::{
-    DecodePath, EtxParams, FisheyeRing, FisheyeRings, HysteresisParams, LinkHysteresis, LinkMetric,
-    OlsrConfig, SensingParams, TcScoping, TopologyStore,
+    EtxParams, FisheyeRing, FisheyeRings, HysteresisParams, LinkHysteresis, LinkMetric, OlsrConfig,
+    SensingParams, TcScoping,
 };
 pub use node::{AdvertisePolicy, MprSelectorPolicy, NodeStats, OlsrNode, TableFootprint};
 pub use routing::{RouteCache, RouteEntry, RouteScratch};

@@ -15,19 +15,17 @@ use qolsr_sim::{
     SimRng, SimStats, SimTime, Simulator, TrafficStats, TRAFFIC_STREAM_SALT,
 };
 
-use crate::config::{OlsrConfig, TopologyStore};
+use crate::config::OlsrConfig;
 use crate::node::{AdvertisePolicy, MprSelectorPolicy, NodeStats, OlsrNode, TableFootprint};
 use crate::store::{SharedLinkStore, StoreGauges};
 
 /// An OLSR network simulation: one [`OlsrNode`] per topology node.
 pub struct OlsrNetwork<P: AdvertisePolicy> {
     sim: Simulator<OlsrNode<P>>,
-    /// The interned link-set arenas nodes share under
-    /// [`TopologyStore::Shared`]: one arena *per shard* (nodes only ever
-    /// intern into their home shard's arena, keeping the store lock
-    /// uncontended across shard threads). Empty under the per-node
-    /// reference.
-    stores: Vec<SharedLinkStore>,
+    /// The interned link-set arenas nodes share: one arena *per shard*
+    /// (nodes only ever intern into their home shard's arena, keeping
+    /// the store lock uncontended across shard threads).
+    stores: Arc<[SharedLinkStore]>,
 }
 
 impl OlsrNetwork<MprSelectorPolicy> {
@@ -57,82 +55,45 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
         seed: u64,
         policy: impl FnMut(NodeId) -> P,
     ) -> Self {
-        Self::with_scheduler(
-            topology,
-            config,
-            radio,
-            seed,
-            SchedulerKind::default(),
-            policy,
-        )
-    }
-
-    /// Like [`OlsrNetwork::new`], but with an explicit engine scheduler.
-    /// The timer wheel (default) and the reference binary heap replay
-    /// identically; the differential suites run both.
-    pub fn with_scheduler(
-        topology: Topology,
-        config: OlsrConfig,
-        radio: RadioConfig,
-        seed: u64,
-        scheduler: SchedulerKind,
-        policy: impl FnMut(NodeId) -> P,
-    ) -> Self {
         Self::with_exec(
             topology,
             config,
             radio,
             seed,
-            scheduler,
+            SchedulerKind::default(),
             ExecMode::SingleShard,
             policy,
         )
     }
 
-    /// Like [`OlsrNetwork::with_scheduler`], but with an explicit
-    /// execution mode: the number of spatial shards the engine steps in
-    /// parallel. Every observable (stats, traces, tables, routes) is
-    /// byte-identical for any shard count.
+    /// Like [`OlsrNetwork::new`], but with an explicit execution mode:
+    /// the number of spatial shards the engine steps in parallel. Every
+    /// observable (stats, traces, tables, routes) is byte-identical for
+    /// any shard count. `_scheduler` has one value, the timer wheel (see
+    /// [`SchedulerKind`]).
     ///
-    /// Under [`TopologyStore::Shared`] the network builds one intern
-    /// arena per shard and each node feeds its home shard's arena
-    /// (re-binding when churn re-homes it), so shard threads never
-    /// contend on a store lock. Store gauges therefore aggregate
-    /// differently across shard counts — they are the one observable
-    /// excluded from the shard-invariance contract.
+    /// The network builds one intern arena per shard and each node
+    /// feeds its home shard's arena (re-binding when churn re-homes it),
+    /// so shard threads never contend on a store lock. Store gauges
+    /// therefore aggregate differently across shard counts — they are
+    /// the one observable excluded from the shard-invariance contract.
     pub fn with_exec(
         topology: Topology,
         config: OlsrConfig,
         radio: RadioConfig,
         seed: u64,
-        scheduler: SchedulerKind,
+        _scheduler: SchedulerKind,
         exec: ExecMode,
         mut policy: impl FnMut(NodeId) -> P,
     ) -> Self {
         // Mirror the engine's shard-count clamp so the arena table and
         // the shard map always agree.
         let k = (exec.shards() as usize).min(topology.len().max(1));
-        let arenas: Option<Arc<[SharedLinkStore]>> = match config.topology_store {
-            TopologyStore::Shared => Some((0..k).map(|_| SharedLinkStore::new()).collect()),
-            TopologyStore::PerNode => None,
-        };
-        let sim = Simulator::with_shards(
-            topology,
-            radio,
-            seed,
-            scheduler,
-            exec.shards(),
-            |id, shard| match &arenas {
-                Some(arenas) => {
-                    OlsrNode::with_store_table(id, config, policy(id), arenas.clone(), shard)
-                }
-                None => OlsrNode::new(id, config, policy(id)),
-            },
-        );
-        Self {
-            sim,
-            stores: arenas.map(|a| a.to_vec()).unwrap_or_default(),
-        }
+        let stores: Arc<[SharedLinkStore]> = (0..k).map(|_| SharedLinkStore::new()).collect();
+        let sim = Simulator::with_shards(topology, radio, seed, exec.shards(), |id, shard| {
+            OlsrNode::with_store_table(id, config, policy(id), stores.clone(), shard)
+        });
+        Self { sim, stores }
     }
 
     /// Installs seeded application flows across the network: every node
@@ -332,17 +293,14 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
         total
     }
 
-    /// The shared stores' resident-memory and dedup statistics (summed
-    /// over the per-shard arenas), or the
-    /// zero gauges under [`TopologyStore::PerNode`] (nothing is shared
-    /// there — the per-node bytes show up in
-    /// [`OlsrNetwork::total_footprint`] instead). Because arena
-    /// boundaries follow shard boundaries, these gauges — unlike every
-    /// protocol observable — legitimately vary with the shard count
-    /// (a link set advertised in two shards is interned twice).
+    /// The shared stores' resident-memory and dedup statistics, summed
+    /// over the per-shard arenas. Because arena boundaries follow shard
+    /// boundaries, these gauges — unlike every protocol observable —
+    /// legitimately vary with the shard count (a link set advertised in
+    /// two shards is interned twice).
     pub fn store_gauges(&self) -> StoreGauges {
         let mut total = StoreGauges::default();
-        for store in &self.stores {
+        for store in self.stores.iter() {
             let g = store.gauges();
             total.live_slots += g.live_slots;
             total.resident_links += g.resident_links;

@@ -12,12 +12,12 @@ use qolsr_sim::{
     TimerId, TrafficStats, TxQueue,
 };
 
-use crate::config::{DecodePath, OlsrConfig, TcScoping, TopologyStore};
+use crate::config::{OlsrConfig, TcScoping};
 use crate::messages::{Body, DataBody, Hello, HelloNeighbor, LinkState, Message, Tc};
 use crate::mpr::select_mprs;
 use crate::routing::{reference_routes, RouteCache, RouteEntry};
 use crate::store::{SharedLinkStore, SharedTopology};
-use crate::tables::{DuplicateSet, NeighborTables, NodeTopology, TopologyBase};
+use crate::tables::{DuplicateSet, NeighborTables};
 use crate::wire;
 use crate::wire::{DataPeek, Peek, TcPeek};
 
@@ -84,12 +84,11 @@ pub struct NodeStats {
     /// first). All zero under [`TcScoping::Uniform`].
     pub tc_sent_ring: [u64; TC_RING_SLOTS],
     /// TC deliveries resolved from the peeked header alone — duplicates
-    /// and stale-ANSN refreshes whose body was never parsed. Zero under
-    /// [`DecodePath::Full`]; decode-path-dependent by design.
+    /// and stale-ANSN refreshes whose body was never parsed.
     pub dup_peek_hits: u64,
-    /// Payload bytes run through the full wire decoder. Under
-    /// [`DecodePath::Peek`] this is what the peek fast path saved
-    /// relative to the bytes received; decode-path-dependent by design.
+    /// Payload bytes run through the full wire decoder: every HELLO, and
+    /// only the fresh, acceptable TCs. Set against the bytes received,
+    /// it shows what the header peek saved.
     pub bytes_decoded: u64,
     /// Received frames dropped as undecodable garbage (corrupted or
     /// arbitrary bytes rejected by `wire::peek`/`wire::decode`). Always
@@ -102,9 +101,9 @@ pub struct NodeStats {
 /// [`OlsrNode::table_footprint`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TableFootprint {
-    /// Stored topology entries (tuples or overlays).
+    /// Stored topology entries (one overlay per originator).
     pub topology_entries: u64,
-    /// Approximate heap bytes of the topology base.
+    /// Approximate heap bytes of the node's topology overlays.
     pub topology_bytes: u64,
     /// Stored duplicate-set entries.
     pub duplicate_entries: u64,
@@ -142,13 +141,11 @@ pub struct OlsrNode<P> {
     id: NodeId,
     config: OlsrConfig,
     neighbors: NeighborTables,
-    topology: NodeTopology,
-    /// The per-shard intern-arena table under [`TopologyStore::Shared`]
-    /// ([`OlsrNode::with_store_table`]): [`Actor::on_rehome`] re-binds
-    /// `topology` to the destination shard's arena when churn moves
-    /// this node across shards. `None` for nodes built on one fixed
-    /// store ([`OlsrNode::with_store`]) and under
-    /// [`TopologyStore::PerNode`].
+    topology: SharedTopology,
+    /// The per-shard intern-arena table ([`OlsrNode::with_store_table`]):
+    /// [`Actor::on_rehome`] re-binds `topology` to the destination
+    /// shard's arena when churn moves this node across shards. `None`
+    /// for nodes built on one fixed store ([`OlsrNode::with_store`]).
     stores: Option<Arc<[SharedLinkStore]>>,
     duplicates: DuplicateSet,
     mprs: BTreeSet<NodeId>,
@@ -193,28 +190,22 @@ pub struct OlsrNode<P> {
 }
 
 impl<P: AdvertisePolicy> OlsrNode<P> {
-    /// Creates a node with the given identity and advertise policy.
-    /// Under [`TopologyStore::Shared`] the node gets a *private* store;
-    /// nodes meant to share sets must be built through
-    /// [`OlsrNode::with_store`] (as [`crate::network::OlsrNetwork`]
-    /// does).
+    /// Creates a node with the given identity and advertise policy, on a
+    /// *private* link-set store; nodes meant to share sets must be built
+    /// through [`OlsrNode::with_store`] (as
+    /// [`crate::network::OlsrNetwork`] does).
     pub fn new(id: NodeId, config: OlsrConfig, policy: P) -> Self {
         Self::with_store(id, config, policy, SharedLinkStore::new())
     }
 
-    /// Creates a node whose shared-formulation topology base feeds the
-    /// given network-wide store. The store is unused (not retained)
-    /// under [`TopologyStore::PerNode`].
+    /// Creates a node whose topology base feeds the given network-wide
+    /// store.
     pub fn with_store(id: NodeId, config: OlsrConfig, policy: P, store: SharedLinkStore) -> Self {
-        let topology = match config.topology_store {
-            TopologyStore::Shared => NodeTopology::Shared(SharedTopology::new(store)),
-            TopologyStore::PerNode => NodeTopology::PerNode(TopologyBase::new()),
-        };
         Self {
             id,
             config,
             neighbors: NeighborTables::new(),
-            topology,
+            topology: SharedTopology::new(store),
             stores: None,
             duplicates: DuplicateSet::new(),
             mprs: BTreeSet::new(),
@@ -241,11 +232,9 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
     }
 
     /// Creates a node for a network with one intern arena per engine
-    /// shard: under [`TopologyStore::Shared`] it interns into the arena
-    /// of its home `shard` and re-binds to the destination shard's arena
-    /// whenever the engine re-homes it after a churn rejoin
-    /// ([`Actor::on_rehome`]). Under [`TopologyStore::PerNode`] the
-    /// arena table is unused (not retained).
+    /// shard: it interns into the arena of its home `shard` and re-binds
+    /// to the destination shard's arena whenever the engine re-homes it
+    /// after a churn rejoin ([`Actor::on_rehome`]).
     ///
     /// # Panics
     ///
@@ -258,9 +247,7 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
         shard: usize,
     ) -> Self {
         let mut node = Self::with_store(id, config, policy, stores[shard].clone());
-        if matches!(config.topology_store, TopologyStore::Shared) {
-            node.stores = Some(stores);
-        }
+        node.stores = Some(stores);
         node
     }
 
@@ -317,9 +304,9 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
         self.topology.links(now)
     }
 
-    /// Node-local resident footprint of the protocol tables. Under the
-    /// shared formulation this counts the node's overlays only — the
-    /// deduplicated sets are network-level state reported once through
+    /// Node-local resident footprint of the protocol tables. This counts
+    /// the node's topology overlays only — the deduplicated sets are
+    /// network-level state reported once through
     /// [`SharedLinkStore::gauges`].
     pub fn table_footprint(&self) -> TableFootprint {
         let (topology_entries, topology_bytes) = self.topology.footprint();
@@ -517,10 +504,10 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
         }
     }
 
-    /// Receive path shared by both decode paths: deliver if this node is
-    /// the destination, else patch the header ([`wire::forward`]) and
-    /// queue the *same* buffer for the next hop — data payloads are
-    /// never re-encoded at relays.
+    /// Data receive path, decided from the peeked header: deliver if this
+    /// node is the destination, else patch the header
+    /// ([`wire::forward`]) and queue the *same* buffer for the next hop
+    /// — data payloads are never re-encoded at relays.
     fn handle_data(&mut self, ctx: &mut Context<'_, Bytes>, raw: &Bytes, peek: DataPeek) {
         self.traffic_stats.data_rx += 1;
         if peek.dest == self.id {
@@ -665,9 +652,9 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
     /// duplicate-heavy flooding hot path — drop, integrate, forward —
     /// is made from the peeked header, and the advertised list is only
     /// parsed when the message is fresh *and* its ANSN is acceptable.
-    /// Table mutations happen in exactly the order of the full-decode
-    /// reference path ([`DecodePath::Full`]), which the differential
-    /// suites pin byte-identical.
+    /// Table mutations happen in exactly the order of the decode-first
+    /// receive path this replaced, whose recorded runs
+    /// `tests/tc_scoping_differential.rs` replays.
     fn handle_tc_peeked(
         &mut self,
         ctx: &mut Context<'_, Bytes>,
@@ -736,93 +723,25 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
         }
     }
 
-    fn handle_message(
-        &mut self,
-        ctx: &mut Context<'_, Bytes>,
-        from: NodeId,
-        raw: &Bytes,
-        msg: Message,
-    ) {
+    fn handle_hello(&mut self, ctx: &mut Context<'_, Bytes>, from: NodeId, hello: &Hello) {
+        self.stats.hello_received += 1;
+        // Measure the link at receive time; a frame that was in flight
+        // when its link died is not a measurement.
+        let Some(qos) = ctx.link_qos(from) else {
+            return; // not a radio neighbor right now
+        };
         let now = ctx.now();
-        match &msg.body {
-            Body::Hello(hello) => {
-                self.stats.hello_received += 1;
-                // Measure the link at receive time; a frame that was
-                // in flight when its link died is not a measurement.
-                let Some(qos) = ctx.link_qos(from) else {
-                    return; // not a radio neighbor right now
-                };
-                let hold = now + self.config.neighbor_hold_time();
-                if self.neighbors.process_hello_sensed(
-                    self.id,
-                    from,
-                    qos,
-                    hello,
-                    now,
-                    hold,
-                    self.config.sensing(),
-                ) {
-                    self.invalidate_routes();
-                }
-            }
-            Body::Tc(tc) => {
-                self.stats.tc_received += 1;
-                if msg.originator == self.id {
-                    return;
-                }
-                // RFC: process/forward only messages arriving over a
-                // symmetric link.
-                if !self.neighbors.is_symmetric(from, now) {
-                    return;
-                }
-                let dup_hold = now + self.config.duplicate_hold_time();
-                if self.duplicates.fresh(msg.originator, msg.seq, dup_hold) {
-                    let hold = now + self.config.topology_hold_time();
-                    let update = self.topology.process_tc_tracked(
-                        msg.originator,
-                        msg.seq,
-                        tc.ansn,
-                        &tc.advertised,
-                        now,
-                        hold,
-                    );
-                    if update.links_changed {
-                        self.invalidate_routes();
-                    }
-                }
-                // MPR forwarding rule: retransmit iff the sender selected
-                // us as MPR and we have not forwarded this message yet.
-                // The retransmission patches the received buffer (ttl−1,
-                // hops+1) instead of re-encoding the whole body.
-                if msg.ttl > 1
-                    && self.neighbors.is_mpr_selector(from, now)
-                    && self
-                        .duplicates
-                        .mark_forwarded(msg.originator, msg.seq, dup_hold)
-                {
-                    if let Some(fwd) = wire::forward(raw) {
-                        self.stats.tc_forwarded += 1;
-                        self.stats.bytes_sent += fwd.len() as u64;
-                        ctx.broadcast(fwd);
-                    }
-                }
-            }
-            Body::Data(d) => {
-                self.handle_data(
-                    ctx,
-                    raw,
-                    DataPeek {
-                        originator: msg.originator,
-                        seq: msg.seq,
-                        ttl: msg.ttl,
-                        hop_count: msg.hop_count,
-                        dest: d.dest,
-                        flow: d.flow,
-                        injected_us: d.injected_us,
-                        payload_len: d.payload_len,
-                    },
-                );
-            }
+        let hold = now + self.config.neighbor_hold_time();
+        if self.neighbors.process_hello_sensed(
+            self.id,
+            from,
+            qos,
+            hello,
+            now,
+            hold,
+            self.config.sensing(),
+        ) {
+            self.invalidate_routes();
         }
     }
 }
@@ -875,42 +794,32 @@ impl<P: AdvertisePolicy> Actor for OlsrNode<P> {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Bytes>, from: NodeId, bytes: Bytes) {
-        match self.config.decode {
-            DecodePath::Peek => match wire::peek(&bytes) {
-                // The dominant path at scale: TC-flood deliveries whose
-                // fate is decided from the header alone.
-                Ok(Peek::Tc(peek)) => self.handle_tc_peeked(ctx, from, &bytes, peek),
-                // Data frames never need the body (opaque filler): the
-                // deliver/forward decision reads the peeked header only.
-                Ok(Peek::Data(peek)) => self.handle_data(ctx, &bytes, peek),
-                // HELLOs are 1-hop and processed on every delivery, so
-                // they always need the body.
-                Ok(Peek::Hello) => match wire::decode(bytes.clone()) {
-                    Ok(msg) => {
-                        self.stats.bytes_decoded += bytes.len() as u64;
-                        self.handle_message(ctx, from, &bytes, msg);
-                    }
-                    Err(_) => {
-                        self.stats.decode_errors += 1;
-                        self.stats.malformed_frames += 1;
-                    }
-                },
-                Err(_) => {
-                    self.stats.decode_errors += 1;
-                    self.stats.malformed_frames += 1;
-                }
-            },
-            // Reference formulation: decode everything first.
-            DecodePath::Full => match wire::decode(bytes.clone()) {
-                Ok(msg) => {
+        match wire::peek(&bytes) {
+            // The dominant path at scale: TC-flood deliveries whose fate
+            // is decided from the header alone.
+            Ok(Peek::Tc(peek)) => self.handle_tc_peeked(ctx, from, &bytes, peek),
+            // Data frames never need the body (opaque filler): the
+            // deliver/forward decision reads the peeked header only.
+            Ok(Peek::Data(peek)) => self.handle_data(ctx, &bytes, peek),
+            // HELLOs are 1-hop and processed on every delivery, so they
+            // always need the body.
+            Ok(Peek::Hello) => match wire::decode(bytes.clone()) {
+                Ok(Message {
+                    body: Body::Hello(hello),
+                    ..
+                }) => {
                     self.stats.bytes_decoded += bytes.len() as u64;
-                    self.handle_message(ctx, from, &bytes, msg);
+                    self.handle_hello(ctx, from, &hello);
                 }
-                Err(_) => {
+                _ => {
                     self.stats.decode_errors += 1;
                     self.stats.malformed_frames += 1;
                 }
             },
+            Err(_) => {
+                self.stats.decode_errors += 1;
+                self.stats.malformed_frames += 1;
+            }
         }
     }
 
@@ -966,7 +875,7 @@ impl<P: AdvertisePolicy> Actor for OlsrNode<P> {
         // shard's intern arena. `on_reset` already ran, so `topology.clear()`
         // has released every handle into the old shard's arena.
         if let Some(stores) = &self.stores {
-            self.topology = NodeTopology::Shared(SharedTopology::new(stores[shard].clone()));
+            self.topology = SharedTopology::new(stores[shard].clone());
         }
     }
 }

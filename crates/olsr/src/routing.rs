@@ -447,9 +447,9 @@ impl RouteCache {
     }
 
     /// Brings the cached table up to date for a query at `now` against
-    /// the given information bases. Generic over the topology-base
-    /// formulation (per-node, shared-store, or the dispatching
-    /// [`crate::tables::NodeTopology`]).
+    /// the given information bases. Generic over [`TopologyLinks`], so
+    /// the test suites run it over their per-node reference tables as
+    /// well as the node's shared-store base.
     pub fn ensure<T: TopologyLinks>(
         &mut self,
         me: NodeId,
@@ -600,16 +600,20 @@ mod tests {
     }
 
     /// Drives one node's cache through a no-op invalidation, a QoS-only
-    /// TC refresh and two real changes, over the topology base `tb`
-    /// that `tc` integrates TCs into (`tc(base, seq, advertised, now)`
-    /// for originator 1, with ANSN = seq).
-    fn revalidates_unchanged_keys<T: TopologyLinks>(
-        mut tb: T,
-        tc: impl Fn(&mut T, u16, &[(NodeId, LinkQos)], SimTime) -> crate::tables::TcUpdate,
-    ) {
+    /// TC refresh and two real changes.
+    #[test]
+    fn dirty_but_unchanged_keys_revalidate_without_recompute() {
         use crate::messages::{Hello, HelloNeighbor, LinkState};
+        use crate::store::{SharedLinkStore, SharedTopology};
         use qolsr_sim::SimDuration;
 
+        let store = SharedLinkStore::new();
+        let mut tb = SharedTopology::new(store.clone());
+        // Integrates a TC from originator 1, with ANSN = seq.
+        let tc = |tb: &mut SharedTopology, seq: u16, adv: &[(NodeId, LinkQos)], now: SimTime| {
+            let hold = now + SimDuration::from_secs(20);
+            tb.process_tc_tracked(NodeId(1), seq, seq, adv, now, hold)
+        };
         let me = NodeId(0);
         let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
         let mut nt = NeighborTables::new();
@@ -652,25 +656,7 @@ mod tests {
         assert_eq!(cache.counters(), (3, 2));
         assert_eq!(cache.lookup(NodeId(4)).map(|e| e.hops), Some(2));
         assert_eq!(cache.entries().len(), 4);
-    }
-
-    #[test]
-    fn dirty_but_unchanged_keys_revalidate_without_recompute() {
-        use crate::tables::TopologyBase;
-        revalidates_unchanged_keys(TopologyBase::new(), |tb, seq, adv, now| {
-            let hold = now + qolsr_sim::SimDuration::from_secs(20);
-            tb.process_tc_tracked(NodeId(1), seq, adv, now, hold)
-        });
-    }
-
-    #[test]
-    fn dirty_but_unchanged_keys_revalidate_on_the_shared_store() {
-        use crate::store::{SharedLinkStore, SharedTopology};
-        let store = SharedLinkStore::new();
-        revalidates_unchanged_keys(SharedTopology::new(store.clone()), |tb, seq, adv, now| {
-            let hold = now + qolsr_sim::SimDuration::from_secs(20);
-            tb.process_tc_tracked(NodeId(1), seq, seq, adv, now, hold)
-        });
+        drop(tb);
         assert_eq!(
             store.gauges().live_slots,
             0,
@@ -681,7 +667,7 @@ mod tests {
     #[test]
     fn a_link_moving_between_input_sections_recomputes() {
         use crate::messages::{Hello, HelloNeighbor, LinkState};
-        use crate::tables::TopologyBase;
+        use crate::store::{SharedLinkStore, SharedTopology};
         use qolsr_sim::SimDuration;
 
         // The link 1 — 2 is first reported in a HELLO, then only
@@ -700,14 +686,14 @@ mod tests {
                 .collect(),
         };
         let mut nt = NeighborTables::new();
-        let mut tb = TopologyBase::new();
+        let mut tb = SharedTopology::new(SharedLinkStore::new());
         nt.process_hello(me, NodeId(1), q(), &hello(&[2]), t(0), t(6));
         let mut cache = RouteCache::new();
         cache.ensure(me, &nt, &tb, t(1));
         assert_eq!(cache.counters(), (1, 0));
         // Keep 1 symmetric past t(6) without reporting 2 again.
         nt.process_hello(me, NodeId(1), q(), &hello(&[]), t(4), t(14));
-        let update = tb.process_tc_tracked(NodeId(1), 1, &[(NodeId(2), q())], t(5), t(20));
+        let update = tb.process_tc_tracked(NodeId(1), 1, 1, &[(NodeId(2), q())], t(5), t(20));
         assert!(update.links_changed);
         cache.invalidate();
         // At t(7) the reported copy expired and the advertised one holds.

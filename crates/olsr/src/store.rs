@@ -4,10 +4,10 @@
 //!
 //! # Why
 //!
-//! Under the per-node [`TopologyBase`] every node stores every
-//! originator's advertised set privately — `O(n²)` tuples network-wide,
-//! the memory wall that made the n = 4000 live sweep cost gigabytes of
-//! RSS. But the sets are *identical by construction*: a TC emission is
+//! Per-node topology tables, where every node stores every
+//! originator's advertised set privately, hold `O(n²)` tuples
+//! network-wide — the memory wall that made the n = 4000 live sweep
+//! cost gigabytes of RSS. But the sets are *identical by construction*: a TC emission is
 //! flooded verbatim (forwarding patches only TTL/hop bytes), so all
 //! receivers of `(originator, message seq)` decode the same advertised
 //! list. The store exploits exactly that: one refcounted, packed copy
@@ -33,7 +33,13 @@
 //! never to corruption. The differential suites drive exactly this
 //! with adversarial histories.
 //!
-//! [`TopologyBase`]: crate::tables::TopologyBase
+//! # Proof of equivalence
+//!
+//! The per-node tables survive as a test-only oracle
+//! (`tests/support/topology_base.rs`): the `topology_store_properties`
+//! proptests pin [`SharedTopology`] against them query by query, and
+//! `tests/store_differential.rs` replays whole-network runs recorded
+//! from them before they left the protocol.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -374,21 +380,16 @@ struct Overlay {
 /// sets themselves live deduplicated in the network's
 /// [`SharedLinkStore`].
 ///
-/// Semantics are pinned ≡ [`TopologyBase`] — the surviving per-node
-/// reference formulation — by differential proptests and full-network
-/// replays (`tests/store_differential.rs`); every accessor produces the
+/// Semantics are pinned ≡ the per-node reference tables — now a
+/// test-only oracle — by differential proptests and full-network
+/// replays (see the [module docs](self)); every accessor produces the
 /// same content in the same order with the same min-expiry horizons.
-///
-/// [`TopologyBase`]: crate::tables::TopologyBase
 #[derive(Debug)]
 pub struct SharedTopology {
     store: SharedLinkStore,
     /// Overlays ascending by originator.
     overlays: Vec<Overlay>,
-    /// Stored links across all overlays (including expired-but-unswept),
-    /// mirroring [`TopologyBase::len`].
-    ///
-    /// [`TopologyBase::len`]: crate::tables::TopologyBase::len
+    /// Stored links across all overlays (including expired-but-unswept).
     count: usize,
     /// Scratch for sorting/deduplicating an incoming advertised list.
     scratch: Vec<(NodeId, LinkQos)>,
@@ -425,11 +426,13 @@ impl SharedTopology {
     }
 
     /// Integrates the TC of emission `(originator, seq)` carrying
-    /// `ansn` and `advertised`, mirroring
-    /// [`TopologyBase::process_tc_tracked`] exactly; `seq` additionally
-    /// keys the store's content dedup.
-    ///
-    /// [`TopologyBase::process_tc_tracked`]: crate::tables::TopologyBase::process_tc_tracked
+    /// `ansn` and `advertised` (RFC 3626 §9.5): discarded if older than
+    /// the live ANSN record; otherwise it replaces the originator's
+    /// advertised set, sorted by id with the *last* occurrence of a
+    /// duplicate id kept. `seq` additionally keys the store's content
+    /// dedup. The update reports whether the originator's *live* (at
+    /// `now`) advertised link pairs changed — the signal route caches
+    /// invalidate on.
     pub fn process_tc_tracked(
         &mut self,
         originator: NodeId,
@@ -450,8 +453,7 @@ impl SharedTopology {
             }
         }
         // Sort the incoming list by advertised id, keeping the *last*
-        // occurrence of duplicate ids (map-insert semantics) — the
-        // same normalization as the per-node reference.
+        // occurrence of duplicate ids (map-insert semantics).
         self.scratch.clear();
         self.scratch.extend_from_slice(advertised);
         self.scratch.sort_by_key(|&(n, _)| n);
@@ -476,7 +478,7 @@ impl SharedTopology {
                     .eq(self.scratch.iter().map(|&(n, _)| n))
             }
             // No live previous set: changed iff the new set is nonempty
-            // (matching the reference's empty-vs-new comparison).
+            // (an empty set replaced by an empty set is no change).
             _ => !self.scratch.is_empty(),
         };
         let fresh = st.acquire(originator, seq, &self.scratch);

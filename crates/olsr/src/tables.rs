@@ -1,6 +1,8 @@
 //! Protocol information bases: link set, neighbor set, 2-hop set,
-//! MPR-selector set, topology base and duplicate set — all with RFC-style
-//! validity times.
+//! MPR-selector set and duplicate set — all with RFC-style validity
+//! times — plus the interface of the topology base ([`TcUpdate`],
+//! [`TopologyLinks`]), which [`SharedTopology`] implements over the
+//! network-shared store.
 //!
 //! Storage is id-sorted flat vectors (binary-search point lookups,
 //! in-order scans) rather than `BTreeMap`s: the per-message hot path
@@ -462,15 +464,8 @@ pub fn seq_newer(a: u16, b: u16) -> bool {
     a != b && a.wrapping_sub(b) < 0x8000
 }
 
-/// One advertised link inside an originator's topology set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TopoLink {
-    adv: NodeId,
-    qos: LinkQos,
-    until: SimTime,
-}
-
-/// Outcome of integrating a TC message into the [`TopologyBase`].
+/// Outcome of integrating a TC message into a node's topology base
+/// ([`SharedTopology::process_tc_tracked`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcUpdate {
     /// The message was fresh (not discarded by the ANSN check) and its
@@ -483,230 +478,11 @@ pub struct TcUpdate {
     pub links_changed: bool,
 }
 
-/// Topology knowledge learned from flooded TCs.
-///
-/// Stored as one id-sorted advertised set per originator (outer vec
-/// ascending by originator, inner ascending by advertised id): a fresh
-/// TC replaces its originator's set in place, reusing the inner buffer,
-/// without disturbing the rest of the base.
-#[derive(Debug, Default, Clone)]
-pub struct TopologyBase {
-    /// Per-originator advertised sets, ascending by originator.
-    sets: Vec<(NodeId, Vec<TopoLink>)>,
-    /// Latest ANSN seen per originator with its validity horizon
-    /// (the hold time of the TC that set it — the same instant the
-    /// whole advertised set expires), ascending by originator.
-    ansn: Vec<(NodeId, u16, SimTime)>,
-    /// Stored tuples across all sets (including expired-but-unswept).
-    count: usize,
-    /// Scratch for sorting/deduplicating an incoming advertised list.
-    scratch: Vec<(NodeId, LinkQos)>,
-}
-
-impl TopologyBase {
-    /// Creates an empty base.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Integrates a TC from `originator`. Per RFC 3626 §9.5: discard if
-    /// older than the recorded ANSN; otherwise replace the originator's
-    /// advertised set. Returns `true` if the message updated the base.
-    pub fn process_tc(
-        &mut self,
-        originator: NodeId,
-        ansn: u16,
-        advertised: &[(NodeId, LinkQos)],
-        hold_until: SimTime,
-    ) -> bool {
-        self.process_tc_tracked(originator, ansn, advertised, SimTime::ZERO, hold_until)
-            .applied
-    }
-
-    /// Returns `true` when a TC from `originator` carrying `ansn` would
-    /// be accepted at `now` (RFC 3626 §9.5: not older than the recorded
-    /// ANSN) — the non-mutating query the peek-decode fast path asks
-    /// before parsing a TC body. Equal ANSNs are accepted: the refresh
-    /// carries renewed lifetimes. An *expired* ANSN record is treated
-    /// as absent: once an originator's advertised set has fully aged
-    /// out, nothing it announced is held against it, so a rebooted
-    /// originator whose ANSN reset to 0 is re-learned immediately
-    /// instead of being rejected until 16-bit wraparound.
-    pub fn accepts_ansn(&self, originator: NodeId, ansn: u16, now: SimTime) -> bool {
-        match self.ansn.binary_search_by_key(&originator, |a| a.0) {
-            Ok(i) => self.ansn[i].2 <= now || !seq_newer(self.ansn[i].1, ansn),
-            Err(_) => true,
-        }
-    }
-
-    /// Like [`TopologyBase::process_tc`], additionally reporting whether
-    /// the originator's set of *live* (at `now`) advertised link pairs
-    /// changed — the signal route caches invalidate on.
-    pub fn process_tc_tracked(
-        &mut self,
-        originator: NodeId,
-        ansn: u16,
-        advertised: &[(NodeId, LinkQos)],
-        now: SimTime,
-        hold_until: SimTime,
-    ) -> TcUpdate {
-        match self.ansn.binary_search_by_key(&originator, |a| a.0) {
-            Ok(i) => {
-                // A live record enforces the ordering; an expired one is
-                // as if the originator was never heard (see
-                // [`TopologyBase::accepts_ansn`]).
-                if self.ansn[i].2 > now && seq_newer(self.ansn[i].1, ansn) {
-                    return TcUpdate {
-                        applied: false,
-                        links_changed: false,
-                    };
-                }
-                self.ansn[i].1 = ansn;
-                self.ansn[i].2 = hold_until;
-            }
-            Err(i) => self.ansn.insert(i, (originator, ansn, hold_until)),
-        }
-        // Sort the incoming list by advertised id, keeping the *last*
-        // occurrence of duplicate ids (map-insert semantics).
-        self.scratch.clear();
-        self.scratch.extend_from_slice(advertised);
-        self.scratch.sort_by_key(|&(n, _)| n);
-        self.scratch.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                *earlier = *later;
-                true
-            } else {
-                false
-            }
-        });
-
-        let set = match self.sets.binary_search_by_key(&originator, |s| s.0) {
-            Ok(i) => &mut self.sets[i].1,
-            Err(i) => {
-                self.sets.insert(i, (originator, Vec::new()));
-                &mut self.sets[i].1
-            }
-        };
-        let links_changed = {
-            let mut old_live = set.iter().filter(|l| l.until > now).map(|l| l.adv);
-            let mut new_ids = self.scratch.iter().map(|&(n, _)| n);
-            !old_live.by_ref().eq(new_ids.by_ref())
-        };
-        self.count -= set.len();
-        self.count += self.scratch.len();
-        set.clear();
-        set.extend(self.scratch.iter().map(|&(adv, qos)| TopoLink {
-            adv,
-            qos,
-            until: hold_until,
-        }));
-        TcUpdate {
-            applied: true,
-            links_changed,
-        }
-    }
-
-    /// Discards expired tuples — and, once an originator's every tuple
-    /// and its ANSN record have expired, the originator's entries
-    /// themselves. Without that second step departed originators leak
-    /// empty set vecs and ANSN records forever under churn.
-    pub fn sweep(&mut self, now: SimTime) {
-        let count = &mut self.count;
-        self.sets.retain_mut(|(_, set)| {
-            let before = set.len();
-            set.retain(|l| l.until > now);
-            *count -= before - set.len();
-            !set.is_empty()
-        });
-        self.ansn.retain(|&(_, _, until)| until > now);
-    }
-
-    /// Drops all stored state, keeping allocations.
-    pub fn clear(&mut self) {
-        self.sets.clear();
-        self.ansn.clear();
-        self.count = 0;
-    }
-
-    /// Shared scan behind the advertised-link accessors: calls
-    /// `visit(originator, link)` for every live tuple, ascending by
-    /// `(originator, advertised)`, and returns the earliest expiry among
-    /// them (far-future when empty).
-    fn live_scan(&self, now: SimTime, mut visit: impl FnMut(NodeId, &TopoLink)) -> SimTime {
-        let mut min_expiry = FAR_FUTURE;
-        for (orig, set) in &self.sets {
-            for l in set {
-                if l.until > now {
-                    visit(*orig, l);
-                    min_expiry = min_expiry.min(l.until);
-                }
-            }
-        }
-        min_expiry
-    }
-
-    /// Fills `out` with all live advertised links as
-    /// `(originator, advertised, qos)`, ascending by
-    /// `(originator, advertised)`; returns the earliest expiry among
-    /// them (far-future when empty).
-    pub fn links_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId, LinkQos)>) -> SimTime {
-        out.clear();
-        self.live_scan(now, |orig, l| out.push((orig, l.adv, l.qos)))
-    }
-
-    /// Key-only visitor over the live links: calls
-    /// `visit(originator, advertised)` in the order of
-    /// [`TopologyBase::links_into`] and returns the same min-expiry.
-    pub fn for_each_link_key(
-        &self,
-        now: SimTime,
-        mut visit: impl FnMut(NodeId, NodeId),
-    ) -> SimTime {
-        self.live_scan(now, |orig, l| visit(orig, l.adv))
-    }
-
-    /// All live advertised links as `(originator, advertised, qos)`.
-    pub fn links(&self, now: SimTime) -> Vec<(NodeId, NodeId, LinkQos)> {
-        let mut out = Vec::new();
-        self.links_into(now, &mut out);
-        out
-    }
-
-    /// Number of live tuples.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Returns `true` when no tuples are stored.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Originator entries currently held (sets plus ANSN records —
-    /// the quantity the churn-GC bound is asserted on).
-    pub fn originators(&self) -> usize {
-        self.sets.len().max(self.ansn.len())
-    }
-
-    /// Resident footprint as `(stored tuples, approximate heap bytes)`.
-    pub fn footprint(&self) -> (usize, usize) {
-        let bytes = self.sets.capacity() * std::mem::size_of::<(NodeId, Vec<TopoLink>)>()
-            + self
-                .sets
-                .iter()
-                .map(|(_, s)| s.capacity() * std::mem::size_of::<TopoLink>())
-                .sum::<usize>()
-            + self.ansn.capacity() * std::mem::size_of::<(NodeId, u16, SimTime)>()
-            + self.scratch.capacity() * std::mem::size_of::<(NodeId, LinkQos)>();
-        (self.count, bytes)
-    }
-}
-
 /// Read access to the live advertised-link content of a topology base —
-/// what the route computation consumes. Implemented by the per-node
-/// [`TopologyBase`], the store-backed [`SharedTopology`] and the
-/// [`NodeTopology`] dispatcher so the route cache works against any of
-/// them.
+/// what the route computation consumes. Implemented by the node's
+/// store-backed [`SharedTopology`]; the test suites implement it for
+/// the per-node reference tables they keep as an oracle, so the route
+/// cache runs over both.
 pub trait TopologyLinks {
     /// An upper bound on the distinct ids the pairs of
     /// [`TopologyLinks::for_each_link_key`] mention: one per originator
@@ -719,16 +495,6 @@ pub trait TopologyLinks {
     fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime;
 }
 
-impl TopologyLinks for TopologyBase {
-    fn id_bound(&self) -> usize {
-        self.originators() + self.len()
-    }
-
-    fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {
-        TopologyBase::for_each_link_key(self, now, visit)
-    }
-}
-
 impl TopologyLinks for SharedTopology {
     fn id_bound(&self) -> usize {
         self.originators() + self.len()
@@ -736,116 +502,6 @@ impl TopologyLinks for SharedTopology {
 
     fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {
         SharedTopology::for_each_link_key(self, now, visit)
-    }
-}
-
-/// A node's topology base in either formulation, selected by
-/// [`TopologyStore`]: the store-backed [`SharedTopology`] (default) or
-/// the per-node [`TopologyBase`] kept as the living reference the
-/// differential suites pin the shared store against.
-///
-/// [`TopologyStore`]: crate::OlsrConfig
-#[derive(Debug)]
-pub enum NodeTopology {
-    /// Every node stores every originator's set privately (the PR 4
-    /// formulation — `O(n²)` tuples network-wide).
-    PerNode(TopologyBase),
-    /// Per-originator overlays over the network's shared interned
-    /// store.
-    Shared(SharedTopology),
-}
-
-impl NodeTopology {
-    /// See [`TopologyBase::accepts_ansn`].
-    pub fn accepts_ansn(&self, originator: NodeId, ansn: u16, now: SimTime) -> bool {
-        match self {
-            Self::PerNode(t) => t.accepts_ansn(originator, ansn, now),
-            Self::Shared(t) => t.accepts_ansn(originator, ansn, now),
-        }
-    }
-
-    /// See [`TopologyBase::process_tc_tracked`]; `seq` (the TC's
-    /// message sequence number) keys the shared store's content dedup
-    /// and is ignored by the per-node formulation.
-    pub fn process_tc_tracked(
-        &mut self,
-        originator: NodeId,
-        seq: u16,
-        ansn: u16,
-        advertised: &[(NodeId, LinkQos)],
-        now: SimTime,
-        hold_until: SimTime,
-    ) -> TcUpdate {
-        match self {
-            Self::PerNode(t) => t.process_tc_tracked(originator, ansn, advertised, now, hold_until),
-            Self::Shared(t) => {
-                t.process_tc_tracked(originator, seq, ansn, advertised, now, hold_until)
-            }
-        }
-    }
-
-    /// See [`TopologyBase::sweep`].
-    pub fn sweep(&mut self, now: SimTime) {
-        match self {
-            Self::PerNode(t) => t.sweep(now),
-            Self::Shared(t) => t.sweep(now),
-        }
-    }
-
-    /// See [`TopologyBase::clear`].
-    pub fn clear(&mut self) {
-        match self {
-            Self::PerNode(t) => t.clear(),
-            Self::Shared(t) => t.clear(),
-        }
-    }
-
-    /// See [`TopologyBase::links`].
-    pub fn links(&self, now: SimTime) -> Vec<(NodeId, NodeId, LinkQos)> {
-        match self {
-            Self::PerNode(t) => t.links(now),
-            Self::Shared(t) => t.links(now),
-        }
-    }
-
-    /// See [`TopologyBase::len`].
-    pub fn len(&self) -> usize {
-        match self {
-            Self::PerNode(t) => t.len(),
-            Self::Shared(t) => t.len(),
-        }
-    }
-
-    /// Returns `true` when no tuples are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Node-local resident footprint as `(entries, approximate heap
-    /// bytes)`. For the shared formulation this counts the node's
-    /// overlays only; the deduplicated sets are network-level state
-    /// reported once per store.
-    pub fn footprint(&self) -> (usize, usize) {
-        match self {
-            Self::PerNode(t) => t.footprint(),
-            Self::Shared(t) => t.footprint(),
-        }
-    }
-}
-
-impl TopologyLinks for NodeTopology {
-    fn id_bound(&self) -> usize {
-        match self {
-            Self::PerNode(t) => t.id_bound(),
-            Self::Shared(t) => t.id_bound(),
-        }
-    }
-
-    fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {
-        match self {
-            Self::PerNode(t) => t.for_each_link_key(now, visit),
-            Self::Shared(t) => t.for_each_link_key(now, visit),
-        }
     }
 }
 
@@ -1099,10 +755,38 @@ mod tests {
     use super::*;
     use crate::config::{EtxParams, HysteresisParams};
     use crate::messages::{HelloNeighbor, LinkState};
+    use crate::store::SharedLinkStore;
     use qolsr_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// A topology base on a private store.
+    fn topology() -> SharedTopology {
+        SharedTopology::new(SharedLinkStore::new())
+    }
+
+    /// Integrates a TC with no time of its own (nothing recorded is
+    /// live-checked against it), reusing the ANSN as the message
+    /// sequence number the store keys its dedup on. Returns whether the
+    /// message updated the base.
+    fn process_tc(
+        tb: &mut SharedTopology,
+        originator: NodeId,
+        ansn: u16,
+        advertised: &[(NodeId, LinkQos)],
+        hold_until: SimTime,
+    ) -> bool {
+        tb.process_tc_tracked(
+            originator,
+            ansn,
+            ansn,
+            advertised,
+            SimTime::ZERO,
+            hold_until,
+        )
+        .applied
     }
 
     fn hello_listing(ids: &[(u32, LinkState)]) -> Hello {
@@ -1463,28 +1147,34 @@ mod tests {
 
     #[test]
     fn topology_base_ansn_ordering() {
-        let mut tb = TopologyBase::new();
+        let mut tb = topology();
         let adv1 = [(NodeId(2), LinkQos::uniform(1))];
         let adv2 = [(NodeId(3), LinkQos::uniform(2))];
-        assert!(tb.process_tc(NodeId(1), 5, &adv1, t(10)));
+        assert!(process_tc(&mut tb, NodeId(1), 5, &adv1, t(10)));
         // Stale ANSN rejected.
-        assert!(!tb.process_tc(NodeId(1), 4, &adv2, t(10)));
+        assert!(!process_tc(&mut tb, NodeId(1), 4, &adv2, t(10)));
         assert_eq!(tb.links(t(0)).len(), 1);
         // Newer ANSN replaces the whole set.
-        assert!(tb.process_tc(NodeId(1), 6, &adv2, t(10)));
+        assert!(process_tc(&mut tb, NodeId(1), 6, &adv2, t(10)));
         let links = tb.links(t(0));
         assert_eq!(links, vec![(NodeId(1), NodeId(3), LinkQos::uniform(2))]);
     }
 
     #[test]
     fn accepts_ansn_mirrors_process_tc() {
-        let mut tb = TopologyBase::new();
+        let mut tb = topology();
         let now = t(0);
         assert!(
             tb.accepts_ansn(NodeId(1), 0, now),
             "unknown originator accepts"
         );
-        tb.process_tc(NodeId(1), 5, &[(NodeId(2), LinkQos::uniform(1))], t(10));
+        process_tc(
+            &mut tb,
+            NodeId(1),
+            5,
+            &[(NodeId(2), LinkQos::uniform(1))],
+            t(10),
+        );
         assert!(
             tb.accepts_ansn(NodeId(1), 5, now),
             "equal ANSN is a refresh"
@@ -1494,8 +1184,14 @@ mod tests {
         assert!(tb.accepts_ansn(NodeId(1), 5u16.wrapping_add(0x7FFF), now));
         assert!(!tb.accepts_ansn(NodeId(1), 5u16.wrapping_add(0x8001), now));
         // The query must agree with what process_tc actually does.
-        assert!(!tb.process_tc_tracked(NodeId(1), 4, &[], now, t(10)).applied);
-        assert!(tb.process_tc_tracked(NodeId(1), 5, &[], now, t(10)).applied);
+        assert!(
+            !tb.process_tc_tracked(NodeId(1), 4, 4, &[], now, t(10))
+                .applied
+        );
+        assert!(
+            tb.process_tc_tracked(NodeId(1), 5, 5, &[], now, t(10))
+                .applied
+        );
     }
 
     /// The power-cycle regression: an originator that reboots resets
@@ -1505,14 +1201,14 @@ mod tests {
     /// 16-bit wraparound.
     #[test]
     fn expired_ansn_record_relearns_rebooted_originator() {
-        let mut tb = TopologyBase::new();
+        let mut tb = topology();
         let adv = [(NodeId(2), LinkQos::uniform(1))];
         // Long-lived originator with a high ANSN, holding until t=10.
-        assert!(tb.process_tc(NodeId(1), 50, &adv, t(10)));
+        assert!(process_tc(&mut tb, NodeId(1), 50, &adv, t(10)));
         // While the record lives, the reset ANSN is (correctly) stale.
         assert!(!tb.accepts_ansn(NodeId(1), 0, t(5)));
         assert!(
-            !tb.process_tc_tracked(NodeId(1), 0, &adv, t(5), t(20))
+            !tb.process_tc_tracked(NodeId(1), 0, 0, &adv, t(5), t(20))
                 .applied
         );
         // Power cycle: silence past the hold time, tuples expire.
@@ -1520,15 +1216,15 @@ mod tests {
         // The reborn originator announces ANSN 0 and is re-learned at
         // once.
         assert!(tb.accepts_ansn(NodeId(1), 0, t(12)));
-        let up = tb.process_tc_tracked(NodeId(1), 0, &adv, t(12), t(27));
+        let up = tb.process_tc_tracked(NodeId(1), 0, 0, &adv, t(12), t(27));
         assert!(up.applied && up.links_changed);
         assert_eq!(tb.links(t(13)).len(), 1);
         // Even without an intervening sweep, expiry alone suffices.
-        let mut tb2 = TopologyBase::new();
-        assert!(tb2.process_tc(NodeId(1), 50, &adv, t(10)));
+        let mut tb2 = topology();
+        assert!(process_tc(&mut tb2, NodeId(1), 50, &adv, t(10)));
         assert!(tb2.accepts_ansn(NodeId(1), 0, t(11)));
         assert!(
-            tb2.process_tc_tracked(NodeId(1), 0, &adv, t(11), t(26))
+            tb2.process_tc_tracked(NodeId(1), 0, 0, &adv, t(11), t(26))
                 .applied
         );
     }
@@ -1538,10 +1234,11 @@ mod tests {
     /// tuple expired, not just the tuples inside them.
     #[test]
     fn sweep_reclaims_departed_originators() {
-        let mut tb = TopologyBase::new();
+        let mut tb = topology();
         let mut ds = DuplicateSet::new();
         for orig in 0..100u32 {
-            tb.process_tc(
+            process_tc(
+                &mut tb,
                 NodeId(orig),
                 1,
                 &[(NodeId(orig + 1), LinkQos::uniform(1))],
@@ -1652,8 +1349,14 @@ mod tests {
 
     #[test]
     fn topology_base_expiry() {
-        let mut tb = TopologyBase::new();
-        tb.process_tc(NodeId(1), 1, &[(NodeId(2), LinkQos::uniform(1))], t(5));
+        let mut tb = topology();
+        process_tc(
+            &mut tb,
+            NodeId(1),
+            1,
+            &[(NodeId(2), LinkQos::uniform(1))],
+            t(5),
+        );
         assert_eq!(tb.links(t(4)).len(), 1);
         assert!(tb.links(t(6)).is_empty());
         tb.sweep(t(6));
@@ -1662,12 +1365,12 @@ mod tests {
 
     #[test]
     fn tracked_tc_distinguishes_refresh_from_change() {
-        let mut tb = TopologyBase::new();
+        let mut tb = topology();
         let adv = [
             (NodeId(2), LinkQos::uniform(1)),
             (NodeId(3), LinkQos::uniform(2)),
         ];
-        let up = tb.process_tc_tracked(NodeId(1), 1, &adv, t(0), t(10));
+        let up = tb.process_tc_tracked(NodeId(1), 1, 1, &adv, t(0), t(10));
         assert!(up.applied && up.links_changed);
         // Same pairs, refreshed lifetimes and different QoS: applied but
         // not a link change.
@@ -1675,13 +1378,13 @@ mod tests {
             (NodeId(2), LinkQos::uniform(9)),
             (NodeId(3), LinkQos::uniform(9)),
         ];
-        let up = tb.process_tc_tracked(NodeId(1), 2, &adv_q, t(1), t(11));
+        let up = tb.process_tc_tracked(NodeId(1), 2, 2, &adv_q, t(1), t(11));
         assert!(up.applied && !up.links_changed);
         // Dropped member: change.
-        let up = tb.process_tc_tracked(NodeId(1), 3, &[adv[0]], t(2), t(12));
+        let up = tb.process_tc_tracked(NodeId(1), 3, 3, &[adv[0]], t(2), t(12));
         assert!(up.applied && up.links_changed);
         // Stale: neither.
-        let up = tb.process_tc_tracked(NodeId(1), 1, &adv, t(3), t(13));
+        let up = tb.process_tc_tracked(NodeId(1), 1, 1, &adv, t(3), t(13));
         assert!(!up.applied && !up.links_changed);
         // An unsorted list with duplicate ids keeps the last occurrence.
         let dup = [
@@ -1689,7 +1392,7 @@ mod tests {
             (NodeId(4), LinkQos::uniform(1)),
             (NodeId(5), LinkQos::uniform(7)),
         ];
-        let up = tb.process_tc_tracked(NodeId(2), 1, &dup, t(0), t(10));
+        let up = tb.process_tc_tracked(NodeId(2), 1, 1, &dup, t(0), t(10));
         assert!(up.applied && up.links_changed);
         let links = tb.links(t(0));
         assert!(links.contains(&(NodeId(2), NodeId(5), LinkQos::uniform(7))));
@@ -1698,9 +1401,21 @@ mod tests {
 
     #[test]
     fn links_into_reports_min_expiry() {
-        let mut tb = TopologyBase::new();
-        tb.process_tc(NodeId(1), 1, &[(NodeId(2), LinkQos::uniform(1))], t(5));
-        tb.process_tc(NodeId(3), 1, &[(NodeId(4), LinkQos::uniform(1))], t(9));
+        let mut tb = topology();
+        process_tc(
+            &mut tb,
+            NodeId(1),
+            1,
+            &[(NodeId(2), LinkQos::uniform(1))],
+            t(5),
+        );
+        process_tc(
+            &mut tb,
+            NodeId(3),
+            1,
+            &[(NodeId(4), LinkQos::uniform(1))],
+            t(9),
+        );
         let mut out = Vec::new();
         assert_eq!(tb.links_into(t(0), &mut out), t(5));
         assert_eq!(out.len(), 2);

@@ -145,8 +145,8 @@ pub fn forward(bytes: &Bytes) -> Option<Bytes> {
 
 /// TC header fields readable without decoding the advertised list: what
 /// the duplicate table ([`crate::tables::DuplicateSet`]) and the ANSN
-/// record ([`crate::tables::TopologyBase`]) need to decide whether the
-/// body is worth parsing at all.
+/// record ([`crate::store::SharedTopology::accepts_ansn`]) need to
+/// decide whether the body is worth parsing at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcPeek {
     /// The node that created the message.

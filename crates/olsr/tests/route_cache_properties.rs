@@ -5,8 +5,9 @@
 //! every query identically to [`reference_routes`] — the original
 //! `BTreeMap` BFS — recomputed from scratch on the live table contents.
 //! Every history drives two caches: one over the per-node
-//! [`TopologyBase`] and one over a [`SharedTopology`] on a
-//! [`SharedLinkStore`], the production path. Both must also count the
+//! [`TopologyBase`] tables (a test-only oracle in `tests/support/`) and
+//! one over a [`SharedTopology`] on a [`SharedLinkStore`], the
+//! production path. Both must also count the
 //! hits and recomputes a model of the cache's freshness rules predicts.
 //! The interned [`compute_routes`] is pinned to the reference on the
 //! same inputs, and so are caches that share one thread's scratch, taking
@@ -16,9 +17,10 @@
 //! [`RouteCache`]: qolsr_proto::RouteCache
 //! [`SharedLinkStore`]: qolsr_proto::store::SharedLinkStore
 //! [`SharedTopology`]: qolsr_proto::store::SharedTopology
-//! [`TopologyBase`]: qolsr_proto::tables::TopologyBase
 //! [`compute_routes`]: qolsr_proto::routing::compute_routes
 //! [`reference_routes`]: qolsr_proto::routing::reference_routes
+
+mod support;
 
 use std::collections::BTreeMap;
 use std::sync::Barrier;
@@ -29,9 +31,10 @@ use qolsr_metrics::LinkQos;
 use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState};
 use qolsr_proto::routing::{compute_routes, reference_routes};
 use qolsr_proto::store::{SharedLinkStore, SharedTopology};
-use qolsr_proto::tables::{NeighborTables, TopologyBase};
+use qolsr_proto::tables::NeighborTables;
 use qolsr_proto::{RouteCache, RouteEntry};
 use qolsr_sim::{SimDuration, SimTime};
+use support::topology_base::TopologyBase;
 
 const ME: NodeId = NodeId(0);
 

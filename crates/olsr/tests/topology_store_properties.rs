@@ -3,14 +3,16 @@
 //! — including ANSN/seq wraparound and seq reuse across reboots — a
 //! [`SharedTopology`] over a network-shared [`SharedLinkStore`] must
 //! answer every query identically to the per-node [`TopologyBase`]
-//! reference (the PR 4 formulation `TopologyStore::PerNode` keeps
-//! alive). The ANSN accept/reject rule and the flat [`DuplicateSet`]
-//! table are additionally pinned against naive map formulations.
+//! tables (the PR 4 formulation, now a test-only oracle in
+//! `tests/support/`). The ANSN accept/reject rule and the flat
+//! [`DuplicateSet`] table are additionally pinned against naive map
+//! formulations.
 //!
 //! [`DuplicateSet`]: qolsr_proto::tables::DuplicateSet
 //! [`SharedLinkStore`]: qolsr_proto::SharedLinkStore
 //! [`SharedTopology`]: qolsr_proto::store::SharedTopology
-//! [`TopologyBase`]: qolsr_proto::tables::TopologyBase
+
+mod support;
 
 use std::collections::BTreeMap;
 
@@ -18,9 +20,10 @@ use proptest::prelude::*;
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_proto::store::SharedTopology;
-use qolsr_proto::tables::{seq_newer, DuplicateSet, TopologyBase};
+use qolsr_proto::tables::{seq_newer, DuplicateSet};
 use qolsr_proto::SharedLinkStore;
 use qolsr_sim::{SimDuration, SimTime};
+use support::topology_base::TopologyBase;
 
 /// One step of a topology-base history.
 #[derive(Debug, Clone)]

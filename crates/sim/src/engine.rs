@@ -138,7 +138,6 @@ impl Default for RadioConfig {
 ///
 /// `Ideal` is the living reference formulation every lossy run is
 /// differentially pinned against (the same pattern as
-/// [`SchedulerKind`](crate::SchedulerKind)'s heap or
 /// `TcScoping::Uniform`): it performs **no PHY randomness at all**, so
 /// `Ideal` runs are byte-identical to the engine as it existed before
 /// the PHY layer landed. `Lossy` draws its randomness from dedicated
@@ -225,7 +224,7 @@ impl LossyPhy {
 /// truncation applied per delivery.
 ///
 /// `Off` is the living reference formulation in the
-/// [`PhyModel::Ideal`]/`SchedulerKind` mold: it performs **no corruption
+/// [`PhyModel::Ideal`] mold: it performs **no corruption
 /// randomness at all**, so default runs are byte-identical to the engine
 /// as it existed before the injector landed. `On` draws from dedicated
 /// per-sender streams split from `seed ^ CORRUPT_STREAM_SALT` — never
@@ -586,7 +585,7 @@ impl SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SchedulerKind, Simulator};
+    use crate::{fnv1a, Simulator};
     use qolsr_graph::{Point2, Topology, TopologyBuilder, WorldEvent};
 
     /// Three nodes in a line: 0—1—2.
@@ -940,50 +939,49 @@ mod tests {
         assert_eq!(sim.now(), now, "past deadline must be a no-op");
     }
 
+    /// `fnv1a` of the run below under the binary-heap scheduler, recorded
+    /// at f0b9e42 (the last commit with that scheduler), where this test
+    /// ran both schedulers and found them equal.
+    const HEAP_RUN: u64 = 0x0a99_321c_5871_4889;
+
     #[test]
     fn wheel_and_heap_schedulers_replay_identically() {
-        let run = |kind: SchedulerKind| {
-            let mut sim = Simulator::with_shards(
-                line3(),
-                RadioConfig {
-                    latency: SimDuration::from_millis(1),
-                    jitter: SimDuration::from_millis(3),
-                    ..RadioConfig::default()
-                },
-                11,
-                kind,
-                1,
-                |_, _| Flood::default(),
-            );
-            sim.schedule_world(
-                SimTime::from_micros(400_000),
-                WorldEvent::LinkDown {
-                    a: NodeId(0),
-                    b: NodeId(1),
-                },
-            );
-            // A far-future world event exercises the wheel's overflow
-            // heap fallback.
-            sim.schedule_world(
-                SimTime::ZERO + SimDuration::from_secs(120),
-                WorldEvent::LinkUp {
-                    a: NodeId(0),
-                    b: NodeId(2),
-                    qos: LinkQos::uniform(3),
-                },
-            );
-            sim.run_for(SimDuration::from_secs(200));
-            (
-                sim.stats(),
-                sim.now(),
-                sim.world().link_count(),
-                sim.actor(NodeId(1)).heard_from.clone(),
-            )
-        };
-        assert_eq!(
-            run(SchedulerKind::TimerWheel),
-            run(SchedulerKind::BinaryHeap)
+        let mut sim = Simulator::with_shards(
+            line3(),
+            RadioConfig {
+                latency: SimDuration::from_millis(1),
+                jitter: SimDuration::from_millis(3),
+                ..RadioConfig::default()
+            },
+            11,
+            1,
+            |_, _| Flood::default(),
         );
+        sim.schedule_world(
+            SimTime::from_micros(400_000),
+            WorldEvent::LinkDown {
+                a: NodeId(0),
+                b: NodeId(1),
+            },
+        );
+        // A far-future world event exercises the wheel's overflow
+        // heap fallback.
+        sim.schedule_world(
+            SimTime::ZERO + SimDuration::from_secs(120),
+            WorldEvent::LinkUp {
+                a: NodeId(0),
+                b: NodeId(2),
+                qos: LinkQos::uniform(3),
+            },
+        );
+        sim.run_for(SimDuration::from_secs(200));
+        let run = (
+            sim.stats(),
+            sim.now(),
+            sim.world().link_count(),
+            sim.actor(NodeId(1)).heard_from.clone(),
+        );
+        assert_eq!(fnv1a(format!("{run:?}").as_bytes()), HEAP_RUN);
     }
 
     fn lossy(edge_drop_ppm: u32) -> RadioConfig {

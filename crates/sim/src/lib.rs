@@ -46,11 +46,12 @@
 //! covering the next ~8 s (the dominant horizon: periodic HELLO/TC and
 //! sweep timers, millisecond radio deliveries), and an overflow heap for
 //! anything beyond the ring. Pop order is **exactly** `(time, sequence)`
-//! — identical to a plain binary heap — which is why the wheel can be
-//! the default without perturbing a single seeded replay.
-//! [`SchedulerKind::BinaryHeap`] keeps the reference implementation
-//! alive; `tests/scheduler_differential.rs` and the crate's own
-//! `queue_properties` suite pin byte-identical behaviour across both.
+//! — identical to a plain binary heap, which is why the wheel replaced
+//! the heap without perturbing a single seeded replay. The crate's
+//! `queue_properties` suite pins the wheel against a test-only
+//! `BinaryHeap`, and `tests/scheduler_differential.rs` replays
+//! whole-network runs recorded from the heap scheduler before it was
+//! deleted.
 //!
 //! # Determinism contract
 //!
@@ -58,7 +59,7 @@
 //! feeds one [`SimRng`] that splits into per-node streams, world events
 //! apply at fixed scheduled instants, and simultaneous events dispatch in
 //! schedule order. Two simulators built with equal
-//! `(topology, radio, seed, scheduler)` therefore replay byte-identically
+//! `(topology, radio, seed)` therefore replay byte-identically
 //! — same stats, same traces, same end state — on any machine, and at
 //! any shard count. Experiment harnesses extend the contract to
 //! *thread-count invariance*: runs are sharded, but per-run results are
@@ -155,9 +156,18 @@ pub use engine::{
 };
 pub use queue::SchedulerKind;
 pub use rng::SimRng;
-pub use scenario::{apply_recorded, MobilityModel, NeighborScan, Scenario, ScenarioBuilder};
+pub use scenario::{apply_recorded, MobilityModel, Scenario, ScenarioBuilder};
 pub use shard::{ExecMode, Simulator};
 pub use time::{SimDuration, SimTime};
+
+/// FNV-1a over a rendered run: the hash the unit tests record their
+/// golden fingerprints in.
+#[cfg(test)]
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 pub use traffic::{
     DataPacket, DropCause, FlowModel, FlowRecord, FlowSpec, FlowState, TrafficStats, TxQueue,
     TxQueueConfig, TRAFFIC_STREAM_SALT,

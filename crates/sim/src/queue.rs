@@ -1,4 +1,4 @@
-//! Event queues for the discrete-event engine.
+//! The event queue of the discrete-event engine.
 //!
 //! The engine's dominant event classes are short-horizon: periodic
 //! HELLO/TC/sweep timers (≤ a few seconds ahead) and radio deliveries
@@ -9,10 +9,12 @@
 //! heap only for far-future or irregular events (long-horizon world
 //! events, degenerate timers).
 //!
-//! Both queue flavours pop in **exactly** the same total order — the
-//! item's `Ord` (the engine orders by `(time, seq)`) — so a simulation
-//! replays byte-identically whichever scheduler backs it. The
-//! differential suites pin this.
+//! The wheel pops in **exactly** the total order of the item's `Ord`
+//! (the engine orders by `(time, seq)`) — the order a plain
+//! `BinaryHeap<Reverse<_>>` pops in. The `queue_properties` suite pins
+//! the two equal on arbitrary push/pop histories, and
+//! `tests/scheduler_differential.rs` replays whole-network runs
+//! recorded when the engine still offered the heap as a scheduler.
 //!
 //! # Structure
 //!
@@ -53,7 +55,7 @@ const SPAN_US: u64 = ((N_SLOTS as u64) - 1) << SLOT_BITS;
 /// allocation-free while bounding idle memory to `N_SLOTS × 32` items.
 const SLOT_RETAIN: usize = 32;
 
-/// An item schedulable on an [`EventQueue`].
+/// An item schedulable on a [`TimerWheel`].
 ///
 /// `Ord` must be a total order consistent with `due_micros` (items
 /// compare by due time first); the engine uses `(time, seq)`.
@@ -62,17 +64,17 @@ pub trait QueueItem: Ord {
     fn due_micros(&self) -> u64;
 }
 
-/// Which backing structure an engine event queue uses.
+/// The engine's scheduler. It has one value, the [`TimerWheel`], and
+/// stays only because the benchmark harness in `perfbench/` passes
+/// `SchedulerKind::default()` to `OlsrNetwork::with_exec`, whose
+/// signature therefore keeps the parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// The slotted [`TimerWheel`] (default): `O(1)` inserts for the
+    /// The slotted [`TimerWheel`]: `O(1)` inserts for the
     /// periodic-timer/delivery hot path, heap fallback for far-future
     /// events.
     #[default]
     TimerWheel,
-    /// A plain binary heap — the reference scheduler the wheel is
-    /// differentially tested against.
-    BinaryHeap,
 }
 
 /// The slotted timer wheel. See the [module docs](self) for the
@@ -88,8 +90,7 @@ pub struct TimerWheel<T> {
     /// `[due_end, due_end + SPAN_US)`.
     slots: Box<[Vec<T>]>,
     /// One bit per slot: set iff the slot is non-empty. Boxed so the
-    /// wheel stays small by value (`EventQueue` is an enum whose other
-    /// variant is a bare heap).
+    /// wheel stays small by value.
     occupied: Box<[u64; N_WORDS]>,
     /// Items currently stored in ring slots.
     ring_len: usize,
@@ -245,63 +246,6 @@ impl<T: QueueItem> TimerWheel<T> {
     }
 }
 
-/// An engine event queue: the [`TimerWheel`] or the reference binary
-/// heap, behind one interface. Pop order is identical for both.
-#[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Timer-wheel backed queue.
-    Wheel(TimerWheel<T>),
-    /// Plain binary-heap backed queue.
-    Heap(BinaryHeap<Reverse<T>>),
-}
-
-impl<T: QueueItem> EventQueue<T> {
-    /// Creates an empty queue of the given kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::TimerWheel => Self::Wheel(TimerWheel::new()),
-            SchedulerKind::BinaryHeap => Self::Heap(BinaryHeap::new()),
-        }
-    }
-
-    /// Queues an item.
-    pub fn push(&mut self, item: T) {
-        match self {
-            Self::Wheel(w) => w.push(item),
-            Self::Heap(h) => h.push(Reverse(item)),
-        }
-    }
-
-    /// Removes and returns the smallest item.
-    pub fn pop(&mut self) -> Option<T> {
-        match self {
-            Self::Wheel(w) => w.pop(),
-            Self::Heap(h) => h.pop().map(|Reverse(item)| item),
-        }
-    }
-
-    /// Due instant (µs) of the smallest item, if any.
-    pub fn next_due(&mut self) -> Option<u64> {
-        match self {
-            Self::Wheel(w) => w.next_due(),
-            Self::Heap(h) => h.peek().map(|Reverse(item)| item.due_micros()),
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Wheel(w) => w.len(),
-            Self::Heap(h) => h.len(),
-        }
-    }
-
-    /// Returns `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,7 +259,7 @@ mod tests {
         }
     }
 
-    fn drain(q: &mut EventQueue<Item>) -> Vec<Item> {
+    fn drain(q: &mut TimerWheel<Item>) -> Vec<Item> {
         let mut out = Vec::new();
         while let Some(item) = q.pop() {
             out.push(item);
@@ -325,7 +269,7 @@ mod tests {
 
     #[test]
     fn wheel_pops_sorted() {
-        let mut q = EventQueue::new(SchedulerKind::TimerWheel);
+        let mut q = TimerWheel::new();
         let items = [
             Item(5_000_000, 3),
             Item(0, 0),
@@ -345,8 +289,8 @@ mod tests {
 
     #[test]
     fn wheel_matches_heap_under_interleaving() {
-        let mut wheel = EventQueue::new(SchedulerKind::TimerWheel);
-        let mut heap = EventQueue::new(SchedulerKind::BinaryHeap);
+        let mut wheel = TimerWheel::new();
+        let mut heap = BinaryHeap::new();
         let mut t = 0u64;
         // Pseudo-random push/pop interleaving with a deterministic LCG.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -355,10 +299,10 @@ mod tests {
             let delay = state % 9_000_000; // up to 9 s ahead — exercises overflow
             let item = Item(t + delay, seq);
             wheel.push(item);
-            heap.push(item);
+            heap.push(Reverse(item));
             if state.is_multiple_of(3) {
                 let a = wheel.pop();
-                let b = heap.pop();
+                let b = heap.pop().map(|Reverse(item)| item);
                 assert_eq!(a, b);
                 if let Some(it) = a {
                     t = t.max(it.0);
@@ -367,7 +311,7 @@ mod tests {
         }
         assert_eq!(wheel.len(), heap.len());
         loop {
-            let (a, b) = (wheel.pop(), heap.pop());
+            let (a, b) = (wheel.pop(), heap.pop().map(|Reverse(item)| item));
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -377,7 +321,7 @@ mod tests {
 
     #[test]
     fn next_due_reports_minimum_without_consuming() {
-        let mut q = EventQueue::new(SchedulerKind::TimerWheel);
+        let mut q = TimerWheel::new();
         q.push(Item(50_000_000, 1)); // far future: overflow
         assert_eq!(q.next_due(), Some(50_000_000));
         assert_eq!(q.len(), 1);
@@ -390,7 +334,7 @@ mod tests {
 
     #[test]
     fn same_slot_items_order_by_seq() {
-        let mut q = EventQueue::new(SchedulerKind::TimerWheel);
+        let mut q = TimerWheel::new();
         // All in one slot window, pushed out of order.
         q.push(Item(2_000_000, 9));
         q.push(Item(2_000_000, 1));
@@ -403,7 +347,7 @@ mod tests {
 
     #[test]
     fn push_behind_window_is_still_ordered() {
-        let mut q = EventQueue::new(SchedulerKind::TimerWheel);
+        let mut q = TimerWheel::new();
         q.push(Item(10_000_000, 0));
         assert_eq!(q.pop(), Some(Item(10_000_000, 0)));
         // The window advanced past 10 s; a (hypothetical) earlier push

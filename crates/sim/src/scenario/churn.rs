@@ -8,15 +8,14 @@ use qolsr_graph::{DynamicTopology, NodeId, WorldEvent};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-use super::{apply_recorded, sample_exponential, MobilityModel, NeighborScan};
+use super::{apply_recorded, sample_exponential, MobilityModel};
 
 /// Node churn as a Poisson process: departures arrive network-wide at
 /// `leave_rate` per second (each hitting a uniformly random active node),
 /// and a departed node rejoins after an exponential downtime with mean
 /// `mean_downtime`. On rejoin the node reconnects to every active node
 /// within the communication radius — discovered through the world's
-/// shared [`SpatialGrid`] index by default — with freshly drawn link
-/// labels.
+/// shared [`SpatialGrid`] index — with freshly drawn link labels.
 ///
 /// [`SpatialGrid`]: qolsr_graph::SpatialGrid
 #[derive(Debug, Clone)]
@@ -24,7 +23,6 @@ pub struct PoissonChurn {
     leave_rate: f64,
     mean_downtime: SimDuration,
     weights: UniformWeights,
-    scan: NeighborScan,
     next_leave: Option<SimTime>,
     /// Pending rejoins: `time -> nodes` (BTreeMap keeps them ordered).
     rejoins: BTreeMap<SimTime, Vec<NodeId>>,
@@ -47,17 +45,9 @@ impl PoissonChurn {
             leave_rate,
             mean_downtime,
             weights,
-            scan: NeighborScan::Grid,
             next_leave: None,
             rejoins: BTreeMap::new(),
         }
-    }
-
-    /// Selects the rejoin-relink discovery path (default: the grid; the
-    /// naive path exists for differential tests).
-    pub fn with_scan(mut self, scan: NeighborScan) -> Self {
-        self.scan = scan;
-        self
     }
 
     fn mean_interarrival(&self) -> SimDuration {
@@ -92,23 +82,13 @@ impl MobilityModel for PoissonChurn {
 
         // Rejoins due at this instant: join plus radius links. Each Join
         // applies to `world` immediately, so nodes rejoining at the same
-        // instant see each other as active and link up. Both discovery
-        // paths visit candidates in ascending id order, so they draw
-        // link labels in the same sequence (grid ≡ naive traces).
+        // instant see each other as active and link up. Candidates come
+        // in ascending id order, the order link labels are drawn in.
         if let Some(nodes) = self.rejoins.remove(&now) {
             let r = world.radius();
-            let r_sq = r * r;
             for node in nodes {
                 apply_recorded(world, &mut events, WorldEvent::Join { node });
-                let here = world.position(node);
-                let candidates: Vec<NodeId> = match self.scan {
-                    NeighborScan::Naive => world
-                        .nodes()
-                        .filter(|&other| here.distance_sq(world.position(other)) <= r_sq)
-                        .collect(),
-                    NeighborScan::Grid => world.nodes_within(here, r),
-                };
-                for other in candidates {
+                for other in world.nodes_within(world.position(node), r) {
                     if other != node && world.is_active(other) {
                         let qos = self.weights.sample(rng);
                         apply_recorded(
@@ -145,7 +125,7 @@ impl MobilityModel for PoissonChurn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioBuilder;
+    use crate::scenario::{radius_oracle, ScenarioBuilder};
     use qolsr_graph::{Point2, TopologyBuilder};
     use qolsr_metrics::LinkQos;
 
@@ -197,6 +177,11 @@ mod tests {
             }
             world.apply(&te.event);
         }
+        // Not only in range: each rejoin links *every* active node in
+        // range.
+        let events = s.events().iter().map(|te| (te.at.as_micros(), te.event));
+        let checks = radius_oracle::assert_radius_consistent(&clique5(), events, None);
+        assert_eq!(checks as u64, s.summary().joins);
     }
 
     #[test]

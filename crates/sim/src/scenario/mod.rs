@@ -55,6 +55,9 @@
 mod churn;
 mod drift;
 mod faults;
+#[cfg(test)]
+#[path = "../../tests/support/radius_oracle.rs"]
+mod radius_oracle;
 mod waypoint;
 
 pub use churn::PoissonChurn;
@@ -160,24 +163,6 @@ impl Scenario {
         let offset = start - SimTime::ZERO;
         sim.schedule_world_events(self.events.iter().map(|te| (te.at + offset, te.event)));
     }
-}
-
-/// How a scenario model discovers the nodes within radio radius of a
-/// point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NeighborScan {
-    /// Query the world's incremental [`SpatialGrid`] — O(k) per query
-    /// for `k` nodes in range; the default and the only path that scales
-    /// past a few thousand nodes.
-    ///
-    /// [`SpatialGrid`]: qolsr_graph::SpatialGrid
-    #[default]
-    Grid,
-    /// Brute-force scan over all candidate pairs — the O(n²) reference
-    /// implementation the grid path is differentially tested against
-    /// (`tests/scenario_determinism.rs` asserts byte-identical event
-    /// traces). Keep for tests; never for large worlds.
-    Naive,
 }
 
 /// A generator of world events, driven by the [`ScenarioBuilder`].

@@ -6,7 +6,7 @@ use qolsr_graph::{DynamicTopology, NodeId, Point2, WorldEvent};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-use super::{apply_recorded, MobilityModel, NeighborScan};
+use super::{apply_recorded, MobilityModel};
 
 #[derive(Debug, Clone, Copy)]
 struct NodeMotion {
@@ -44,9 +44,8 @@ pub enum WaypointSampling {
 ///
 /// Link re-sync runs per *dirty* node — nodes that moved this tick or
 /// became active since the last one — through the world's shared
-/// [`SpatialGrid`] index, O(moved · k) instead of the all-pairs O(n²)
-/// scan, which [`NeighborScan::Naive`] keeps available as the reference
-/// the grid path is differentially tested against.
+/// [`SpatialGrid`] index, O(moved · k) instead of an all-pairs O(n²)
+/// scan.
 ///
 /// [`GaussMarkovDrift`]: super::GaussMarkovDrift
 /// [`SpatialGrid`]: qolsr_graph::SpatialGrid
@@ -58,7 +57,6 @@ pub struct RandomWaypoint {
     pause: SimDuration,
     weights: UniformWeights,
     sampling: WaypointSampling,
-    scan: NeighborScan,
     next: SimTime,
     motion: Vec<NodeMotion>,
     /// Activity as of the last activation; a false→true flip marks the
@@ -68,15 +66,15 @@ pub struct RandomWaypoint {
     /// `DynamicTopology::position_epoch` per node as of the end of the
     /// last activation; a change marks the node dirty, so moves applied
     /// by *other* composed models between activations get their radius
-    /// links re-synced too (the grid path's consistency invariant does
-    /// not depend on this model being the only mover).
+    /// links re-synced too (the consistency invariant does not depend
+    /// on this model being the only mover).
     pos_epochs: Vec<u64>,
     /// The first activation re-syncs every pair (the initial topology is
     /// not required to match the radius relation); later ticks only look
     /// at dirty nodes.
     full_sync: bool,
     /// Per-min-endpoint candidate-pair buckets, kept across ticks so the
-    /// grid path allocates nothing in steady state. Always left empty
+    /// re-sync allocates nothing in steady state. Always left empty
     /// between activations (capacity retained).
     buckets: Vec<Vec<u32>>,
 }
@@ -115,7 +113,6 @@ impl RandomWaypoint {
             pause,
             weights,
             sampling: WaypointSampling::Uniform,
-            scan: NeighborScan::Grid,
             next: SimTime::ZERO,
             motion: Vec::new(),
             active: Vec::new(),
@@ -128,13 +125,6 @@ impl RandomWaypoint {
     /// Selects the waypoint distribution (default: uniform).
     pub fn with_sampling(mut self, sampling: WaypointSampling) -> Self {
         self.sampling = sampling;
-        self
-    }
-
-    /// Selects the link re-sync path (default: the grid; the naive path
-    /// exists for differential tests).
-    pub fn with_scan(mut self, scan: NeighborScan) -> Self {
-        self.scan = scan;
         self
     }
 
@@ -160,28 +150,6 @@ impl RandomWaypoint {
     fn draw_speed(&self, rng: &mut SimRng) -> f64 {
         self.speed.0 + rng.next_f64() * (self.speed.1 - self.speed.0)
     }
-
-    /// Brings the link state of the active pair `a—b` in line with the
-    /// radius relation, drawing a fresh label if the pair just came into
-    /// range.
-    fn sync_pair(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        r_sq: f64,
-        world: &mut DynamicTopology,
-        events: &mut Vec<WorldEvent>,
-        rng: &mut SimRng,
-    ) {
-        let in_range = world.position(a).distance_sq(world.position(b)) <= r_sq;
-        let linked = world.has_link(a, b);
-        if in_range && !linked {
-            let qos = self.weights.sample(rng);
-            apply_recorded(world, events, WorldEvent::LinkUp { a, b, qos });
-        } else if !in_range && linked {
-            apply_recorded(world, events, WorldEvent::LinkDown { a, b });
-        }
-    }
 }
 
 impl MobilityModel for RandomWaypoint {
@@ -200,7 +168,7 @@ impl MobilityModel for RandomWaypoint {
         self.active = world.nodes().map(|n| world.is_active(n)).collect();
         self.pos_epochs = world.nodes().map(|n| world.position_epoch(n)).collect();
         self.full_sync = true;
-        // The grid path tags bucketed node ids with two origin bits.
+        // The re-sync tags bucketed node ids with two origin bits.
         assert!(
             world.len() < (1 << 30),
             "grid scan packs node ids into 30 bits"
@@ -277,100 +245,72 @@ impl MobilityModel for RandomWaypoint {
             *slot = world.position_epoch(NodeId(i as u32));
         }
 
-        // Re-sync the unit-disk link set over the new positions. Both
-        // paths visit candidate pairs in ascending (a, b) order, so they
-        // draw link labels in the same sequence — the basis of the
-        // grid ≡ naive trace equality the test suite pins.
+        // Re-sync the unit-disk link set over the new positions. Only
+        // pairs touching a dirty node can have changed: every other
+        // active pair was radius-consistent after the previous sync and
+        // neither endpoint moved since.
+        //
+        // Candidate pairs bucket under their smaller endpoint, tagged
+        // with where they came from: the adjacency pass (LINKED —
+        // potential downs) or the grid pass (IN_RANGE — potential ups).
+        // After a per-bucket sort, merged flags decide each pair's event
+        // with no further lookups — stable pairs (both flags) cost
+        // nothing beyond the merge. Buckets are walked in ascending
+        // order, so link labels are drawn in ascending `(a, b)` order.
+        const LINKED: u32 = 1;
+        const IN_RANGE: u32 = 2;
         let r = world.radius();
-        let r_sq = r * r;
-        match self.scan {
-            NeighborScan::Naive => {
-                for a in 0..n {
-                    let na = NodeId(a as u32);
-                    if !world.is_active(na) {
-                        continue;
-                    }
-                    for b in (a + 1)..n {
-                        let nb = NodeId(b as u32);
-                        if !world.is_active(nb) {
-                            continue;
-                        }
-                        self.sync_pair(na, nb, r_sq, world, &mut events, rng);
-                    }
+        let mut in_range = Vec::new();
+        for &d in &dirty {
+            let nd = NodeId(d);
+            for (m, _) in world.neighbors(nd) {
+                let (a, b) = (d.min(m.0), d.max(m.0));
+                self.buckets[a as usize].push(b << 2 | LINKED);
+            }
+            world.nodes_within_into(world.position(nd), r, &mut in_range);
+            for &m in &in_range {
+                if m != nd {
+                    let (a, b) = (d.min(m.0), d.max(m.0));
+                    self.buckets[a as usize].push(b << 2 | IN_RANGE);
                 }
             }
-            NeighborScan::Grid => {
-                // Only pairs touching a dirty node can have changed:
-                // every other active pair was radius-consistent after the
-                // previous sync and neither endpoint moved since.
-                //
-                // Candidate pairs bucket under their smaller endpoint,
-                // tagged with where they came from: the adjacency pass
-                // (LINKED — potential downs) or the grid pass (IN_RANGE —
-                // potential ups). After a per-bucket sort, merged flags
-                // decide each pair's event with no further lookups —
-                // stable pairs (both flags) cost nothing beyond the
-                // merge. Walking buckets in ascending order keeps the
-                // label-draw sequence identical to the naive scan.
-                const LINKED: u32 = 1;
-                const IN_RANGE: u32 = 2;
-                let mut in_range = Vec::new();
-                for &d in &dirty {
-                    let nd = NodeId(d);
-                    for (m, _) in world.neighbors(nd) {
-                        let (a, b) = (d.min(m.0), d.max(m.0));
-                        self.buckets[a as usize].push(b << 2 | LINKED);
+        }
+        for a in 0..n {
+            if self.buckets[a].is_empty() {
+                continue;
+            }
+            let mut bucket = std::mem::take(&mut self.buckets[a]);
+            let na = NodeId(a as u32);
+            if world.is_active(na) {
+                bucket.sort_unstable();
+                let mut i = 0;
+                while i < bucket.len() {
+                    let b = bucket[i] >> 2;
+                    let mut flags = bucket[i] & 3;
+                    i += 1;
+                    while i < bucket.len() && bucket[i] >> 2 == b {
+                        flags |= bucket[i] & 3;
+                        i += 1;
                     }
-                    world.nodes_within_into(world.position(nd), r, &mut in_range);
-                    for &m in &in_range {
-                        if m != nd {
-                            let (a, b) = (d.min(m.0), d.max(m.0));
-                            self.buckets[a as usize].push(b << 2 | IN_RANGE);
-                        }
-                    }
-                }
-                for a in 0..n {
-                    if self.buckets[a].is_empty() {
+                    let nb = NodeId(b);
+                    if !world.is_active(nb) {
                         continue;
                     }
-                    let mut bucket = std::mem::take(&mut self.buckets[a]);
-                    let na = NodeId(a as u32);
-                    if world.is_active(na) {
-                        bucket.sort_unstable();
-                        let mut i = 0;
-                        while i < bucket.len() {
-                            let b = bucket[i] >> 2;
-                            let mut flags = bucket[i] & 3;
-                            i += 1;
-                            while i < bucket.len() && bucket[i] >> 2 == b {
-                                flags |= bucket[i] & 3;
-                                i += 1;
-                            }
-                            let nb = NodeId(b);
-                            if !world.is_active(nb) {
-                                continue;
-                            }
-                            if flags == IN_RANGE {
-                                let qos = self.weights.sample(rng);
-                                apply_recorded(
-                                    world,
-                                    &mut events,
-                                    WorldEvent::LinkUp { a: na, b: nb, qos },
-                                );
-                            } else if flags == LINKED {
-                                apply_recorded(
-                                    world,
-                                    &mut events,
-                                    WorldEvent::LinkDown { a: na, b: nb },
-                                );
-                            }
-                            // Both flags: linked and still in range.
-                        }
+                    if flags == IN_RANGE {
+                        let qos = self.weights.sample(rng);
+                        apply_recorded(
+                            world,
+                            &mut events,
+                            WorldEvent::LinkUp { a: na, b: nb, qos },
+                        );
+                    } else if flags == LINKED {
+                        apply_recorded(world, &mut events, WorldEvent::LinkDown { a: na, b: nb });
                     }
-                    bucket.clear();
-                    self.buckets[a] = bucket;
+                    // Both flags: linked and still in range.
                 }
             }
+            bucket.clear();
+            self.buckets[a] = bucket;
         }
 
         self.next = now + self.tick;
@@ -381,7 +321,8 @@ impl MobilityModel for RandomWaypoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioBuilder;
+    use crate::fnv1a;
+    use crate::scenario::{radius_oracle, ScenarioBuilder};
     use qolsr_graph::deploy::{deploy, Deployment};
 
     fn world() -> qolsr_graph::Topology {
@@ -439,20 +380,40 @@ mod tests {
         }
     }
 
+    /// `fnv1a` of each scenario's event trace as the all-pairs scan
+    /// generated it: `(seed, trace)` for [`model`] alone, then for the
+    /// [`Teleporter`] composition of [`grid_scan_tracks_external_movers`].
+    /// Recorded at f0b9e42, the last commit with that scan, where both
+    /// tests still compared it with the grid live.
+    const NAIVE_TRACES: [(u64, u64); 3] = [
+        (3, 0x9c3f_e164_90c1_0e62),
+        (17, 0xc4cb_a768_9d6b_1eb0),
+        (99, 0xc4e8_aaa1_feb7_0afa),
+    ];
+    const NAIVE_TELEPORTER_TRACES: [(u64, u64); 2] =
+        [(5, 0xf5dc_4aaa_6120_a85c), (41, 0x2d1b_1dfa_a704_74af)];
+
+    /// Checks `s` against the radius oracle, which must find something
+    /// to check.
+    fn assert_radius_consistent(topo: &qolsr_graph::Topology, s: &crate::Scenario) {
+        let events = s.events().iter().map(|te| (te.at.as_micros(), te.event));
+        let tick = SimDuration::from_secs(1).as_micros();
+        let checks = radius_oracle::assert_radius_consistent(topo, events, Some(tick));
+        assert!(checks > 0, "the oracle checked nothing");
+    }
+
     #[test]
     fn grid_and_naive_scans_agree() {
         let topo = world();
-        for seed in [3, 17, 99] {
+        for (seed, naive) in NAIVE_TRACES {
             let grid = ScenarioBuilder::new(&topo, seed)
                 .with(model())
                 .generate(SimDuration::from_secs(25));
-            let naive = ScenarioBuilder::new(&topo, seed)
-                .with(model().with_scan(NeighborScan::Naive))
-                .generate(SimDuration::from_secs(25));
+            assert_radius_consistent(&topo, &grid);
             assert_eq!(
-                grid.events(),
-                naive.events(),
-                "grid and naive scans diverge (seed {seed})"
+                fnv1a(format!("{:?}", grid.events()).as_bytes()),
+                naive,
+                "grid trace diverges from the recorded naive one (seed {seed})"
             );
         }
     }
@@ -496,41 +457,37 @@ mod tests {
     }
 
     /// Moves applied by *another* composed model must get their radius
-    /// links re-synced by the grid path exactly like the naive full
-    /// scan does.
+    /// links re-synced by the grid path: the trace replays the recorded
+    /// all-pairs one, and every tick leaves links matching the radius.
     #[test]
     fn grid_scan_tracks_external_movers() {
         let topo = world();
         if topo.is_empty() {
             return;
         }
-        for seed in [5, 41] {
-            let build = |scan: NeighborScan| {
-                // Fast legs + long pauses: nodes mostly sit still, so a
-                // teleported node's only position change is the external
-                // one — the epoch-tracking path, not self-moves, must
-                // mark it dirty.
-                let waypoint = RandomWaypoint::new(
-                    (200.0, 200.0),
-                    SimDuration::from_secs(1),
-                    (80.0, 90.0),
-                    SimDuration::from_secs(12),
-                    UniformWeights::paper_defaults(),
-                )
-                .with_scan(scan);
-                ScenarioBuilder::new(&topo, seed)
-                    .with(Teleporter {
-                        next: SimTime::ZERO + SimDuration::from_secs(3),
-                    })
-                    .with(waypoint)
-                    .generate(SimDuration::from_secs(25))
-            };
-            let grid = build(NeighborScan::Grid);
-            let naive = build(NeighborScan::Naive);
+        for (seed, naive) in NAIVE_TELEPORTER_TRACES {
+            // Fast legs + long pauses: nodes mostly sit still, so a
+            // teleported node's only position change is the external
+            // one — the epoch-tracking path, not self-moves, must mark
+            // it dirty.
+            let waypoint = RandomWaypoint::new(
+                (200.0, 200.0),
+                SimDuration::from_secs(1),
+                (80.0, 90.0),
+                SimDuration::from_secs(12),
+                UniformWeights::paper_defaults(),
+            );
+            let grid = ScenarioBuilder::new(&topo, seed)
+                .with(Teleporter {
+                    next: SimTime::ZERO + SimDuration::from_secs(3),
+                })
+                .with(waypoint)
+                .generate(SimDuration::from_secs(25));
+            assert_radius_consistent(&topo, &grid);
             assert_eq!(
-                grid.events(),
-                naive.events(),
-                "external moves break grid/naive equality (seed {seed})"
+                fnv1a(format!("{:?}", grid.events()).as_bytes()),
+                naive,
+                "external moves break the recorded naive trace (seed {seed})"
             );
         }
     }

@@ -5,7 +5,7 @@
 //! vertical stripes over the deployment's x-extent (the same spatial
 //! locality the grid-based neighbor discovery exploits) — one shard
 //! unless built with [`Simulator::with_shards`] — gives each shard a
-//! private [`EventQueue`] timer wheel, and advances virtual time in
+//! private [`TimerWheel`] event queue, and advances virtual time in
 //! bounded windows:
 //!
 //! * **Window** — every shard with work due in the window `[t0, t1)`
@@ -56,7 +56,7 @@ use crate::engine::{
     corrupt_streams, loss_streams, Actor, Context, Effect, EventKind, FrameCorruption, FrameDamage,
     PhyModel, RadioConfig, Scheduled, SimStats, TimerId,
 };
-use crate::queue::{EventQueue, SchedulerKind};
+use crate::queue::TimerWheel;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
@@ -78,7 +78,7 @@ use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 /// use qolsr_graph::{NodeId, Point2, TopologyBuilder};
 /// use qolsr_metrics::LinkQos;
 /// use qolsr_sim::{
-///     Actor, Context, ExecMode, RadioConfig, SchedulerKind, SimDuration, Simulator, TimerId,
+///     Actor, Context, ExecMode, RadioConfig, SimDuration, Simulator, TimerId,
 /// };
 ///
 /// struct Beacon;
@@ -110,8 +110,7 @@ use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 /// one.run_for(SimDuration::from_secs(2));
 ///
 /// let radio = RadioConfig::default();
-/// let scheduler = SchedulerKind::default();
-/// let mut two = Simulator::with_shards(topo, radio, 7, scheduler, mode.shards(), |_, _| Beacon);
+/// let mut two = Simulator::with_shards(topo, radio, 7, mode.shards(), |_, _| Beacon);
 /// two.run_for(SimDuration::from_secs(2));
 ///
 /// assert_eq!(two.shard_count(), 2);
@@ -243,7 +242,7 @@ struct Frozen<'a> {
 /// One spatial shard: its member actors and their RNG streams, a private
 /// event queue, its counters, and the dispatch log the commit consumes.
 struct Shard<A: Actor> {
-    queue: EventQueue<Scheduled<A::Msg>>,
+    queue: TimerWheel<Scheduled<A::Msg>>,
     /// Member node ids; `actors[i]`, `rngs[i]` and the per-node PHY state
     /// at `i` belong to `members[i]`.
     members: Vec<NodeId>,
@@ -277,9 +276,9 @@ struct Shard<A: Actor> {
 }
 
 impl<A: Actor> Shard<A> {
-    fn new(scheduler: SchedulerKind) -> Self {
+    fn new() -> Self {
         Self {
-            queue: EventQueue::new(scheduler),
+            queue: TimerWheel::new(),
             members: Vec::new(),
             actors: Vec::new(),
             rngs: Vec::new(),
@@ -574,26 +573,16 @@ impl<A: Actor> Simulator<A> {
         seed: u64,
         mut build: impl FnMut(NodeId) -> A,
     ) -> Self {
-        Self::with_shards(
-            topology,
-            radio,
-            seed,
-            SchedulerKind::default(),
-            1,
-            |id, _| build(id),
-        )
+        Self::with_shards(topology, radio, seed, 1, |id, _| build(id))
     }
 
-    /// Like [`Simulator::new`], with an explicit event-queue scheduler
-    /// and `shards` spatial stripes (clamped to `1..=node count`);
-    /// `build(node, home_shard)` runs in node-id order. The timer wheel
-    /// (default) and the binary heap pop in exactly the same
-    /// `(time, seq)` order, and every shard count replays the same run.
+    /// Like [`Simulator::new`], with `shards` spatial stripes (clamped to
+    /// `1..=node count`); `build(node, home_shard)` runs in node-id
+    /// order. Every shard count replays the same run.
     pub fn with_shards(
         topology: Topology,
         radio: RadioConfig,
         seed: u64,
-        scheduler: SchedulerKind,
         shards: u32,
         mut build: impl FnMut(NodeId, usize) -> A,
     ) -> Self {
@@ -615,7 +604,7 @@ impl<A: Actor> Simulator<A> {
         let rngs: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
         let mut loss = loss_streams(seed, n, radio.phy).into_iter();
         let mut corrupt = corrupt_streams(seed, n, radio.corruption).into_iter();
-        let mut shard_vec: Vec<Shard<A>> = (0..k).map(|_| Shard::new(scheduler)).collect();
+        let mut shard_vec: Vec<Shard<A>> = (0..k).map(|_| Shard::new()).collect();
         let mut locs = Vec::with_capacity(n);
         for (i, (actor, rng)) in actors.into_iter().zip(rngs).enumerate() {
             let node = NodeId(i as u32);
@@ -1137,6 +1126,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::{CorruptionParams, LossyPhy};
+    use crate::fnv1a;
     use qolsr_graph::TopologyBuilder;
     use qolsr_metrics::LinkQos;
 
@@ -1262,14 +1252,8 @@ mod tests {
         events: &[(u64, WorldEvent)],
         secs: SimDuration,
     ) -> Simulator<Chatty> {
-        let mut sim = Simulator::with_shards(
-            strip5(),
-            radio,
-            seed,
-            SchedulerKind::default(),
-            shards,
-            |_, _| Chatty::default(),
-        );
+        let mut sim =
+            Simulator::with_shards(strip5(), radio, seed, shards, |_, _| Chatty::default());
         if let Some(w) = window {
             sim.set_window(w);
         }
@@ -1279,12 +1263,6 @@ mod tests {
         }
         sim.run_for(secs);
         sim
-    }
-
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
     }
 
     /// Hash of everything observable about a finished run: stats, every
@@ -1370,14 +1348,10 @@ mod tests {
             }
         }
         for shards in [1u32, 2, 4] {
-            let mut sim = Simulator::with_shards(
-                strip5(),
-                RadioConfig::default(),
-                9,
-                SchedulerKind::default(),
-                shards,
-                |_, _| QosProbe::default(),
-            );
+            let mut sim =
+                Simulator::with_shards(strip5(), RadioConfig::default(), 9, shards, |_, _| {
+                    QosProbe::default()
+                });
             // Node 2 broadcasts at t = 0; delivery lands at t = 1 ms.
             // The 2—3 QoS drifts at 0.5 ms, while the frame is in
             // flight (at 4 shards, crossing a shard boundary).
@@ -1475,14 +1449,10 @@ mod tests {
         let mut events = cycle(1, 100_000).to_vec();
         events.extend(churn());
         for shards in [1u32, 4] {
-            let mut sim = Simulator::with_shards(
-                strip5(),
-                RadioConfig::default(),
-                3,
-                SchedulerKind::default(),
-                shards,
-                |_, _| Rehomes::default(),
-            );
+            let mut sim =
+                Simulator::with_shards(strip5(), RadioConfig::default(), 3, shards, |_, _| {
+                    Rehomes::default()
+                });
             for &(at, ev) in &events {
                 sim.schedule_world(SimTime::from_micros(at), ev);
             }
@@ -1500,14 +1470,10 @@ mod tests {
         const GOLDEN_TRACE: (u64, u64) = (1533, 0xa3b1_e944_5c34_e5bc);
         let events = [(400_000, WorldEvent::Leave { node: NodeId(2) })];
         for shards in [1, 2, 4] {
-            let mut sim = Simulator::with_shards(
-                strip5(),
-                RadioConfig::default(),
-                5,
-                SchedulerKind::default(),
-                shards,
-                |_, _| Chatty::default(),
-            );
+            let mut sim =
+                Simulator::with_shards(strip5(), RadioConfig::default(), 5, shards, |_, _| {
+                    Chatty::default()
+                });
             sim.enable_trace(4096);
             for &(at, ev) in &events {
                 sim.schedule_world(SimTime::from_micros(at), ev);

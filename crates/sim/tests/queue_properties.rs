@@ -1,11 +1,15 @@
 //! Differential property tests for the engine event queue: after *any*
 //! interleaving of pushes and pops — due times spanning the due window,
-//! the ring and the far-future overflow heap — the [`TimerWheel`]-backed
-//! queue must pop exactly the same sequence as the reference binary
-//! heap, which itself must equal a global sort by `(time, seq)`.
+//! the ring and the far-future overflow heap — the [`TimerWheel`] must
+//! pop exactly the same sequence as a plain `BinaryHeap<Reverse<_>>`,
+//! the test-only oracle, which itself must equal a global sort by
+//! `(time, seq)`.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use qolsr_sim::queue::{EventQueue, QueueItem, SchedulerKind};
+use qolsr_sim::queue::{QueueItem, TimerWheel};
 
 /// A stand-in for the engine's scheduled event: ordered by
 /// `(time, seq)`, like `Scheduled<M>`.
@@ -45,8 +49,8 @@ fn op() -> impl Strategy<Value = Op> {
 proptest! {
     #[test]
     fn wheel_equals_heap_on_arbitrary_histories(ops in proptest::collection::vec(op(), 1..400)) {
-        let mut wheel = EventQueue::new(SchedulerKind::TimerWheel);
-        let mut heap = EventQueue::new(SchedulerKind::BinaryHeap);
+        let mut wheel = TimerWheel::new();
+        let mut heap = BinaryHeap::new();
         let mut now = 0u64;
         let mut seq = 0u64;
         let mut popped_wheel = Vec::new();
@@ -56,11 +60,11 @@ proptest! {
                     let item = Item { time: now + delay, seq };
                     seq += 1;
                     wheel.push(item);
-                    heap.push(item);
+                    heap.push(Reverse(item));
                 }
                 Op::Pop => {
                     let a = wheel.pop();
-                    let b = heap.pop();
+                    let b = heap.pop().map(|Reverse(item)| item);
                     prop_assert_eq!(a, b, "pop divergence");
                     if let Some(item) = a {
                         // The engine's clock is monotone: events dispatch
@@ -71,11 +75,11 @@ proptest! {
                 }
             }
             prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.next_due(), heap.next_due());
+            prop_assert_eq!(wheel.next_due(), heap.peek().map(|Reverse(item)| item.time));
         }
         // Drain both; the combined pop stream must be globally sorted.
         loop {
-            let (a, b) = (wheel.pop(), heap.pop());
+            let (a, b) = (wheel.pop(), heap.pop().map(|Reverse(item)| item));
             prop_assert_eq!(a, b);
             match a {
                 Some(item) => popped_wheel.push(item),

@@ -15,9 +15,7 @@ use proptest::prelude::*;
 use qolsr_graph::{NodeId, Point2, Topology, TopologyBuilder, WorldEvent};
 use qolsr_metrics::LinkQos;
 use qolsr_sim::trace::{TraceEvent, TraceKind};
-use qolsr_sim::{
-    Actor, Context, RadioConfig, SchedulerKind, SimDuration, SimStats, SimTime, Simulator, TimerId,
-};
+use qolsr_sim::{Actor, Context, RadioConfig, SimDuration, SimStats, SimTime, Simulator, TimerId};
 
 /// Minimal chatty actor: periodic broadcast, remembers what it heard —
 /// enough traffic that mis-ordered or lost cross-shard frames change
@@ -141,7 +139,6 @@ fn run_sharded(
         topo.clone(),
         RadioConfig::default(),
         seed,
-        SchedulerKind::default(),
         shards,
         |_, _| Echo::default(),
     );

@@ -17,56 +17,25 @@ mod common;
 
 use std::collections::BTreeMap;
 
+use common::{build_net, fnv1a, golden_fingerprint, Policy};
 use qolsr::eval::churn::{probe_route, ProbeOutcome};
-use qolsr::policy::SelectorPolicy;
-use qolsr::selector::Fnbp;
 use qolsr_graph::deploy::UniformWeights;
 use qolsr_graph::{NodeId, Topology, WorldEvent};
-use qolsr_metrics::{BandwidthMetric, LinkQos};
+use qolsr_metrics::LinkQos;
 use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::OlsrConfig;
 use qolsr_sim::scenario::{
     CrashStorm, GaussMarkovDrift, PartitionWindow, PoissonChurn, RandomWaypoint, Scenario,
     ScenarioBuilder,
 };
 use qolsr_sim::{
-    CorruptionParams, ExecMode, FrameCorruption, LossyPhy, PhyModel, RadioConfig, SchedulerKind,
-    SimDuration, SimTime,
+    CorruptionParams, FrameCorruption, LossyPhy, PhyModel, RadioConfig, SimDuration, SimTime,
 };
-
-type Policy = SelectorPolicy<Fnbp<BandwidthMetric>>;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn build_net(topo: &Topology, radio: RadioConfig, seed: u64, shards: u32) -> OlsrNetwork<Policy> {
-    let exec = if shards <= 1 {
-        ExecMode::SingleShard
-    } else {
-        ExecMode::Sharded { shards }
-    };
-    OlsrNetwork::with_exec(
-        topo.clone(),
-        OlsrConfig::default(),
-        radio,
-        seed,
-        SchedulerKind::default(),
-        exec,
-        |_| SelectorPolicy::new(Fnbp::<BandwidthMetric>::new()),
-    )
-}
 
 /// Renders every observable quantity of a finished run — the
 /// `phy_differential.rs` renderer extended with the fault counters
 /// (`partition_drops`, `corrupted_frames`, `malformed_frames`), which
 /// only exist on this side of the change and therefore must stay out of
-/// the golden renderer below.
+/// the shared golden renderer, `common::render_golden`.
 fn render_state(net: &OlsrNetwork<Policy>) -> String {
     let routes: Vec<BTreeMap<NodeId, qolsr_proto::RouteEntry>> = net
         .world()
@@ -212,72 +181,6 @@ fn corrupting_radio() -> RadioConfig {
 // ---------------------------------------------------------------------
 // 1. Golden safety
 // ---------------------------------------------------------------------
-
-/// The golden renderer of `phy_differential.rs`, verbatim: only fields
-/// that exist on both sides of the fault-subsystem change.
-fn golden_fingerprint(topo: &Topology, seed: u64, scenario: Option<&Scenario>) -> u64 {
-    let mut net = build_net(topo, RadioConfig::default(), seed, 1);
-    net.enable_trace(1 << 16);
-    if let Some(s) = scenario {
-        net.install_scenario(s);
-    }
-    net.run_for(SimDuration::from_secs(40));
-    let routes: Vec<BTreeMap<NodeId, qolsr_proto::RouteEntry>> = net
-        .world()
-        .nodes()
-        .map(|n| net.node(n).routes(net.now()))
-        .collect();
-    let e = net.engine_stats();
-    let n = net.total_stats();
-    let mut s = String::new();
-    use std::fmt::Write as _;
-    write!(
-        s,
-        "engine:{} {} {} {} {} {} {} {}|",
-        e.events,
-        e.broadcasts,
-        e.unicasts,
-        e.deliveries,
-        e.dropped_unicasts,
-        e.timers,
-        e.world_changes,
-        e.stale_dropped
-    )
-    .unwrap();
-    write!(
-        s,
-        "nodes:{} {} {} {} {} {} {} {} {} {:?} {} {}|",
-        n.hello_sent,
-        n.tc_sent,
-        n.tc_forwarded,
-        n.hello_received,
-        n.tc_received,
-        n.bytes_sent,
-        n.decode_errors,
-        n.routes_recomputed,
-        n.route_cache_hits,
-        n.tc_sent_ring,
-        n.dup_peek_hits,
-        n.bytes_decoded
-    )
-    .unwrap();
-    write!(
-        s,
-        "world:{} {} {}|",
-        net.world().epoch(),
-        net.world().link_count(),
-        net.world().active_count()
-    )
-    .unwrap();
-    write!(s, "adv:{:?}|", net.advertised_topology()).unwrap();
-    write!(s, "routes:{routes:?}|").unwrap();
-    let trace = net.trace().expect("trace enabled");
-    write!(s, "trace:{}:", trace.total_recorded()).unwrap();
-    for te in trace.iter() {
-        write!(s, "{te:?};").unwrap();
-    }
-    fnv1a(s.as_bytes())
-}
 
 fn golden_dynamic_scenario(topo: &Topology, seed: u64) -> Scenario {
     let weights = UniformWeights::new(1, 100);

@@ -10,129 +10,14 @@
 
 mod common;
 
-use std::collections::BTreeMap;
-
-use qolsr::policy::SelectorPolicy;
-use qolsr::selector::Fnbp;
+use common::{fingerprint_with, golden_fingerprint};
 use qolsr_graph::deploy::UniformWeights;
-use qolsr_graph::{NodeId, Topology};
-use qolsr_metrics::BandwidthMetric;
-use qolsr_proto::network::OlsrNetwork;
+use qolsr_graph::Topology;
 use qolsr_proto::{EtxParams, HysteresisParams, LinkHysteresis, LinkMetric, OlsrConfig};
 use qolsr_sim::scenario::{
     GaussMarkovDrift, PoissonChurn, RandomWaypoint, Scenario, ScenarioBuilder,
 };
-use qolsr_sim::{ExecMode, LossyPhy, PhyModel, RadioConfig, SchedulerKind, SimDuration};
-
-type Policy = SelectorPolicy<Fnbp<BandwidthMetric>>;
-
-/// FNV-1a over the rendered observable state. The fingerprint folds in
-/// only quantities that exist on both sides of the PHY change (engine
-/// counter *fields* rather than whole structs), so golden values
-/// captured pre-PHY stay comparable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fingerprint_with(
-    topo: &Topology,
-    cfg: OlsrConfig,
-    radio: RadioConfig,
-    seed: u64,
-    shards: u32,
-    scenario: Option<&Scenario>,
-) -> u64 {
-    let exec = if shards <= 1 {
-        ExecMode::SingleShard
-    } else {
-        ExecMode::Sharded { shards }
-    };
-    let mut net: OlsrNetwork<Policy> = OlsrNetwork::with_exec(
-        topo.clone(),
-        cfg,
-        radio,
-        seed,
-        SchedulerKind::default(),
-        exec,
-        |_| SelectorPolicy::new(Fnbp::<BandwidthMetric>::new()),
-    );
-    net.enable_trace(1 << 16);
-    if let Some(s) = scenario {
-        net.install_scenario(s);
-    }
-    net.run_for(SimDuration::from_secs(40));
-    let routes: Vec<BTreeMap<NodeId, qolsr_proto::RouteEntry>> = net
-        .world()
-        .nodes()
-        .map(|n| net.node(n).routes(net.now()))
-        .collect();
-    let e = net.engine_stats();
-    let n = net.total_stats();
-    let mut s = String::new();
-    use std::fmt::Write as _;
-    write!(
-        s,
-        "engine:{} {} {} {} {} {} {} {}|",
-        e.events,
-        e.broadcasts,
-        e.unicasts,
-        e.deliveries,
-        e.dropped_unicasts,
-        e.timers,
-        e.world_changes,
-        e.stale_dropped
-    )
-    .unwrap();
-    write!(
-        s,
-        "nodes:{} {} {} {} {} {} {} {} {} {:?} {} {}|",
-        n.hello_sent,
-        n.tc_sent,
-        n.tc_forwarded,
-        n.hello_received,
-        n.tc_received,
-        n.bytes_sent,
-        n.decode_errors,
-        n.routes_recomputed,
-        n.route_cache_hits,
-        n.tc_sent_ring,
-        n.dup_peek_hits,
-        n.bytes_decoded
-    )
-    .unwrap();
-    write!(
-        s,
-        "world:{} {} {}|",
-        net.world().epoch(),
-        net.world().link_count(),
-        net.world().active_count()
-    )
-    .unwrap();
-    write!(s, "adv:{:?}|", net.advertised_topology()).unwrap();
-    write!(s, "routes:{routes:?}|").unwrap();
-    let trace = net.trace().expect("trace enabled");
-    write!(s, "trace:{}:", trace.total_recorded()).unwrap();
-    for te in trace.iter() {
-        write!(s, "{te:?};").unwrap();
-    }
-    fnv1a(s.as_bytes())
-}
-
-fn fingerprint(topo: &Topology, seed: u64, shards: u32, scenario: Option<&Scenario>) -> u64 {
-    fingerprint_with(
-        topo,
-        OlsrConfig::default(),
-        RadioConfig::default(),
-        seed,
-        shards,
-        scenario,
-    )
-}
+use qolsr_sim::{LossyPhy, PhyModel, RadioConfig, SimDuration};
 
 fn dynamic_scenario(topo: &Topology, seed: u64) -> Scenario {
     let weights = UniformWeights::new(1, 100);
@@ -196,13 +81,13 @@ fn ideal_phy_matches_pre_phy_goldens() {
     let topo = common::medium_topology(41, 7.0);
     for (seed, want_static, want_dynamic) in GOLDENS {
         assert_eq!(
-            fingerprint(&topo, seed, 1, None),
+            golden_fingerprint(&topo, seed, None),
             want_static,
             "static world diverged from the pre-PHY build (seed {seed})"
         );
         let scenario = dynamic_scenario(&topo, seed);
         assert_eq!(
-            fingerprint(&topo, seed, 1, Some(&scenario)),
+            golden_fingerprint(&topo, seed, Some(&scenario)),
             want_dynamic,
             "dynamic world diverged from the pre-PHY build (seed {seed})"
         );
@@ -289,15 +174,7 @@ fn hysteresis_and_etx_replay_and_shard_invariantly() {
 #[test]
 fn lossy_phy_drops_and_collides_in_the_differential_world() {
     let topo = common::medium_topology(41, 7.0);
-    let mut net: OlsrNetwork<Policy> = OlsrNetwork::with_exec(
-        topo.clone(),
-        OlsrConfig::default(),
-        lossy_radio(),
-        3,
-        SchedulerKind::default(),
-        ExecMode::SingleShard,
-        |_| SelectorPolicy::new(Fnbp::<BandwidthMetric>::new()),
-    );
+    let mut net = common::build_net(&topo, lossy_radio(), 3, 1);
     net.run_for(SimDuration::from_secs(40));
     let e = net.engine_stats();
     assert!(e.phy_drops > 0, "the lossy channel must drop frames");

@@ -1,23 +1,21 @@
 //! Cross-crate differential suites for the allocation-lean hot path:
 //!
 //! * **timer wheel ≡ binary heap** — a full OLSR protocol run (HELLO/TC
-//!   exchange, MPR flooding, scheduled world events, rejoin resets) must
-//!   produce byte-identical engine statistics, event traces and routing
-//!   tables whichever scheduler backs the event queue;
+//!   exchange, MPR flooding, scheduled world events, rejoin resets) on
+//!   the timer wheel must replay the end state recorded from the
+//!   binary-heap scheduler: engine statistics, event traces, protocol
+//!   counters and routing tables;
 //! * **route cache ≡ from-scratch recompute** — during a live dynamic
 //!   run, every node's cached `routes()` must equal the reference
 //!   recomputation at every sampled instant.
 
 mod common;
 
-use std::collections::BTreeMap;
-
 use qolsr_graph::{NodeId, WorldEvent};
 use qolsr_metrics::LinkQos;
 use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::{OlsrConfig, RouteEntry};
-use qolsr_sim::trace::TraceEvent;
-use qolsr_sim::{RadioConfig, SchedulerKind, SimDuration, SimTime};
+use qolsr_proto::{MprSelectorPolicy, OlsrConfig};
+use qolsr_sim::{RadioConfig, SimDuration, SimTime};
 
 /// Scripted world events exercising link churn, QoS drift and a node
 /// power cycle, all within and beyond the wheel's ring horizon.
@@ -60,17 +58,9 @@ fn world_events() -> Vec<(SimTime, WorldEvent)> {
     ]
 }
 
-fn run_protocol(
-    kind: SchedulerKind,
-    seed: u64,
-) -> (
-    qolsr_sim::SimStats,
-    Vec<TraceEvent>,
-    Vec<BTreeMap<NodeId, RouteEntry>>,
-    qolsr_proto::NodeStats,
-) {
+fn run_protocol(seed: u64) -> OlsrNetwork<MprSelectorPolicy> {
     let topo = common::small_random_topology(17);
-    let mut net = OlsrNetwork::with_scheduler(
+    let mut net = OlsrNetwork::new(
         topo,
         OlsrConfig::default(),
         RadioConfig {
@@ -79,41 +69,38 @@ fn run_protocol(
             ..RadioConfig::default()
         },
         seed,
-        kind,
-        |_| qolsr_proto::MprSelectorPolicy,
+        |_| MprSelectorPolicy,
     );
     net.sim_mut().enable_trace(4096);
     for (t, ev) in world_events() {
         net.sim_mut().schedule_world(t, ev);
     }
     net.run_for(SimDuration::from_secs(35));
-    let routes: Vec<BTreeMap<NodeId, RouteEntry>> = net
-        .world()
-        .nodes()
-        .map(|n| net.node(n).routes(net.now()))
-        .collect();
-    let trace: Vec<TraceEvent> = net
-        .sim()
-        .trace()
-        .expect("trace enabled")
-        .iter()
-        .copied()
-        .collect();
-    (net.sim().stats(), trace, routes, net.total_stats())
+    net
 }
+
+/// `(seed, fingerprint)` of [`run_protocol`] under the binary-heap
+/// scheduler, rendered by `common::render_golden`. Recorded at
+/// f0b9e42, the last commit with a binary-heap scheduler, where this
+/// test still ran both schedulers live and found them equal.
+const HEAP_GOLDENS: [(u64, u64); 3] = [
+    (1, 0xfc49_e8f0_3dc3_54ac),
+    (7, 0x63ef_e891_6f94_bf4d),
+    (0x51C0_2010, 0x634a_2e13_f3d9_e851),
+];
 
 /// The wheel must replay the heap byte for byte: engine statistics, the
 /// dispatched-event trace, every node's routing table and the protocol
 /// counters (including route-cache activity).
 #[test]
 fn timer_wheel_replays_binary_heap_exactly() {
-    for seed in [1, 7, 0x51C0_2010] {
-        let wheel = run_protocol(SchedulerKind::TimerWheel, seed);
-        let heap = run_protocol(SchedulerKind::BinaryHeap, seed);
-        assert_eq!(wheel.0, heap.0, "engine stats diverge (seed {seed})");
-        assert_eq!(wheel.1, heap.1, "event traces diverge (seed {seed})");
-        assert_eq!(wheel.2, heap.2, "routing tables diverge (seed {seed})");
-        assert_eq!(wheel.3, heap.3, "node stats diverge (seed {seed})");
+    for (seed, heap) in HEAP_GOLDENS {
+        let wheel = run_protocol(seed);
+        assert_eq!(
+            common::golden_hash(&wheel),
+            heap,
+            "wheel run diverges from the recorded heap run (seed {seed})"
+        );
     }
 }
 

@@ -1,23 +1,22 @@
 //! Differential suite for the shared interned link-state store: a full
-//! protocol run under the default `TopologyStore::Shared` must be
-//! observably indistinguishable from the per-node reference
-//! formulation (`TopologyStore::PerNode`, the PR 4 tables) — identical
-//! engine statistics, dispatched-event traces, protocol counters and
-//! routing tables — while actually sharing sets (store dedup hits) and
-//! holding strictly less resident table memory. The scripted scenario
-//! includes a node power cycle, so the ANSN reboot fix is exercised at
-//! network level in both formulations.
+//! protocol run must replay the run recorded from the per-node topology
+//! tables the store replaced — identical engine statistics,
+//! dispatched-event traces, protocol counters, and routing tables at the
+//! end and after every simulated second — while actually sharing sets
+//! (store dedup hits) and holding strictly less resident table memory
+//! than the per-node tables did. The
+//! scripted scenario includes a node power cycle, so the ANSN reboot
+//! fix is exercised at network level.
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use qolsr_graph::{NodeId, WorldEvent};
 use qolsr_metrics::LinkQos;
 use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::{NodeStats, OlsrConfig, RouteEntry, StoreGauges, TableFootprint, TopologyStore};
-use qolsr_sim::trace::TraceEvent;
-use qolsr_sim::{RadioConfig, SimDuration, SimStats, SimTime};
+use qolsr_proto::{OlsrConfig, StoreGauges, TableFootprint};
+use qolsr_sim::{RadioConfig, SimDuration, SimTime};
 
 /// Scripted churn including a power cycle of node 3 (Leave + Join), the
 /// scenario the ANSN-expiry regression cares about: the rebooted node
@@ -46,25 +45,23 @@ fn world_events() -> Vec<(SimTime, WorldEvent)> {
 }
 
 struct RunOutcome {
-    node_stats: NodeStats,
-    engine: SimStats,
-    trace: Vec<TraceEvent>,
-    routes: Vec<BTreeMap<NodeId, RouteEntry>>,
+    /// `common::golden_hash` of the finished run.
+    fingerprint: u64,
+    /// `common::fnv1a` of every node's routing table, sampled after each
+    /// simulated second: a route cache that misses an invalidation
+    /// serves a stale table at some sample.
+    route_samples: u64,
     gauges: StoreGauges,
     footprint: TableFootprint,
     resident_entries: u64,
     resident_bytes: u64,
 }
 
-fn run_protocol(store: TopologyStore, seed: u64) -> RunOutcome {
+fn run_protocol(seed: u64) -> RunOutcome {
     let topo = common::small_random_topology(17);
-    let config = OlsrConfig {
-        topology_store: store,
-        ..OlsrConfig::default()
-    };
     let mut net = OlsrNetwork::new(
         topo,
-        config,
+        OlsrConfig::default(),
         RadioConfig {
             latency: SimDuration::from_millis(1),
             jitter: SimDuration::from_millis(2),
@@ -77,25 +74,17 @@ fn run_protocol(store: TopologyStore, seed: u64) -> RunOutcome {
     for (t, ev) in world_events() {
         net.sim_mut().schedule_world(t, ev);
     }
-    net.run_for(SimDuration::from_secs(30));
-    let trace: Vec<TraceEvent> = net
-        .sim()
-        .trace()
-        .expect("trace enabled")
-        .iter()
-        .copied()
-        .collect();
-    let routes: Vec<BTreeMap<NodeId, RouteEntry>> = net
-        .world()
-        .nodes()
-        .map(|n| net.node(n).routes(net.now()))
-        .collect();
+    let mut samples = String::new();
+    for _ in 0..30 {
+        net.run_for(SimDuration::from_secs(1));
+        for n in net.world().nodes() {
+            write!(samples, "{:?};", net.node(n).routes(net.now())).unwrap();
+        }
+    }
     let (resident_entries, resident_bytes) = net.resident_memory();
     RunOutcome {
-        node_stats: net.total_stats(),
-        engine: net.sim().stats(),
-        trace,
-        routes,
+        fingerprint: common::golden_hash(&net),
+        route_samples: common::fnv1a(samples.as_bytes()),
         gauges: net.store_gauges(),
         footprint: net.total_footprint(),
         resident_entries,
@@ -103,29 +92,50 @@ fn run_protocol(store: TopologyStore, seed: u64) -> RunOutcome {
     }
 }
 
+/// `(seed, fingerprint, route samples, resident entries, resident
+/// bytes)` of [`run_protocol`] over the per-node topology tables, where
+/// every node kept every originator's advertised set privately.
+/// Recorded at f0b9e42, the last commit with those tables, where this
+/// test still ran both formulations live and found them equal.
+const PER_NODE_GOLDENS: [(u64, u64, u64, u64, u64); 3] = [
+    (
+        1,
+        0x5576_f6ef_ca29_788d,
+        0x2336_ad0c_7acc_f519,
+        6006,
+        211_668,
+    ),
+    (
+        7,
+        0xeace_6a40_1720_9473,
+        0x1e47_4a37_7ccd_bbb2,
+        6116,
+        218_568,
+    ),
+    (
+        0x51C0_2010,
+        0x6513_7125_7d85_364f,
+        0xe26f_58fe_8e02_c0e1,
+        6033,
+        204_368,
+    ),
+];
+
 /// The shared store may not change protocol behaviour at all: engine
-/// stats, event traces, every node's routing table and every protocol
-/// counter byte-identical to the per-node reference, across seeds.
+/// stats, event traces, every node's routing table — at the end and
+/// after every simulated second — and every protocol counter replay the
+/// per-node tables' recorded run, across seeds.
 #[test]
 fn shared_store_replays_per_node_exactly() {
-    for seed in [1, 7, 0x51C0_2010] {
-        let shared = run_protocol(TopologyStore::Shared, seed);
-        let per_node = run_protocol(TopologyStore::PerNode, seed);
+    for (seed, per_node, per_node_samples, per_node_entries, per_node_bytes) in PER_NODE_GOLDENS {
+        let shared = run_protocol(seed);
         assert_eq!(
-            shared.engine, per_node.engine,
-            "engine stats diverge (seed {seed})"
+            shared.fingerprint, per_node,
+            "shared run diverges from the recorded per-node run (seed {seed})"
         );
         assert_eq!(
-            shared.trace, per_node.trace,
-            "event traces diverge (seed {seed})"
-        );
-        assert_eq!(
-            shared.routes, per_node.routes,
-            "routing tables diverge (seed {seed})"
-        );
-        assert_eq!(
-            shared.node_stats, per_node.node_stats,
-            "protocol counters diverge (seed {seed})"
+            shared.route_samples, per_node_samples,
+            "mid-run routing tables diverge from the recorded per-node run (seed {seed})"
         );
         // The store must actually be doing its job: sets interned once
         // and shared across receivers...
@@ -134,24 +144,17 @@ fn shared_store_replays_per_node_exactly() {
             "most acquires should hit an existing slot (seed {seed}): {:?}",
             shared.gauges
         );
-        assert_eq!(
-            per_node.gauges,
-            StoreGauges::default(),
-            "per-node runs must not touch a store (seed {seed})"
-        );
         // ...for strictly less resident table memory, with a bounded
         // entry population (overlays instead of per-receiver tuples).
         assert!(
-            shared.resident_bytes < per_node.resident_bytes,
-            "shared store must shrink resident bytes (seed {seed}): {} vs {}",
+            shared.resident_bytes < per_node_bytes,
+            "shared store must shrink resident bytes (seed {seed}): {} vs {per_node_bytes}",
             shared.resident_bytes,
-            per_node.resident_bytes
         );
         assert!(
-            shared.resident_entries < per_node.resident_entries,
-            "shared store must shrink resident entries (seed {seed}): {} vs {}",
+            shared.resident_entries < per_node_entries,
+            "shared store must shrink resident entries (seed {seed}): {} vs {per_node_entries}",
             shared.resident_entries,
-            per_node.resident_entries
         );
     }
 }
@@ -197,59 +200,53 @@ fn one_shard_churn_keeps_the_single_queue_footprint() {
         ),
     ];
     for (seed, want_footprint, want_gauges) in golden {
-        let run = run_protocol(TopologyStore::Shared, seed);
+        let run = run_protocol(seed);
         assert_eq!(run.footprint, want_footprint, "seed {seed}");
         assert_eq!(run.gauges, want_gauges, "seed {seed}");
     }
 }
 
 /// Leaving nodes must not cost memory forever: with 6 of 17 nodes gone
-/// for good, the end-of-run resident entries of both formulations stay
-/// bounded by the live population's working set (the churn-leak fix —
-/// departed originators used to pin topology rows, ANSN records and
-/// duplicate lists indefinitely in every surviving node).
+/// for good, the end-of-run resident entries stay bounded by the live
+/// population's working set (the churn-leak fix — departed originators
+/// used to pin topology rows, ANSN records and duplicate lists
+/// indefinitely in every surviving node).
 #[test]
 fn departed_nodes_are_reclaimed_network_wide() {
     let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
-    for store in [TopologyStore::Shared, TopologyStore::PerNode] {
-        let run = |events: &[(SimTime, WorldEvent)]| {
-            let config = OlsrConfig {
-                topology_store: store,
-                ..OlsrConfig::default()
-            };
-            let mut net = OlsrNetwork::new(
-                common::small_random_topology(17),
-                config,
-                RadioConfig::default(),
-                9,
-                |_| qolsr_proto::MprSelectorPolicy,
-            );
-            for (t, ev) in events {
-                net.sim_mut().schedule_world(*t, *ev);
-            }
-            net.run_for(SimDuration::from_secs(120));
-            net.resident_memory()
-        };
-        let stable = run(&[]);
-        let departures: Vec<(SimTime, WorldEvent)> = (0..6)
-            .map(|i| {
-                (
-                    at(30 + 2 * i),
-                    WorldEvent::Leave {
-                        node: NodeId(i as u32),
-                    },
-                )
-            })
-            .collect();
-        let churned = run(&departures);
-        // 6/17 of the population left an hour (of hold times) ago; the
-        // survivors' tables must have swept them out, so the churned
-        // network ends *smaller* than the stable one, not larger.
-        assert!(
-            churned.0 < stable.0,
-            "{store:?}: departed originators still resident: {} entries vs {} stable",
-            churned.0,
-            stable.0
+    let run = |events: &[(SimTime, WorldEvent)]| {
+        let mut net = OlsrNetwork::new(
+            common::small_random_topology(17),
+            OlsrConfig::default(),
+            RadioConfig::default(),
+            9,
+            |_| qolsr_proto::MprSelectorPolicy,
         );
-    }
+        for (t, ev) in events {
+            net.sim_mut().schedule_world(*t, *ev);
+        }
+        net.run_for(SimDuration::from_secs(120));
+        net.resident_memory()
+    };
+    let stable = run(&[]);
+    let departures: Vec<(SimTime, WorldEvent)> = (0..6)
+        .map(|i| {
+            (
+                at(30 + 2 * i),
+                WorldEvent::Leave {
+                    node: NodeId(i as u32),
+                },
+            )
+        })
+        .collect();
+    let churned = run(&departures);
+    // 6/17 of the population left an hour (of hold times) ago; the
+    // survivors' tables must have swept them out, so the churned
+    // network ends *smaller* than the stable one, not larger.
+    assert!(
+        churned.0 < stable.0,
+        "departed originators still resident: {} entries vs {} stable",
+        churned.0,
+        stable.0
+    );
 }
