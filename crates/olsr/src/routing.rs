@@ -510,6 +510,8 @@ impl RouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{SharedLinkStore, SharedTopology};
+    use crate::tables::TcUpdate;
 
     fn q() -> LinkQos {
         LinkQos::uniform(1)
@@ -600,20 +602,16 @@ mod tests {
     }
 
     /// Drives one node's cache through a no-op invalidation, a QoS-only
-    /// TC refresh and two real changes.
-    #[test]
-    fn dirty_but_unchanged_keys_revalidate_without_recompute() {
+    /// TC refresh and two real changes, over the topology base `tb`
+    /// that `tc` integrates TCs into (`tc(base, seq, advertised, now)`
+    /// for originator 1, with ANSN = seq).
+    fn revalidates_unchanged_keys(
+        tb: &mut SharedTopology,
+        mut tc: impl FnMut(&mut SharedTopology, u16, &[(NodeId, LinkQos)], SimTime) -> TcUpdate,
+    ) {
         use crate::messages::{Hello, HelloNeighbor, LinkState};
-        use crate::store::{SharedLinkStore, SharedTopology};
         use qolsr_sim::SimDuration;
 
-        let store = SharedLinkStore::new();
-        let mut tb = SharedTopology::new(store.clone());
-        // Integrates a TC from originator 1, with ANSN = seq.
-        let tc = |tb: &mut SharedTopology, seq: u16, adv: &[(NodeId, LinkQos)], now: SimTime| {
-            let hold = now + SimDuration::from_secs(20);
-            tb.process_tc_tracked(NodeId(1), seq, seq, adv, now, hold)
-        };
         let me = NodeId(0);
         let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
         let mut nt = NeighborTables::new();
@@ -625,37 +623,57 @@ mod tests {
             }],
         };
         nt.process_hello(me, NodeId(1), q(), &hello, t(0), t(6));
-        assert!(tc(&mut tb, 1, &[(NodeId(3), q())], t(0)).links_changed);
+        assert!(tc(tb, 1, &[(NodeId(3), q())], t(0)).links_changed);
 
         let mut cache = RouteCache::new();
-        cache.ensure(me, &nt, &tb, t(1));
+        cache.ensure(me, &nt, &*tb, t(1));
         assert_eq!(cache.counters(), (1, 0));
         assert_eq!(cache.entries().len(), 2);
         // A no-op invalidation (content unchanged) must downgrade to a
         // revalidation hit, not a recompute.
         cache.invalidate();
-        cache.ensure(me, &nt, &tb, t(2));
+        cache.ensure(me, &nt, &*tb, t(2));
         assert_eq!(cache.counters(), (1, 1));
         assert_eq!(cache.entries().len(), 2);
         // So must a TC that only changes QoS.
-        let refresh = tc(&mut tb, 2, &[(NodeId(3), LinkQos::uniform(9))], t(2));
+        let refresh = tc(tb, 2, &[(NodeId(3), LinkQos::uniform(9))], t(2));
         assert!(refresh.applied && !refresh.links_changed);
         cache.invalidate();
-        cache.ensure(me, &nt, &tb, t(2));
+        cache.ensure(me, &nt, &*tb, t(2));
         assert_eq!(cache.counters(), (1, 2));
         // A real content change still recomputes: a new neighbor...
         nt.process_hello(me, NodeId(2), q(), &hello, t(2), t(8));
         cache.invalidate();
-        cache.ensure(me, &nt, &tb, t(3));
+        cache.ensure(me, &nt, &*tb, t(3));
         assert_eq!(cache.counters(), (2, 2));
         assert_eq!(cache.entries().len(), 3);
         // ...and a TC that advertises one more link.
-        assert!(tc(&mut tb, 3, &[(NodeId(3), q()), (NodeId(4), q())], t(3)).links_changed);
+        assert!(tc(tb, 3, &[(NodeId(3), q()), (NodeId(4), q())], t(3)).links_changed);
         cache.invalidate();
-        cache.ensure(me, &nt, &tb, t(3));
+        cache.ensure(me, &nt, &*tb, t(3));
         assert_eq!(cache.counters(), (3, 2));
         assert_eq!(cache.lookup(NodeId(4)).map(|e| e.hops), Some(2));
         assert_eq!(cache.entries().len(), 4);
+    }
+
+    /// Integrates a TC from originator 1 into `tb`, with ANSN = seq.
+    fn tc_from_1(
+        tb: &mut SharedTopology,
+        seq: u16,
+        adv: &[(NodeId, LinkQos)],
+        now: SimTime,
+    ) -> TcUpdate {
+        let hold = now + qolsr_sim::SimDuration::from_secs(20);
+        tb.process_tc_tracked(NodeId(1), seq, seq, adv, now, hold)
+    }
+
+    #[test]
+    fn dirty_but_unchanged_keys_revalidate_without_recompute() {
+        // The node is the store's only user: every set it holds is its own.
+        let store = SharedLinkStore::new();
+        let mut tb = SharedTopology::new(store.clone());
+        revalidates_unchanged_keys(&mut tb, tc_from_1);
+        assert_eq!(store.gauges().dedup_hits, 0);
         drop(tb);
         assert_eq!(
             store.gauges().live_slots,
@@ -665,9 +683,36 @@ mod tests {
     }
 
     #[test]
+    fn dirty_but_unchanged_keys_revalidate_on_the_shared_store() {
+        // A second receiver integrates every TC first, so each set the
+        // node's base takes is a dedup hit on a slot it shares.
+        let store = SharedLinkStore::new();
+        let mut other = SharedTopology::new(store.clone());
+        let mut tb = SharedTopology::new(store.clone());
+        revalidates_unchanged_keys(&mut tb, |tb, seq, adv, now| {
+            tc_from_1(&mut other, seq, adv, now);
+            tc_from_1(tb, seq, adv, now)
+        });
+        let g = store.gauges();
+        assert_eq!(g.dedup_hits, 3, "every TC the node took was shared");
+        assert_eq!(g.live_slots, 1, "both bases hold the seq-3 set");
+        drop(tb);
+        assert_eq!(
+            store.gauges().live_slots,
+            1,
+            "the other receiver still holds the set"
+        );
+        drop(other);
+        assert_eq!(
+            store.gauges().live_slots,
+            0,
+            "dropping the last base releases its sets"
+        );
+    }
+
+    #[test]
     fn a_link_moving_between_input_sections_recomputes() {
         use crate::messages::{Hello, HelloNeighbor, LinkState};
-        use crate::store::{SharedLinkStore, SharedTopology};
         use qolsr_sim::SimDuration;
 
         // The link 1 — 2 is first reported in a HELLO, then only
