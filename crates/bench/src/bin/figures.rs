@@ -1,1180 +1,707 @@
 //! Figure-regeneration harness: reproduces every evaluation figure of
 //! *"Towards an efficient QoS based selection of neighbors in QOLSR"*
-//! (Khadar, Mitton, Simplot-Ryl — SN/ICDCS 2010).
+//! (Khadar, Mitton, Simplot-Ryl — SN/ICDCS 2010), plus the live-protocol
+//! experiments this reproduction adds.
 //!
 //! ```text
 //! Usage: figures [COMMAND] [OPTIONS]
 //!
 //! Commands:
-//!   fig6        advertised set size, bandwidth metric (densities 10–35)
-//!   fig7        advertised set size, delay metric (densities 5–30)
-//!   fig8        bandwidth overhead vs centralized optimum
-//!   fig9        delay overhead vs centralized optimum
+//!   fig6 fig7   advertised set size, bandwidth (densities 10–35) / delay
+//!               (densities 5–30) metric
+//!   fig8 fig9   bandwidth / delay overhead vs the centralized optimum
 //!   all         figures 6–9 (two experiment passes)          [default]
 //!   ablations   id-rule delivery, all-selector sweep, routing strategies,
 //!               weight intervals
 //!   robustness  link-failure study with stale advertised sets
-//!   churn       live-protocol churn robustness: route validity and
-//!               advertised staleness over time under random-waypoint
-//!               motion + Poisson churn + weight drift
-//!   scale       wall-clock scale sweep over n ∈ {250, 1000, 4000}
-//!               nodes: waypoint tick cost (SpatialGrid path) and
-//!               whole-network selection cost per world (--runs is
-//!               capped at 10 — timing, not statistics); with --live,
-//!               runs the full HELLO/TC protocol at each size instead
-//!               and reports wall-clock per simulated second plus
-//!               engine/routing-cache counters
-//!   overhead    control-overhead comparison: TC scoping policy
-//!               (RFC-uniform vs fisheye rings) × network size, full
-//!               protocol on shared seeded deployments, reporting TC
+//!   churn       route validity, advertised staleness and selection drift
+//!               over time under waypoint motion, churn and weight drift
+//!               (--leave-rate: against the departure rate instead)
+//!   scale       waypoint-tick and whole-network selection wall-clock per
+//!               size (--runs capped at 10); with --live, the full
+//!               HELLO/TC protocol per size (--runs capped at 5)
+//!   overhead    TC scoping policy (RFC-uniform vs fisheye) × size: TC
 //!               deliveries, control bytes, peek-decode savings, route
-//!               validity and wall-clock (--runs capped at 5)
-//!   loss        lossy-radio sweep: full protocol per selector under
-//!               PhyModel::Lossy as the edge drop probability rises,
-//!               reporting frame delivery ratio, route validity and
-//!               MPR-set churn (static worlds — loss is the only
-//!               stressor); --hysteresis / --etx enable the
-//!               quality-aware link sensing knobs
-//!   faults      route-recovery experiment: inject a partition,
-//!               regional blackout or crash-reboot storm into a
-//!               converged static network, heal it, and report
-//!               per-selector time-to-reconvergence, residual stale
-//!               exposure and control-byte recovery cost
-//!   traffic     data-plane QoS experiment: seeded CBR + bursty-video
-//!               flows forwarded hop by hop over the live route caches
-//!               (bounded transmit queues, lossy PHY, mobility/churn),
-//!               reporting per-selector end-to-end delivery ratio,
-//!               mean/p99 delay, jitter and a drop-cause breakdown per
-//!               loss level
-//!
-//! Options:
-//!   --runs N     topologies per density (default 100; paper: 100)
-//!   --seed S     master seed (default 0x51C02010)
-//!   --threads T  worker threads (default: all cores)
-//!   --metric M   churn/loss/faults/traffic metric: bandwidth (default)
-//!                or delay
-//!   --live       scale only: live-protocol phase (--runs capped at 5)
-//!   --sizes L    scale/overhead: comma-separated node counts
-//!                (default 250,1000,4000; lets CI smoke at small n —
-//!                the n=4000 live phases need tens of minutes per run)
-//!   --shards K   scale --live / overhead / churn / loss / faults /
-//!                traffic: engine shard count (default 1; K >= 2 steps
-//!                K spatial shards in parallel, which must produce
-//!                identical counters)
-//!   --lossy      scale --live only: run the radio under
-//!                PhyModel::Lossy (40% edge drop) instead of Ideal —
-//!                combined with --verify-shards this is the CI gate
-//!                that loss sampling commutes with the barrier merge
-//!   --nodes N    loss/faults/traffic: nodes per world (default 250;
-//!                faults sizes the field for ~N at density 10)
-//!   --levels L   loss/traffic: comma-separated edge drop probabilities
-//!                in ppm (loss default
-//!                0,100000,200000,400000,600000,800000; traffic default
-//!                0,200000,400000)
-//!   --flows N    traffic only: concurrent flows per world (default 16;
-//!                odd-indexed flows are bursty video, the rest CBR)
-//!   --static     traffic only: keep the world static (no mobility or
-//!                churn) so loss is the only stressor
-//!   --hysteresis loss only: enable RFC 3626 §14 link hysteresis
-//!   --etx        loss only: advertise ETX/InvETX-reshaped link QoS
-//!   --capture-us W
-//!                loss only: collision capture window in microseconds
-//!                (default 0 = collisions off, so the x = 0 baseline is
-//!                lossless; a non-zero window adds a level-independent
-//!                collision floor)
-//!   --fault F    faults only: comma-separated fault kinds to inject
-//!                (partition|blackout|crash-storm; default partition)
-//!   --corrupt    faults only: also corrupt frames on the radio path
-//!                (seeded bit-flips/truncation, 2% of deliveries)
-//!   --leave-rate L
-//!                churn only: comma-separated departure rates; sweeps
-//!                churn intensity as the x-axis instead of time
-//!   --verify-shards
-//!                scale --live / faults / traffic: run the sharded
-//!                experiment AND a --shards 1 run in lockstep,
-//!                exiting non-zero on any divergence (CI determinism
-//!                gate)
-//!   --warmup N   scale --live only: unmeasured warm-up seconds
-//!                (default 15)
-//!   --seconds N  scale --live only: measured simulated seconds
-//!                (default 10)
-//!   --max-resident-bytes B
-//!                scale --live only: exit non-zero if any size's mean
-//!                resident protocol-table bytes exceed B (CI memory
-//!                budget)
-//!   --quick      shorthand for --runs 10
-//!   --out DIR    also write CSV files into DIR (default: results/)
-//!   --no-csv     print to stdout only
+//!               validity, wall-clock (--runs capped at 5)
+//!   loss        frame delivery, route validity and MPR-set churn per
+//!               selector as the lossy PHY's edge drop probability rises
+//!   faults      recovery from a partition, blackout or crash-reboot storm
+//!   traffic     end-to-end delivery, delay, jitter and drop causes of
+//!               CBR + bursty-video flows per selector and loss level
 //! ```
+//!
+//! Every flag is declared once, in [`FLAGS`]: its name, its value check
+//! and the commands that take it. `figures --help` lists them; the
+//! README's cheat sheet describes each. `--verify-shards` works on every
+//! command that takes `--shards`.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
+use qolsr::eval::faults::{FaultConfig, FaultKind};
 use qolsr::eval::figures::{
-    ablation_all_selectors, ablation_id_rule, ablation_strategies, ablation_weight_intervals,
-    bandwidth_experiment, delay_experiment, FigureOptions,
+    ablation_figures, bandwidth_experiment, bandwidth_figures, delay_experiment, delay_figures,
+    robustness_figures, FigureOptions,
 };
+use qolsr::eval::{churn, faults, loss, overhead, scale, traffic};
+use qolsr::eval::{verify_shards, QosMetric, SelectorKind, ShardInvariant};
 use qolsr::report::Figure;
+use qolsr_proto::{EtxParams, HysteresisParams, LinkHysteresis, LinkMetric};
+use qolsr_sim::{CorruptionParams, FrameCorruption, LossyPhy, PhyModel, SimDuration};
 
+/// The commands, in help order.
+const COMMANDS: &[&str] = &[
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "all",
+    "ablations",
+    "robustness",
+    "churn",
+    "scale",
+    "overhead",
+    "loss",
+    "faults",
+    "traffic",
+];
+
+/// `scale` run with `--live` takes its own flags, so flag applicability
+/// treats it as a command of its own.
+const LIVE: &str = "scale --live";
+/// The commands that drive the engine, hence take `--shards`.
+const SHARDED: &[&str] = &[LIVE, "overhead", "churn", "loss", "faults", "traffic"];
+
+/// The live experiments whose selectors take a runtime QoS metric.
+const METRIC: &[&str] = &["churn", "loss", "faults", "traffic"];
+/// The live experiments whose worlds are sized by a node count.
+const SIZED: &[&str] = &["loss", "faults", "traffic"];
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// Placeholder of its value in the help line; empty for a switch.
+    value: &'static str,
+    /// Rejects a malformed value.
+    check: fn(&str) -> Result<(), String>,
+    /// The commands that take the flag; empty means every command.
+    commands: &'static [&'static str],
+    /// A flag this one sets, and the value, in argument order.
+    sets: Option<(&'static str, &'static str)>,
+}
+
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    check: fn(&str) -> Result<(), String>,
+    commands: &'static [&'static str],
+) -> Flag {
+    Flag {
+        name,
+        value,
+        check,
+        commands,
+        sets: None,
+    }
+}
+
+const fn switch(name: &'static str, commands: &'static [&'static str]) -> Flag {
+    flag(name, "", |_| Ok(()), commands)
+}
+
+/// Every flag, in help order.
+const FLAGS: &[Flag] = &[
+    flag("--runs", "N", parses::<u32>, &[]),
+    flag("--seed", "S", |v| parse_seed(v).map(drop), &[]),
+    flag("--threads", "T", parses::<usize>, &[]),
+    flag("--metric", "bandwidth|delay", parses::<QosMetric>, METRIC),
+    switch("--live", &[LIVE]),
+    flag("--sizes", "L", node_counts, &["scale", LIVE, "overhead"]),
+    flag("--shards", "K", positive::<u32>, SHARDED),
+    switch("--verify-shards", SHARDED),
+    flag("--warmup", "N", parses::<u64>, &[LIVE]),
+    flag("--seconds", "N", positive::<u64>, &[LIVE]),
+    flag("--max-resident-bytes", "B", parses::<u64>, &[LIVE]),
+    switch("--lossy", &[LIVE]),
+    flag("--nodes", "N", positive::<usize>, SIZED),
+    flag("--levels", "L", ppm_levels, &["loss", "traffic"]),
+    switch("--hysteresis", &["loss"]),
+    switch("--etx", &["loss"]),
+    flag("--capture-us", "W", parses::<u64>, &["loss"]),
+    flag(
+        "--fault",
+        "F",
+        |v| list::<FaultKind>(v, |_| true, ""),
+        &["faults"],
+    ),
+    switch("--corrupt", &["faults"]),
+    flag("--leave-rate", "L", leave_rates, &["churn"]),
+    flag("--flows", "N", positive::<usize>, &["traffic"]),
+    switch("--static", &["traffic"]),
+    Flag {
+        sets: Some(("--runs", "10")),
+        ..switch("--quick", &[])
+    },
+    flag("--out", "DIR", |_| Ok(()), &[]),
+    Flag {
+        sets: Some(("--out", "")),
+        ..switch("--no-csv", &[])
+    },
+];
+
+fn parses<T: FromStr>(v: &str) -> Result<(), String> {
+    v.parse::<T>()
+        .map(drop)
+        .map_err(|_| "not a valid value".into())
+}
+
+fn positive<T: FromStr + Default + PartialEq>(v: &str) -> Result<(), String> {
+    match v.parse::<T>() {
+        Ok(n) if n == T::default() => Err("must be at least 1".into()),
+        Ok(_) => Ok(()),
+        Err(_) => Err("not a valid value".into()),
+    }
+}
+
+/// Checks a comma-separated list whose every entry parses and satisfies
+/// `ok`; `rule` says what `ok` demands.
+fn list<T: FromStr>(v: &str, ok: fn(&T) -> bool, rule: &str) -> Result<(), String>
+where
+    T::Err: ToString,
+{
+    for entry in v.split(',') {
+        let entry: T = entry.trim().parse().map_err(|e: T::Err| e.to_string())?;
+        if !ok(&entry) {
+            return Err(rule.into());
+        }
+    }
+    Ok(())
+}
+
+fn node_counts(v: &str) -> Result<(), String> {
+    list::<usize>(v, |&n| n >= 1, "node counts must be at least 1")
+}
+
+fn ppm_levels(v: &str) -> Result<(), String> {
+    list::<u32>(v, |&p| p <= 1_000_000, "ppm values must be at most 1000000")
+}
+
+fn leave_rates(v: &str) -> Result<(), String> {
+    list::<f64>(v, |r| (0.0..=1e4).contains(r), "rates must be in [0, 1e4]")
+}
+
+fn parse_seed(v: &str) -> Result<u64, String> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// A parsed command line: the command and the value of every flag given
+/// (empty for a switch), already checked.
+#[derive(Debug)]
 struct Args {
     command: String,
-    opts: FigureOptions,
-    metric: qolsr::eval::churn::ChurnMetric,
-    live: bool,
-    sizes: Option<Vec<usize>>,
-    shards: Option<u32>,
-    verify_shards: bool,
-    warmup: Option<u64>,
-    seconds: Option<u64>,
-    max_resident_bytes: Option<u64>,
-    lossy: bool,
-    nodes: Option<usize>,
-    levels: Option<Vec<u32>>,
-    hysteresis: bool,
-    etx: bool,
-    capture_us: Option<u64>,
-    faults: Option<Vec<qolsr::eval::faults::FaultKind>>,
-    corrupt: bool,
-    leave_rates: Option<Vec<f64>>,
-    flows: Option<usize>,
-    static_world: bool,
-    out_dir: Option<PathBuf>,
+    values: BTreeMap<&'static str, String>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut command = String::from("all");
-    let mut opts = FigureOptions::default();
-    let mut metric = qolsr::eval::churn::ChurnMetric::default();
-    let mut metric_set = false;
-    let mut live = false;
-    let mut sizes: Option<Vec<usize>> = None;
-    let mut shards: Option<u32> = None;
-    let mut verify_shards = false;
-    let mut warmup: Option<u64> = None;
-    let mut seconds: Option<u64> = None;
-    let mut max_resident_bytes: Option<u64> = None;
-    let mut lossy = false;
-    let mut nodes: Option<usize> = None;
-    let mut levels: Option<Vec<u32>> = None;
-    let mut hysteresis = false;
-    let mut etx = false;
-    let mut capture_us: Option<u64> = None;
-    let mut faults: Option<Vec<qolsr::eval::faults::FaultKind>> = None;
-    let mut corrupt = false;
-    let mut leave_rates: Option<Vec<f64>> = None;
-    let mut flows: Option<usize> = None;
-    let mut static_world = false;
-    let mut out_dir = Some(PathBuf::from("results"));
-    let mut it = std::env::args().skip(1);
-    let mut command_set = false;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--runs" => {
-                let v = it.next().ok_or("--runs needs a value")?;
-                opts.runs = v.parse().map_err(|_| format!("bad --runs value: {v}"))?;
-            }
-            "--metric" => {
-                let v = it.next().ok_or("--metric needs a value")?;
-                metric = v.parse()?;
-                metric_set = true;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = parse_seed(&v).ok_or(format!("bad --seed value: {v}"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                opts.threads = v.parse().map_err(|_| format!("bad --threads value: {v}"))?;
-            }
-            "--live" => live = true,
-            "--sizes" => {
-                let v = it.next().ok_or("--sizes needs a value")?;
-                let parsed: Result<Vec<usize>, _> =
-                    v.split(',').map(|s| s.trim().parse()).collect();
-                let parsed = parsed.map_err(|_| format!("bad --sizes value: {v}"))?;
-                if parsed.is_empty() {
-                    return Err("--sizes needs at least one node count".into());
-                }
-                sizes = Some(parsed);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let parsed: u32 = v.parse().map_err(|_| format!("bad --shards value: {v}"))?;
-                if parsed == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                shards = Some(parsed);
-            }
-            "--verify-shards" => verify_shards = true,
-            "--warmup" => {
-                let v = it.next().ok_or("--warmup needs a value")?;
-                warmup = Some(v.parse().map_err(|_| format!("bad --warmup value: {v}"))?);
-            }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a value")?;
-                let parsed: u64 = v.parse().map_err(|_| format!("bad --seconds value: {v}"))?;
-                if parsed == 0 {
-                    return Err("--seconds must be at least 1".into());
-                }
-                seconds = Some(parsed);
-            }
-            "--max-resident-bytes" => {
-                let v = it.next().ok_or("--max-resident-bytes needs a value")?;
-                max_resident_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --max-resident-bytes value: {v}"))?,
-                );
-            }
-            "--lossy" => lossy = true,
-            "--nodes" => {
-                let v = it.next().ok_or("--nodes needs a value")?;
-                let parsed: usize = v.parse().map_err(|_| format!("bad --nodes value: {v}"))?;
-                if parsed == 0 {
-                    return Err("--nodes must be at least 1".into());
-                }
-                nodes = Some(parsed);
-            }
-            "--levels" => {
-                let v = it.next().ok_or("--levels needs a value")?;
-                let parsed: Result<Vec<u32>, _> = v.split(',').map(|s| s.trim().parse()).collect();
-                let parsed = parsed.map_err(|_| format!("bad --levels value: {v}"))?;
-                if parsed.is_empty() {
-                    return Err("--levels needs at least one ppm value".into());
-                }
-                if let Some(&bad) = parsed.iter().find(|&&p| p > 1_000_000) {
-                    return Err(format!("--levels value {bad} exceeds 1000000 ppm"));
-                }
-                levels = Some(parsed);
-            }
-            "--hysteresis" => hysteresis = true,
-            "--etx" => etx = true,
-            "--fault" => {
-                let v = it.next().ok_or("--fault needs a value")?;
-                let parsed: Result<Vec<_>, _> = v.split(',').map(|s| s.trim().parse()).collect();
-                let parsed = parsed?;
-                if parsed.is_empty() {
-                    return Err("--fault needs at least one fault kind".into());
-                }
-                faults = Some(parsed);
-            }
-            "--corrupt" => corrupt = true,
-            "--leave-rate" => {
-                let v = it.next().ok_or("--leave-rate needs a value")?;
-                let parsed: Result<Vec<f64>, _> = v.split(',').map(|s| s.trim().parse()).collect();
-                let parsed = parsed.map_err(|_| format!("bad --leave-rate value: {v}"))?;
-                if parsed.is_empty() {
-                    return Err("--leave-rate needs at least one rate".into());
-                }
-                if let Some(&bad) = parsed
-                    .iter()
-                    .find(|&&r| !r.is_finite() || !(0.0..=1e4).contains(&r))
-                {
-                    return Err(format!("--leave-rate value {bad} must be in [0, 1e4]"));
-                }
-                leave_rates = Some(parsed);
-            }
-            "--flows" => {
-                let v = it.next().ok_or("--flows needs a value")?;
-                let parsed: usize = v.parse().map_err(|_| format!("bad --flows value: {v}"))?;
-                if parsed == 0 {
-                    return Err("--flows must be at least 1".into());
-                }
-                flows = Some(parsed);
-            }
-            "--static" => static_world = true,
-            "--capture-us" => {
-                let v = it.next().ok_or("--capture-us needs a value")?;
-                let parsed: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --capture-us value: {v}"))?;
-                capture_us = Some(parsed);
-            }
-            "--quick" => opts.runs = 10,
-            "--out" => {
-                let v = it.next().ok_or("--out needs a value")?;
-                out_dir = Some(PathBuf::from(v));
-            }
-            "--no-csv" => out_dir = None,
-            "--help" | "-h" => {
-                command = "help".into();
-                command_set = true;
-            }
-            c if !c.starts_with('-') && !command_set => {
-                command = c.to_owned();
-                command_set = true;
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
+impl Args {
+    fn on(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
     }
-    // Only the churn experiment is metric-parameterized; silently
-    // ignoring the flag elsewhere would mislabel results.
-    if metric_set
-        && command != "churn"
-        && command != "loss"
-        && command != "faults"
-        && command != "traffic"
-    {
-        return Err(format!(
-            "--metric only applies to churn, loss, faults and traffic, not {command}"
-        ));
+
+    /// The value of `flag`, if given; parsing checked it already.
+    fn get<T: FromStr>(&self, flag: &str) -> Option<T> {
+        let v = self.values.get(flag)?;
+        Some(checked(flag, v))
     }
-    if live && command != "scale" {
-        return Err(format!("--live only applies to scale, not {command}"));
+
+    /// The entries of the list `flag`, if given; parsing checked them
+    /// already.
+    fn list<T: FromStr>(&self, flag: &str) -> Option<Vec<T>> {
+        let v = self.values.get(flag)?;
+        Some(
+            v.split(',')
+                .map(|entry| checked(flag, entry.trim()))
+                .collect(),
+        )
     }
-    if sizes.is_some() && command != "scale" && command != "overhead" {
-        return Err(format!(
-            "--sizes only applies to scale and overhead, not {command}"
-        ));
-    }
-    let live_scale = command == "scale" && live;
-    for (set, flag) in [
-        (warmup.is_some(), "--warmup"),
-        (seconds.is_some(), "--seconds"),
-        (max_resident_bytes.is_some(), "--max-resident-bytes"),
-    ] {
-        if set && !live_scale {
-            return Err(format!("{flag} only applies to scale --live"));
-        }
-    }
-    if verify_shards && !live_scale && command != "faults" && command != "traffic" {
-        return Err("--verify-shards only applies to scale --live, faults and traffic".into());
-    }
-    if shards.is_some()
-        && !live_scale
-        && command != "overhead"
-        && command != "churn"
-        && command != "loss"
-        && command != "faults"
-        && command != "traffic"
-    {
-        return Err(format!(
-            "--shards only applies to scale --live, overhead, churn, loss, faults and \
-             traffic, not {command}"
-        ));
-    }
-    if lossy && !live_scale {
-        return Err("--lossy only applies to scale --live".into());
-    }
-    if nodes.is_some() && command != "loss" && command != "faults" && command != "traffic" {
-        return Err(format!(
-            "--nodes only applies to loss, faults and traffic, not {command}"
-        ));
-    }
-    if levels.is_some() && command != "loss" && command != "traffic" {
-        return Err(format!(
-            "--levels only applies to loss and traffic, not {command}"
-        ));
-    }
-    for (set, flag) in [
-        (hysteresis, "--hysteresis"),
-        (etx, "--etx"),
-        (capture_us.is_some(), "--capture-us"),
-    ] {
-        if set && command != "loss" {
-            return Err(format!("{flag} only applies to loss"));
-        }
-    }
-    for (set, flag) in [(flows.is_some(), "--flows"), (static_world, "--static")] {
-        if set && command != "traffic" {
-            return Err(format!("{flag} only applies to traffic"));
-        }
-    }
-    for (set, flag) in [(faults.is_some(), "--fault"), (corrupt, "--corrupt")] {
-        if set && command != "faults" {
-            return Err(format!("{flag} only applies to faults"));
-        }
-    }
-    if leave_rates.is_some() && command != "churn" {
-        return Err(format!("--leave-rate only applies to churn, not {command}"));
-    }
-    Ok(Args {
-        command,
-        opts,
-        metric,
-        live,
-        sizes,
-        shards,
-        verify_shards,
-        warmup,
-        seconds,
-        max_resident_bytes,
-        lossy,
-        nodes,
-        levels,
-        hysteresis,
-        etx,
-        capture_us,
-        faults,
-        corrupt,
-        leave_rates,
-        flows,
-        static_world,
-        out_dir,
-    })
 }
 
-fn parse_seed(v: &str) -> Option<u64> {
-    if let Some(hex) = v.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
+fn checked<T: FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| panic!("{flag} value {v} was checked at parse"))
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut command = None;
+    let mut values = BTreeMap::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            command = Some("help".to_owned());
+        } else if let Some(flag) = FLAGS.iter().find(|f| f.name == arg) {
+            let mut value = String::new();
+            if !flag.value.is_empty() {
+                value = args.next().ok_or(format!("{arg} needs a value"))?;
+                (flag.check)(&value).map_err(|e| format!("bad {arg} value {value}: {e}"))?;
+            }
+            if let Some((target, set)) = flag.sets {
+                values.insert(target, set.to_owned());
+            }
+            values.insert(flag.name, value);
+        } else if !arg.starts_with('-') && command.is_none() {
+            command = Some(arg);
+        } else {
+            return Err(format!("unknown argument: {arg}"));
+        }
+    }
+    let command = command.unwrap_or_else(|| "all".to_owned());
+    let applies_to = if command == "scale" && values.contains_key("--live") {
+        LIVE
     } else {
-        v.parse().ok()
+        command.as_str()
+    };
+    for name in values.keys() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == *name)
+            .expect("a known flag");
+        if !flag.commands.is_empty() && !flag.commands.contains(&applies_to) {
+            return Err(format!(
+                "{name} only applies to {}, not {applies_to}",
+                flag.commands.join(", ")
+            ));
+        }
     }
+    Ok(Args { command, values })
 }
 
-fn emit(fig: &Figure, slug: &str, out_dir: &Option<PathBuf>) {
-    println!("{}", fig.render_text());
-    if let Some(dir) = out_dir {
+fn help() -> String {
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|f| format!("{} {}", f.name, f.value).trim_end().to_owned())
+        .collect();
+    format!(
+        "commands: {}; options: {}",
+        COMMANDS.join(" "),
+        flags.join(" ")
+    )
+}
+
+/// Prints each figure and, given a directory, writes its CSV there.
+fn write_figures(figures: Vec<(String, Figure)>, out_dir: Option<&Path>) {
+    for (slug, fig) in figures {
+        println!("{}", fig.render_text());
+        let Some(dir) = out_dir else { continue };
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
+            continue;
         }
-        let path: &Path = &dir.join(format!("{slug}.csv"));
-        match std::fs::write(path, fig.render_csv()) {
+        let path = dir.join(format!("{slug}.csv"));
+        match std::fs::write(&path, fig.render_csv()) {
             Ok(()) => println!("# wrote {}\n", path.display()),
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
     }
 }
 
+/// Runs an experiment at `shards` engine shards; under `--verify-shards`
+/// also on one shard, panicking (non-zero exit) on any difference.
+fn sharded<T: ShardInvariant>(args: &Args, shards: u32, experiment: impl Fn(u32) -> T) -> T {
+    if !args.on("--verify-shards") {
+        return experiment(shards);
+    }
+    let results = verify_shards(shards, experiment);
+    println!("# shard verification ok: every curve and counter identical to the one-shard run\n");
+    results
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\nrun with --help for usage");
             return ExitCode::FAILURE;
         }
     };
-    let opts = args.opts;
+    let defaults = FigureOptions::default();
+    let opts = FigureOptions {
+        runs: args.get("--runs").unwrap_or(defaults.runs),
+        seed: args
+            .values
+            .get("--seed")
+            .map_or(defaults.seed, |v| parse_seed(v).expect("checked at parse")),
+        threads: args.get("--threads").unwrap_or(defaults.threads),
+        ..defaults
+    };
     println!(
         "# qolsr-rs figure harness — runs={} seed={:#x} strategy={:?}\n",
         opts.runs, opts.seed, opts.strategy
     );
+    match run(&args, &opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
+    let out_dir = match args.values.get("--out") {
+        None => Some(PathBuf::from("results")),
+        Some(dir) if dir.is_empty() => None,
+        Some(dir) => Some(PathBuf::from(dir)),
+    };
+    let emit = |figures| write_figures(figures, out_dir.as_deref());
+    let kinds = &SelectorKind::PAPER;
+    let metric = args.get("--metric").unwrap_or_default();
+    let shards = args.get("--shards").unwrap_or(1);
     match args.command.as_str() {
-        "help" => {
-            println!(
-                "commands: fig6 fig7 fig8 fig9 all ablations robustness churn scale overhead \
-                 loss faults traffic; \
-                 options: --runs N --seed S --threads T --metric bandwidth|delay \
-                 --live --sizes L \
-                 --shards K --verify-shards --warmup N --seconds N \
-                 --max-resident-bytes B --lossy --nodes N --levels L \
-                 --hysteresis --etx --capture-us W --fault F --corrupt --leave-rate L \
-                 --flows N --static --quick --out DIR --no-csv"
-            );
-        }
-        "fig6" => {
-            let r = bandwidth_experiment(&opts);
-            emit(
-                &r.ans_size_figure("Fig. 6 — advertised set size per node (bandwidth metric)"),
-                "fig6_ans_size_bandwidth",
-                &args.out_dir,
-            );
-        }
-        "fig7" => {
-            let r = delay_experiment(&opts);
-            emit(
-                &r.ans_size_figure("Fig. 7 — advertised set size per node (delay metric)"),
-                "fig7_ans_size_delay",
-                &args.out_dir,
-            );
-        }
-        "fig8" => {
-            let r = bandwidth_experiment(&opts);
-            emit(
-                &r.overhead_figure("Fig. 8 — bandwidth overhead vs centralized optimum"),
-                "fig8_bandwidth_overhead",
-                &args.out_dir,
-            );
-        }
-        "fig9" => {
-            let r = delay_experiment(&opts);
-            emit(
-                &r.overhead_figure("Fig. 9 — delay overhead vs centralized optimum"),
-                "fig9_delay_overhead",
-                &args.out_dir,
-            );
-        }
-        "all" => {
-            let bw = bandwidth_experiment(&opts);
-            emit(
-                &bw.ans_size_figure("Fig. 6 — advertised set size per node (bandwidth metric)"),
-                "fig6_ans_size_bandwidth",
-                &args.out_dir,
-            );
-            emit(
-                &bw.overhead_figure("Fig. 8 — bandwidth overhead vs centralized optimum"),
-                "fig8_bandwidth_overhead",
-                &args.out_dir,
-            );
-            emit(
-                &bw.delivery_figure("Fig. 8b (extra) — delivery rate (bandwidth experiment)"),
-                "fig8b_delivery_bandwidth",
-                &args.out_dir,
-            );
-            let d = delay_experiment(&opts);
-            emit(
-                &d.ans_size_figure("Fig. 7 — advertised set size per node (delay metric)"),
-                "fig7_ans_size_delay",
-                &args.out_dir,
-            );
-            emit(
-                &d.overhead_figure("Fig. 9 — delay overhead vs centralized optimum"),
-                "fig9_delay_overhead",
-                &args.out_dir,
-            );
-        }
-        "ablations" => {
-            let id_rule = ablation_id_rule(&opts);
-            emit(
-                &id_rule.delivery_figure(
-                    "Ablation — delivery rate with/without the smallest-id rule \
-                     (advertised-links-only routing)",
-                ),
-                "ablation_id_rule_delivery",
-                &args.out_dir,
-            );
-            emit(
-                &id_rule.overhead_figure("Ablation — overhead with/without the smallest-id rule"),
-                "ablation_id_rule_overhead",
-                &args.out_dir,
-            );
-            let all = ablation_all_selectors(&opts);
-            emit(
-                &all.ans_size_figure("Ablation — advertised set size, all selector families"),
-                "ablation_all_selectors_size",
-                &args.out_dir,
-            );
-            emit(
-                &all.overhead_figure("Ablation — bandwidth overhead, all selector families"),
-                "ablation_all_selectors_overhead",
-                &args.out_dir,
-            );
-            for (name, r) in ablation_strategies(&opts) {
-                emit(
-                    &r.overhead_figure(&format!("Ablation — FNBP overhead, {name} routing")),
-                    &format!("ablation_strategy_{name}"),
-                    &args.out_dir,
-                );
+        "help" => println!("{}", help()),
+        cmd @ ("fig6" | "fig7" | "fig8" | "fig9" | "all") => {
+            let mut figures = Vec::new();
+            if matches!(cmd, "fig6" | "fig8" | "all") {
+                figures.extend(bandwidth_figures(&bandwidth_experiment(opts)));
             }
-            for (name, bw, delay) in ablation_weight_intervals(&opts) {
-                emit(
-                    &bw.ans_size_figure(&format!(
-                        "Ablation — advertised set size (bandwidth), {name}"
-                    )),
-                    &format!("ablation_{name}_size_bandwidth"),
-                    &args.out_dir,
-                );
-                emit(
-                    &delay.ans_size_figure(&format!(
-                        "Ablation — advertised set size (delay), {name}"
-                    )),
-                    &format!("ablation_{name}_size_delay"),
-                    &args.out_dir,
-                );
+            if matches!(cmd, "fig7" | "fig9" | "all") {
+                figures.extend(delay_figures(&delay_experiment(opts)));
             }
+            let prefix = format!("{cmd}_");
+            figures.retain(|(slug, _)| cmd == "all" || slug.starts_with(&prefix));
+            emit(figures);
         }
-        "robustness" => {
-            use qolsr::eval::robustness::{delivery_figure, link_failure_study};
-            use qolsr::eval::{EvalConfig, SelectorKind};
-            let mut cfg = EvalConfig::paper_bandwidth(opts.runs);
-            cfg.seed = opts.seed;
-            let fractions = [0.0, 0.05, 0.1, 0.2, 0.3, 0.4];
-            let results = link_failure_study::<qolsr_metrics::BandwidthMetric>(
-                &cfg,
-                15.0,
-                &fractions,
-                &SelectorKind::PAPER,
-            );
-            emit(
-                &delivery_figure(
-                    &results,
-                    "Robustness — delivery with stale advertised sets under link failures (δ=15)",
-                ),
-                "robustness_link_failures",
-                &args.out_dir,
-            );
-        }
+        "ablations" => emit(ablation_figures(
+            &opts.bandwidth_config(),
+            &opts.delay_config(),
+        )),
+        "robustness" => emit(robustness_figures(&opts.bandwidth_config())),
         "churn" => {
-            use qolsr::eval::churn::{
-                churn_experiment_with, drift_figure, staleness_figure, validity_figure, ChurnConfig,
+            let cfg = churn::ChurnConfig {
+                seed: opts.seed,
+                threads: opts.threads,
+                shards,
+                metric,
+                ..churn::ChurnConfig::new(opts.runs)
             };
-            use qolsr::eval::SelectorKind;
-            let mut cfg = ChurnConfig::new(opts.runs);
-            cfg.seed = opts.seed;
-            cfg.threads = opts.threads;
-            if let Some(shards) = args.shards {
-                cfg.shards = shards;
+            let with = |shards| churn::ChurnConfig {
+                shards,
+                ..cfg.clone()
+            };
+            if let Some(rates) = args.list("--leave-rate") {
+                let results = sharded(args, shards, |k| {
+                    churn::leave_rate_sweep(&with(k), &rates, kinds)
+                });
+                emit(churn::leave_rate_figures(&cfg, &results));
+            } else {
+                let results = sharded(args, shards, |k| churn::churn_experiment(&with(k), kinds));
+                emit(churn::figures(&cfg, &results));
             }
-            let metric = args.metric;
-            let m = metric.name();
-            if let Some(rates) = args.leave_rates.clone() {
-                use qolsr::eval::churn::{
-                    leave_rate_staleness_figure, leave_rate_sweep_with, leave_rate_validity_figure,
-                };
-                let results = leave_rate_sweep_with(metric, &cfg, &rates, &SelectorKind::PAPER);
-                emit(
-                    &leave_rate_validity_figure(
-                        &results,
-                        &format!(
-                            "Churn — route validity vs departure rate \
-                             (waypoint + churn + drift, δ=10, {m} metric)"
-                        ),
-                    ),
-                    &format!("churn_leave_rate_validity_{m}"),
-                    &args.out_dir,
-                );
-                emit(
-                    &leave_rate_staleness_figure(
-                        &results,
-                        &format!(
-                            "Churn — advertised-set staleness vs departure rate (δ=10, {m} metric)"
-                        ),
-                    ),
-                    &format!("churn_leave_rate_staleness_{m}"),
-                    &args.out_dir,
-                );
-                return ExitCode::SUCCESS;
-            }
-            let results = churn_experiment_with(metric, &cfg, &SelectorKind::PAPER);
-            emit(
-                &validity_figure(
-                    &results,
-                    &format!(
-                        "Churn — route validity over time \
-                         (waypoint + churn + drift, δ=10, {m} metric)"
-                    ),
-                ),
-                &format!("churn_route_validity_{m}"),
-                &args.out_dir,
-            );
-            emit(
-                &staleness_figure(
-                    &results,
-                    &format!("Churn — advertised-set staleness over time (δ=10, {m} metric)"),
-                ),
-                &format!("churn_advertised_staleness_{m}"),
-                &args.out_dir,
-            );
-            emit(
-                &drift_figure(
-                    &results,
-                    &format!("Churn — selection drift vs current ground truth (δ=10, {m} metric)"),
-                ),
-                &format!("churn_selection_drift_{m}"),
-                &args.out_dir,
-            );
         }
         "overhead" => {
-            use qolsr::eval::overhead::{
-                deliveries_figure, overhead_sweep, validity_figure, OverheadConfig,
-            };
-            let mut cfg = OverheadConfig::new(opts.runs.min(5));
+            let mut cfg = overhead::OverheadConfig::new(opts.runs.min(5));
             cfg.seed = opts.seed;
-            if let Some(sizes) = args.sizes.clone() {
+            cfg.shards = shards;
+            if let Some(sizes) = args.list("--sizes") {
                 cfg.sizes = sizes;
             }
-            if let Some(shards) = args.shards {
-                cfg.shards = shards;
-            }
-            let points = overhead_sweep(&cfg);
-            println!(
-                "# control overhead: {} s warm-up (unmeasured) + {} s measured \
-                 (one full fisheye ring rotation), {} probe pairs validated per \
-                 simulated second\n",
-                cfg.warmup_seconds, cfg.sim_seconds, cfg.probes
-            );
-            println!(
-                "# {:>5}  {:>8}  {:>10}  {:>13}  {:>13}  {:>13}  {:>12}  {:>16}  {:>8}",
-                "n",
-                "policy",
-                "ms/sim-s",
-                "TC deliveries",
-                "ctrl bytes",
-                "bytes decoded",
-                "dup-peek hits",
-                "TC/ring",
-                "validity"
-            );
-            for p in &points {
-                let rings = if p.tc_ring_emissions == [0; 4] {
-                    "-".to_owned()
-                } else {
-                    // Trim only *trailing* zero slots: a mid-table ring
-                    // that never fired (e.g. shadowed by an outer ring
-                    // with the same multiplier) must still show as 0.
-                    let last = p
-                        .tc_ring_emissions
-                        .iter()
-                        .rposition(|&r| r > 0)
-                        .unwrap_or(0);
-                    let used: Vec<String> = p.tc_ring_emissions[..=last]
-                        .iter()
-                        .map(u64::to_string)
-                        .collect();
-                    used.join("/")
-                };
-                println!(
-                    "# {:>5}  {:>8}  {:>10.1}  {:>13.0}  {:>13.0}  {:>13.0}  {:>12.0}  {:>16}  {:>7.3}",
-                    p.nodes,
-                    p.policy,
-                    p.wall_ms_per_sim_s.mean(),
-                    p.tc_deliveries.mean(),
-                    p.control_bytes.mean(),
-                    p.bytes_decoded.mean(),
-                    p.dup_peek_hits.mean(),
-                    rings,
-                    p.validity.mean(),
-                );
-            }
-            println!();
-            emit(
-                &deliveries_figure(
-                    &points,
-                    "Control overhead — TC-flood deliveries per measured run, \
-                     by scoping policy",
-                ),
-                "overhead_tc_deliveries",
-                &args.out_dir,
-            );
-            emit(
-                &validity_figure(
-                    &points,
-                    "Control overhead — route validity under scoped TC dissemination",
-                ),
-                "overhead_route_validity",
-                &args.out_dir,
-            );
+            let points = sharded(args, shards, |shards| {
+                overhead::overhead_sweep(&overhead::OverheadConfig {
+                    shards,
+                    ..cfg.clone()
+                })
+            });
+            print!("{}", overhead::report(&cfg, &points));
+            emit(overhead::figures(&points));
         }
         "loss" => {
-            use qolsr::eval::loss::{
-                delivery_figure, loss_experiment_with, mpr_churn_figure, validity_figure,
-                LossConfig,
+            let mut cfg = loss::LossConfig {
+                seed: opts.seed,
+                threads: opts.threads,
+                shards,
+                metric,
+                ..loss::LossConfig::new(opts.runs)
             };
-            use qolsr::eval::SelectorKind;
-            use qolsr_proto::{EtxParams, HysteresisParams, LinkHysteresis, LinkMetric};
-            use qolsr_sim::SimDuration;
-            let mut cfg = LossConfig::new(opts.runs);
-            cfg.seed = opts.seed;
-            cfg.threads = opts.threads;
-            if let Some(nodes) = args.nodes {
-                cfg.nodes = nodes;
-            }
-            if let Some(levels) = args.levels.clone() {
-                cfg.levels = levels;
-            }
-            if let Some(shards) = args.shards {
-                cfg.shards = shards;
-            }
-            if args.hysteresis {
+            cfg.nodes = args.get("--nodes").unwrap_or(cfg.nodes);
+            cfg.levels = args.list("--levels").unwrap_or(cfg.levels);
+            if args.on("--hysteresis") {
                 cfg.olsr.link_hysteresis = LinkHysteresis::On(HysteresisParams::default());
             }
-            if args.etx {
+            if args.on("--etx") {
                 cfg.olsr.link_metric = LinkMetric::Etx(EtxParams::default());
             }
-            if let Some(us) = args.capture_us {
+            if let Some(us) = args.get("--capture-us") {
                 cfg.capture_window = SimDuration::from_micros(us);
             }
-            let metric = args.metric;
-            let results = loss_experiment_with(metric, &cfg, &SelectorKind::PAPER);
-            println!(
-                "# lossy radio: n={}, quadratic falloff, {} µs capture window, \
-                 hysteresis={}, etx={}; {} probe pairs sampled every {} s over \
-                 {} s measured\n",
-                cfg.nodes,
-                cfg.capture_window.as_micros(),
-                args.hysteresis,
-                args.etx,
-                cfg.probes,
-                cfg.sample_every.as_secs_f64(),
-                cfg.measure.as_secs_f64(),
-            );
-            println!(
-                "# {:>9}  {:>32}  {:>9}  {:>9}  {:>10}",
-                "edge-drop", "selector", "delivery", "validity", "MPR-churn"
-            );
-            for r in &results {
-                for level in &r.per_level {
-                    println!(
-                        "# {:>8.2}%  {:>32}  {:>9.3}  {:>9.3}  {:>10.3}",
-                        f64::from(level.edge_drop_ppm) / 1e4,
-                        r.kind.label(),
-                        level.delivery.mean(),
-                        level.validity.mean(),
-                        level.mpr_churn.mean(),
-                    );
-                }
-            }
-            println!();
-            let m = metric.name();
-            emit(
-                &delivery_figure(
-                    &results,
-                    &format!("Loss — frame delivery ratio vs edge drop probability ({m} metric)"),
-                ),
-                &format!("loss_delivery_{m}"),
-                &args.out_dir,
-            );
-            emit(
-                &validity_figure(
-                    &results,
-                    &format!("Loss — route validity vs edge drop probability ({m} metric)"),
-                ),
-                &format!("loss_route_validity_{m}"),
-                &args.out_dir,
-            );
-            emit(
-                &mpr_churn_figure(
-                    &results,
-                    &format!("Loss — MPR-set churn vs edge drop probability ({m} metric)"),
-                ),
-                &format!("loss_mpr_churn_{m}"),
-                &args.out_dir,
-            );
+            let results = sharded(args, shards, |shards| {
+                loss::loss_experiment(
+                    &loss::LossConfig {
+                        shards,
+                        ..cfg.clone()
+                    },
+                    kinds,
+                )
+            });
+            print!("{}", loss::report(&cfg, &results));
+            emit(loss::figures(&cfg, &results));
         }
         "faults" => {
-            use qolsr::eval::faults::{
-                fault_experiment_verified_with, fault_experiment_with, fault_staleness_figure,
-                fault_validity_figure, recovery_report, FaultConfig, FaultKind,
-            };
-            use qolsr::eval::SelectorKind;
-            use qolsr_sim::{CorruptionParams, FrameCorruption};
-            let metric = args.metric;
-            let m = metric.name();
-            let kinds = args
-                .faults
-                .clone()
-                .unwrap_or_else(|| vec![FaultKind::Partition]);
-            for fault in kinds {
-                let mut cfg = FaultConfig::new(opts.runs);
-                cfg.seed = opts.seed;
-                cfg.threads = opts.threads;
-                cfg.kind = fault;
-                if let Some(n) = args.nodes {
+            for kind in args.list("--fault").unwrap_or(vec![FaultKind::Partition]) {
+                let mut cfg = FaultConfig {
+                    seed: opts.seed,
+                    threads: opts.threads,
+                    kind,
+                    shards,
+                    metric,
+                    ..FaultConfig::new(opts.runs)
+                };
+                if let Some(n) = args.get("--nodes") {
                     cfg = cfg.with_nodes(n);
                 }
-                if let Some(shards) = args.shards {
-                    cfg.shards = shards;
-                }
-                if args.corrupt {
+                if args.on("--corrupt") {
                     cfg.corruption = FrameCorruption::On(CorruptionParams::default());
                 }
-                let results = if args.verify_shards {
-                    // Panics (non-zero exit) on any divergence between the
-                    // sharded run and the one-shard run.
-                    fault_experiment_verified_with(metric, &cfg, &SelectorKind::PAPER)
-                } else {
-                    fault_experiment_with(metric, &cfg, &SelectorKind::PAPER)
-                };
-                if args.verify_shards {
-                    println!(
-                        "# shard verification ok ({}): curves and recovery aggregates \
-                         identical to the one-shard run\n",
-                        fault.name()
-                    );
-                }
-                for line in recovery_report(&cfg, &results).lines() {
-                    println!("# {line}");
-                }
-                println!();
-                let slug = fault.name().replace('-', "_");
-                emit(
-                    &fault_validity_figure(
-                        &results,
-                        &format!(
-                            "Faults — route validity through a {} (fault at {:.0} s, \
-                             heal at {:.0} s, {m} metric)",
-                            fault.name(),
-                            cfg.fault_at().as_secs_f64(),
-                            cfg.heal_at().as_secs_f64(),
-                        ),
-                    ),
-                    &format!("faults_{slug}_validity_{m}"),
-                    &args.out_dir,
-                );
-                emit(
-                    &fault_staleness_figure(
-                        &results,
-                        &format!(
-                            "Faults — advertised staleness through a {} ({m} metric)",
-                            fault.name()
-                        ),
-                    ),
-                    &format!("faults_{slug}_staleness_{m}"),
-                    &args.out_dir,
-                );
+                let results = sharded(args, shards, |shards| {
+                    faults::fault_experiment(
+                        &FaultConfig {
+                            shards,
+                            ..cfg.clone()
+                        },
+                        kinds,
+                    )
+                });
+                print!("{}", faults::report(&cfg, &results));
+                emit(faults::figures(&cfg, &results));
             }
         }
         "traffic" => {
-            use qolsr::eval::traffic::{
-                drop_report, traffic_delay_figure, traffic_delivery_figure,
-                traffic_experiment_verified_with, traffic_experiment_with, traffic_jitter_figure,
-                traffic_p99_figure, TrafficConfig,
+            let mut cfg = traffic::TrafficConfig {
+                seed: opts.seed,
+                threads: opts.threads,
+                shards,
+                metric,
+                ..traffic::TrafficConfig::new(opts.runs)
             };
-            use qolsr::eval::SelectorKind;
-            let mut cfg = TrafficConfig::new(opts.runs);
-            cfg.seed = opts.seed;
-            cfg.threads = opts.threads;
-            if let Some(nodes) = args.nodes {
-                cfg.nodes = nodes;
-            }
-            if let Some(levels) = args.levels.clone() {
-                cfg.levels = levels;
-            }
-            if let Some(shards) = args.shards {
-                cfg.shards = shards;
-            }
-            if let Some(flows) = args.flows {
-                cfg.flows = flows;
-            }
-            if args.static_world {
+            cfg.nodes = args.get("--nodes").unwrap_or(cfg.nodes);
+            cfg.levels = args.list("--levels").unwrap_or(cfg.levels);
+            cfg.flows = args.get("--flows").unwrap_or(cfg.flows);
+            if args.on("--static") {
                 cfg.mobility = None;
             }
-            let metric = args.metric;
-            let m = metric.name();
-            let results = if args.verify_shards {
-                // Panics (non-zero exit) on any divergence between the
-                // sharded run and the one-shard run.
-                traffic_experiment_verified_with(metric, &cfg, &SelectorKind::PAPER)
-            } else {
-                traffic_experiment_with(metric, &cfg, &SelectorKind::PAPER)
-            };
-            if args.verify_shards {
-                println!(
-                    "# shard verification ok: QoS curves and drop-cause totals \
-                     identical to the one-shard run\n"
-                );
-            }
-            println!(
-                "# data plane: n={}, {} flows/world ({} B payload, CBR every {} ms \
-                 interleaved with {}-{}-packet bursts every {} ms), mobility={}, \
-                 {} s warm-up + {} s measured\n",
-                cfg.nodes,
-                cfg.flows,
-                cfg.payload,
-                cfg.cbr_interval.as_micros() / 1_000,
-                cfg.burst.0,
-                cfg.burst.1,
-                cfg.frame_interval.as_micros() / 1_000,
-                cfg.mobility.is_some(),
-                cfg.warmup.as_secs_f64(),
-                cfg.measure.as_secs_f64(),
-            );
-            println!(
-                "# {:>9}  {:>32}  {:>9}  {:>10}  {:>10}  {:>10}",
-                "edge-drop", "selector", "delivery", "delay(ms)", "p99(ms)", "jitter(ms)"
-            );
-            for r in &results {
-                for level in &r.per_level {
-                    println!(
-                        "# {:>8.2}%  {:>32}  {:>9.3}  {:>10.2}  {:>10.2}  {:>10.2}",
-                        f64::from(level.edge_drop_ppm) / 1e4,
-                        r.kind.label(),
-                        level.delivery.mean(),
-                        level.delay_ms.mean(),
-                        level.p99_delay_ms.mean(),
-                        level.jitter_ms.mean(),
-                    );
-                }
-            }
-            println!();
-            for line in drop_report(&results).lines() {
-                println!("# {line}");
-            }
-            println!();
-            emit(
-                &traffic_delivery_figure(
-                    &results,
-                    &format!(
-                        "Traffic — end-to-end delivery ratio vs edge drop probability \
-                         ({m} metric)"
-                    ),
-                ),
-                &format!("traffic_delivery_{m}"),
-                &args.out_dir,
-            );
-            emit(
-                &traffic_delay_figure(
-                    &results,
-                    &format!(
-                        "Traffic — mean end-to-end delay vs edge drop probability ({m} metric)"
-                    ),
-                ),
-                &format!("traffic_delay_{m}"),
-                &args.out_dir,
-            );
-            emit(
-                &traffic_p99_figure(
-                    &results,
-                    &format!(
-                        "Traffic — p99 end-to-end delay vs edge drop probability ({m} metric)"
-                    ),
-                ),
-                &format!("traffic_p99_delay_{m}"),
-                &args.out_dir,
-            );
-            emit(
-                &traffic_jitter_figure(
-                    &results,
-                    &format!("Traffic — mean jitter vs edge drop probability ({m} metric)"),
-                ),
-                &format!("traffic_jitter_{m}"),
-                &args.out_dir,
-            );
+            let results = sharded(args, shards, |shards| {
+                traffic::traffic_experiment(
+                    &traffic::TrafficConfig {
+                        shards,
+                        ..cfg.clone()
+                    },
+                    kinds,
+                )
+            });
+            print!("{}", traffic::report(&cfg, &results));
+            emit(traffic::figures(&cfg, &results));
         }
-        "scale" if args.live => {
-            use qolsr::eval::scale::{live_figure, live_sweep, live_sweep_verified, LiveConfig};
-            let mut cfg = LiveConfig::new(opts.runs.min(5));
+        "scale" if args.on("--live") => {
+            let mut cfg = scale::LiveConfig::new(opts.runs.min(5));
             cfg.seed = opts.seed;
-            if let Some(sizes) = args.sizes.clone() {
-                cfg.sizes = sizes;
-            }
-            if let Some(shards) = args.shards {
-                cfg.shards = shards;
-            }
-            if let Some(warmup) = args.warmup {
-                cfg.warmup_seconds = warmup;
-            }
-            if let Some(seconds) = args.seconds {
-                cfg.sim_seconds = seconds;
-            }
-            if args.lossy {
-                use qolsr_sim::{LossyPhy, PhyModel, SimDuration};
+            cfg.shards = shards;
+            cfg.sizes = args.list("--sizes").unwrap_or(cfg.sizes);
+            cfg.warmup_seconds = args.get("--warmup").unwrap_or(cfg.warmup_seconds);
+            cfg.sim_seconds = args.get("--seconds").unwrap_or(cfg.sim_seconds);
+            if args.on("--lossy") {
                 cfg.phy = PhyModel::Lossy(LossyPhy {
                     edge_drop_ppm: 400_000,
                     exponent: 2,
                     capture_window: SimDuration::from_micros(150),
                 });
             }
-            let points = if args.verify_shards {
-                // Panics (non-zero exit) on any counter divergence between
-                // the sharded run and the one-shard run.
-                live_sweep_verified(&cfg)
-            } else {
-                live_sweep(&cfg)
-            };
-            println!(
-                "# live protocol ({} shard(s), {} radio): {} s warm-up \
-                 (unmeasured) + {} s measured, {} probe nodes sampled per \
-                 simulated second\n",
-                cfg.shards,
-                if args.lossy { "lossy" } else { "ideal" },
-                cfg.warmup_seconds,
-                cfg.sim_seconds,
-                cfg.probes
-            );
-            if args.verify_shards {
-                println!(
-                    "# shard verification ok: counters identical to the \
-                     one-shard run at every size\n"
-                );
-            }
-            println!(
-                "# {:>5}  {:>10}  {:>12}  {:>12}  {:>12}  {:>10}  {:>10}  {:>8}  {:>12}  {:>10}  {:>9}",
-                "n",
-                "ms/sim-s",
-                "events",
-                "timers",
-                "deliveries",
-                "recomputes",
-                "cache-hits",
-                "hit-rate",
-                "res-entries",
-                "res-MiB",
-                "rss-MiB"
-            );
-            const MIB: f64 = 1024.0 * 1024.0;
-            for p in &points {
-                let rss = if p.rss_bytes.count() == 0 {
-                    "-".to_owned()
-                } else {
-                    format!("{:.1}", p.rss_bytes.mean() / MIB)
-                };
-                println!(
-                    "# {:>5}  {:>10.1}  {:>12.0}  {:>12.0}  {:>12.0}  {:>10.1}  {:>10.1}  {:>7.1}%  {:>12.0}  {:>10.2}  {:>9}",
-                    p.nodes,
-                    p.wall_ms_per_sim_s.mean(),
-                    p.events.mean(),
-                    p.timers.mean(),
-                    p.deliveries.mean(),
-                    p.routes_recomputed.mean(),
-                    p.route_cache_hits.mean(),
-                    p.totals.route_cache_hit_rate() * 100.0,
-                    p.resident_entries.mean(),
-                    p.resident_bytes.mean() / MIB,
-                    rss,
-                );
-            }
-            println!();
-            emit(
-                &live_figure(
-                    &points,
-                    "Scale sweep (live) — full-protocol wall-clock per simulated second",
-                ),
-                "scale_live",
-                &args.out_dir,
-            );
-            if let Some(budget) = args.max_resident_bytes {
+            let points = sharded(args, shards, |shards| {
+                scale::live_sweep(&scale::LiveConfig {
+                    shards,
+                    ..cfg.clone()
+                })
+            });
+            print!("{}", scale::live_report(&cfg, &points));
+            emit(scale::live_figures(&points));
+            if let Some(budget) = args.get::<u64>("--max-resident-bytes") {
                 for p in &points {
                     let mean = p.resident_bytes.mean();
                     if mean > budget as f64 {
-                        eprintln!(
-                            "error: n={} mean resident protocol-table bytes {:.0} exceed \
-                             the --max-resident-bytes budget {budget}",
-                            p.nodes, mean
-                        );
-                        return ExitCode::FAILURE;
+                        return Err(format!(
+                            "n={} mean resident protocol-table bytes {mean:.0} exceed the \
+                             --max-resident-bytes budget {budget}",
+                            p.nodes
+                        ));
                     }
                 }
                 println!("# resident budget ok: all sizes under {budget} bytes\n");
             }
         }
         "scale" => {
-            use qolsr::eval::scale::{scale_figure, scale_sweep, ScaleConfig};
-            let mut cfg = ScaleConfig::new(opts.runs.min(10));
+            let mut cfg = scale::ScaleConfig::new(opts.runs.min(10));
             cfg.seed = opts.seed;
             cfg.threads = opts.threads;
-            if let Some(sizes) = args.sizes.clone() {
-                cfg.sizes = sizes;
-            }
-            let points = scale_sweep(&cfg);
-            for p in &points {
-                println!(
-                    "# n={:5}  side={:7.1}  waypoint {:8.3} ms/simulated-second  \
-                     selection {:8.3} ms/world  events/run {:9.0}",
-                    p.nodes,
-                    p.side,
-                    p.tick_ms.mean(),
-                    p.select_ms.mean(),
-                    p.events.mean(),
+            cfg.sizes = args.list("--sizes").unwrap_or(cfg.sizes);
+            let points = scale::scale_sweep(&cfg);
+            print!("{}", scale::report(&points));
+            emit(scale::figures(&points));
+        }
+        other => return Err(format!("unknown command {other}")),
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    /// Every command, `scale --live` counted as its own.
+    const ALL: &[&str] = &[
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "all",
+        "ablations",
+        "robustness",
+        "churn",
+        "scale",
+        "scale --live",
+        "overhead",
+        "loss",
+        "faults",
+        "traffic",
+    ];
+
+    #[test]
+    fn each_flag_applies_to_exactly_its_commands() {
+        // The commands each flag applies to; `--verify-shards` goes
+        // wherever `--shards` does.
+        let sharded: &[&str] = &[
+            "scale --live",
+            "overhead",
+            "churn",
+            "loss",
+            "faults",
+            "traffic",
+        ];
+        let expected: &[(&str, &str, &[&str])] = &[
+            ("--runs", "3", ALL),
+            ("--seed", "0x1f", ALL),
+            ("--threads", "2", ALL),
+            ("--metric", "delay", &["churn", "loss", "faults", "traffic"]),
+            ("--live", "", &["scale", "scale --live"]),
+            ("--sizes", "40,80", &["scale", "scale --live", "overhead"]),
+            ("--shards", "2", sharded),
+            ("--verify-shards", "", sharded),
+            ("--warmup", "5", &["scale --live"]),
+            ("--seconds", "5", &["scale --live"]),
+            ("--max-resident-bytes", "1024", &["scale --live"]),
+            ("--lossy", "", &["scale --live"]),
+            ("--nodes", "40", &["loss", "faults", "traffic"]),
+            ("--levels", "0,400000", &["loss", "traffic"]),
+            ("--hysteresis", "", &["loss"]),
+            ("--etx", "", &["loss"]),
+            ("--capture-us", "150", &["loss"]),
+            ("--fault", "partition,storm", &["faults"]),
+            ("--corrupt", "", &["faults"]),
+            ("--leave-rate", "0,0.2", &["churn"]),
+            ("--flows", "4", &["traffic"]),
+            ("--static", "", &["traffic"]),
+            ("--quick", "", ALL),
+            ("--out", "somewhere", ALL),
+            ("--no-csv", "", ALL),
+        ];
+        assert_eq!(expected.len(), FLAGS.len(), "one row per flag");
+        for &(flag, value, takers) in expected {
+            for &command in ALL {
+                let mut args: Vec<&str> = command.split(' ').collect();
+                args.push(flag);
+                if !value.is_empty() {
+                    args.push(value);
+                }
+                let parsed = parse(&args);
+                assert_eq!(
+                    parsed.is_ok(),
+                    takers.contains(&command),
+                    "{args:?}: {parsed:?}"
                 );
             }
-            if points.len() >= 2 {
-                let base = &points[0];
-                for p in &points[1..] {
-                    let node_ratio = p.nodes as f64 / base.nodes as f64;
-                    let time_ratio = p.tick_ms.mean() / base.tick_ms.mean().max(1e-9);
-                    println!(
-                        "# n×{node_ratio:.1}: waypoint tick cost ×{time_ratio:.2} \
-                         (quadratic would be ×{:.1})",
-                        node_ratio * node_ratio
-                    );
-                }
-            }
-            println!();
-            emit(
-                &scale_figure(
-                    &points,
-                    "Scale sweep — wall-clock per simulated second vs node count",
-                ),
-                "scale_sweep",
-                &args.out_dir,
-            );
-        }
-        other => {
-            eprintln!("error: unknown command {other}");
-            return ExitCode::FAILURE;
         }
     }
-    ExitCode::SUCCESS
+
+    #[test]
+    fn unknown_flags_and_extra_commands_are_rejected() {
+        for args in [&["fig6", "--bogus"][..], &["fig6", "fig7"], &["-x"]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown argument"), "{args:?}: {err}");
+        }
+        assert!(parse(&["fig6", "--runs"])
+            .unwrap_err()
+            .contains("needs a value"));
+    }
+
+    #[test]
+    fn zero_counts_are_rejected() {
+        for args in [
+            &["scale", "--sizes", "0"][..],
+            &["scale", "--live", "--sizes", "250,0"],
+            &["overhead", "--sizes", "0,250"],
+            &["loss", "--nodes", "0"],
+            &["traffic", "--flows", "0"],
+            &["churn", "--shards", "0"],
+            &["scale", "--live", "--seconds", "0"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("at least 1"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn bad_values_are_rejected() {
+        for args in [
+            &["fig6", "--runs", "-1"][..],
+            &["fig6", "--seed", "0xzz"],
+            &["churn", "--metric", "energy"],
+            &["loss", "--levels", "1000001"],
+            &["faults", "--fault", "partition,flood"],
+            &["churn", "--leave-rate", "NaN"],
+            &["churn", "--leave-rate", "2e4"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn later_arguments_win() {
+        let runs = |args: &[&str]| parse(args).unwrap().get::<u32>("--runs");
+        assert_eq!(runs(&["--quick", "--runs", "5"]), Some(5));
+        assert_eq!(runs(&["--runs", "5", "--quick"]), Some(10));
+        let out = |args: &[&str]| parse(args).unwrap().values.get("--out").cloned();
+        assert_eq!(out(&["--out", "x", "--no-csv"]), Some(String::new()));
+        assert_eq!(out(&["--no-csv", "--out", "x"]), Some("x".to_owned()));
+        let args = parse(&["--help", "--runs", "2"]).unwrap();
+        assert_eq!(args.command, "help");
+        assert_eq!(parse(&[]).unwrap().command, "all");
+    }
+
+    #[test]
+    fn help_lists_every_command_and_flag() {
+        assert_eq!(
+            help(),
+            "commands: fig6 fig7 fig8 fig9 all ablations robustness churn scale overhead loss \
+             faults traffic; options: --runs N --seed S --threads T --metric bandwidth|delay \
+             --live --sizes L --shards K --verify-shards --warmup N --seconds N \
+             --max-resident-bytes B --lossy --nodes N --levels L --hysteresis --etx \
+             --capture-us W --fault F --corrupt --leave-rate L --flows N --static --quick \
+             --out DIR --no-csv"
+        );
+    }
 }

@@ -22,61 +22,26 @@
 //!
 //! Every selector replays the *same* deployments and the same world
 //! evolution (scenario generation is independent of the protocol), so
-//! curves differ only by selection policy. Runs are sharded across the
-//! crossbeam worker loops of the figure harness; per-run aggregation is
+//! curves differ only by selection policy. Runs shard over the
+//! [`sweep`](crate::eval) driver's worker threads; per-run aggregation is
 //! ordered, making results independent of thread count.
 
 use std::sync::Arc;
 
-use qolsr_graph::connectivity::Components;
 use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
 use qolsr_graph::{LocalView, NodeId, Topology};
-use qolsr_metrics::{BandwidthMetric, DelayMetric};
 use qolsr_proto::network::OlsrNetwork;
 use qolsr_proto::{AdvertisePolicy, OlsrConfig};
 use qolsr_sim::scenario::{GaussMarkovDrift, PoissonChurn, RandomWaypoint, ScenarioBuilder};
 use qolsr_sim::stats::OnlineStats;
-use qolsr_sim::{RadioConfig, Scenario, SchedulerKind, SimDuration, SimRng, SimTime};
+use qolsr_sim::{RadioConfig, Scenario, SimDuration, SimRng, SimTime};
 
 use crate::advertised::select_on_views;
-use crate::eval::{derive_seed, exec_mode, sharded_runs, EvalMetric, SelectorKind, ShardPlan};
-use crate::policy::SelectorPolicy;
-use crate::report::{Figure, Point, Series};
-use crate::selector::AnsSelector;
-
-/// The QoS metric a churn experiment selects under, as a runtime value —
-/// what the `figures churn --metric` flag parses into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChurnMetric {
-    /// Concave bottleneck bandwidth (the default, matching the static
-    /// bandwidth figures).
-    #[default]
-    Bandwidth,
-    /// Additive end-to-end delay (the ROADMAP follow-on).
-    Delay,
-}
-
-impl ChurnMetric {
-    /// Lower-case name used in figure slugs and CLI parsing.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChurnMetric::Bandwidth => "bandwidth",
-            ChurnMetric::Delay => "delay",
-        }
-    }
-}
-
-impl std::str::FromStr for ChurnMetric {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bandwidth" => Ok(ChurnMetric::Bandwidth),
-            "delay" => Ok(ChurnMetric::Delay),
-            other => Err(format!("unknown metric: {other} (bandwidth|delay)")),
-        }
-    }
-}
+use crate::eval::{
+    connected_pairs, derive_seed, live_network, sample_times, sweep, LiveNetwork, Merge, QosMetric,
+    SelectorKind, ShardInvariant,
+};
+use crate::report::Figure;
 
 /// Scenario intensity knobs of the churn experiment.
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +74,37 @@ impl Default for ChurnScenario {
     }
 }
 
+impl ChurnScenario {
+    /// The seeded waypoint + churn + drift schedule of this intensity
+    /// over a `field`, `horizon` long — the dynamic world of the churn
+    /// and traffic experiments.
+    pub(crate) fn build(
+        &self,
+        topo: &Topology,
+        field: (f64, f64),
+        weights: UniformWeights,
+        horizon: SimDuration,
+        seed: u64,
+    ) -> Scenario {
+        let waypoint = RandomWaypoint::new(field, self.tick, self.speed, self.pause, weights);
+        let mut builder = ScenarioBuilder::new(topo, seed).with(waypoint);
+        // Rate zero means "no churn at all" (the leave-rate sweep's
+        // baseline point); [`PoissonChurn`] itself rejects it.
+        if self.leave_rate > 0.0 {
+            builder = builder.with(PoissonChurn::new(
+                self.leave_rate,
+                self.mean_downtime,
+                weights,
+            ));
+        }
+        if let Some((alpha, sigma)) = self.drift {
+            let clamp = (weights.min, weights.max);
+            builder = builder.with(GaussMarkovDrift::new(self.tick, alpha, clamp, sigma));
+        }
+        builder.generate(horizon)
+    }
+}
+
 /// Configuration of the churn experiment.
 #[derive(Debug, Clone)]
 pub struct ChurnConfig {
@@ -137,12 +133,14 @@ pub struct ChurnConfig {
     /// Scenario intensity.
     pub scenario: ChurnScenario,
     /// Protocol configuration of every node — the hook for running the
-    /// churn experiment under non-default timing, TC scoping
-    /// ([`qolsr_proto::TcScoping`]) or decode-path settings.
+    /// churn experiment under non-default timing or TC scoping
+    /// ([`qolsr_proto::TcScoping`]).
     pub olsr: OlsrConfig,
     /// Engine shard count (identical counters at any count — see
     /// [`crate::eval::exec_mode`]).
     pub shards: u32,
+    /// The QoS metric the selectors select under.
+    pub metric: QosMetric,
 }
 
 impl ChurnConfig {
@@ -164,47 +162,8 @@ impl ChurnConfig {
             scenario: ChurnScenario::default(),
             olsr: OlsrConfig::default(),
             shards: 1,
+            metric: QosMetric::Bandwidth,
         }
-    }
-
-    /// Sample instants (absolute virtual time), warm-up end included.
-    fn sample_times(&self) -> Vec<SimTime> {
-        let mut times = Vec::new();
-        let mut t = SimTime::ZERO + self.warmup;
-        let end = SimTime::ZERO + self.warmup + self.dynamic;
-        while t <= end {
-            times.push(t);
-            t += self.sample_every;
-        }
-        times
-    }
-
-    fn build_scenario(&self, topo: &Topology, seed: u64) -> Scenario {
-        let mut builder = ScenarioBuilder::new(topo, seed).with(RandomWaypoint::new(
-            self.field,
-            self.scenario.tick,
-            self.scenario.speed,
-            self.scenario.pause,
-            self.weights,
-        ));
-        // Rate zero means "no churn at all" (the leave-rate sweep's
-        // baseline point); [`PoissonChurn`] itself rejects it.
-        if self.scenario.leave_rate > 0.0 {
-            builder = builder.with(PoissonChurn::new(
-                self.scenario.leave_rate,
-                self.scenario.mean_downtime,
-                self.weights,
-            ));
-        }
-        if let Some((alpha, sigma)) = self.scenario.drift {
-            builder = builder.with(GaussMarkovDrift::new(
-                self.scenario.tick,
-                alpha,
-                (self.weights.min, self.weights.max),
-                sigma,
-            ));
-        }
-        builder.generate(self.dynamic)
     }
 }
 
@@ -222,6 +181,14 @@ pub struct ChurnSample {
     pub drift: OnlineStats,
 }
 
+impl Merge for ChurnSample {
+    fn merge(&mut self, other: &Self) {
+        self.validity.merge(&other.validity);
+        self.staleness.merge(&other.staleness);
+        self.drift.merge(&other.drift);
+    }
+}
+
 /// Time curves of one selector.
 #[derive(Debug, Clone)]
 pub struct ChurnMeasures {
@@ -231,87 +198,55 @@ pub struct ChurnMeasures {
     pub per_sample: Vec<ChurnSample>,
 }
 
-impl ChurnMeasures {
-    fn empty(kind: SelectorKind, times: &[SimTime]) -> Self {
-        Self {
-            kind,
-            per_sample: times
-                .iter()
-                .map(|t| ChurnSample {
-                    at_secs: t.as_secs_f64(),
-                    validity: OnlineStats::new(),
-                    staleness: OnlineStats::new(),
-                    drift: OnlineStats::new(),
-                })
-                .collect(),
-        }
-    }
-
-    fn merge(&mut self, other: &ChurnMeasures) {
-        for (mine, theirs) in self.per_sample.iter_mut().zip(&other.per_sample) {
-            mine.validity.merge(&theirs.validity);
-            mine.staleness.merge(&theirs.staleness);
-            mine.drift.merge(&theirs.drift);
-        }
+impl Merge for ChurnMeasures {
+    fn merge(&mut self, other: &Self) {
+        self.per_sample.merge(&other.per_sample);
     }
 }
 
-/// Runs the churn experiment under metric `M` for the given selectors.
+impl ShardInvariant for ChurnMeasures {}
+
+/// Runs the churn experiment for the given selectors.
 ///
 /// Per run: one Poisson deployment, one scenario (identical for every
 /// selector), one live OLSR network per selector, probed at the sample
 /// instants. Runs shard over worker threads; per-run results merge in run
 /// order, so output is independent of thread count.
-pub fn churn_experiment<M: EvalMetric>(
-    cfg: &ChurnConfig,
-    kinds: &[SelectorKind],
-) -> Vec<ChurnMeasures> {
-    let times = cfg.sample_times();
-    let plan = ShardPlan::new(cfg.threads, cfg.runs);
-    let per_run = sharded_runs(cfg.runs, plan.workers, |run| {
-        let mut local: Vec<ChurnMeasures> = kinds
-            .iter()
-            .map(|&k| ChurnMeasures::empty(k, &times))
-            .collect();
-        single_churn_run::<M>(
+pub fn churn_experiment(cfg: &ChurnConfig, kinds: &[SelectorKind]) -> Vec<ChurnMeasures> {
+    // Sample instants (absolute virtual time), warm-up end included.
+    let start = SimTime::ZERO + cfg.warmup;
+    let times = sample_times(start, start + cfg.dynamic, cfg.sample_every);
+    let empty = || {
+        let sample = |t: &SimTime| ChurnSample {
+            at_secs: t.as_secs_f64(),
+            validity: OnlineStats::new(),
+            staleness: OnlineStats::new(),
+            drift: OnlineStats::new(),
+        };
+        let per_sample: Vec<ChurnSample> = times.iter().map(sample).collect();
+        let measures = |&kind: &SelectorKind| ChurnMeasures {
+            kind,
+            per_sample: per_sample.clone(),
+        };
+        kinds.iter().map(measures).collect::<Vec<_>>()
+    };
+    sweep(cfg.threads, cfg.runs, empty, |run, inner, accum| {
+        single_churn_run(
             cfg,
             derive_seed(cfg.seed, 0, run),
             kinds,
-            plan.inner,
-            &mut local,
+            &times,
+            inner,
+            accum,
         );
-        local
-    });
-
-    let mut totals: Vec<ChurnMeasures> = kinds
-        .iter()
-        .map(|&k| ChurnMeasures::empty(k, &times))
-        .collect();
-    for run_measures in per_run {
-        for (total, m) in totals.iter_mut().zip(&run_measures) {
-            total.merge(m);
-        }
-    }
-    totals
+    })
 }
 
-/// Runs the churn experiment with the metric chosen at runtime — the
-/// dispatch point behind the `figures churn --metric` flag.
-pub fn churn_experiment_with(
-    metric: ChurnMetric,
-    cfg: &ChurnConfig,
-    kinds: &[SelectorKind],
-) -> Vec<ChurnMeasures> {
-    match metric {
-        ChurnMetric::Bandwidth => churn_experiment::<BandwidthMetric>(cfg, kinds),
-        ChurnMetric::Delay => churn_experiment::<DelayMetric>(cfg, kinds),
-    }
-}
-
-fn single_churn_run<M: EvalMetric>(
+fn single_churn_run(
     cfg: &ChurnConfig,
     seed: u64,
     kinds: &[SelectorKind],
+    times: &[SimTime],
     inner_threads: usize,
     accum: &mut [ChurnMeasures],
 ) {
@@ -327,23 +262,21 @@ fn single_churn_run<M: EvalMetric>(
         return;
     }
     // One scenario per world, shared verbatim by every selector.
-    let scenario = cfg.build_scenario(&topo, seed ^ 0xD1A5_0CE2);
-    let probes = sample_probe_pairs(&topo, cfg.probes, &mut rng);
+    let scenario = cfg.scenario.build(
+        &topo,
+        cfg.field,
+        cfg.weights,
+        cfg.dynamic,
+        seed ^ 0xD1A5_0CE2,
+    );
+    let probes = connected_pairs(&topo, cfg.probes, 4096, false, &mut rng);
     if probes.is_empty() {
         return;
     }
-    let times = cfg.sample_times();
 
     for (si, &kind) in kinds.iter().enumerate() {
-        let mut net = OlsrNetwork::with_exec(
-            topo.clone(),
-            cfg.olsr,
-            RadioConfig::default(),
-            seed,
-            SchedulerKind::default(),
-            exec_mode(cfg.shards),
-            |_| SelectorPolicy::new(kind.instantiate::<M>()),
-        );
+        let radio = RadioConfig::default();
+        let mut net = live_network(&topo, cfg.olsr, radio, seed, cfg.shards, kind, cfg.metric);
         // The world stays static through warm-up; dynamics start after.
         net.install_scenario_at(&scenario, SimTime::ZERO + cfg.warmup);
 
@@ -362,7 +295,7 @@ fn single_churn_run<M: EvalMetric>(
 /// Aggregation walks nodes in ascending order either way, so results are
 /// independent of the fan-out.
 fn sample_network(
-    net: &OlsrNetwork<SelectorPolicy<Box<dyn AnsSelector>>>,
+    net: &LiveNetwork,
     probes: &[(NodeId, NodeId)],
     inner_threads: usize,
     sample: &mut ChurnSample,
@@ -463,85 +396,41 @@ pub fn probe_route<P: AdvertisePolicy>(net: &OlsrNetwork<P>, s: NodeId, t: NodeI
     ProbeOutcome::Delivered(hops)
 }
 
-/// Uniform connected probe pairs from the initial topology. Shared with
-/// the fault-recovery experiment ([`crate::eval::faults`]).
-pub(crate) fn sample_probe_pairs(
-    topo: &Topology,
-    count: usize,
-    rng: &mut SimRng,
-) -> Vec<(NodeId, NodeId)> {
-    let components = Components::compute(topo);
-    let n = topo.len() as u64;
-    let mut pairs = Vec::with_capacity(count);
-    let mut attempts = 0;
-    while pairs.len() < count && attempts < 4096 {
-        attempts += 1;
-        let s = NodeId(rng.next_below(n) as u32);
-        let t = NodeId(rng.next_below(n) as u32);
-        if s != t && components.connected(s, t) {
-            pairs.push((s, t));
-        }
-    }
-    pairs
-}
-
-fn curve_figure(
-    results: &[ChurnMeasures],
-    title: &str,
-    ylabel: &str,
-    extract: impl Fn(&ChurnSample) -> &OnlineStats,
-) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "time (s)".to_owned(),
-        ylabel: ylabel.to_owned(),
-        series: results
-            .iter()
-            .map(|r| Series {
-                label: r.kind.label().to_owned(),
-                points: r
-                    .per_sample
-                    .iter()
-                    .map(|sample| {
-                        let s = extract(sample);
-                        Point {
-                            x: sample.at_secs,
-                            mean: s.mean(),
-                            ci95: s.ci95_half_width(),
-                            n: s.count(),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// Route-validity-over-time figure.
-pub fn validity_figure(results: &[ChurnMeasures], title: &str) -> Figure {
-    curve_figure(
-        results,
-        title,
-        "route validity (hop-by-hop delivery)",
-        |s| &s.validity,
-    )
-}
-
-/// Advertised-staleness-over-time figure.
-pub fn staleness_figure(results: &[ChurnMeasures], title: &str) -> Figure {
-    curve_figure(results, title, "stale advertised-link fraction", |s| {
-        &s.staleness
-    })
-}
-
-/// Selection-drift-over-time figure.
-pub fn drift_figure(results: &[ChurnMeasures], title: &str) -> Figure {
-    curve_figure(
-        results,
-        title,
-        "selection drift vs current ground truth (Jaccard)",
-        |s| &s.drift,
-    )
+/// The churn-over-time figures — route validity, advertised staleness and
+/// selection drift — each with its CSV slug.
+pub fn figures(cfg: &ChurnConfig, results: &[ChurnMeasures]) -> Vec<(String, Figure)> {
+    let m = cfg.metric.name();
+    let figure =
+        |slug: &str, title: String, ylabel: &str, stat: fn(&ChurnSample) -> &OnlineStats| {
+            let series = results.iter().map(|r| {
+                let points = r.per_sample.iter().map(move |s| (s.at_secs, stat(s)));
+                (r.kind.label(), points)
+            });
+            let fig = Figure::from_stats(&title, "time (s)", ylabel, series);
+            (format!("churn_{slug}_{m}"), fig)
+        };
+    vec![
+        figure(
+            "route_validity",
+            format!(
+                "Churn — route validity over time (waypoint + churn + drift, δ=10, {m} metric)"
+            ),
+            "route validity (hop-by-hop delivery)",
+            |s| &s.validity,
+        ),
+        figure(
+            "advertised_staleness",
+            format!("Churn — advertised-set staleness over time (δ=10, {m} metric)"),
+            "stale advertised-link fraction",
+            |s| &s.staleness,
+        ),
+        figure(
+            "selection_drift",
+            format!("Churn — selection drift vs current ground truth (δ=10, {m} metric)"),
+            "selection drift vs current ground truth (Jaccard)",
+            |s| &s.drift,
+        ),
+    ]
 }
 
 /// One x-axis point of the leave-rate sweep: every sample instant of
@@ -567,29 +456,30 @@ pub struct LeaveRateMeasures {
     pub per_rate: Vec<LeaveRatePoint>,
 }
 
+impl ShardInvariant for LeaveRateMeasures {}
+
 /// Sweeps the churn experiment over departure rates: the x-axis becomes
 /// churn *intensity* instead of time. Each rate runs the full experiment
 /// (same seeds, same worlds — only the scenario's leave rate differs)
 /// and pools every sample instant of every run into one aggregate, so a
 /// point answers "how does this selector hold up, on average, while the
 /// network churns at this rate".
-pub fn leave_rate_sweep<M: EvalMetric>(
+pub fn leave_rate_sweep(
     cfg: &ChurnConfig,
     rates: &[f64],
     kinds: &[SelectorKind],
 ) -> Vec<LeaveRateMeasures> {
     let mut out: Vec<LeaveRateMeasures> = kinds
         .iter()
-        .map(|&k| LeaveRateMeasures {
-            kind: k,
+        .map(|&kind| LeaveRateMeasures {
+            kind,
             per_rate: Vec::with_capacity(rates.len()),
         })
         .collect();
     for &leave_rate in rates {
         let mut swept = cfg.clone();
         swept.scenario.leave_rate = leave_rate;
-        let results = churn_experiment::<M>(&swept, kinds);
-        for (m, r) in out.iter_mut().zip(&results) {
+        for (m, r) in out.iter_mut().zip(churn_experiment(&swept, kinds)) {
             let mut point = LeaveRatePoint {
                 leave_rate,
                 validity: OnlineStats::new(),
@@ -607,73 +497,44 @@ pub fn leave_rate_sweep<M: EvalMetric>(
     out
 }
 
-/// Runs the leave-rate sweep with the metric chosen at runtime — the
-/// dispatch point behind the `figures churn --leave-rate` flag.
-pub fn leave_rate_sweep_with(
-    metric: ChurnMetric,
+/// The leave-rate figures — route validity and advertised staleness
+/// against departures per second — each with its CSV slug.
+pub fn leave_rate_figures(
     cfg: &ChurnConfig,
-    rates: &[f64],
-    kinds: &[SelectorKind],
-) -> Vec<LeaveRateMeasures> {
-    match metric {
-        ChurnMetric::Bandwidth => leave_rate_sweep::<BandwidthMetric>(cfg, rates, kinds),
-        ChurnMetric::Delay => leave_rate_sweep::<DelayMetric>(cfg, rates, kinds),
-    }
-}
-
-fn rate_figure(
     results: &[LeaveRateMeasures],
-    title: &str,
-    ylabel: &str,
-    extract: impl Fn(&LeaveRatePoint) -> &OnlineStats,
-) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "departures per second".to_owned(),
-        ylabel: ylabel.to_owned(),
-        series: results
-            .iter()
-            .map(|r| Series {
-                label: r.kind.label().to_owned(),
-                points: r
-                    .per_rate
-                    .iter()
-                    .map(|point| {
-                        let s = extract(point);
-                        Point {
-                            x: point.leave_rate,
-                            mean: s.mean(),
-                            ci95: s.ci95_half_width(),
-                            n: s.count(),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// Route-validity-vs-leave-rate figure.
-pub fn leave_rate_validity_figure(results: &[LeaveRateMeasures], title: &str) -> Figure {
-    rate_figure(
-        results,
-        title,
-        "route validity (hop-by-hop delivery)",
-        |p| &p.validity,
-    )
-}
-
-/// Advertised-staleness-vs-leave-rate figure.
-pub fn leave_rate_staleness_figure(results: &[LeaveRateMeasures], title: &str) -> Figure {
-    rate_figure(results, title, "stale advertised-link fraction", |p| {
-        &p.staleness
-    })
+) -> Vec<(String, Figure)> {
+    let m = cfg.metric.name();
+    let figure =
+        |slug: &str, title: String, ylabel: &str, stat: fn(&LeaveRatePoint) -> &OnlineStats| {
+            let series = results.iter().map(|r| {
+                let points = r.per_rate.iter().map(move |p| (p.leave_rate, stat(p)));
+                (r.kind.label(), points)
+            });
+            let fig = Figure::from_stats(&title, "departures per second", ylabel, series);
+            (format!("churn_leave_rate_{slug}_{m}"), fig)
+        };
+    vec![
+        figure(
+            "validity",
+            format!(
+                "Churn — route validity vs departure rate (waypoint + churn + drift, δ=10, \
+                 {m} metric)"
+            ),
+            "route validity (hop-by-hop delivery)",
+            |s| &s.validity,
+        ),
+        figure(
+            "staleness",
+            format!("Churn — advertised-set staleness vs departure rate (δ=10, {m} metric)"),
+            "stale advertised-link fraction",
+            |s| &s.staleness,
+        ),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qolsr_metrics::BandwidthMetric;
 
     fn tiny_cfg() -> ChurnConfig {
         ChurnConfig {
@@ -693,9 +554,10 @@ mod tests {
     fn produces_curves_for_every_selector_and_sample() {
         let cfg = tiny_cfg();
         let kinds = [SelectorKind::Fnbp, SelectorKind::QolsrMpr2];
-        let results = churn_experiment::<BandwidthMetric>(&cfg, &kinds);
+        let results = churn_experiment(&cfg, &kinds);
         assert_eq!(results.len(), 2);
-        let expected_samples = cfg.sample_times().len();
+        // t = 15, 20, ..., 35 s.
+        let expected_samples = 5;
         for r in &results {
             assert_eq!(r.per_sample.len(), expected_samples);
             let first = &r.per_sample[0];
@@ -708,7 +570,7 @@ mod tests {
     #[test]
     fn warmup_sample_is_converged_and_valid() {
         let cfg = tiny_cfg();
-        let results = churn_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        let results = churn_experiment(&cfg, &[SelectorKind::Fnbp]);
         let first = &results[0].per_sample[0];
         // Before any world change, routes must deliver and nothing is
         // stale.
@@ -737,7 +599,7 @@ mod tests {
             tc_scoping: TcScoping::Fisheye(FisheyeRings::default()),
             ..OlsrConfig::default()
         };
-        let scoped = churn_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        let scoped = churn_experiment(&cfg, &[SelectorKind::Fnbp]);
         let first = &scoped[0].per_sample[0];
         // A converged (warm-up) world still routes: the full-radius ring
         // fires on every node's first TC tick, so bootstrap convergence
@@ -759,9 +621,9 @@ mod tests {
             ),
             ..OlsrConfig::default()
         };
-        let near = churn_experiment::<BandwidthMetric>(&near_cfg, &[SelectorKind::Fnbp]);
-        let uniform = churn_experiment::<BandwidthMetric>(&tiny_cfg(), &[SelectorKind::Fnbp]);
-        let render = |rs: &[ChurnMeasures]| validity_figure(rs, "v").render_csv();
+        let near = churn_experiment(&near_cfg, &[SelectorKind::Fnbp]);
+        let uniform = churn_experiment(&tiny_cfg(), &[SelectorKind::Fnbp]);
+        let render = |rs: &[ChurnMeasures]| figures(&cfg, rs)[0].1.render_csv();
         assert_ne!(
             render(&near),
             render(&uniform),
@@ -775,8 +637,8 @@ mod tests {
         one.threads = 1;
         let mut many = tiny_cfg();
         many.threads = 3;
-        let a = churn_experiment::<BandwidthMetric>(&one, &[SelectorKind::Fnbp]);
-        let b = churn_experiment::<BandwidthMetric>(&many, &[SelectorKind::Fnbp]);
+        let a = churn_experiment(&one, &[SelectorKind::Fnbp]);
+        let b = churn_experiment(&many, &[SelectorKind::Fnbp]);
         for (x, y) in a[0].per_sample.iter().zip(&b[0].per_sample) {
             assert_eq!(x.validity.count(), y.validity.count());
             assert_eq!(x.validity.mean(), y.validity.mean());
@@ -789,18 +651,19 @@ mod tests {
     fn leave_rate_sweep_pools_samples_per_rate() {
         let cfg = tiny_cfg();
         let rates = [0.0, 0.4];
-        let results = leave_rate_sweep::<BandwidthMetric>(&cfg, &rates, &[SelectorKind::Fnbp]);
+        let results = leave_rate_sweep(&cfg, &rates, &[SelectorKind::Fnbp]);
         assert_eq!(results.len(), 1);
         let per_rate = &results[0].per_rate;
         assert_eq!(per_rate.len(), rates.len());
         for (point, &rate) in per_rate.iter().zip(&rates) {
             assert_eq!(point.leave_rate, rate);
             // Pooled over every sample instant of every run.
-            assert!(point.validity.count() >= cfg.sample_times().len() as u64);
+            assert!(point.validity.count() >= 5);
         }
         // The rate really reaches the scenario generator: distinct rates
         // must produce distinct pooled curves on the same worlds.
-        let fig = leave_rate_validity_figure(&results, "validity vs leave rate");
+        let (slug, fig) = &leave_rate_figures(&cfg, &results)[0];
+        assert_eq!(slug, "churn_leave_rate_validity_bandwidth");
         assert_eq!(fig.series[0].points.len(), 2);
         assert_ne!(
             (per_rate[0].validity.mean(), per_rate[0].staleness.mean()),
@@ -812,11 +675,20 @@ mod tests {
     #[test]
     fn figures_render() {
         let cfg = tiny_cfg();
-        let results = churn_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
-        let v = validity_figure(&results, "churn validity");
-        let s = staleness_figure(&results, "churn staleness");
+        let results = churn_experiment(&cfg, &[SelectorKind::Fnbp]);
+        let figs = figures(&cfg, &results);
+        let slugs: Vec<&str> = figs.iter().map(|(slug, _)| slug.as_str()).collect();
+        assert_eq!(
+            slugs,
+            [
+                "churn_route_validity_bandwidth",
+                "churn_advertised_staleness_bandwidth",
+                "churn_selection_drift_bandwidth"
+            ]
+        );
+        let (v, s) = (&figs[0].1, &figs[1].1);
         assert_eq!(v.series.len(), 1);
-        assert!(v.render_text().contains("churn validity"));
+        assert!(v.render_text().contains("route validity over time"));
         assert!(s.render_csv().lines().count() >= 2);
     }
 }

@@ -25,25 +25,26 @@
 //! [`qolsr_sim::scenario`] ([`PartitionWindow`], [`RegionalBlackout`],
 //! [`CrashStorm`]), optionally on top of a corrupting radio
 //! ([`FrameCorruption`]), and the whole experiment runs unchanged at any
-//! engine shard count — [`fault_experiment_verified`] pins a sharded run
-//! against the one-shard run.
+//! engine shard count — [`verify_shards`](crate::eval::verify_shards)
+//! pins a sharded run against the one-shard run.
+
+use std::fmt::Write as _;
 
 use qolsr_graph::connectivity::Components;
 use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
 use qolsr_graph::NodeId;
-use qolsr_metrics::{BandwidthMetric, DelayMetric};
-use qolsr_proto::network::OlsrNetwork;
 use qolsr_proto::OlsrConfig;
 use qolsr_sim::scenario::{CrashStorm, PartitionWindow, RegionalBlackout, ScenarioBuilder};
 use qolsr_sim::stats::OnlineStats;
-use qolsr_sim::{
-    FrameCorruption, RadioConfig, Scenario, SchedulerKind, SimDuration, SimRng, SimTime,
-};
+use qolsr_sim::{FrameCorruption, RadioConfig, Scenario, SimDuration, SimRng, SimTime};
 
-use crate::eval::churn::{probe_route, sample_probe_pairs, ChurnMetric, ProbeOutcome};
-use crate::eval::{derive_seed, exec_mode, sharded_runs, EvalMetric, SelectorKind, ShardPlan};
-use crate::policy::SelectorPolicy;
-use crate::report::{Figure, Point, Series};
+use crate::eval::churn::{probe_route, ProbeOutcome};
+use crate::eval::scale::field_side;
+use crate::eval::{
+    connected_pairs, derive_seed, live_network, sample_times, sweep, LiveNetwork, Merge, QosMetric,
+    SelectorKind, ShardInvariant,
+};
+use crate::report::Figure;
 
 /// Which fault the experiment injects at `t₀`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,8 +139,10 @@ pub struct FaultConfig {
     /// Protocol configuration of every node.
     pub olsr: OlsrConfig,
     /// Engine shard count (identical results at any count — see
-    /// [`fault_experiment_verified`]).
+    /// [`verify_shards`](crate::eval::verify_shards)).
     pub shards: u32,
+    /// The QoS metric the selectors select under.
+    pub metric: QosMetric,
 }
 
 impl FaultConfig {
@@ -170,15 +173,15 @@ impl FaultConfig {
             sustain: 3,
             olsr: OlsrConfig::default(),
             shards: 1,
+            metric: QosMetric::Bandwidth,
         }
     }
 
     /// Sizes the (square) field so a density-`δ` Poisson deployment hits
-    /// ~`n` nodes: `side = sqrt(n · π R² / δ)` — the same sizing rule as
-    /// the scale sweep. The hook behind `figures faults --nodes`.
+    /// ~`n` nodes — the scale sweep's sizing rule `side = sqrt(n · π R² / δ)`.
+    /// The hook behind `figures faults --nodes`.
     pub fn with_nodes(mut self, n: usize) -> Self {
-        let side =
-            (n as f64 * std::f64::consts::PI * self.radius * self.radius / self.density).sqrt();
+        let side = field_side(n, self.radius, self.density);
         self.field = (side, side);
         self
     }
@@ -196,18 +199,6 @@ impl FaultConfig {
             FaultKind::Partition | FaultKind::CrashStorm => self.fault_at() + self.outage,
             FaultKind::Blackout => self.fault_at(),
         }
-    }
-
-    /// Sample instants (absolute virtual time), warm-up end included.
-    fn sample_times(&self) -> Vec<SimTime> {
-        let mut times = Vec::new();
-        let mut t = SimTime::ZERO + self.warmup;
-        let end = self.heal_at() + self.observe;
-        while t <= end {
-            times.push(t);
-            t += self.sample_every;
-        }
-        times
     }
 
     /// The fault schedule, relative to the fault instant (the caller
@@ -241,6 +232,13 @@ pub struct FaultSample {
     pub staleness: OnlineStats,
 }
 
+impl Merge for FaultSample {
+    fn merge(&mut self, other: &Self) {
+        self.validity.merge(&other.validity);
+        self.staleness.merge(&other.staleness);
+    }
+}
+
 /// Recovery measures of one selector.
 #[derive(Debug, Clone)]
 pub struct FaultMeasures {
@@ -264,31 +262,9 @@ pub struct FaultMeasures {
     pub censored_runs: u64,
 }
 
-impl FaultMeasures {
-    fn empty(kind: SelectorKind, times: &[SimTime]) -> Self {
-        Self {
-            kind,
-            per_sample: times
-                .iter()
-                .map(|t| FaultSample {
-                    at_secs: t.as_secs_f64(),
-                    validity: OnlineStats::new(),
-                    staleness: OnlineStats::new(),
-                })
-                .collect(),
-            recovery_secs: OnlineStats::new(),
-            recovery_bytes: OnlineStats::new(),
-            residual_staleness: OnlineStats::new(),
-            recovered_runs: 0,
-            censored_runs: 0,
-        }
-    }
-
-    fn merge(&mut self, other: &FaultMeasures) {
-        for (mine, theirs) in self.per_sample.iter_mut().zip(&other.per_sample) {
-            mine.validity.merge(&theirs.validity);
-            mine.staleness.merge(&theirs.staleness);
-        }
+impl Merge for FaultMeasures {
+    fn merge(&mut self, other: &Self) {
+        self.per_sample.merge(&other.per_sample);
         self.recovery_secs.merge(&other.recovery_secs);
         self.recovery_bytes.merge(&other.recovery_bytes);
         self.residual_staleness.merge(&other.residual_staleness);
@@ -297,133 +273,49 @@ impl FaultMeasures {
     }
 }
 
-/// Runs the fault-recovery experiment under metric `M` for the given
-/// selectors.
+impl ShardInvariant for FaultMeasures {}
+
+/// Runs the fault-recovery experiment for the given selectors.
 ///
 /// Per run: one Poisson deployment, one fault schedule (identical for
 /// every selector), one live OLSR network per selector, sampled densely
 /// across baseline → fault → heal → recovery. Runs shard over worker
 /// threads; per-run results merge in run order, so output is independent
 /// of thread count.
-pub fn fault_experiment<M: EvalMetric>(
-    cfg: &FaultConfig,
-    kinds: &[SelectorKind],
-) -> Vec<FaultMeasures> {
-    let times = cfg.sample_times();
-    let plan = ShardPlan::new(cfg.threads, cfg.runs);
-    let per_run = sharded_runs(cfg.runs, plan.workers, |run| {
-        let mut local: Vec<FaultMeasures> = kinds
-            .iter()
-            .map(|&k| FaultMeasures::empty(k, &times))
-            .collect();
-        single_fault_run::<M>(cfg, derive_seed(cfg.seed, 0, run), kinds, &mut local);
-        local
-    });
-
-    let mut totals: Vec<FaultMeasures> = kinds
-        .iter()
-        .map(|&k| FaultMeasures::empty(k, &times))
-        .collect();
-    for run_measures in per_run {
-        for (total, m) in totals.iter_mut().zip(&run_measures) {
-            total.merge(m);
-        }
-    }
-    totals
-}
-
-/// Runs the fault-recovery experiment with the metric chosen at runtime —
-/// the dispatch point behind the `figures faults --metric` flag.
-pub fn fault_experiment_with(
-    metric: ChurnMetric,
-    cfg: &FaultConfig,
-    kinds: &[SelectorKind],
-) -> Vec<FaultMeasures> {
-    match metric {
-        ChurnMetric::Bandwidth => fault_experiment::<BandwidthMetric>(cfg, kinds),
-        ChurnMetric::Delay => fault_experiment::<DelayMetric>(cfg, kinds),
-    }
-}
-
-/// Runs the experiment on the configured shard count *and* on one
-/// shard, and asserts every aggregate — validity
-/// and staleness curves, recovery times, byte costs, censoring counts —
-/// is identical before returning the sharded result. The fault-injection
-/// analogue of [`crate::eval::scale::live_sweep_verified`]: partitions,
-/// crashes and frame corruption must all commute with the barrier merge.
-///
-/// # Panics
-///
-/// Panics if the two runs diverge anywhere.
-pub fn fault_experiment_verified<M: EvalMetric>(
-    cfg: &FaultConfig,
-    kinds: &[SelectorKind],
-) -> Vec<FaultMeasures> {
-    let sharded = fault_experiment::<M>(cfg, kinds);
-    let reference = fault_experiment::<M>(
-        &FaultConfig {
-            shards: 1,
-            ..cfg.clone()
-        },
-        kinds,
+pub fn fault_experiment(cfg: &FaultConfig, kinds: &[SelectorKind]) -> Vec<FaultMeasures> {
+    // Sample instants (absolute virtual time), warm-up end included.
+    let times = sample_times(
+        SimTime::ZERO + cfg.warmup,
+        cfg.heal_at() + cfg.observe,
+        cfg.sample_every,
     );
-    let stats = |s: &OnlineStats| (s.count(), s.mean().to_bits());
-    for (s, r) in sharded.iter().zip(&reference) {
-        for (a, b) in s.per_sample.iter().zip(&r.per_sample) {
-            assert_eq!(
-                stats(&a.validity),
-                stats(&b.validity),
-                "{} t={}: the engine at shards={} diverged from the one-shard run",
-                s.kind.label(),
-                a.at_secs,
-                cfg.shards,
-            );
-            assert_eq!(
-                stats(&a.staleness),
-                stats(&b.staleness),
-                "{} t={}: staleness diverged",
-                s.kind.label(),
-                a.at_secs,
-            );
-        }
-        assert_eq!(
-            (
-                stats(&s.recovery_secs),
-                stats(&s.recovery_bytes),
-                stats(&s.residual_staleness),
-                s.recovered_runs,
-                s.censored_runs,
-            ),
-            (
-                stats(&r.recovery_secs),
-                stats(&r.recovery_bytes),
-                stats(&r.residual_staleness),
-                r.recovered_runs,
-                r.censored_runs,
-            ),
-            "{}: recovery aggregates diverged",
-            s.kind.label(),
-        );
-    }
-    sharded
+    let empty = || {
+        let sample = |t: &SimTime| FaultSample {
+            at_secs: t.as_secs_f64(),
+            validity: OnlineStats::new(),
+            staleness: OnlineStats::new(),
+        };
+        let measures = |&kind: &SelectorKind| FaultMeasures {
+            kind,
+            per_sample: times.iter().map(sample).collect(),
+            recovery_secs: OnlineStats::new(),
+            recovery_bytes: OnlineStats::new(),
+            residual_staleness: OnlineStats::new(),
+            recovered_runs: 0,
+            censored_runs: 0,
+        };
+        kinds.iter().map(measures).collect::<Vec<_>>()
+    };
+    sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
+        single_fault_run(cfg, derive_seed(cfg.seed, 0, run), kinds, &times, accum);
+    })
 }
 
-/// Runtime-metric dispatch of [`fault_experiment_verified`].
-pub fn fault_experiment_verified_with(
-    metric: ChurnMetric,
-    cfg: &FaultConfig,
-    kinds: &[SelectorKind],
-) -> Vec<FaultMeasures> {
-    match metric {
-        ChurnMetric::Bandwidth => fault_experiment_verified::<BandwidthMetric>(cfg, kinds),
-        ChurnMetric::Delay => fault_experiment_verified::<DelayMetric>(cfg, kinds),
-    }
-}
-
-fn single_fault_run<M: EvalMetric>(
+fn single_fault_run(
     cfg: &FaultConfig,
     seed: u64,
     kinds: &[SelectorKind],
+    times: &[SimTime],
     accum: &mut [FaultMeasures],
 ) {
     let mut rng = SimRng::seed_from_u64(seed);
@@ -446,11 +338,10 @@ fn single_fault_run<M: EvalMetric>(
     }
     // One fault schedule per world, shared verbatim by every selector.
     let scenario = cfg.build_scenario(&topo, seed ^ 0xFA17_0CE2);
-    let probes = sample_probe_pairs(&topo, cfg.probes, &mut rng);
+    let probes = connected_pairs(&topo, cfg.probes, 4096, false, &mut rng);
     if probes.is_empty() {
         return;
     }
-    let times = cfg.sample_times();
     let heal_idx = times
         .iter()
         .position(|&t| t >= cfg.heal_at())
@@ -461,15 +352,7 @@ fn single_fault_run<M: EvalMetric>(
         ..RadioConfig::default()
     };
     for (si, &kind) in kinds.iter().enumerate() {
-        let mut net = OlsrNetwork::with_exec(
-            topo.clone(),
-            cfg.olsr,
-            radio,
-            seed,
-            SchedulerKind::default(),
-            exec_mode(cfg.shards),
-            |_| SelectorPolicy::new(kind.instantiate::<M>()),
-        );
+        let mut net = live_network(&topo, cfg.olsr, radio, seed, cfg.shards, kind, cfg.metric);
         // The world stays static through warm-up and baseline; the fault
         // schedule starts at the fault instant.
         net.install_scenario_at(&scenario, cfg.fault_at());
@@ -477,7 +360,7 @@ fn single_fault_run<M: EvalMetric>(
         let mut validity = Vec::with_capacity(times.len());
         let mut staleness = Vec::with_capacity(times.len());
         let mut bytes = Vec::with_capacity(times.len());
-        for &at in &times {
+        for &at in times {
             net.run_until(at);
             let (v, s) = sample_instant(&net, &probes);
             validity.push(v);
@@ -507,10 +390,7 @@ fn single_fault_run<M: EvalMetric>(
 
 /// Instant route validity (delivered fraction over live probes) and mean
 /// advertised staleness at the network's current virtual time.
-fn sample_instant(
-    net: &OlsrNetwork<SelectorPolicy<Box<dyn crate::selector::AnsSelector>>>,
-    probes: &[(NodeId, NodeId)],
-) -> (f64, f64) {
+fn sample_instant(net: &LiveNetwork, probes: &[(NodeId, NodeId)]) -> (f64, f64) {
     let world = net.world();
     let mut delivered = 0u32;
     let mut live = 0u32;
@@ -568,62 +448,13 @@ fn reconvergence_index(
         .find(|&i| validity[i..i + sustain].iter().all(|&v| v >= threshold))
 }
 
-fn curve_figure(
-    results: &[FaultMeasures],
-    title: &str,
-    ylabel: &str,
-    extract: impl Fn(&FaultSample) -> &OnlineStats,
-) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "time (s)".to_owned(),
-        ylabel: ylabel.to_owned(),
-        series: results
-            .iter()
-            .map(|r| Series {
-                label: r.kind.label().to_owned(),
-                points: r
-                    .per_sample
-                    .iter()
-                    .map(|sample| {
-                        let s = extract(sample);
-                        Point {
-                            x: sample.at_secs,
-                            mean: s.mean(),
-                            ci95: s.ci95_half_width(),
-                            n: s.count(),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// Route-validity-through-the-fault figure.
-pub fn fault_validity_figure(results: &[FaultMeasures], title: &str) -> Figure {
-    curve_figure(
-        results,
-        title,
-        "route validity (hop-by-hop delivery)",
-        |s| &s.validity,
-    )
-}
-
-/// Advertised-staleness-through-the-fault figure.
-pub fn fault_staleness_figure(results: &[FaultMeasures], title: &str) -> Figure {
-    curve_figure(results, title, "stale advertised-link fraction", |s| {
-        &s.staleness
-    })
-}
-
-/// Plain-text recovery table (one row per selector) for reports.
-pub fn recovery_report(cfg: &FaultConfig, results: &[FaultMeasures]) -> String {
-    use std::fmt::Write as _;
+/// The text report printed before the figures: the fault timeline and
+/// one recovery row per selector.
+pub fn report(cfg: &FaultConfig, results: &[FaultMeasures]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "fault={} t0={:.0}s heal={:.0}s threshold={} sustain={}",
+        "# fault={} t0={:.0}s heal={:.0}s threshold={} sustain={}",
         cfg.kind.name(),
         cfg.fault_at().as_secs_f64(),
         cfg.heal_at().as_secs_f64(),
@@ -632,13 +463,13 @@ pub fn recovery_report(cfg: &FaultConfig, results: &[FaultMeasures]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<22} {:>12} {:>12} {:>14} {:>14} {:>10}",
+        "# {:<22} {:>12} {:>12} {:>14} {:>14} {:>10}",
         "selector", "recovery(s)", "±ci95", "bytes", "resid-stale", "censored"
     );
     for r in results {
         let _ = writeln!(
             out,
-            "{:<22} {:>12.2} {:>12.2} {:>14.0} {:>14.4} {:>7}/{:<3}",
+            "# {:<22} {:>12.2} {:>12.2} {:>14.0} {:>14.4} {:>7}/{:<3}",
             r.kind.label(),
             r.recovery_secs.mean(),
             r.recovery_secs.ci95_half_width(),
@@ -648,7 +479,45 @@ pub fn recovery_report(cfg: &FaultConfig, results: &[FaultMeasures]) -> String {
             r.recovered_runs + r.censored_runs,
         );
     }
+    out.push('\n');
     out
+}
+
+/// The fault figures — route validity and advertised staleness through
+/// the fault — each with its CSV slug.
+pub fn figures(cfg: &FaultConfig, results: &[FaultMeasures]) -> Vec<(String, Figure)> {
+    let (m, fault) = (cfg.metric.name(), cfg.kind.name());
+    let figure =
+        |slug: &str, title: String, ylabel: &str, stat: fn(&FaultSample) -> &OnlineStats| {
+            let series = results.iter().map(|r| {
+                let points = r.per_sample.iter().map(move |s| (s.at_secs, stat(s)));
+                (r.kind.label(), points)
+            });
+            let fig = Figure::from_stats(&title, "time (s)", ylabel, series);
+            (
+                format!("faults_{}_{slug}_{m}", fault.replace('-', "_")),
+                fig,
+            )
+        };
+    vec![
+        figure(
+            "validity",
+            format!(
+                "Faults — route validity through a {fault} (fault at {:.0} s, heal at {:.0} s, \
+                 {m} metric)",
+                cfg.fault_at().as_secs_f64(),
+                cfg.heal_at().as_secs_f64(),
+            ),
+            "route validity (hop-by-hop delivery)",
+            |s| &s.validity,
+        ),
+        figure(
+            "staleness",
+            format!("Faults — advertised staleness through a {fault} ({m} metric)"),
+            "stale advertised-link fraction",
+            |s| &s.staleness,
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -690,10 +559,12 @@ mod tests {
     fn partition_dips_validity_then_recovers() {
         let cfg = tiny_cfg(FaultKind::Partition);
         let kinds = [SelectorKind::QolsrMpr2];
-        let results = fault_experiment::<BandwidthMetric>(&cfg, &kinds);
+        let results = fault_experiment(&cfg, &kinds);
         assert_eq!(results.len(), 1);
         let r = &results[0];
-        assert_eq!(r.per_sample.len(), cfg.sample_times().len());
+        // One sample a second from warm-up end (15 s) to heal + observe
+        // (25 s + 25 s).
+        assert_eq!(r.per_sample.len(), 36);
         assert_eq!(
             r.recovered_runs + r.censored_runs,
             u64::from(cfg.runs),
@@ -727,9 +598,15 @@ mod tests {
             threads: 2,
             ..tiny_cfg(FaultKind::Blackout)
         };
-        // `fault_experiment_verified` asserts curve and recovery parity
-        // between the two-shard and one-shard runs internally.
-        let results = fault_experiment_verified::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        // `verify_shards` asserts curve and recovery parity between the
+        // two-shard and one-shard runs internally.
+        let results = crate::eval::verify_shards(cfg.shards, |shards| {
+            let cfg = FaultConfig {
+                shards,
+                ..cfg.clone()
+            };
+            fault_experiment(&cfg, &[SelectorKind::Fnbp])
+        });
         assert_eq!(results[0].recovered_runs + results[0].censored_runs, 2);
     }
 
@@ -741,8 +618,8 @@ mod tests {
             ..tiny_cfg(FaultKind::CrashStorm)
         };
         let kinds = [SelectorKind::TopologyFiltering];
-        let a = fault_experiment::<BandwidthMetric>(&cfg, &kinds);
-        let b = fault_experiment::<BandwidthMetric>(&cfg, &kinds);
+        let a = fault_experiment(&cfg, &kinds);
+        let b = fault_experiment(&cfg, &kinds);
         let render = |rs: &[FaultMeasures]| {
             rs.iter()
                 .flat_map(|r| {
@@ -753,8 +630,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(render(&a), render(&b), "same seed must replay exactly");
-        let report = recovery_report(&cfg, &a);
-        assert!(report.contains("crash-storm"));
+        assert!(report(&cfg, &a).contains("# fault=crash-storm"));
     }
 
     /// An unreachable validity threshold right-censors every world: no
@@ -767,7 +643,7 @@ mod tests {
             threshold: 1.1,
             ..tiny_cfg(FaultKind::Partition)
         };
-        let results = fault_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        let results = fault_experiment(&cfg, &[SelectorKind::Fnbp]);
         let r = &results[0];
         assert_eq!(r.recovered_runs, 0, "nothing can clear threshold 1.1");
         assert_eq!(
@@ -816,7 +692,7 @@ mod tests {
                 "the crafted field must actually deploy disconnected (run {run})"
             );
         }
-        let results = fault_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        let results = fault_experiment(&cfg, &[SelectorKind::Fnbp]);
         let r = &results[0];
         assert_eq!(
             r.recovered_runs + r.censored_runs,

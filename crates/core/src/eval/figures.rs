@@ -1,10 +1,12 @@
 //! One entry point per figure of the paper, plus the ablations this
-//! reproduction adds. Each function returns a [`Figure`] ready for text
-//! or CSV rendering; the `qolsr-bench` crate's `figures` binary is a thin
-//! CLI over this module.
+//! reproduction adds. Each returns its figures with their CSV slugs,
+//! ready for text or CSV rendering; the `qolsr-bench` crate's `figures`
+//! binary is a thin CLI over this module.
 
+use qolsr_graph::deploy::UniformWeights;
 use qolsr_metrics::{BandwidthMetric, DelayMetric};
 
+use crate::eval::robustness::{delivery_figure, link_failure_study};
 use crate::eval::{run_experiment, EvalConfig, ExperimentResult, SelectorKind};
 use crate::report::Figure;
 use crate::routing::RouteStrategy;
@@ -34,12 +36,14 @@ impl Default for FigureOptions {
 }
 
 impl FigureOptions {
-    /// A reduced-scale preset for tests and CI (fewer runs).
-    pub fn quick() -> Self {
-        Self {
-            runs: 10,
-            ..Self::default()
-        }
+    /// The paper's bandwidth sweep (densities 10–35) under these options.
+    pub fn bandwidth_config(&self) -> EvalConfig {
+        self.config(EvalConfig::paper_bandwidth(self.runs))
+    }
+
+    /// The paper's delay sweep (densities 5–30) under these options.
+    pub fn delay_config(&self) -> EvalConfig {
+        self.config(EvalConfig::paper_delay(self.runs))
     }
 
     fn config(&self, mut cfg: EvalConfig) -> EvalConfig {
@@ -54,57 +58,86 @@ impl FigureOptions {
 /// Runs the bandwidth-metric experiment behind Figs. 6 and 8
 /// (densities 10–35).
 pub fn bandwidth_experiment(opts: &FigureOptions) -> ExperimentResult {
-    let cfg = opts.config(EvalConfig::paper_bandwidth(opts.runs));
-    run_experiment::<BandwidthMetric>(&cfg, &SelectorKind::PAPER)
+    run_experiment::<BandwidthMetric>(&opts.bandwidth_config(), &SelectorKind::PAPER)
 }
 
 /// Runs the delay-metric experiment behind Figs. 7 and 9
 /// (densities 5–30).
 pub fn delay_experiment(opts: &FigureOptions) -> ExperimentResult {
-    let cfg = opts.config(EvalConfig::paper_delay(opts.runs));
-    run_experiment::<DelayMetric>(&cfg, &SelectorKind::PAPER)
+    run_experiment::<DelayMetric>(&opts.delay_config(), &SelectorKind::PAPER)
 }
 
-/// **Fig. 6** — size of the set advertised in TC messages, bandwidth
-/// metric.
-pub fn fig6(opts: &FigureOptions) -> Figure {
-    bandwidth_experiment(opts)
-        .ans_size_figure("Fig. 6 — advertised set size per node (bandwidth metric)")
+/// **Fig. 6** (advertised set size) and **Fig. 8** (bandwidth overhead
+/// `(b* − b)/b*` vs the centralized optimum) from one bandwidth run, plus
+/// its delivery rate, each with its CSV slug.
+pub fn bandwidth_figures(r: &ExperimentResult) -> Vec<(String, Figure)> {
+    vec![
+        (
+            "fig6_ans_size_bandwidth".to_owned(),
+            r.ans_size_figure("Fig. 6 — advertised set size per node (bandwidth metric)"),
+        ),
+        (
+            "fig8_bandwidth_overhead".to_owned(),
+            r.overhead_figure("Fig. 8 — bandwidth overhead vs centralized optimum"),
+        ),
+        (
+            "fig8b_delivery_bandwidth".to_owned(),
+            r.delivery_figure("Fig. 8b (extra) — delivery rate (bandwidth experiment)"),
+        ),
+    ]
 }
 
-/// **Fig. 7** — size of the advertised set, delay metric.
-pub fn fig7(opts: &FigureOptions) -> Figure {
-    delay_experiment(opts).ans_size_figure("Fig. 7 — advertised set size per node (delay metric)")
+/// **Fig. 7** (advertised set size) and **Fig. 9** (delay overhead
+/// `(d − d*)/d*` vs the centralized optimum) from one delay run, each
+/// with its CSV slug.
+pub fn delay_figures(r: &ExperimentResult) -> Vec<(String, Figure)> {
+    vec![
+        (
+            "fig7_ans_size_delay".to_owned(),
+            r.ans_size_figure("Fig. 7 — advertised set size per node (delay metric)"),
+        ),
+        (
+            "fig9_delay_overhead".to_owned(),
+            r.overhead_figure("Fig. 9 — delay overhead vs centralized optimum"),
+        ),
+    ]
 }
 
-/// **Fig. 8** — bandwidth overhead `(b* − b)/b*` vs the centralized
-/// optimum.
-pub fn fig8(opts: &FigureOptions) -> Figure {
-    bandwidth_experiment(opts).overhead_figure("Fig. 8 — bandwidth overhead vs centralized optimum")
-}
-
-/// **Fig. 9** — delay overhead `(d − d*)/d*` vs the centralized optimum.
-pub fn fig9(opts: &FigureOptions) -> Figure {
-    delay_experiment(opts).overhead_figure("Fig. 9 — delay overhead vs centralized optimum")
-}
-
-/// Ablation: delivery rate of FNBP with and without the smallest-id rule
-/// under the advertised-links-only routing model (where the Fig. 4
-/// pathology matters most).
-pub fn ablation_id_rule(opts: &FigureOptions) -> ExperimentResult {
-    let mut cfg = EvalConfig::paper_bandwidth(opts.runs);
-    cfg.seed = opts.seed;
-    cfg.threads = opts.threads;
-    cfg.strategy = RouteStrategy::AdvertisedOnly;
-    run_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp, SelectorKind::FnbpNoIdRule])
-}
-
-/// Ablation: every selector family under the bandwidth metric, including
-/// classic OLSR and MPR-1 (broader than the paper's three series).
-pub fn ablation_all_selectors(opts: &FigureOptions) -> ExperimentResult {
-    let cfg = opts.config(EvalConfig::paper_bandwidth(opts.runs));
-    run_experiment::<BandwidthMetric>(
-        &cfg,
+/// The ablations over the `bandwidth` and `delay` sweeps, each figure
+/// with its CSV slug:
+///
+/// - FNBP with and without the smallest-id rule under advertised-links-
+///   only routing (where the Fig. 4 pathology matters most);
+/// - every selector family under the bandwidth metric, including classic
+///   OLSR and MPR-1 (broader than the paper's three series);
+/// - FNBP overhead under the three routing-knowledge models;
+/// - the paper series under three link-weight intervals — small
+///   intervals inflate QoS tie sets, which shrinks FNBP (more first-hop
+///   overlap) but bloats topology filtering (more "select them all"
+///   ties).
+pub fn ablation_figures(bandwidth: &EvalConfig, delay: &EvalConfig) -> Vec<(String, Figure)> {
+    let with = |base: &EvalConfig, strategy: RouteStrategy| EvalConfig {
+        strategy,
+        ..base.clone()
+    };
+    let mut figs = Vec::new();
+    let id_rule = run_experiment::<BandwidthMetric>(
+        &with(bandwidth, RouteStrategy::AdvertisedOnly),
+        &[SelectorKind::Fnbp, SelectorKind::FnbpNoIdRule],
+    );
+    figs.push((
+        "ablation_id_rule_delivery".to_owned(),
+        id_rule.delivery_figure(
+            "Ablation — delivery rate with/without the smallest-id rule \
+             (advertised-links-only routing)",
+        ),
+    ));
+    figs.push((
+        "ablation_id_rule_overhead".to_owned(),
+        id_rule.overhead_figure("Ablation — overhead with/without the smallest-id rule"),
+    ));
+    let all = run_experiment::<BandwidthMetric>(
+        bandwidth,
         &[
             SelectorKind::ClassicOlsr,
             SelectorKind::QolsrMpr1,
@@ -112,52 +145,66 @@ pub fn ablation_all_selectors(opts: &FigureOptions) -> ExperimentResult {
             SelectorKind::TopologyFiltering,
             SelectorKind::Fnbp,
         ],
-    )
-}
-
-/// Ablation: sensitivity of the three paper series to the (unspecified)
-/// link-weight interval — small intervals inflate QoS tie sets, which
-/// shrinks FNBP (more first-hop overlap) but bloats topology filtering
-/// (more "select them all" ties).
-pub fn ablation_weight_intervals(
-    opts: &FigureOptions,
-) -> Vec<(String, ExperimentResult, ExperimentResult)> {
-    use qolsr_graph::deploy::UniformWeights;
-    [(1u64, 10u64), (1, 100), (1, 1000)]
-        .into_iter()
-        .map(|(lo, hi)| {
-            let mut bw_cfg = opts.config(EvalConfig::paper_bandwidth(opts.runs));
-            bw_cfg.weights = UniformWeights::new(lo, hi);
-            let mut d_cfg = opts.config(EvalConfig::paper_delay(opts.runs));
-            d_cfg.weights = UniformWeights::new(lo, hi);
-            (
-                format!("weights_{lo}_{hi}"),
-                run_experiment::<BandwidthMetric>(&bw_cfg, &SelectorKind::PAPER),
-                run_experiment::<DelayMetric>(&d_cfg, &SelectorKind::PAPER),
-            )
-        })
-        .collect()
-}
-
-/// Ablation: FNBP overhead under the three routing-knowledge models.
-pub fn ablation_strategies(opts: &FigureOptions) -> Vec<(&'static str, ExperimentResult)> {
-    [
+    );
+    figs.push((
+        "ablation_all_selectors_size".to_owned(),
+        all.ans_size_figure("Ablation — advertised set size, all selector families"),
+    ));
+    figs.push((
+        "ablation_all_selectors_overhead".to_owned(),
+        all.overhead_figure("Ablation — bandwidth overhead, all selector families"),
+    ));
+    for (name, strategy) in [
         ("hop-by-hop", RouteStrategy::HopByHop),
         ("source-route", RouteStrategy::SourceRoute),
         ("advertised-only", RouteStrategy::AdvertisedOnly),
-    ]
-    .into_iter()
-    .map(|(name, strategy)| {
-        let mut cfg = EvalConfig::paper_bandwidth(opts.runs);
-        cfg.seed = opts.seed;
-        cfg.threads = opts.threads;
-        cfg.strategy = strategy;
-        (
-            name,
-            run_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]),
-        )
-    })
-    .collect()
+    ] {
+        let r =
+            run_experiment::<BandwidthMetric>(&with(bandwidth, strategy), &[SelectorKind::Fnbp]);
+        let title = format!("Ablation — FNBP overhead, {name} routing");
+        figs.push((
+            format!("ablation_strategy_{name}"),
+            r.overhead_figure(&title),
+        ));
+    }
+    for (lo, hi) in [(1u64, 10u64), (1, 100), (1, 1000)] {
+        let name = format!("weights_{lo}_{hi}");
+        let weights = UniformWeights::new(lo, hi);
+        let bw = EvalConfig {
+            weights,
+            ..bandwidth.clone()
+        };
+        let d = EvalConfig {
+            weights,
+            ..delay.clone()
+        };
+        let bw = run_experiment::<BandwidthMetric>(&bw, &SelectorKind::PAPER);
+        let d = run_experiment::<DelayMetric>(&d, &SelectorKind::PAPER);
+        let title = format!("Ablation — advertised set size (bandwidth), {name}");
+        figs.push((
+            format!("ablation_{name}_size_bandwidth"),
+            bw.ans_size_figure(&title),
+        ));
+        let title = format!("Ablation — advertised set size (delay), {name}");
+        figs.push((
+            format!("ablation_{name}_size_delay"),
+            d.ans_size_figure(&title),
+        ));
+    }
+    figs
+}
+
+/// The link-failure study at density 15 over `cfg`'s field and runs:
+/// delivery with stale advertised sets as links fail, with its CSV slug.
+pub fn robustness_figures(cfg: &EvalConfig) -> Vec<(String, Figure)> {
+    let fractions = [0.0, 0.05, 0.1, 0.2, 0.3, 0.4];
+    let results =
+        link_failure_study::<BandwidthMetric>(cfg, 15.0, &fractions, &SelectorKind::PAPER);
+    let title = "Robustness — delivery with stale advertised sets under link failures (δ=15)";
+    vec![(
+        "robustness_link_failures".to_owned(),
+        delivery_figure(&results, title),
+    )]
 }
 
 #[cfg(test)]
@@ -177,7 +224,8 @@ mod tests {
     fn fig6_has_three_series_over_six_densities() {
         let mut opts = micro();
         opts.runs = 1;
-        let fig = fig6(&opts);
+        let (slug, fig) = &bandwidth_figures(&bandwidth_experiment(&opts))[0];
+        assert_eq!(slug, "fig6_ans_size_bandwidth");
         assert_eq!(fig.series.len(), 3);
         for s in &fig.series {
             assert_eq!(s.points.len(), 6);
@@ -189,12 +237,8 @@ mod tests {
     fn fig7_uses_delay_densities() {
         let mut opts = micro();
         opts.runs = 1;
-        let fig = fig7(&opts);
+        let (slug, fig) = &delay_figures(&delay_experiment(&opts))[0];
+        assert_eq!(slug, "fig7_ans_size_delay");
         assert_eq!(fig.x_values(), vec![5.0, 10.0, 15.0, 20.0, 25.0, 30.0]);
-    }
-
-    #[test]
-    fn quick_preset_reduces_runs() {
-        assert!(FigureOptions::quick().runs < FigureOptions::default().runs);
     }
 }

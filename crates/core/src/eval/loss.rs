@@ -4,9 +4,9 @@
 //! Where [`churn`](crate::eval::churn) stresses the protocol with a
 //! *moving world*, this experiment keeps the world static and turns the
 //! only remaining knob: the channel. Each sweep level runs the full
-//! HELLO/TC protocol under [`PhyModel::Lossy`] with a given edge drop
-//! probability (distance-quadratic falloff, optional capture-window
-//! collisions), and measures per selector:
+//! HELLO/TC protocol under [`PhyModel::Lossy`](qolsr_sim::PhyModel) with
+//! a given edge drop probability (distance-quadratic falloff, optional
+//! capture-window collisions), and measures per selector:
 //!
 //! * **delivery ratio** — frames delivered over frames attempted
 //!   (`deliveries / (deliveries + phy_drops + collisions)`) in the
@@ -28,20 +28,21 @@
 //! to measure how quality-aware sensing changes the curves.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 use qolsr_graph::deploy::UniformWeights;
-use qolsr_graph::{NodeId, Topology};
-use qolsr_metrics::{BandwidthMetric, DelayMetric};
-use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::OlsrConfig;
+use qolsr_graph::NodeId;
+use qolsr_proto::{LinkHysteresis, LinkMetric, OlsrConfig};
 use qolsr_sim::stats::OnlineStats;
-use qolsr_sim::{LossyPhy, PhyModel, RadioConfig, SchedulerKind, SimDuration, SimRng, SimTime};
+use qolsr_sim::{SimDuration, SimRng, SimTime};
 
-use crate::eval::churn::{probe_route, ChurnMetric, ProbeOutcome};
+use crate::eval::churn::{probe_route, ProbeOutcome};
 use crate::eval::scale::{deploy_field, field_side};
-use crate::eval::{derive_seed, exec_mode, EvalMetric, SelectorKind, ShardPlan};
-use crate::policy::SelectorPolicy;
-use crate::report::{Figure, Point, Series};
+use crate::eval::{
+    connected_pairs, derive_seed, live_network, lossy_radio, sample_times, sweep, LiveNetwork,
+    Merge, QosMetric, SelectorKind, ShardInvariant,
+};
+use crate::report::Figure;
 
 /// Configuration of the loss sweep.
 #[derive(Debug, Clone)]
@@ -81,6 +82,8 @@ pub struct LossConfig {
     /// Engine shard count (loss sampling is shard-count-invariant,
     /// pinned by `tests/phy_differential.rs`).
     pub shards: u32,
+    /// The QoS metric the selectors select under.
+    pub metric: QosMetric,
 }
 
 impl LossConfig {
@@ -108,31 +111,8 @@ impl LossConfig {
             threads: 0,
             olsr: OlsrConfig::default(),
             shards: 1,
+            metric: QosMetric::Bandwidth,
         }
-    }
-
-    fn radio(&self, edge_drop_ppm: u32) -> RadioConfig {
-        RadioConfig {
-            phy: PhyModel::Lossy(LossyPhy {
-                edge_drop_ppm,
-                exponent: self.exponent,
-                capture_window: self.capture_window,
-            }),
-            ..RadioConfig::default()
-        }
-    }
-
-    /// Sample instants: warm-up end, then every `sample_every` through
-    /// the measured window.
-    fn sample_times(&self) -> Vec<SimTime> {
-        let mut times = Vec::new();
-        let mut t = SimTime::ZERO + self.warmup;
-        let end = SimTime::ZERO + self.warmup + self.measure;
-        while t <= end {
-            times.push(t);
-            t += self.sample_every;
-        }
-        times
     }
 }
 
@@ -151,6 +131,14 @@ pub struct LossLevelMeasures {
     pub mpr_churn: OnlineStats,
 }
 
+impl Merge for LossLevelMeasures {
+    fn merge(&mut self, other: &Self) {
+        self.delivery.merge(&other.delivery);
+        self.validity.merge(&other.validity);
+        self.mpr_churn.merge(&other.mpr_churn);
+    }
+}
+
 /// All measurements of one selector across the loss sweep.
 #[derive(Debug, Clone)]
 pub struct LossMeasures {
@@ -160,82 +148,41 @@ pub struct LossMeasures {
     pub per_level: Vec<LossLevelMeasures>,
 }
 
-impl LossMeasures {
-    fn empty(kind: SelectorKind, levels: &[u32]) -> Self {
-        Self {
-            kind,
-            per_level: levels
-                .iter()
-                .map(|&edge_drop_ppm| LossLevelMeasures {
-                    edge_drop_ppm,
-                    delivery: OnlineStats::new(),
-                    validity: OnlineStats::new(),
-                    mpr_churn: OnlineStats::new(),
-                })
-                .collect(),
-        }
-    }
-
-    fn merge(&mut self, other: &LossMeasures) {
-        for (mine, theirs) in self.per_level.iter_mut().zip(&other.per_level) {
-            mine.delivery.merge(&theirs.delivery);
-            mine.validity.merge(&theirs.validity);
-            mine.mpr_churn.merge(&theirs.mpr_churn);
-        }
+impl Merge for LossMeasures {
+    fn merge(&mut self, other: &Self) {
+        self.per_level.merge(&other.per_level);
     }
 }
 
-/// Runs the loss sweep under metric `M` for the given selectors.
+impl ShardInvariant for LossMeasures {}
+
+/// Runs the loss sweep for the given selectors.
 ///
 /// Per run one deployment is generated (identical across levels and
 /// selectors — the deployment seed depends only on the run index), then
 /// every (level, selector) pair runs a live network on it. Runs shard
 /// over worker threads; per-run results merge in run order, so output
 /// is independent of thread count.
-pub fn loss_experiment<M: EvalMetric>(
-    cfg: &LossConfig,
-    kinds: &[SelectorKind],
-) -> Vec<LossMeasures> {
-    let plan = ShardPlan::new(cfg.threads, cfg.runs);
-    let per_run = crate::eval::sharded_runs(cfg.runs, plan.workers, |run| {
-        let mut local: Vec<LossMeasures> = kinds
-            .iter()
-            .map(|&k| LossMeasures::empty(k, &cfg.levels))
-            .collect();
-        single_loss_run::<M>(cfg, run, kinds, &mut local);
-        local
-    });
-    let mut totals: Vec<LossMeasures> = kinds
-        .iter()
-        .map(|&k| LossMeasures::empty(k, &cfg.levels))
-        .collect();
-    for run_measures in per_run {
-        for (total, m) in totals.iter_mut().zip(&run_measures) {
-            total.merge(m);
-        }
-    }
-    totals
+pub fn loss_experiment(cfg: &LossConfig, kinds: &[SelectorKind]) -> Vec<LossMeasures> {
+    let empty = || {
+        let level = |&edge_drop_ppm: &u32| LossLevelMeasures {
+            edge_drop_ppm,
+            delivery: OnlineStats::new(),
+            validity: OnlineStats::new(),
+            mpr_churn: OnlineStats::new(),
+        };
+        let measures = |&kind: &SelectorKind| LossMeasures {
+            kind,
+            per_level: cfg.levels.iter().map(level).collect(),
+        };
+        kinds.iter().map(measures).collect::<Vec<_>>()
+    };
+    sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
+        single_loss_run(cfg, run, kinds, accum);
+    })
 }
 
-/// Runs the loss sweep with the metric chosen at runtime — the dispatch
-/// point behind the `figures loss --metric` flag.
-pub fn loss_experiment_with(
-    metric: ChurnMetric,
-    cfg: &LossConfig,
-    kinds: &[SelectorKind],
-) -> Vec<LossMeasures> {
-    match metric {
-        ChurnMetric::Bandwidth => loss_experiment::<BandwidthMetric>(cfg, kinds),
-        ChurnMetric::Delay => loss_experiment::<DelayMetric>(cfg, kinds),
-    }
-}
-
-fn single_loss_run<M: EvalMetric>(
-    cfg: &LossConfig,
-    run: u32,
-    kinds: &[SelectorKind],
-    accum: &mut [LossMeasures],
-) {
+fn single_loss_run(cfg: &LossConfig, run: u32, kinds: &[SelectorKind], accum: &mut [LossMeasures]) {
     let deploy_seed = derive_seed(cfg.seed, 0, run);
     let side = field_side(cfg.nodes, cfg.radius, cfg.density);
     let topo = deploy_field(
@@ -249,24 +196,23 @@ fn single_loss_run<M: EvalMetric>(
     if topo.len() < 4 {
         return;
     }
+    // Loss worlds stay static: a pair that cannot route shows up as
+    // validity 0 at *every* level, and the difference across levels is
+    // the measurand.
     let mut rng = SimRng::seed_from_u64(deploy_seed ^ 0x4c05_5e3d);
-    let probes = probe_pairs(&topo, cfg.probes, &mut rng);
+    let probes = connected_pairs(&topo, cfg.probes, 4096, false, &mut rng);
     if probes.is_empty() {
         return;
     }
-    let times = cfg.sample_times();
+    // Warm-up end, then every `sample_every` through the measured window.
+    let start = SimTime::ZERO + cfg.warmup;
+    let times = sample_times(start, start + cfg.measure, cfg.sample_every);
 
     for (li, &level) in cfg.levels.iter().enumerate() {
         for (si, &kind) in kinds.iter().enumerate() {
-            let mut net = OlsrNetwork::with_exec(
-                topo.clone(),
-                cfg.olsr,
-                cfg.radio(level),
-                derive_seed(cfg.seed, 1 + li, run),
-                SchedulerKind::default(),
-                exec_mode(cfg.shards),
-                |_| SelectorPolicy::new(kind.instantiate::<M>()),
-            );
+            let radio = lossy_radio(level, cfg.exponent, cfg.capture_window);
+            let seed = derive_seed(cfg.seed, 1 + li, run);
+            let mut net = live_network(&topo, cfg.olsr, radio, seed, cfg.shards, kind, cfg.metric);
             let out = &mut accum[si].per_level[li];
 
             net.run_until(times[0]);
@@ -305,89 +251,88 @@ fn single_loss_run<M: EvalMetric>(
     }
 }
 
-fn advertised_sets<P: qolsr_proto::AdvertisePolicy>(net: &OlsrNetwork<P>) -> Vec<BTreeSet<NodeId>> {
+fn advertised_sets(net: &LiveNetwork) -> Vec<BTreeSet<NodeId>> {
     net.world()
         .nodes()
         .map(|u| net.node(u).advertised().iter().map(|&(w, _)| w).collect())
         .collect()
 }
 
-/// Uniform distinct probe pairs (loss worlds stay static, so plain
-/// distinctness suffices — unreachable pairs show up as validity 0 at
-/// *every* level, including the lossless baseline, and difference
-/// across levels is the measurand).
-fn probe_pairs(topo: &Topology, count: usize, rng: &mut SimRng) -> Vec<(NodeId, NodeId)> {
-    use qolsr_graph::connectivity::Components;
-    let components = Components::compute(topo);
-    let n = topo.len() as u64;
-    let mut pairs = Vec::with_capacity(count);
-    let mut attempts = 0;
-    while pairs.len() < count && attempts < 4096 {
-        attempts += 1;
-        let s = NodeId(rng.next_below(n) as u32);
-        let t = NodeId(rng.next_below(n) as u32);
-        if s != t && components.connected(s, t) {
-            pairs.push((s, t));
+/// The text report printed before the figures: the sweep settings and
+/// one row per (selector, level).
+pub fn report(cfg: &LossConfig, results: &[LossMeasures]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# lossy radio: n={}, quadratic falloff, {} µs capture window, hysteresis={}, \
+         etx={}; {} probe pairs sampled every {} s over {} s measured\n",
+        cfg.nodes,
+        cfg.capture_window.as_micros(),
+        matches!(cfg.olsr.link_hysteresis, LinkHysteresis::On(_)),
+        matches!(cfg.olsr.link_metric, LinkMetric::Etx(_)),
+        cfg.probes,
+        cfg.sample_every.as_secs_f64(),
+        cfg.measure.as_secs_f64(),
+    );
+    let _ = writeln!(
+        out,
+        "# {:>9}  {:>32}  {:>9}  {:>9}  {:>10}",
+        "edge-drop", "selector", "delivery", "validity", "MPR-churn"
+    );
+    for r in results {
+        for level in &r.per_level {
+            let _ = writeln!(
+                out,
+                "# {:>8.2}%  {:>32}  {:>9.3}  {:>9.3}  {:>10.3}",
+                f64::from(level.edge_drop_ppm) / 1e4,
+                r.kind.label(),
+                level.delivery.mean(),
+                level.validity.mean(),
+                level.mpr_churn.mean(),
+            );
         }
     }
-    pairs
+    out.push('\n');
+    out
 }
 
-fn curve_figure(
-    results: &[LossMeasures],
-    title: &str,
-    ylabel: &str,
-    extract: impl Fn(&LossLevelMeasures) -> &OnlineStats,
-) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "edge drop probability".to_owned(),
-        ylabel: ylabel.to_owned(),
-        series: results
-            .iter()
-            .map(|r| Series {
-                label: r.kind.label().to_owned(),
-                points: r
+/// The loss figures — frame delivery ratio, route validity and MPR-set
+/// churn against the edge drop probability — each with its CSV slug.
+pub fn figures(cfg: &LossConfig, results: &[LossMeasures]) -> Vec<(String, Figure)> {
+    let m = cfg.metric.name();
+    let figure =
+        |slug: &str, what: &str, ylabel: &str, stat: fn(&LossLevelMeasures) -> &OnlineStats| {
+            let series = results.iter().map(|r| {
+                let points = r
                     .per_level
                     .iter()
-                    .map(|level| {
-                        let s = extract(level);
-                        Point {
-                            x: f64::from(level.edge_drop_ppm) / 1e6,
-                            mean: s.mean(),
-                            ci95: s.ci95_half_width(),
-                            n: s.count(),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// Frame-delivery-ratio figure.
-pub fn delivery_figure(results: &[LossMeasures], title: &str) -> Figure {
-    curve_figure(results, title, "frame delivery ratio", |l| &l.delivery)
-}
-
-/// Route-validity figure.
-pub fn validity_figure(results: &[LossMeasures], title: &str) -> Figure {
-    curve_figure(
-        results,
-        title,
-        "route validity (hop-by-hop delivery)",
-        |l| &l.validity,
-    )
-}
-
-/// MPR-set-churn figure.
-pub fn mpr_churn_figure(results: &[LossMeasures], title: &str) -> Figure {
-    curve_figure(
-        results,
-        title,
-        "MPR-set churn (Jaccard per sample interval)",
-        |l| &l.mpr_churn,
-    )
+                    .map(move |l| (f64::from(l.edge_drop_ppm) / 1e6, stat(l)));
+                (r.kind.label(), points)
+            });
+            let title = format!("Loss — {what} vs edge drop probability ({m} metric)");
+            let fig = Figure::from_stats(&title, "edge drop probability", ylabel, series);
+            (format!("loss_{slug}_{m}"), fig)
+        };
+    vec![
+        figure(
+            "delivery",
+            "frame delivery ratio",
+            "frame delivery ratio",
+            |l| &l.delivery,
+        ),
+        figure(
+            "route_validity",
+            "route validity",
+            "route validity (hop-by-hop delivery)",
+            |l| &l.validity,
+        ),
+        figure(
+            "mpr_churn",
+            "MPR-set churn",
+            "MPR-set churn (Jaccard per sample interval)",
+            |l| &l.mpr_churn,
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -413,7 +358,7 @@ mod tests {
     fn produces_curves_and_loss_degrades_delivery() {
         let cfg = tiny_cfg();
         let kinds = [SelectorKind::Fnbp, SelectorKind::QolsrMpr2];
-        let results = loss_experiment::<BandwidthMetric>(&cfg, &kinds);
+        let results = loss_experiment(&cfg, &kinds);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert_eq!(r.per_level.len(), 2);
@@ -442,8 +387,8 @@ mod tests {
         one.threads = 1;
         let mut many = tiny_cfg();
         many.threads = 3;
-        let a = loss_experiment::<BandwidthMetric>(&one, &[SelectorKind::Fnbp]);
-        let b = loss_experiment::<BandwidthMetric>(&many, &[SelectorKind::Fnbp]);
+        let a = loss_experiment(&one, &[SelectorKind::Fnbp]);
+        let b = loss_experiment(&many, &[SelectorKind::Fnbp]);
         for (x, y) in a[0].per_level.iter().zip(&b[0].per_level) {
             assert_eq!(x.delivery.mean(), y.delivery.mean());
             assert_eq!(x.validity.mean(), y.validity.mean());
@@ -459,25 +404,32 @@ mod tests {
             link_hysteresis: LinkHysteresis::On(HysteresisParams::default()),
             ..OlsrConfig::default()
         };
-        let gated = loss_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        let gated = loss_experiment(&cfg, &[SelectorKind::Fnbp]);
         let mut plain_cfg = tiny_cfg();
         plain_cfg.levels = vec![600_000];
-        let plain = loss_experiment::<BandwidthMetric>(&plain_cfg, &[SelectorKind::Fnbp]);
+        let plain = loss_experiment(&plain_cfg, &[SelectorKind::Fnbp]);
         // The knob must actually reach the nodes: quality gating changes
         // which links are admitted, hence the measured curves.
-        let render = |rs: &[LossMeasures]| mpr_churn_figure(rs, "c").render_csv();
+        let render = |rs: &[LossMeasures]| figures(&cfg, rs)[2].1.render_csv();
         assert_ne!(render(&gated), render(&plain));
     }
 
     #[test]
     fn figures_render() {
         let cfg = tiny_cfg();
-        let results = loss_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
-        let d = delivery_figure(&results, "loss delivery");
+        let results = loss_experiment(&cfg, &[SelectorKind::Fnbp]);
+        let figs = figures(&cfg, &results);
+        assert_eq!(figs.len(), 3);
+        let (slug, d) = &figs[0];
+        assert_eq!(slug, "loss_delivery_bandwidth");
         assert_eq!(d.series.len(), 1);
-        assert!(d.render_text().contains("loss delivery"));
-        assert!(validity_figure(&results, "v").render_csv().lines().count() >= 2);
-        assert!(mpr_churn_figure(&results, "m").render_csv().lines().count() >= 2);
+        assert!(d
+            .render_text()
+            .contains("frame delivery ratio vs edge drop"));
+        for (_, fig) in &figs {
+            assert!(fig.render_csv().lines().count() >= 2);
+        }
+        assert!(report(&cfg, &results).contains("MPR-churn"));
     }
 
     /// A deployment too small to probe (`< 4` nodes) is skipped outright
@@ -507,7 +459,7 @@ mod tests {
                 "the crafted field must actually deploy degenerate (run {run})"
             );
         }
-        let results = loss_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        let results = loss_experiment(&cfg, &[SelectorKind::Fnbp]);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].per_level.len(), cfg.levels.len());
         for level in &results[0].per_level {

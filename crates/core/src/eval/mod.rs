@@ -7,6 +7,13 @@
 //! in each run one random source/destination pair is routed by every
 //! approach on the *same* topology and compared against the centralized
 //! Dijkstra optimum.
+//!
+//! The live experiments (churn, loss, faults, traffic, overhead and the
+//! live scale sweep) share one driver, defined here: `sweep` owns the
+//! thread split, per-run sharding and in-order merge; `live_network` is
+//! the one place a live network is built, and the one place the runtime
+//! [`QosMetric`] is matched; [`verify_shards`] is the one shard check
+//! behind `figures --verify-shards`.
 
 pub mod churn;
 pub mod faults;
@@ -18,16 +25,20 @@ pub mod scale;
 pub mod traffic;
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::Instant;
 
 use qolsr_graph::connectivity::Components;
 use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
 use qolsr_graph::{NodeId, Topology};
 use qolsr_metrics::{BandwidthMetric, DelayMetric, Metric, MetricKind, ResidualEnergyMetric};
-use qolsr_sim::stats::OnlineStats;
-use qolsr_sim::SimRng;
+use qolsr_proto::network::OlsrNetwork;
+use qolsr_proto::OlsrConfig;
+use qolsr_sim::stats::{HotPathCounters, OnlineStats};
+use qolsr_sim::{LossyPhy, PhyModel, RadioConfig, SchedulerKind, SimDuration, SimRng, SimTime};
 
 use crate::advertised::AdvertisedTopology;
-use crate::report::{Figure, Point, Series};
+use crate::policy::SelectorPolicy;
+use crate::report::Figure;
 use crate::routing::{optimal_value, route, RouteStrategy};
 use crate::selector::{AnsSelector, ClassicMpr, Fnbp, MprVariant, QolsrMpr, TopologyFiltering};
 
@@ -120,6 +131,41 @@ impl SelectorKind {
             SelectorKind::TopologyFiltering => Box::new(TopologyFiltering::<M>::new()),
             SelectorKind::Fnbp => Box::new(Fnbp::<M>::new()),
             SelectorKind::FnbpNoIdRule => Box::new(Fnbp::<M>::without_id_rule()),
+        }
+    }
+}
+
+/// The QoS metric the selectors of a live experiment select under,
+/// chosen at runtime (`figures --metric`) and matched once, where the
+/// eval driver builds the live network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QosMetric {
+    /// Concave bottleneck bandwidth (the default, matching the static
+    /// bandwidth figures).
+    #[default]
+    Bandwidth,
+    /// Additive end-to-end delay.
+    Delay,
+}
+
+impl QosMetric {
+    /// Lower-case name used in figure slugs and CLI parsing.
+    pub fn name(self) -> &'static str {
+        match self {
+            QosMetric::Bandwidth => "bandwidth",
+            QosMetric::Delay => "delay",
+        }
+    }
+}
+
+impl std::str::FromStr for QosMetric {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "bandwidth" => Ok(QosMetric::Bandwidth),
+            "delay" => Ok(QosMetric::Delay),
+            other => Err(format!("unknown metric: {other} (bandwidth|delay)")),
         }
     }
 }
@@ -241,8 +287,7 @@ impl ShardPlan {
 
 /// Runs `per_run` for every run index on `workers` crossbeam-scoped
 /// threads and returns the results **in run order**, regardless of
-/// scheduling — the sharding scaffold shared by the figure and churn
-/// experiments. Keeping aggregation in run order is what makes results
+/// scheduling. Keeping aggregation in run order is what makes results
 /// independent of thread count (floating-point merges are
 /// order-sensitive).
 ///
@@ -295,6 +340,224 @@ pub(crate) fn sharded_runs<T: Send>(
         .collect()
 }
 
+/// Per-run aggregates that fold into a total: what [`sweep`] reduces.
+pub(crate) trait Merge {
+    /// Folds `other` into `self`.
+    fn merge(&mut self, other: &Self);
+}
+
+impl Merge for OnlineStats {
+    fn merge(&mut self, other: &Self) {
+        OnlineStats::merge(self, other);
+    }
+}
+
+impl<T: Merge> Merge for Vec<T> {
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.iter_mut().zip(other) {
+            mine.merge(theirs);
+        }
+    }
+}
+
+/// The sweep every multi-run experiment runs: `runs` independent runs,
+/// each filling a fresh `empty()` accumulator through
+/// `per_run(run, inner_threads, accum)`, sharded over the thread budget
+/// ([`ShardPlan`]) and merged **in run order**, so results do not depend
+/// on the thread count.
+pub(crate) fn sweep<T: Merge + Send>(
+    threads: usize,
+    runs: u32,
+    empty: impl Fn() -> T + Sync,
+    per_run: impl Fn(u32, usize, &mut T) + Sync,
+) -> T {
+    let plan = ShardPlan::new(threads, runs);
+    let per_run = sharded_runs(runs, plan.workers, |run| {
+        let mut local = empty();
+        per_run(run, plan.inner, &mut local);
+        local
+    });
+    let mut total = empty();
+    for local in &per_run {
+        total.merge(local);
+    }
+    total
+}
+
+/// The network every live experiment runs: each node advertises through
+/// a boxed selector.
+pub(crate) type LiveNetwork = OlsrNetwork<SelectorPolicy<Box<dyn AnsSelector>>>;
+
+/// Builds a live network over `topo` whose nodes all advertise with
+/// `kind` under `metric`, stepped by `shards` engine shards — the one
+/// place the eval harness builds a live network and matches the metric.
+pub(crate) fn live_network(
+    topo: &Topology,
+    olsr: OlsrConfig,
+    radio: RadioConfig,
+    seed: u64,
+    shards: u32,
+    kind: SelectorKind,
+    metric: QosMetric,
+) -> LiveNetwork {
+    OlsrNetwork::with_exec(
+        topo.clone(),
+        olsr,
+        radio,
+        seed,
+        SchedulerKind::default(),
+        exec_mode(shards),
+        |_| {
+            SelectorPolicy::new(match metric {
+                QosMetric::Bandwidth => kind.instantiate::<BandwidthMetric>(),
+                QosMetric::Delay => kind.instantiate::<DelayMetric>(),
+            })
+        },
+    )
+}
+
+/// A radio over [`PhyModel::Lossy`] with the given edge drop
+/// probability, falloff exponent and collision capture window.
+pub(crate) fn lossy_radio(
+    edge_drop_ppm: u32,
+    exponent: u32,
+    capture_window: SimDuration,
+) -> RadioConfig {
+    RadioConfig {
+        phy: PhyModel::Lossy(LossyPhy {
+            edge_drop_ppm,
+            exponent,
+            capture_window,
+        }),
+        ..RadioConfig::default()
+    }
+}
+
+/// Times `seconds` simulated seconds of `net`, calling `probe` after
+/// each, and returns the wall-clock milliseconds per simulated second
+/// with the window's hot-path counter deltas (the resident gauges are
+/// read at its end).
+pub(crate) fn measured_window(
+    net: &mut LiveNetwork,
+    seconds: u64,
+    mut probe: impl FnMut(&LiveNetwork),
+) -> (f64, HotPathCounters) {
+    let engine0 = net.engine_stats();
+    let nodes0 = net.total_stats();
+    let started = Instant::now();
+    for _ in 0..seconds {
+        net.run_for(SimDuration::from_secs(1));
+        probe(net);
+    }
+    let ms_per_sim_s = started.elapsed().as_secs_f64() * 1e3 / seconds as f64;
+    let engine = net.engine_stats();
+    let nodes = net.total_stats();
+    let mut tc_ring_emissions = nodes.tc_sent_ring;
+    for (after, before) in tc_ring_emissions.iter_mut().zip(nodes0.tc_sent_ring) {
+        *after -= before;
+    }
+    let (resident_entries, resident_bytes) = net.resident_memory();
+    let counters = HotPathCounters {
+        events_popped: engine.events - engine0.events,
+        timers_fired: engine.timers - engine0.timers,
+        routes_recomputed: nodes.routes_recomputed - nodes0.routes_recomputed,
+        route_cache_hits: nodes.route_cache_hits - nodes0.route_cache_hits,
+        tc_ring_emissions,
+        dup_peek_hits: nodes.dup_peek_hits - nodes0.dup_peek_hits,
+        bytes_decoded: nodes.bytes_decoded - nodes0.bytes_decoded,
+        resident_entries,
+        resident_bytes,
+        malformed_frames: nodes.malformed_frames - nodes0.malformed_frames,
+    };
+    (ms_per_sim_s, counters)
+}
+
+/// Draws up to `count` uniform source/destination pairs that are distinct
+/// and connected in `topo`, giving up after `attempts` source draws. With
+/// `skip_isolated`, a source alone in its component is rejected before a
+/// destination is drawn (the paper sweep's draw order).
+pub(crate) fn connected_pairs(
+    topo: &Topology,
+    count: usize,
+    attempts: usize,
+    skip_isolated: bool,
+    rng: &mut SimRng,
+) -> Vec<(NodeId, NodeId)> {
+    let components = Components::compute(topo);
+    let n = topo.len() as u64;
+    let mut pairs = Vec::with_capacity(count);
+    for _ in 0..attempts {
+        if pairs.len() == count {
+            break;
+        }
+        let s = NodeId(rng.next_below(n) as u32);
+        if skip_isolated && components.size(components.label_of(s)) < 2 {
+            continue;
+        }
+        let t = NodeId(rng.next_below(n) as u32);
+        if s != t && components.connected(s, t) {
+            pairs.push((s, t));
+        }
+    }
+    pairs
+}
+
+/// Sample instants from `first` through `last` inclusive, `every` apart.
+pub(crate) fn sample_times(first: SimTime, last: SimTime, every: SimDuration) -> Vec<SimTime> {
+    let mut times = Vec::new();
+    let mut t = first;
+    while t <= last {
+        times.push(t);
+        t += every;
+    }
+    times
+}
+
+/// A result the shard check compares: its whole `Debug` rendering, after
+/// [`mask`](Self::mask) clears what legitimately differs between runs.
+pub trait ShardInvariant: Clone + std::fmt::Debug {
+    /// Clears the fields that differ between runs or shard counts by
+    /// design: wall-clock, RSS and the store-residency gauges (per-shard
+    /// intern arenas aggregate differently). Nothing, by default.
+    fn mask(&mut self) {}
+}
+
+impl<T: ShardInvariant> ShardInvariant for Vec<T> {
+    fn mask(&mut self) {
+        self.iter_mut().for_each(T::mask);
+    }
+}
+
+/// The shard check behind `figures --verify-shards`: runs `experiment`
+/// at `shards` engine shards and at one shard, and returns the sharded
+/// result if the two agree on every curve, counter and aggregate.
+///
+/// # Panics
+///
+/// Panics at the first line where the masked `Debug` renderings of the
+/// two results differ.
+pub fn verify_shards<T: ShardInvariant>(shards: u32, experiment: impl Fn(u32) -> T) -> T {
+    let sharded = experiment(shards);
+    let render = |result: &T| {
+        let mut result = result.clone();
+        result.mask();
+        format!("{result:#?}")
+    };
+    let (got, want) = (render(&sharded), render(&experiment(1)));
+    if got != want {
+        let (got, want): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
+        let at = (0..got.len().min(want.len()))
+            .find(|&i| got[i] != want[i])
+            .unwrap_or(got.len().min(want.len()));
+        panic!(
+            "the engine at shards={shards} diverged from the one-shard run:\n{}\n  one shard: {}",
+            got[at.saturating_sub(6)..(at + 1).min(got.len())].join("\n"),
+            want.get(at).unwrap_or(&"<end>"),
+        );
+    }
+    sharded
+}
+
 /// Aggregated measurements of one selector at one density.
 #[derive(Debug, Clone, Default)]
 pub struct DensityMeasures {
@@ -311,7 +574,7 @@ pub struct DensityMeasures {
     pub hops: OnlineStats,
 }
 
-impl DensityMeasures {
+impl Merge for DensityMeasures {
     fn merge(&mut self, other: &DensityMeasures) {
         self.ans_size.merge(&other.ans_size);
         self.overhead.merge(&other.overhead);
@@ -343,33 +606,13 @@ impl ExperimentResult {
         &self,
         title: &str,
         ylabel: &str,
-        extract: impl Fn(&DensityMeasures) -> &OnlineStats,
+        stat: fn(&DensityMeasures) -> &OnlineStats,
     ) -> Figure {
-        Figure {
-            title: title.to_owned(),
-            xlabel: "density".to_owned(),
-            ylabel: ylabel.to_owned(),
-            series: self
-                .selectors
-                .iter()
-                .map(|sel| Series {
-                    label: sel.kind.label().to_owned(),
-                    points: sel
-                        .per_density
-                        .iter()
-                        .map(|d| {
-                            let s = extract(d);
-                            Point {
-                                x: d.density,
-                                mean: s.mean(),
-                                ci95: s.ci95_half_width(),
-                                n: s.count(),
-                            }
-                        })
-                        .collect(),
-                })
-                .collect(),
-        }
+        let series = self.selectors.iter().map(|sel| {
+            let points = sel.per_density.iter().map(|d| (d.density, stat(d)));
+            (sel.kind.label(), points)
+        });
+        Figure::from_stats(title, "density", ylabel, series)
     }
 
     /// Advertised-set-size figure (paper Figs. 6–7).
@@ -431,40 +674,18 @@ pub fn run_experiment<M: EvalMetric>(cfg: &EvalConfig, kinds: &[SelectorKind]) -
             })
             .collect(),
     };
-
-    let plan = ShardPlan::new(cfg.threads, cfg.runs);
     for (di, &density) in cfg.densities.iter().enumerate() {
-        let per_run = sharded_runs(cfg.runs, plan.workers, |run| {
-            let mut local: Vec<DensityMeasures> = kinds
-                .iter()
-                .map(|_| DensityMeasures {
-                    density,
-                    ..DensityMeasures::default()
-                })
-                .collect();
-            single_run::<M>(
-                cfg,
-                density,
-                derive_seed(cfg.seed, di, run),
-                &selectors,
-                plan.inner,
-                &mut local,
-            );
-            local
-        });
-
-        let mut totals: Vec<DensityMeasures> = kinds
-            .iter()
-            .map(|_| DensityMeasures {
+        let empty = || {
+            let at = DensityMeasures {
                 density,
                 ..DensityMeasures::default()
-            })
-            .collect();
-        for run_measures in per_run {
-            for (total, m) in totals.iter_mut().zip(&run_measures) {
-                total.merge(m);
-            }
-        }
+            };
+            vec![at; kinds.len()]
+        };
+        let totals = sweep(cfg.threads, cfg.runs, empty, |run, inner, accum| {
+            let seed = derive_seed(cfg.seed, di, run);
+            single_run::<M>(cfg, density, seed, &selectors, inner, accum);
+        });
         for (sel, total) in result.selectors.iter_mut().zip(totals) {
             sel.per_density.push(total);
         }
@@ -529,7 +750,7 @@ fn single_run<M: EvalMetric>(
     // One random connected pair, identical for every selector (§IV.A:
     // "Each approach is run on the same topology with the same source and
     // destination").
-    let Some((s, t)) = sample_pair(&topo, &mut rng) else {
+    let Some(&(s, t)) = connected_pairs(&topo, 1, 4096, true, &mut rng).first() else {
         return;
     };
     let optimal = optimal_value::<M>(&topo, s, t).expect("pair sampled within one component");
@@ -547,25 +768,6 @@ fn single_run<M: EvalMetric>(
             }
         }
     }
-}
-
-/// Samples a uniform source/destination pair within one connected
-/// component (`None` if the topology has no component of size ≥ 2).
-fn sample_pair(topo: &Topology, rng: &mut SimRng) -> Option<(NodeId, NodeId)> {
-    let components = Components::compute(topo);
-    let n = topo.len() as u64;
-    for _ in 0..4096 {
-        let s = NodeId(rng.next_below(n) as u32);
-        let comp = components.label_of(s);
-        if components.size(comp) < 2 {
-            continue;
-        }
-        let t = NodeId(rng.next_below(n) as u32);
-        if t != s && components.connected(s, t) {
-            return Some((s, t));
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -730,5 +932,66 @@ mod tests {
         assert!((o - 0.2).abs() < 1e-12);
         // Optimal routes have zero overhead.
         assert_eq!(BandwidthMetric::overhead(Bandwidth(5), Bandwidth(5)), 0.0);
+    }
+
+    impl ShardInvariant for u32 {}
+
+    #[test]
+    fn verify_shards_ignores_masked_fields() {
+        #[derive(Debug, Clone)]
+        struct Timed {
+            events: u64,
+            wall_ms: f64,
+        }
+        impl ShardInvariant for Timed {
+            fn mask(&mut self) {
+                self.wall_ms = 0.0;
+            }
+        }
+        let timed = |shards: u32| Timed {
+            events: 7,
+            wall_ms: f64::from(shards),
+        };
+        let r = verify_shards(3, timed);
+        assert_eq!(
+            (r.events, r.wall_ms),
+            (7, 3.0),
+            "the sharded run comes back"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "diverged from the one-shard run")]
+    fn verify_shards_panics_on_divergence() {
+        verify_shards(2, |shards| vec![7, shards]);
+    }
+
+    #[test]
+    fn sample_times_span_both_ends() {
+        let at = |s| SimTime::ZERO + SimDuration::from_secs(s);
+        let times = sample_times(at(30), at(40), SimDuration::from_secs(5));
+        assert_eq!(times, vec![at(30), at(35), at(40)]);
+        assert!(sample_times(at(2), at(1), SimDuration::from_secs(1)).is_empty());
+    }
+
+    #[test]
+    fn connected_pairs_are_distinct_and_connected() {
+        let mut rng = SimRng::seed_from_u64(5);
+        let deployment = Deployment {
+            width: 400.0,
+            height: 400.0,
+            radius: 100.0,
+            mean_degree: 4.0,
+        };
+        let topo = deploy(&deployment, &UniformWeights::paper_defaults(), &mut rng);
+        let components = Components::compute(&topo);
+        for skip_isolated in [false, true] {
+            let pairs = connected_pairs(&topo, 16, 4096, skip_isolated, &mut rng);
+            assert_eq!(pairs.len(), 16);
+            for (s, t) in pairs {
+                assert!(s != t && components.connected(s, t));
+            }
+        }
+        assert!(connected_pairs(&topo, 0, 4096, false, &mut rng).is_empty());
     }
 }

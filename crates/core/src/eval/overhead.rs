@@ -15,23 +15,21 @@
 //! difference in the columns is the scoping policy alone. Runs execute
 //! sequentially — wall-clock is one of the measurands.
 
-use std::time::Instant;
+use std::fmt::Write as _;
 
-use qolsr_graph::connectivity::Components;
 use qolsr_graph::deploy::UniformWeights;
 use qolsr_graph::{NodeId, Topology};
-use qolsr_metrics::BandwidthMetric;
-use qolsr_proto::network::OlsrNetwork;
 use qolsr_proto::{FisheyeRings, OlsrConfig, TcScoping};
 use qolsr_sim::stats::{HotPathCounters, OnlineStats};
-use qolsr_sim::{RadioConfig, SchedulerKind, SimDuration, SimRng};
+use qolsr_sim::{RadioConfig, SimDuration, SimRng};
 
 use crate::eval::churn::{probe_route, ProbeOutcome};
 use crate::eval::scale::{deploy_field, field_side};
-use crate::eval::{derive_seed, exec_mode};
-use crate::policy::SelectorPolicy;
-use crate::report::{Figure, Point, Series};
-use crate::selector::Fnbp;
+use crate::eval::{
+    connected_pairs, derive_seed, live_network, measured_window, QosMetric, SelectorKind,
+    ShardInvariant,
+};
+use crate::report::Figure;
 
 /// Configuration of the control-overhead experiment.
 #[derive(Debug, Clone)]
@@ -137,21 +135,12 @@ pub struct OverheadPoint {
     pub totals: HotPathCounters,
 }
 
-/// Uniform connected probe pairs from the deployment (validity targets).
-fn sample_probe_pairs(topo: &Topology, count: usize, rng: &mut SimRng) -> Vec<(NodeId, NodeId)> {
-    let components = Components::compute(topo);
-    let n = topo.len() as u64;
-    let mut pairs = Vec::with_capacity(count);
-    let mut attempts = 0;
-    while pairs.len() < count && attempts < 4096 {
-        attempts += 1;
-        let s = NodeId(rng.next_below(n) as u32);
-        let t = NodeId(rng.next_below(n) as u32);
-        if s != t && components.connected(s, t) {
-            pairs.push((s, t));
-        }
+impl ShardInvariant for OverheadPoint {
+    fn mask(&mut self) {
+        self.wall_ms_per_sim_s = OnlineStats::new();
+        self.totals.resident_entries = 0;
+        self.totals.resident_bytes = 0;
     }
-    pairs
 }
 
 /// Runs the sweep. Points come back grouped by size in `sizes` order,
@@ -183,7 +172,7 @@ pub fn overhead_sweep(cfg: &OverheadConfig) -> Vec<OverheadPoint> {
             let seed = derive_seed(cfg.seed ^ 0x0EAD, si, run);
             let topo = deploy_field(n, side, cfg.radius, cfg.density, &cfg.weights, seed);
             let mut probe_rng = SimRng::seed_from_u64(seed ^ 0x009B_0BE5);
-            let probes = sample_probe_pairs(&topo, cfg.probes.min(n), &mut probe_rng);
+            let probes = connected_pairs(&topo, cfg.probes.min(n), 4096, false, &mut probe_rng);
             for (pi, (_, scoping)) in cfg.policies.iter().enumerate() {
                 let point = &mut points[base + pi];
                 single_run(cfg, &topo, &probes, *scoping, seed, point);
@@ -201,65 +190,34 @@ fn single_run(
     seed: u64,
     point: &mut OverheadPoint,
 ) {
-    let config = OlsrConfig {
+    let olsr = OlsrConfig {
         tc_scoping: scoping,
         ..OlsrConfig::default()
     };
-    let mut net = OlsrNetwork::with_exec(
-        topo.clone(),
-        config,
-        RadioConfig::default(),
+    let (radio, fnbp) = (RadioConfig::default(), SelectorKind::Fnbp);
+    let mut net = live_network(
+        topo,
+        olsr,
+        radio,
         seed,
-        SchedulerKind::default(),
-        exec_mode(cfg.shards),
-        |_| SelectorPolicy::new(Fnbp::<BandwidthMetric>::new()),
+        cfg.shards,
+        fnbp,
+        QosMetric::Bandwidth,
     );
     net.run_for(SimDuration::from_secs(cfg.warmup_seconds));
-    let engine0 = net.engine_stats();
     let nodes0 = net.total_stats();
-
-    let started = Instant::now();
-    for _ in 0..cfg.sim_seconds {
-        net.run_for(SimDuration::from_secs(1));
-        let mut delivered = 0u32;
-        for &(s, t) in probes {
-            if matches!(probe_route(&net, s, t), ProbeOutcome::Delivered(_)) {
-                delivered += 1;
-            }
-        }
+    let validity = &mut point.validity;
+    let (ms_per_sim_s, counters) = measured_window(&mut net, cfg.sim_seconds, |net| {
+        let delivered = probes
+            .iter()
+            .filter(|&&(s, t)| matches!(probe_route(net, s, t), ProbeOutcome::Delivered(_)))
+            .count();
         if !probes.is_empty() {
-            point
-                .validity
-                .push(f64::from(delivered) / probes.len() as f64);
+            validity.push(delivered as f64 / probes.len() as f64);
         }
-    }
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    point
-        .wall_ms_per_sim_s
-        .push(elapsed_ms / cfg.sim_seconds as f64);
-
-    let engine = net.engine_stats();
+    });
     let nodes = net.total_stats();
-    let mut tc_ring_emissions = [0u64; 4];
-    for (delta, (after, before)) in tc_ring_emissions
-        .iter_mut()
-        .zip(nodes.tc_sent_ring.iter().zip(nodes0.tc_sent_ring))
-    {
-        *delta = after - before;
-    }
-    let (resident_entries, resident_bytes) = net.resident_memory();
-    let counters = HotPathCounters {
-        events_popped: engine.events - engine0.events,
-        timers_fired: engine.timers - engine0.timers,
-        routes_recomputed: nodes.routes_recomputed - nodes0.routes_recomputed,
-        route_cache_hits: nodes.route_cache_hits - nodes0.route_cache_hits,
-        tc_ring_emissions,
-        dup_peek_hits: nodes.dup_peek_hits - nodes0.dup_peek_hits,
-        bytes_decoded: nodes.bytes_decoded - nodes0.bytes_decoded,
-        resident_entries,
-        resident_bytes,
-        malformed_frames: nodes.malformed_frames - nodes0.malformed_frames,
-    };
+    point.wall_ms_per_sim_s.push(ms_per_sim_s);
     point
         .tc_deliveries
         .push((nodes.tc_received - nodes0.tc_received) as f64);
@@ -269,63 +227,106 @@ fn single_run(
         .push((nodes.bytes_sent - nodes0.bytes_sent) as f64);
     point.bytes_decoded.push(counters.bytes_decoded as f64);
     point.dup_peek_hits.push(counters.dup_peek_hits as f64);
-    for (sum, ring) in point.tc_ring_emissions.iter_mut().zip(tc_ring_emissions) {
+    for (sum, ring) in point
+        .tc_ring_emissions
+        .iter_mut()
+        .zip(counters.tc_ring_emissions)
+    {
         *sum += ring;
     }
     point.totals.merge(&counters);
 }
 
-fn policy_series(
-    points: &[OverheadPoint],
-    extract: impl Fn(&OverheadPoint) -> &OnlineStats,
-) -> Vec<Series> {
-    let mut labels: Vec<&str> = Vec::new();
+/// The text report printed before the figures: the run settings and one
+/// row per `(size, policy)` cell.
+pub fn report(cfg: &OverheadConfig, points: &[OverheadPoint]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# control overhead: {} s warm-up (unmeasured) + {} s measured (one full fisheye ring \
+         rotation), {} probe pairs validated per simulated second\n",
+        cfg.warmup_seconds, cfg.sim_seconds, cfg.probes
+    );
+    let _ = writeln!(
+        out,
+        "# {:>5}  {:>8}  {:>10}  {:>13}  {:>13}  {:>13}  {:>12}  {:>16}  {:>8}",
+        "n",
+        "policy",
+        "ms/sim-s",
+        "TC deliveries",
+        "ctrl bytes",
+        "bytes decoded",
+        "dup-peek hits",
+        "TC/ring",
+        "validity"
+    );
     for p in points {
-        if !labels.contains(&p.policy.as_str()) {
-            labels.push(&p.policy);
+        // Trim only *trailing* zero slots: a mid-table ring that never
+        // fired (e.g. shadowed by an outer ring with the same
+        // multiplier) must still show as 0.
+        let rings = match p.tc_ring_emissions.iter().rposition(|&r| r > 0) {
+            None => "-".to_owned(),
+            Some(last) => {
+                let used: Vec<String> = p.tc_ring_emissions[..=last]
+                    .iter()
+                    .map(u64::to_string)
+                    .collect();
+                used.join("/")
+            }
+        };
+        let _ = writeln!(
+            out,
+            "# {:>5}  {:>8}  {:>10.1}  {:>13.0}  {:>13.0}  {:>13.0}  {:>12.0}  {:>16}  {:>7.3}",
+            p.nodes,
+            p.policy,
+            p.wall_ms_per_sim_s.mean(),
+            p.tc_deliveries.mean(),
+            p.control_bytes.mean(),
+            p.bytes_decoded.mean(),
+            p.dup_peek_hits.mean(),
+            rings,
+            p.validity.mean(),
+        );
+    }
+    out.push('\n');
+    out
+}
+
+/// The overhead figures — TC-flood deliveries and route validity against
+/// the node count, one series per scoping policy — each with its CSV
+/// slug.
+pub fn figures(points: &[OverheadPoint]) -> Vec<(String, Figure)> {
+    let mut policies: Vec<&str> = Vec::new();
+    for p in points {
+        if !policies.contains(&p.policy.as_str()) {
+            policies.push(&p.policy);
         }
     }
-    labels
-        .into_iter()
-        .map(|label| Series {
-            label: label.to_owned(),
-            points: points
-                .iter()
-                .filter(|p| p.policy == label)
-                .map(|p| {
-                    let s = extract(p);
-                    Point {
-                        x: p.nodes as f64,
-                        mean: s.mean(),
-                        ci95: s.ci95_half_width(),
-                        n: s.count(),
-                    }
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// Renders the TC-flood-delivery comparison (x = node count, one series
-/// per scoping policy).
-pub fn deliveries_figure(points: &[OverheadPoint], title: &str) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "nodes".to_owned(),
-        ylabel: "TC deliveries per measured run".to_owned(),
-        series: policy_series(points, |p| &p.tc_deliveries),
-    }
-}
-
-/// Renders the route-validity comparison (x = node count, one series
-/// per scoping policy).
-pub fn validity_figure(points: &[OverheadPoint], title: &str) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "nodes".to_owned(),
-        ylabel: "route validity (probe pairs)".to_owned(),
-        series: policy_series(points, |p| &p.validity),
-    }
+    let figure =
+        |slug: &str, title: &str, ylabel: &str, stat: fn(&OverheadPoint) -> &OnlineStats| {
+            let series = policies.iter().map(|&policy| {
+                let cells = points.iter().filter(move |p| p.policy == policy);
+                (policy, cells.map(move |p| (p.nodes as f64, stat(p))))
+            });
+            (
+                slug.to_owned(),
+                Figure::from_stats(title, "nodes", ylabel, series),
+            )
+        };
+    vec![
+        figure(
+            "overhead_tc_deliveries",
+            "Control overhead — TC-flood deliveries per measured run, by scoping policy",
+            "TC deliveries per measured run",
+            |p| &p.tc_deliveries,
+        ),
+        figure(
+            "overhead_route_validity",
+            "Control overhead — route validity under scoped TC dissemination",
+            "route validity (probe pairs)",
+            |p| &p.validity,
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -388,12 +389,13 @@ mod tests {
                 "n={n}: fewer TCs arriving must mean fewer bytes decoded"
             );
         }
-        let fig = deliveries_figure(&points, "overhead");
+        let figs = figures(&points);
+        let (slug, fig) = &figs[0];
+        assert_eq!(slug, "overhead_tc_deliveries");
         assert_eq!(fig.series.len(), 2);
         assert_eq!(fig.series[0].points.len(), 2);
-        assert!(validity_figure(&points, "validity")
-            .render_text()
-            .contains("validity"));
+        assert!(figs[1].1.render_text().contains("route validity"));
+        assert_eq!(report(&tiny_cfg(), &points).lines().count(), 3 + 4 + 1);
     }
 
     #[test]

@@ -15,14 +15,13 @@
 //! fewest links, so this quantifies the redundancy price of its
 //! compression.
 
-use qolsr_graph::connectivity::Components;
 use qolsr_graph::deploy::{deploy, Deployment};
 use qolsr_graph::{CompactGraph, LocalView, NodeId, Topology, TopologyBuilder};
 use qolsr_sim::stats::OnlineStats;
 use qolsr_sim::SimRng;
 
-use crate::eval::{EvalConfig, EvalMetric, SelectorKind};
-use crate::report::{Figure, Point, Series};
+use crate::eval::{connected_pairs, EvalConfig, EvalMetric, SelectorKind};
+use crate::report::Figure;
 use crate::routing::{optimal_value, route, RouteStrategy};
 
 /// Result of a robustness sweep for one selector.
@@ -90,7 +89,6 @@ pub fn link_failure_study<M: EvalMetric>(
 
         for (fi, &p) in fractions.iter().enumerate() {
             let degraded = fail_links(&topo, p, &mut rng);
-            let components = Components::compute(&degraded);
             // Stale advertised graphs: drop failed links.
             let stale: Vec<CompactGraph> = advertised
                 .iter()
@@ -98,7 +96,9 @@ pub fn link_failure_study<M: EvalMetric>(
                 .collect();
 
             for _ in 0..4 {
-                let Some((s, t)) = sample_pair(&degraded, &components, &mut rng) else {
+                // One pair connected in the *degraded* network per draw.
+                let Some(&(s, t)) = connected_pairs(&degraded, 1, 1024, false, &mut rng).first()
+                else {
                     continue;
                 };
                 let optimal = optimal_value::<M>(&degraded, s, t).expect("connected pair");
@@ -143,45 +143,18 @@ fn intersect_links(advertised: &CompactGraph, degraded: &Topology) -> CompactGra
     out
 }
 
-fn sample_pair(
-    topo: &Topology,
-    components: &Components,
-    rng: &mut SimRng,
-) -> Option<(NodeId, NodeId)> {
-    let n = topo.len() as u64;
-    for _ in 0..1024 {
-        let s = NodeId(rng.next_below(n) as u32);
-        let t = NodeId(rng.next_below(n) as u32);
-        if s != t && components.connected(s, t) && components.size(components.label_of(s)) > 1 {
-            return Some((s, t));
-        }
-    }
-    None
-}
-
 /// Renders a delivery-rate figure over the failure fractions.
 pub fn delivery_figure(results: &[RobustnessMeasures], title: &str) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "link failure fraction".to_owned(),
-        ylabel: "delivery rate (stale advertised sets)".to_owned(),
-        series: results
-            .iter()
-            .map(|r| Series {
-                label: r.kind.label().to_owned(),
-                points: r
-                    .per_fraction
-                    .iter()
-                    .map(|(p, delivery, _)| Point {
-                        x: *p,
-                        mean: delivery.mean(),
-                        ci95: delivery.ci95_half_width(),
-                        n: delivery.count(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
+    let series = results.iter().map(|r| {
+        let points = r.per_fraction.iter().map(|(p, delivery, _)| (*p, delivery));
+        (r.kind.label(), points)
+    });
+    Figure::from_stats(
+        title,
+        "link failure fraction",
+        "delivery rate (stale advertised sets)",
+        series,
+    )
 }
 
 #[cfg(test)]

@@ -20,21 +20,23 @@
 //! [`SpatialGrid`]: qolsr_graph::SpatialGrid
 
 use std::f64::consts::PI;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use qolsr_graph::deploy::{deploy_at, Deployment, UniformWeights};
 use qolsr_graph::{NodeId, Point2, Topology};
 use qolsr_metrics::BandwidthMetric;
-use qolsr_proto::network::OlsrNetwork;
 use qolsr_proto::OlsrConfig;
 use qolsr_sim::scenario::{RandomWaypoint, ScenarioBuilder};
 use qolsr_sim::stats::{HotPathCounters, OnlineStats};
-use qolsr_sim::{PhyModel, RadioConfig, SchedulerKind, SimDuration, SimRng};
+use qolsr_sim::{PhyModel, RadioConfig, SimDuration, SimRng};
 
 use crate::advertised::build_advertised;
-use crate::eval::{derive_seed, exec_mode, resolve_workers};
-use crate::policy::SelectorPolicy;
-use crate::report::{Figure, Point, Series};
+use crate::eval::{
+    derive_seed, live_network, measured_window, resolve_workers, QosMetric, SelectorKind,
+    ShardInvariant,
+};
+use crate::report::Figure;
 use crate::selector::Fnbp;
 
 /// Configuration of the scale sweep.
@@ -83,16 +85,16 @@ impl ScaleConfig {
 }
 
 /// Field side holding `n` nodes at mean degree `density` with
-/// communication radius `radius`: `area = n · πR²/δ`. Shared by the
-/// sweep phases and the overhead experiment so the paper's field model
-/// has one definition.
+/// communication radius `radius`: `area = n · πR²/δ`. Shared by every
+/// experiment that sizes its field by node count, so the paper's field
+/// model has one definition.
 pub(crate) fn field_side(n: usize, radius: f64, density: f64) -> f64 {
     (n as f64 * PI * radius * radius / density).sqrt()
 }
 
 /// Seed-deterministic uniform deployment in a `side × side` field —
 /// the shared topology construction of the sweep phases and the
-/// overhead experiment.
+/// overhead, loss and traffic experiments.
 pub(crate) fn deploy_field(
     n: usize,
     side: f64,
@@ -182,32 +184,51 @@ pub fn scale_sweep(cfg: &ScaleConfig) -> Vec<ScalePoint> {
         .collect()
 }
 
-/// Renders the sweep as a two-series figure (x = node count).
-pub fn scale_figure(points: &[ScalePoint], title: &str) -> Figure {
-    let series = |label: &str, extract: fn(&ScalePoint) -> &OnlineStats| Series {
-        label: label.to_owned(),
-        points: points
-            .iter()
-            .map(|p| {
-                let s = extract(p);
-                Point {
-                    x: p.nodes as f64,
-                    mean: s.mean(),
-                    ci95: s.ci95_half_width(),
-                    n: s.count(),
-                }
-            })
-            .collect(),
-    };
-    Figure {
-        title: title.to_owned(),
-        xlabel: "nodes".to_owned(),
-        ylabel: "wall-clock ms".to_owned(),
-        series: vec![
-            series("waypoint ms per simulated second", |p| &p.tick_ms),
-            series("full-network selection ms (FNBP)", |p| &p.select_ms),
-        ],
+/// The text report printed before the sweep's figure: one timing row
+/// per size, then each size's tick-cost growth over the smallest.
+pub fn report(points: &[ScalePoint]) -> String {
+    let mut out = String::new();
+    for p in points {
+        let _ = writeln!(
+            out,
+            "# n={:5}  side={:7.1}  waypoint {:8.3} ms/simulated-second  selection {:8.3} \
+             ms/world  events/run {:9.0}",
+            p.nodes,
+            p.side,
+            p.tick_ms.mean(),
+            p.select_ms.mean(),
+            p.events.mean(),
+        );
     }
+    if let Some((base, rest)) = points.split_first() {
+        for p in rest {
+            let node_ratio = p.nodes as f64 / base.nodes as f64;
+            let time_ratio = p.tick_ms.mean() / base.tick_ms.mean().max(1e-9);
+            let _ = writeln!(
+                out,
+                "# n×{node_ratio:.1}: waypoint tick cost ×{time_ratio:.2} (quadratic would be \
+                 ×{:.1})",
+                node_ratio * node_ratio
+            );
+        }
+    }
+    out.push('\n');
+    out
+}
+
+/// The sweep's figure — waypoint and selection wall-clock against the
+/// node count — with its CSV slug.
+pub fn figures(points: &[ScalePoint]) -> Vec<(String, Figure)> {
+    let curve = |stat: fn(&ScalePoint) -> &OnlineStats| {
+        points.iter().map(move |p| (p.nodes as f64, stat(p)))
+    };
+    let series = [
+        ("waypoint ms per simulated second", curve(|p| &p.tick_ms)),
+        ("full-network selection ms (FNBP)", curve(|p| &p.select_ms)),
+    ];
+    let title = "Scale sweep — wall-clock per simulated second vs node count";
+    let fig = Figure::from_stats(title, "nodes", "wall-clock ms", series);
+    vec![("scale_sweep".to_owned(), fig)]
 }
 
 /// Configuration of the live-protocol scale sweep: full HELLO/TC
@@ -308,6 +329,17 @@ pub struct LivePoint {
     pub totals: HotPathCounters,
 }
 
+impl ShardInvariant for LivePoint {
+    fn mask(&mut self) {
+        self.wall_ms_per_sim_s = OnlineStats::new();
+        self.rss_bytes = OnlineStats::new();
+        self.resident_entries = OnlineStats::new();
+        self.resident_bytes = OnlineStats::new();
+        self.totals.resident_entries = 0;
+        self.totals.resident_bytes = 0;
+    }
+}
+
 /// Current process resident set size in bytes (`VmRSS` from
 /// `/proc/self/status`); `None` where procfs is unavailable. RSS is
 /// process-cumulative — allocator high-water marks from earlier work in
@@ -351,70 +383,44 @@ pub fn live_sweep(cfg: &LiveConfig) -> Vec<LivePoint> {
             for run in 0..cfg.runs {
                 let seed = derive_seed(cfg.seed ^ 0x11FE, si, run);
                 let topo = deploy_field(n, side, cfg.radius, cfg.density, &cfg.weights, seed);
-                let mut net = OlsrNetwork::with_exec(
-                    topo,
-                    OlsrConfig::default(),
-                    RadioConfig {
-                        phy: cfg.phy,
-                        ..RadioConfig::default()
-                    },
+                let radio = RadioConfig {
+                    phy: cfg.phy,
+                    ..RadioConfig::default()
+                };
+                let (olsr, fnbp) = (OlsrConfig::default(), SelectorKind::Fnbp);
+                let mut net = live_network(
+                    &topo,
+                    olsr,
+                    radio,
                     seed,
-                    SchedulerKind::default(),
-                    exec_mode(cfg.shards),
-                    |_| SelectorPolicy::new(Fnbp::<BandwidthMetric>::new()),
+                    cfg.shards,
+                    fnbp,
+                    QosMetric::Bandwidth,
                 );
                 net.run_for(SimDuration::from_secs(cfg.warmup_seconds));
-                let engine0 = net.engine_stats();
-                let nodes0 = net.total_stats();
-
-                let started = Instant::now();
-                for _ in 0..cfg.sim_seconds {
-                    net.run_for(SimDuration::from_secs(1));
+                let deliveries0 = net.engine_stats().deliveries;
+                let (ms_per_sim_s, counters) = measured_window(&mut net, cfg.sim_seconds, |net| {
                     let now = net.now();
                     for p in 0..cfg.probes.min(n) {
                         net.node(NodeId(p as u32)).route_count(now);
                     }
-                }
-                let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                point
-                    .wall_ms_per_sim_s
-                    .push(elapsed_ms / cfg.sim_seconds as f64);
-
-                let engine = net.engine_stats();
-                let nodes = net.total_stats();
-                let mut tc_ring_emissions = [0u64; 4];
-                for (delta, (after, before)) in tc_ring_emissions
-                    .iter_mut()
-                    .zip(nodes.tc_sent_ring.iter().zip(nodes0.tc_sent_ring))
-                {
-                    *delta = after - before;
-                }
-                let (res_entries, res_bytes) = net.resident_memory();
-                let counters = HotPathCounters {
-                    events_popped: engine.events - engine0.events,
-                    timers_fired: engine.timers - engine0.timers,
-                    routes_recomputed: nodes.routes_recomputed - nodes0.routes_recomputed,
-                    route_cache_hits: nodes.route_cache_hits - nodes0.route_cache_hits,
-                    tc_ring_emissions,
-                    dup_peek_hits: nodes.dup_peek_hits - nodes0.dup_peek_hits,
-                    bytes_decoded: nodes.bytes_decoded - nodes0.bytes_decoded,
-                    resident_entries: res_entries,
-                    resident_bytes: res_bytes,
-                    malformed_frames: nodes.malformed_frames - nodes0.malformed_frames,
-                };
+                });
+                point.wall_ms_per_sim_s.push(ms_per_sim_s);
                 point.events.push(counters.events_popped as f64);
                 point.timers.push(counters.timers_fired as f64);
                 point
                     .deliveries
-                    .push((engine.deliveries - engine0.deliveries) as f64);
+                    .push((net.engine_stats().deliveries - deliveries0) as f64);
                 point
                     .routes_recomputed
                     .push(counters.routes_recomputed as f64);
                 point
                     .route_cache_hits
                     .push(counters.route_cache_hits as f64);
-                point.resident_entries.push(res_entries as f64);
-                point.resident_bytes.push(res_bytes as f64);
+                point
+                    .resident_entries
+                    .push(counters.resident_entries as f64);
+                point.resident_bytes.push(counters.resident_bytes as f64);
                 if let Some(rss) = process_rss_bytes() {
                     point.rss_bytes.push(rss as f64);
                 }
@@ -425,78 +431,86 @@ pub fn live_sweep(cfg: &LiveConfig) -> Vec<LivePoint> {
         .collect()
 }
 
-/// Runs the live sweep on the configured shard count **and** on one
-/// shard, asserting that every protocol and engine
-/// counter matches exactly — the shard-invariance smoke CI runs with
-/// `--shards 2 --verify-shards`. The resident-memory gauges are the
-/// one legitimate difference (per-shard intern arenas aggregate
-/// differently), so they are excluded from the comparison. Returns the
-/// configured run's points.
-///
-/// # Panics
-///
-/// Panics if any compared counter differs between the two runs.
-pub fn live_sweep_verified(cfg: &LiveConfig) -> Vec<LivePoint> {
-    let sharded = live_sweep(cfg);
-    let reference = live_sweep(&LiveConfig {
-        shards: 1,
-        ..cfg.clone()
-    });
-    // Everything except the store-dependent residency gauges.
-    let comparable = |c: &HotPathCounters| {
-        (
-            c.events_popped,
-            c.timers_fired,
-            c.routes_recomputed,
-            c.route_cache_hits,
-            c.tc_ring_emissions,
-            c.dup_peek_hits,
-            c.bytes_decoded,
-            c.malformed_frames,
-        )
-    };
-    for (s, r) in sharded.iter().zip(&reference) {
-        assert_eq!(
-            comparable(&s.totals),
-            comparable(&r.totals),
-            "n={}: the engine at shards={} diverged from the one-shard run",
-            s.nodes,
-            cfg.shards,
-        );
-        assert_eq!(
-            s.deliveries.mean(),
-            r.deliveries.mean(),
-            "n={}: delivery counts diverged",
-            s.nodes
+/// The text report printed before the live sweep's figure: the run
+/// settings and one counter row per size.
+pub fn live_report(cfg: &LiveConfig, points: &[LivePoint]) -> String {
+    const MIB: f64 = 1024.0 * 1024.0;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# live protocol ({} shard(s), {} radio): {} s warm-up (unmeasured) + {} s measured, \
+         {} probe nodes sampled per simulated second\n",
+        cfg.shards,
+        if matches!(cfg.phy, PhyModel::Lossy(_)) {
+            "lossy"
+        } else {
+            "ideal"
+        },
+        cfg.warmup_seconds,
+        cfg.sim_seconds,
+        cfg.probes
+    );
+    let _ = writeln!(
+        out,
+        "# {:>5}  {:>10}  {:>12}  {:>12}  {:>12}  {:>10}  {:>10}  {:>8}  {:>12}  {:>10}  {:>9}",
+        "n",
+        "ms/sim-s",
+        "events",
+        "timers",
+        "deliveries",
+        "recomputes",
+        "cache-hits",
+        "hit-rate",
+        "res-entries",
+        "res-MiB",
+        "rss-MiB"
+    );
+    for p in points {
+        let rss = if p.rss_bytes.count() == 0 {
+            "-".to_owned()
+        } else {
+            format!("{:.1}", p.rss_bytes.mean() / MIB)
+        };
+        let _ = writeln!(
+            out,
+            "# {:>5}  {:>10.1}  {:>12.0}  {:>12.0}  {:>12.0}  {:>10.1}  {:>10.1}  {:>7.1}%  \
+             {:>12.0}  {:>10.2}  {:>9}",
+            p.nodes,
+            p.wall_ms_per_sim_s.mean(),
+            p.events.mean(),
+            p.timers.mean(),
+            p.deliveries.mean(),
+            p.routes_recomputed.mean(),
+            p.route_cache_hits.mean(),
+            p.totals.route_cache_hit_rate() * 100.0,
+            p.resident_entries.mean(),
+            p.resident_bytes.mean() / MIB,
+            rss,
         );
     }
-    sharded
+    out.push('\n');
+    out
 }
 
-/// Renders the live sweep as a figure (x = node count).
-pub fn live_figure(points: &[LivePoint], title: &str) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "nodes".to_owned(),
-        ylabel: "wall-clock ms per simulated second".to_owned(),
-        series: vec![Series {
-            label: "live protocol ms per simulated second".to_owned(),
-            points: points
-                .iter()
-                .map(|p| Point {
-                    x: p.nodes as f64,
-                    mean: p.wall_ms_per_sim_s.mean(),
-                    ci95: p.wall_ms_per_sim_s.ci95_half_width(),
-                    n: p.wall_ms_per_sim_s.count(),
-                })
-                .collect(),
-        }],
-    }
+/// The live sweep's figure — wall-clock per simulated second against
+/// the node count — with its CSV slug.
+pub fn live_figures(points: &[LivePoint]) -> Vec<(String, Figure)> {
+    let points = points
+        .iter()
+        .map(|p| (p.nodes as f64, &p.wall_ms_per_sim_s));
+    let fig = Figure::from_stats(
+        "Scale sweep (live) — full-protocol wall-clock per simulated second",
+        "nodes",
+        "wall-clock ms per simulated second",
+        [("live protocol ms per simulated second", points)],
+    );
+    vec![("scale_live".to_owned(), fig)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::verify_shards;
 
     #[test]
     fn sweep_produces_a_point_per_size() {
@@ -514,10 +528,16 @@ mod tests {
             assert!(p.tick_ms.mean() >= 0.0);
             assert!(p.events.mean() > 0.0, "world must move at n={n}");
         }
-        let fig = scale_figure(&points, "scale");
+        let (slug, fig) = &figures(&points)[0];
+        assert_eq!(slug, "scale_sweep");
         assert_eq!(fig.series.len(), 2);
         assert_eq!(fig.series[0].points.len(), 2);
-        assert!(fig.render_text().contains("scale"));
+        assert!(fig.render_text().contains("Scale sweep"));
+        assert_eq!(
+            report(&points).lines().count(),
+            4,
+            "two sizes, one ratio, a blank"
+        );
     }
 
     #[test]
@@ -550,9 +570,11 @@ mod tests {
                 "static world: repeated samples must hit the cache (n={n})"
             );
         }
-        let fig = live_figure(&points, "live");
+        let (slug, fig) = &live_figures(&points)[0];
+        assert_eq!(slug, "scale_live");
         assert_eq!(fig.series.len(), 1);
         assert_eq!(fig.series[0].points.len(), 2);
+        assert!(live_report(&cfg, &points).contains("ideal radio"));
     }
 
     #[test]
@@ -581,8 +603,13 @@ mod tests {
             shards: 2,
             ..LiveConfig::new(1)
         };
-        // `live_sweep_verified` asserts counter parity internally.
-        let points = live_sweep_verified(&cfg);
+        // `verify_shards` asserts counter parity internally.
+        let points = verify_shards(cfg.shards, |shards| {
+            live_sweep(&LiveConfig {
+                shards,
+                ..cfg.clone()
+            })
+        });
         assert_eq!(points.len(), 1);
         assert!(points[0].totals.events_popped > 0);
     }
@@ -599,9 +626,14 @@ mod tests {
             phy: PhyModel::Lossy(LossyPhy::with_edge_drop_ppm(400_000)),
             ..LiveConfig::new(1)
         };
-        // `live_sweep_verified` asserts counter parity internally — the
-        // lossy channel must commute with the barrier merge.
-        let points = live_sweep_verified(&cfg);
+        // `verify_shards` asserts counter parity internally — the lossy
+        // channel must commute with the barrier merge.
+        let points = verify_shards(cfg.shards, |shards| {
+            live_sweep(&LiveConfig {
+                shards,
+                ..cfg.clone()
+            })
+        });
         assert!(points[0].totals.events_popped > 0);
     }
 

@@ -25,26 +25,25 @@
 //! Every selector replays the *same* deployments, the same flow set and
 //! the same mobility schedule at every loss level, so curves differ only
 //! by selection policy and channel. The whole experiment runs unchanged
-//! at any engine shard count; [`traffic_experiment_verified`] pins a
-//! sharded run against the one-shard run.
+//! at any engine shard count;
+//! [`verify_shards`](crate::eval::verify_shards) pins a sharded run
+//! against the one-shard run.
+
+use std::fmt::Write as _;
 
 use qolsr_graph::deploy::UniformWeights;
-use qolsr_graph::{NodeId, Topology};
-use qolsr_metrics::{BandwidthMetric, DelayMetric};
-use qolsr_proto::network::OlsrNetwork;
+use qolsr_graph::NodeId;
 use qolsr_proto::OlsrConfig;
-use qolsr_sim::scenario::{GaussMarkovDrift, PoissonChurn, RandomWaypoint, ScenarioBuilder};
 use qolsr_sim::stats::OnlineStats;
-use qolsr_sim::{
-    FlowModel, FlowRecord, FlowSpec, LossyPhy, PhyModel, RadioConfig, Scenario, SchedulerKind,
-    SimDuration, SimRng, SimTime,
-};
+use qolsr_sim::{FlowModel, FlowRecord, FlowSpec, SimDuration, SimRng, SimTime};
 
-use crate::eval::churn::{ChurnMetric, ChurnScenario};
+use crate::eval::churn::ChurnScenario;
 use crate::eval::scale::{deploy_field, field_side};
-use crate::eval::{derive_seed, exec_mode, sharded_runs, EvalMetric, SelectorKind, ShardPlan};
-use crate::policy::SelectorPolicy;
-use crate::report::{Figure, Point, Series};
+use crate::eval::{
+    connected_pairs, derive_seed, live_network, lossy_radio, sweep, Merge, QosMetric, SelectorKind,
+    ShardInvariant,
+};
+use crate::report::Figure;
 
 /// Configuration of the data-plane traffic sweep.
 #[derive(Debug, Clone)]
@@ -94,8 +93,10 @@ pub struct TrafficConfig {
     /// rate and data TTL live in [`OlsrConfig::traffic`]).
     pub olsr: OlsrConfig,
     /// Engine shard count (identical results at any count; see
-    /// [`traffic_experiment_verified`]).
+    /// [`verify_shards`](crate::eval::verify_shards)).
     pub shards: u32,
+    /// The QoS metric the selectors select under.
+    pub metric: QosMetric,
 }
 
 impl TrafficConfig {
@@ -125,28 +126,13 @@ impl TrafficConfig {
             threads: 0,
             olsr: OlsrConfig::default(),
             shards: 1,
-        }
-    }
-
-    fn radio(&self, edge_drop_ppm: u32) -> RadioConfig {
-        RadioConfig {
-            phy: PhyModel::Lossy(LossyPhy {
-                edge_drop_ppm,
-                exponent: self.exponent,
-                capture_window: self.capture_window,
-            }),
-            ..RadioConfig::default()
+            metric: QosMetric::Bandwidth,
         }
     }
 
     /// The instant flows (and mobility) start.
     fn traffic_at(&self) -> SimTime {
         SimTime::ZERO + self.warmup
-    }
-
-    /// The end of the measured window.
-    fn end_at(&self) -> SimTime {
-        SimTime::ZERO + self.warmup + self.measure
     }
 
     /// The flow set over sampled connected endpoint pairs: odd indices
@@ -174,35 +160,6 @@ impl TrafficConfig {
                 start: self.traffic_at(),
             })
             .collect()
-    }
-
-    /// The mobility schedule (when enabled), relative to the traffic
-    /// start; the same build as the churn experiment's.
-    fn build_scenario(&self, topo: &Topology, side: f64, seed: u64) -> Option<Scenario> {
-        let sc = self.mobility?;
-        let mut builder = ScenarioBuilder::new(topo, seed).with(RandomWaypoint::new(
-            (side, side),
-            sc.tick,
-            sc.speed,
-            sc.pause,
-            self.weights,
-        ));
-        if sc.leave_rate > 0.0 {
-            builder = builder.with(PoissonChurn::new(
-                sc.leave_rate,
-                sc.mean_downtime,
-                self.weights,
-            ));
-        }
-        if let Some((alpha, sigma)) = sc.drift {
-            builder = builder.with(GaussMarkovDrift::new(
-                sc.tick,
-                alpha,
-                (self.weights.min, self.weights.max),
-                sigma,
-            ));
-        }
-        Some(builder.generate(self.measure))
     }
 }
 
@@ -281,6 +238,17 @@ pub struct TrafficLevelMeasures {
     pub drops: DropBreakdown,
 }
 
+impl Merge for TrafficLevelMeasures {
+    fn merge(&mut self, other: &Self) {
+        self.delivery.merge(&other.delivery);
+        self.delay_ms.merge(&other.delay_ms);
+        self.p99_delay_ms.merge(&other.p99_delay_ms);
+        self.jitter_ms.merge(&other.jitter_ms);
+        self.hops.merge(&other.hops);
+        self.drops.add(&other.drops);
+    }
+}
+
 /// All measurements of one selector across the sweep.
 #[derive(Debug, Clone)]
 pub struct TrafficMeasures {
@@ -290,38 +258,15 @@ pub struct TrafficMeasures {
     pub per_level: Vec<TrafficLevelMeasures>,
 }
 
-impl TrafficMeasures {
-    fn empty(kind: SelectorKind, levels: &[u32]) -> Self {
-        Self {
-            kind,
-            per_level: levels
-                .iter()
-                .map(|&edge_drop_ppm| TrafficLevelMeasures {
-                    edge_drop_ppm,
-                    delivery: OnlineStats::new(),
-                    delay_ms: OnlineStats::new(),
-                    p99_delay_ms: OnlineStats::new(),
-                    jitter_ms: OnlineStats::new(),
-                    hops: OnlineStats::new(),
-                    drops: DropBreakdown::default(),
-                })
-                .collect(),
-        }
-    }
-
-    fn merge(&mut self, other: &TrafficMeasures) {
-        for (mine, theirs) in self.per_level.iter_mut().zip(&other.per_level) {
-            mine.delivery.merge(&theirs.delivery);
-            mine.delay_ms.merge(&theirs.delay_ms);
-            mine.p99_delay_ms.merge(&theirs.p99_delay_ms);
-            mine.jitter_ms.merge(&theirs.jitter_ms);
-            mine.hops.merge(&theirs.hops);
-            mine.drops.add(&theirs.drops);
-        }
+impl Merge for TrafficMeasures {
+    fn merge(&mut self, other: &Self) {
+        self.per_level.merge(&other.per_level);
     }
 }
 
-/// Runs the traffic sweep under metric `M` for the given selectors.
+impl ShardInvariant for TrafficMeasures {}
+
+/// Runs the traffic sweep for the given selectors.
 ///
 /// Per run one deployment, one flow set and one mobility schedule are
 /// generated (identical across levels and selectors — their seeds depend
@@ -329,114 +274,29 @@ impl TrafficMeasures {
 /// network with the data plane on. Runs shard over worker threads;
 /// per-run results merge in run order, so output is independent of
 /// thread count.
-pub fn traffic_experiment<M: EvalMetric>(
-    cfg: &TrafficConfig,
-    kinds: &[SelectorKind],
-) -> Vec<TrafficMeasures> {
-    let plan = ShardPlan::new(cfg.threads, cfg.runs);
-    let per_run = sharded_runs(cfg.runs, plan.workers, |run| {
-        let mut local: Vec<TrafficMeasures> = kinds
-            .iter()
-            .map(|&k| TrafficMeasures::empty(k, &cfg.levels))
-            .collect();
-        single_traffic_run::<M>(cfg, run, kinds, &mut local);
-        local
-    });
-    let mut totals: Vec<TrafficMeasures> = kinds
-        .iter()
-        .map(|&k| TrafficMeasures::empty(k, &cfg.levels))
-        .collect();
-    for run_measures in per_run {
-        for (total, m) in totals.iter_mut().zip(&run_measures) {
-            total.merge(m);
-        }
-    }
-    totals
+pub fn traffic_experiment(cfg: &TrafficConfig, kinds: &[SelectorKind]) -> Vec<TrafficMeasures> {
+    let empty = || {
+        let level = |&edge_drop_ppm: &u32| TrafficLevelMeasures {
+            edge_drop_ppm,
+            delivery: OnlineStats::new(),
+            delay_ms: OnlineStats::new(),
+            p99_delay_ms: OnlineStats::new(),
+            jitter_ms: OnlineStats::new(),
+            hops: OnlineStats::new(),
+            drops: DropBreakdown::default(),
+        };
+        let measures = |&kind: &SelectorKind| TrafficMeasures {
+            kind,
+            per_level: cfg.levels.iter().map(level).collect(),
+        };
+        kinds.iter().map(measures).collect::<Vec<_>>()
+    };
+    sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
+        single_traffic_run(cfg, run, kinds, accum);
+    })
 }
 
-/// Runs the traffic sweep with the metric chosen at runtime — the
-/// dispatch point behind the `figures traffic --metric` flag.
-pub fn traffic_experiment_with(
-    metric: ChurnMetric,
-    cfg: &TrafficConfig,
-    kinds: &[SelectorKind],
-) -> Vec<TrafficMeasures> {
-    match metric {
-        ChurnMetric::Bandwidth => traffic_experiment::<BandwidthMetric>(cfg, kinds),
-        ChurnMetric::Delay => traffic_experiment::<DelayMetric>(cfg, kinds),
-    }
-}
-
-/// Runs the sweep on the configured shard count *and* on one shard, and
-/// asserts every aggregate — QoS
-/// curves and the exact drop-cause totals — is identical before
-/// returning the sharded result. Data frames ride the same radio path
-/// as control frames, so the barrier merge must commute with queues,
-/// flows and per-hop forwarding too.
-///
-/// # Panics
-///
-/// Panics if the two runs diverge anywhere.
-pub fn traffic_experiment_verified<M: EvalMetric>(
-    cfg: &TrafficConfig,
-    kinds: &[SelectorKind],
-) -> Vec<TrafficMeasures> {
-    let sharded = traffic_experiment::<M>(cfg, kinds);
-    let reference = traffic_experiment::<M>(
-        &TrafficConfig {
-            shards: 1,
-            ..cfg.clone()
-        },
-        kinds,
-    );
-    let stats = |s: &OnlineStats| (s.count(), s.mean().to_bits());
-    for (s, r) in sharded.iter().zip(&reference) {
-        for (a, b) in s.per_level.iter().zip(&r.per_level) {
-            assert_eq!(
-                (
-                    stats(&a.delivery),
-                    stats(&a.delay_ms),
-                    stats(&a.p99_delay_ms),
-                    stats(&a.jitter_ms),
-                    stats(&a.hops),
-                ),
-                (
-                    stats(&b.delivery),
-                    stats(&b.delay_ms),
-                    stats(&b.p99_delay_ms),
-                    stats(&b.jitter_ms),
-                    stats(&b.hops),
-                ),
-                "{} level={}ppm: the engine at shards={} diverged from the one-shard run",
-                s.kind.label(),
-                a.edge_drop_ppm,
-                cfg.shards,
-            );
-            assert_eq!(
-                a.drops,
-                b.drops,
-                "{} level={}ppm: drop-cause breakdown diverged",
-                s.kind.label(),
-                a.edge_drop_ppm,
-            );
-        }
-    }
-    sharded
-}
-
-/// Runtime-metric dispatch of [`traffic_experiment_verified`].
-pub fn traffic_experiment_verified_with(
-    metric: ChurnMetric,
-    cfg: &TrafficConfig,
-    kinds: &[SelectorKind],
-) -> Vec<TrafficMeasures> {
-    match metric {
-        ChurnMetric::Bandwidth => traffic_experiment_verified::<BandwidthMetric>(cfg, kinds),
-        ChurnMetric::Delay => traffic_experiment_verified::<DelayMetric>(cfg, kinds),
-    }
-}
-
-fn single_traffic_run<M: EvalMetric>(
+fn single_traffic_run(
     cfg: &TrafficConfig,
     run: u32,
     kinds: &[SelectorKind],
@@ -455,32 +315,32 @@ fn single_traffic_run<M: EvalMetric>(
     if topo.len() < 4 {
         return;
     }
+    // Endpoints are connected in the initial deployment; mobility may
+    // later disconnect them, and that loss is the measurand.
     let mut rng = SimRng::seed_from_u64(deploy_seed ^ 0xF10A_5EED);
-    let pairs = flow_pairs(&topo, cfg.flows, &mut rng);
+    let pairs = connected_pairs(&topo, cfg.flows, 4096, false, &mut rng);
     if pairs.is_empty() {
         return;
     }
     let flows = cfg.build_flows(&pairs);
-    let scenario = cfg.build_scenario(&topo, side, deploy_seed ^ 0x5CE2_AB1E);
+    // The mobility schedule (when enabled) runs from the traffic start.
+    let scenario = cfg.mobility.map(|sc| {
+        let seed = deploy_seed ^ 0x5CE2_AB1E;
+        sc.build(&topo, (side, side), cfg.weights, cfg.measure, seed)
+    });
 
     for (li, &level) in cfg.levels.iter().enumerate() {
         for (si, &kind) in kinds.iter().enumerate() {
-            let mut net = OlsrNetwork::with_exec(
-                topo.clone(),
-                cfg.olsr,
-                cfg.radio(level),
-                derive_seed(cfg.seed, 1 + li, run),
-                SchedulerKind::default(),
-                exec_mode(cfg.shards),
-                |_| SelectorPolicy::new(kind.instantiate::<M>()),
-            );
+            let radio = lossy_radio(level, cfg.exponent, cfg.capture_window);
+            let seed = derive_seed(cfg.seed, 1 + li, run);
+            let mut net = live_network(&topo, cfg.olsr, radio, seed, cfg.shards, kind, cfg.metric);
             if let Some(sc) = &scenario {
                 net.install_scenario_at(sc, cfg.traffic_at());
             }
             // The flow-arrival/service streams are salted off this seed;
             // level-independent so the same workload hits every channel.
             net.install_flows(&flows, derive_seed(cfg.seed, 0, run));
-            net.run_until(cfg.end_at());
+            net.run_until(cfg.traffic_at() + cfg.measure);
 
             let traffic = net.total_traffic();
             let engine = net.engine_stats();
@@ -519,89 +379,48 @@ fn single_traffic_run<M: EvalMetric>(
     }
 }
 
-/// Uniform distinct connected endpoint pairs of the initial deployment
-/// (mobility may later disconnect them — that loss is the measurand).
-fn flow_pairs(topo: &Topology, count: usize, rng: &mut SimRng) -> Vec<(NodeId, NodeId)> {
-    use qolsr_graph::connectivity::Components;
-    let components = Components::compute(topo);
-    let n = topo.len() as u64;
-    let mut pairs = Vec::with_capacity(count);
-    let mut attempts = 0;
-    while pairs.len() < count && attempts < 4096 {
-        attempts += 1;
-        let s = NodeId(rng.next_below(n) as u32);
-        let t = NodeId(rng.next_below(n) as u32);
-        if s != t && components.connected(s, t) {
-            pairs.push((s, t));
-        }
-    }
-    pairs
-}
-
-fn curve_figure(
-    results: &[TrafficMeasures],
-    title: &str,
-    ylabel: &str,
-    extract: impl Fn(&TrafficLevelMeasures) -> &OnlineStats,
-) -> Figure {
-    Figure {
-        title: title.to_owned(),
-        xlabel: "edge drop probability".to_owned(),
-        ylabel: ylabel.to_owned(),
-        series: results
-            .iter()
-            .map(|r| Series {
-                label: r.kind.label().to_owned(),
-                points: r
-                    .per_level
-                    .iter()
-                    .map(|level| {
-                        let s = extract(level);
-                        Point {
-                            x: f64::from(level.edge_drop_ppm) / 1e6,
-                            mean: s.mean(),
-                            ci95: s.ci95_half_width(),
-                            n: s.count(),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// End-to-end delivery-ratio figure.
-pub fn traffic_delivery_figure(results: &[TrafficMeasures], title: &str) -> Figure {
-    curve_figure(results, title, "end-to-end delivery ratio", |l| &l.delivery)
-}
-
-/// Mean end-to-end delay figure.
-pub fn traffic_delay_figure(results: &[TrafficMeasures], title: &str) -> Figure {
-    curve_figure(results, title, "mean end-to-end delay (ms)", |l| {
-        &l.delay_ms
-    })
-}
-
-/// p99 end-to-end delay figure.
-pub fn traffic_p99_figure(results: &[TrafficMeasures], title: &str) -> Figure {
-    curve_figure(results, title, "p99 end-to-end delay (ms)", |l| {
-        &l.p99_delay_ms
-    })
-}
-
-/// Mean inter-arrival jitter figure.
-pub fn traffic_jitter_figure(results: &[TrafficMeasures], title: &str) -> Figure {
-    curve_figure(results, title, "mean jitter (ms)", |l| &l.jitter_ms)
-}
-
-/// Plain-text drop-cause table (one row per selector per level) for
-/// reports; every row audits `delivered + losses == injected`.
-pub fn drop_report(results: &[TrafficMeasures]) -> String {
-    use std::fmt::Write as _;
+/// The text report printed before the figures: the workload, one QoS
+/// row per (selector, level), then the drop-cause table, whose every
+/// row audits `delivered + losses == injected`.
+pub fn report(cfg: &TrafficConfig, results: &[TrafficMeasures]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<22} {:>8} {:>10} {:>10} {:>9} {:>9} {:>7} {:>7} {:>9} {:>7} {:>7}",
+        "# data plane: n={}, {} flows/world ({} B payload, CBR every {} ms interleaved with \
+         {}-{}-packet bursts every {} ms), mobility={}, {} s warm-up + {} s measured\n",
+        cfg.nodes,
+        cfg.flows,
+        cfg.payload,
+        cfg.cbr_interval.as_micros() / 1_000,
+        cfg.burst.0,
+        cfg.burst.1,
+        cfg.frame_interval.as_micros() / 1_000,
+        cfg.mobility.is_some(),
+        cfg.warmup.as_secs_f64(),
+        cfg.measure.as_secs_f64(),
+    );
+    let _ = writeln!(
+        out,
+        "# {:>9}  {:>32}  {:>9}  {:>10}  {:>10}  {:>10}",
+        "edge-drop", "selector", "delivery", "delay(ms)", "p99(ms)", "jitter(ms)"
+    );
+    for r in results {
+        for level in &r.per_level {
+            let _ = writeln!(
+                out,
+                "# {:>8.2}%  {:>32}  {:>9.3}  {:>10.2}  {:>10.2}  {:>10.2}",
+                f64::from(level.edge_drop_ppm) / 1e4,
+                r.kind.label(),
+                level.delivery.mean(),
+                level.delay_ms.mean(),
+                level.p99_delay_ms.mean(),
+                level.jitter_ms.mean(),
+            );
+        }
+    }
+    let _ = writeln!(
+        out,
+        "\n# {:<22} {:>8} {:>10} {:>10} {:>9} {:>9} {:>7} {:>7} {:>9} {:>7} {:>7}",
         "selector",
         "loss",
         "injected",
@@ -619,7 +438,7 @@ pub fn drop_report(results: &[TrafficMeasures]) -> String {
             let d = &l.drops;
             let _ = writeln!(
                 out,
-                "{:<22} {:>8.2} {:>10} {:>10} {:>9} {:>9} {:>7} {:>7} {:>9} {:>7} {:>7}",
+                "# {:<22} {:>8.2} {:>10} {:>10} {:>9} {:>9} {:>7} {:>7} {:>9} {:>7} {:>7}",
                 r.kind.label(),
                 f64::from(l.edge_drop_ppm) / 1e6,
                 d.injected,
@@ -634,7 +453,51 @@ pub fn drop_report(results: &[TrafficMeasures]) -> String {
             );
         }
     }
+    out.push('\n');
     out
+}
+
+/// The traffic figures — end-to-end delivery ratio, mean and p99 delay
+/// and jitter against the edge drop probability — each with its CSV
+/// slug.
+pub fn figures(cfg: &TrafficConfig, results: &[TrafficMeasures]) -> Vec<(String, Figure)> {
+    let m = cfg.metric.name();
+    let figure =
+        |slug: &str, what: &str, ylabel: &str, stat: fn(&TrafficLevelMeasures) -> &OnlineStats| {
+            let series = results.iter().map(|r| {
+                let points = r
+                    .per_level
+                    .iter()
+                    .map(move |l| (f64::from(l.edge_drop_ppm) / 1e6, stat(l)));
+                (r.kind.label(), points)
+            });
+            let title = format!("Traffic — {what} vs edge drop probability ({m} metric)");
+            let fig = Figure::from_stats(&title, "edge drop probability", ylabel, series);
+            (format!("traffic_{slug}_{m}"), fig)
+        };
+    vec![
+        figure(
+            "delivery",
+            "end-to-end delivery ratio",
+            "end-to-end delivery ratio",
+            |l| &l.delivery,
+        ),
+        figure(
+            "delay",
+            "mean end-to-end delay",
+            "mean end-to-end delay (ms)",
+            |l| &l.delay_ms,
+        ),
+        figure(
+            "p99_delay",
+            "p99 end-to-end delay",
+            "p99 end-to-end delay (ms)",
+            |l| &l.p99_delay_ms,
+        ),
+        figure("jitter", "mean jitter", "mean jitter (ms)", |l| {
+            &l.jitter_ms
+        }),
+    ]
 }
 
 #[cfg(test)]
@@ -659,7 +522,7 @@ mod tests {
     fn static_world_delivers_and_loss_degrades_it() {
         let cfg = tiny_cfg();
         let kinds = [SelectorKind::Fnbp, SelectorKind::QolsrMpr2];
-        let results = traffic_experiment::<BandwidthMetric>(&cfg, &kinds);
+        let results = traffic_experiment(&cfg, &kinds);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert_eq!(r.per_level.len(), 2);
@@ -688,7 +551,7 @@ mod tests {
     #[test]
     fn every_packet_fate_is_accounted() {
         let cfg = tiny_cfg();
-        let results = traffic_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
+        let results = traffic_experiment(&cfg, &[SelectorKind::Fnbp]);
         for l in &results[0].per_level {
             assert_eq!(
                 l.drops.delivered + l.drops.accounted_losses(),
@@ -707,8 +570,8 @@ mod tests {
             ..tiny_cfg()
         };
         let kinds = [SelectorKind::TopologyFiltering];
-        let a = traffic_experiment::<BandwidthMetric>(&cfg, &kinds);
-        let b = traffic_experiment::<BandwidthMetric>(&cfg, &kinds);
+        let a = traffic_experiment(&cfg, &kinds);
+        let b = traffic_experiment(&cfg, &kinds);
         let render = |rs: &[TrafficMeasures]| {
             rs.iter()
                 .flat_map(|r| {
@@ -737,8 +600,8 @@ mod tests {
         one.threads = 1;
         let mut many = tiny_cfg();
         many.threads = 3;
-        let a = traffic_experiment::<BandwidthMetric>(&one, &[SelectorKind::Fnbp]);
-        let b = traffic_experiment::<BandwidthMetric>(&many, &[SelectorKind::Fnbp]);
+        let a = traffic_experiment(&one, &[SelectorKind::Fnbp]);
+        let b = traffic_experiment(&many, &[SelectorKind::Fnbp]);
         for (x, y) in a[0].per_level.iter().zip(&b[0].per_level) {
             assert_eq!(x.delivery.mean(), y.delivery.mean());
             assert_eq!(x.delay_ms.mean(), y.delay_ms.mean());
@@ -749,32 +612,27 @@ mod tests {
     #[test]
     fn figures_and_report_render() {
         let cfg = tiny_cfg();
-        let results = traffic_experiment::<BandwidthMetric>(&cfg, &[SelectorKind::Fnbp]);
-        let d = traffic_delivery_figure(&results, "traffic delivery");
+        let results = traffic_experiment(&cfg, &[SelectorKind::Fnbp]);
+        let figs = figures(&cfg, &results);
+        let slugs: Vec<&str> = figs.iter().map(|(slug, _)| slug.as_str()).collect();
+        assert_eq!(
+            slugs,
+            [
+                "traffic_delivery_bandwidth",
+                "traffic_delay_bandwidth",
+                "traffic_p99_delay_bandwidth",
+                "traffic_jitter_bandwidth"
+            ]
+        );
+        let d = &figs[0].1;
         assert_eq!(d.series.len(), 1);
-        assert!(d.render_text().contains("traffic delivery"));
-        assert!(
-            traffic_delay_figure(&results, "d")
-                .render_csv()
-                .lines()
-                .count()
-                >= 2
-        );
-        assert!(
-            traffic_p99_figure(&results, "p")
-                .render_csv()
-                .lines()
-                .count()
-                >= 2
-        );
-        assert!(
-            traffic_jitter_figure(&results, "j")
-                .render_csv()
-                .lines()
-                .count()
-                >= 2
-        );
-        let report = drop_report(&results);
+        assert!(d
+            .render_text()
+            .contains("end-to-end delivery ratio vs edge drop"));
+        for (_, fig) in &figs {
+            assert!(fig.render_csv().lines().count() >= 2);
+        }
+        let report = report(&cfg, &results);
         assert!(report.contains("no-route"));
         assert!(report.lines().count() >= 3);
     }

@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use qolsr_sim::stats::OnlineStats;
 use serde::Serialize;
 
 /// One data point of a series.
@@ -41,6 +42,42 @@ pub struct Figure {
 }
 
 impl Figure {
+    /// A figure with one series per `(label, points)` entry, each point
+    /// summarising its `(x, stats)` pair by mean, 95% confidence
+    /// half-width and count — how every experiment turns its aggregates
+    /// into curves.
+    pub(crate) fn from_stats<
+        'a,
+        L: Into<String>,
+        P: IntoIterator<Item = (f64, &'a OnlineStats)>,
+    >(
+        title: &str,
+        xlabel: &str,
+        ylabel: &str,
+        series: impl IntoIterator<Item = (L, P)>,
+    ) -> Self {
+        Self {
+            title: title.to_owned(),
+            xlabel: xlabel.to_owned(),
+            ylabel: ylabel.to_owned(),
+            series: series
+                .into_iter()
+                .map(|(label, points)| Series {
+                    label: label.into(),
+                    points: points
+                        .into_iter()
+                        .map(|(x, s)| Point {
+                            x,
+                            mean: s.mean(),
+                            ci95: s.ci95_half_width(),
+                            n: s.count(),
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
     /// Renders an aligned plain-text table, one row per x value and one
     /// column per series.
     pub fn render_text(&self) -> String {

@@ -6,11 +6,8 @@
 mod common;
 
 use common::smoke_config;
-use qolsr::eval::churn::{
-    churn_experiment, churn_experiment_with, staleness_figure, validity_figure, ChurnConfig,
-    ChurnMetric,
-};
-use qolsr::eval::{run_experiment, EvalConfig, SelectorKind};
+use qolsr::eval::churn::{churn_experiment, figures, ChurnConfig};
+use qolsr::eval::{run_experiment, EvalConfig, QosMetric, SelectorKind};
 use qolsr_metrics::{BandwidthMetric, DelayMetric};
 use qolsr_sim::SimDuration;
 
@@ -96,9 +93,8 @@ fn fig7_fig9_delay_shapes() {
 }
 
 /// The delay-metric churn experiment (the `figures churn --metric delay`
-/// path), pinned at its runs=3 smoke scale: structure, sanity bounds,
-/// replay determinism, and agreement between the runtime-metric dispatch
-/// and the direct generic call.
+/// path), pinned at its runs=3 smoke scale: structure, sanity bounds and
+/// replay determinism.
 #[test]
 fn churn_delay_smoke_is_pinned() {
     let cfg = ChurnConfig {
@@ -110,10 +106,11 @@ fn churn_delay_smoke_is_pinned() {
         probes: 4,
         threads: 2,
         seed: 13,
+        metric: QosMetric::Delay,
         ..ChurnConfig::new(3)
     };
     let kinds = [SelectorKind::Fnbp, SelectorKind::TopologyFiltering];
-    let results = churn_experiment_with(ChurnMetric::Delay, &cfg, &kinds);
+    let results = churn_experiment(&cfg, &kinds);
 
     // Structure: one curve per selector, five samples (t = 15..35 s).
     assert_eq!(results.len(), 2);
@@ -136,23 +133,21 @@ fn churn_delay_smoke_is_pinned() {
         assert!(r.per_sample[0].staleness.mean() < 0.1);
     }
 
-    // Pin the rendered output: a replay must be byte-identical, and the
-    // runtime-metric dispatch must equal the direct generic call.
-    let replay = churn_experiment_with(ChurnMetric::Delay, &cfg, &kinds);
-    let direct = churn_experiment::<DelayMetric>(&cfg, &kinds);
+    // Pin the rendered output: a replay must be byte-identical.
+    let replay = churn_experiment(&cfg, &kinds);
     let csv = |rs: &[qolsr::eval::churn::ChurnMeasures]| {
-        format!(
-            "{}{}",
-            validity_figure(rs, "v").render_csv(),
-            staleness_figure(rs, "s").render_csv()
-        )
+        let figs = figures(&cfg, rs);
+        format!("{}{}", figs[0].1.render_csv(), figs[1].1.render_csv())
     };
     assert_eq!(csv(&results), csv(&replay), "replay must be byte-identical");
-    assert_eq!(csv(&results), csv(&direct), "dispatch must match generic");
 
     // The delay metric must actually change selection behavior somewhere
     // in the sweep relative to bandwidth (different QANS orders).
-    let bandwidth = churn_experiment_with(ChurnMetric::Bandwidth, &cfg, &kinds);
+    let bandwidth_cfg = ChurnConfig {
+        metric: QosMetric::Bandwidth,
+        ..cfg.clone()
+    };
+    let bandwidth = churn_experiment(&bandwidth_cfg, &kinds);
     assert_ne!(
         csv(&results),
         csv(&bandwidth),
@@ -176,8 +171,8 @@ fn churn_inner_fanout_is_thread_invariant() {
         seed: 29,
         ..ChurnConfig::new(1)
     };
-    let a = churn_experiment::<BandwidthMetric>(&cfg(1), &[SelectorKind::Fnbp]);
-    let b = churn_experiment::<BandwidthMetric>(&cfg(4), &[SelectorKind::Fnbp]);
+    let a = churn_experiment(&cfg(1), &[SelectorKind::Fnbp]);
+    let b = churn_experiment(&cfg(4), &[SelectorKind::Fnbp]);
     for (x, y) in a[0].per_sample.iter().zip(&b[0].per_sample) {
         assert_eq!(x.validity.mean(), y.validity.mean());
         assert_eq!(x.staleness.mean(), y.staleness.mean());

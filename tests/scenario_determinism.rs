@@ -204,8 +204,8 @@ fn churn_experiment_is_thread_count_invariant() {
         ..ChurnConfig::new(3)
     };
     let kinds = [SelectorKind::Fnbp, SelectorKind::TopologyFiltering];
-    let a = churn_experiment::<BandwidthMetric>(&cfg(1), &kinds);
-    let b = churn_experiment::<BandwidthMetric>(&cfg(4), &kinds);
+    let a = churn_experiment(&cfg(1), &kinds);
+    let b = churn_experiment(&cfg(4), &kinds);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.kind, y.kind);
         for (sx, sy) in x.per_sample.iter().zip(&y.per_sample) {
