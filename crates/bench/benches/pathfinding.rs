@@ -3,11 +3,12 @@
 //! route extraction and the RNG reduction — the inner loops of every
 //! experiment.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use qolsr_bench::{busiest_view, paper_topology, sample_route_pair};
 use qolsr_graph::paths::{best_paths, best_route, first_hop_table};
 use qolsr_graph::reduction::rng_reduce;
-use qolsr_metrics::{BandwidthMetric, DelayMetric};
+use qolsr_graph::LocalView;
+use qolsr_metrics::{BandwidthMetric, DelayMetric, Metric, ResidualEnergyMetric};
 use std::hint::black_box;
 
 fn bench_best_paths(c: &mut Criterion) {
@@ -34,35 +35,27 @@ fn bench_best_paths(c: &mut Criterion) {
 }
 
 fn bench_first_hops(c: &mut Criterion) {
+    /// One table per iteration on the busiest view of the world.
+    fn case<M: Metric>(group: &mut BenchmarkGroup<'_>, id: &str, view: &LocalView) {
+        group.bench_with_input(
+            BenchmarkId::new(format!("{}/local_view", M::NAME), id),
+            view,
+            |b, view| {
+                b.iter(|| black_box(first_hop_table::<M>(view.graph(), view.center_local())));
+            },
+        );
+    }
     let mut group = c.benchmark_group("first_hop_table");
-    for density in [10.0, 20.0, 30.0] {
+    // δ = 35 is the paper's densest world, where a table costs the most.
+    for density in [10.0, 20.0, 30.0, 35.0] {
         let topo = paper_topology(density, 0xF14B);
         let view = busiest_view(&topo);
         let id = format!("d{density}_view{}", view.len());
-        group.bench_with_input(
-            BenchmarkId::new("bandwidth/local_view", &id),
-            &view,
-            |b, view| {
-                b.iter(|| {
-                    black_box(first_hop_table::<BandwidthMetric>(
-                        view.graph(),
-                        view.center_local(),
-                    ))
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("delay/local_view", &id),
-            &view,
-            |b, view| {
-                b.iter(|| {
-                    black_box(first_hop_table::<DelayMetric>(
-                        view.graph(),
-                        view.center_local(),
-                    ))
-                });
-            },
-        );
+        // The two concave metrics read a maximum spanning forest; delay
+        // runs one Dijkstra per neighbor.
+        case::<BandwidthMetric>(&mut group, &id, &view);
+        case::<ResidualEnergyMetric>(&mut group, &id, &view);
+        case::<DelayMetric>(&mut group, &id, &view);
     }
     group.finish();
 }

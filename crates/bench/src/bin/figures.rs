@@ -34,8 +34,13 @@
 //! and the commands that take it. `figures --help` lists them; the
 //! README's cheat sheet describes each. `--verify-shards` works on every
 //! command that takes `--shards`.
+//!
+//! Exit status: 0 on success; 1 on a rejected argument or a failed check,
+//! with an `error:` line on stderr; 141 when stdout closes before the run
+//! ends (`figures … | head`), without a message.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -292,10 +297,36 @@ fn help() -> String {
     )
 }
 
+/// Exit status of a run whose stdout closed before it ended (`figures … |
+/// head`): 128 + SIGPIPE, what a shell reports for a program a closed pipe
+/// killed.
+const EXIT_STDOUT_CLOSED: i32 = 141;
+
+/// Writes to stdout like `print!`, through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// The one writer of everything the binary prints to stdout. A closed
+/// stdout ends the run quietly with [`EXIT_STDOUT_CLOSED`]; any other
+/// write error ends it with status 1 and an `error:` line.
+fn write_stdout(text: std::fmt::Arguments) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(EXIT_STDOUT_CLOSED);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Prints each figure and, given a directory, writes its CSV there.
 fn write_figures(figures: Vec<(String, Figure)>, out_dir: Option<&Path>) {
     for (slug, fig) in figures {
-        println!("{}", fig.render_text());
+        out!("{}\n", fig.render_text());
         let Some(dir) = out_dir else { continue };
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -303,7 +334,7 @@ fn write_figures(figures: Vec<(String, Figure)>, out_dir: Option<&Path>) {
         }
         let path = dir.join(format!("{slug}.csv"));
         match std::fs::write(&path, fig.render_csv()) {
-            Ok(()) => println!("# wrote {}\n", path.display()),
+            Ok(()) => out!("# wrote {}\n\n", path.display()),
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
     }
@@ -316,7 +347,7 @@ fn sharded<T: ShardInvariant>(args: &Args, shards: u32, experiment: impl Fn(u32)
         return experiment(shards);
     }
     let results = verify_shards(shards, experiment);
-    println!("# shard verification ok: every curve and counter identical to the one-shard run\n");
+    out!("# shard verification ok: every curve and counter identical to the one-shard run\n\n");
     results
 }
 
@@ -338,9 +369,11 @@ fn main() -> ExitCode {
         threads: args.get("--threads").unwrap_or(defaults.threads),
         ..defaults
     };
-    println!(
-        "# qolsr-rs figure harness — runs={} seed={:#x} strategy={:?}\n",
-        opts.runs, opts.seed, opts.strategy
+    out!(
+        "# qolsr-rs figure harness — runs={} seed={:#x} strategy={:?}\n\n",
+        opts.runs,
+        opts.seed,
+        opts.strategy
     );
     match run(&args, &opts) {
         Ok(()) => ExitCode::SUCCESS,
@@ -362,7 +395,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
     let metric = args.get("--metric").unwrap_or_default();
     let shards = args.get("--shards").unwrap_or(1);
     match args.command.as_str() {
-        "help" => println!("{}", help()),
+        "help" => out!("{}\n", help()),
         cmd @ ("fig6" | "fig7" | "fig8" | "fig9" | "all") => {
             let mut figures = Vec::new();
             if matches!(cmd, "fig6" | "fig8" | "all") {
@@ -415,7 +448,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
                     ..cfg.clone()
                 })
             });
-            print!("{}", overhead::report(&cfg, &points));
+            out!("{}", overhead::report(&cfg, &points));
             emit(overhead::figures(&points));
         }
         "loss" => {
@@ -446,7 +479,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
                     kinds,
                 )
             });
-            print!("{}", loss::report(&cfg, &results));
+            out!("{}", loss::report(&cfg, &results));
             emit(loss::figures(&cfg, &results));
         }
         "faults" => {
@@ -474,7 +507,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
                         kinds,
                     )
                 });
-                print!("{}", faults::report(&cfg, &results));
+                out!("{}", faults::report(&cfg, &results));
                 emit(faults::figures(&cfg, &results));
             }
         }
@@ -501,7 +534,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
                     kinds,
                 )
             });
-            print!("{}", traffic::report(&cfg, &results));
+            out!("{}", traffic::report(&cfg, &results));
             emit(traffic::figures(&cfg, &results));
         }
         "scale" if args.on("--live") => {
@@ -524,7 +557,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
                     ..cfg.clone()
                 })
             });
-            print!("{}", scale::live_report(&cfg, &points));
+            out!("{}", scale::live_report(&cfg, &points));
             emit(scale::live_figures(&points));
             if let Some(budget) = args.get::<u64>("--max-resident-bytes") {
                 for p in &points {
@@ -537,7 +570,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
                         ));
                     }
                 }
-                println!("# resident budget ok: all sizes under {budget} bytes\n");
+                out!("# resident budget ok: all sizes under {budget} bytes\n\n");
             }
         }
         "scale" => {
@@ -546,7 +579,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
             cfg.threads = opts.threads;
             cfg.sizes = args.list("--sizes").unwrap_or(cfg.sizes);
             let points = scale::scale_sweep(&cfg);
-            print!("{}", scale::report(&points));
+            out!("{}", scale::report(&points));
             emit(scale::figures(&points));
         }
         other => return Err(format!("unknown command {other}")),

@@ -1,7 +1,8 @@
-//! The `figures` binary's exit codes on bad input: a rejected argument
-//! exits 1 with an `error:` line, never a panic.
+//! The `figures` binary's exit codes: a rejected argument exits 1 with an
+//! `error:` line, and a closed stdout ends the run with 141; never a panic.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn figures(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
@@ -36,4 +37,27 @@ fn misplaced_and_unknown_flags_exit_1() {
     let (code, stderr) = figures(&["fig6", "--bogus"]);
     assert_eq!(code, Some(1));
     assert!(stderr.contains("unknown argument: --bogus"), "{stderr}");
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // `figures scale … | head -n 1`: the reader goes away after the
+    // header, while the sweep (a few hundred ms) still runs, so the
+    // report meets a closed pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["scale", "--runs", "1", "--sizes", "1000", "--no-csv"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the figures binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut first)
+        .expect("the header line arrives");
+    assert!(first.starts_with("# qolsr-rs figure harness"), "{first}");
+    let out = child.wait_with_output().expect("the figures binary ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

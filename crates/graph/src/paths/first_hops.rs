@@ -16,11 +16,41 @@
 //! fP(u, v)    = { w : extend( qos(u, w), best_{G − u}(w, v) ) = best(u, v) }
 //! ```
 //!
-//! which costs one Dijkstra per neighbor of `u` — cheap on the 2-hop local
-//! views where the paper's algorithms run, and verified against brute-force
-//! path enumeration in the property tests.
+//! The metric kinds differ only in how they obtain `best_{G − u}(w, ·)` for
+//! the `d` usable neighbors `w` of `u`, over the `n` nodes and `m` links of
+//! the graph:
+//!
+//! * **Concave** metrics (bandwidth, residual energy) read it off one
+//!   maximum spanning forest of `G − u`. Kruskal builds the forest from the
+//!   usable links of `G − u`, sorted best first; `best_{G − u}(w, v)` is
+//!   then the worst link on the forest path from `w` to `v` (the
+//!   minimax-path property). That path is a path of `G − u`, and no other
+//!   `w → v` path does better: removing its worst link cuts the tree in
+//!   two, every `w → v` path crosses that cut, and Kruskal would have
+//!   taken a crossing link strictly better than the worst one before it.
+//!   Links that tie change which forest is built, never the values read
+//!   from it, and only values are compared, so the sets are exact for
+//!   every forest. The argument needs [`MetricKind::Concave`]'s law:
+//!   `extend` keeps the worse of its two arguments. Cost: one sort of the
+//!   links plus one `O(n)` walk per neighbor, `O(m log m + d·n)`.
+//! * **Additive** metrics (delay) and **composite** (lexicographic) ones
+//!   run one Dijkstra on `G − u` per neighbor, `O(d·m log n)`. The forest
+//!   argument fails for them: a sum is worse than each of its links, and
+//!   a componentwise pair can equal neither of its inputs, so a path is
+//!   not as good as its worst link and the best paths of different
+//!   sources share no one tree. For additive metrics the per-neighbor
+//!   Dijkstra is exact; for lexicographic ones it is exact in the primary
+//!   criterion only, since a lexicographically better path can extend to
+//!   a worse one.
+//!
+//! Both feed the same candidate fold, and the table stores every `fP` set
+//! in one flat array. The tests check both paths against brute-force path
+//! enumeration and, on paper-sized views, against the per-neighbor
+//! Dijkstra decomposition.
 
-use qolsr_metrics::Metric;
+use std::cmp::Ordering;
+
+use qolsr_metrics::{Metric, MetricKind};
 
 use crate::compact::CompactGraph;
 use crate::paths::dijkstra::best_paths_avoiding;
@@ -49,7 +79,9 @@ use crate::paths::dijkstra::best_paths_avoiding;
 pub struct FirstHopTable<M: Metric> {
     center: u32,
     best: Vec<M::Value>,
-    hops: Vec<Vec<u32>>,
+    /// `fP(u, v)` is `hops[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    hops: Vec<u32>,
 }
 
 impl<M: Metric> FirstHopTable<M> {
@@ -67,19 +99,20 @@ impl<M: Metric> FirstHopTable<M> {
     /// The first-hop set `fP(u, v)`, sorted ascending. Empty for the
     /// center itself and for unreachable targets.
     pub fn first_hops(&self, v: u32) -> &[u32] {
-        &self.hops[v as usize]
+        let v = v as usize;
+        &self.hops[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Returns `true` if `v` is reachable from the center.
     pub fn reachable(&self, v: u32) -> bool {
-        !self.hops[v as usize].is_empty()
+        !self.first_hops(v).is_empty()
     }
 
     /// Returns `true` if the direct link `(u, v)` lies on an optimal path,
     /// i.e. `v ∈ fP(u, v)` — the paper's criterion for *not* selecting an
     /// extra advertised neighbor for a 1-hop neighbor.
     pub fn direct_link_is_optimal(&self, v: u32) -> bool {
-        self.hops[v as usize].binary_search(&v).is_ok()
+        self.first_hops(v).binary_search(&v).is_ok()
     }
 }
 
@@ -92,46 +125,159 @@ impl<M: Metric> FirstHopTable<M> {
 pub fn first_hop_table<M: Metric>(g: &CompactGraph, u: u32) -> FirstHopTable<M> {
     assert!((u as usize) < g.len(), "center out of range");
     let n = g.len();
-    let mut best = vec![M::no_path(); n];
-    let mut hops: Vec<Vec<u32>> = vec![Vec::new(); n];
-    best[u as usize] = M::empty_path();
+    // The usable links out of u, in ascending neighbor order.
+    let firsts: Vec<(u32, M::Value)> = g
+        .neighbors(u)
+        .iter()
+        .filter_map(|&(w, qos)| {
+            let link = M::link_value(&qos);
+            M::is_reachable(link).then_some((w, link))
+        })
+        .collect();
+    let d = firsts.len();
 
-    // Candidate values via each neighbor w: qos(u,w) extended by the best
-    // path w → v in G − u.
-    for &(w, qos) in g.neighbors(u) {
-        let link = M::link_value(&qos);
-        if !M::is_reachable(link) {
-            continue;
+    // cands[v * d + i] = extend(qos(u, w_i), best_{G − u}(w_i, v)), the
+    // best value of a path to v through the first hop w_i = firsts[i];
+    // no_path where w_i does not reach v. best[v] folds them as they come,
+    // in ascending i for each v, so the first strictly best one sets it.
+    let mut cands = vec![M::no_path(); n * d];
+    let mut best = vec![M::no_path(); n];
+    let mut offer = |i: usize, v: u32, sub: M::Value| {
+        let cand = M::extend(firsts[i].1, sub);
+        if M::is_reachable(cand) {
+            cands[v as usize * d + i] = cand;
+            best[v as usize] = M::best(best[v as usize], cand);
         }
-        let sub = best_paths_avoiding::<M>(g, w, Some(u));
-        for v in 0..n as u32 {
-            if v == u || !sub.reachable(v) {
-                continue;
-            }
-            let cand = M::extend(link, sub.value(v));
-            if !M::is_reachable(cand) {
-                continue;
-            }
-            let slot = &mut best[v as usize];
-            if M::better(cand, *slot) {
-                *slot = cand;
-                hops[v as usize].clear();
-                hops[v as usize].push(w);
-            } else if !M::better(*slot, cand) {
-                // Tie: w is the first hop of another optimal path.
-                hops[v as usize].push(w);
+    };
+    match M::kind() {
+        MetricKind::Concave => forest_walks::<M>(g, u, &firsts, &mut offer),
+        MetricKind::Additive | MetricKind::Composite => {
+            for (i, &(w, _)) in firsts.iter().enumerate() {
+                let sub = best_paths_avoiding::<M>(g, w, Some(u));
+                for v in (0..n as u32).filter(|&v| v != u && sub.reachable(v)) {
+                    offer(i, v, sub.value(v));
+                }
             }
         }
     }
 
-    // Neighbor iteration order is ascending, so each `hops[v]` is sorted.
-    debug_assert!(hops.iter().all(|h| h.windows(2).all(|w| w[0] < w[1])));
+    // fP(u, v): every first hop whose candidate ties a reachable best[v],
+    // in ascending order. The center is never offered, so its row stays
+    // no_path and its set empty.
+    best[u as usize] = M::empty_path();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut hops = Vec::with_capacity(n);
+    offsets.push(0);
+    for (v, &top) in best.iter().enumerate() {
+        if M::is_reachable(top) {
+            let row = &cands[v * d..(v + 1) * d];
+            let ties = firsts.iter().zip(row).filter(|&(_, &c)| !M::better(top, c));
+            hops.extend(ties.map(|(&(w, _), _)| w));
+        }
+        offsets.push(u32::try_from(hops.len()).expect("first-hop entries fit in u32"));
+    }
 
     FirstHopTable {
         center: u,
         best,
+        offsets,
         hops,
     }
+}
+
+/// Calls `offer(i, v, best_{G − u}(w_i, v))` for every first hop
+/// `w_i = firsts[i]` and every node `v` that `w_i` reaches in `G − u`,
+/// reading each value as the worst link on the path from `w_i` to `v` in
+/// one maximum spanning forest of `G − u`.
+fn forest_walks<M: Metric>(
+    g: &CompactGraph,
+    u: u32,
+    firsts: &[(u32, M::Value)],
+    offer: &mut impl FnMut(usize, u32, M::Value),
+) {
+    let n = g.len();
+    let mut links: Vec<(M::Value, u32, u32)> = Vec::new();
+    for a in (0..n as u32).filter(|&a| a != u) {
+        for &(b, qos) in g.neighbors(a) {
+            let link = M::link_value(&qos);
+            if a < b && b != u && M::is_reachable(link) {
+                debug_assert!(
+                    M::better_or_equal(M::empty_path(), link),
+                    "concave law: the empty path is at least as good as every link"
+                );
+                links.push((link, a, b));
+            }
+        }
+    }
+    links.sort_unstable_by(|x, y| {
+        if M::better(x.0, y.0) {
+            Ordering::Less
+        } else if M::better(y.0, x.0) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    });
+
+    // Kruskal: keep a link iff it joins two trees (union-find with path
+    // halving).
+    fn find(root: &mut [u32], mut x: u32) -> u32 {
+        while root[x as usize] != x {
+            root[x as usize] = root[root[x as usize] as usize];
+            x = root[x as usize];
+        }
+        x
+    }
+    let mut root: Vec<u32> = (0..n as u32).collect();
+    links.retain(|&(_, a, b)| {
+        let (ra, rb) = (find(&mut root, a), find(&mut root, b));
+        root[ra as usize] = rb;
+        ra != rb
+    });
+
+    // The forest as adjacency rows: row x is adj[start[x]..start[x + 1]].
+    let mut start = vec![0u32; n + 1];
+    for &(_, a, b) in &links {
+        start[a as usize] += 1;
+        start[b as usize] += 1;
+    }
+    for x in 1..=n {
+        start[x] += start[x - 1];
+    }
+    let mut adj = vec![(0u32, M::no_path()); 2 * links.len()];
+    for &(link, a, b) in &links {
+        for (x, y) in [(a, b), (b, a)] {
+            start[x as usize] -= 1;
+            adj[start[x as usize] as usize] = (y, link);
+        }
+    }
+
+    // One walk per first hop. The center has no forest links, so it
+    // doubles as the "no parent" mark of each walk's root.
+    let mut stack: Vec<(u32, u32, M::Value)> = Vec::new();
+    for (i, &(w, _)) in firsts.iter().enumerate() {
+        stack.push((w, u, M::empty_path()));
+        while let Some((x, parent, value)) = stack.pop() {
+            offer(i, x, value);
+            let row = &adj[start[x as usize] as usize..start[x as usize + 1] as usize];
+            for &(y, link) in row.iter().filter(|&&(y, _)| y != parent) {
+                let next = M::extend(value, link);
+                debug_assert!(
+                    keeps_the_worse::<M>(value, link, next),
+                    "concave law: extend keeps the worse of path and link"
+                );
+                stack.push((y, x, next));
+            }
+        }
+    }
+}
+
+/// The law of [`MetricKind::Concave`] for one step: `extended` is one of
+/// `path` and `link`, and better than neither.
+fn keeps_the_worse<M: Metric>(path: M::Value, link: M::Value, extended: M::Value) -> bool {
+    (extended == path || extended == link)
+        && !M::better(extended, path)
+        && !M::better(extended, link)
 }
 
 #[cfg(test)]

@@ -12,6 +12,13 @@ pub enum MetricKind {
     /// Path value is the sum of link values (delay, jitter, loss).
     Additive,
     /// Path value is the minimum of link values (bandwidth, buffers, energy).
+    ///
+    /// The law the code relies on, for every path value `a` and link value
+    /// `l`: `extend(a, l)` is whichever of `a` and `l` is not better, and
+    /// [`Metric::empty_path`] is at least as good as every link value. Under
+    /// it a path is exactly as good as its worst link, so best paths can be
+    /// read off a maximum spanning forest, which is how `qolsr-graph`
+    /// computes first-hop sets for concave metrics.
     Concave,
     /// Lexicographic combination of two metrics (the paper's future-work
     /// multi-criterion direction).
@@ -271,6 +278,24 @@ mod tests {
             DelayMetric::extend(Delay(5), Delay(2)),
             Delay(5)
         ));
+    }
+
+    #[test]
+    fn concave_extend_keeps_the_worse_value() {
+        fn law<M: Metric>(values: &[M::Value]) {
+            assert_eq!(M::kind(), MetricKind::Concave);
+            for &l in values {
+                assert!(M::better_or_equal(M::empty_path(), l), "{l:?}");
+                for &a in values {
+                    let e = M::extend(a, l);
+                    assert!(e == a || e == l, "extend({a:?}, {l:?}) = {e:?}");
+                    assert!(!M::better(e, a) && !M::better(e, l), "extend({a:?}, {l:?})");
+                }
+            }
+        }
+        let raw = [0, 1, 2, 7, 100, u64::MAX - 1, u64::MAX];
+        law::<BandwidthMetric>(&raw.map(Bandwidth));
+        law::<ResidualEnergyMetric>(&raw.map(Energy));
     }
 
     #[test]
