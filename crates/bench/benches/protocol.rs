@@ -3,9 +3,10 @@
 //! wire codec, the routing-table hot path (from-scratch interned BFS vs
 //! the `BTreeMap` reference vs the incremental cache, the latter also
 //! over the shared store at one mobile node's scale), HELLO/TC table
-//! integration throughput, and the engine's timer wheel against a plain
-//! binary heap, its bench-local baseline, under a HELLO/TC-like timer
-//! mix.
+//! integration throughput, the TC receive path's per-originator lookups
+//! under a flood's cold caches, and the engine's timer wheel against a
+//! plain binary heap, its bench-local baseline, under a HELLO/TC-like
+//! timer mix.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -361,6 +362,67 @@ fn bench_table_integration(c: &mut Criterion) {
     group.finish();
 }
 
+/// The TC receive path's per-originator lookups at `flood-1000`'s
+/// scale: 1000 bases on one seeded store, each holding all 1000
+/// originators. Each iteration visits every base once, round-robin,
+/// asking each about another originator, so every lookup starts on
+/// cache lines the other bases' lookups evicted — as on the live
+/// receive path, where consecutive deliveries go to different nodes.
+/// Times are per 1000 lookups.
+fn bench_topology_lookup(c: &mut Criterion) {
+    const N: u32 = 1000;
+    let mut group = c.benchmark_group("topology_lookup");
+    group.sample_size(10);
+    let now = SimTime::ZERO;
+    let hold = now + SimDuration::from_secs(15);
+    let store = SharedLinkStore::seeded((0..N).map(NodeId));
+    let sets: Vec<Vec<(NodeId, LinkQos)>> = (0..N)
+        .map(|o| {
+            vec![
+                (NodeId((o + 1) % N), LinkQos::uniform(3)),
+                (NodeId((o + 2) % N), LinkQos::uniform(5)),
+            ]
+        })
+        .collect();
+    let mut bases: Vec<SharedTopology> =
+        (0..N).map(|_| SharedTopology::new(store.clone())).collect();
+    for base in &mut bases {
+        for (o, set) in sets.iter().enumerate() {
+            base.process_tc_tracked(NodeId(o as u32), 1, 1, set, now, hold);
+        }
+    }
+    // The originator base `i` is asked about in round `round`: 617 is
+    // coprime to N, so one round asks every base about another one.
+    let orig = |i: usize, round: u32| (i as u32 * 617 + round) % N;
+    group.bench_function("accepts_ansn_1000_bases_round_robin", |b| {
+        let mut round = 0;
+        b.iter(|| {
+            round += 1;
+            bases
+                .iter()
+                .enumerate()
+                .filter(|&(i, base)| base.accepts_ansn(NodeId(orig(i, round)), 1, now))
+                .count()
+        });
+    });
+    group.bench_function("process_tc_refresh_1000_bases_round_robin", |b| {
+        let mut round = 0;
+        b.iter(|| {
+            round += 1;
+            bases
+                .iter_mut()
+                .enumerate()
+                .map(|(i, base)| {
+                    let o = orig(i, round);
+                    let up = base.process_tc_tracked(NodeId(o), 1, 1, &sets[o as usize], now, hold);
+                    usize::from(up.applied)
+                })
+                .sum::<usize>()
+        });
+    });
+    group.finish();
+}
+
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Clone, Copy)]
 struct BenchEvent {
     time: u64,
@@ -464,6 +526,7 @@ criterion_group!(
     bench_compute_routes,
     bench_route_cache,
     bench_table_integration,
+    bench_topology_lookup,
     bench_scheduler
 );
 criterion_main!(benches);

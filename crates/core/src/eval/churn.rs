@@ -400,6 +400,7 @@ pub fn probe_route<P: AdvertisePolicy>(net: &OlsrNetwork<P>, s: NodeId, t: NodeI
 /// selection drift — each with its CSV slug.
 pub fn figures(cfg: &ChurnConfig, results: &[ChurnMeasures]) -> Vec<(String, Figure)> {
     let m = cfg.metric.name();
+    let d = cfg.density;
     let figure =
         |slug: &str, title: String, ylabel: &str, stat: fn(&ChurnSample) -> &OnlineStats| {
             let series = results.iter().map(|r| {
@@ -413,20 +414,20 @@ pub fn figures(cfg: &ChurnConfig, results: &[ChurnMeasures]) -> Vec<(String, Fig
         figure(
             "route_validity",
             format!(
-                "Churn — route validity over time (waypoint + churn + drift, δ=10, {m} metric)"
+                "Churn — route validity over time (waypoint + churn + drift, δ={d}, {m} metric)"
             ),
             "route validity (hop-by-hop delivery)",
             |s| &s.validity,
         ),
         figure(
             "advertised_staleness",
-            format!("Churn — advertised-set staleness over time (δ=10, {m} metric)"),
+            format!("Churn — advertised-set staleness over time (δ={d}, {m} metric)"),
             "stale advertised-link fraction",
             |s| &s.staleness,
         ),
         figure(
             "selection_drift",
-            format!("Churn — selection drift vs current ground truth (δ=10, {m} metric)"),
+            format!("Churn — selection drift vs current ground truth (δ={d}, {m} metric)"),
             "selection drift vs current ground truth (Jaccard)",
             |s| &s.drift,
         ),
@@ -504,6 +505,7 @@ pub fn leave_rate_figures(
     results: &[LeaveRateMeasures],
 ) -> Vec<(String, Figure)> {
     let m = cfg.metric.name();
+    let d = cfg.density;
     let figure =
         |slug: &str, title: String, ylabel: &str, stat: fn(&LeaveRatePoint) -> &OnlineStats| {
             let series = results.iter().map(|r| {
@@ -517,7 +519,7 @@ pub fn leave_rate_figures(
         figure(
             "validity",
             format!(
-                "Churn — route validity vs departure rate (waypoint + churn + drift, δ=10, \
+                "Churn — route validity vs departure rate (waypoint + churn + drift, δ={d}, \
                  {m} metric)"
             ),
             "route validity (hop-by-hop delivery)",
@@ -525,7 +527,7 @@ pub fn leave_rate_figures(
         ),
         figure(
             "staleness",
-            format!("Churn — advertised-set staleness vs departure rate (δ=10, {m} metric)"),
+            format!("Churn — advertised-set staleness vs departure rate (δ={d}, {m} metric)"),
             "stale advertised-link fraction",
             |s| &s.staleness,
         ),

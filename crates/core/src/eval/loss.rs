@@ -262,9 +262,13 @@ fn advertised_sets(net: &LiveNetwork) -> Vec<BTreeSet<NodeId>> {
 /// one row per (selector, level).
 pub fn report(cfg: &LossConfig, results: &[LossMeasures]) -> String {
     let mut out = String::new();
+    let falloff = match cfg.exponent {
+        2 => "quadratic falloff".to_owned(),
+        e => format!("falloff exponent {e}"),
+    };
     let _ = writeln!(
         out,
-        "# lossy radio: n={}, quadratic falloff, {} µs capture window, hysteresis={}, \
+        "# lossy radio: n={}, {falloff}, {} µs capture window, hysteresis={}, \
          etx={}; {} probe pairs sampled every {} s over {} s measured\n",
         cfg.nodes,
         cfg.capture_window.as_micros(),

@@ -1,14 +1,20 @@
 //! Persistent dense [`NodeId`] interning for the interned link-state
 //! store.
 //!
-//! [`InternTable`] is an arrival-order interner for long-lived state (the
-//! shared [`LinkSetStore`]): ids keep their dense index for the lifetime
-//! of the table, so per-originator bookkeeping can live in flat `Vec`s
-//! indexed by dense id instead of maps keyed by `NodeId`. The route BFS
+//! [`InternTable`] is an arrival-order interner for long-lived state: ids
+//! keep their dense index for the lifetime of the table, so
+//! per-originator bookkeeping can live in flat `Vec`s indexed by dense
+//! id instead of maps keyed by `NodeId`. The shared [`LinkSetStore`]
+//! owns one table as its originator numbering, which indexes both its
+//! own dedup lists and every node's topology overlays. A network's
+//! stores intern the topology's node ids first, in ascending order
+//! ([`SharedLinkStore::seeded`]), so dense order is id order there and
+//! every store of one network numbers those ids alike. The route BFS
 //! interns per computation through its own hashed table in
 //! [`RouteScratch`].
 //!
 //! [`LinkSetStore`]: crate::store::LinkSetStore
+//! [`SharedLinkStore::seeded`]: crate::store::SharedLinkStore::seeded
 //! [`RouteScratch`]: crate::routing::RouteScratch
 
 use qolsr_graph::NodeId;
@@ -19,7 +25,9 @@ use qolsr_graph::NodeId;
 /// Lookup is a binary search over a sorted `(id, dense)` index — ids
 /// are interned rarely (once per node ever seen) while lookups run on
 /// the hot path, so the flat sorted index beats a hash map on both
-/// memory and cache behaviour at the sizes involved.
+/// memory and cache behaviour at the sizes involved. One store's index
+/// is shared by all the nodes on it, so the TC receive path finds it
+/// in cache.
 ///
 /// # Examples
 ///

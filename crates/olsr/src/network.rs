@@ -77,6 +77,9 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
     /// so shard threads never contend on a store lock. Store gauges
     /// therefore aggregate differently across shard counts — they are
     /// the one observable excluded from the shard-invariance contract.
+    /// Every arena is seeded with the topology's node ids, so all of
+    /// them number originators alike and a re-homed node's topology
+    /// walks keep their order.
     pub fn with_exec(
         topology: Topology,
         config: OlsrConfig,
@@ -89,7 +92,9 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
         // Mirror the engine's shard-count clamp so the arena table and
         // the shard map always agree.
         let k = (exec.shards() as usize).min(topology.len().max(1));
-        let stores: Arc<[SharedLinkStore]> = (0..k).map(|_| SharedLinkStore::new()).collect();
+        let stores: Arc<[SharedLinkStore]> = (0..k)
+            .map(|_| SharedLinkStore::seeded(topology.nodes()))
+            .collect();
         let sim = Simulator::with_shards(topology, radio, seed, exec.shards(), |id, shard| {
             OlsrNode::with_store_table(id, config, policy(id), stores.clone(), shard)
         });

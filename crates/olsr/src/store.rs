@@ -14,6 +14,22 @@
 //! per emission, with nodes keeping only a per-originator
 //! `(ansn, expiry, set reference)` overlay — see [`SharedTopology`].
 //!
+//! # One originator numbering
+//!
+//! The store numbers every originator it meets ([`InternTable`]), and
+//! each node's overlays sit in a flat array indexed by that number, so
+//! the receive path's ANSN check is one lookup in the store's shared
+//! index plus one array access. A network seeds each of its stores
+//! ([`SharedLinkStore::seeded`]) with the topology's node ids in
+//! ascending order: index order is then id order, so walking a node's
+//! array visits originators ascending, and every store of the network
+//! numbers its ids alike — a node re-homed onto another shard's store
+//! keeps the same visit order. Ids outside the seed (only a corrupted
+//! frame that passes the checksum mints one) get later numbers in
+//! arrival order; each node keeps the ones it holds in a short list
+//! sorted by id and merges them into its walks, so visit order never
+//! depends on the order in which a store met its originators.
+//!
 //! # Packing
 //!
 //! A slot's payload is the advertised list sorted ascending by id,
@@ -104,8 +120,9 @@ pub struct SetRef(u32);
 /// One interned advertised set.
 #[derive(Debug, Default)]
 struct Slot {
-    /// Dedup key: the emission this payload came from.
-    orig: NodeId,
+    /// Dedup key: the emission this payload came from, its originator
+    /// by the store's number.
+    origin: u32,
     seq: u16,
     /// Live references (0 = free).
     refs: u32,
@@ -138,9 +155,13 @@ pub struct StoreGauges {
 /// the same instance.
 #[derive(Debug, Default)]
 pub struct LinkSetStore {
-    /// Originator → dense index for the per-originator dedup lists.
+    /// The originator numbering (see the [module docs](self)): indexes
+    /// the dedup lists here and every node's overlay array.
     intern: InternTable,
-    /// Dense originator → `(seq, slot)` pairs, ascending by raw seq.
+    /// How many ids [`SharedLinkStore::seeded`] numbered up front;
+    /// below it, index order is ascending id order.
+    seeded: usize,
+    /// Originator number → `(seq, slot)` pairs, ascending by raw seq.
     /// Exact-match lookups only, so raw-u16 order is wraparound-safe.
     by_origin: Vec<Vec<(u16, u32)>>,
     slots: Vec<Slot>,
@@ -170,9 +191,15 @@ impl LinkSetStore {
     /// refcount is bumped; a key hit with *different* content (wrapped
     /// sequence space) allocates a fresh slot and repoints the key.
     pub fn acquire(&mut self, orig: NodeId, seq: u16, links: &[(NodeId, LinkQos)]) -> SetRef {
+        let origin = self.intern.intern(orig);
+        self.acquire_numbered(origin, seq, links)
+    }
+
+    /// [`LinkSetStore::acquire`] for the originator numbered `origin`.
+    fn acquire_numbered(&mut self, origin: u32, seq: u16, links: &[(NodeId, LinkQos)]) -> SetRef {
         let mut packed = std::mem::take(&mut self.encode_buf);
         encode_links(links, &mut packed);
-        let dense = self.intern.intern(orig) as usize;
+        let dense = origin as usize;
         if self.by_origin.len() <= dense {
             self.by_origin.resize_with(dense + 1, Vec::new);
         }
@@ -190,20 +217,20 @@ impl LinkSetStore {
                     // space wrapped while the old emission is still
                     // referenced. Repoint the key at a fresh slot; the
                     // old one stays alive under its references.
-                    let fresh = self.alloc(orig, seq, links.len() as u32, packed);
+                    let fresh = self.alloc(origin, seq, links.len() as u32, packed);
                     self.by_origin[dense][i].1 = fresh.0;
                     fresh
                 }
             }
             Err(i) => {
-                let fresh = self.alloc(orig, seq, links.len() as u32, packed);
+                let fresh = self.alloc(origin, seq, links.len() as u32, packed);
                 self.by_origin[dense].insert(i, (seq, fresh.0));
                 fresh
             }
         }
     }
 
-    fn alloc(&mut self, orig: NodeId, seq: u16, links: u32, packed: Vec<u8>) -> SetRef {
+    fn alloc(&mut self, origin: u32, seq: u16, links: u32, packed: Vec<u8>) -> SetRef {
         self.payload_bytes += packed.len();
         self.resident_links += links as usize;
         self.slots_interned += 1;
@@ -213,7 +240,7 @@ impl LinkSetStore {
                 // Reclaim the retained buffer for the encode scratch.
                 self.encode_buf = std::mem::replace(&mut s.packed, packed);
                 self.encode_buf.clear();
-                s.orig = orig;
+                s.origin = origin;
                 s.seq = seq;
                 s.refs = 1;
                 s.links = links;
@@ -221,8 +248,9 @@ impl LinkSetStore {
             }
             None => {
                 let slot = self.slots.len() as u32;
+                assert!(slot < VACANT.set.0, "slot index collides with the sentinel");
                 self.slots.push(Slot {
-                    orig,
+                    origin,
                     seq,
                     refs: 1,
                     links,
@@ -254,15 +282,12 @@ impl LinkSetStore {
         self.payload_bytes -= s.packed.len();
         self.resident_links -= s.links as usize;
         s.packed.clear();
-        let (orig, seq) = (s.orig, s.seq);
         // Unregister the dedup key — unless a wrapped sequence space
         // already repointed it at a newer slot.
-        if let Some(dense) = self.intern.get(orig) {
-            let list = &mut self.by_origin[dense as usize];
-            if let Ok(i) = list.binary_search_by_key(&seq, |e| e.0) {
-                if list[i].1 == r.0 {
-                    list.remove(i);
-                }
+        let list = &mut self.by_origin[s.origin as usize];
+        if let Ok(i) = list.binary_search_by_key(&s.seq, |e| e.0) {
+            if list[i].1 == r.0 {
+                list.remove(i);
             }
         }
         self.free.push(r.0);
@@ -291,16 +316,6 @@ impl LinkSetStore {
             out.push((orig, adv, qos));
         }
         debug_assert_eq!(pos, buf.len(), "payload fully consumed");
-    }
-
-    /// Appends the advertised ids of the referenced set, ascending.
-    pub fn ids_append(&self, r: SetRef, out: &mut Vec<NodeId>) {
-        // One push at a time, not `extend`: reserving the exact length
-        // up front would grow `out` to other capacities, and callers'
-        // footprints report those.
-        for id in self.ids(r) {
-            out.push(id);
-        }
     }
 
     /// The advertised ids of the referenced set, ascending: a walk over
@@ -351,6 +366,27 @@ impl SharedLinkStore {
         Self::default()
     }
 
+    /// Creates a handle to an empty store whose originator numbering
+    /// starts with `ids`, numbered 0, 1, … in the order given (see the
+    /// [module docs](self)). A network seeds every one of its stores
+    /// with its node ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` do not ascend strictly.
+    pub fn seeded(ids: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut st = LinkSetStore::new();
+        let mut last = None;
+        for id in ids {
+            assert!(last < Some(id), "seed ids must ascend strictly");
+            last = Some(id);
+            st.intern.intern(id);
+        }
+        st.seeded = st.intern.len();
+        st.by_origin.resize_with(st.seeded, Vec::new);
+        Self(Arc::new(Mutex::new(st)))
+    }
+
     pub(crate) fn lock(&self) -> MutexGuard<'_, LinkSetStore> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -361,24 +397,41 @@ impl SharedLinkStore {
     }
 }
 
-/// One node's per-originator overlay over the shared store.
+/// One node's overlay for one originator, at the originator's number in
+/// the store: 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Overlay {
-    orig: NodeId,
-    /// Latest accepted ANSN of `orig`.
-    ansn: u16,
     /// Validity horizon of the whole set *and* the ANSN record — one
     /// instant, because a TC stamps every tuple it carries with the
     /// same hold time (the invariant the overlay representation rests
-    /// on).
+    /// on). [`VACANT`]'s is [`SimTime::ZERO`], so an originator the node
+    /// holds nothing of reads as expired.
     until: SimTime,
+    /// The advertised set; [`VACANT`]'s is a sentinel no slot carries.
     set: SetRef,
+    /// Latest accepted ANSN of the originator.
+    ansn: u16,
+}
+
+/// The entry of an originator the node holds no overlay for.
+const VACANT: Overlay = Overlay {
+    until: SimTime::ZERO,
+    set: SetRef(u32::MAX),
+    ansn: 0,
+};
+
+const _: () = assert!(std::mem::size_of::<Overlay>() == 16);
+
+impl Overlay {
+    fn held(&self) -> bool {
+        self.set != VACANT.set
+    }
 }
 
 /// Store-backed topology base: the node keeps only `(ansn, expiry,
-/// set reference)` overlays, one per originator, while the advertised
-/// sets themselves live deduplicated in the network's
-/// [`SharedLinkStore`].
+/// set reference)` overlays, one per originator in an array indexed by
+/// the store's originator numbering, while the advertised sets
+/// themselves live deduplicated in the network's [`SharedLinkStore`].
 ///
 /// Semantics are pinned ≡ the per-node reference tables — now a
 /// test-only oracle — by differential proptests and full-network
@@ -387,14 +440,19 @@ struct Overlay {
 #[derive(Debug)]
 pub struct SharedTopology {
     store: SharedLinkStore,
-    /// Overlays ascending by originator.
+    /// Overlays indexed by the store's originator numbering, [`VACANT`]
+    /// where none is held.
     overlays: Vec<Overlay>,
+    /// Overlays held.
+    held: usize,
+    /// The held originators numbered past the store's seeded range,
+    /// ascending by id, with their numbers: walks merge them into the
+    /// seeded range, whose numbering already ascends with the id.
+    unseeded: Vec<(NodeId, u32)>,
     /// Stored links across all overlays (including expired-but-unswept).
     count: usize,
     /// Scratch for sorting/deduplicating an incoming advertised list.
     scratch: Vec<(NodeId, LinkQos)>,
-    /// Scratch for decoding the previous set during change tracking.
-    old_ids: Vec<NodeId>,
 }
 
 impl SharedTopology {
@@ -403,9 +461,10 @@ impl SharedTopology {
         Self {
             store,
             overlays: Vec::new(),
+            held: 0,
+            unseeded: Vec::new(),
             count: 0,
             scratch: Vec::new(),
-            old_ids: Vec::new(),
         }
     }
 
@@ -419,10 +478,11 @@ impl SharedTopology {
     /// record treated as absent (a silent-past-hold originator is
     /// re-learned from any ANSN, e.g. after a power cycle reset it).
     pub fn accepts_ansn(&self, originator: NodeId, ansn: u16, now: SimTime) -> bool {
-        match self.overlays.binary_search_by_key(&originator, |o| o.orig) {
-            Ok(i) => self.overlays[i].until <= now || !seq_newer(self.overlays[i].ansn, ansn),
-            Err(_) => true,
-        }
+        let number = self.store.lock().intern.get(originator);
+        let o = number
+            .and_then(|i| self.overlays.get(i as usize))
+            .unwrap_or(&VACANT);
+        o.until <= now || !seq_newer(o.ansn, ansn)
     }
 
     /// Integrates the TC of emission `(originator, seq)` carrying
@@ -442,15 +502,16 @@ impl SharedTopology {
         now: SimTime,
         hold_until: SimTime,
     ) -> TcUpdate {
-        let slot = self.overlays.binary_search_by_key(&originator, |o| o.orig);
-        if let Ok(i) = slot {
-            let o = &self.overlays[i];
-            if o.until > now && seq_newer(o.ansn, ansn) {
-                return TcUpdate {
-                    applied: false,
-                    links_changed: false,
-                };
-            }
+        let mut st = self.store.lock();
+        // Numbering an unknown originator here is no waste: nothing is
+        // held against it, so its TC is applied.
+        let i = st.intern.intern(originator) as usize;
+        let old = self.overlays.get(i).copied().unwrap_or(VACANT);
+        if old.until > now && seq_newer(old.ansn, ansn) {
+            return TcUpdate {
+                applied: false,
+                links_changed: false,
+            };
         }
         // Sort the incoming list by advertised id, keeping the *last*
         // occurrence of duplicate ids (map-insert semantics).
@@ -466,42 +527,33 @@ impl SharedTopology {
             }
         });
 
-        let mut st = self.store.lock();
-        let links_changed = match slot {
-            Ok(i) if self.overlays[i].until > now => {
-                self.old_ids.clear();
-                st.ids_append(self.overlays[i].set, &mut self.old_ids);
-                !self
-                    .old_ids
-                    .iter()
-                    .copied()
-                    .eq(self.scratch.iter().map(|&(n, _)| n))
-            }
+        let links_changed = if old.until > now {
+            !st.ids(old.set).eq(self.scratch.iter().map(|&(n, _)| n))
+        } else {
             // No live previous set: changed iff the new set is nonempty
             // (an empty set replaced by an empty set is no change).
-            _ => !self.scratch.is_empty(),
+            !self.scratch.is_empty()
         };
-        let fresh = st.acquire(originator, seq, &self.scratch);
+        let fresh = st.acquire_numbered(i as u32, seq, &self.scratch);
         self.count += self.scratch.len();
-        match slot {
-            Ok(i) => {
-                let o = &mut self.overlays[i];
-                self.count -= st.link_count(o.set);
-                let old = std::mem::replace(&mut o.set, fresh);
-                st.release(old);
-                o.ansn = ansn;
-                o.until = hold_until;
+        if old.held() {
+            self.count -= st.link_count(old.set);
+            st.release(old.set);
+        } else {
+            if self.overlays.len() <= i {
+                self.overlays.resize((i + 1).max(st.seeded), VACANT);
             }
-            Err(i) => self.overlays.insert(
-                i,
-                Overlay {
-                    orig: originator,
-                    ansn,
-                    until: hold_until,
-                    set: fresh,
-                },
-            ),
+            if i >= st.seeded {
+                let at = self.unseeded.partition_point(|&(id, _)| id < originator);
+                self.unseeded.insert(at, (originator, i as u32));
+            }
+            self.held += 1;
         }
+        self.overlays[i] = Overlay {
+            until: hold_until,
+            set: fresh,
+            ansn,
+        };
         TcUpdate {
             applied: true,
             links_changed,
@@ -513,28 +565,67 @@ impl SharedTopology {
     /// about it (set, ANSN record, store slot when last-referenced) is
     /// reclaimed.
     pub fn sweep(&mut self, now: SimTime) {
-        if self.overlays.iter().all(|o| o.until > now) {
-            return;
-        }
         let mut st = self.store.lock();
-        let count = &mut self.count;
-        self.overlays.retain(|o| {
-            if o.until > now {
-                return true;
+        for o in &mut self.overlays {
+            if o.held() && o.until <= now {
+                self.count -= st.link_count(o.set);
+                st.release(o.set);
+                *o = VACANT;
+                self.held -= 1;
             }
-            *count -= st.link_count(o.set);
-            st.release(o.set);
-            false
-        });
+        }
+        let overlays = &self.overlays;
+        self.unseeded.retain(|&(_, i)| overlays[i as usize].held());
     }
 
     /// Releases every overlay (node reboot).
     pub fn clear(&mut self) {
         let mut st = self.store.lock();
         for o in self.overlays.drain(..) {
-            st.release(o.set);
+            if o.held() {
+                st.release(o.set);
+            }
         }
+        self.unseeded.clear();
+        self.held = 0;
         self.count = 0;
+    }
+
+    /// Calls `visit(originator, set)` for every live overlay with a
+    /// nonempty set, ascending by originator — the seeded range in
+    /// array order merged with the unseeded list; returns the earliest
+    /// expiry among them (far-future when there are none).
+    fn for_each_live(
+        &self,
+        st: &LinkSetStore,
+        now: SimTime,
+        mut visit: impl FnMut(NodeId, SetRef),
+    ) -> SimTime {
+        let mut min_expiry = FAR_FUTURE;
+        // A vacant entry's `until` is zero, so it fails the first test
+        // and its sentinel set is never read.
+        let mut live = |orig: NodeId, o: &Overlay| {
+            if o.until > now && st.link_count(o.set) > 0 {
+                visit(orig, o.set);
+                min_expiry = min_expiry.min(o.until);
+            }
+        };
+        let seeded = self.overlays.len().min(st.seeded);
+        let mut unseeded = self.unseeded.iter().peekable();
+        for (i, o) in self.overlays[..seeded].iter().enumerate() {
+            if o.until <= now {
+                continue;
+            }
+            let orig = st.intern.resolve(i as u32);
+            while let Some(&(id, j)) = unseeded.next_if(|e| e.0 < orig) {
+                live(id, &self.overlays[j as usize]);
+            }
+            live(orig, o);
+        }
+        for &(id, j) in unseeded {
+            live(id, &self.overlays[j as usize]);
+        }
+        min_expiry
     }
 
     /// Fills `out` with all live advertised links as
@@ -543,15 +634,8 @@ impl SharedTopology {
     /// them (far-future when empty).
     pub fn links_into(&self, now: SimTime, out: &mut Vec<(NodeId, NodeId, LinkQos)>) -> SimTime {
         out.clear();
-        let mut min_expiry = FAR_FUTURE;
         let st = self.store.lock();
-        for o in &self.overlays {
-            if o.until > now && st.link_count(o.set) > 0 {
-                st.links_append(o.set, o.orig, out);
-                min_expiry = min_expiry.min(o.until);
-            }
-        }
-        min_expiry
+        self.for_each_live(&st, now, |orig, set| st.links_append(set, orig, out))
     }
 
     /// Calls `visit(originator, advertised)` for every live advertised
@@ -563,17 +647,12 @@ impl SharedTopology {
         now: SimTime,
         mut visit: impl FnMut(NodeId, NodeId),
     ) -> SimTime {
-        let mut min_expiry = FAR_FUTURE;
         let st = self.store.lock();
-        for o in &self.overlays {
-            if o.until > now && st.link_count(o.set) > 0 {
-                for adv in st.ids(o.set) {
-                    visit(o.orig, adv);
-                }
-                min_expiry = min_expiry.min(o.until);
+        self.for_each_live(&st, now, |orig, set| {
+            for adv in st.ids(set) {
+                visit(orig, adv);
             }
-        }
-        min_expiry
+        })
     }
 
     /// All live advertised links as `(originator, advertised, qos)`.
@@ -595,18 +674,18 @@ impl SharedTopology {
 
     /// Overlays currently held (one per originator).
     pub fn originators(&self) -> usize {
-        self.overlays.len()
+        self.held
     }
 
-    /// Node-local resident footprint: overlay entries and the bytes of
-    /// the overlay vector plus scratch buffers. The shared packed sets
-    /// are **not** included — they are network-level state reported
-    /// once through [`SharedLinkStore::gauges`].
+    /// Node-local resident footprint: overlays held, and the bytes of
+    /// the overlay array, the unseeded list and the scratch buffer. The
+    /// shared packed sets are **not** included — they are network-level
+    /// state reported once through [`SharedLinkStore::gauges`].
     pub fn footprint(&self) -> (usize, usize) {
         let bytes = self.overlays.capacity() * std::mem::size_of::<Overlay>()
-            + self.scratch.capacity() * std::mem::size_of::<(NodeId, LinkQos)>()
-            + self.old_ids.capacity() * std::mem::size_of::<NodeId>();
-        (self.overlays.len(), bytes)
+            + self.unseeded.capacity() * std::mem::size_of::<(NodeId, u32)>()
+            + self.scratch.capacity() * std::mem::size_of::<(NodeId, LinkQos)>();
+        (self.held, bytes)
     }
 }
 
@@ -677,12 +756,8 @@ mod tests {
         // Same key, different payload: must NOT alias.
         let b = st.acquire(NodeId(1), 7, &[(NodeId(3), q(1))]);
         assert_ne!(a, b);
-        let mut out = Vec::new();
-        st.ids_append(a, &mut out);
-        assert_eq!(out, vec![NodeId(2)]);
-        out.clear();
-        st.ids_append(b, &mut out);
-        assert_eq!(out, vec![NodeId(3)]);
+        assert_eq!(st.ids(a).collect::<Vec<_>>(), vec![NodeId(2)]);
+        assert_eq!(st.ids(b).collect::<Vec<_>>(), vec![NodeId(3)]);
         // The key now points at b; releasing a must not unregister it.
         st.release(a);
         let c = st.acquire(NodeId(1), 7, &[(NodeId(3), q(1))]);
@@ -699,9 +774,7 @@ mod tests {
         st.release(a);
         let b = st.acquire(NodeId(9), 4, &[(NodeId(3), q(2)), (NodeId(8), q(2))]);
         assert_eq!(st.slots.len(), 1, "slot recycled");
-        let mut out = Vec::new();
-        st.ids_append(b, &mut out);
-        assert_eq!(out, vec![NodeId(3), NodeId(8)]);
+        assert_eq!(st.ids(b).collect::<Vec<_>>(), vec![NodeId(3), NodeId(8)]);
     }
 
     #[test]
@@ -833,10 +906,8 @@ mod tests {
             st.links_append(r, NodeId(7), &mut triples);
             let expected: Vec<_> = links.iter().map(|&(adv, qos)| (NodeId(7), adv, qos)).collect();
             prop_assert_eq!(triples, expected);
-            let mut ids = Vec::new();
-            st.ids_append(r, &mut ids);
             let expected_ids: Vec<NodeId> = links.iter().map(|&(adv, _)| adv).collect();
-            prop_assert_eq!(ids, expected_ids);
+            prop_assert_eq!(st.ids(r).collect::<Vec<_>>(), expected_ids);
 
             let mut prev = 0;
             let fields_len: usize = links

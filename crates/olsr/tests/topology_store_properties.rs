@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_proto::store::SharedTopology;
-use qolsr_proto::tables::{seq_newer, DuplicateSet};
+use qolsr_proto::tables::{seq_newer, DuplicateSet, TopologyLinks};
 use qolsr_proto::SharedLinkStore;
 use qolsr_sim::{SimDuration, SimTime};
 use support::topology_base::TopologyBase;
@@ -114,6 +114,14 @@ fn sorted_links(mut links: Vec<(NodeId, NodeId, LinkQos)>) -> Vec<(NodeId, NodeI
     links
 }
 
+/// The `(originator, advertised)` pairs a base's key walk visits, in
+/// visit order, and the min-expiry it returns.
+fn link_keys(base: &impl TopologyLinks, now: SimTime) -> (Vec<(NodeId, NodeId)>, SimTime) {
+    let mut keys = Vec::new();
+    let horizon = base.for_each_link_key(now, |orig, adv| keys.push((orig, adv)));
+    (keys, horizon)
+}
+
 /// The duplicate-set oracle: a naive map from `(originator, seq)` to
 /// `(hold horizon, forwarded)` with RFC 3626 §3.4 semantics — `fresh`
 /// refreshes the horizon, `mark_forwarded` keeps it.
@@ -160,16 +168,26 @@ fn dup_slots(dup: &DuplicateSet) -> usize {
 proptest! {
     /// Shared-store topology ≡ per-node reference after arbitrary
     /// TC/sweep/reboot histories — per-op return values, the ANSN
-    /// accept predicate, and the full link view all byte-identical.
-    /// A second receiver rides the same store to prove sharing does
-    /// not leak state between overlays.
+    /// accept predicate, the held originators, the full link view and
+    /// the key walk's order and horizon all identical. A second
+    /// receiver rides the same store to prove sharing does not leak
+    /// state between overlays. A third mirrors the first on a store
+    /// seeded with a generated part of the id range, so some
+    /// originators are numbered up front and the rest on arrival: its
+    /// walks must still ascend by originator, as the oracle's do.
     #[test]
     fn shared_store_equals_per_node_after_arbitrary_histories(
-        ops in proptest::collection::vec(op(), 1..50)
+        ops in proptest::collection::vec(op(), 1..50),
+        seed_mask in 0u8..128,
     ) {
         let store = SharedLinkStore::new();
         let mut shared_a = SharedTopology::new(store.clone());
         let mut shared_b = SharedTopology::new(store.clone());
+        // Bit `i` of the mask seeds id `i`: any subset of the
+        // originators 1..=5, plus ids no TC originates from.
+        let seed = (0..7).filter(|i| seed_mask >> i & 1 == 1).map(NodeId);
+        let seeded_store = SharedLinkStore::seeded(seed);
+        let mut shared_c = SharedTopology::new(seeded_store.clone());
         let mut per_node_a = TopologyBase::new();
         let mut per_node_b = TopologyBase::new();
         let mut now = SimTime::ZERO;
@@ -184,9 +202,16 @@ proptest! {
                         per_node_a.accepts_ansn(o, ansn, now),
                         "accept predicate diverged at {}", now
                     );
+                    prop_assert_eq!(
+                        shared_c.accepts_ansn(o, ansn, now),
+                        per_node_a.accepts_ansn(o, ansn, now),
+                        "seeded accept predicate diverged at {}", now
+                    );
                     let su = shared_a.process_tc_tracked(o, seq, ansn, &adv, now, hold);
+                    let su_c = shared_c.process_tc_tracked(o, seq, ansn, &adv, now, hold);
                     let pu = per_node_a.process_tc_tracked(o, ansn, &adv, now, hold);
                     prop_assert_eq!(su, pu, "TcUpdate diverged at {}", now);
+                    prop_assert_eq!(su_c, pu, "seeded TcUpdate diverged at {}", now);
                     // Receiver B sees the same flood one delivery later.
                     let su_b = shared_b.process_tc_tracked(o, seq, ansn, &adv, now, hold);
                     let pu_b = per_node_b.process_tc_tracked(o, ansn, &adv, now, hold);
@@ -195,12 +220,14 @@ proptest! {
                 Op::Sweep => {
                     shared_a.sweep(now);
                     shared_b.sweep(now);
+                    shared_c.sweep(now);
                     per_node_a.sweep(now);
                     per_node_b.sweep(now);
                 }
                 Op::Advance(secs) => now += SimDuration::from_secs(secs),
                 Op::Reboot => {
                     shared_a.clear();
+                    shared_c.clear();
                     per_node_a.clear();
                 }
             }
@@ -216,11 +243,27 @@ proptest! {
                 sorted_links(per_node_b.links(now)),
                 "receiver B link views diverged at {}", now
             );
+            prop_assert_eq!(shared_c.links(now), per_node_a.links(now), "seeded link view at {}", now);
+            prop_assert_eq!(shared_c.len(), per_node_a.len());
+            for (shared, per_node) in [
+                (&shared_a, &per_node_a),
+                (&shared_b, &per_node_b),
+                (&shared_c, &per_node_a),
+            ] {
+                prop_assert_eq!(shared.originators(), per_node.originators(), "originators at {}", now);
+                prop_assert_eq!(
+                    link_keys(shared, now),
+                    link_keys(per_node, now),
+                    "key walk diverged at {}", now
+                );
+            }
         }
-        // Releasing every overlay must drain the store completely.
+        // Releasing every overlay must drain the stores completely.
         shared_a.clear();
         shared_b.clear();
+        shared_c.clear();
         prop_assert_eq!(store.gauges().live_slots, 0, "store leaked slots");
+        prop_assert_eq!(seeded_store.gauges().live_slots, 0, "seeded store leaked slots");
     }
 
     /// The ANSN accept/reject rule (with the reboot fix: an *expired*
@@ -685,4 +728,53 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
         dup_set.fresh(o, 0, dup_hold(t3)),
         "seq 0 reusable post-hold"
     );
+}
+
+/// Two stores seeded alike meet their originators in opposite orders,
+/// including two ids outside the seed, so those two get different
+/// numbers on each. A base on either store that learns the same TCs
+/// must still walk the same `(originator, advertised)` sequence,
+/// ascending as the oracle's: a node that churn re-homes onto another
+/// shard's store keeps its route inputs, which is what shard-count
+/// invariance rests on.
+#[test]
+fn visit_order_does_not_depend_on_store_arrival_order() {
+    let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+    let hold = t(10);
+    let seeded = || SharedLinkStore::seeded((0..8).map(NodeId));
+    let (store_x, store_y) = (seeded(), seeded());
+    // Ids 20 and 50 lie outside the seed.
+    let met = [3u32, 50, 1, 7, 20];
+    let mut other_x = SharedTopology::new(store_x.clone());
+    let mut other_y = SharedTopology::new(store_y.clone());
+    for &o in &met {
+        let adv = advertised_links(&[o + 1]);
+        other_x.process_tc_tracked(NodeId(o), 1, 1, &adv, t(0), hold);
+    }
+    for &o in met.iter().rev() {
+        let adv = advertised_links(&[o + 1]);
+        other_y.process_tc_tracked(NodeId(o), 1, 1, &adv, t(0), hold);
+    }
+
+    let mut x = SharedTopology::new(store_x);
+    let mut y = SharedTopology::new(store_y);
+    let mut oracle = TopologyBase::new();
+    for (seq, o) in [50u32, 7, 20, 1, 3, 6].into_iter().enumerate() {
+        let adv = advertised_links(&[o + 2, o + 1]);
+        let seq = seq as u16;
+        x.process_tc_tracked(NodeId(o), seq, 1, &adv, t(1), hold);
+        y.process_tc_tracked(NodeId(o), seq, 1, &adv, t(1), hold);
+        oracle.process_tc_tracked(NodeId(o), 1, &adv, t(1), hold);
+    }
+    let walk = link_keys(&x, t(2));
+    assert_eq!(
+        walk,
+        link_keys(&y, t(2)),
+        "stores met the ids in other orders"
+    );
+    assert_eq!(walk, link_keys(&oracle, t(2)));
+    let origins: Vec<u32> = walk.0.iter().map(|&(o, _)| o.0).step_by(2).collect();
+    assert_eq!(origins, [1, 3, 6, 7, 20, 50]);
+    assert_eq!(x.links(t(2)), y.links(t(2)));
+    assert_eq!(x.links(t(2)), oracle.links(t(2)));
 }

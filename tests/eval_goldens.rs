@@ -107,8 +107,8 @@ fn tiny_churn(metric: QosMetric) -> ChurnConfig {
 #[test]
 fn churn_over_time_matches_golden() {
     for (metric, golden) in [
-        (QosMetric::Bandwidth, 0x66e56b8349886929),
-        (QosMetric::Delay, 0x127a1d9d95491111),
+        (QosMetric::Bandwidth, 0xd3321612e22b0d7e),
+        (QosMetric::Delay, 0xa3ef2332ed43d9de),
     ] {
         let cfg = tiny_churn(metric);
         let results = churn::churn_experiment(&cfg, &SelectorKind::PAPER);
@@ -120,8 +120,8 @@ fn churn_over_time_matches_golden() {
 #[test]
 fn churn_over_leave_rate_matches_golden() {
     for (metric, golden) in [
-        (QosMetric::Bandwidth, 0x1e22ad9987013603),
-        (QosMetric::Delay, 0x5501d187d24fd7a6),
+        (QosMetric::Bandwidth, 0xa3569d0069d483a5),
+        (QosMetric::Delay, 0xd34850975afb6b44),
     ] {
         let cfg = tiny_churn(metric);
         let results = churn::leave_rate_sweep(&cfg, &[0.0, 0.4], &SelectorKind::PAPER);
@@ -238,8 +238,8 @@ fn live_scale_matches_golden_without_wall_clock_or_rss() {
         capture_window: SimDuration::from_micros(150),
     });
     for (phy, golden) in [
-        (PhyModel::Ideal, 0xc6de0bfb87cafa72),
-        (lossy, 0x9d787e88005464d4),
+        (PhyModel::Ideal, 0x26c26372a716f436),
+        (lossy, 0xb8827f3ed3e89349),
     ] {
         let cfg = LiveConfig {
             sizes: vec![40, 60],

@@ -163,8 +163,10 @@ fn shared_store_replays_per_node_exactly() {
 /// base (and the capacity it retains): the one-shard run's per-node
 /// footprint and store gauges equal the values recorded from the
 /// single-queue engine, which never re-bound a rejoining node. The
-/// duplicate bytes are those of the flat duplicate table. The scenario
-/// power-cycles node 3.
+/// duplicate bytes are those of the flat duplicate table, the topology
+/// bytes those of the overlay arrays indexed by the store's seeded
+/// originator numbering, and the store's resident bytes those of its
+/// seeded numbering. The scenario power-cycles node 3.
 #[test]
 fn one_shard_churn_keeps_the_single_queue_footprint() {
     let footprint =
@@ -185,18 +187,18 @@ fn one_shard_churn_keeps_the_single_queue_footprint() {
     let golden = [
         (
             1,
-            footprint(823, 38_416, 4292, 68_004),
-            gauges(36, 65, 6308, 4087, 211),
+            footprint(823, 35_264, 4292, 68_004),
+            gauges(36, 65, 5636, 4087, 211),
         ),
         (
             7,
-            footprint(830, 38_064, 4458, 69_768),
-            gauges(36, 62, 6296, 4247, 217),
+            footprint(830, 34_880, 4458, 69_768),
+            gauges(36, 62, 5624, 4247, 217),
         ),
         (
             0x51C0_2010,
-            footprint(825, 35_008, 4413, 68_352),
-            gauges(37, 68, 6304, 4204, 217),
+            footprint(825, 30_976, 4413, 68_352),
+            gauges(37, 68, 5632, 4204, 217),
         ),
     ];
     for (seed, want_footprint, want_gauges) in golden {
