@@ -375,7 +375,7 @@ fn bench_topology_lookup(c: &mut Criterion) {
     group.sample_size(10);
     let now = SimTime::ZERO;
     let hold = now + SimDuration::from_secs(15);
-    let store = SharedLinkStore::seeded((0..N).map(NodeId));
+    let store = SharedLinkStore::seeded(N as usize);
     let sets: Vec<Vec<(NodeId, LinkQos)>> = (0..N)
         .map(|o| {
             vec![

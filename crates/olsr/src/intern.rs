@@ -5,12 +5,11 @@
 //! keep their dense index for the lifetime of the table, so
 //! per-originator bookkeeping can live in flat `Vec`s indexed by dense
 //! id instead of maps keyed by `NodeId`. The shared [`LinkSetStore`]
-//! owns one table as its originator numbering, which indexes both its
-//! own dedup lists and every node's topology overlays. A network's
-//! stores intern the topology's node ids first, in ascending order
-//! ([`SharedLinkStore::seeded`]), so dense order is id order there and
-//! every store of one network numbers those ids alike. The route BFS
-//! interns per computation through its own hashed table in
+//! owns one table as its originator numbering, which indexes its dedup
+//! lists. A network's stores intern the ids `0..n` first, in ascending
+//! order ([`SharedLinkStore::seeded`]), so each of those ids is its own
+//! dense index and every store of one network numbers them alike. The
+//! route BFS interns per computation through its own hashed table in
 //! [`RouteScratch`].
 //!
 //! [`LinkSetStore`]: crate::store::LinkSetStore

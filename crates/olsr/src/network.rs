@@ -77,7 +77,7 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
     /// so shard threads never contend on a store lock. Store gauges
     /// therefore aggregate differently across shard counts — they are
     /// the one observable excluded from the shard-invariance contract.
-    /// Every arena is seeded with the topology's node ids, so all of
+    /// Every arena is seeded with the topology's node count, so all of
     /// them number originators alike and a re-homed node's topology
     /// walks keep their order.
     pub fn with_exec(
@@ -93,7 +93,7 @@ impl<P: AdvertisePolicy> OlsrNetwork<P> {
         // the shard map always agree.
         let k = (exec.shards() as usize).min(topology.len().max(1));
         let stores: Arc<[SharedLinkStore]> = (0..k)
-            .map(|_| SharedLinkStore::seeded(topology.nodes()))
+            .map(|_| SharedLinkStore::seeded(topology.len()))
             .collect();
         let sim = Simulator::with_shards(topology, radio, seed, exec.shards(), |id, shard| {
             OlsrNode::with_store_table(id, config, policy(id), stores.clone(), shard)

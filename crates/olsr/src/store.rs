@@ -16,19 +16,20 @@
 //!
 //! # One originator numbering
 //!
-//! The store numbers every originator it meets ([`InternTable`]), and
-//! each node's overlays sit in a flat array indexed by that number, so
-//! the receive path's ANSN check is one lookup in the store's shared
-//! index plus one array access. A network seeds each of its stores
-//! ([`SharedLinkStore::seeded`]) with the topology's node ids in
-//! ascending order: index order is then id order, so walking a node's
-//! array visits originators ascending, and every store of the network
-//! numbers its ids alike — a node re-homed onto another shard's store
-//! keeps the same visit order. Ids outside the seed (only a corrupted
-//! frame that passes the checksum mints one) get later numbers in
-//! arrival order; each node keeps the ones it holds in a short list
-//! sorted by id and merges them into its walks, so visit order never
-//! depends on the order in which a store met its originators.
+//! The store numbers every originator it meets ([`InternTable`]) and
+//! keys its dedup lists by that number. A network seeds each of its
+//! stores with its node count `n` ([`SharedLinkStore::seeded`]), which
+//! numbers the ids `0..n` by their own value, so every store of the
+//! network numbers them alike. Each node keeps its overlays of those
+//! ids in a flat array indexed by id: the receive path's ANSN check is
+//! one array access and takes no lock, and walking the array visits
+//! originators ascending on any store, so a node re-homed onto another
+//! shard's store keeps its visit order. An id at or past `n` (only a
+//! corrupted frame that passes the checksum mints one) keeps its
+//! overlay in a short per-node list sorted by id, walked after the
+//! array and emptied as its overlays expire: neither a node's visit
+//! order nor its memory depends on the originators its store met
+//! before.
 //!
 //! # Packing
 //!
@@ -156,10 +157,10 @@ pub struct StoreGauges {
 #[derive(Debug, Default)]
 pub struct LinkSetStore {
     /// The originator numbering (see the [module docs](self)): indexes
-    /// the dedup lists here and every node's overlay array.
+    /// the dedup lists.
     intern: InternTable,
-    /// How many ids [`SharedLinkStore::seeded`] numbered up front;
-    /// below it, index order is ascending id order.
+    /// How many ids [`SharedLinkStore::seeded`] numbered up front: ids
+    /// `0..seeded`, each by its own value.
     seeded: usize,
     /// Originator number → `(seq, slot)` pairs, ascending by raw seq.
     /// Exact-match lookups only, so raw-u16 order is wraparound-safe.
@@ -191,14 +192,9 @@ impl LinkSetStore {
     /// refcount is bumped; a key hit with *different* content (wrapped
     /// sequence space) allocates a fresh slot and repoints the key.
     pub fn acquire(&mut self, orig: NodeId, seq: u16, links: &[(NodeId, LinkQos)]) -> SetRef {
-        let origin = self.intern.intern(orig);
-        self.acquire_numbered(origin, seq, links)
-    }
-
-    /// [`LinkSetStore::acquire`] for the originator numbered `origin`.
-    fn acquire_numbered(&mut self, origin: u32, seq: u16, links: &[(NodeId, LinkQos)]) -> SetRef {
         let mut packed = std::mem::take(&mut self.encode_buf);
         encode_links(links, &mut packed);
+        let origin = self.intern.intern(orig);
         let dense = origin as usize;
         if self.by_origin.len() <= dense {
             self.by_origin.resize_with(dense + 1, Vec::new);
@@ -367,23 +363,16 @@ impl SharedLinkStore {
     }
 
     /// Creates a handle to an empty store whose originator numbering
-    /// starts with `ids`, numbered 0, 1, … in the order given (see the
-    /// [module docs](self)). A network seeds every one of its stores
-    /// with its node ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` do not ascend strictly.
-    pub fn seeded(ids: impl IntoIterator<Item = NodeId>) -> Self {
+    /// starts with the ids `0..n`, each numbered by its own value (see
+    /// the [module docs](self)). A network seeds every one of its
+    /// stores with its node count.
+    pub fn seeded(n: usize) -> Self {
         let mut st = LinkSetStore::new();
-        let mut last = None;
-        for id in ids {
-            assert!(last < Some(id), "seed ids must ascend strictly");
-            last = Some(id);
-            st.intern.intern(id);
+        for id in 0..n as u32 {
+            st.intern.intern(NodeId(id));
         }
-        st.seeded = st.intern.len();
-        st.by_origin.resize_with(st.seeded, Vec::new);
+        st.seeded = n;
+        st.by_origin.resize_with(n, Vec::new);
         Self(Arc::new(Mutex::new(st)))
     }
 
@@ -397,8 +386,7 @@ impl SharedLinkStore {
     }
 }
 
-/// One node's overlay for one originator, at the originator's number in
-/// the store: 16 bytes.
+/// One node's overlay for one originator: 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Overlay {
     /// Validity horizon of the whole set *and* the ANSN record — one
@@ -429,9 +417,10 @@ impl Overlay {
 }
 
 /// Store-backed topology base: the node keeps only `(ansn, expiry,
-/// set reference)` overlays, one per originator in an array indexed by
-/// the store's originator numbering, while the advertised sets
-/// themselves live deduplicated in the network's [`SharedLinkStore`].
+/// set reference)` overlays, one per originator — in an array indexed
+/// by id for the store's seeded ids, in a list sorted by id for the
+/// rest — while the advertised sets themselves live deduplicated in the
+/// network's [`SharedLinkStore`].
 ///
 /// Semantics are pinned ≡ the per-node reference tables — now a
 /// test-only oracle — by differential proptests and full-network
@@ -440,15 +429,16 @@ impl Overlay {
 #[derive(Debug)]
 pub struct SharedTopology {
     store: SharedLinkStore,
-    /// Overlays indexed by the store's originator numbering, [`VACANT`]
-    /// where none is held.
+    /// The store's seeded id count: ids below it index `overlays`.
+    seeded: usize,
+    /// Overlays of the seeded ids, indexed by id, [`VACANT`] where none
+    /// is held; empty until the first TC.
     overlays: Vec<Overlay>,
+    /// Overlays of the held originators outside the seed, ascending by
+    /// id; every one is held.
+    unseeded: Vec<(NodeId, Overlay)>,
     /// Overlays held.
     held: usize,
-    /// The held originators numbered past the store's seeded range,
-    /// ascending by id, with their numbers: walks merge them into the
-    /// seeded range, whose numbering already ascends with the id.
-    unseeded: Vec<(NodeId, u32)>,
     /// Stored links across all overlays (including expired-but-unswept).
     count: usize,
     /// Scratch for sorting/deduplicating an incoming advertised list.
@@ -458,11 +448,13 @@ pub struct SharedTopology {
 impl SharedTopology {
     /// Creates an empty base feeding (and fed by) `store`.
     pub fn new(store: SharedLinkStore) -> Self {
+        let seeded = store.lock().seeded;
         Self {
             store,
+            seeded,
             overlays: Vec::new(),
-            held: 0,
             unseeded: Vec::new(),
+            held: 0,
             count: 0,
             scratch: Vec::new(),
         }
@@ -473,15 +465,45 @@ impl SharedTopology {
         &self.store
     }
 
+    /// The overlay held for `orig`, [`VACANT`] if none.
+    fn overlay(&self, orig: NodeId) -> Overlay {
+        let i = orig.0 as usize;
+        if i < self.seeded {
+            self.overlays.get(i).copied().unwrap_or(VACANT)
+        } else {
+            match self.unseeded.binary_search_by_key(&orig, |e| e.0) {
+                Ok(at) => self.unseeded[at].1,
+                Err(_) => VACANT,
+            }
+        }
+    }
+
+    /// The overlay entry of `orig`, inserted [`VACANT`] if absent.
+    fn entry(&mut self, orig: NodeId) -> &mut Overlay {
+        let i = orig.0 as usize;
+        if i < self.seeded {
+            if self.overlays.is_empty() {
+                self.overlays.resize(self.seeded, VACANT);
+            }
+            &mut self.overlays[i]
+        } else {
+            let at = match self.unseeded.binary_search_by_key(&orig, |e| e.0) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.unseeded.insert(at, (orig, VACANT));
+                    at
+                }
+            };
+            &mut self.unseeded[at].1
+        }
+    }
+
     /// Returns `true` when a TC from `originator` carrying `ansn` would
     /// be accepted at `now` — the RFC 3626 §9.5 check, with an expired
     /// record treated as absent (a silent-past-hold originator is
     /// re-learned from any ANSN, e.g. after a power cycle reset it).
     pub fn accepts_ansn(&self, originator: NodeId, ansn: u16, now: SimTime) -> bool {
-        let number = self.store.lock().intern.get(originator);
-        let o = number
-            .and_then(|i| self.overlays.get(i as usize))
-            .unwrap_or(&VACANT);
+        let o = self.overlay(originator);
         o.until <= now || !seq_newer(o.ansn, ansn)
     }
 
@@ -502,11 +524,7 @@ impl SharedTopology {
         now: SimTime,
         hold_until: SimTime,
     ) -> TcUpdate {
-        let mut st = self.store.lock();
-        // Numbering an unknown originator here is no waste: nothing is
-        // held against it, so its TC is applied.
-        let i = st.intern.intern(originator) as usize;
-        let old = self.overlays.get(i).copied().unwrap_or(VACANT);
+        let old = self.overlay(originator);
         if old.until > now && seq_newer(old.ansn, ansn) {
             return TcUpdate {
                 applied: false,
@@ -527,6 +545,7 @@ impl SharedTopology {
             }
         });
 
+        let mut st = self.store.lock();
         let links_changed = if old.until > now {
             !st.ids(old.set).eq(self.scratch.iter().map(|&(n, _)| n))
         } else {
@@ -534,22 +553,16 @@ impl SharedTopology {
             // (an empty set replaced by an empty set is no change).
             !self.scratch.is_empty()
         };
-        let fresh = st.acquire_numbered(i as u32, seq, &self.scratch);
+        let fresh = st.acquire(originator, seq, &self.scratch);
         self.count += self.scratch.len();
         if old.held() {
             self.count -= st.link_count(old.set);
             st.release(old.set);
         } else {
-            if self.overlays.len() <= i {
-                self.overlays.resize((i + 1).max(st.seeded), VACANT);
-            }
-            if i >= st.seeded {
-                let at = self.unseeded.partition_point(|&(id, _)| id < originator);
-                self.unseeded.insert(at, (originator, i as u32));
-            }
             self.held += 1;
         }
-        self.overlays[i] = Overlay {
+        drop(st);
+        *self.entry(originator) = Overlay {
             until: hold_until,
             set: fresh,
             ansn,
@@ -566,35 +579,46 @@ impl SharedTopology {
     /// reclaimed.
     pub fn sweep(&mut self, now: SimTime) {
         let mut st = self.store.lock();
-        for o in &mut self.overlays {
-            if o.held() && o.until <= now {
-                self.count -= st.link_count(o.set);
+        let (mut released, mut links) = (0, 0);
+        let mut expire = |o: &Overlay| {
+            let expired = o.held() && o.until <= now;
+            if expired {
+                links += st.link_count(o.set);
                 st.release(o.set);
+                released += 1;
+            }
+            expired
+        };
+        for o in &mut self.overlays {
+            if expire(o) {
                 *o = VACANT;
-                self.held -= 1;
             }
         }
-        let overlays = &self.overlays;
-        self.unseeded.retain(|&(_, i)| overlays[i as usize].held());
+        self.unseeded.retain(|(_, o)| !expire(o));
+        self.unseeded.shrink_to_fit();
+        self.held -= released;
+        self.count -= links;
     }
 
     /// Releases every overlay (node reboot).
     pub fn clear(&mut self) {
         let mut st = self.store.lock();
-        for o in self.overlays.drain(..) {
+        let unseeded = std::mem::take(&mut self.unseeded)
+            .into_iter()
+            .map(|(_, o)| o);
+        for o in self.overlays.drain(..).chain(unseeded) {
             if o.held() {
                 st.release(o.set);
             }
         }
-        self.unseeded.clear();
         self.held = 0;
         self.count = 0;
     }
 
     /// Calls `visit(originator, set)` for every live overlay with a
-    /// nonempty set, ascending by originator — the seeded range in
-    /// array order merged with the unseeded list; returns the earliest
-    /// expiry among them (far-future when there are none).
+    /// nonempty set, ascending by originator — the seeded array, then
+    /// the unseeded list, whose ids all lie past it; returns the
+    /// earliest expiry among them (far-future when there are none).
     fn for_each_live(
         &self,
         st: &LinkSetStore,
@@ -602,28 +626,15 @@ impl SharedTopology {
         mut visit: impl FnMut(NodeId, SetRef),
     ) -> SimTime {
         let mut min_expiry = FAR_FUTURE;
-        // A vacant entry's `until` is zero, so it fails the first test
-        // and its sentinel set is never read.
-        let mut live = |orig: NodeId, o: &Overlay| {
+        let seeded = (0..).map(NodeId).zip(&self.overlays);
+        let unseeded = self.unseeded.iter().map(|(id, o)| (*id, o));
+        for (orig, o) in seeded.chain(unseeded) {
+            // A vacant entry's `until` is zero, so it fails the first
+            // test and its sentinel set is never read.
             if o.until > now && st.link_count(o.set) > 0 {
                 visit(orig, o.set);
                 min_expiry = min_expiry.min(o.until);
             }
-        };
-        let seeded = self.overlays.len().min(st.seeded);
-        let mut unseeded = self.unseeded.iter().peekable();
-        for (i, o) in self.overlays[..seeded].iter().enumerate() {
-            if o.until <= now {
-                continue;
-            }
-            let orig = st.intern.resolve(i as u32);
-            while let Some(&(id, j)) = unseeded.next_if(|e| e.0 < orig) {
-                live(id, &self.overlays[j as usize]);
-            }
-            live(orig, o);
-        }
-        for &(id, j) in unseeded {
-            live(id, &self.overlays[j as usize]);
         }
         min_expiry
     }
@@ -683,7 +694,7 @@ impl SharedTopology {
     /// state reported once through [`SharedLinkStore::gauges`].
     pub fn footprint(&self) -> (usize, usize) {
         let bytes = self.overlays.capacity() * std::mem::size_of::<Overlay>()
-            + self.unseeded.capacity() * std::mem::size_of::<(NodeId, u32)>()
+            + self.unseeded.capacity() * std::mem::size_of::<(NodeId, Overlay)>()
             + self.scratch.capacity() * std::mem::size_of::<(NodeId, LinkQos)>();
         (self.held, bytes)
     }
@@ -951,6 +962,32 @@ mod tests {
         assert!(tb.is_empty());
         assert_eq!(tb.originators(), 0);
         assert_eq!(store.gauges().live_slots, 0, "epoch GC frees the store");
+    }
+
+    #[test]
+    fn unseeded_originators_leave_nothing_behind_once_swept() {
+        let store = SharedLinkStore::seeded(4);
+        let mut tb = SharedTopology::new(store.clone());
+        let adv = [(NodeId(3), q(1))];
+        tb.process_tc_tracked(NodeId(2), 1, 1, &adv, t(0), t(100));
+        let seeded = tb.footprint();
+        assert_eq!(seeded.0, 1);
+        // Ids a corrupted frame could mint, never the same one twice.
+        for round in 0..50 {
+            let (now, hold) = (t(round), t(round + 1));
+            for k in 0..20 {
+                let junk = NodeId(1000 + 20 * round as u32 + k);
+                assert!(tb.accepts_ansn(junk, 1, now));
+                assert!(tb.process_tc_tracked(junk, 1, 1, &adv, now, hold).applied);
+            }
+            assert_eq!(tb.originators(), 21);
+            assert_eq!(tb.links(now).len(), 21);
+            tb.sweep(hold);
+            assert_eq!(tb.footprint(), seeded, "round {round}");
+            assert_eq!(tb.len(), 1);
+        }
+        assert_eq!(tb.links(t(60)), vec![(NodeId(2), NodeId(3), q(1))]);
+        assert_eq!(store.gauges().live_slots, 1);
     }
 
     #[test]
