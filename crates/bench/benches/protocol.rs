@@ -156,7 +156,15 @@ fn bench_compute_routes(c: &mut Criterion) {
             b.iter(|| black_box(reference_routes(NodeId(0), &sym, &reported, &advertised)));
         });
         group.bench_with_input(BenchmarkId::new("interned_alloc", n), &n, |b, _| {
-            b.iter(|| black_box(compute_routes(NodeId(0), &sym, &reported, &advertised)));
+            b.iter(|| {
+                black_box(compute_routes(
+                    NodeId(0),
+                    n as usize,
+                    &sym,
+                    &reported,
+                    &advertised,
+                ))
+            });
         });
         group.bench_with_input(BenchmarkId::new("interned_scratch", n), &n, |b, _| {
             let mut scratch = RouteScratch::new();
@@ -164,6 +172,7 @@ fn bench_compute_routes(c: &mut Criterion) {
             b.iter(|| {
                 compute_routes_keys_into(
                     NodeId(0),
+                    n as usize,
                     &sym_keys,
                     &rep_keys,
                     &adv_keys,
@@ -177,7 +186,8 @@ fn bench_compute_routes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Tables primed with `n`-node knowledge for cache/process benches.
+/// Tables primed with `n`-node knowledge for cache/process benches, on
+/// a store seeded like an `n`-node network's.
 fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) {
     let (sym, reported, advertised) = route_inputs(n, deg, 0x0151);
     let mut nt = NeighborTables::new();
@@ -201,7 +211,7 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) 
         );
         nt.process_hello(NodeId(0), v, qos, &Hello { neighbors }, now, hold);
     }
-    let mut tb = SharedTopology::new(SharedLinkStore::new());
+    let mut tb = SharedTopology::new(SharedLinkStore::seeded(n as usize));
     let t_hold = now + SimDuration::from_secs(15);
     for chunk in advertised.chunks(4) {
         let orig = chunk[0].0;
@@ -211,8 +221,8 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) 
     (nt, tb, now)
 }
 
-/// One node's tables shaped like a `mobile-traffic-500` node's, on the
-/// shared store: 10 symmetric neighbors reporting ~107 pairs, and 440
+/// One node's tables shaped like a `mobile-traffic-500` node's, on a
+/// shared store seeded like that network's: 10 symmetric neighbors reporting ~107 pairs, and 440
 /// originators advertising ~2.1 ids each, over ~480 distinct ids. Returns
 /// the neighbor tables and two topology bases that differ only in
 /// originator 1's advertised set, as after one TC that changed it.
@@ -239,7 +249,7 @@ fn mobile_node_tables() -> (NeighborTables, [SharedTopology; 2], SimTime) {
         }
         nt.process_hello(NodeId(0), NodeId(v), q, &Hello { neighbors }, now, hold);
     }
-    let store = SharedLinkStore::new();
+    let store = SharedLinkStore::seeded(500);
     let t_hold = now + SimDuration::from_secs(15);
     let mut bases = [
         SharedTopology::new(store.clone()),

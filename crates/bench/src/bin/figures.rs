@@ -429,9 +429,15 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
                 let results = sharded(args, shards, |k| {
                     churn::leave_rate_sweep(&with(k), &rates, kinds)
                 });
+                if let Some(r) = results.first() {
+                    out!("{}", r.skipped.report_line(cfg.runs));
+                }
                 emit(churn::leave_rate_figures(&cfg, &results));
             } else {
                 let results = sharded(args, shards, |k| churn::churn_experiment(&with(k), kinds));
+                if let Some(r) = results.first() {
+                    out!("{}", r.skipped.report_line(cfg.runs));
+                }
                 emit(churn::figures(&cfg, &results));
             }
         }

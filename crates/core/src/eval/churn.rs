@@ -39,7 +39,7 @@ use qolsr_sim::{RadioConfig, Scenario, SimDuration, SimRng, SimTime};
 use crate::advertised::select_on_views;
 use crate::eval::{
     connected_pairs, derive_seed, live_network, sample_times, sweep, LiveNetwork, Merge, QosMetric,
-    SelectorKind, ShardInvariant,
+    SelectorKind, ShardInvariant, Skip, SkippedWorlds,
 };
 use crate::report::Figure;
 
@@ -196,6 +196,9 @@ pub struct ChurnMeasures {
     pub kind: SelectorKind,
     /// One aggregate per sample instant.
     pub per_sample: Vec<ChurnSample>,
+    /// Worlds of the sweep no selector was measured on (the same for
+    /// every selector: they share the worlds).
+    pub skipped: SkippedWorlds,
 }
 
 impl Merge for ChurnMeasures {
@@ -227,10 +230,11 @@ pub fn churn_experiment(cfg: &ChurnConfig, kinds: &[SelectorKind]) -> Vec<ChurnM
         let measures = |&kind: &SelectorKind| ChurnMeasures {
             kind,
             per_sample: per_sample.clone(),
+            skipped: SkippedWorlds::default(),
         };
         kinds.iter().map(measures).collect::<Vec<_>>()
     };
-    sweep(cfg.threads, cfg.runs, empty, |run, inner, accum| {
+    let (mut measures, skipped) = sweep(cfg.threads, cfg.runs, empty, |run, inner, accum| {
         single_churn_run(
             cfg,
             derive_seed(cfg.seed, 0, run),
@@ -238,8 +242,10 @@ pub fn churn_experiment(cfg: &ChurnConfig, kinds: &[SelectorKind]) -> Vec<ChurnM
             &times,
             inner,
             accum,
-        );
-    })
+        )
+    });
+    measures.iter_mut().for_each(|m| m.skipped = skipped);
+    measures
 }
 
 fn single_churn_run(
@@ -249,7 +255,7 @@ fn single_churn_run(
     times: &[SimTime],
     inner_threads: usize,
     accum: &mut [ChurnMeasures],
-) {
+) -> Result<(), Skip> {
     let mut rng = SimRng::seed_from_u64(seed);
     let deployment = Deployment {
         width: cfg.field.0,
@@ -259,7 +265,7 @@ fn single_churn_run(
     };
     let topo = deploy(&deployment, &cfg.weights, &mut rng);
     if topo.len() < 4 {
-        return;
+        return Err(Skip::TooSmall);
     }
     // One scenario per world, shared verbatim by every selector.
     let scenario = cfg.scenario.build(
@@ -271,7 +277,7 @@ fn single_churn_run(
     );
     let probes = connected_pairs(&topo, cfg.probes, 4096, false, &mut rng);
     if probes.is_empty() {
-        return;
+        return Err(Skip::NoProbes);
     }
 
     for (si, &kind) in kinds.iter().enumerate() {
@@ -285,6 +291,7 @@ fn single_churn_run(
             sample_network(&net, &probes, inner_threads, &mut accum[si].per_sample[ti]);
         }
     }
+    Ok(())
 }
 
 /// Probes and aggregates one network at the current instant.
@@ -455,6 +462,9 @@ pub struct LeaveRateMeasures {
     pub kind: SelectorKind,
     /// One pooled aggregate per swept leave rate.
     pub per_rate: Vec<LeaveRatePoint>,
+    /// Worlds no selector was measured on (every rate runs the same
+    /// worlds).
+    pub skipped: SkippedWorlds,
 }
 
 impl ShardInvariant for LeaveRateMeasures {}
@@ -475,6 +485,7 @@ pub fn leave_rate_sweep(
         .map(|&kind| LeaveRateMeasures {
             kind,
             per_rate: Vec::with_capacity(rates.len()),
+            skipped: SkippedWorlds::default(),
         })
         .collect();
     for &leave_rate in rates {
@@ -493,6 +504,7 @@ pub fn leave_rate_sweep(
                 point.drift.merge(&sample.drift);
             }
             m.per_rate.push(point);
+            m.skipped = r.skipped;
         }
     }
     out

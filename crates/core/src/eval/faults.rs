@@ -42,7 +42,7 @@ use crate::eval::churn::{probe_route, ProbeOutcome};
 use crate::eval::scale::field_side;
 use crate::eval::{
     connected_pairs, derive_seed, live_network, sample_times, sweep, LiveNetwork, Merge, QosMetric,
-    SelectorKind, ShardInvariant,
+    SelectorKind, ShardInvariant, Skip, SkippedWorlds,
 };
 use crate::report::Figure;
 
@@ -260,6 +260,9 @@ pub struct FaultMeasures {
     /// Runs that did not — their recovery time is right-censored at the
     /// observation window, not averaged in.
     pub censored_runs: u64,
+    /// Worlds of the sweep no selector was measured on (the same for
+    /// every selector: they share the worlds).
+    pub skipped: SkippedWorlds,
 }
 
 impl Merge for FaultMeasures {
@@ -303,12 +306,15 @@ pub fn fault_experiment(cfg: &FaultConfig, kinds: &[SelectorKind]) -> Vec<FaultM
             residual_staleness: OnlineStats::new(),
             recovered_runs: 0,
             censored_runs: 0,
+            skipped: SkippedWorlds::default(),
         };
         kinds.iter().map(measures).collect::<Vec<_>>()
     };
-    sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
-        single_fault_run(cfg, derive_seed(cfg.seed, 0, run), kinds, &times, accum);
-    })
+    let (mut measures, skipped) = sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
+        single_fault_run(cfg, derive_seed(cfg.seed, 0, run), kinds, &times, accum)
+    });
+    measures.iter_mut().for_each(|m| m.skipped = skipped);
+    measures
 }
 
 fn single_fault_run(
@@ -317,7 +323,7 @@ fn single_fault_run(
     kinds: &[SelectorKind],
     times: &[SimTime],
     accum: &mut [FaultMeasures],
-) {
+) -> Result<(), Skip> {
     let mut rng = SimRng::seed_from_u64(seed);
     let deployment = Deployment {
         width: cfg.field.0,
@@ -327,20 +333,20 @@ fn single_fault_run(
     };
     let topo = deploy(&deployment, &cfg.weights, &mut rng);
     if topo.len() < 4 {
-        return;
+        return Err(Skip::TooSmall);
     }
     // The fault experiment probes recovery of routes that *can* recover:
     // only pairs connected in the (static) ground truth qualify.
     if Components::compute(&topo).count() != 1 {
         // A world that is partitioned before the fault would censor every
         // selector identically; skip it rather than pollute the curves.
-        return;
+        return Err(Skip::Disconnected);
     }
     // One fault schedule per world, shared verbatim by every selector.
     let scenario = cfg.build_scenario(&topo, seed ^ 0xFA17_0CE2);
     let probes = connected_pairs(&topo, cfg.probes, 4096, false, &mut rng);
     if probes.is_empty() {
-        return;
+        return Err(Skip::NoProbes);
     }
     let heal_idx = times
         .iter()
@@ -386,6 +392,7 @@ fn single_fault_run(
             None => m.censored_runs += 1,
         }
     }
+    Ok(())
 }
 
 /// Instant route validity (delivered fraction over live probes) and mean
@@ -461,6 +468,9 @@ pub fn report(cfg: &FaultConfig, results: &[FaultMeasures]) -> String {
         cfg.threshold,
         cfg.sustain,
     );
+    if let Some(r) = results.first() {
+        out.push_str(&r.skipped.report_line(cfg.runs));
+    }
     let _ = writeln!(
         out,
         "# {:<22} {:>12} {:>12} {:>14} {:>14} {:>10}",
@@ -537,6 +547,25 @@ mod tests {
             kind,
             ..FaultConfig::new(2)
         }
+    }
+
+    #[test]
+    fn a_disconnected_world_is_reported_not_measured() {
+        // At 40 nodes this seed's one world (the `figures` default) is
+        // disconnected.
+        let cfg = FaultConfig {
+            seed: 0x51C0_2010,
+            ..FaultConfig::new(1).with_nodes(40)
+        };
+        let results = fault_experiment(&cfg, &[SelectorKind::Fnbp]);
+        let r = &results[0];
+        assert_eq!(r.recovered_runs + r.censored_runs, 0);
+        assert_eq!(r.skipped.disconnected, 1);
+        let report = report(&cfg, &results);
+        assert_eq!(
+            report.lines().nth(1),
+            Some("# skipped 1 of 1 worlds (1 disconnected)")
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::eval::churn::{probe_route, ProbeOutcome};
 use crate::eval::scale::{deploy_field, field_side};
 use crate::eval::{
     connected_pairs, derive_seed, live_network, lossy_radio, sample_times, sweep, LiveNetwork,
-    Merge, QosMetric, SelectorKind, ShardInvariant,
+    Merge, QosMetric, SelectorKind, ShardInvariant, Skip, SkippedWorlds,
 };
 use crate::report::Figure;
 
@@ -146,6 +146,9 @@ pub struct LossMeasures {
     pub kind: SelectorKind,
     /// One aggregate per swept level, in sweep order.
     pub per_level: Vec<LossLevelMeasures>,
+    /// Worlds of the sweep no selector was measured on (the same for
+    /// every selector: they share the worlds).
+    pub skipped: SkippedWorlds,
 }
 
 impl Merge for LossMeasures {
@@ -174,15 +177,23 @@ pub fn loss_experiment(cfg: &LossConfig, kinds: &[SelectorKind]) -> Vec<LossMeas
         let measures = |&kind: &SelectorKind| LossMeasures {
             kind,
             per_level: cfg.levels.iter().map(level).collect(),
+            skipped: SkippedWorlds::default(),
         };
         kinds.iter().map(measures).collect::<Vec<_>>()
     };
-    sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
-        single_loss_run(cfg, run, kinds, accum);
-    })
+    let (mut measures, skipped) = sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
+        single_loss_run(cfg, run, kinds, accum)
+    });
+    measures.iter_mut().for_each(|m| m.skipped = skipped);
+    measures
 }
 
-fn single_loss_run(cfg: &LossConfig, run: u32, kinds: &[SelectorKind], accum: &mut [LossMeasures]) {
+fn single_loss_run(
+    cfg: &LossConfig,
+    run: u32,
+    kinds: &[SelectorKind],
+    accum: &mut [LossMeasures],
+) -> Result<(), Skip> {
     let deploy_seed = derive_seed(cfg.seed, 0, run);
     let side = field_side(cfg.nodes, cfg.radius, cfg.density);
     let topo = deploy_field(
@@ -194,7 +205,7 @@ fn single_loss_run(cfg: &LossConfig, run: u32, kinds: &[SelectorKind], accum: &m
         deploy_seed,
     );
     if topo.len() < 4 {
-        return;
+        return Err(Skip::TooSmall);
     }
     // Loss worlds stay static: a pair that cannot route shows up as
     // validity 0 at *every* level, and the difference across levels is
@@ -202,7 +213,7 @@ fn single_loss_run(cfg: &LossConfig, run: u32, kinds: &[SelectorKind], accum: &m
     let mut rng = SimRng::seed_from_u64(deploy_seed ^ 0x4c05_5e3d);
     let probes = connected_pairs(&topo, cfg.probes, 4096, false, &mut rng);
     if probes.is_empty() {
-        return;
+        return Err(Skip::NoProbes);
     }
     // Warm-up end, then every `sample_every` through the measured window.
     let start = SimTime::ZERO + cfg.warmup;
@@ -249,6 +260,7 @@ fn single_loss_run(cfg: &LossConfig, run: u32, kinds: &[SelectorKind], accum: &m
             }
         }
     }
+    Ok(())
 }
 
 fn advertised_sets(net: &LiveNetwork) -> Vec<BTreeSet<NodeId>> {
@@ -269,7 +281,7 @@ pub fn report(cfg: &LossConfig, results: &[LossMeasures]) -> String {
     let _ = writeln!(
         out,
         "# lossy radio: n={}, {falloff}, {} µs capture window, hysteresis={}, \
-         etx={}; {} probe pairs sampled every {} s over {} s measured\n",
+         etx={}; {} probe pairs sampled every {} s over {} s measured",
         cfg.nodes,
         cfg.capture_window.as_micros(),
         matches!(cfg.olsr.link_hysteresis, LinkHysteresis::On(_)),
@@ -278,6 +290,10 @@ pub fn report(cfg: &LossConfig, results: &[LossMeasures]) -> String {
         cfg.sample_every.as_secs_f64(),
         cfg.measure.as_secs_f64(),
     );
+    if let Some(r) = results.first() {
+        out.push_str(&r.skipped.report_line(cfg.runs));
+    }
+    out.push('\n');
     let _ = writeln!(
         out,
         "# {:>9}  {:>32}  {:>9}  {:>9}  {:>10}",

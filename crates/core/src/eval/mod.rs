@@ -360,28 +360,90 @@ impl<T: Merge> Merge for Vec<T> {
     }
 }
 
+/// Why a live run measured nothing on the world it drew.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Skip {
+    /// Fewer than 4 nodes.
+    TooSmall,
+    /// More than one connected piece.
+    Disconnected,
+    /// No connected probe pair was drawn.
+    NoProbes,
+}
+
+/// The worlds a live experiment drew but measured nothing on, by cause.
+/// Its reports print them, so that curves averaged over fewer worlds
+/// than asked for, or over none, do not read as measured.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SkippedWorlds {
+    /// Worlds of fewer than 4 nodes.
+    pub too_small: u64,
+    /// Worlds in more than one connected piece.
+    pub disconnected: u64,
+    /// Worlds where no connected probe pair was drawn.
+    pub no_probes: u64,
+}
+
+impl SkippedWorlds {
+    /// Skipped worlds of every cause.
+    pub fn total(&self) -> u64 {
+        self.too_small + self.disconnected + self.no_probes
+    }
+
+    /// The report line `# skipped k of N worlds (…)` for a sweep of
+    /// `runs` worlds, naming every cause that skipped one; empty when
+    /// none was skipped.
+    pub fn report_line(&self, runs: u32) -> String {
+        let causes: Vec<String> = [
+            (self.too_small, "with fewer than 4 nodes"),
+            (self.disconnected, "disconnected"),
+            (self.no_probes, "with no probe pair"),
+        ]
+        .iter()
+        .filter(|&&(k, _)| k > 0)
+        .map(|(k, why)| format!("{k} {why}"))
+        .collect();
+        if causes.is_empty() {
+            return String::new();
+        }
+        format!(
+            "# skipped {} of {runs} worlds ({})\n",
+            self.total(),
+            causes.join(", ")
+        )
+    }
+}
+
 /// The sweep every multi-run experiment runs: `runs` independent runs,
 /// each filling a fresh `empty()` accumulator through
 /// `per_run(run, inner_threads, accum)`, sharded over the thread budget
 /// ([`ShardPlan`]) and merged **in run order**, so results do not depend
-/// on the thread count.
+/// on the thread count. A run that cannot measure its world returns why,
+/// and the merge counts it into the returned [`SkippedWorlds`].
 pub(crate) fn sweep<T: Merge + Send>(
     threads: usize,
     runs: u32,
     empty: impl Fn() -> T + Sync,
-    per_run: impl Fn(u32, usize, &mut T) + Sync,
-) -> T {
+    per_run: impl Fn(u32, usize, &mut T) -> Result<(), Skip> + Sync,
+) -> (T, SkippedWorlds) {
     let plan = ShardPlan::new(threads, runs);
     let per_run = sharded_runs(runs, plan.workers, |run| {
         let mut local = empty();
-        per_run(run, plan.inner, &mut local);
-        local
+        let skip = per_run(run, plan.inner, &mut local).err();
+        (local, skip)
     });
     let mut total = empty();
-    for local in &per_run {
+    let mut skipped = SkippedWorlds::default();
+    for (local, skip) in &per_run {
         total.merge(local);
+        match skip {
+            None => {}
+            Some(Skip::TooSmall) => skipped.too_small += 1,
+            Some(Skip::Disconnected) => skipped.disconnected += 1,
+            Some(Skip::NoProbes) => skipped.no_probes += 1,
+        }
     }
-    total
+    (total, skipped)
 }
 
 /// The network every live experiment runs: each node advertises through
@@ -682,9 +744,10 @@ pub fn run_experiment<M: EvalMetric>(cfg: &EvalConfig, kinds: &[SelectorKind]) -
             };
             vec![at; kinds.len()]
         };
-        let totals = sweep(cfg.threads, cfg.runs, empty, |run, inner, accum| {
+        let (totals, _) = sweep(cfg.threads, cfg.runs, empty, |run, inner, accum| {
             let seed = derive_seed(cfg.seed, di, run);
             single_run::<M>(cfg, density, seed, &selectors, inner, accum);
+            Ok(())
         });
         for (sel, total) in result.selectors.iter_mut().zip(totals) {
             sel.per_density.push(total);
@@ -773,6 +836,40 @@ fn single_run<M: EvalMetric>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sweep_counts_skipped_worlds_in_any_thread_split() {
+        // Runs 0, 3, 6 are too small, 4 disconnected, 5 probe-less; the
+        // rest add their index.
+        let per_run = |run: u32, _: usize, sum: &mut OnlineStats| match run {
+            0 | 3 | 6 => Err(Skip::TooSmall),
+            4 => Err(Skip::Disconnected),
+            5 => Err(Skip::NoProbes),
+            _ => {
+                sum.push(f64::from(run));
+                Ok(())
+            }
+        };
+        for threads in [1, 3] {
+            let (sum, skipped) = sweep(threads, 8, OnlineStats::new, per_run);
+            assert_eq!(sum.count(), 3);
+            assert!((3.0 * sum.mean() - 10.0).abs() < 1e-12);
+            assert_eq!(
+                skipped,
+                SkippedWorlds {
+                    too_small: 3,
+                    disconnected: 1,
+                    no_probes: 1,
+                }
+            );
+            assert_eq!(
+                skipped.report_line(8),
+                "# skipped 5 of 8 worlds (3 with fewer than 4 nodes, 1 disconnected, \
+                 1 with no probe pair)\n"
+            );
+        }
+        assert_eq!(SkippedWorlds::default().report_line(8), "");
+    }
 
     fn tiny_config() -> EvalConfig {
         EvalConfig {

@@ -41,7 +41,7 @@ use crate::eval::churn::ChurnScenario;
 use crate::eval::scale::{deploy_field, field_side};
 use crate::eval::{
     connected_pairs, derive_seed, live_network, lossy_radio, sweep, Merge, QosMetric, SelectorKind,
-    ShardInvariant,
+    ShardInvariant, Skip, SkippedWorlds,
 };
 use crate::report::Figure;
 
@@ -256,6 +256,9 @@ pub struct TrafficMeasures {
     pub kind: SelectorKind,
     /// One aggregate per swept level, in sweep order.
     pub per_level: Vec<TrafficLevelMeasures>,
+    /// Worlds of the sweep no selector was measured on (the same for
+    /// every selector: they share the worlds).
+    pub skipped: SkippedWorlds,
 }
 
 impl Merge for TrafficMeasures {
@@ -288,12 +291,15 @@ pub fn traffic_experiment(cfg: &TrafficConfig, kinds: &[SelectorKind]) -> Vec<Tr
         let measures = |&kind: &SelectorKind| TrafficMeasures {
             kind,
             per_level: cfg.levels.iter().map(level).collect(),
+            skipped: SkippedWorlds::default(),
         };
         kinds.iter().map(measures).collect::<Vec<_>>()
     };
-    sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
-        single_traffic_run(cfg, run, kinds, accum);
-    })
+    let (mut measures, skipped) = sweep(cfg.threads, cfg.runs, empty, |run, _, accum| {
+        single_traffic_run(cfg, run, kinds, accum)
+    });
+    measures.iter_mut().for_each(|m| m.skipped = skipped);
+    measures
 }
 
 fn single_traffic_run(
@@ -301,7 +307,7 @@ fn single_traffic_run(
     run: u32,
     kinds: &[SelectorKind],
     accum: &mut [TrafficMeasures],
-) {
+) -> Result<(), Skip> {
     let deploy_seed = derive_seed(cfg.seed, 0, run);
     let side = field_side(cfg.nodes, cfg.radius, cfg.density);
     let topo = deploy_field(
@@ -313,14 +319,14 @@ fn single_traffic_run(
         deploy_seed,
     );
     if topo.len() < 4 {
-        return;
+        return Err(Skip::TooSmall);
     }
     // Endpoints are connected in the initial deployment; mobility may
     // later disconnect them, and that loss is the measurand.
     let mut rng = SimRng::seed_from_u64(deploy_seed ^ 0xF10A_5EED);
     let pairs = connected_pairs(&topo, cfg.flows, 4096, false, &mut rng);
     if pairs.is_empty() {
-        return;
+        return Err(Skip::NoProbes);
     }
     let flows = cfg.build_flows(&pairs);
     // The mobility schedule (when enabled) runs from the traffic start.
@@ -377,6 +383,7 @@ fn single_traffic_run(
             }
         }
     }
+    Ok(())
 }
 
 /// The text report printed before the figures: the workload, one QoS
@@ -387,7 +394,7 @@ pub fn report(cfg: &TrafficConfig, results: &[TrafficMeasures]) -> String {
     let _ = writeln!(
         out,
         "# data plane: n={}, {} flows/world ({} B payload, CBR every {} ms interleaved with \
-         {}-{}-packet bursts every {} ms), mobility={}, {} s warm-up + {} s measured\n",
+         {}-{}-packet bursts every {} ms), mobility={}, {} s warm-up + {} s measured",
         cfg.nodes,
         cfg.flows,
         cfg.payload,
@@ -399,6 +406,10 @@ pub fn report(cfg: &TrafficConfig, results: &[TrafficMeasures]) -> String {
         cfg.warmup.as_secs_f64(),
         cfg.measure.as_secs_f64(),
     );
+    if let Some(r) = results.first() {
+        out.push_str(&r.skipped.report_line(cfg.runs));
+    }
+    out.push('\n');
     let _ = writeln!(
         out,
         "# {:>9}  {:>32}  {:>9}  {:>10}  {:>10}  {:>10}",

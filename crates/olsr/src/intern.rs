@@ -1,16 +1,17 @@
-//! Persistent dense [`NodeId`] interning for the interned link-state
-//! store.
+//! Dense [`NodeId`] interning for the interned link-state store.
 //!
-//! [`InternTable`] is an arrival-order interner for long-lived state: ids
-//! keep their dense index for the lifetime of the table, so
-//! per-originator bookkeeping can live in flat `Vec`s indexed by dense
-//! id instead of maps keyed by `NodeId`. The shared [`LinkSetStore`]
-//! owns one table as its originator numbering, which indexes its dedup
-//! lists. A network's stores intern the ids `0..n` first, in ascending
-//! order ([`SharedLinkStore::seeded`]), so each of those ids is its own
-//! dense index and every store of one network numbers them alike. The
-//! route BFS interns per computation through its own hashed table in
-//! [`RouteScratch`].
+//! [`InternTable`] is an arrival-order interner for long-lived state: an
+//! id keeps its dense index until it is removed, so per-originator
+//! bookkeeping can live in flat `Vec`s indexed by dense id instead of
+//! maps keyed by `NodeId`. The shared [`LinkSetStore`] owns one table as
+//! its originator numbering, which indexes its dedup lists. A network's
+//! stores intern the ids `0..n` first, in ascending order
+//! ([`SharedLinkStore::seeded`]), so each of those ids is its own dense
+//! index and every store of one network numbers them alike; the store
+//! removes an id past them once it holds nothing of it, and the next new
+//! id takes its index. The route BFS numbers its ids the same way
+//! without a table: an id below `n` is its own index, and only the ids
+//! past `n` go through [`RouteScratch`]'s own small hashed table.
 //!
 //! [`LinkSetStore`]: crate::store::LinkSetStore
 //! [`SharedLinkStore::seeded`]: crate::store::SharedLinkStore::seeded
@@ -18,8 +19,9 @@
 
 use qolsr_graph::NodeId;
 
-/// Persistent arrival-order interner: the first `intern` of an id
-/// assigns the next dense index, and the assignment never changes.
+/// Arrival-order interner: the first `intern` of an id assigns the next
+/// dense index — the index of the id removed last, if one is free — and
+/// the assignment holds until the id is removed.
 ///
 /// Lookup is a binary search over a sorted `(id, dense)` index — ids
 /// are interned rarely (once per node ever seen) while lookups run on
@@ -41,6 +43,9 @@ use qolsr_graph::NodeId;
 /// assert_eq!(t.get(NodeId(3)), Some(b));
 /// assert_eq!(t.resolve(a), NodeId(7));
 /// assert_eq!(t.len(), 2);
+/// t.remove(NodeId(7));
+/// assert_eq!(t.get(NodeId(7)), None);
+/// assert_eq!(t.intern(NodeId(9)), a, "a removed id's index is reused");
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct InternTable {
@@ -48,6 +53,8 @@ pub struct InternTable {
     ids: Vec<NodeId>,
     /// Sorted `(id, dense)` pairs for lookup.
     index: Vec<(NodeId, u32)>,
+    /// Dense indices of removed ids, the last removed on top.
+    free: Vec<u32>,
 }
 
 impl InternTable {
@@ -62,11 +69,26 @@ impl InternTable {
         match self.index.binary_search_by_key(&id, |e| e.0) {
             Ok(i) => self.index[i].1,
             Err(i) => {
-                let dense = self.ids.len() as u32;
-                self.ids.push(id);
+                let dense = match self.free.pop() {
+                    Some(dense) => {
+                        self.ids[dense as usize] = id;
+                        dense
+                    }
+                    None => {
+                        self.ids.push(id);
+                        self.ids.len() as u32 - 1
+                    }
+                };
                 self.index.insert(i, (id, dense));
                 dense
             }
+        }
+    }
+
+    /// Forgets `id`, if interned; the next new id takes its dense index.
+    pub fn remove(&mut self, id: NodeId) {
+        if let Ok(i) = self.index.binary_search_by_key(&id, |e| e.0) {
+            self.free.push(self.index.remove(i).1);
         }
     }
 
@@ -78,7 +100,7 @@ impl InternTable {
             .map(|i| self.index[i].1)
     }
 
-    /// The id behind dense index `dense`.
+    /// The id behind dense index `dense` (the last one assigned it).
     ///
     /// # Panics
     ///
@@ -89,18 +111,19 @@ impl InternTable {
 
     /// Number of interned ids.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.index.len()
     }
 
-    /// Returns `true` when nothing was interned yet.
+    /// Returns `true` when no id is interned.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.index.is_empty()
     }
 
     /// Approximate heap bytes held by the table.
     pub fn approx_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
             + self.index.capacity() * std::mem::size_of::<(NodeId, u32)>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 }
 

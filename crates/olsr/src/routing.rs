@@ -5,31 +5,47 @@
 //! Two layers live here:
 //!
 //! * [`compute_routes`] / [`compute_routes_keys_into`] — the from-scratch
-//!   BFS: ids are interned in arrival order through a hashed table, the
-//!   undirected adjacency is laid out as CSR by counting sort, and only
-//!   the root's row is ever sorted, all in reusable [`RouteScratch`]
-//!   buffers. The table comes out in BFS order, not sorted by
-//!   destination (the original `BTreeMap`-per-call formulation survives
-//!   as [`reference_routes`], the oracle the differential suites compare
-//!   against);
+//!   BFS: ids are numbered the way the network's stores number
+//!   originators, the undirected adjacency is laid out as CSR by
+//!   counting sort, and only the root's row is ever sorted, all in
+//!   reusable [`RouteScratch`] buffers. The table comes out in BFS
+//!   order, not sorted by destination (the original `BTreeMap`-per-call
+//!   formulation survives as [`reference_routes`], the oracle the
+//!   differential suites compare against);
 //! * [`RouteCache`] — the incremental layer [`OlsrNode`] owns: routes
 //!   are recomputed only when the route-relevant table content actually
 //!   changed (dirty flag from HELLO/TC integration, expiry horizon from
 //!   the tables' min-expiry accessors, and, when the horizon passes, a
-//!   comparison of the freshly interned input graph with the cached
+//!   comparison of the freshly numbered input graph with the cached
 //!   table's), otherwise served from the cached table. Every cache on a
-//!   thread interns and recomputes through that thread's one scratch,
+//!   thread numbers and recomputes through that thread's one scratch,
 //!   reading the topology base's link keys straight into it.
 //!
-//! Determinism: equal-length routes resolve to the smallest-id next hop,
+//! # Numbering
+//!
+//! A network seeds each of its stores with its node count `n`
+//! ([`SharedLinkStore::seeded`]), and the topology base reports it
+//! ([`TopologyLinks::seeded`]). An id below `n` is its own dense index
+//! in the CSR rows, the BFS state and the cache's revalidation key, so
+//! numbering it is one comparison. An id at or past `n` — only a
+//! corrupted frame that passes the checksum mints one — takes the next
+//! of `n, n + 1, …` in arrival order through a small hashed table, which
+//! is reset and grown only when such an id appears.
+//!
+//! # Determinism
+//!
+//! Equal-length routes resolve to the smallest-id next hop,
 //! identical in every layer and proven by proptest. The BFS enqueues the
 //! first hops in ascending id order and every deeper node inherits the
 //! first hop of whichever parent reaches it first, so each BFS level is
 //! queued in non-decreasing first-hop order and the first parent to reach
 //! a node carries its smallest shortest-path first hop. No other row
-//! order matters.
+//! order matters, and no row order depends on the numbering: counting
+//! sort fills each row in an order the input fixes, whatever the dense
+//! indices.
 //!
 //! [`OlsrNode`]: crate::node::OlsrNode
+//! [`SharedLinkStore::seeded`]: crate::store::SharedLinkStore::seeded
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -51,29 +67,34 @@ pub struct RouteEntry {
     pub hops: u32,
 }
 
-/// Dense index marking a free slot of the interning table.
+/// Dense index marking a free slot of the past-seed table.
 const FREE: u32 = u32::MAX;
 
 /// BFS hop count of an unreached index.
 const UNREACHED: u32 = u32::MAX;
 
-/// Reusable buffers for [`compute_routes_keys_into`]: interning table,
-/// the interned input graph, CSR adjacency and BFS state. One instance
-/// amortizes every allocation of repeated route computations to zero.
+/// Slots of the past-seed table when a graph's first id past the seed
+/// resets it.
+const PAST_SLOTS: usize = 8;
+
+/// Reusable buffers for [`compute_routes_keys_into`]: the numbered
+/// input graph, the table numbering its ids past the seed, CSR
+/// adjacency and BFS state (see the [module docs](self) for the
+/// numbering). One instance amortizes every allocation of repeated
+/// route computations to zero.
 #[derive(Debug, Default, Clone)]
 pub struct RouteScratch {
-    /// Open-addressing `(id, dense index)` table, linear probing, a power
-    /// of two long; a slot whose index is [`FREE`] is empty.
+    /// The input graph: its seed, root and past-seed ids, and one dense
+    /// index pair per input link.
+    graph: InternedGraph,
+    /// Open-addressing `(id, dense index)` table of `graph.past`,
+    /// linear probing, a power of two long and at most half full; a
+    /// slot whose index is [`FREE`] is empty. While `graph.past` is
+    /// empty it holds an earlier graph's ids, never read.
     slots: Vec<(NodeId, u32)>,
     /// `64 - log2(slots.len())`: turns a 64-bit hash into a slot.
     shift: u32,
-    /// The input graph: dense index → id in arrival order, and one
-    /// dense index pair per input link.
-    graph: InternedGraph,
-    /// First id of the last pair pushed, with its dense index, so a run
-    /// of pairs sharing a first id interns it once.
-    run: (NodeId, u32),
-    /// CSR row offsets into `adj` (len = ids.len() + 1).
+    /// CSR row offsets into `adj` (len = dense indices + 1).
     offsets: Vec<u32>,
     /// CSR adjacency. Rows are unordered and may repeat an index.
     adj: Vec<u32>,
@@ -85,20 +106,29 @@ pub struct RouteScratch {
     queue: Vec<u32>,
 }
 
-/// The interned form of one route computation's input: the ids in
-/// arrival order (`me` first) and one dense edge per input link, with
-/// the symmetric section (one `(0, i)` edge per neighbor) first, the
-/// reported pairs next and the topology pairs last. Mapping the edges
-/// back through `ids`, and splitting them at the two section lengths,
-/// recovers the three input lists exactly, and interning is
-/// deterministic, so two graphs are equal exactly when their inputs are.
+/// The numbered form of one route computation's input: the seed, the
+/// root's dense index, one dense edge per input link — the symmetric
+/// section (one `(root, i)` edge per neighbor) first, the reported
+/// pairs next and the topology pairs last — and the ids past the seed
+/// in arrival order. Mapping the edges back through the numbering, and
+/// splitting them at the two section lengths, recovers the three input
+/// lists exactly, and numbering is deterministic, so two graphs of one
+/// seed are equal exactly when their inputs are.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct InternedGraph {
-    /// Edges from symmetric neighbors (compared first, being cheapest).
+    /// Ids below this are their own dense index.
+    seeded: u32,
+    /// Dense index of the root.
+    root: u32,
+    /// Edges from symmetric neighbors (this and the fields above compare
+    /// before the lists, being cheapest).
     sym: usize,
     /// Edges from reported pairs.
     reported: usize,
-    ids: Vec<NodeId>,
+    /// The ids at or past `seeded`, in arrival order: `past[i]` has
+    /// dense index `seeded + i`. Empty unless a corrupted frame minted
+    /// such an id.
+    past: Vec<NodeId>,
     edges: Vec<(u32, u32)>,
 }
 
@@ -106,10 +136,25 @@ impl InternedGraph {
     /// Makes `self` equal to `other`, reusing its buffers (a derived
     /// `clone_from` would allocate fresh ones).
     fn copy_from(&mut self, other: &Self) {
+        self.seeded = other.seeded;
+        self.root = other.root;
         self.sym = other.sym;
         self.reported = other.reported;
-        self.ids.clone_from(&other.ids);
+        self.past.clone_from(&other.past);
         self.edges.clone_from(&other.edges);
+    }
+
+    /// Dense indices in use: every seeded id, then the past-seed ones.
+    fn len(&self) -> usize {
+        self.seeded as usize + self.past.len()
+    }
+
+    /// The id behind dense index `dense`.
+    fn id(&self, dense: u32) -> NodeId {
+        match dense.checked_sub(self.seeded) {
+            None => NodeId(dense),
+            Some(i) => self.past[i as usize],
+        }
     }
 }
 
@@ -119,14 +164,11 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// Empties the interning table, sized so that `bound` (≥ 1)
-    /// distinct ids would fill at most half of it.
-    fn reset_ids(&mut self, bound: usize) {
-        let len = (2 * bound).next_power_of_two();
+    /// Empties the past-seed table at `len` (a power of two) slots.
+    fn reset_past(&mut self, len: usize) {
         self.slots.clear();
         self.slots.resize(len, (NodeId(0), FREE));
         self.shift = 64 - len.trailing_zeros();
-        self.graph.ids.clear();
     }
 
     /// The slot a probe for `id` starts at.
@@ -138,40 +180,60 @@ impl RouteScratch {
         (u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Dense index of `id`, assigning the next one on first sight.
+    /// Dense index of `id`: its own value below the seed.
     fn intern(&mut self, id: NodeId) -> u32 {
+        if id.0 < self.graph.seeded {
+            id.0
+        } else {
+            self.intern_past(id)
+        }
+    }
+
+    /// Dense index of an id at or past the seed, assigning the next one
+    /// on first sight.
+    #[cold]
+    fn intern_past(&mut self, id: NodeId) -> u32 {
+        if self.graph.past.is_empty() {
+            self.reset_past(PAST_SLOTS);
+        }
         let mask = self.slots.len() - 1;
         let mut slot = self.home(id);
         loop {
             let (held, dense) = self.slots[slot];
             if dense == FREE {
-                let dense = self.graph.ids.len() as u32;
-                self.slots[slot] = (id, dense);
-                self.graph.ids.push(id);
-                return dense;
+                break;
             }
             if held == id {
                 return dense;
             }
             slot = (slot + 1) & mask;
         }
+        let dense = self.graph.len() as u32;
+        self.slots[slot] = (id, dense);
+        self.graph.past.push(id);
+        if 2 * self.graph.past.len() > self.slots.len() {
+            // Over half full: double the table and re-place every id.
+            self.reset_past(2 * self.slots.len());
+            let mask = self.slots.len() - 1;
+            for (i, &past) in self.graph.past.iter().enumerate() {
+                let mut slot = self.home(past);
+                while self.slots[slot].1 != FREE {
+                    slot = (slot + 1) & mask;
+                }
+                self.slots[slot] = (past, self.graph.seeded + i as u32);
+            }
+        }
+        dense
     }
 
-    /// Starts a new input graph rooted at `me` (dense index 0) holding
-    /// the neighbor-table keys, its interning table sized for them plus
-    /// `more_ids` distinct ids still to come through
-    /// [`RouteScratch::push_pair`].
-    fn begin(
-        &mut self,
-        me: NodeId,
-        sym: &[NodeId],
-        reported: &[(NodeId, NodeId)],
-        more_ids: usize,
-    ) {
-        self.reset_ids(1 + sym.len() + 2 * reported.len() + more_ids);
-        let root = self.intern(me);
-        self.run = (me, root);
+    /// Starts a new input graph rooted at `me` holding the neighbor-table
+    /// keys, numbering the ids below `seeded` by their own value.
+    fn begin(&mut self, me: NodeId, seeded: usize, sym: &[NodeId], reported: &[(NodeId, NodeId)]) {
+        self.graph.seeded = u32::try_from(seeded).expect("seeded count fits the id space");
+        self.graph.past.clear();
         self.graph.edges.clear();
+        let root = self.intern(me);
+        self.graph.root = root;
         for &nbr in sym {
             let i = self.intern(nbr);
             self.graph.edges.push((root, i));
@@ -185,18 +247,16 @@ impl RouteScratch {
 
     /// Adds the link `a — b`.
     fn push_pair(&mut self, a: NodeId, b: NodeId) {
-        if self.run.0 != a {
-            self.run = (a, self.intern(a));
-        }
+        let ia = self.intern(a);
         let ib = self.intern(b);
-        self.graph.edges.push((self.run.1, ib));
+        self.graph.edges.push((ia, ib));
     }
 
     /// Hop-count BFS over the graph pushed since [`RouteScratch::begin`],
     /// writing the table to `out` in BFS order.
     fn routes_into(&mut self, out: &mut Vec<RouteEntry>) {
         let RouteScratch {
-            graph: InternedGraph { ids, edges, .. },
+            graph,
             offsets,
             adj,
             dist,
@@ -204,14 +264,15 @@ impl RouteScratch {
             queue,
             ..
         } = self;
-        let n = ids.len();
-        let me = ids[0];
+        let n = graph.len();
+        let root = graph.root;
+        let me = graph.id(root);
 
         // Undirected CSR by counting sort. Repeated links are left in:
         // the BFS skips an already-reached index anyway.
         offsets.clear();
         offsets.resize(n + 1, 0);
-        for &(a, b) in edges.iter() {
+        for &(a, b) in &graph.edges {
             offsets[a as usize] += 1;
             offsets[b as usize] += 1;
         }
@@ -224,7 +285,7 @@ impl RouteScratch {
         }
         adj.clear();
         adj.resize(end as usize, 0);
-        for &(a, b) in edges.iter() {
+        for &(a, b) in &graph.edges {
             offsets[a as usize] -= 1;
             adj[offsets[a as usize] as usize] = b;
             offsets[b as usize] -= 1;
@@ -240,13 +301,13 @@ impl RouteScratch {
         next.clear();
         next.resize(n, me);
         queue.clear();
-        dist[0] = 0;
-        let first_hops = &mut adj[row(0)];
-        first_hops.sort_unstable_by_key(|&y| ids[y as usize]);
+        dist[root as usize] = 0;
+        let first_hops = &mut adj[row(root)];
+        first_hops.sort_unstable_by_key(|&y| graph.id(y));
         for &y in first_hops.iter() {
             if dist[y as usize] == UNREACHED {
                 dist[y as usize] = 1;
-                next[y as usize] = ids[y as usize];
+                next[y as usize] = graph.id(y);
                 queue.push(y);
             }
         }
@@ -265,7 +326,7 @@ impl RouteScratch {
 
         out.clear();
         out.extend(queue.iter().map(|&x| RouteEntry {
-            dest: ids[x as usize],
+            dest: graph.id(x),
             next_hop: next[x as usize],
             hops: dist[x as usize],
         }));
@@ -277,21 +338,23 @@ impl RouteScratch {
 /// table — in BFS order, so by non-decreasing hop count — into `out`
 /// without allocating (steady state) thanks to `scratch`.
 ///
-/// Inputs: `sym` are the symmetric neighbor ids, `reported` the
+/// Inputs: `seeded` is the numbering's seed — ids below it are their
+/// own dense index, as on a network's stores seeded with its node count
+/// (see the [module docs](self)); any value yields the same table.
+/// `sym` are the symmetric neighbor ids, `reported` the
 /// `(reporter, other end)` pairs from HELLOs, `advertised` the
 /// `(originator, advertised)` pairs from TCs. All edges are treated
 /// bidirectionally; order, repeats and self-loops are irrelevant.
 pub fn compute_routes_keys_into(
     me: NodeId,
+    seeded: usize,
     sym: &[NodeId],
     reported: &[(NodeId, NodeId)],
     advertised: &[(NodeId, NodeId)],
     scratch: &mut RouteScratch,
     out: &mut Vec<RouteEntry>,
 ) {
-    // Intern every mentioned id in arrival order (`me` is index 0) and
-    // keep each link as a dense pair.
-    scratch.begin(me, sym, reported, 2 * advertised.len());
+    scratch.begin(me, seeded, sym, reported);
     for &(a, b) in advertised {
         scratch.push_pair(a, b);
     }
@@ -300,11 +363,13 @@ pub fn compute_routes_keys_into(
 
 /// Computes hop-count routes from `me` given its symmetric neighbors, the
 /// links its neighbors reported, and the advertised links learned from
-/// TCs. Returns a map keyed by destination.
+/// TCs, numbering ids below `seeded` by their own value (see
+/// [`compute_routes_keys_into`]). Returns a map keyed by destination.
 ///
 /// Determinism: equal-length routes resolve to the smallest-id next hop.
 pub fn compute_routes(
     me: NodeId,
+    seeded: usize,
     sym_neighbors: &[(NodeId, LinkQos)],
     reported_links: &[(NodeId, NodeId, LinkQos)],
     advertised_links: &[(NodeId, NodeId, LinkQos)],
@@ -315,12 +380,20 @@ pub fn compute_routes(
         advertised_links.iter().map(|&(a, b, _)| (a, b)).collect();
     let mut scratch = RouteScratch::new();
     let mut out = Vec::new();
-    compute_routes_keys_into(me, &sym, &reported, &advertised, &mut scratch, &mut out);
+    compute_routes_keys_into(
+        me,
+        seeded,
+        &sym,
+        &reported,
+        &advertised,
+        &mut scratch,
+        &mut out,
+    );
     out.into_iter().map(|e| (e.dest, e)).collect()
 }
 
 /// The original `BTreeMap`-based formulation, kept verbatim as the
-/// reference oracle for the differential suites: the interned
+/// reference oracle for the differential suites: the from-scratch
 /// [`compute_routes_keys_into`] and the cached [`RouteCache`] path must
 /// both reproduce it exactly.
 pub fn reference_routes(
@@ -378,12 +451,16 @@ pub fn reference_routes(
 }
 
 thread_local! {
-    /// The interning and BFS buffers every [`RouteCache`] on this thread
-    /// gathers and recomputes through. [`RouteScratch::begin`] clears
-    /// whatever an earlier query left in them, so one copy per thread
-    /// serves all of its nodes. The sharded engine's per-window
-    /// worker threads each start from an empty copy, which costs a few
-    /// allocations per window and shard.
+    /// The numbering and BFS buffers every [`RouteCache`] on this
+    /// thread gathers and recomputes through. [`RouteScratch::begin`]
+    /// starts each query's graph afresh, and the arrays it indexes by
+    /// dense index are cleared and resized to the query's own numbering,
+    /// so one copy per thread serves all of its nodes, whatever their
+    /// stores' seeds. Nothing is cleared per query beyond those arrays:
+    /// the past-seed table is reset only when a graph mints its first id
+    /// past the seed. The sharded engine's per-window worker threads
+    /// each start from an empty copy, which costs a few allocations per
+    /// window and shard.
     static SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::new());
 }
 
@@ -398,14 +475,15 @@ thread_local! {
 ///    tuple can expire. Zero work.
 /// 2. **revalidation hit** — the window lapsed, the dirty flag was set,
 ///    or time moved non-monotonically, but the live input *keys*,
-///    interned into the thread's [`RouteScratch`], form the same graph
+///    numbered into the thread's [`RouteScratch`], form the same graph
 ///    as the cached table's (lifetime refreshes and QoS drift don't
-///    alter hop routes). Costs one interning pass and comparison, no
+///    alter hop routes). Costs one numbering pass and comparison, no
 ///    BFS.
-/// 3. **recompute** — the interned graph differs from the cached
+/// 3. **recompute** — the numbered graph differs from the cached
 ///    table's, or no table was ever computed: CSR and BFS over the
-///    graph already interned, which the cache then copies as its
-///    revalidation key.
+///    graph already numbered, which the cache then copies as its
+///    revalidation key (dense edges, section lengths, the seed and root,
+///    and the ids past the seed — none on a seeded network's run).
 ///
 /// The table is kept in BFS order (non-decreasing hop count), not
 /// sorted by destination; [`RouteCache::lookup`] scans it.
@@ -419,7 +497,7 @@ pub struct RouteCache {
     computed: bool,
     cached_at: SimTime,
     valid_until: SimTime,
-    /// Interned input graph of the cached table.
+    /// Numbered input graph of the cached table.
     key: InternedGraph,
     /// Gather buffers for the current query's neighbor-table keys.
     gather_sym: Vec<NodeId>,
@@ -461,7 +539,7 @@ impl RouteCache {
             self.hits += 1;
             return;
         }
-        // Intern the live input keys (and find the earliest instant any
+        // Number the live input keys (and find the earliest instant any
         // of them can expire) without allocating in steady state. Keys
         // only: hop-count routing never reads the QoS labels, so QoS
         // drift neither enters the comparison nor gets decoded.
@@ -470,9 +548,9 @@ impl RouteCache {
         SCRATCH.with_borrow_mut(|scratch| {
             scratch.begin(
                 me,
+                topology.seeded(),
                 &self.gather_sym,
                 &self.gather_reported,
-                topology.id_bound(),
             );
             let topo_exp = topology.for_each_link_key(now, |a, b| scratch.push_pair(a, b));
             self.cached_at = now;
@@ -513,13 +591,23 @@ mod tests {
     use crate::store::{SharedLinkStore, SharedTopology};
     use crate::tables::TcUpdate;
 
+    /// Seeds the numbering with the ids 0 and 1, so the cases below
+    /// mix ids on both sides of the seed.
+    const SEED: usize = 2;
+
     fn q() -> LinkQos {
         LinkQos::uniform(1)
     }
 
     #[test]
     fn one_hop_routes() {
-        let routes = compute_routes(NodeId(0), &[(NodeId(1), q()), (NodeId(2), q())], &[], &[]);
+        let routes = compute_routes(
+            NodeId(0),
+            SEED,
+            &[(NodeId(1), q()), (NodeId(2), q())],
+            &[],
+            &[],
+        );
         assert_eq!(routes[&NodeId(1)].hops, 1);
         assert_eq!(routes[&NodeId(1)].next_hop, NodeId(1));
         assert_eq!(routes.len(), 2);
@@ -529,6 +617,7 @@ mod tests {
     fn two_hop_via_reported_links() {
         let routes = compute_routes(
             NodeId(0),
+            SEED,
             &[(NodeId(1), q())],
             &[(NodeId(1), NodeId(2), q())],
             &[],
@@ -541,6 +630,7 @@ mod tests {
     fn multi_hop_via_advertised_links() {
         let routes = compute_routes(
             NodeId(0),
+            SEED,
             &[(NodeId(1), q())],
             &[(NodeId(1), NodeId(2), q())],
             &[(NodeId(2), NodeId(3), q()), (NodeId(3), NodeId(4), q())],
@@ -551,7 +641,7 @@ mod tests {
 
     #[test]
     fn unknown_destination_absent() {
-        let routes = compute_routes(NodeId(0), &[(NodeId(1), q())], &[], &[]);
+        let routes = compute_routes(NodeId(0), SEED, &[(NodeId(1), q())], &[], &[]);
         assert!(!routes.contains_key(&NodeId(9)));
     }
 
@@ -560,6 +650,7 @@ mod tests {
         // Two equal 2-hop routes to 3: via 1 and via 2.
         let routes = compute_routes(
             NodeId(0),
+            SEED,
             &[(NodeId(1), q()), (NodeId(2), q())],
             &[(NodeId(1), NodeId(3), q()), (NodeId(2), NodeId(3), q())],
             &[],
@@ -569,7 +660,7 @@ mod tests {
 
     #[test]
     fn self_is_not_a_destination() {
-        let routes = compute_routes(NodeId(0), &[(NodeId(1), q())], &[], &[]);
+        let routes = compute_routes(NodeId(0), SEED, &[(NodeId(1), q())], &[], &[]);
         assert!(!routes.contains_key(&NodeId(0)));
     }
 
@@ -594,10 +685,13 @@ mod tests {
             ),
         ];
         for (sym, rep, adv) in cases {
-            assert_eq!(
-                compute_routes(NodeId(0), sym, rep, adv),
-                reference_routes(NodeId(0), sym, rep, adv),
-            );
+            for seeded in 0..11 {
+                assert_eq!(
+                    compute_routes(NodeId(0), seeded, sym, rep, adv),
+                    reference_routes(NodeId(0), sym, rep, adv),
+                    "seeded {seeded}"
+                );
+            }
         }
     }
 
@@ -716,7 +810,7 @@ mod tests {
         use qolsr_sim::SimDuration;
 
         // The link 1 — 2 is first reported in a HELLO, then only
-        // advertised in a TC: the interned ids and edges come out the
+        // advertised in a TC: the numbered ids and edges come out the
         // same, but the key lists differ, so the cache must recompute.
         let me = NodeId(0);
         let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
@@ -749,11 +843,12 @@ mod tests {
 
     #[test]
     fn colliding_ids_probe_past_the_table_end() {
-        // `me` plus three neighbors size the table at eight slots; all
-        // four ids below start probing at the last one, so three wrap.
+        // `me` plus three neighbors, all past an empty seed, fill the
+        // past-seed table to half its first eight slots; all four ids
+        // below start probing at the last one, so three wrap.
         let mut scratch = RouteScratch::new();
-        scratch.reset_ids(4);
-        let last = scratch.slots.len() - 1;
+        scratch.reset_past(PAST_SLOTS);
+        let last = PAST_SLOTS - 1;
         let ids: Vec<NodeId> = (0u32..)
             .map(NodeId)
             .filter(|&id| scratch.home(id) == last)
@@ -761,8 +856,8 @@ mod tests {
             .collect();
         let (me, sym) = (ids[0], &ids[1..]);
         let mut out = Vec::new();
-        compute_routes_keys_into(me, sym, &[], &[], &mut scratch, &mut out);
-        assert_eq!(scratch.slots.len(), last + 1);
+        compute_routes_keys_into(me, 0, sym, &[], &[], &mut scratch, &mut out);
+        assert_eq!(scratch.slots.len(), PAST_SLOTS);
         let sym_q: Vec<(NodeId, LinkQos)> = sym.iter().map(|&n| (n, q())).collect();
         let reference: Vec<RouteEntry> = reference_routes(me, &sym_q, &[], &[])
             .into_values()
@@ -771,11 +866,39 @@ mod tests {
     }
 
     #[test]
+    fn past_seed_table_grows_past_half_full() {
+        // A chain 0 — 1 — … — 40 past a seed of 3: 38 ids past it double
+        // the table from 8 slots to 128 while the chain is numbered.
+        let chain: Vec<(NodeId, NodeId, LinkQos)> =
+            (1..40).map(|i| (NodeId(i), NodeId(i + 1), q())).collect();
+        let keys: Vec<(NodeId, NodeId)> = chain.iter().map(|&(a, b, _)| (a, b)).collect();
+        let mut scratch = RouteScratch::new();
+        let mut out = Vec::new();
+        compute_routes_keys_into(
+            NodeId(0),
+            3,
+            &[NodeId(1)],
+            &[],
+            &keys,
+            &mut scratch,
+            &mut out,
+        );
+        assert_eq!(scratch.graph.past.len(), 38);
+        assert_eq!(scratch.slots.len(), 128);
+        let reference = reference_routes(NodeId(0), &[(NodeId(1), q())], &[], &chain);
+        assert_eq!(out.len(), 40);
+        for e in &out {
+            assert_eq!(reference[&e.dest], *e);
+        }
+    }
+
+    #[test]
     fn scratch_reuse_across_different_graphs() {
         let mut scratch = RouteScratch::new();
         let mut out = Vec::new();
         compute_routes_keys_into(
             NodeId(0),
+            0,
             &[NodeId(1)],
             &[(NodeId(1), NodeId(2))],
             &[],
@@ -783,11 +906,26 @@ mod tests {
             &mut out,
         );
         assert_eq!(out.len(), 2);
-        // Smaller, unrelated graph afterwards: stale scratch state must
+        // A smaller graph afterwards, whose ids past the seed include one
+        // the first graph numbered differently: stale scratch state must
         // not leak.
-        compute_routes_keys_into(NodeId(5), &[NodeId(7)], &[], &[], &mut scratch, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].dest, NodeId(7));
-        assert_eq!(out[0].hops, 1);
+        compute_routes_keys_into(
+            NodeId(5),
+            0,
+            &[NodeId(2), NodeId(7)],
+            &[],
+            &[],
+            &mut scratch,
+            &mut out,
+        );
+        let one_hop = |id| RouteEntry {
+            dest: NodeId(id),
+            next_hop: NodeId(id),
+            hops: 1,
+        };
+        assert_eq!(out, [one_hop(2), one_hop(7)]);
+        // Then one seeded past every id it mentions.
+        compute_routes_keys_into(NodeId(5), 8, &[NodeId(7)], &[], &[], &mut scratch, &mut out);
+        assert_eq!(out, [one_hop(7)]);
     }
 }

@@ -27,9 +27,13 @@
 //! shard's store keeps its visit order. An id at or past `n` (only a
 //! corrupted frame that passes the checksum mints one) keeps its
 //! overlay in a short per-node list sorted by id, walked after the
-//! array and emptied as its overlays expire: neither a node's visit
-//! order nor its memory depends on the originators its store met
-//! before.
+//! array and emptied as its overlays expire, and the store forgets its
+//! number and dedup list with its last set, handing the number to the
+//! next such id: neither a node's visit order nor its memory, nor the
+//! store's, depends on the originators its store met before. The route
+//! computation numbers ids the same way, each id below `n` by its own
+//! value ([`crate::routing`]), so its arrays and revalidation keys are
+//! indexed by id too.
 //!
 //! # Packing
 //!
@@ -284,6 +288,15 @@ impl LinkSetStore {
         if let Ok(i) = list.binary_search_by_key(&s.seq, |e| e.0) {
             if list[i].1 == r.0 {
                 list.remove(i);
+                if list.is_empty() && s.origin as usize >= self.seeded {
+                    // The last keyed set of an originator past the seed:
+                    // forget its number, which the next new originator
+                    // takes. A slot a wrapped sequence orphaned may still
+                    // carry the number; its release finds no key of its
+                    // own under it, whoever holds the number then.
+                    *list = Vec::new();
+                    self.intern.remove(self.intern.resolve(s.origin));
+                }
             }
         }
         self.free.push(r.0);
@@ -463,6 +476,12 @@ impl SharedTopology {
     /// The store handle this base shares sets through.
     pub fn store(&self) -> &SharedLinkStore {
         &self.store
+    }
+
+    /// The store's seeded id count: the ids `0..n` its numbering
+    /// assigns by their own value.
+    pub(crate) fn seeded(&self) -> usize {
+        self.seeded
     }
 
     /// The overlay held for `orig`, [`VACANT`] if none.
@@ -833,7 +852,11 @@ mod tests {
     #[test]
     fn payload_size_and_overhead_are_pinned() {
         // Recorded before the id block and the QoS block were split: the
-        // layout moves the bytes, never their count.
+        // layout moves the bytes, never their count. The store is
+        // unseeded, so every originator lies past the seed and is
+        // forgotten with its last keyed set: originator 1 before `end`
+        // (its 32-byte dedup list goes, the 16-byte free list of numbers
+        // comes), 7 and 3 after it.
         let (st, [mid, end]) = gauge_history();
         assert_eq!(
             mid,
@@ -850,7 +873,7 @@ mod tests {
             StoreGauges {
                 live_slots: 3,
                 resident_links: 6,
-                resident_bytes: 494,
+                resident_bytes: 478,
                 dedup_hits: 1,
                 slots_interned: 5,
             }
@@ -860,7 +883,7 @@ mod tests {
             StoreGauges {
                 live_slots: 0,
                 resident_links: 0,
-                resident_bytes: 416,
+                resident_bytes: 336,
                 dedup_hits: 1,
                 slots_interned: 5,
             }
@@ -973,6 +996,7 @@ mod tests {
         let seeded = tb.footprint();
         assert_eq!(seeded.0, 1);
         // Ids a corrupted frame could mint, never the same one twice.
+        let mut resident = None;
         for round in 0..50 {
             let (now, hold) = (t(round), t(round + 1));
             for k in 0..20 {
@@ -985,6 +1009,10 @@ mod tests {
             tb.sweep(hold);
             assert_eq!(tb.footprint(), seeded, "round {round}");
             assert_eq!(tb.len(), 1);
+            // The store forgets them too: its footprint settles after
+            // the first round instead of growing with the run.
+            let bytes = store.gauges().resident_bytes;
+            assert_eq!(*resident.get_or_insert(bytes), bytes, "round {round}");
         }
         assert_eq!(tb.links(t(60)), vec![(NodeId(2), NodeId(3), q(1))]);
         assert_eq!(store.gauges().live_slots, 1);

@@ -484,10 +484,11 @@ pub struct TcUpdate {
 /// the per-node reference tables they keep as an oracle, so the route
 /// cache runs over both.
 pub trait TopologyLinks {
-    /// An upper bound on the distinct ids the pairs of
-    /// [`TopologyLinks::for_each_link_key`] mention: one per originator
-    /// plus one per stored link, expired-but-unswept ones included.
-    fn id_bound(&self) -> usize;
+    /// The seed of the base's originator numbering: the ids `0..n`,
+    /// each numbered by its own value (see
+    /// [`SharedLinkStore::seeded`](crate::store::SharedLinkStore::seeded)).
+    /// The route computation numbers its ids the same way.
+    fn seeded(&self) -> usize;
 
     /// Calls `visit(originator, advertised)` for every live advertised
     /// link, ascending by `(originator, advertised)`; returns the
@@ -496,8 +497,8 @@ pub trait TopologyLinks {
 }
 
 impl TopologyLinks for SharedTopology {
-    fn id_bound(&self) -> usize {
-        self.originators() + self.len()
+    fn seeded(&self) -> usize {
+        SharedTopology::seeded(self)
     }
 
     fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {

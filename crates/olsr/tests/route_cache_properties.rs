@@ -5,19 +5,24 @@
 //! every query identically to [`reference_routes`] — the original
 //! `BTreeMap` BFS — recomputed from scratch on the live table contents.
 //! Every history drives two caches: one over the per-node
-//! [`TopologyBase`] tables (a test-only oracle in `tests/support/`) and
-//! one over a [`SharedTopology`] on a [`SharedLinkStore`], the
-//! production path. Both must also count the
-//! hits and recomputes a model of the cache's freshness rules predicts.
-//! The interned [`compute_routes`] is pinned to the reference on the
-//! same inputs, and so are caches that share one thread's scratch, taking
-//! turns on one thread and recomputing at once on two.
+//! [`TopologyBase`] tables (a test-only oracle in `tests/support/`,
+//! which seeds no numbering, so every id goes through the route
+//! scratch's past-seed table) and one over a [`SharedTopology`] on a
+//! [`SharedLinkStore`] seeded with a drawn prefix of the ids, the
+//! production path, so its histories straddle the seed. Both must also
+//! count the hits and recomputes a model of the cache's freshness rules
+//! predicts. The from-scratch [`compute_routes`] is pinned to the
+//! reference on the same inputs, [`compute_routes_keys_into`] on raw
+//! lists numbered from a drawn seed, and so are caches that share one
+//! thread's scratch, taking turns on one thread and recomputing at once
+//! on two.
 //!
 //! [`OlsrNode`]: qolsr_proto::OlsrNode
 //! [`RouteCache`]: qolsr_proto::RouteCache
 //! [`SharedLinkStore`]: qolsr_proto::store::SharedLinkStore
 //! [`SharedTopology`]: qolsr_proto::store::SharedTopology
 //! [`compute_routes`]: qolsr_proto::routing::compute_routes
+//! [`compute_routes_keys_into`]: qolsr_proto::routing::compute_routes_keys_into
 //! [`reference_routes`]: qolsr_proto::routing::reference_routes
 
 mod support;
@@ -29,10 +34,10 @@ use proptest::prelude::*;
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState};
-use qolsr_proto::routing::{compute_routes, reference_routes};
+use qolsr_proto::routing::{compute_routes, compute_routes_keys_into, reference_routes};
 use qolsr_proto::store::{SharedLinkStore, SharedTopology};
 use qolsr_proto::tables::NeighborTables;
-use qolsr_proto::{RouteCache, RouteEntry};
+use qolsr_proto::{RouteCache, RouteEntry, RouteScratch};
 use qolsr_sim::{SimDuration, SimTime};
 use support::topology_base::TopologyBase;
 
@@ -246,11 +251,14 @@ proptest! {
     /// over the per-node base and over the shared store alike.
     #[test]
     fn cache_equals_scratch_after_arbitrary_histories(
-        ops in proptest::collection::vec(op(), 1..60)
+        ops in proptest::collection::vec(op(), 1..60),
+        seeded_len in 0usize..12,
     ) {
         let mut nt = NeighborTables::new();
         let mut tb = TopologyBase::new();
-        let mut shared = SharedTopology::new(SharedLinkStore::new());
+        // Seeds the ids `0..seeded_len`: none, some or all of the ids the
+        // history mentions (0..10), so ids sit on both sides of the seed.
+        let mut shared = SharedTopology::new(SharedLinkStore::seeded(seeded_len));
         let mut cache = RouteCache::new();
         let mut shared_cache = RouteCache::new();
         let mut model = CounterModel::default();
@@ -297,6 +305,7 @@ proptest! {
                     check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, now)?;
                     let scratch = compute_routes(
                         ME,
+                        seeded_len,
                         &nt.symmetric_neighbors(now),
                         &nt.reported_links(now),
                         &tb.links(now),
@@ -309,34 +318,54 @@ proptest! {
         check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, now)?;
     }
 
-    /// The hashed-interning BFS matches the reference formulation on raw
-    /// input lists. Ids span the whole `u32` range and are drawn from a
-    /// small pool, so they repeat: `me` (the pool's first id) shows up
-    /// inside reported/advertised pairs and in `sym`, self-loops occur,
-    /// and `sym` comes unsorted with duplicates.
+    /// The from-scratch BFS matches the reference formulation on raw
+    /// input lists, numbered from a drawn seed. Ids fall on both sides
+    /// of it: small ones around it, and ids over the whole `u32` range.
+    /// They are drawn from a small pool, so they repeat: `me` (the
+    /// pool's first id) shows up inside reported/advertised pairs and in
+    /// `sym`, self-loops occur, and `sym` comes unsorted with
+    /// duplicates. The table, BFS order included, is the same as with
+    /// no id seeded.
     #[test]
     fn interned_bfs_equals_reference(
-        pool in proptest::collection::vec(wide_id(), 1..16),
+        seeded in 0usize..48,
+        pool in proptest::collection::vec(any_id(), 1..16),
         sym in proptest::collection::vec(0usize..16, 0..8),
         reported in proptest::collection::vec((0usize..16, 0usize..16), 0..16),
         advertised in proptest::collection::vec((0usize..16, 0usize..16), 0..24),
     ) {
         let id = |i: usize| NodeId(pool[i % pool.len()]);
         let me = id(0);
-        let sym: Vec<(NodeId, LinkQos)> =
-            sym.iter().map(|&i| (id(i), LinkQos::uniform(1))).collect();
-        let pairs = |v: &[(usize, usize)]| -> Vec<(NodeId, NodeId, LinkQos)> {
-            v.iter()
-                .map(|&(a, b)| (id(a), id(b), LinkQos::uniform(1)))
-                .collect()
+        let sym: Vec<NodeId> = sym.iter().map(|&i| id(i)).collect();
+        let reported: Vec<(NodeId, NodeId)> = reported.iter().map(|&(a, b)| (id(a), id(b))).collect();
+        let advertised: Vec<(NodeId, NodeId)> =
+            advertised.iter().map(|&(a, b)| (id(a), id(b))).collect();
+        let mut scratch = RouteScratch::new();
+        let mut routes = |seeded: usize| {
+            let mut out = Vec::new();
+            compute_routes_keys_into(me, seeded, &sym, &reported, &advertised, &mut scratch, &mut out);
+            out
         };
-        let reported = pairs(&reported);
-        let advertised = pairs(&advertised);
-        prop_assert_eq!(
-            compute_routes(me, &sym, &reported, &advertised),
-            reference_routes(me, &sym, &reported, &advertised),
-        );
+        let table = routes(seeded);
+        let unseeded = routes(0);
+
+        let qos = LinkQos::uniform(1);
+        let labeled = |v: &[(NodeId, NodeId)]| -> Vec<(NodeId, NodeId, LinkQos)> {
+            v.iter().map(|&(a, b)| (a, b, qos)).collect()
+        };
+        let sym_q: Vec<(NodeId, LinkQos)> = sym.iter().map(|&n| (n, qos)).collect();
+        let reference = reference_routes(me, &sym_q, &labeled(&reported), &labeled(&advertised));
+        let by_dest: BTreeMap<NodeId, RouteEntry> = table.iter().map(|&e| (e.dest, e)).collect();
+        prop_assert_eq!(table.len(), by_dest.len(), "a destination repeats");
+        prop_assert_eq!(by_dest, reference);
+        prop_assert_eq!(table, unseeded, "the seed moved the table");
     }
+}
+
+/// Ids on both sides of a seed drawn below 48 — every small id up to
+/// 64 — and over the whole `u32` range.
+fn any_id() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..64, wide_id()]
 }
 
 /// Ids over the whole `u32` range: arbitrary values, `u32::MAX`, and ids

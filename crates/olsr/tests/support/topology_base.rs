@@ -243,8 +243,10 @@ impl TopologyBase {
 }
 
 impl TopologyLinks for TopologyBase {
-    fn id_bound(&self) -> usize {
-        self.originators() + self.len()
+    /// The per-node tables number nothing up front, so a route
+    /// computation over them numbers every id past the seed.
+    fn seeded(&self) -> usize {
+        0
     }
 
     fn for_each_link_key(&self, now: SimTime, visit: impl FnMut(NodeId, NodeId)) -> SimTime {
