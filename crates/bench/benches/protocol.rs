@@ -6,13 +6,17 @@
 //! integration throughput, the TC receive path's per-originator lookups
 //! under a flood's cold caches, and the engine's timer wheel against a
 //! plain binary heap, its bench-local baseline, under a HELLO/TC-like
-//! timer mix.
+//! timer mix and under the engine's window/barrier loop.
+//!
+//! Benches whose name promises a path assert, outside the timed loop,
+//! that they took it: every `recompute*` query recomputed, every
+//! cached query hit, and the wheel popped what the heap pops.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use qolsr::policy::SelectorPolicy;
 use qolsr::selector::Fnbp;
 use qolsr_bench::paper_topology;
@@ -187,8 +191,10 @@ fn bench_compute_routes(c: &mut Criterion) {
 }
 
 /// Tables primed with `n`-node knowledge for cache/process benches, on
-/// a store seeded like an `n`-node network's.
-fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) {
+/// a store seeded like an `n`-node network's. Returns the neighbor
+/// tables and two topology bases that differ only in one originator's
+/// advertised set, as after one TC that changed it.
+fn primed_tables(n: u32, deg: u32) -> (NeighborTables, [SharedTopology; 2], SimTime) {
     let (sym, reported, advertised) = route_inputs(n, deg, 0x0151);
     let mut nt = NeighborTables::new();
     let now = SimTime::ZERO;
@@ -211,14 +217,24 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) 
         );
         nt.process_hello(NodeId(0), v, qos, &Hello { neighbors }, now, hold);
     }
-    let mut tb = SharedTopology::new(SharedLinkStore::seeded(n as usize));
+    let store = SharedLinkStore::seeded(n as usize);
+    let mut bases = [
+        SharedTopology::new(store.clone()),
+        SharedTopology::new(store),
+    ];
     let t_hold = now + SimDuration::from_secs(15);
     for chunk in advertised.chunks(4) {
         let orig = chunk[0].0;
         let adv: Vec<(NodeId, LinkQos)> = chunk.iter().map(|&(_, b, q)| (b, q)).collect();
-        tb.process_tc_tracked(orig, 1, 1, &adv, now, t_hold);
+        for base in &mut bases {
+            base.process_tc_tracked(orig, 1, 1, &adv, now, t_hold);
+        }
     }
-    (nt, tb, now)
+    let q = LinkQos::uniform(1);
+    let changed = [(NodeId(n / 2), q), (NodeId(n - 1), q)];
+    let update = bases[1].process_tc_tracked(advertised[4].0, 2, 2, &changed, now, t_hold);
+    assert!(update.links_changed, "the second base differs in one set");
+    (nt, bases, now)
 }
 
 /// One node's tables shaped like a `mobile-traffic-500` node's, on a
@@ -279,46 +295,62 @@ fn bench_route_cache(c: &mut Criterion) {
     group.sample_size(10);
     let (nt, bases, now) = mobile_node_tables();
     let query_at = now + SimDuration::from_secs(1);
-    // Alternating between the two bases makes every query a recompute.
     group.bench_function("shared_mobile_node/recompute_one_set_changed", |b| {
-        let mut cache = RouteCache::new();
-        let mut turn = 0;
-        b.iter(|| {
-            turn ^= 1;
-            cache.invalidate();
-            cache.ensure(NodeId(0), &nt, &bases[turn], query_at);
-            black_box(cache.entries().len())
-        });
+        recompute_alternating(b, &nt, &bases, query_at)
     });
     group.bench_function("shared_mobile_node/window_hit", |b| {
-        let mut cache = RouteCache::new();
-        cache.ensure(NodeId(0), &nt, &bases[0], query_at);
-        b.iter(|| {
-            cache.ensure(NodeId(0), &nt, &bases[0], query_at);
-            black_box(cache.entries().len())
-        });
+        cached_query(b, &nt, &bases[0], query_at)
     });
     for n in [1000u32, 4000] {
-        let (nt, tb, now) = primed_tables(n, 10);
+        let (nt, bases, now) = primed_tables(n, 10);
         let query_at = now + SimDuration::from_secs(1);
         group.bench_with_input(BenchmarkId::new("recompute_every_query", n), &n, |b, _| {
-            let mut cache = RouteCache::new();
-            b.iter(|| {
-                cache.invalidate();
-                cache.ensure(NodeId(0), &nt, &tb, query_at);
-                black_box(cache.entries().len())
-            });
+            recompute_alternating(b, &nt, &bases, query_at)
         });
         group.bench_with_input(BenchmarkId::new("cached_query", n), &n, |b, _| {
-            let mut cache = RouteCache::new();
-            cache.ensure(NodeId(0), &nt, &tb, query_at);
-            b.iter(|| {
-                cache.ensure(NodeId(0), &nt, &tb, query_at);
-                black_box(cache.entries().len())
-            });
+            cached_query(b, &nt, &bases[0], query_at)
         });
     }
     group.finish();
+}
+
+/// Times route queries that each find the other base's topology: an
+/// invalidated cache revalidates by comparing the numbered graph, so
+/// alternating between two bases that differ in one set makes every
+/// query a recompute. Asserts that every query did recompute.
+fn recompute_alternating(
+    b: &mut Bencher,
+    nt: &NeighborTables,
+    bases: &[SharedTopology; 2],
+    query_at: SimTime,
+) {
+    let mut cache = RouteCache::new();
+    let mut queries = 0;
+    b.iter(|| {
+        queries += 1;
+        cache.invalidate();
+        cache.ensure(NodeId(0), nt, &bases[queries % 2], query_at);
+        black_box(cache.entries().len())
+    });
+    assert_eq!(
+        cache.counters(),
+        (queries as u64, 0),
+        "every query recomputes"
+    );
+}
+
+/// Times route queries inside the cached table's validity window.
+/// Asserts that every timed query was a hit.
+fn cached_query(b: &mut Bencher, nt: &NeighborTables, tb: &SharedTopology, query_at: SimTime) {
+    let mut cache = RouteCache::new();
+    cache.ensure(NodeId(0), nt, tb, query_at);
+    let mut queries = 0;
+    b.iter(|| {
+        queries += 1;
+        cache.ensure(NodeId(0), nt, tb, query_at);
+        black_box(cache.entries().len())
+    });
+    assert_eq!(cache.counters(), (1, queries), "every query hits");
 }
 
 fn bench_table_integration(c: &mut Criterion) {
@@ -445,38 +477,76 @@ impl QueueItem for BenchEvent {
     }
 }
 
+/// An event as wide as the engine's `Scheduled<Bytes>` (64 bytes), so
+/// the queues move as many bytes per push and pop as the engine's do.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Clone, Copy)]
+struct WideEvent {
+    time: u64,
+    seq: u64,
+    payload: [u64; 6],
+}
+
+impl WideEvent {
+    fn new(time: u64, seq: u64) -> Self {
+        Self {
+            time,
+            seq,
+            payload: [seq; 6],
+        }
+    }
+}
+
+impl QueueItem for WideEvent {
+    fn due_micros(&self) -> u64 {
+        self.time
+    }
+}
+
 /// A queue the scheduler bench can time: the engine's [`TimerWheel`],
 /// or a plain binary heap — the baseline the wheel replaced, kept here
 /// so the wheel's advantage stays measurable.
-trait BenchQueue: Default {
-    fn push(&mut self, ev: BenchEvent);
-    fn pop(&mut self) -> Option<BenchEvent>;
+trait BenchQueue<T>: Default {
+    fn push(&mut self, ev: T);
+    fn pop(&mut self) -> Option<T>;
+    /// Pops the smallest event if it is due at or before `last`.
+    fn pop_due_by(&mut self, last: u64) -> Option<T>;
 }
 
-impl BenchQueue for TimerWheel<BenchEvent> {
-    fn push(&mut self, ev: BenchEvent) {
+impl<T: QueueItem> BenchQueue<T> for TimerWheel<T> {
+    fn push(&mut self, ev: T) {
         TimerWheel::push(self, ev);
     }
 
-    fn pop(&mut self) -> Option<BenchEvent> {
+    fn pop(&mut self) -> Option<T> {
         TimerWheel::pop(self)
+    }
+
+    fn pop_due_by(&mut self, last: u64) -> Option<T> {
+        TimerWheel::pop_due_by(self, last)
     }
 }
 
-impl BenchQueue for BinaryHeap<Reverse<BenchEvent>> {
-    fn push(&mut self, ev: BenchEvent) {
+impl<T: QueueItem> BenchQueue<T> for BinaryHeap<Reverse<T>> {
+    fn push(&mut self, ev: T) {
         BinaryHeap::push(self, Reverse(ev));
     }
 
-    fn pop(&mut self) -> Option<BenchEvent> {
+    fn pop(&mut self) -> Option<T> {
         BinaryHeap::pop(self).map(|Reverse(ev)| ev)
+    }
+
+    fn pop_due_by(&mut self, last: u64) -> Option<T> {
+        match self.peek() {
+            Some(Reverse(ev)) if ev.due_micros() <= last => BenchQueue::pop(self),
+            _ => None,
+        }
     }
 }
 
 /// A HELLO/TC-like mix: per pop, re-arm a periodic timer (2 s or 5 s
 /// ahead) and push a burst of deliveries (1 ms ahead), mirroring the
 /// engine's event profile during a live-protocol run. Returns the pops.
-fn hello_tc_mix<Q: BenchQueue>() -> u64 {
+fn hello_tc_mix<Q: BenchQueue<BenchEvent>>() -> u64 {
     let mut q = Q::default();
     let mut seq = 0u64;
     for i in 0..1000u64 {
@@ -518,6 +588,45 @@ fn hello_tc_mix<Q: BenchQueue>() -> u64 {
     popped
 }
 
+/// The engine's window/barrier loop on a 1 ms radio: each window pops
+/// every event due within 1 ms of its first, then the barrier pushes
+/// the deliveries of every tenth event (by sequence number), 10 each,
+/// 1 ms after their sender's event, in the ascending `(time, seq)`
+/// order the barrier commits in. One delivery in each burst sends
+/// again, so each window carries about as many events as the first
+/// (1000). Returns the pop count and a hash of the pop sequence.
+fn window_barrier<Q: BenchQueue<WideEvent>>() -> (u64, u64) {
+    const LATENCY: u64 = 1_000;
+    const FANOUT: u64 = 10;
+    let mut q = Q::default();
+    let mut seq = 0u64;
+    for i in 0..1_000u64 {
+        q.push(WideEvent::new(i, seq));
+        seq += 1;
+    }
+    let mut window = Vec::new();
+    let (mut pops, mut hash) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+    for _ in 0..100 {
+        let Some(first) = q.pop() else { break };
+        let last = first.time + LATENCY - 1;
+        window.push(first);
+        while let Some(ev) = q.pop_due_by(last) {
+            window.push(ev);
+        }
+        for ev in window.drain(..) {
+            pops += 1;
+            hash = (hash ^ ev.time ^ ev.seq.rotate_left(32)).wrapping_mul(0x100_0000_01b3);
+            if ev.seq.is_multiple_of(FANOUT) {
+                for _ in 0..FANOUT {
+                    q.push(WideEvent::new(ev.time + LATENCY, seq));
+                    seq += 1;
+                }
+            }
+        }
+    }
+    (pops, hash)
+}
+
 fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler");
     group.bench_function(BenchmarkId::new("hello_tc_mix_n1000", "wheel"), |b| {
@@ -525,6 +634,15 @@ fn bench_scheduler(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("hello_tc_mix_n1000", "heap"), |b| {
         b.iter(|| black_box(hello_tc_mix::<BinaryHeap<Reverse<BenchEvent>>>()))
+    });
+    let wheel = window_barrier::<TimerWheel<WideEvent>>();
+    let heap = window_barrier::<BinaryHeap<Reverse<WideEvent>>>();
+    assert_eq!(wheel, heap, "the wheel pops the heap's sequence");
+    group.bench_function(BenchmarkId::new("window_barrier_n1000", "wheel"), |b| {
+        b.iter(|| black_box(window_barrier::<TimerWheel<WideEvent>>()))
+    });
+    group.bench_function(BenchmarkId::new("window_barrier_n1000", "heap"), |b| {
+        b.iter(|| black_box(window_barrier::<BinaryHeap<Reverse<WideEvent>>>()))
     });
     group.finish();
 }

@@ -58,7 +58,18 @@ impl LinkTuple {
     /// Returns `true` if the link currently counts as symmetric (the
     /// handshake holds and hysteresis, when enabled, admits the link).
     pub fn is_symmetric(&self, now: SimTime) -> bool {
-        self.sym_until > now && !self.pending
+        self.symmetric_until() > now
+    }
+
+    /// The instant the link stops counting as symmetric:
+    /// [`LinkTuple::is_symmetric`] holds exactly while `now` is before
+    /// it. A pending link has stopped already.
+    fn symmetric_until(&self) -> SimTime {
+        if self.pending {
+            SimTime::ZERO
+        } else {
+            self.sym_until
+        }
     }
 
     /// Returns `true` if the tuple is still alive at all.
@@ -136,6 +147,11 @@ struct ReportedLink {
 pub struct NeighborTables {
     /// Link tuples, ascending by neighbor id.
     links: Vec<LinkTuple>,
+    /// `sym_keys[i]` is `links[i]`'s neighbor and
+    /// [`LinkTuple::symmetric_until`]: every neighbor search runs on
+    /// these 16-byte pairs instead of the 64-byte tuples, which matters
+    /// for the symmetric-link check on every TC delivery.
+    sym_keys: Vec<(NodeId, SimTime)>,
     /// Links reported by symmetric neighbors, ascending by `(via, node)`.
     reported: Vec<ReportedLink>,
     /// Neighbors that currently select us as MPR, ascending by id.
@@ -198,9 +214,10 @@ impl NeighborTables {
         sensing: SensingParams,
     ) -> bool {
         let mut changed = false;
-        let i = match self.links.binary_search_by_key(&from, |t| t.neighbor) {
+        let i = match search(&self.sym_keys, from) {
             Ok(i) => i,
             Err(i) => {
+                self.sym_keys.insert(i, (from, SimTime::ZERO));
                 self.links.insert(
                     i,
                     LinkTuple {
@@ -234,14 +251,15 @@ impl NeighborTables {
                 }
             }
         }
-        changed |= self.links[i].is_symmetric(now) != was_symmetric;
+        self.sym_keys[i].1 = self.links[i].symmetric_until();
         // Reported links only enter route inputs while their reporter is
         // a symmetric neighbor, so inserts from a still-asymmetric
         // reporter are not a route-relevant change yet — the later
         // asym→sym transition flags one (and is detected above even when
         // it happens within this same HELLO, since the link tuple is
         // updated first).
-        let reporter_symmetric = self.links[i].is_symmetric(now);
+        let reporter_symmetric = self.sym_keys[i].1 > now;
+        changed |= reporter_symmetric != was_symmetric;
         for n in &hello.neighbors {
             // `n.id != from` discards a neighbor listing itself — no valid
             // HELLO carries one, but a bit-flipped frame that evades the
@@ -280,23 +298,20 @@ impl NeighborTables {
     /// Discards every tuple that expired at `now`.
     pub fn sweep(&mut self, now: SimTime) {
         self.links.retain(|t| t.is_alive(now));
+        self.sym_keys.clear();
+        self.sym_keys
+            .extend(self.links.iter().map(|t| (t.neighbor, t.symmetric_until())));
         // Reported links are only meaningful while the reporter is a live
         // symmetric neighbor.
-        let links = &self.links;
-        self.reported.retain(|r| {
-            r.until > now
-                && links
-                    .binary_search_by_key(&r.via, |t| t.neighbor)
-                    .is_ok_and(|i| links[i].is_symmetric(now))
-        });
+        let keys = &self.sym_keys;
+        self.reported
+            .retain(|r| r.until > now && symmetric_until(keys, r.via, now).is_some());
         self.mpr_selectors.retain(|&(_, until)| until > now);
     }
 
     /// Returns `true` when `n` is currently a symmetric neighbor.
     pub fn is_symmetric(&self, n: NodeId, now: SimTime) -> bool {
-        self.links
-            .binary_search_by_key(&n, |t| t.neighbor)
-            .is_ok_and(|i| self.links[i].is_symmetric(now))
+        symmetric_until(&self.sym_keys, n, now).is_some()
     }
 
     /// Returns `true` when `n` currently selects us as MPR.
@@ -375,13 +390,7 @@ impl NeighborTables {
         for r in &self.reported {
             if cur_via != Some(r.via) {
                 cur_via = Some(r.via);
-                cur_sym = self
-                    .links
-                    .binary_search_by_key(&r.via, |t| t.neighbor)
-                    .ok()
-                    .map(|i| &self.links[i])
-                    .filter(|t| t.is_symmetric(now))
-                    .map(|t| t.sym_until);
+                cur_sym = symmetric_until(&self.sym_keys, r.via, now);
             }
             let Some(sym_until) = cur_sym else { continue };
             if r.until > now {
@@ -456,6 +465,20 @@ impl NeighborTables {
             &self.reported_links(now),
         )
     }
+}
+
+/// Position of neighbor `n` in an id-sorted key array.
+fn search(keys: &[(NodeId, SimTime)], n: NodeId) -> Result<usize, usize> {
+    keys.binary_search_by_key(&n, |&(id, _)| id)
+}
+
+/// `n`'s symmetric-until instant, if `n` is a symmetric neighbor at
+/// `now`.
+fn symmetric_until(keys: &[(NodeId, SimTime)], n: NodeId, now: SimTime) -> Option<SimTime> {
+    search(keys, n)
+        .ok()
+        .map(|i| keys[i].1)
+        .filter(|&until| until > now)
 }
 
 /// Returns `true` if `a` is a newer 16-bit sequence number than `b`

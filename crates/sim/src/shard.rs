@@ -317,8 +317,9 @@ impl<A: Actor> Shard<A> {
 
     /// Dispatches everything this shard has due before `end`.
     fn run_window(&mut self, f: Frozen<'_>, end: u64) {
-        while self.queue.next_due().is_some_and(|due| due < end) {
-            let ev = self.queue.pop().expect("due item present");
+        // `end` exceeds the window's first due instant, so `end - 1`
+        // cannot wrap.
+        while let Some(ev) = self.queue.pop_due_by(end - 1) {
             self.dispatch(ev, f, end);
         }
     }
@@ -903,9 +904,11 @@ impl<A: Actor> Simulator<A> {
         let t_us = t.as_micros();
         let mut batch = std::mem::take(&mut self.instant_scratch);
         loop {
+            // Nothing is due before `t`: it is the earliest instant
+            // queued, and dispatches at `t` schedule nothing earlier.
             for shard in &mut self.shards {
-                while shard.queue.next_due() == Some(t_us) {
-                    batch.push(shard.queue.pop().expect("due item present"));
+                while let Some(ev) = shard.queue.pop_due_by(t_us) {
+                    batch.push(ev);
                 }
             }
             let world_due = self.world_queue.peek().is_some_and(|w| w.time == t);
