@@ -191,10 +191,8 @@ fn bench_compute_routes(c: &mut Criterion) {
 }
 
 /// Tables primed with `n`-node knowledge for cache/process benches, on
-/// a store seeded like an `n`-node network's. Returns the neighbor
-/// tables and two topology bases that differ only in one originator's
-/// advertised set, as after one TC that changed it.
-fn primed_tables(n: u32, deg: u32) -> (NeighborTables, [SharedTopology; 2], SimTime) {
+/// a store seeded like an `n`-node network's.
+fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) {
     let (sym, reported, advertised) = route_inputs(n, deg, 0x0151);
     let mut nt = NeighborTables::new();
     let now = SimTime::ZERO;
@@ -217,33 +215,25 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, [SharedTopology; 2], SimT
         );
         nt.process_hello(NodeId(0), v, qos, &Hello { neighbors }, now, hold);
     }
-    let store = SharedLinkStore::seeded(n as usize);
-    let mut bases = [
-        SharedTopology::new(store.clone()),
-        SharedTopology::new(store),
-    ];
+    let mut tb = SharedTopology::new(SharedLinkStore::seeded(n as usize));
     let t_hold = now + SimDuration::from_secs(15);
     for chunk in advertised.chunks(4) {
         let orig = chunk[0].0;
         let adv: Vec<(NodeId, LinkQos)> = chunk.iter().map(|&(_, b, q)| (b, q)).collect();
-        for base in &mut bases {
-            base.process_tc_tracked(orig, 1, 1, &adv, now, t_hold);
-        }
+        tb.process_tc_tracked(orig, 1, 1, &adv, now, t_hold);
     }
-    let q = LinkQos::uniform(1);
-    let changed = [(NodeId(n / 2), q), (NodeId(n - 1), q)];
-    let update = bases[1].process_tc_tracked(advertised[4].0, 2, 2, &changed, now, t_hold);
-    assert!(update.links_changed, "the second base differs in one set");
-    (nt, bases, now)
+    (nt, tb, now)
 }
 
+/// The mobile node's tables mention the ids below this, on a store
+/// seeded with 500.
+const MOBILE_IDS: u64 = 480;
+
 /// One node's tables shaped like a `mobile-traffic-500` node's, on a
-/// shared store seeded like that network's: 10 symmetric neighbors reporting ~107 pairs, and 440
-/// originators advertising ~2.1 ids each, over ~480 distinct ids. Returns
-/// the neighbor tables and two topology bases that differ only in
-/// originator 1's advertised set, as after one TC that changed it.
-fn mobile_node_tables() -> (NeighborTables, [SharedTopology; 2], SimTime) {
-    const IDS: u64 = 480;
+/// shared store seeded like that network's: 10 symmetric neighbors
+/// reporting ~107 pairs, and 440 originators advertising ~2.1 ids each,
+/// over ~480 distinct ids.
+fn mobile_node_tables() -> (NeighborTables, SharedTopology, SimTime) {
     let mut rng = SimRng::seed_from_u64(0x0152);
     let now = SimTime::ZERO;
     let hold = now + SimDuration::from_secs(6);
@@ -258,70 +248,63 @@ fn mobile_node_tables() -> (NeighborTables, [SharedTopology; 2], SimTime) {
         // 107 reported pairs over the 10 reporters.
         for _ in 0..(if v <= 7 { 11 } else { 10 }) {
             neighbors.push(HelloNeighbor {
-                id: NodeId(11 + rng.next_below(IDS - 11) as u32),
+                id: NodeId(11 + rng.next_below(MOBILE_IDS - 11) as u32),
                 state: LinkState::Symmetric,
                 qos: q,
             });
         }
         nt.process_hello(NodeId(0), NodeId(v), q, &Hello { neighbors }, now, hold);
     }
-    let store = SharedLinkStore::seeded(500);
+    let mut tb = SharedTopology::new(SharedLinkStore::seeded(500));
     let t_hold = now + SimDuration::from_secs(15);
-    let mut bases = [
-        SharedTopology::new(store.clone()),
-        SharedTopology::new(store),
-    ];
     for orig in 1..=440u32 {
         let count = if rng.next_below(10) == 0 { 3 } else { 2 };
         let adv: Vec<(NodeId, LinkQos)> = (0..count)
             .map(|_| {
-                let id = 1 + rng.next_below(IDS - 2) as u32;
+                let id = 1 + rng.next_below(MOBILE_IDS - 2) as u32;
                 let id = if id >= orig { id + 1 } else { id };
                 (NodeId(id), LinkQos::uniform(1 + rng.next_below(200)))
             })
             .collect();
-        for base in &mut bases {
-            base.process_tc_tracked(NodeId(orig), 1, 1, &adv, now, t_hold);
-        }
+        tb.process_tc_tracked(NodeId(orig), 1, 1, &adv, now, t_hold);
     }
-    let changed = [(NodeId(2), q), (NodeId(IDS as u32 - 1), q)];
-    let update = bases[1].process_tc_tracked(NodeId(1), 2, 2, &changed, now, t_hold);
-    assert!(update.links_changed, "the second base differs in one set");
-    (nt, bases, now)
+    (nt, tb, now)
 }
 
 fn bench_route_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("route_cache");
     group.sample_size(10);
-    let (nt, bases, now) = mobile_node_tables();
+    let (nt, mut tb, now) = mobile_node_tables();
     let query_at = now + SimDuration::from_secs(1);
-    group.bench_function("shared_mobile_node/recompute_one_set_changed", |b| {
-        recompute_alternating(b, &nt, &bases, query_at)
+    group.bench_function("shared_mobile_node/recompute", |b| {
+        recompute_each_query(b, &nt, &tb, query_at)
     });
     group.bench_function("shared_mobile_node/window_hit", |b| {
-        cached_query(b, &nt, &bases[0], query_at)
+        cached_query(b, &nt, &tb, query_at)
+    });
+    group.bench_function("shared_mobile_node/radius_hit", |b| {
+        radius_hit(b, &nt, &mut tb, query_at)
     });
     for n in [1000u32, 4000] {
-        let (nt, bases, now) = primed_tables(n, 10);
+        let (nt, tb, now) = primed_tables(n, 10);
         let query_at = now + SimDuration::from_secs(1);
         group.bench_with_input(BenchmarkId::new("recompute_every_query", n), &n, |b, _| {
-            recompute_alternating(b, &nt, &bases, query_at)
+            recompute_each_query(b, &nt, &tb, query_at)
         });
         group.bench_with_input(BenchmarkId::new("cached_query", n), &n, |b, _| {
-            cached_query(b, &nt, &bases[0], query_at)
+            cached_query(b, &nt, &tb, query_at)
         });
     }
     group.finish();
 }
 
-/// Times route queries that each find the other base's topology: an
-/// invalidated cache revalidates by comparing the numbered graph, so
-/// alternating between two bases that differ in one set makes every
-/// query a recompute. Asserts that every query did recompute.
-fn recompute_alternating(
+/// Times route queries that each follow an invalidation, as after a
+/// HELLO change: every one is a full recompute. Asserts that every
+/// query did recompute.
+fn recompute_each_query(
     b: &mut Bencher,
     nt: &NeighborTables,
-    bases: &[SharedTopology; 2],
+    tb: &SharedTopology,
     query_at: SimTime,
 ) {
     let mut cache = RouteCache::new();
@@ -329,14 +312,48 @@ fn recompute_alternating(
     b.iter(|| {
         queries += 1;
         cache.invalidate();
-        cache.ensure(NodeId(0), nt, &bases[queries % 2], query_at);
-        black_box(cache.entries().len())
+        cache.ensure(NodeId(0), nt, tb, query_at);
+        black_box(cache.route_count())
     });
-    assert_eq!(
-        cache.counters(),
-        (queries as u64, 0),
-        "every query recomputes"
+    assert_eq!(cache.counters(), (queries, 0), "every query recomputes");
+}
+
+/// Times point queries for a neighbor after a TC far out changed the
+/// topology: the farthest destination's originator starts advertising an
+/// id nobody reached, which narrows the cache's exact radius to that
+/// destination's hop count, and the near queries are served without a
+/// BFS. Asserts that every timed query hit, and that the full table
+/// then recomputes to the changed topology.
+fn radius_hit(b: &mut Bencher, nt: &NeighborTables, tb: &mut SharedTopology, query_at: SimTime) {
+    let mut cache = RouteCache::new();
+    cache.ensure(NodeId(0), nt, tb, query_at);
+    let far = cache
+        .entries()
+        .max_by_key(|e| e.hops)
+        .expect("a reached destination");
+    assert!(far.hops >= 3, "the change lies far out");
+    let unreached = NodeId(MOBILE_IDS as u32 + 1);
+    let mut adv = vec![(unreached, LinkQos::uniform(1))];
+    adv.extend(
+        tb.links(query_at)
+            .iter()
+            .filter(|l| l.0 == far.dest)
+            .map(|l| (l.1, l.2)),
     );
+    let hold = query_at + SimDuration::from_secs(15);
+    tb.process_tc_reporting(far.dest, 9, 9, &adv, query_at, hold, |id, inserted| {
+        cache.link_changed(far.dest, id, inserted)
+    });
+    let mut queries = 0;
+    b.iter(|| {
+        queries += 1;
+        black_box(cache.route_to(NodeId(0), nt, tb, NodeId(1), query_at))
+    });
+    assert_eq!(cache.counters(), (1, queries), "every near query hits");
+    cache.ensure(NodeId(0), nt, tb, query_at);
+    assert_eq!(cache.counters(), (2, queries), "the full table recomputes");
+    let reached = cache.entries().find(|e| e.dest == unreached);
+    assert_eq!(reached.map(|e| e.hops), Some(far.hops + 1));
 }
 
 /// Times route queries inside the cached table's validity window.
@@ -348,7 +365,7 @@ fn cached_query(b: &mut Bencher, nt: &NeighborTables, tb: &SharedTopology, query
     b.iter(|| {
         queries += 1;
         cache.ensure(NodeId(0), nt, tb, query_at);
-        black_box(cache.entries().len())
+        black_box(cache.route_count())
     });
     assert_eq!(cache.counters(), (1, queries), "every query hits");
 }

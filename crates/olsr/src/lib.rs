@@ -56,8 +56,9 @@
 //!    duplicate tuples are evicted.
 //!
 //! Routing tables derive on demand from the swept tables through an
-//! incremental [`RouteCache`] that only recomputes when route-relevant
-//! content changed.
+//! incremental [`RouteCache`], exact out to a radius that each link pair
+//! a TC changes narrows by what it can move: a query recomputes only
+//! when its answer may lie beyond the radius or a tuple it read expired.
 //!
 //! # Determinism contract
 //!

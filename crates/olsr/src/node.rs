@@ -78,7 +78,9 @@ pub struct NodeStats {
     pub decode_errors: u64,
     /// Routing tables recomputed from scratch (cache miss).
     pub routes_recomputed: u64,
-    /// Routing-table queries served from the incremental cache.
+    /// Routing-table queries served from the incremental cache: inside
+    /// its validity window, a full-table query at an exact radius of ∞
+    /// or a point query within the radius (see [`RouteCache`]).
     pub route_cache_hits: u64,
     /// TC emissions per fisheye scope ring (index = ring, innermost
     /// first). All zero under [`TcScoping::Uniform`].
@@ -134,8 +136,10 @@ impl TableFootprint {
 /// The node's hot paths are allocation-lean: HELLO/TC payload assembly
 /// reuses node-owned scratch buffers across ticks, per-delivery checks
 /// are binary-search point queries on the flat tables, and the routing
-/// table lives in a dirty-flagged [`RouteCache`] that recomputes only
-/// when the route-relevant table content actually changed.
+/// table lives in a [`RouteCache`] exact out to a radius: every link
+/// pair a TC changes narrows the radius by what it can move, a HELLO
+/// change narrows it to the node itself, and a query recomputes only
+/// when its answer may lie beyond it.
 #[derive(Debug)]
 pub struct OlsrNode<P> {
     id: NodeId,
@@ -325,30 +329,31 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
 
     /// Hop-count routing table from current knowledge (RFC 3626 §10).
     ///
-    /// Served from the node's incremental [`RouteCache`]: the BFS reruns
-    /// only when the symmetric-link set, the reported links or the
-    /// TC-learned topology actually changed since the last query;
-    /// otherwise the cached table answers (see
+    /// Served from the node's incremental [`RouteCache`]: a full table
+    /// is a hit only while the cache is exact everywhere — no tuple it
+    /// read has expired, no HELLO change since, and no TC change that
+    /// could move a route — and recomputed otherwise (see
     /// [`NodeStats::route_cache_hits`]).
     pub fn routes(&self, now: SimTime) -> BTreeMap<NodeId, RouteEntry> {
         let mut cache = self.route_cache();
         cache.ensure(self.id, &self.neighbors, &self.topology, now);
-        cache.entries().iter().map(|&e| (e.dest, e)).collect()
+        cache.entries().map(|e| (e.dest, e)).collect()
     }
 
-    /// The cached route to `dest`, if one exists — the allocation-free
-    /// single-destination variant of [`OlsrNode::routes`].
+    /// The route to `dest`, if one exists — the allocation-free
+    /// single-destination variant of [`OlsrNode::routes`]. A hit needs
+    /// the cache exact only out to `dest`'s cached hop count, so TC
+    /// changes farther out do not cost a recompute.
     pub fn route_to(&self, dest: NodeId, now: SimTime) -> Option<RouteEntry> {
-        let mut cache = self.route_cache();
-        cache.ensure(self.id, &self.neighbors, &self.topology, now);
-        cache.lookup(dest)
+        self.route_cache()
+            .route_to(self.id, &self.neighbors, &self.topology, dest, now)
     }
 
-    /// Number of destinations currently routable, through the cache.
+    /// Number of destinations currently routable: a full-table query.
     pub fn route_count(&self, now: SimTime) -> usize {
         let mut cache = self.route_cache();
         cache.ensure(self.id, &self.neighbors, &self.topology, now);
-        cache.entries().len()
+        cache.route_count()
     }
 
     /// Recomputes the routing table from scratch through the *reference*
@@ -692,17 +697,20 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
                 return;
             };
             let hold = now + self.config.topology_hold_time();
-            let update = self.topology.process_tc_tracked(
-                peek.originator,
+            let orig = peek.originator;
+            let routes = self
+                .routes
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.topology.process_tc_reporting(
+                orig,
                 peek.seq,
                 tc.ansn,
                 &tc.advertised,
                 now,
                 hold,
+                |adv, inserted| routes.link_changed(orig, adv, inserted),
             );
-            if update.links_changed {
-                self.invalidate_routes();
-            }
         }
         if !decoded {
             self.stats.dup_peek_hits += 1;
@@ -876,6 +884,7 @@ impl<P: AdvertisePolicy> Actor for OlsrNode<P> {
         // has released every handle into the old shard's arena.
         if let Some(stores) = &self.stores {
             self.topology = SharedTopology::new(stores[shard].clone());
+            self.invalidate_routes();
         }
     }
 }

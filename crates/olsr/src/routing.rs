@@ -12,12 +12,14 @@
 //!   order, not sorted by destination (the original `BTreeMap`-per-call
 //!   formulation survives as [`reference_routes`], the oracle the
 //!   differential suites compare against);
-//! * [`RouteCache`] — the incremental layer [`OlsrNode`] owns: routes
-//!   are recomputed only when the route-relevant table content actually
-//!   changed (dirty flag from HELLO/TC integration, expiry horizon from
-//!   the tables' min-expiry accessors, and, when the horizon passes, a
-//!   comparison of the freshly numbered input graph with the cached
-//!   table's), otherwise served from the cached table. Every cache on a
+//! * [`RouteCache`] — the incremental layer [`OlsrNode`] owns: one dense
+//!   table per node, indexed by the numbering, holding each index's hop
+//!   count, first hop and BFS parent. The table is exact out to a
+//!   radius: a recompute makes it exact everywhere, each link pair a TC
+//!   changes narrows the radius by the rules on [`RouteCache`], and a
+//!   HELLO change narrows it to the root. A query is served from the
+//!   table while no contributing tuple has expired and its answer lies
+//!   within the radius; any other query recomputes. Every cache on a
 //!   thread numbers and recomputes through that thread's one scratch,
 //!   reading the topology base's link keys straight into it.
 //!
@@ -26,9 +28,9 @@
 //! A network seeds each of its stores with its node count `n`
 //! ([`SharedLinkStore::seeded`]), and the topology base reports it
 //! ([`TopologyLinks::seeded`]). An id below `n` is its own dense index
-//! in the CSR rows, the BFS state and the cache's revalidation key, so
-//! numbering it is one comparison. An id at or past `n` — only a
-//! corrupted frame that passes the checksum mints one — takes the next
+//! in the CSR rows and in the route table, so numbering it is one
+//! comparison and looking it up one index. An id at or past `n` — only
+//! a corrupted frame that passes the checksum mints one — takes the next
 //! of `n, n + 1, …` in arrival order through a small hashed table, which
 //! is reset and grown only when such an id appears.
 //!
@@ -77,73 +79,52 @@ const UNREACHED: u32 = u32::MAX;
 /// resets it.
 const PAST_SLOTS: usize = 8;
 
-/// Reusable buffers for [`compute_routes_keys_into`]: the numbered
-/// input graph, the table numbering its ids past the seed, CSR
-/// adjacency and BFS state (see the [module docs](self) for the
-/// numbering). One instance amortizes every allocation of repeated
-/// route computations to zero.
-#[derive(Debug, Default, Clone)]
-pub struct RouteScratch {
-    /// The input graph: its seed, root and past-seed ids, and one dense
-    /// index pair per input link.
-    graph: InternedGraph,
-    /// Open-addressing `(id, dense index)` table of `graph.past`,
-    /// linear probing, a power of two long and at most half full; a
-    /// slot whose index is [`FREE`] is empty. While `graph.past` is
-    /// empty it holds an earlier graph's ids, never read.
-    slots: Vec<(NodeId, u32)>,
-    /// `64 - log2(slots.len())`: turns a 64-bit hash into a slot.
-    shift: u32,
-    /// CSR row offsets into `adj` (len = dense indices + 1).
-    offsets: Vec<u32>,
-    /// CSR adjacency. Rows are unordered and may repeat an index.
-    adj: Vec<u32>,
-    /// BFS hop count per index ([`UNREACHED`] until reached).
-    dist: Vec<u32>,
-    /// First hop per reached index.
-    next: Vec<NodeId>,
-    /// BFS queue of dense indices; ends up holding every reached index.
-    queue: Vec<u32>,
+/// What one BFS found for one dense index.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Hop count from the root: 0 at the root, [`UNREACHED`] where the
+    /// BFS never arrived.
+    hops: u32,
+    /// First hop of the route (the root's own id at the root).
+    next: NodeId,
+    /// Dense index of the index whose row discovered this one (the root
+    /// at the root).
+    parent: u32,
 }
 
-/// The numbered form of one route computation's input: the seed, the
-/// root's dense index, one dense edge per input link — the symmetric
-/// section (one `(root, i)` edge per neighbor) first, the reported
-/// pairs next and the topology pairs last — and the ids past the seed
-/// in arrival order. Mapping the edges back through the numbering, and
-/// splitting them at the two section lengths, recovers the three input
-/// lists exactly, and numbering is deterministic, so two graphs of one
-/// seed are equal exactly when their inputs are.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-struct InternedGraph {
+/// The slot of an index the BFS never reached, and of an id the
+/// numbering does not know.
+const UNKNOWN: Slot = Slot {
+    hops: UNREACHED,
+    next: NodeId(u32::MAX),
+    parent: u32::MAX,
+};
+
+impl Slot {
+    /// The route this slot holds to `dest`; `None` at the root and where
+    /// unreached.
+    fn route(self, dest: NodeId) -> Option<RouteEntry> {
+        (self.hops != 0 && self.hops != UNREACHED).then_some(RouteEntry {
+            dest,
+            next_hop: self.next,
+            hops: self.hops,
+        })
+    }
+}
+
+/// How one route computation numbers its ids (see the
+/// [module docs](self)).
+#[derive(Debug, Default, Clone)]
+struct Numbering {
     /// Ids below this are their own dense index.
     seeded: u32,
-    /// Dense index of the root.
-    root: u32,
-    /// Edges from symmetric neighbors (this and the fields above compare
-    /// before the lists, being cheapest).
-    sym: usize,
-    /// Edges from reported pairs.
-    reported: usize,
     /// The ids at or past `seeded`, in arrival order: `past[i]` has
     /// dense index `seeded + i`. Empty unless a corrupted frame minted
     /// such an id.
     past: Vec<NodeId>,
-    edges: Vec<(u32, u32)>,
 }
 
-impl InternedGraph {
-    /// Makes `self` equal to `other`, reusing its buffers (a derived
-    /// `clone_from` would allocate fresh ones).
-    fn copy_from(&mut self, other: &Self) {
-        self.seeded = other.seeded;
-        self.root = other.root;
-        self.sym = other.sym;
-        self.reported = other.reported;
-        self.past.clone_from(&other.past);
-        self.edges.clone_from(&other.edges);
-    }
-
+impl Numbering {
     /// Dense indices in use: every seeded id, then the past-seed ones.
     fn len(&self) -> usize {
         self.seeded as usize + self.past.len()
@@ -156,6 +137,49 @@ impl InternedGraph {
             Some(i) => self.past[i as usize],
         }
     }
+
+    /// The dense index of `id`, if numbered: its own value below the
+    /// seed, a scan of the (normally empty) past-seed ids beyond it.
+    fn find(&self, id: NodeId) -> Option<u32> {
+        if id.0 < self.seeded {
+            Some(id.0)
+        } else {
+            let i = self.past.iter().position(|&p| p == id)?;
+            Some(self.seeded + i as u32)
+        }
+    }
+}
+
+/// Reusable buffers for [`compute_routes_keys_into`]: the numbered
+/// input graph, the table numbering its ids past the seed, CSR
+/// adjacency and BFS state (see the [module docs](self) for the
+/// numbering). One instance amortizes every allocation of repeated
+/// route computations to zero.
+#[derive(Debug, Default, Clone)]
+pub struct RouteScratch {
+    /// The numbering of the input graph's ids.
+    numbering: Numbering,
+    /// Dense index of the root.
+    root: u32,
+    /// One dense index pair per input link.
+    edges: Vec<(u32, u32)>,
+    /// Open-addressing `(id, dense index)` table of `numbering.past`,
+    /// linear probing, a power of two long and at most half full; a
+    /// slot whose index is [`FREE`] is empty. While `numbering.past` is
+    /// empty it holds an earlier graph's ids, never read.
+    slots: Vec<(NodeId, u32)>,
+    /// `64 - log2(slots.len())`: turns a 64-bit hash into a slot.
+    shift: u32,
+    /// CSR row offsets into `adj` (len = dense indices + 1).
+    offsets: Vec<u32>,
+    /// CSR adjacency. Rows are unordered and may repeat an index.
+    adj: Vec<u32>,
+    /// BFS queue of dense indices; ends up holding every reached index
+    /// but the root.
+    queue: Vec<u32>,
+    /// The table of a [`compute_routes_keys_into`] call; a
+    /// [`RouteCache`] fills its own.
+    table: Vec<Slot>,
 }
 
 impl RouteScratch {
@@ -182,7 +206,7 @@ impl RouteScratch {
 
     /// Dense index of `id`: its own value below the seed.
     fn intern(&mut self, id: NodeId) -> u32 {
-        if id.0 < self.graph.seeded {
+        if id.0 < self.numbering.seeded {
             id.0
         } else {
             self.intern_past(id)
@@ -193,7 +217,7 @@ impl RouteScratch {
     /// on first sight.
     #[cold]
     fn intern_past(&mut self, id: NodeId) -> u32 {
-        if self.graph.past.is_empty() {
+        if self.numbering.past.is_empty() {
             self.reset_past(PAST_SLOTS);
         }
         let mask = self.slots.len() - 1;
@@ -208,19 +232,20 @@ impl RouteScratch {
             }
             slot = (slot + 1) & mask;
         }
-        let dense = self.graph.len() as u32;
+        let dense = self.numbering.len() as u32;
         self.slots[slot] = (id, dense);
-        self.graph.past.push(id);
-        if 2 * self.graph.past.len() > self.slots.len() {
+        self.numbering.past.push(id);
+        if 2 * self.numbering.past.len() > self.slots.len() {
             // Over half full: double the table and re-place every id.
             self.reset_past(2 * self.slots.len());
             let mask = self.slots.len() - 1;
-            for (i, &past) in self.graph.past.iter().enumerate() {
+            let seeded = self.numbering.seeded;
+            for (i, &past) in self.numbering.past.iter().enumerate() {
                 let mut slot = self.home(past);
                 while self.slots[slot].1 != FREE {
                     slot = (slot + 1) & mask;
                 }
-                self.slots[slot] = (past, self.graph.seeded + i as u32);
+                self.slots[slot] = (past, seeded + i as u32);
             }
         }
         dense
@@ -229,50 +254,49 @@ impl RouteScratch {
     /// Starts a new input graph rooted at `me` holding the neighbor-table
     /// keys, numbering the ids below `seeded` by their own value.
     fn begin(&mut self, me: NodeId, seeded: usize, sym: &[NodeId], reported: &[(NodeId, NodeId)]) {
-        self.graph.seeded = u32::try_from(seeded).expect("seeded count fits the id space");
-        self.graph.past.clear();
-        self.graph.edges.clear();
+        self.numbering.seeded = u32::try_from(seeded).expect("seeded count fits the id space");
+        self.numbering.past.clear();
+        self.edges.clear();
         let root = self.intern(me);
-        self.graph.root = root;
+        self.root = root;
         for &nbr in sym {
             let i = self.intern(nbr);
-            self.graph.edges.push((root, i));
+            self.edges.push((root, i));
         }
         for &(a, b) in reported {
             self.push_pair(a, b);
         }
-        self.graph.sym = sym.len();
-        self.graph.reported = reported.len();
     }
 
     /// Adds the link `a — b`.
     fn push_pair(&mut self, a: NodeId, b: NodeId) {
         let ia = self.intern(a);
         let ib = self.intern(b);
-        self.graph.edges.push((ia, ib));
+        self.edges.push((ia, ib));
     }
 
-    /// Hop-count BFS over the graph pushed since [`RouteScratch::begin`],
-    /// writing the table to `out` in BFS order.
-    fn routes_into(&mut self, out: &mut Vec<RouteEntry>) {
+    /// Hop-count BFS over the graph pushed since [`RouteScratch::begin`]:
+    /// fills `table` with one slot per dense index and leaves every
+    /// reached index but the root in `queue`, in BFS order.
+    fn bfs(&mut self, table: &mut Vec<Slot>) {
         let RouteScratch {
-            graph,
+            numbering,
+            root,
+            edges,
             offsets,
             adj,
-            dist,
-            next,
             queue,
             ..
         } = self;
-        let n = graph.len();
-        let root = graph.root;
-        let me = graph.id(root);
+        let n = numbering.len();
+        let root = *root;
+        let me = numbering.id(root);
 
         // Undirected CSR by counting sort. Repeated links are left in:
         // the BFS skips an already-reached index anyway.
         offsets.clear();
         offsets.resize(n + 1, 0);
-        for &(a, b) in &graph.edges {
+        for &(a, b) in edges.iter() {
             offsets[a as usize] += 1;
             offsets[b as usize] += 1;
         }
@@ -285,7 +309,7 @@ impl RouteScratch {
         }
         adj.clear();
         adj.resize(end as usize, 0);
-        for &(a, b) in &graph.edges {
+        for &(a, b) in edges.iter() {
             offsets[a as usize] -= 1;
             adj[offsets[a as usize] as usize] = b;
             offsets[b as usize] -= 1;
@@ -296,40 +320,43 @@ impl RouteScratch {
 
         // BFS from `me`, first hops enqueued in ascending id order (see
         // the module docs for why no other row needs sorting).
-        dist.clear();
-        dist.resize(n, UNREACHED);
-        next.clear();
-        next.resize(n, me);
+        table.clear();
+        table.resize(n, UNKNOWN);
         queue.clear();
-        dist[root as usize] = 0;
+        table[root as usize] = Slot {
+            hops: 0,
+            next: me,
+            parent: root,
+        };
         let first_hops = &mut adj[row(root)];
-        first_hops.sort_unstable_by_key(|&y| graph.id(y));
+        first_hops.sort_unstable_by_key(|&y| numbering.id(y));
         for &y in first_hops.iter() {
-            if dist[y as usize] == UNREACHED {
-                dist[y as usize] = 1;
-                next[y as usize] = graph.id(y);
+            let slot = &mut table[y as usize];
+            if slot.hops == UNREACHED {
+                *slot = Slot {
+                    hops: 1,
+                    next: numbering.id(y),
+                    parent: root,
+                };
                 queue.push(y);
             }
         }
         let mut head = 0;
         while let Some(&x) = queue.get(head) {
             head += 1;
-            let (d, nh) = (dist[x as usize] + 1, next[x as usize]);
+            let Slot { hops, next, .. } = table[x as usize];
             for &y in &adj[row(x)] {
-                if dist[y as usize] == UNREACHED {
-                    dist[y as usize] = d;
-                    next[y as usize] = nh;
+                let slot = &mut table[y as usize];
+                if slot.hops == UNREACHED {
+                    *slot = Slot {
+                        hops: hops + 1,
+                        next,
+                        parent: x,
+                    };
                     queue.push(y);
                 }
             }
         }
-
-        out.clear();
-        out.extend(queue.iter().map(|&x| RouteEntry {
-            dest: graph.id(x),
-            next_hop: next[x as usize],
-            hops: dist[x as usize],
-        }));
     }
 }
 
@@ -358,7 +385,14 @@ pub fn compute_routes_keys_into(
     for &(a, b) in advertised {
         scratch.push_pair(a, b);
     }
-    scratch.routes_into(out);
+    let mut table = std::mem::take(&mut scratch.table);
+    scratch.bfs(&mut table);
+    out.clear();
+    out.extend(scratch.queue.iter().filter_map(|&x| {
+        let dest = scratch.numbering.id(x);
+        table[x as usize].route(dest)
+    }));
+    scratch.table = table;
 }
 
 /// Computes hop-count routes from `me` given its symmetric neighbors, the
@@ -451,72 +485,116 @@ pub fn reference_routes(
 }
 
 thread_local! {
-    /// The numbering and BFS buffers every [`RouteCache`] on this
-    /// thread gathers and recomputes through. [`RouteScratch::begin`]
-    /// starts each query's graph afresh, and the arrays it indexes by
-    /// dense index are cleared and resized to the query's own numbering,
-    /// so one copy per thread serves all of its nodes, whatever their
-    /// stores' seeds. Nothing is cleared per query beyond those arrays:
-    /// the past-seed table is reset only when a graph mints its first id
-    /// past the seed. The sharded engine's per-window worker threads
-    /// each start from an empty copy, which costs a few allocations per
-    /// window and shard.
+    /// The numbering and CSR buffers every [`RouteCache`] on this thread
+    /// recomputes through. [`RouteScratch::begin`] starts each
+    /// recompute's graph afresh, and the arrays it indexes by dense index
+    /// are cleared and resized to the recompute's own numbering, so one
+    /// copy per thread serves all of its nodes, whatever their stores'
+    /// seeds; the BFS itself writes into the cache's own table. Nothing
+    /// is cleared per recompute beyond those arrays: the past-seed table
+    /// is reset only when a graph mints its first id past the seed. The
+    /// sharded engine's per-window worker threads each start from an
+    /// empty copy, which costs a few allocations per window and shard.
     static SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::new());
 }
 
+/// The exact radius of a table exact everywhere: no hop count exceeds
+/// it, [`UNREACHED`] included.
+const EXACT: u32 = UNREACHED;
+
 /// The incremental routing layer: a cached route table plus the
-/// bookkeeping deciding when the cache is still exact.
+/// bookkeeping deciding which of its answers are still exact.
 ///
-/// Freshness has three tiers, checked in order on every query:
+/// The table holds one slot per dense index of its computation's
+/// numbering (see the [module docs](self)): the index's hop count, its
+/// first hop, and its parent — the index whose row discovered it in the
+/// BFS. Two bounds decide what it may answer:
 ///
-/// 1. **window hit** — nothing route-relevant was integrated since the
-///    last compute (`valid`), and `now` lies inside
-///    `[cached_at, valid_until)`, the span in which no contributing
-///    tuple can expire. Zero work.
-/// 2. **revalidation hit** — the window lapsed, the dirty flag was set,
-///    or time moved non-monotonically, but the live input *keys*,
-///    numbered into the thread's [`RouteScratch`], form the same graph
-///    as the cached table's (lifetime refreshes and QoS drift don't
-///    alter hop routes). Costs one numbering pass and comparison, no
-///    BFS.
-/// 3. **recompute** — the numbered graph differs from the cached
-///    table's, or no table was ever computed: CSR and BFS over the
-///    graph already numbered, which the cache then copies as its
-///    revalidation key (dense edges, section lengths, the seed and root,
-///    and the ids past the seed — none on a seeded network's run).
+/// * the **validity window** `[cached_at, valid_until)`, the span in
+///   which no tuple the computation read can expire;
+/// * the **exact radius** r, set to ∞ by every recompute. Invariant:
+///   every index whose cached hop count is at most r has its exact hop
+///   count and first hop in the live graph, every other index is more
+///   than r hops away, and the cached parent edges within r are all
+///   present.
 ///
-/// The table is kept in BFS order (non-decreasing hop count), not
-/// sorted by destination; [`RouteCache::lookup`] scans it.
+/// Each link pair a TC inserts or removes ([`RouteCache::link_changed`])
+/// keeps the invariant by these rules, where d is the cached hop count,
+/// u the end with the smaller d and w the other, and an id the numbering
+/// does not know counts as unreached:
+///
+/// 1. d(u) = d(w), both unreached included: no effect — the edge lies
+///    on no shortest path.
+/// 2. u is the root: r = 0.
+/// 3. d(w) = d(u) + 1, the pair was inserted, and u's first hop is not
+///    below w's: no effect — w keeps its smallest first hop.
+/// 4. d(w) = d(u) + 1, the pair was removed, and u is not w's parent:
+///    no effect — the cached tree survives.
+/// 5. Otherwise r = min(r, d(u)): a changed pair moves no hop count or
+///    first hop out to its nearer end.
+///
+/// A HELLO change, a reboot or a rehome sets r = 0
+/// ([`RouteCache::invalidate`]). Inside the window, a point query
+/// ([`RouteCache::route_to`]) is a hit when its destination's cached hop
+/// count is at most r, and a full-table query ([`RouteCache::ensure`])
+/// only when r = ∞; every other query recomputes. So every answer is the
+/// table a from-scratch BFS over the live tables would give.
 #[derive(Debug, Default)]
 pub struct RouteCache {
-    /// No route-relevant table change was flagged since the last
-    /// compute/revalidation.
-    valid: bool,
-    /// A table has ever been computed (so `key`/`routes` are a
-    /// consistent pair and key equality implies route equality).
-    computed: bool,
+    /// The exact radius r, [`EXACT`] for ∞; 0 until the first compute.
+    radius: u32,
     cached_at: SimTime,
     valid_until: SimTime,
-    /// Numbered input graph of the cached table.
-    key: InternedGraph,
-    /// Gather buffers for the current query's neighbor-table keys.
+    /// The numbering of the cached table's computation.
+    numbering: Numbering,
+    /// The cached table: one slot per index of `numbering`.
+    table: Vec<Slot>,
+    /// Destinations the cached table reaches.
+    reached: usize,
+    /// Gather buffers for a recompute's neighbor-table keys.
     gather_sym: Vec<NodeId>,
     gather_reported: Vec<(NodeId, NodeId)>,
-    routes: Vec<RouteEntry>,
     recomputes: u64,
     hits: u64,
 }
 
 impl RouteCache {
-    /// Creates an empty, invalid cache.
+    /// Creates an empty cache; its first query recomputes.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Marks the cached table stale (route-relevant table content
-    /// changed).
+    /// Narrows the exact radius to the root: the neighbor tables'
+    /// route-relevant content changed, or the tables were replaced.
     pub fn invalidate(&mut self) {
-        self.valid = false;
+        self.radius = 0;
+    }
+
+    /// Narrows the exact radius for the link pair `a — b` that a TC
+    /// inserted into the topology base (`inserted`) or removed from it,
+    /// by the rules in the [type docs](RouteCache).
+    pub fn link_changed(&mut self, a: NodeId, b: NodeId, inserted: bool) {
+        if self.radius == 0 {
+            return; // no rule lowers it further
+        }
+        let (x, y) = (self.indexed(a), self.indexed(b));
+        let ((iu, u), (_, w)) = if x.1.hops <= y.1.hops { (x, y) } else { (y, x) };
+        if u.hops == w.hops {
+            return; // rule 1
+        }
+        if u.hops == 0 {
+            self.radius = 0; // rule 2
+            return;
+        }
+        let kept = w.hops == u.hops + 1
+            && if inserted {
+                u.next >= w.next // rule 3
+            } else {
+                w.parent != iu // rule 4
+            };
+        if !kept {
+            self.radius = self.radius.min(u.hops); // rule 5
+        }
     }
 
     /// `(recomputes, cache_hits)` since construction.
@@ -524,10 +602,11 @@ impl RouteCache {
         (self.recomputes, self.hits)
     }
 
-    /// Brings the cached table up to date for a query at `now` against
-    /// the given information bases. Generic over [`TopologyLinks`], so
-    /// the test suites run it over their per-node reference tables as
-    /// well as the node's shared-store base.
+    /// A full-table query at `now` against the given information bases:
+    /// a hit inside the validity window at r = ∞, a recompute otherwise.
+    /// Generic over [`TopologyLinks`], so the test suites run it over
+    /// their per-node reference tables as well as the node's
+    /// shared-store base.
     pub fn ensure<T: TopologyLinks>(
         &mut self,
         me: NodeId,
@@ -535,17 +614,80 @@ impl RouteCache {
         topology: &T,
         now: SimTime,
     ) {
-        if self.valid && self.cached_at <= now && now < self.valid_until {
+        if self.radius == EXACT && self.in_window(now) {
             self.hits += 1;
-            return;
+        } else {
+            self.recompute(me, neighbors, topology, now);
         }
-        // Number the live input keys (and find the earliest instant any
-        // of them can expire) without allocating in steady state. Keys
-        // only: hop-count routing never reads the QoS labels, so QoS
-        // drift neither enters the comparison nor gets decoded.
+    }
+
+    /// A point query at `now`: the route to `dest`, served from the
+    /// cached table inside the validity window when `dest`'s cached hop
+    /// count is within the exact radius, recomputed otherwise.
+    pub fn route_to<T: TopologyLinks>(
+        &mut self,
+        me: NodeId,
+        neighbors: &NeighborTables,
+        topology: &T,
+        dest: NodeId,
+        now: SimTime,
+    ) -> Option<RouteEntry> {
+        let (_, slot) = self.indexed(dest);
+        if slot.hops <= self.radius && self.in_window(now) {
+            self.hits += 1;
+            return slot.route(dest);
+        }
+        self.recompute(me, neighbors, topology, now);
+        self.lookup(dest)
+    }
+
+    /// The cached routes, ascending by dense index (by destination on a
+    /// seeded network's run). Exact right after [`RouteCache::ensure`].
+    pub fn entries(&self) -> impl Iterator<Item = RouteEntry> + '_ {
+        (0..)
+            .zip(&self.table)
+            .filter_map(|(i, slot)| slot.route(self.numbering.id(i)))
+    }
+
+    /// Destinations the cached table reaches. Exact right after
+    /// [`RouteCache::ensure`].
+    pub fn route_count(&self) -> usize {
+        self.reached
+    }
+
+    /// The cached route to `dest`.
+    fn lookup(&self, dest: NodeId) -> Option<RouteEntry> {
+        self.indexed(dest).1.route(dest)
+    }
+
+    /// The dense index and cached slot of `id`; [`UNKNOWN`] for an id the
+    /// numbering does not know.
+    fn indexed(&self, id: NodeId) -> (u32, Slot) {
+        self.numbering
+            .find(id)
+            .and_then(|i| Some((i, *self.table.get(i as usize)?)))
+            .unwrap_or((UNKNOWN.parent, UNKNOWN))
+    }
+
+    fn in_window(&self, now: SimTime) -> bool {
+        self.cached_at <= now && now < self.valid_until
+    }
+
+    /// Recomputes the whole table at `now`: numbers the live input keys
+    /// into the thread's scratch, finding the earliest instant any of
+    /// them can expire, and runs the BFS into the cache's own table,
+    /// without allocating in steady state. Keys only: hop-count routing
+    /// never reads the QoS labels.
+    fn recompute<T: TopologyLinks>(
+        &mut self,
+        me: NodeId,
+        neighbors: &NeighborTables,
+        topology: &T,
+        now: SimTime,
+    ) {
         let sym_exp = neighbors.symmetric_keys_into(now, &mut self.gather_sym);
         let rep_exp = neighbors.reported_keys_into(now, &mut self.gather_reported);
-        SCRATCH.with_borrow_mut(|scratch| {
+        let topo_exp = SCRATCH.with_borrow_mut(|scratch| {
             scratch.begin(
                 me,
                 topology.seeded(),
@@ -553,43 +695,25 @@ impl RouteCache {
                 &self.gather_reported,
             );
             let topo_exp = topology.for_each_link_key(now, |a, b| scratch.push_pair(a, b));
-            self.cached_at = now;
-            self.valid_until = sym_exp.min(rep_exp).min(topo_exp);
-            self.valid = true;
-            if self.computed && scratch.graph == self.key {
-                // Same topology content as the cached table — whether
-                // the window merely lapsed or a dirty flag turned out to
-                // be a no-op — so the routes are already exact:
-                // revalidate.
-                self.hits += 1;
-                return;
-            }
-            scratch.routes_into(&mut self.routes);
-            // A copy, not a swap: swapping would hand the thread's
-            // scratch this cache's cold buffers for the next recompute.
-            self.key.copy_from(&scratch.graph);
-            self.computed = true;
-            self.recomputes += 1;
+            scratch.bfs(&mut self.table);
+            self.reached = scratch.queue.len();
+            self.numbering.seeded = scratch.numbering.seeded;
+            self.numbering.past.clone_from(&scratch.numbering.past);
+            topo_exp
         });
-    }
-
-    /// The cached route table in BFS order (non-decreasing hop count).
-    /// Only valid right after [`RouteCache::ensure`].
-    pub fn entries(&self) -> &[RouteEntry] {
-        &self.routes
-    }
-
-    /// Looks up the cached route to `dest` by a scan of the table.
-    pub fn lookup(&self, dest: NodeId) -> Option<RouteEntry> {
-        self.routes.iter().find(|e| e.dest == dest).copied()
+        self.radius = EXACT;
+        self.cached_at = now;
+        self.valid_until = sym_exp.min(rep_exp).min(topo_exp);
+        self.recomputes += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{Hello, HelloNeighbor, LinkState};
     use crate::store::{SharedLinkStore, SharedTopology};
-    use crate::tables::TcUpdate;
+    use qolsr_sim::SimDuration;
 
     /// Seeds the numbering with the ids 0 and 1, so the cases below
     /// mix ids on both sides of the seed.
@@ -695,126 +819,14 @@ mod tests {
         }
     }
 
-    /// Drives one node's cache through a no-op invalidation, a QoS-only
-    /// TC refresh and two real changes, over the topology base `tb`
-    /// that `tc` integrates TCs into (`tc(base, seq, advertised, now)`
-    /// for originator 1, with ANSN = seq).
-    fn revalidates_unchanged_keys(
-        tb: &mut SharedTopology,
-        mut tc: impl FnMut(&mut SharedTopology, u16, &[(NodeId, LinkQos)], SimTime) -> TcUpdate,
-    ) {
-        use crate::messages::{Hello, HelloNeighbor, LinkState};
-        use qolsr_sim::SimDuration;
-
-        let me = NodeId(0);
-        let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
-        let mut nt = NeighborTables::new();
-        let hello = Hello {
-            neighbors: vec![HelloNeighbor {
-                id: me,
-                state: LinkState::Symmetric,
-                qos: q(),
-            }],
-        };
-        nt.process_hello(me, NodeId(1), q(), &hello, t(0), t(6));
-        assert!(tc(tb, 1, &[(NodeId(3), q())], t(0)).links_changed);
-
-        let mut cache = RouteCache::new();
-        cache.ensure(me, &nt, &*tb, t(1));
-        assert_eq!(cache.counters(), (1, 0));
-        assert_eq!(cache.entries().len(), 2);
-        // A no-op invalidation (content unchanged) must downgrade to a
-        // revalidation hit, not a recompute.
-        cache.invalidate();
-        cache.ensure(me, &nt, &*tb, t(2));
-        assert_eq!(cache.counters(), (1, 1));
-        assert_eq!(cache.entries().len(), 2);
-        // So must a TC that only changes QoS.
-        let refresh = tc(tb, 2, &[(NodeId(3), LinkQos::uniform(9))], t(2));
-        assert!(refresh.applied && !refresh.links_changed);
-        cache.invalidate();
-        cache.ensure(me, &nt, &*tb, t(2));
-        assert_eq!(cache.counters(), (1, 2));
-        // A real content change still recomputes: a new neighbor...
-        nt.process_hello(me, NodeId(2), q(), &hello, t(2), t(8));
-        cache.invalidate();
-        cache.ensure(me, &nt, &*tb, t(3));
-        assert_eq!(cache.counters(), (2, 2));
-        assert_eq!(cache.entries().len(), 3);
-        // ...and a TC that advertises one more link.
-        assert!(tc(tb, 3, &[(NodeId(3), q()), (NodeId(4), q())], t(3)).links_changed);
-        cache.invalidate();
-        cache.ensure(me, &nt, &*tb, t(3));
-        assert_eq!(cache.counters(), (3, 2));
-        assert_eq!(cache.lookup(NodeId(4)).map(|e| e.hops), Some(2));
-        assert_eq!(cache.entries().len(), 4);
+    fn t(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
     }
 
-    /// Integrates a TC from originator 1 into `tb`, with ANSN = seq.
-    fn tc_from_1(
-        tb: &mut SharedTopology,
-        seq: u16,
-        adv: &[(NodeId, LinkQos)],
-        now: SimTime,
-    ) -> TcUpdate {
-        let hold = now + qolsr_sim::SimDuration::from_secs(20);
-        tb.process_tc_tracked(NodeId(1), seq, seq, adv, now, hold)
-    }
-
-    #[test]
-    fn dirty_but_unchanged_keys_revalidate_without_recompute() {
-        // The node is the store's only user: every set it holds is its own.
-        let store = SharedLinkStore::new();
-        let mut tb = SharedTopology::new(store.clone());
-        revalidates_unchanged_keys(&mut tb, tc_from_1);
-        assert_eq!(store.gauges().dedup_hits, 0);
-        drop(tb);
-        assert_eq!(
-            store.gauges().live_slots,
-            0,
-            "dropping the base releases its sets"
-        );
-    }
-
-    #[test]
-    fn dirty_but_unchanged_keys_revalidate_on_the_shared_store() {
-        // A second receiver integrates every TC first, so each set the
-        // node's base takes is a dedup hit on a slot it shares.
-        let store = SharedLinkStore::new();
-        let mut other = SharedTopology::new(store.clone());
-        let mut tb = SharedTopology::new(store.clone());
-        revalidates_unchanged_keys(&mut tb, |tb, seq, adv, now| {
-            tc_from_1(&mut other, seq, adv, now);
-            tc_from_1(tb, seq, adv, now)
-        });
-        let g = store.gauges();
-        assert_eq!(g.dedup_hits, 3, "every TC the node took was shared");
-        assert_eq!(g.live_slots, 1, "both bases hold the seq-3 set");
-        drop(tb);
-        assert_eq!(
-            store.gauges().live_slots,
-            1,
-            "the other receiver still holds the set"
-        );
-        drop(other);
-        assert_eq!(
-            store.gauges().live_slots,
-            0,
-            "dropping the last base releases its sets"
-        );
-    }
-
-    #[test]
-    fn a_link_moving_between_input_sections_recomputes() {
-        use crate::messages::{Hello, HelloNeighbor, LinkState};
-        use qolsr_sim::SimDuration;
-
-        // The link 1 — 2 is first reported in a HELLO, then only
-        // advertised in a TC: the numbered ids and edges come out the
-        // same, but the key lists differ, so the cache must recompute.
-        let me = NodeId(0);
-        let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
-        let hello = |reports: &[u32]| Hello {
+    /// A HELLO that lists `me` as a symmetric neighbor and reports
+    /// `reports` as symmetric too.
+    fn hello(me: NodeId, reports: &[u32]) -> Hello {
+        Hello {
             neighbors: std::iter::once(me)
                 .chain(reports.iter().map(|&r| NodeId(r)))
                 .map(|id| HelloNeighbor {
@@ -823,18 +835,35 @@ mod tests {
                     qos: q(),
                 })
                 .collect(),
-        };
+        }
+    }
+
+    #[test]
+    fn a_link_moving_between_input_sections_recomputes() {
+        // The link 1 — 2 is first reported in a HELLO, then advertised
+        // in a TC as well. The TC pair changes nothing the cache holds
+        // (rule 3), but the reported copy's expiry ends the validity
+        // window, so the next query still recomputes.
+        let me = NodeId(0);
         let mut nt = NeighborTables::new();
         let mut tb = SharedTopology::new(SharedLinkStore::new());
-        nt.process_hello(me, NodeId(1), q(), &hello(&[2]), t(0), t(6));
+        nt.process_hello(me, NodeId(1), q(), &hello(me, &[2]), t(0), t(6));
         let mut cache = RouteCache::new();
         cache.ensure(me, &nt, &tb, t(1));
         assert_eq!(cache.counters(), (1, 0));
         // Keep 1 symmetric past t(6) without reporting 2 again.
-        nt.process_hello(me, NodeId(1), q(), &hello(&[]), t(4), t(14));
-        let update = tb.process_tc_tracked(NodeId(1), 1, 1, &[(NodeId(2), q())], t(5), t(20));
+        nt.process_hello(me, NodeId(1), q(), &hello(me, &[]), t(4), t(14));
+        let update = tb.process_tc_reporting(
+            NodeId(1),
+            1,
+            1,
+            &[(NodeId(2), q())],
+            t(5),
+            t(20),
+            |adv, inserted| cache.link_changed(NodeId(1), adv, inserted),
+        );
         assert!(update.links_changed);
-        cache.invalidate();
+        assert_eq!(cache.radius, EXACT);
         // At t(7) the reported copy expired and the advertised one holds.
         cache.ensure(me, &nt, &tb, t(7));
         assert_eq!(cache.counters(), (2, 0));
@@ -883,7 +912,7 @@ mod tests {
             &mut scratch,
             &mut out,
         );
-        assert_eq!(scratch.graph.past.len(), 38);
+        assert_eq!(scratch.numbering.past.len(), 38);
         assert_eq!(scratch.slots.len(), 128);
         let reference = reference_routes(NodeId(0), &[(NodeId(1), q())], &[], &chain);
         assert_eq!(out.len(), 40);
@@ -927,5 +956,174 @@ mod tests {
         // Then one seeded past every id it mentions.
         compute_routes_keys_into(NodeId(5), 8, &[NodeId(7)], &[], &[], &mut scratch, &mut out);
         assert_eq!(out, [one_hop(7)]);
+    }
+
+    const ME: NodeId = NodeId(0);
+
+    /// Node 0 with symmetric neighbors 1 and 2, the TCs it integrated
+    /// into a store seeded with the ids `0..8`, and its route cache. Each
+    /// TC reports its changed pairs to the cache, as [`OlsrNode`] does,
+    /// and every query is checked against [`reference_routes`].
+    ///
+    /// [`OlsrNode`]: crate::node::OlsrNode
+    struct Fixture {
+        nt: NeighborTables,
+        tb: SharedTopology,
+        cache: RouteCache,
+        ansn: u16,
+    }
+
+    /// 0 — {1, 2}, then 1 — 3, 2 — 4, 3 — 5 and 4 — 6: 3 and 4 lie two
+    /// hops out, 5 three through first hop 1, 6 three through first hop
+    /// 2; 7 is unreached.
+    const TREE: &[(u32, &[u32])] = &[(1, &[3]), (2, &[4]), (3, &[5]), (4, &[6])];
+
+    impl Fixture {
+        /// The node after the TCs `tcs` (`(originator, advertised)`),
+        /// its cache computed and so exact everywhere. Everything happens
+        /// at t(1), inside every tuple's hold.
+        fn new(tcs: &[(u32, &[u32])]) -> Self {
+            let mut nt = NeighborTables::new();
+            for n in [1, 2] {
+                nt.process_hello(ME, NodeId(n), q(), &hello(ME, &[]), t(0), t(100));
+            }
+            let mut f = Fixture {
+                nt,
+                tb: SharedTopology::new(SharedLinkStore::seeded(8)),
+                cache: RouteCache::new(),
+                ansn: 0,
+            };
+            for &(orig, adv) in tcs {
+                f.tc(orig, adv);
+            }
+            assert!(!f.routes(), "the first query computes");
+            assert_eq!(f.cache.radius, EXACT);
+            f
+        }
+
+        /// Integrates a TC from `orig` advertising `adv` at t(1).
+        fn tc(&mut self, orig: u32, adv: &[u32]) {
+            self.ansn += 1;
+            let adv: Vec<(NodeId, LinkQos)> = adv.iter().map(|&n| (NodeId(n), q())).collect();
+            let cache = &mut self.cache;
+            self.tb.process_tc_reporting(
+                NodeId(orig),
+                self.ansn,
+                self.ansn,
+                &adv,
+                t(1),
+                t(100),
+                |id, inserted| cache.link_changed(NodeId(orig), id, inserted),
+            );
+        }
+
+        fn reference(&self) -> BTreeMap<NodeId, RouteEntry> {
+            let now = t(1);
+            reference_routes(
+                ME,
+                &self.nt.symmetric_neighbors(now),
+                &self.nt.reported_links(now),
+                &self.tb.links(now),
+            )
+        }
+
+        /// The full-table query at t(1); returns whether it was a hit.
+        fn routes(&mut self) -> bool {
+            let hits = self.cache.counters().1;
+            self.cache.ensure(ME, &self.nt, &self.tb, t(1));
+            let table: BTreeMap<NodeId, RouteEntry> =
+                self.cache.entries().map(|e| (e.dest, e)).collect();
+            assert_eq!(table, self.reference());
+            assert_eq!(self.cache.route_count(), table.len());
+            self.cache.counters().1 > hits
+        }
+
+        /// The point query for `dest` at t(1); returns whether it was a
+        /// hit.
+        fn route_to(&mut self, dest: u32) -> bool {
+            let hits = self.cache.counters().1;
+            let route = self
+                .cache
+                .route_to(ME, &self.nt, &self.tb, NodeId(dest), t(1));
+            assert_eq!(route, self.reference().get(&NodeId(dest)).copied());
+            self.cache.counters().1 > hits
+        }
+    }
+
+    #[test]
+    fn rule_1_a_pair_within_one_level_keeps_the_radius() {
+        let mut f = Fixture::new(TREE);
+        f.tc(3, &[4, 5]); // 3 — 4: both two hops out
+        f.tc(7, &[9]); // 7 — 9: both unreached, 9 past the seed
+        assert_eq!(f.cache.radius, EXACT);
+        assert!(f.routes());
+    }
+
+    #[test]
+    fn rule_2_a_pair_at_the_root_narrows_to_it() {
+        let mut f = Fixture::new(TREE);
+        f.tc(5, &[0]); // 5 — 0: 5 turns into a first hop
+        assert_eq!(f.cache.radius, 0);
+        assert!(f.route_to(0), "the root is never a destination");
+        assert!(!f.route_to(1));
+        assert_eq!(f.cache.lookup(NodeId(5)).map(|e| e.hops), Some(1));
+    }
+
+    #[test]
+    fn rule_3_an_insert_keeps_the_radius_unless_it_lowers_a_first_hop() {
+        let mut f = Fixture::new(TREE);
+        f.tc(4, &[5, 6]); // 4 — 5: first hop 2, not below 5's 1
+        assert_eq!(f.cache.radius, EXACT);
+        assert!(f.routes());
+        f.tc(3, &[5, 6]); // 3 — 6: first hop 1, below 6's 2
+        assert_eq!(f.cache.radius, 2);
+        assert!(f.route_to(4));
+        assert!(!f.route_to(6));
+        assert_eq!(
+            f.cache.lookup(NodeId(6)).map(|e| e.next_hop),
+            Some(NodeId(1))
+        );
+    }
+
+    #[test]
+    fn rule_4_a_removal_keeps_the_radius_unless_it_cuts_the_tree() {
+        let mut f = Fixture::new(&[(1, &[3]), (2, &[4]), (3, &[5]), (4, &[5, 6])]);
+        f.tc(4, &[6]); // 4 — 5 goes; 5's parent is 3
+        assert_eq!(f.cache.radius, EXACT);
+        assert!(f.routes());
+        f.tc(4, &[5, 6]); // and comes back (rule 3)
+        f.tc(3, &[]); // 3 — 5 goes: 5's parent edge
+        assert_eq!(f.cache.radius, 2);
+        assert!(f.route_to(3));
+        assert!(!f.route_to(5));
+        assert_eq!(
+            f.cache.lookup(NodeId(5)).map(|e| e.next_hop),
+            Some(NodeId(2))
+        );
+    }
+
+    #[test]
+    fn rule_5_linking_an_unreached_id_narrows_to_the_nearer_end() {
+        let mut f = Fixture::new(TREE);
+        f.tc(5, &[7, 9]); // 5 — 7, unreached; 5 — 9, past the seed
+        assert_eq!(f.cache.radius, 3);
+        assert!(f.route_to(6), "three hops out is still exact");
+        assert!(!f.route_to(7));
+        assert_eq!(f.cache.radius, EXACT);
+        f.tc(6, &[8]); // 6 — 8, past the seed
+        assert!(!f.routes(), "a full table needs the whole radius");
+        assert_eq!(f.cache.lookup(NodeId(8)).map(|e| e.hops), Some(4));
+    }
+
+    #[test]
+    fn a_hello_change_narrows_to_the_root() {
+        let mut f = Fixture::new(TREE);
+        assert!(f
+            .nt
+            .process_hello(ME, NodeId(5), q(), &hello(ME, &[]), t(1), t(100)));
+        f.cache.invalidate();
+        assert_eq!(f.cache.radius, 0);
+        assert!(!f.route_to(5));
+        assert_eq!(f.cache.lookup(NodeId(5)).map(|e| e.hops), Some(1));
     }
 }

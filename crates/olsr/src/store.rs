@@ -32,8 +32,8 @@
 //! next such id: neither a node's visit order nor its memory, nor the
 //! store's, depends on the originators its store met before. The route
 //! computation numbers ids the same way, each id below `n` by its own
-//! value ([`crate::routing`]), so its arrays and revalidation keys are
-//! indexed by id too.
+//! value ([`crate::routing`]), so its CSR rows and each route cache's
+//! table are indexed by id too.
 //!
 //! # Packing
 //!
@@ -429,6 +429,34 @@ impl Overlay {
     }
 }
 
+/// Calls `changed(id, inserted)` for every id in exactly one of the
+/// ascending, repeat-free lists `old` and `new`, ascending: `inserted`
+/// says it is in `new`. Returns whether there was one.
+fn diff_ascending(
+    old: impl Iterator<Item = NodeId>,
+    new: impl Iterator<Item = NodeId>,
+    mut changed: impl FnMut(NodeId, bool),
+) -> bool {
+    let (mut old, mut new) = (old.peekable(), new.peekable());
+    let mut any = false;
+    loop {
+        let inserted = match (old.peek(), new.peek()) {
+            (None, None) => return any,
+            (Some(a), Some(b)) if a == b => {
+                old.next();
+                new.next();
+                continue;
+            }
+            (Some(a), Some(b)) => b < a,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+        };
+        let id = if inserted { new.next() } else { old.next() };
+        changed(id.expect("peeked"), inserted);
+        any = true;
+    }
+}
+
 /// Store-backed topology base: the node keeps only `(ansn, expiry,
 /// set reference)` overlays, one per originator — in an array indexed
 /// by id for the store's seeded ids, in a list sorted by id for the
@@ -532,8 +560,7 @@ impl SharedTopology {
     /// advertised set, sorted by id with the *last* occurrence of a
     /// duplicate id kept. `seq` additionally keys the store's content
     /// dedup. The update reports whether the originator's *live* (at
-    /// `now`) advertised link pairs changed — the signal route caches
-    /// invalidate on.
+    /// `now`) advertised link pairs changed.
     pub fn process_tc_tracked(
         &mut self,
         originator: NodeId,
@@ -542,6 +569,34 @@ impl SharedTopology {
         advertised: &[(NodeId, LinkQos)],
         now: SimTime,
         hold_until: SimTime,
+    ) -> TcUpdate {
+        self.process_tc_reporting(
+            originator,
+            seq,
+            ansn,
+            advertised,
+            now,
+            hold_until,
+            |_, _| {},
+        )
+    }
+
+    /// [`SharedTopology::process_tc_tracked`], also calling
+    /// `changed(id, inserted)` for every advertised id in exactly one of
+    /// the originator's old live set and the new one, ascending by id:
+    /// `inserted` says it is in the new one. These are the link pairs
+    /// `(originator, id)` the TC changed — what route caches narrow
+    /// their exact radius on.
+    #[allow(clippy::too_many_arguments)]
+    pub fn process_tc_reporting(
+        &mut self,
+        originator: NodeId,
+        seq: u16,
+        ansn: u16,
+        advertised: &[(NodeId, LinkQos)],
+        now: SimTime,
+        hold_until: SimTime,
+        changed: impl FnMut(NodeId, bool),
     ) -> TcUpdate {
         let old = self.overlay(originator);
         if old.until > now && seq_newer(old.ansn, ansn) {
@@ -565,13 +620,13 @@ impl SharedTopology {
         });
 
         let mut st = self.store.lock();
-        let links_changed = if old.until > now {
-            !st.ids(old.set).eq(self.scratch.iter().map(|&(n, _)| n))
-        } else {
-            // No live previous set: changed iff the new set is nonempty
-            // (an empty set replaced by an empty set is no change).
-            !self.scratch.is_empty()
-        };
+        // An expired previous set holds no live pair.
+        let old_live = (old.until > now)
+            .then(|| st.ids(old.set))
+            .into_iter()
+            .flatten();
+        let new_ids = self.scratch.iter().map(|&(n, _)| n);
+        let links_changed = diff_ascending(old_live, new_ids, changed);
         let fresh = st.acquire(originator, seq, &self.scratch);
         self.count += self.scratch.len();
         if old.held() {

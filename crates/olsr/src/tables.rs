@@ -496,8 +496,8 @@ pub struct TcUpdate {
     pub applied: bool,
     /// The *live link pairs* contributed by the originator actually
     /// changed — a pure refresh (same pairs, new lifetimes/QoS) leaves
-    /// this `false`, so route caches are invalidated only on genuine
-    /// topology change.
+    /// this `false`. [`SharedTopology::process_tc_reporting`] names each
+    /// changed pair.
     pub links_changed: bool,
 }
 

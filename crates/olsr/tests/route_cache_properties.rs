@@ -1,17 +1,21 @@
 //! Differential proofs of the incremental routing layer: after *any*
 //! history of HELLO integrations, TC integrations, sweeps and time
 //! advances, a [`RouteCache`] wired exactly like [`OlsrNode`] wires it
-//! (invalidate on the tables' change flags, nothing else) must answer
-//! every query identically to [`reference_routes`] — the original
-//! `BTreeMap` BFS — recomputed from scratch on the live table contents.
-//! Every history drives two caches: one over the per-node
+//! (invalidated on the neighbor tables' change flag, told every link
+//! pair a TC changed, nothing else) must answer every query — full
+//! tables, and point queries for reached and unreached ids, the root
+//! and ids past the seed — identically to [`reference_routes`], the
+//! original `BTreeMap` BFS, recomputed from scratch on the live table
+//! contents. Every history drives two caches: one over the per-node
 //! [`TopologyBase`] tables (a test-only oracle in `tests/support/`,
 //! which seeds no numbering, so every id goes through the route
 //! scratch's past-seed table) and one over a [`SharedTopology`] on a
 //! [`SharedLinkStore`] seeded with a drawn prefix of the ids, the
-//! production path, so its histories straddle the seed. Both must also
-//! count the hits and recomputes a model of the cache's freshness rules
-//! predicts. The from-scratch [`compute_routes`] is pinned to the
+//! production path, so its histories straddle the seed. The two bases
+//! must report the same changed pairs, and the two caches count alike:
+//! every query is a hit or a recompute, and a query inside the
+//! validity window with no change reported since the last recompute is
+//! a hit. The from-scratch [`compute_routes`] is pinned to the
 //! reference on the same inputs, [`compute_routes_keys_into`] on raw
 //! lists numbered from a drawn seed, and so are caches that share one
 //! thread's scratch, taking turns on one thread and recomputing at once
@@ -70,8 +74,12 @@ enum Op {
     Sweep,
     /// Let virtual time pass (seconds).
     Advance(u64),
-    /// Query the routing table and compare cached vs from-scratch.
+    /// Query the whole routing table and compare cached vs
+    /// from-scratch.
     Query,
+    /// Query the route to one id: the root, ids the history mentions,
+    /// reached or not, on both sides of any seed, and one it never does.
+    PointQuery(u32),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -108,8 +116,14 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Sweep),
         (1u64..5).prop_map(Op::Advance),
         Just(Op::Query),
-        Just(Op::Query),
+        point_query(),
+        point_query(),
+        point_query(),
     ]
+}
+
+fn point_query() -> impl Strategy<Value = Op> {
+    (0u32..13).prop_map(|d| Op::PointQuery(if d == 12 { 99 } else { d }))
 }
 
 fn hello_message(lists_me: bool, mpr: bool, reports: &[u32]) -> Hello {
@@ -148,101 +162,107 @@ fn from_scratch(
     )
 }
 
-/// The live input keys a cache compares: symmetric neighbors, reported
-/// pairs and topology pairs.
-type Keys = (Vec<NodeId>, Vec<(NodeId, NodeId)>, Vec<(NodeId, NodeId)>);
-
-/// What a [`RouteCache`] counts, predicted from its freshness rules
-/// alone: a query inside the window of the last compute, with no
-/// invalidation since, is a hit; otherwise the live key lists are
-/// gathered, and the query is a hit when they equal the lists of the
-/// last recompute and a recompute when they do not.
+/// What a [`RouteCache`] must count, from its freshness rules alone:
+/// every query is a hit or a recompute, and a query inside the validity
+/// window of the last recompute, with no change reported to the cache
+/// since, is a hit.
 #[derive(Debug, Default)]
 struct CounterModel {
-    valid: bool,
+    /// No change was reported since the last recompute.
+    clean: bool,
     cached_at: SimTime,
     valid_until: SimTime,
-    /// Keys of the last recompute (`None` before the first).
-    keys: Option<Keys>,
-    recomputes: u64,
-    hits: u64,
+    queries: u64,
 }
 
 impl CounterModel {
-    fn invalidate(&mut self) {
-        self.valid = false;
+    /// A HELLO change or a changed TC pair was reported.
+    fn changed(&mut self) {
+        self.clean = false;
     }
 
-    fn query(&mut self, nt: &NeighborTables, tb: &TopologyBase, now: SimTime) {
-        if self.valid && self.cached_at <= now && now < self.valid_until {
-            self.hits += 1;
-            return;
-        }
-        let (mut sym, mut reported, mut topo) = (Vec::new(), Vec::new(), Vec::new());
-        let horizon = nt
-            .symmetric_into(now, &mut sym)
-            .min(nt.reported_into(now, &mut reported))
-            .min(tb.links_into(now, &mut topo));
-        let keys: Keys = (
-            sym.iter().map(|&(n, _)| n).collect(),
-            reported.iter().map(|&(a, b, _)| (a, b)).collect(),
-            topo.iter().map(|&(a, b, _)| (a, b)).collect(),
+    /// Checks the counters of one query at `now`, `before` and `after`
+    /// it, and follows the cache's window when it recomputed.
+    fn query(
+        &mut self,
+        before: (u64, u64),
+        after: (u64, u64),
+        nt: &NeighborTables,
+        tb: &TopologyBase,
+        now: SimTime,
+    ) -> Result<(), TestCaseError> {
+        self.queries += 1;
+        prop_assert_eq!(
+            after.0 + after.1,
+            self.queries,
+            "hits + recomputes = queries"
         );
-        if self.keys.as_ref() == Some(&keys) {
-            self.hits += 1;
-        } else {
-            self.recomputes += 1;
-            self.keys = Some(keys);
+        let recomputed = after.0 > before.0;
+        let in_window = self.cached_at <= now && now < self.valid_until;
+        prop_assert!(
+            !(self.clean && in_window && recomputed),
+            "a clean query inside the window recomputed at {}",
+            now
+        );
+        if recomputed {
+            self.valid_until = nt
+                .symmetric_into(now, &mut Vec::new())
+                .min(nt.reported_into(now, &mut Vec::new()))
+                .min(tb.links_into(now, &mut Vec::new()));
+            self.cached_at = now;
+            self.clean = true;
         }
-        self.valid = true;
-        self.cached_at = now;
-        self.valid_until = horizon;
-    }
-
-    fn counters(&self) -> (u64, u64) {
-        (self.recomputes, self.hits)
+        Ok(())
     }
 }
 
-/// Both caches, queried at `now`, equal the reference table, answer
-/// every point lookup like it, and count what `model` predicts.
+/// A full-table query (`dest` `None`) or a point query at `now` to both
+/// caches: each answers like the reference, they count alike, and the
+/// counts keep `model`'s rules.
 fn check_query(
     caches: [&mut RouteCache; 2],
     model: &mut CounterModel,
     nt: &NeighborTables,
     tb: &TopologyBase,
     shared: &SharedTopology,
+    dest: Option<NodeId>,
     now: SimTime,
 ) -> Result<(), TestCaseError> {
     let [cache, shared_cache] = caches;
-    cache.ensure(ME, nt, tb, now);
-    shared_cache.ensure(ME, nt, shared, now);
-    model.query(nt, tb, now);
+    let before = cache.counters();
     let reference = from_scratch(nt, tb, now);
-    for (name, c) in [("per-node", &*cache), ("shared-store", &*shared_cache)] {
-        let cached: BTreeMap<NodeId, RouteEntry> =
-            c.entries().iter().map(|&e| (e.dest, e)).collect();
-        prop_assert_eq!(
-            c.entries().len(),
-            cached.len(),
-            "{} cache repeats a destination",
-            name
-        );
-        prop_assert_eq!(&cached, &reference, "{} cache diverged at {}", name, now);
-        // Point lookups agree with the full table.
-        for (&dest, entry) in &reference {
-            prop_assert_eq!(c.lookup(dest), Some(*entry));
+    match dest {
+        None => {
+            cache.ensure(ME, nt, tb, now);
+            shared_cache.ensure(ME, nt, shared, now);
+            for (name, c) in [("per-node", &*cache), ("shared-store", &*shared_cache)] {
+                let cached: BTreeMap<NodeId, RouteEntry> =
+                    c.entries().map(|e| (e.dest, e)).collect();
+                prop_assert_eq!(
+                    c.entries().count(),
+                    cached.len(),
+                    "{} cache repeats a destination",
+                    name
+                );
+                prop_assert_eq!(c.route_count(), cached.len(), "{} cache miscounts", name);
+                prop_assert_eq!(&cached, &reference, "{} cache diverged at {}", name, now);
+            }
         }
-        prop_assert_eq!(c.lookup(NodeId(99)), None);
-        prop_assert_eq!(
-            c.counters(),
-            model.counters(),
-            "{} cache counters at {}",
-            name,
-            now
-        );
+        Some(dest) => {
+            let want = reference.get(&dest).copied();
+            let got = cache.route_to(ME, nt, tb, dest, now);
+            prop_assert_eq!(got, want, "per-node route to {:?} at {}", dest, now);
+            let got = shared_cache.route_to(ME, nt, shared, dest, now);
+            prop_assert_eq!(got, want, "shared-store route to {:?} at {}", dest, now);
+        }
     }
-    Ok(())
+    prop_assert_eq!(
+        cache.counters(),
+        shared_cache.counters(),
+        "the caches counted apart at {}",
+        now
+    );
+    model.query(before, cache.counters(), nt, tb, now)
 }
 
 proptest! {
@@ -271,7 +291,7 @@ proptest! {
                     if nt.process_hello(ME, NodeId(from), LinkQos::uniform(5), &hello, now, hold) {
                         cache.invalidate();
                         shared_cache.invalidate();
-                        model.invalidate();
+                        model.changed();
                     }
                 }
                 Op::Tc { orig, seq, ansn, advertised, hold_s } => {
@@ -280,16 +300,21 @@ proptest! {
                         .map(|&n| (NodeId(n), LinkQos::uniform(1)))
                         .collect();
                     let hold = now + SimDuration::from_secs(hold_s);
-                    let update = tb.process_tc_tracked(NodeId(orig), ansn, &advertised, now, hold);
-                    let shared_update = shared
-                        .process_tc_tracked(NodeId(orig), seq, ansn, &advertised, now, hold);
+                    let orig = NodeId(orig);
+                    let (mut report, mut shared_report) = (Vec::new(), Vec::new());
+                    let update = tb.process_tc_reporting(orig, ansn, &advertised, now, hold, |id, inserted| {
+                        cache.link_changed(orig, id, inserted);
+                        report.push((id, inserted));
+                    });
+                    let shared_update = shared.process_tc_reporting(orig, seq, ansn, &advertised, now, hold, |id, inserted| {
+                        shared_cache.link_changed(orig, id, inserted);
+                        shared_report.push((id, inserted));
+                    });
                     prop_assert_eq!(update, shared_update);
+                    prop_assert_eq!(&report, &shared_report, "the bases reported apart at {}", now);
+                    prop_assert_eq!(update.links_changed, !report.is_empty());
                     if update.links_changed {
-                        cache.invalidate();
-                        model.invalidate();
-                    }
-                    if shared_update.links_changed {
-                        shared_cache.invalidate();
+                        model.changed();
                     }
                 }
                 Op::Sweep => {
@@ -301,8 +326,12 @@ proptest! {
                     shared.sweep(now);
                 }
                 Op::Advance(secs) => now += SimDuration::from_secs(secs),
+                Op::PointQuery(dest) => {
+                    let dest = Some(NodeId(dest));
+                    check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, dest, now)?;
+                }
                 Op::Query => {
-                    check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, now)?;
+                    check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, None, now)?;
                     let scratch = compute_routes(
                         ME,
                         seeded_len,
@@ -315,7 +344,7 @@ proptest! {
             }
         }
         // Final query so every history ends verified.
-        check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, now)?;
+        check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, None, now)?;
     }
 
     /// The from-scratch BFS matches the reference formulation on raw
@@ -417,8 +446,9 @@ impl TcDriven {
         }
     }
 
-    /// Integrates TC `s`, then checks that the cache recomputed and that
-    /// its table equals the reference on the live tables.
+    /// Integrates TC `s`, which links one more unreached id to the
+    /// neighbor, then checks that the cache recomputed and that its
+    /// table equals the reference on the live tables.
     fn step(&mut self, s: usize) {
         let now = SimTime::ZERO + SimDuration::from_secs(1);
         let advertised: Vec<(NodeId, LinkQos)> = self.far[..=s]
@@ -426,15 +456,17 @@ impl TcDriven {
             .map(|&n| (n, LinkQos::uniform(1)))
             .collect();
         let hold = now + SimDuration::from_secs(1000);
-        let update = self
-            .tb
-            .process_tc_tracked(self.orig, s as u16, &advertised, now, hold);
+        let (cache, orig) = (&mut self.cache, self.orig);
+        let update =
+            self.tb
+                .process_tc_reporting(orig, s as u16, &advertised, now, hold, |id, inserted| {
+                    cache.link_changed(orig, id, inserted)
+                });
         assert!(update.links_changed);
-        self.cache.invalidate();
         self.cache.ensure(self.me, &self.nt, &self.tb, now);
         assert_eq!(self.cache.counters().0, s as u64 + 1, "TC {s} recomputed");
         let cached: BTreeMap<NodeId, RouteEntry> =
-            self.cache.entries().iter().map(|&e| (e.dest, e)).collect();
+            self.cache.entries().map(|e| (e.dest, e)).collect();
         let reference = reference_routes(
             self.me,
             &self.nt.symmetric_neighbors(now),

@@ -7,6 +7,8 @@
 //!
 //! Shared by the crate's test suites through `mod support;`.
 
+use std::collections::BTreeSet;
+
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_proto::tables::{seq_newer, TcUpdate, TopologyLinks};
@@ -81,7 +83,7 @@ impl TopologyBase {
 
     /// Like [`TopologyBase::process_tc`], additionally reporting whether
     /// the originator's set of *live* (at `now`) advertised link pairs
-    /// changed — the signal route caches invalidate on.
+    /// changed.
     pub fn process_tc_tracked(
         &mut self,
         originator: NodeId,
@@ -89,6 +91,22 @@ impl TopologyBase {
         advertised: &[(NodeId, LinkQos)],
         now: SimTime,
         hold_until: SimTime,
+    ) -> TcUpdate {
+        self.process_tc_reporting(originator, ansn, advertised, now, hold_until, |_, _| {})
+    }
+
+    /// [`TopologyBase::process_tc_tracked`], also calling
+    /// `changed(id, inserted)` for every id in the symmetric difference
+    /// of the originator's old live advertised ids and the new ones,
+    /// ascending: `inserted` says it is a new one.
+    pub fn process_tc_reporting(
+        &mut self,
+        originator: NodeId,
+        ansn: u16,
+        advertised: &[(NodeId, LinkQos)],
+        now: SimTime,
+        hold_until: SimTime,
+        mut changed: impl FnMut(NodeId, bool),
     ) -> TcUpdate {
         match self.ansn.binary_search_by_key(&originator, |a| a.0) {
             Ok(i) => {
@@ -127,11 +145,16 @@ impl TopologyBase {
                 &mut self.sets[i].1
             }
         };
-        let links_changed = {
-            let mut old_live = set.iter().filter(|l| l.until > now).map(|l| l.adv);
-            let mut new_ids = self.scratch.iter().map(|&(n, _)| n);
-            !old_live.by_ref().eq(new_ids.by_ref())
-        };
+        let old_live: BTreeSet<NodeId> = set
+            .iter()
+            .filter(|l| l.until > now)
+            .map(|l| l.adv)
+            .collect();
+        let new_ids: BTreeSet<NodeId> = self.scratch.iter().map(|&(n, _)| n).collect();
+        for &id in old_live.symmetric_difference(&new_ids) {
+            changed(id, new_ids.contains(&id));
+        }
+        let links_changed = old_live != new_ids;
         self.count -= set.len();
         self.count += self.scratch.len();
         set.clear();

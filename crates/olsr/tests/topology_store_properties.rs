@@ -4,7 +4,8 @@
 //! [`SharedTopology`] over a network-shared [`SharedLinkStore`] must
 //! answer every query identically to the per-node [`TopologyBase`]
 //! tables (the PR 4 formulation, now a test-only oracle in
-//! `tests/support/`). The ANSN accept/reject rule and the flat
+//! `tests/support/`), and report the same changed link pairs for every
+//! TC. The ANSN accept/reject rule and the flat
 //! [`DuplicateSet`] table are additionally pinned against naive map
 //! formulations.
 //!
@@ -207,10 +208,16 @@ proptest! {
                         per_node_a.accepts_ansn(o, ansn, now),
                         "seeded accept predicate diverged at {}", now
                     );
-                    let su = shared_a.process_tc_tracked(o, seq, ansn, &adv, now, hold);
+                    let (mut s_report, mut p_report) = (Vec::new(), Vec::new());
+                    let su = shared_a.process_tc_reporting(o, seq, ansn, &adv, now, hold, |id, ins| {
+                        s_report.push((id, ins))
+                    });
                     let su_c = shared_c.process_tc_tracked(o, seq, ansn, &adv, now, hold);
-                    let pu = per_node_a.process_tc_tracked(o, ansn, &adv, now, hold);
+                    let pu = per_node_a.process_tc_reporting(o, ansn, &adv, now, hold, |id, ins| {
+                        p_report.push((id, ins))
+                    });
                     prop_assert_eq!(su, pu, "TcUpdate diverged at {}", now);
+                    prop_assert_eq!(s_report, p_report, "changed pairs diverged at {}", now);
                     prop_assert_eq!(su_c, pu, "seeded TcUpdate diverged at {}", now);
                     // Receiver B sees the same flood one delivery later.
                     let su_b = shared_b.process_tc_tracked(o, seq, ansn, &adv, now, hold);

@@ -215,6 +215,18 @@ pub fn golden_hash<P: AdvertisePolicy>(net: &OlsrNetwork<P>) -> u64 {
     fnv1a(render_golden(net, |_| {}).as_bytes())
 }
 
+/// [`render_golden`] of a run with its route-cache efficiency counters
+/// (`routes_recomputed`, `route_cache_hits`) masked, hashed: what the
+/// run did, whichever queries its route caches answered without a
+/// recompute.
+pub fn behaviour_hash<P: AdvertisePolicy>(net: &OlsrNetwork<P>) -> u64 {
+    let masked = render_golden(net, |n| {
+        n.routes_recomputed = 0;
+        n.route_cache_hits = 0;
+    });
+    fnv1a(masked.as_bytes())
+}
+
 /// Runs an FNBP network for 40 s with the trace on, under `scenario`
 /// when given, and fingerprints its end state through
 /// [`render_golden`].
