@@ -10,7 +10,8 @@
 //!
 //! Benches whose name promises a path assert, outside the timed loop,
 //! that they took it: every `recompute*` query recomputed, every
-//! cached query hit, and the wheel popped what the heap pops.
+//! cached, `radius_hit` or `cut_hit` query hit, and the wheel popped
+//! what the heap pops.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -285,6 +286,9 @@ fn bench_route_cache(c: &mut Criterion) {
     group.bench_function("shared_mobile_node/radius_hit", |b| {
         radius_hit(b, &nt, &mut tb, query_at)
     });
+    group.bench_function("shared_mobile_node/cut_hit", |b| {
+        cut_hit(b, &nt, &mut tb, query_at)
+    });
     for n in [1000u32, 4000] {
         let (nt, tb, now) = primed_tables(n, 10);
         let query_at = now + SimDuration::from_secs(1);
@@ -299,8 +303,8 @@ fn bench_route_cache(c: &mut Criterion) {
 }
 
 /// Times route queries that each follow an invalidation, as after a
-/// HELLO change: every one is a full recompute. Asserts that every
-/// query did recompute.
+/// change to the symmetric-neighbor set: every one is a full recompute.
+/// Asserts that every query did recompute.
 fn recompute_each_query(
     b: &mut Bencher,
     nt: &NeighborTables,
@@ -354,6 +358,70 @@ fn radius_hit(b: &mut Bencher, nt: &NeighborTables, tb: &mut SharedTopology, que
     assert_eq!(cache.counters(), (2, queries), "the full table recomputes");
     let reached = cache.entries().find(|e| e.dest == unreached);
     assert_eq!(reached.map(|e| e.hops), Some(far.hops + 1));
+}
+
+/// Times point queries after a TC far out removed a cached tree edge:
+/// every TC link between the farthest destination and the level above it
+/// goes, its parent edge among them, which cuts the subtree under it.
+/// The timed queries ask for the deepest destination outside that
+/// subtree, walking its whole tree path past the cut. Asserts that every
+/// timed query hit, and that a query into the subtree recomputes.
+fn cut_hit(b: &mut Bencher, nt: &NeighborTables, tb: &mut SharedTopology, query_at: SimTime) {
+    let mut cache = RouteCache::new();
+    cache.ensure(NodeId(0), nt, tb, query_at);
+    let far = cache
+        .entries()
+        .max_by_key(|e| e.hops)
+        .expect("a reached destination");
+    assert!(far.hops >= 3, "the cut lies far out");
+    // `far` is the deepest destination, so its subtree is `far` alone.
+    let outside = cache
+        .entries()
+        .filter(|e| e.dest != far.dest)
+        .max_by_key(|e| e.hops)
+        .expect("another destination");
+    let above = |id: NodeId| {
+        cache
+            .entries()
+            .any(|e| e.dest == id && e.hops + 1 == far.hops)
+    };
+    let links = tb.links(query_at);
+    let cut: Vec<bool> = links
+        .iter()
+        .map(|&(a, b, _)| (b == far.dest && above(a)) || (a == far.dest && above(b)))
+        .collect();
+    let mut origs: Vec<NodeId> = (0..links.len())
+        .filter(|&i| cut[i])
+        .map(|i| links[i].0)
+        .collect();
+    origs.dedup();
+    let hold = query_at + SimDuration::from_secs(15);
+    for orig in origs {
+        let adv: Vec<(NodeId, LinkQos)> = (0..links.len())
+            .filter(|&i| links[i].0 == orig && !cut[i])
+            .map(|i| (links[i].1, links[i].2))
+            .collect();
+        tb.process_tc_reporting(orig, 10, 10, &adv, query_at, hold, |id, inserted| {
+            cache.link_changed(orig, id, inserted)
+        });
+    }
+    let mut queries = 0;
+    b.iter(|| {
+        queries += 1;
+        black_box(cache.route_to(NodeId(0), nt, tb, outside.dest, query_at))
+    });
+    assert_eq!(
+        cache.counters(),
+        (1, queries),
+        "every query outside the cut hits"
+    );
+    let moved = cache.route_to(NodeId(0), nt, tb, far.dest, query_at);
+    assert_eq!(
+        cache.counters(),
+        (2, queries),
+        "a query into the cut recomputes"
+    );
+    assert_ne!(moved, Some(far), "the cut route moved");
 }
 
 /// Times route queries inside the cached table's validity window.

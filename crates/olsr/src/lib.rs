@@ -57,8 +57,10 @@
 //!
 //! Routing tables derive on demand from the swept tables through an
 //! incremental [`RouteCache`], exact out to a radius that each link pair
-//! a TC changes narrows by what it can move: a query recomputes only
-//! when its answer may lie beyond the radius or a tuple it read expired.
+//! a TC or a HELLO inserts narrows by what it can move, except below the
+//! tree edges a TC removed: a query recomputes only when its answer may
+//! lie beyond the radius or below such a cut, or a tuple it read
+//! expired.
 //!
 //! # Determinism contract
 //!

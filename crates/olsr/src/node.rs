@@ -80,7 +80,8 @@ pub struct NodeStats {
     pub routes_recomputed: u64,
     /// Routing-table queries served from the incremental cache: inside
     /// its validity window, a full-table query at an exact radius of ∞
-    /// or a point query within the radius (see [`RouteCache`]).
+    /// with no cut subtree, or a point query within the radius whose
+    /// destination no cut lies above (see [`RouteCache`]).
     pub route_cache_hits: u64,
     /// TC emissions per fisheye scope ring (index = ring, innermost
     /// first). All zero under [`TcScoping::Uniform`].
@@ -137,9 +138,11 @@ impl TableFootprint {
 /// reuses node-owned scratch buffers across ticks, per-delivery checks
 /// are binary-search point queries on the flat tables, and the routing
 /// table lives in a [`RouteCache`] exact out to a radius: every link
-/// pair a TC changes narrows the radius by what it can move, a HELLO
-/// change narrows it to the node itself, and a query recomputes only
-/// when its answer may lie beyond it.
+/// pair a TC or a HELLO inserts narrows the radius by what it can move,
+/// a tree edge a TC removes cuts only the subtree under it, a change to
+/// the symmetric-neighbor set narrows the radius to the node itself, and
+/// a query recomputes only when its answer may lie beyond the radius or
+/// below a cut.
 #[derive(Debug)]
 pub struct OlsrNode<P> {
     id: NodeId,
@@ -331,9 +334,9 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
     ///
     /// Served from the node's incremental [`RouteCache`]: a full table
     /// is a hit only while the cache is exact everywhere — no tuple it
-    /// read has expired, no HELLO change since, and no TC change that
-    /// could move a route — and recomputed otherwise (see
-    /// [`NodeStats::route_cache_hits`]).
+    /// read has expired, the symmetric-neighbor set is unchanged, and no
+    /// link a TC or a HELLO changed since could move a route — and
+    /// recomputed otherwise (see [`NodeStats::route_cache_hits`]).
     pub fn routes(&self, now: SimTime) -> BTreeMap<NodeId, RouteEntry> {
         let mut cache = self.route_cache();
         cache.ensure(self.id, &self.neighbors, &self.topology, now);
@@ -342,8 +345,9 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
 
     /// The route to `dest`, if one exists — the allocation-free
     /// single-destination variant of [`OlsrNode::routes`]. A hit needs
-    /// the cache exact only out to `dest`'s cached hop count, so TC
-    /// changes farther out do not cost a recompute.
+    /// the cache exact only out to `dest`'s cached hop count and along
+    /// its cached tree path, so links inserted farther out, and tree
+    /// edges removed off that path, do not cost a recompute.
     pub fn route_to(&self, dest: NodeId, now: SimTime) -> Option<RouteEntry> {
         self.route_cache()
             .route_to(self.id, &self.neighbors, &self.topology, dest, now)
@@ -740,7 +744,11 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
         };
         let now = ctx.now();
         let hold = now + self.config.neighbor_hold_time();
-        if self.neighbors.process_hello_sensed(
+        let routes = self
+            .routes
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if self.neighbors.process_hello_reporting(
             self.id,
             from,
             qos,
@@ -748,8 +756,9 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
             now,
             hold,
             self.config.sensing(),
+            |n| routes.link_changed(from, n, true),
         ) {
-            self.invalidate_routes();
+            routes.invalidate();
         }
     }
 }

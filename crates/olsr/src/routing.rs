@@ -15,13 +15,16 @@
 //! * [`RouteCache`] — the incremental layer [`OlsrNode`] owns: one dense
 //!   table per node, indexed by the numbering, holding each index's hop
 //!   count, first hop and BFS parent. The table is exact out to a
-//!   radius: a recompute makes it exact everywhere, each link pair a TC
-//!   changes narrows the radius by the rules on [`RouteCache`], and a
-//!   HELLO change narrows it to the root. A query is served from the
-//!   table while no contributing tuple has expired and its answer lies
-//!   within the radius; any other query recomputes. Every cache on a
-//!   thread numbers and recomputes through that thread's one scratch,
-//!   reading the topology base's link keys straight into it.
+//!   radius, except below cut slots: a recompute makes it exact
+//!   everywhere; a link pair a TC or a HELLO inserts narrows the radius
+//!   by the rules on [`RouteCache`]; a pair a TC removes cuts the
+//!   subtree under it when it was a cached tree edge; and a change to
+//!   the symmetric-neighbor set narrows the radius to the root. A query
+//!   is served from the table while no contributing tuple has expired,
+//!   its answer lies within the radius, and no cut lies on its tree
+//!   path; any other query recomputes. Every cache on a thread numbers
+//!   and recomputes through that thread's one scratch, reading the
+//!   topology base's link keys straight into it.
 //!
 //! # Numbering
 //!
@@ -88,7 +91,7 @@ struct Slot {
     /// First hop of the route (the root's own id at the root).
     next: NodeId,
     /// Dense index of the index whose row discovered this one (the root
-    /// at the root).
+    /// at the root), with [`CUT`] set on a [`RouteCache`]'s cut slots.
     parent: u32,
 }
 
@@ -502,47 +505,73 @@ thread_local! {
 /// it, [`UNREACHED`] included.
 const EXACT: u32 = UNREACHED;
 
+/// The bit of [`Slot::parent`] that marks a cut slot: a TC removed the
+/// link to its cached parent, so nothing on the tree below it is served
+/// from the table. Dense indices stay below it.
+const CUT: u32 = 1 << 31;
+
 /// The incremental routing layer: a cached route table plus the
 /// bookkeeping deciding which of its answers are still exact.
 ///
 /// The table holds one slot per dense index of its computation's
-/// numbering (see the [module docs](self)): the index's hop count, its
+/// numbering (see the [module docs](self)): the index's hop count d, its
 /// first hop, and its parent — the index whose row discovered it in the
-/// BFS. Two bounds decide what it may answer:
+/// BFS. Three things decide what it may answer:
 ///
 /// * the **validity window** `[cached_at, valid_until)`, the span in
 ///   which no tuple the computation read can expire;
-/// * the **exact radius** r, set to ∞ by every recompute. Invariant:
-///   every index whose cached hop count is at most r has its exact hop
-///   count and first hop in the live graph, every other index is more
-///   than r hops away, and the cached parent edges within r are all
-///   present.
+/// * the **exact radius** r, set to ∞ by every recompute;
+/// * the **cut** slots, none after a recompute. An index is *uncut* when
+///   no slot on its cached tree path, its own included, is cut.
 ///
-/// Each link pair a TC inserts or removes ([`RouteCache::link_changed`])
-/// keeps the invariant by these rules, where d is the cached hop count,
-/// u the end with the smaller d and w the other, and an id the numbering
-/// does not know counts as unreached:
+/// Invariant:
 ///
-/// 1. d(u) = d(w), both unreached included: no effect — the edge lies
-///    on no shortest path.
-/// 2. u is the root: r = 0.
-/// 3. d(w) = d(u) + 1, the pair was inserted, and u's first hop is not
+/// * (i) every live link a — b with d(a) ≤ d(b) and d(a) < r has
+///   d(b) ≤ d(a) + 1, and, unless a is the root, a's first hop is not
+///   below b's when d(b) = d(a) + 1;
+/// * (ii) every cached parent edge on the tree path of an uncut index
+///   within r is live, held by tuples that outlast the window.
+///
+/// Inside the window they give every uncut index within r its exact hop
+/// count and smallest first hop: (ii) makes its tree path a live route,
+/// and along any live path from the root, (i) caches no index farther
+/// than its position on the path, nor, at that position, with a first
+/// hop above the path's. At r = ∞ they make every unreached index
+/// unreachable. Neither part asks anything of a cut index's own values,
+/// so cuts need no other bookkeeping.
+///
+/// Each link pair a TC or a HELLO inserts into the route inputs, and
+/// each one a TC removes ([`RouteCache::link_changed`]), keeps the
+/// invariant by these rules, where u is the end with the smaller cached
+/// d and w the other, and an id the numbering does not know counts as
+/// unreached. They read the cached values whatever has been cut:
+///
+/// 1. d(u) = d(w), both unreached included: no effect — the link lies
+///    on no shortest path and is no parent edge.
+/// 2. The pair was inserted and u is the root: r = 0.
+/// 3. The pair was inserted, d(w) = d(u) + 1, and u's first hop is not
 ///    below w's: no effect — w keeps its smallest first hop.
-/// 4. d(w) = d(u) + 1, the pair was removed, and u is not w's parent:
-///    no effect — the cached tree survives.
-/// 5. Otherwise r = min(r, d(u)): a changed pair moves no hop count or
+/// 4. The pair was removed: w's slot is cut if u is w's cached parent,
+///    and nothing changes otherwise — (i) holds for one link fewer, and
+///    (ii) only speaks of tree paths that avoid the cut.
+/// 5. Otherwise r = min(r, d(u)): the new link moves no hop count or
 ///    first hop out to its nearer end.
 ///
-/// A HELLO change, a reboot or a rehome sets r = 0
-/// ([`RouteCache::invalidate`]). Inside the window, a point query
+/// A change to the symmetric-neighbor set, a reboot or a rehome sets
+/// r = 0 ([`RouteCache::invalidate`]). Inside the window, a point query
 /// ([`RouteCache::route_to`]) is a hit when its destination's cached hop
-/// count is at most r, and a full-table query ([`RouteCache::ensure`])
-/// only when r = ∞; every other query recomputes. So every answer is the
-/// table a from-scratch BFS over the live tables would give.
+/// count is at most r and the destination is uncut — the walk up its
+/// tree path runs only while a cut exists — and a full-table query
+/// ([`RouteCache::ensure`]) only when r = ∞ and nothing is cut; every
+/// other query recomputes. So every answer is the table a from-scratch
+/// BFS over the live tables would give.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     /// The exact radius r, [`EXACT`] for ∞; 0 until the first compute.
     radius: u32,
+    /// Slots cut since the last recompute, each outside the parts cut
+    /// off before it.
+    cuts: u32,
     cached_at: SimTime,
     valid_until: SimTime,
     /// The numbering of the cached table's computation.
@@ -564,37 +593,60 @@ impl RouteCache {
         Self::default()
     }
 
-    /// Narrows the exact radius to the root: the neighbor tables'
-    /// route-relevant content changed, or the tables were replaced.
+    /// Narrows the exact radius to the root: the symmetric-neighbor set
+    /// changed, or the tables were replaced.
     pub fn invalidate(&mut self) {
         self.radius = 0;
     }
 
-    /// Narrows the exact radius for the link pair `a — b` that a TC
-    /// inserted into the topology base (`inserted`) or removed from it,
-    /// by the rules in the [type docs](RouteCache).
+    /// Keeps the invariant for the link pair `a — b` that a TC or a
+    /// HELLO inserted into the route inputs (`inserted`) or a TC removed
+    /// from them, by the rules in the [type docs](RouteCache).
     pub fn link_changed(&mut self, a: NodeId, b: NodeId, inserted: bool) {
         if self.radius == 0 {
-            return; // no rule lowers it further
+            return; // nothing but the root is served until a recompute
         }
         let (x, y) = (self.indexed(a), self.indexed(b));
-        let ((iu, u), (_, w)) = if x.1.hops <= y.1.hops { (x, y) } else { (y, x) };
+        let ((iu, u), (iw, w)) = if x.1.hops <= y.1.hops { (x, y) } else { (y, x) };
         if u.hops == w.hops {
-            return; // rule 1
+            return; // rule 1, and no parent edge
+        }
+        if !inserted {
+            // Rule 4. A cut slot's parent carries the cut bit, so this
+            // never matches it.
+            if w.parent == iu {
+                self.cut(iw);
+            }
+            return;
         }
         if u.hops == 0 {
             self.radius = 0; // rule 2
-            return;
+        } else if !(w.hops == u.hops + 1 && u.next >= w.next) {
+            self.radius = self.radius.min(u.hops); // rule 5, unless rule 3
         }
-        let kept = w.hops == u.hops + 1
-            && if inserted {
-                u.next >= w.next // rule 3
-            } else {
-                w.parent != iu // rule 4
-            };
-        if !kept {
-            self.radius = self.radius.min(u.hops); // rule 5
+    }
+
+    /// Cuts slot `i` unless it lies below a cut already.
+    fn cut(&mut self, i: u32) {
+        if !self.cut_above(self.table[i as usize]) {
+            self.table[i as usize].parent |= CUT;
+            self.cuts += 1;
         }
+    }
+
+    /// Whether a slot on `slot`'s cached tree path, `slot` included, is
+    /// cut; `false` for an unreached slot, which has no path.
+    fn cut_above(&self, mut slot: Slot) -> bool {
+        if self.cuts == 0 || slot.hops == UNREACHED {
+            return false;
+        }
+        while slot.hops != 0 {
+            if slot.parent & CUT != 0 {
+                return true;
+            }
+            slot = self.table[slot.parent as usize];
+        }
+        false
     }
 
     /// `(recomputes, cache_hits)` since construction.
@@ -603,7 +655,8 @@ impl RouteCache {
     }
 
     /// A full-table query at `now` against the given information bases:
-    /// a hit inside the validity window at r = ∞, a recompute otherwise.
+    /// a hit inside the validity window at r = ∞ with nothing cut, a
+    /// recompute otherwise.
     /// Generic over [`TopologyLinks`], so the test suites run it over
     /// their per-node reference tables as well as the node's
     /// shared-store base.
@@ -614,7 +667,7 @@ impl RouteCache {
         topology: &T,
         now: SimTime,
     ) {
-        if self.radius == EXACT && self.in_window(now) {
+        if self.radius == EXACT && self.cuts == 0 && self.in_window(now) {
             self.hits += 1;
         } else {
             self.recompute(me, neighbors, topology, now);
@@ -623,7 +676,8 @@ impl RouteCache {
 
     /// A point query at `now`: the route to `dest`, served from the
     /// cached table inside the validity window when `dest`'s cached hop
-    /// count is within the exact radius, recomputed otherwise.
+    /// count is within the exact radius and no slot on its cached tree
+    /// path is cut, recomputed otherwise.
     pub fn route_to<T: TopologyLinks>(
         &mut self,
         me: NodeId,
@@ -633,7 +687,7 @@ impl RouteCache {
         now: SimTime,
     ) -> Option<RouteEntry> {
         let (_, slot) = self.indexed(dest);
-        if slot.hops <= self.radius && self.in_window(now) {
+        if slot.hops <= self.radius && self.in_window(now) && !self.cut_above(slot) {
             self.hits += 1;
             return slot.route(dest);
         }
@@ -696,12 +750,17 @@ impl RouteCache {
             );
             let topo_exp = topology.for_each_link_key(now, |a, b| scratch.push_pair(a, b));
             scratch.bfs(&mut self.table);
+            debug_assert!(
+                self.table.len() <= CUT as usize,
+                "dense indices fit below the cut bit"
+            );
             self.reached = scratch.queue.len();
             self.numbering.seeded = scratch.numbering.seeded;
             self.numbering.past.clone_from(&scratch.numbering.past);
             topo_exp
         });
         self.radius = EXACT;
+        self.cuts = 0;
         self.cached_at = now;
         self.valid_until = sym_exp.min(rep_exp).min(topo_exp);
         self.recomputes += 1;
@@ -711,6 +770,7 @@ impl RouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SensingParams;
     use crate::messages::{Hello, HelloNeighbor, LinkState};
     use crate::store::{SharedLinkStore, SharedTopology};
     use qolsr_sim::SimDuration;
@@ -962,8 +1022,9 @@ mod tests {
 
     /// Node 0 with symmetric neighbors 1 and 2, the TCs it integrated
     /// into a store seeded with the ids `0..8`, and its route cache. Each
-    /// TC reports its changed pairs to the cache, as [`OlsrNode`] does,
-    /// and every query is checked against [`reference_routes`].
+    /// TC and HELLO reports its changed pairs to the cache, as
+    /// [`OlsrNode`] does, and every query is checked against
+    /// [`reference_routes`].
     ///
     /// [`OlsrNode`]: crate::node::OlsrNode
     struct Fixture {
@@ -1003,6 +1064,11 @@ mod tests {
 
         /// Integrates a TC from `orig` advertising `adv` at t(1).
         fn tc(&mut self, orig: u32, adv: &[u32]) {
+            self.tc_held(orig, adv, t(100));
+        }
+
+        /// [`Fixture::tc`] with the TC held until `hold`.
+        fn tc_held(&mut self, orig: u32, adv: &[u32], hold: SimTime) {
             self.ansn += 1;
             let adv: Vec<(NodeId, LinkQos)> = adv.iter().map(|&n| (NodeId(n), q())).collect();
             let cache = &mut self.cache;
@@ -1012,13 +1078,34 @@ mod tests {
                 self.ansn,
                 &adv,
                 t(1),
-                t(100),
+                hold,
                 |id, inserted| cache.link_changed(NodeId(orig), id, inserted),
             );
         }
 
+        /// Integrates a HELLO from `from` listing node 0 and reporting
+        /// `reports` at t(1), held like the fixture's first ones.
+        fn hello(&mut self, from: u32, reports: &[u32]) {
+            let (from, cache) = (NodeId(from), &mut self.cache);
+            if self.nt.process_hello_reporting(
+                ME,
+                from,
+                q(),
+                &hello(ME, reports),
+                t(1),
+                t(100),
+                SensingParams::default(),
+                |n| cache.link_changed(from, n, true),
+            ) {
+                cache.invalidate();
+            }
+        }
+
         fn reference(&self) -> BTreeMap<NodeId, RouteEntry> {
-            let now = t(1);
+            self.reference_at(t(1))
+        }
+
+        fn reference_at(&self, now: SimTime) -> BTreeMap<NodeId, RouteEntry> {
             reference_routes(
                 ME,
                 &self.nt.symmetric_neighbors(now),
@@ -1041,11 +1128,17 @@ mod tests {
         /// The point query for `dest` at t(1); returns whether it was a
         /// hit.
         fn route_to(&mut self, dest: u32) -> bool {
+            self.route_to_at(dest, t(1))
+        }
+
+        /// The point query for `dest` at `now`; returns whether it was a
+        /// hit.
+        fn route_to_at(&mut self, dest: u32, now: SimTime) -> bool {
             let hits = self.cache.counters().1;
             let route = self
                 .cache
-                .route_to(ME, &self.nt, &self.tb, NodeId(dest), t(1));
-            assert_eq!(route, self.reference().get(&NodeId(dest)).copied());
+                .route_to(ME, &self.nt, &self.tb, NodeId(dest), now);
+            assert_eq!(route, self.reference_at(now).get(&NodeId(dest)).copied());
             self.cache.counters().1 > hits
         }
     }
@@ -1089,17 +1182,51 @@ mod tests {
     fn rule_4_a_removal_keeps_the_radius_unless_it_cuts_the_tree() {
         let mut f = Fixture::new(&[(1, &[3]), (2, &[4]), (3, &[5]), (4, &[5, 6])]);
         f.tc(4, &[6]); // 4 — 5 goes; 5's parent is 3
-        assert_eq!(f.cache.radius, EXACT);
+        assert_eq!((f.cache.radius, f.cache.cuts), (EXACT, 0));
         assert!(f.routes());
         f.tc(4, &[5, 6]); // and comes back (rule 3)
         f.tc(3, &[]); // 3 — 5 goes: 5's parent edge
-        assert_eq!(f.cache.radius, 2);
-        assert!(f.route_to(3));
-        assert!(!f.route_to(5));
+        assert_eq!((f.cache.radius, f.cache.cuts), (EXACT, 1));
+        assert!(f.route_to(6), "outside the cut subtree");
+        assert!(f.route_to(3), "the removed edge's nearer end");
+        assert!(!f.route_to(5), "inside the cut subtree");
         assert_eq!(
             f.cache.lookup(NodeId(5)).map(|e| e.next_hop),
             Some(NodeId(2))
         );
+    }
+
+    #[test]
+    fn a_full_table_query_recomputes_while_a_cut_stands() {
+        let mut f = Fixture::new(TREE);
+        f.tc(3, &[]); // 3 — 5 goes: 5's parent edge, and its only link
+        assert_eq!((f.cache.radius, f.cache.cuts), (EXACT, 1));
+        assert!(!f.routes(), "the radius is ∞, but 5 is cut");
+        assert_eq!(f.cache.cuts, 0, "a recompute clears every cut");
+        assert!(f.routes());
+    }
+
+    #[test]
+    fn a_second_cut_under_a_cut_slot_is_not_counted_twice() {
+        // 3 — 5 is advertised from both ends, and 7 hangs below 5.
+        let mut f = Fixture::new(&[(1, &[3]), (2, &[4]), (3, &[5]), (5, &[3, 7])]);
+        f.tc(3, &[]); // one copy of 5's parent edge goes: 5 is cut
+        f.tc(5, &[7]); // the other copy: 5 again
+        f.tc(5, &[]); // 5 — 7 goes: 7's parent edge, below the cut
+        assert_eq!(f.cache.cuts, 1);
+        assert!(f.route_to(4), "outside the cut subtree");
+        assert!(!f.route_to(7), "below the cut");
+        assert_eq!(f.cache.lookup(NodeId(7)), None);
+    }
+
+    #[test]
+    fn a_tc_that_shortens_a_hold_cuts_the_routes_resting_on_it() {
+        let mut f = Fixture::new(TREE);
+        f.tc_held(3, &[5], t(2)); // 3 — 5 stays, now held until t(2)
+        assert_eq!((f.cache.radius, f.cache.cuts), (EXACT, 1));
+        assert!(f.route_to(6));
+        assert!(!f.route_to_at(5, t(3)), "3 — 5 lapsed at t(2)");
+        assert_eq!(f.cache.lookup(NodeId(5)), None);
     }
 
     #[test]
@@ -1116,12 +1243,28 @@ mod tests {
     }
 
     #[test]
+    fn a_hello_reported_link_on_no_shortest_path_keeps_the_radius() {
+        let mut f = Fixture::new(TREE);
+        f.hello(2, &[3]); // 2 — 3: first hop 2, not below 3's 1 (rule 3)
+        assert_eq!(f.cache.radius, EXACT);
+        assert!(f.route_to(3));
+        assert!(f.routes());
+    }
+
+    #[test]
+    fn a_hello_reporting_a_new_two_hop_neighbor_narrows_to_one_hop() {
+        let mut f = Fixture::new(TREE);
+        f.hello(1, &[7]); // 1 — 7: 7 was unreached (rule 5)
+        assert_eq!(f.cache.radius, 1);
+        assert!(f.route_to(2));
+        assert!(!f.route_to(7));
+        assert_eq!(f.cache.lookup(NodeId(7)).map(|e| e.hops), Some(2));
+    }
+
+    #[test]
     fn a_hello_change_narrows_to_the_root() {
         let mut f = Fixture::new(TREE);
-        assert!(f
-            .nt
-            .process_hello(ME, NodeId(5), q(), &hello(ME, &[]), t(1), t(100)));
-        f.cache.invalidate();
+        f.hello(5, &[]); // 5 turns into a symmetric neighbor
         assert_eq!(f.cache.radius, 0);
         assert!(!f.route_to(5));
         assert_eq!(f.cache.lookup(NodeId(5)).map(|e| e.hops), Some(1));

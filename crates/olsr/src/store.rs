@@ -431,10 +431,12 @@ impl Overlay {
 
 /// Calls `changed(id, inserted)` for every id in exactly one of the
 /// ascending, repeat-free lists `old` and `new`, ascending: `inserted`
-/// says it is in `new`. Returns whether there was one.
+/// says it is in `new`. With `shortened`, an id in both is reported too,
+/// as removed. Returns whether any id was reported.
 fn diff_ascending(
     old: impl Iterator<Item = NodeId>,
     new: impl Iterator<Item = NodeId>,
+    shortened: bool,
     mut changed: impl FnMut(NodeId, bool),
 ) -> bool {
     let (mut old, mut new) = (old.peekable(), new.peekable());
@@ -443,9 +445,12 @@ fn diff_ascending(
         let inserted = match (old.peek(), new.peek()) {
             (None, None) => return any,
             (Some(a), Some(b)) if a == b => {
-                old.next();
                 new.next();
-                continue;
+                if !shortened {
+                    old.next();
+                    continue;
+                }
+                false
             }
             (Some(a), Some(b)) => b < a,
             (Some(_), None) => false,
@@ -585,8 +590,11 @@ impl SharedTopology {
     /// `changed(id, inserted)` for every advertised id in exactly one of
     /// the originator's old live set and the new one, ascending by id:
     /// `inserted` says it is in the new one. These are the link pairs
-    /// `(originator, id)` the TC changed — what route caches narrow
-    /// their exact radius on.
+    /// `(originator, id)` the TC changed — what route caches keep their
+    /// tables exact by. A TC that moves a live set's hold earlier also
+    /// reports each id it keeps, as removed: that pair now lapses before
+    /// the hold a route computation read, so no cached route may rest
+    /// on it.
     #[allow(clippy::too_many_arguments)]
     pub fn process_tc_reporting(
         &mut self,
@@ -626,7 +634,8 @@ impl SharedTopology {
             .into_iter()
             .flatten();
         let new_ids = self.scratch.iter().map(|&(n, _)| n);
-        let links_changed = diff_ascending(old_live, new_ids, changed);
+        let shortened = old.until > now && hold_until < old.until;
+        let links_changed = diff_ascending(old_live, new_ids, shortened, changed);
         let fresh = st.acquire(originator, seq, &self.scratch);
         self.count += self.scratch.len();
         if old.held() {
@@ -1040,6 +1049,33 @@ mod tests {
         assert!(tb.is_empty());
         assert_eq!(tb.originators(), 0);
         assert_eq!(store.gauges().live_slots, 0, "epoch GC frees the store");
+    }
+
+    #[test]
+    fn a_tc_that_shortens_a_live_hold_reports_its_kept_ids_as_removed() {
+        let mut tb = SharedTopology::new(SharedLinkStore::new());
+        let mut tc = |ansn: u16, adv: &[u32], now: u64, hold: u64| {
+            let adv: Vec<(NodeId, LinkQos)> = adv.iter().map(|&n| (NodeId(n), q(1))).collect();
+            let mut named = Vec::new();
+            let up =
+                tb.process_tc_reporting(NodeId(1), ansn, ansn, &adv, t(now), t(hold), |id, ins| {
+                    named.push((id.0, ins))
+                });
+            (up.links_changed, named)
+        };
+        assert_eq!(tc(1, &[2, 3], 0, 10), (true, vec![(2, true), (3, true)]));
+        // A later hold: only the ids that changed.
+        assert_eq!(tc(2, &[2, 4], 1, 11), (true, vec![(3, false), (4, true)]));
+        // An earlier hold: the kept id 2 too, as removed.
+        assert_eq!(
+            tc(3, &[2, 5], 2, 6),
+            (true, vec![(2, false), (4, false), (5, true)])
+        );
+        assert_eq!(tc(4, &[2, 5], 3, 5), (true, vec![(2, false), (5, false)]));
+        // The same set and hold: nothing.
+        assert_eq!(tc(5, &[2, 5], 4, 5), (false, vec![]));
+        // An expired set keeps nothing.
+        assert_eq!(tc(6, &[2], 6, 7), (true, vec![(2, true)]));
     }
 
     #[test]

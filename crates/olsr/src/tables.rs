@@ -174,10 +174,12 @@ impl NeighborTables {
     /// recorded for 2-hop neighborhood and `G_u` construction.
     ///
     /// Returns `true` when the *route-relevant* content changed at
-    /// `now` — the symmetric-neighbor set gained a member, or a reported
-    /// link appeared that was absent or expired — so callers can
-    /// invalidate derived state (the routing cache) only when needed.
-    /// Pure lifetime refreshes return `false`.
+    /// `now` — the symmetric-neighbor set gained or lost a member, a
+    /// reported link appeared that was absent or expired, or a hold in
+    /// the route inputs moved earlier — so callers can update derived
+    /// state (the routing cache) only when needed. Pure lifetime
+    /// refreshes return `false`. [`NeighborTables::process_hello_reporting`]
+    /// names each reported link that appeared.
     pub fn process_hello(
         &mut self,
         me: NodeId,
@@ -213,7 +215,43 @@ impl NeighborTables {
         hold_until: SimTime,
         sensing: SensingParams,
     ) -> bool {
-        let mut changed = false;
+        let mut entered = false;
+        let changed = self.process_hello_reporting(
+            me,
+            from,
+            measured_qos,
+            hello,
+            now,
+            hold_until,
+            sensing,
+            |_| entered = true,
+        );
+        changed || entered
+    }
+
+    /// [`NeighborTables::process_hello_sensed`], naming the links the
+    /// HELLO brings into the route inputs: `entered(n)` for every
+    /// reported link `from — n` that is new or had expired, while `from`
+    /// is a symmetric neighbor after the HELLO.
+    ///
+    /// Returns `true` when the HELLO changed the route inputs in a way
+    /// those pairs do not name: the symmetric-neighbor set gained or lost
+    /// a member, or the hold of a symmetric link or of a reported link
+    /// in the inputs moved earlier. A route computation's validity window
+    /// ends at the earliest hold it read, so a shortened hold has to be
+    /// reported. Pure lifetime refreshes return `false` and name nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn process_hello_reporting(
+        &mut self,
+        me: NodeId,
+        from: NodeId,
+        measured_qos: LinkQos,
+        hello: &Hello,
+        now: SimTime,
+        hold_until: SimTime,
+        sensing: SensingParams,
+        mut entered: impl FnMut(NodeId),
+    ) -> bool {
         let i = match search(&self.sym_keys, from) {
             Ok(i) => i,
             Err(i) => {
@@ -236,8 +274,8 @@ impl NeighborTables {
                 i
             }
         };
+        let sym_before = self.sym_keys[i].1;
         let tuple = &mut self.links[i];
-        let was_symmetric = tuple.is_symmetric(now);
         tuple.update_quality(now, &sensing);
         tuple.qos = effective_qos(measured_qos, tuple.quality_ppm, sensing.metric);
         tuple.asym_until = hold_until;
@@ -251,15 +289,17 @@ impl NeighborTables {
                 }
             }
         }
-        self.sym_keys[i].1 = self.links[i].symmetric_until();
+        let sym_after = self.links[i].symmetric_until();
+        self.sym_keys[i].1 = sym_after;
         // Reported links only enter route inputs while their reporter is
         // a symmetric neighbor, so inserts from a still-asymmetric
         // reporter are not a route-relevant change yet — the later
-        // asym→sym transition flags one (and is detected above even when
+        // asym→sym transition flags one (and is detected here even when
         // it happens within this same HELLO, since the link tuple is
         // updated first).
-        let reporter_symmetric = self.sym_keys[i].1 > now;
-        changed |= reporter_symmetric != was_symmetric;
+        let reporter_symmetric = sym_after > now;
+        let mut changed = reporter_symmetric != (sym_before > now);
+        changed |= reporter_symmetric && sym_after < sym_before;
         for n in &hello.neighbors {
             // `n.id != from` discards a neighbor listing itself — no valid
             // HELLO carries one, but a bit-flipped frame that evades the
@@ -272,8 +312,13 @@ impl NeighborTables {
                 {
                     Ok(j) => {
                         let r = &mut self.reported[j];
-                        // Was expired: reappears.
-                        changed |= reporter_symmetric && r.until <= now;
+                        if reporter_symmetric {
+                            if r.until <= now {
+                                entered(n.id); // was expired: reappears
+                            } else {
+                                changed |= hold_until < r.until;
+                            }
+                        }
                         r.qos = n.qos;
                         r.until = hold_until;
                     }
@@ -287,7 +332,9 @@ impl NeighborTables {
                                 until: hold_until,
                             },
                         );
-                        changed |= reporter_symmetric;
+                        if reporter_symmetric {
+                            entered(n.id);
+                        }
                     }
                 }
             }
@@ -495,9 +542,9 @@ pub struct TcUpdate {
     /// advertised set replaced the originator's stored set.
     pub applied: bool,
     /// The *live link pairs* contributed by the originator actually
-    /// changed — a pure refresh (same pairs, new lifetimes/QoS) leaves
-    /// this `false`. [`SharedTopology::process_tc_reporting`] names each
-    /// changed pair.
+    /// changed, or the TC moved their hold earlier — a pure refresh
+    /// (same pairs, a later hold, new QoS) leaves this `false`.
+    /// [`SharedTopology::process_tc_reporting`] names each changed pair.
     pub links_changed: bool,
 }
 
@@ -1117,6 +1164,40 @@ mod tests {
             t(9),
             t(15),
         ));
+    }
+
+    #[test]
+    fn process_hello_reporting_names_entering_links_and_shortened_holds() {
+        let mut nt = NeighborTables::new();
+        let both = hello_listing(&[(0, LinkState::Symmetric), (2, LinkState::Symmetric)]);
+        let me_only = hello_listing(&[(0, LinkState::Symmetric)]);
+        let two_only = hello_listing(&[(2, LinkState::Symmetric)]);
+        let mut hello = |hello: &Hello, now: u64, hold: u64| {
+            let mut named = Vec::new();
+            let changed = nt.process_hello_reporting(
+                NodeId(0),
+                NodeId(1),
+                LinkQos::uniform(5),
+                hello,
+                t(now),
+                t(hold),
+                SensingParams::default(),
+                |n| named.push(n.0),
+            );
+            (changed, named)
+        };
+        // 1 turns symmetric and reports 2.
+        assert_eq!(hello(&both, 0, 10), (true, vec![2]));
+        // A refresh with later holds.
+        assert_eq!(hello(&both, 1, 11), (false, vec![]));
+        // Both holds moved earlier, to t(8).
+        assert_eq!(hello(&both, 2, 8), (true, vec![]));
+        // The symmetric link alone, later.
+        assert_eq!(hello(&me_only, 3, 20), (false, vec![]));
+        // The reported link alone, earlier: t(8) → t(6).
+        assert_eq!(hello(&two_only, 4, 6), (true, vec![]));
+        // The reported link expired at t(6): it enters again.
+        assert_eq!(hello(&two_only, 7, 12), (false, vec![2]));
     }
 
     #[test]

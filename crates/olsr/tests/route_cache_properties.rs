@@ -1,8 +1,9 @@
 //! Differential proofs of the incremental routing layer: after *any*
 //! history of HELLO integrations, TC integrations, sweeps and time
 //! advances, a [`RouteCache`] wired exactly like [`OlsrNode`] wires it
-//! (invalidated on the neighbor tables' change flag, told every link
-//! pair a TC changed, nothing else) must answer every query — full
+//! (told every link pair a TC changed and every one a HELLO brought in,
+//! invalidated on the neighbor tables' change flag, nothing else) must
+//! answer every query — full
 //! tables, and point queries for reached and unreached ids, the root
 //! and ids past the seed — identically to [`reference_routes`], the
 //! original `BTreeMap` BFS, recomputed from scratch on the live table
@@ -41,7 +42,7 @@ use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState};
 use qolsr_proto::routing::{compute_routes, compute_routes_keys_into, reference_routes};
 use qolsr_proto::store::{SharedLinkStore, SharedTopology};
 use qolsr_proto::tables::NeighborTables;
-use qolsr_proto::{RouteCache, RouteEntry, RouteScratch};
+use qolsr_proto::{RouteCache, RouteEntry, RouteScratch, SensingParams};
 use qolsr_sim::{SimDuration, SimTime};
 use support::topology_base::TopologyBase;
 
@@ -176,7 +177,7 @@ struct CounterModel {
 }
 
 impl CounterModel {
-    /// A HELLO change or a changed TC pair was reported.
+    /// A HELLO change or a changed pair was reported.
     fn changed(&mut self) {
         self.clean = false;
     }
@@ -288,9 +289,20 @@ proptest! {
                 Op::Hello { from, lists_me, mpr, reports, hold_s } => {
                     let hello = hello_message(lists_me, mpr, &reports);
                     let hold = now + SimDuration::from_secs(hold_s);
-                    if nt.process_hello(ME, NodeId(from), LinkQos::uniform(5), &hello, now, hold) {
+                    let from = NodeId(from);
+                    let mut entered = false;
+                    let sensing = SensingParams::default();
+                    let qos = LinkQos::uniform(5);
+                    let changed = nt.process_hello_reporting(ME, from, qos, &hello, now, hold, sensing, |n| {
+                        cache.link_changed(from, n, true);
+                        shared_cache.link_changed(from, n, true);
+                        entered = true;
+                    });
+                    if changed {
                         cache.invalidate();
                         shared_cache.invalidate();
+                    }
+                    if changed || entered {
                         model.changed();
                     }
                 }

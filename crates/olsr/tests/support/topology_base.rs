@@ -98,7 +98,9 @@ impl TopologyBase {
     /// [`TopologyBase::process_tc_tracked`], also calling
     /// `changed(id, inserted)` for every id in the symmetric difference
     /// of the originator's old live advertised ids and the new ones,
-    /// ascending: `inserted` says it is a new one.
+    /// ascending: `inserted` says it is a new one. When the TC moves
+    /// the old live ids' hold earlier, the ids in both are reported as
+    /// well, as removed.
     pub fn process_tc_reporting(
         &mut self,
         originator: NodeId,
@@ -150,11 +152,16 @@ impl TopologyBase {
             .filter(|l| l.until > now)
             .map(|l| l.adv)
             .collect();
+        let shortened = set.iter().any(|l| l.until > now && hold_until < l.until);
         let new_ids: BTreeSet<NodeId> = self.scratch.iter().map(|&(n, _)| n).collect();
-        for &id in old_live.symmetric_difference(&new_ids) {
-            changed(id, new_ids.contains(&id));
+        let mut links_changed = false;
+        for &id in old_live.union(&new_ids) {
+            let inserted = !old_live.contains(&id);
+            if inserted || shortened || !new_ids.contains(&id) {
+                changed(id, inserted);
+                links_changed = true;
+            }
         }
-        let links_changed = old_live != new_ids;
         self.count -= set.len();
         self.count += self.scratch.len();
         set.clear();
