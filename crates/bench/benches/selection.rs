@@ -1,11 +1,13 @@
 //! Criterion benchmarks for the ANS selectors — per-node selection cost
 //! (the quantity a deployment cares about: FNBP's extra Dijkstras vs the
-//! cheap QOLSR greedy) and whole-network advertised-graph construction.
+//! cheap QOLSR greedy), the local-view extraction every selector starts
+//! from, and whole-network advertised-graph construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qolsr::advertised::build_advertised;
 use qolsr::selector::{AnsSelector, ClassicMpr, Fnbp, MprVariant, QolsrMpr, TopologyFiltering};
 use qolsr_bench::{busiest_view, paper_topology};
+use qolsr_graph::LocalView;
 use qolsr_metrics::BandwidthMetric;
 use std::hint::black_box;
 
@@ -43,6 +45,27 @@ fn bench_single_node_selection(c: &mut Criterion) {
             );
         }
     }
+
+    // The paper's densest setting, for the selectors whose cost is the
+    // substrate under them (QOLSR's coverage rows, topology filtering's
+    // RNG sweep) and for the view extraction they all start from.
+    let topo = paper_topology(35.0, 0x5E1);
+    let view = busiest_view(&topo);
+    let id = format!("d35_view{}", view.len());
+    for (name, sel) in selectors() {
+        if matches!(name, "qolsr_mpr2" | "topology_filtering") {
+            group.bench_with_input(BenchmarkId::new(name, &id), &view, |b, view| {
+                b.iter(|| black_box(sel.select(view)));
+            });
+        }
+    }
+    group.bench_with_input(
+        BenchmarkId::new("local_view_extract", &id),
+        &topo,
+        |b, topo| {
+            b.iter(|| black_box(LocalView::extract(topo, view.center())));
+        },
+    );
     group.finish();
 }
 

@@ -18,6 +18,7 @@ use std::marker::PhantomData;
 
 use qolsr_graph::{LocalView, NodeId};
 use qolsr_metrics::Metric;
+use qolsr_proto::mpr::Coverage;
 
 use super::{best_by_direct_link, AnsSelector};
 
@@ -75,32 +76,13 @@ impl<M: Metric> AnsSelector for QolsrMpr<M> {
     }
 
     fn select(&self, view: &LocalView) -> BTreeSet<NodeId> {
-        let g = view.graph();
-        let one_hop: Vec<u32> = view.one_hop_local().collect();
-        let two_hop: Vec<u32> = view.two_hop_local().collect();
-        let covers = |v: u32, w: u32| g.has_edge(v, w);
-
-        let mut mprs: BTreeSet<u32> = BTreeSet::new();
-        let mut uncovered: BTreeSet<u32> = two_hop.iter().copied().collect();
-
+        let mut coverage = Coverage::new(view);
         // Phase 1: mandatory sole covers (identical to RFC).
-        for &w in &two_hop {
-            let coverers: Vec<u32> = one_hop.iter().copied().filter(|&v| covers(v, w)).collect();
-            if coverers.len() == 1 {
-                mprs.insert(coverers[0]);
-            }
-        }
-        uncovered.retain(|&w| !mprs.iter().any(|&v| covers(v, w)));
+        coverage.take_sole_covers();
 
-        // Phase 2.
-        while !uncovered.is_empty() {
-            let useful: Vec<(u32, usize)> = one_hop
-                .iter()
-                .copied()
-                .filter(|v| !mprs.contains(v))
-                .map(|v| (v, uncovered.iter().filter(|&&w| covers(v, w)).count()))
-                .filter(|&(_, newly)| newly > 0)
-                .collect();
+        // Phase 2, over the useful neighbors in ascending local index.
+        while !coverage.all_covered() {
+            let useful: Vec<(u32, u32)> = coverage.useful().collect();
             if useful.is_empty() {
                 break; // transiently uncoverable in learned views
             }
@@ -118,11 +100,14 @@ impl<M: Metric> AnsSelector for QolsrMpr<M> {
                 MprVariant::Mpr2 => best_by_direct_link::<M>(view, useful.iter().map(|&(v, _)| v)),
             }
             .expect("useful set is non-empty");
-            mprs.insert(chosen);
-            uncovered.retain(|&w| !covers(chosen, w));
+            coverage.take(chosen);
         }
 
-        mprs.into_iter().map(|v| view.global_id(v)).collect()
+        coverage
+            .taken()
+            .iter()
+            .map(|&v| view.global_id(v))
+            .collect()
     }
 }
 

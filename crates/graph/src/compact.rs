@@ -40,6 +40,25 @@ impl CompactGraph {
         }
     }
 
+    /// Creates a graph from finished adjacency rows: row `v` lists `v`'s
+    /// neighbors in ascending index order, without `v` itself, and each
+    /// edge sits in both of its endpoints' rows under one label.
+    pub(crate) fn from_rows(adj: Vec<Vec<(u32, LinkQos)>>) -> Self {
+        let halves: usize = adj.iter().map(Vec::len).sum();
+        let graph = Self {
+            adj,
+            edges: halves / 2,
+        };
+        debug_assert!(graph.node_indices().all(|v| {
+            let row = graph.neighbors(v);
+            row.windows(2).all(|p| p[0].0 < p[1].0)
+                && row
+                    .iter()
+                    .all(|&(w, qos)| w != v && graph.qos(w, v) == Some(qos))
+        }));
+        graph
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.adj.len()

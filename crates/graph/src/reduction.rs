@@ -18,6 +18,8 @@
 //!   note this is *not* `d(v,z) + d(z,w) < d(v,w)`, which would barely
 //!   ever fire and defeat the filtering).
 
+use std::cmp::Ordering;
+
 use qolsr_metrics::Metric;
 
 use crate::compact::CompactGraph;
@@ -27,6 +29,19 @@ use crate::compact::CompactGraph;
 /// The reduction is applied simultaneously (witness checks run against the
 /// *original* graph, as in the classical RNG definition), so the result is
 /// independent of edge processing order.
+///
+/// It is computed in one sweep over the edges, best first, in groups of
+/// equal value (neither value [`better`](Metric::better) than the other).
+/// Each node keeps a bitset of its neighbors over links strictly better
+/// than the group being swept, so an edge has a witness iff its two ends'
+/// bitsets intersect. A whole group is tested before any of it enters the
+/// bitsets, so an equal-valued witness never drops an edge, as the strict
+/// rule requires. The sweep is exact only if `M::better` is a strict weak
+/// order, as [`Metric`] requires.
+///
+/// Scratch is two `n × ⌈n/64⌉` bitsets (`2·n·⌈n/64⌉` words for `n` nodes):
+/// small on a local view, quadratic on a whole network, so it suits views
+/// only.
 ///
 /// # Examples
 ///
@@ -44,47 +59,56 @@ use crate::compact::CompactGraph;
 /// assert!(reduced.has_edge(0, 1));
 /// ```
 pub fn rng_reduce<M: Metric>(g: &CompactGraph) -> CompactGraph {
-    let mut out = CompactGraph::with_nodes(g.len());
-    for (a, b, qos) in g.edges() {
-        if !has_better_witness::<M>(g, a, b, &qos) {
-            out.add_undirected(a, b, qos);
-        }
-    }
-    out
-}
+    let words = g.len().div_ceil(64);
+    let mut edges: Vec<(u32, u32, M::Value)> = g
+        .edges()
+        .map(|(a, b, qos)| (a, b, M::link_value(&qos)))
+        .collect();
+    edges.sort_unstable_by(|x, y| best_first::<M>(x.2, y.2));
 
-/// Returns `true` if some common neighbor `z` of `a` and `b` has *both*
-/// links strictly better than the direct edge (Toussaint's rule under the
-/// metric's order).
-fn has_better_witness<M: Metric>(
-    g: &CompactGraph,
-    a: u32,
-    b: u32,
-    direct: &qolsr_metrics::LinkQos,
-) -> bool {
-    let direct_value = M::link_value(direct);
-    // Merge-intersect the two sorted adjacency lists.
-    let (mut i, mut j) = (0, 0);
-    let na = g.neighbors(a);
-    let nb = g.neighbors(b);
-    while i < na.len() && j < nb.len() {
-        let (za, qa) = na[i];
-        let (zb, qb) = nb[j];
-        match za.cmp(&zb) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if M::better(M::link_value(&qa), direct_value)
-                    && M::better(M::link_value(&qb), direct_value)
-                {
-                    return true;
-                }
-                i += 1;
-                j += 1;
+    // `better` holds each node's neighbors over the links swept so far,
+    // `dropped` the far end of each removed edge; both row `v` at
+    // `v * words`.
+    let mut scratch = vec![0u64; 2 * g.len() * words];
+    let (better, dropped) = scratch.split_at_mut(g.len() * words);
+    let set = |bits: &mut [u64], v: u32, w: u32| {
+        bits[v as usize * words + w as usize / 64] |= 1 << (w % 64);
+    };
+    for group in edges.chunk_by(|x, y| best_first::<M>(x.2, y.2) == Ordering::Equal) {
+        for &(a, b, _) in group {
+            let row = |v: u32| &better[v as usize * words..][..words];
+            if row(a).iter().zip(row(b)).any(|(x, y)| x & y != 0) {
+                set(dropped, a, b);
+                set(dropped, b, a);
             }
         }
+        for &(a, b, _) in group {
+            set(better, a, b);
+            set(better, b, a);
+        }
     }
-    false
+
+    let rows = g
+        .node_indices()
+        .map(|v| {
+            let gone = &dropped[v as usize * words..][..words];
+            let mut row = g.neighbors(v).to_vec();
+            row.retain(|&(w, _)| gone[w as usize / 64] & (1 << (w % 64)) == 0);
+            row
+        })
+        .collect();
+    CompactGraph::from_rows(rows)
+}
+
+/// Orders values best first; equal when neither is better than the other.
+fn best_first<M: Metric>(a: M::Value, b: M::Value) -> Ordering {
+    if M::better(a, b) {
+        Ordering::Less
+    } else if M::better(b, a) {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    }
 }
 
 #[cfg(test)]

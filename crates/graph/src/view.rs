@@ -11,8 +11,6 @@
 //! (the paper's Fig. 2 link `(v8, v9)` example), which is what makes the
 //! algorithms genuinely localized.
 
-use std::collections::HashMap;
-
 use qolsr_metrics::LinkQos;
 
 use crate::compact::CompactGraph;
@@ -53,9 +51,9 @@ pub enum NeighborClass {
 pub struct LocalView {
     center: NodeId,
     center_local: u32,
+    /// V_u ascending by global id; a node's position is its local index.
     nodes: Vec<NodeId>,
     class: Vec<NeighborClass>,
-    index: HashMap<NodeId, u32>,
     graph: CompactGraph,
 }
 
@@ -79,71 +77,69 @@ impl LocalView {
     /// Panics if `u` is not a node of `graph`.
     pub fn extract_graph(graph: &CompactGraph, u: NodeId) -> Self {
         assert!(u.index() < graph.len(), "center not in topology");
-        let nbrs = |n: NodeId| {
-            graph
-                .neighbors(n.0)
-                .iter()
-                .map(|&(m, qos)| (NodeId(m), qos))
-        };
+        const ABSENT: u32 = u32::MAX;
+        const CENTER: u32 = u32::MAX - 1;
+        const ONE_HOP: u32 = u32::MAX - 2;
+        const TWO_HOP: u32 = u32::MAX - 3;
 
-        // V_u, sorted ascending by global id.
-        let mut one_hop: Vec<NodeId> = nbrs(u).map(|(n, _)| n).collect();
-        one_hop.sort_unstable();
-        let mut two_hop: Vec<NodeId> = Vec::new();
-        {
-            let mut is_one_hop = vec![false; graph.len()];
-            for &n in &one_hop {
-                is_one_hop[n.index()] = true;
+        // V_u through one dense map over global ids: while V_u is
+        // collected, `slot[n]` holds n's class; once V_u is sorted, n's
+        // local index. Nodes outside V_u stay ABSENT.
+        let mut slot = vec![ABSENT; graph.len()];
+        let mut nodes = vec![u];
+        slot[u.index()] = CENTER;
+        for &(v, _) in graph.neighbors(u.0) {
+            slot[v as usize] = ONE_HOP;
+            nodes.push(NodeId(v));
+        }
+        for &(v, _) in graph.neighbors(u.0) {
+            for &(w, _) in graph.neighbors(v) {
+                if slot[w as usize] == ABSENT {
+                    slot[w as usize] = TWO_HOP;
+                    nodes.push(NodeId(w));
+                }
             }
-            let mut seen = vec![false; graph.len()];
-            for &v in &one_hop {
-                for (w, _) in nbrs(v) {
-                    if w != u && !is_one_hop[w.index()] && !seen[w.index()] {
-                        seen[w.index()] = true;
-                        two_hop.push(w);
+        }
+        nodes.sort_unstable();
+        let class: Vec<NeighborClass> = nodes
+            .iter()
+            .map(|n| match slot[n.index()] {
+                CENTER => NeighborClass::Center,
+                ONE_HOP => NeighborClass::OneHop,
+                _ => NeighborClass::TwoHop,
+            })
+            .collect();
+        for (i, n) in nodes.iter().enumerate() {
+            slot[n.index()] = i as u32;
+        }
+
+        // E_u row by row: each row is the node's global row filtered to
+        // V_u, so it comes out sorted. A 1-hop neighbor keeps every
+        // neighbor in V_u; the center and a 2-hop node keep their 1-hop
+        // neighbors (all of the center's are).
+        let one_hop = |l: u32| class[l as usize] == NeighborClass::OneHop;
+        let mut row = Vec::new();
+        let rows = nodes
+            .iter()
+            .zip(&class)
+            .map(|(n, &c)| {
+                row.clear();
+                for &(m, qos) in graph.neighbors(n.0) {
+                    let l = slot[m as usize];
+                    if l != ABSENT && (c == NeighborClass::OneHop || one_hop(l)) {
+                        row.push((l, qos));
                     }
                 }
-            }
-        }
-        two_hop.sort_unstable();
-
-        let mut nodes = Vec::with_capacity(1 + one_hop.len() + two_hop.len());
-        nodes.push(u);
-        nodes.extend(one_hop.iter().copied());
-        nodes.extend(two_hop.iter().copied());
-        nodes.sort_unstable();
-
-        let index: HashMap<NodeId, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
+                row.clone()
+            })
             .collect();
-        let mut class = vec![NeighborClass::TwoHop; nodes.len()];
-        class[index[&u] as usize] = NeighborClass::Center;
-        for n in &one_hop {
-            class[index[n] as usize] = NeighborClass::OneHop;
-        }
 
-        // E_u: every topology edge incident to a 1-hop neighbor whose other
-        // endpoint lies in V_u. `add_undirected` dedups re-insertions.
-        let mut local = CompactGraph::with_nodes(nodes.len());
-        for &v in &one_hop {
-            let lv = index[&v];
-            for (w, qos) in nbrs(v) {
-                if let Some(&lw) = index.get(&w) {
-                    local.add_undirected(lv, lw, qos);
-                }
-            }
-        }
-
-        let center_local = index[&u];
         Self {
             center: u,
-            center_local,
+            center_local: slot[u.index()],
             nodes,
             class,
-            index,
-            graph: local,
+            graph: CompactGraph::from_rows(rows),
         }
     }
 
@@ -155,53 +151,86 @@ impl LocalView {
     /// `(v, w, qos)` links announced by 1-hop neighbors `v`. Reported links
     /// whose `v` endpoint is not a known 1-hop neighbor are ignored, as are
     /// self-referential reports (`w == center`), which are already covered
-    /// by `direct`.
+    /// by `direct`. A link given more than once (from both ends, or
+    /// repeated) is one edge, labelled by its last report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link would be a self loop: `center` listed in `direct`,
+    /// or a report `(v, v, _)`.
     pub fn from_parts(
         center: NodeId,
         direct: &[(NodeId, LinkQos)],
         reported: &[(NodeId, NodeId, LinkQos)],
     ) -> Self {
-        use std::collections::BTreeSet;
+        let mut one_hop: Vec<NodeId> = direct.iter().map(|&(v, _)| v).collect();
+        one_hop.sort_unstable();
+        one_hop.dedup();
+        let is_one_hop = |n: NodeId| one_hop.binary_search(&n).is_ok();
+        let heard = |&&(v, w, _): &&(NodeId, NodeId, LinkQos)| w != center && is_one_hop(v);
 
-        let one_hop_set: BTreeSet<NodeId> = direct.iter().map(|&(v, _)| v).collect();
-        let mut nodes: BTreeSet<NodeId> = one_hop_set.clone();
-        nodes.insert(center);
-        for &(v, w, _) in reported {
-            if one_hop_set.contains(&v) && w != center {
-                nodes.insert(w);
-            }
-        }
-        let nodes: Vec<NodeId> = nodes.into_iter().collect();
-        let index: HashMap<NodeId, u32> = nodes
+        let mut nodes = one_hop.clone();
+        nodes.push(center);
+        nodes.extend(reported.iter().filter(heard).map(|&(_, w, _)| w));
+        nodes.sort_unstable();
+        nodes.dedup();
+        let class: Vec<NeighborClass> = nodes
             .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
+            .map(|&n| {
+                if n == center {
+                    NeighborClass::Center
+                } else if is_one_hop(n) {
+                    NeighborClass::OneHop
+                } else {
+                    NeighborClass::TwoHop
+                }
+            })
             .collect();
-        let mut class = vec![NeighborClass::TwoHop; nodes.len()];
-        class[index[&center] as usize] = NeighborClass::Center;
-        for v in &one_hop_set {
-            class[index[v] as usize] = NeighborClass::OneHop;
-        }
+        let local = |n: NodeId| nodes.binary_search(&n).expect("endpoint is in V_u") as u32;
 
-        let mut graph = CompactGraph::with_nodes(nodes.len());
-        for &(v, qos) in direct {
-            graph.add_undirected(index[&center], index[&v], qos);
-        }
-        for &(v, w, qos) in reported {
-            if !one_hop_set.contains(&v) || w == center {
-                continue;
+        // Every link as (lower end, higher end, label), stably sorted by
+        // pair: the last report of a pair closes its run, and folding
+        // each run into its first entry gives that entry the last label.
+        let mut links: Vec<(u32, u32, LinkQos)> = direct
+            .iter()
+            .map(|&(v, qos)| (center, v, qos))
+            .chain(reported.iter().filter(heard).copied())
+            .map(|(a, b, qos)| {
+                let (a, b) = (local(a), local(b));
+                assert_ne!(a, b, "self loops are not allowed");
+                (a.min(b), a.max(b), qos)
+            })
+            .collect();
+        links.sort_by_key(|&(a, b, _)| (a, b));
+        links.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            if same {
+                kept.2 = later.2;
             }
-            graph.add_undirected(index[&v], index[&w], qos);
+            same
+        });
+
+        // Pushing the sorted pairs into both ends fills each row with its
+        // lower neighbors, then its higher ones, each ascending.
+        let mut degree = vec![0usize; nodes.len()];
+        for &(a, b, ..) in &links {
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
+        }
+        let mut rows: Vec<Vec<(u32, LinkQos)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for &(a, b, qos) in &links {
+            rows[a as usize].push((b, qos));
+            rows[b as usize].push((a, qos));
         }
 
-        let center_local = index[&center];
+        let center_local = local(center);
         Self {
             center,
             center_local,
             nodes,
             class,
-            index,
-            graph,
+            graph: CompactGraph::from_rows(rows),
         }
     }
 
@@ -241,7 +270,7 @@ impl LocalView {
 
     /// Translates a global id to this view's local index, if present.
     pub fn local_index(&self, n: NodeId) -> Option<u32> {
-        self.index.get(&n).copied()
+        self.nodes.binary_search(&n).ok().map(|i| i as u32)
     }
 
     /// The classification of local index `local`.
@@ -414,6 +443,37 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v.class_of(NodeId(3)), None);
         assert_eq!(v.class_of(NodeId(9)), None);
+    }
+
+    #[test]
+    fn from_parts_labels_a_link_by_its_last_report() {
+        // 1 and 2 are 1-hop neighbors of 0 and both report their common
+        // link, each with its own label, and 1 repeats its report. The
+        // last report labels both halves, whichever end sent it and
+        // whatever its label; the link is one edge.
+        let q = LinkQos::uniform;
+        let (one, two) = (NodeId(1), NodeId(2));
+        let direct = [(one, q(5)), (two, q(6))];
+        for (reported, last) in [
+            ([(one, two, q(3)), (two, one, q(9)), (one, two, q(7))], q(7)),
+            ([(one, two, q(9)), (one, two, q(7)), (two, one, q(3))], q(3)),
+        ] {
+            let v = LocalView::from_parts(NodeId(0), &direct, &reported);
+            let l1 = v.local_index(one).unwrap();
+            let l2 = v.local_index(two).unwrap();
+            assert_eq!(v.graph().qos(l1, l2), Some(last), "{reported:?}");
+            assert_eq!(v.graph().qos(l2, l1), Some(last), "{reported:?}");
+            assert_eq!(v.graph().edge_count(), 3, "{reported:?}");
+            assert_eq!(v.graph().degree(l1), 2, "{reported:?}");
+            assert_eq!(v.graph().degree(l2), 2, "{reported:?}");
+        }
+
+        // Ids below, between and past V_u = {1, 2, 4} are absent.
+        let v = LocalView::from_parts(NodeId(4), &direct, &[]);
+        for absent in [NodeId(0), NodeId(3), NodeId(5), NodeId(u32::MAX)] {
+            assert_eq!(v.local_index(absent), None, "{absent}");
+            assert_eq!(v.class_of(absent), None, "{absent}");
+        }
     }
 
     #[test]

@@ -112,6 +112,42 @@ where
     Ok(())
 }
 
+/// Toussaint's rule under `M`'s order: some common neighbor `z` of `a`
+/// and `b` has both links strictly better than the direct edge.
+fn has_rng_witness<M: Metric>(g: &CompactGraph, a: u32, b: u32) -> bool {
+    let direct = M::link_value(&g.qos(a, b).expect("an edge"));
+    g.neighbors(a).iter().any(|&(z, qa)| {
+        g.qos(z, b).is_some_and(|qb| {
+            M::better(M::link_value(&qa), direct) && M::better(M::link_value(&qb), direct)
+        })
+    })
+}
+
+/// The reduced graph is a subgraph that kept every surviving edge's
+/// label, and it is exactly the RNG: an edge of `g` is removed iff it has
+/// a witness in `g`.
+fn check_rng_reduction_is_exact<M: Metric>(g: &CompactGraph) -> Result<(), TestCaseError> {
+    let r = qolsr_graph::reduction::rng_reduce::<M>(g);
+    prop_assert_eq!(r.len(), g.len());
+    for (a, b, qos) in r.edges() {
+        prop_assert_eq!(g.qos(a, b), Some(qos));
+    }
+    for (a, b, _) in g.edges() {
+        let witness = has_rng_witness::<M>(g, a, b);
+        prop_assert_eq!(
+            r.has_edge(a, b),
+            !witness,
+            "{} edge ({},{}): kept {} with witness {}",
+            M::NAME,
+            a,
+            b,
+            r.has_edge(a, b),
+            witness
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -147,29 +183,9 @@ proptest! {
 
     #[test]
     fn rng_reduction_is_sound(g in random_graph()) {
-        // Reduced graph is a subgraph, and every surviving edge kept its
-        // label; every removed edge has a strictly better 2-hop detour in
-        // the original graph.
-        let r = qolsr_graph::reduction::rng_reduce::<BandwidthMetric>(&g);
-        prop_assert_eq!(r.len(), g.len());
-        for (a, b, qos) in r.edges() {
-            prop_assert_eq!(g.qos(a, b), Some(qos));
-        }
-        for (a, b, qos) in g.edges() {
-            if !r.has_edge(a, b) {
-                let direct = BandwidthMetric::link_value(&qos);
-                let witness = g.neighbors(a).iter().any(|&(z, qa)| {
-                    g.qos(z, b).is_some_and(|qb| {
-                        let detour = BandwidthMetric::extend(
-                            BandwidthMetric::link_value(&qa),
-                            BandwidthMetric::link_value(&qb),
-                        );
-                        BandwidthMetric::better(detour, direct)
-                    })
-                });
-                prop_assert!(witness, "edge ({a},{b}) removed without witness");
-            }
-        }
+        check_rng_reduction_is_exact::<BandwidthMetric>(&g)?;
+        check_rng_reduction_is_exact::<DelayMetric>(&g)?;
+        check_rng_reduction_is_exact::<ResidualEnergyMetric>(&g)?;
     }
 
     #[test]
@@ -195,4 +211,24 @@ proptest! {
             prop_assert!(topo.has_link(view.global_id(la), view.global_id(lb)));
         }
     }
+}
+
+/// A triangle of three equal links: no link is strictly better than
+/// another, so no edge has a witness and the reduction keeps all three,
+/// under every metric.
+#[test]
+fn rng_reduction_keeps_an_equal_triangle() {
+    fn check<M: Metric>() {
+        let mut g = CompactGraph::with_nodes(3);
+        let qos = LinkQos::with_energy(Bandwidth(5), Delay(5), Energy(5));
+        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+            g.add_undirected(a, b, qos);
+        }
+        let r = qolsr_graph::reduction::rng_reduce::<M>(&g);
+        assert_eq!(r, g, "{}", M::NAME);
+    }
+    check::<BandwidthMetric>();
+    check::<DelayMetric>();
+    check::<ResidualEnergyMetric>();
+    check::<Lex2<BandwidthMetric, DelayMetric>>();
 }

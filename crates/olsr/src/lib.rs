@@ -12,7 +12,8 @@
 //!   2-hop neighbor sets, MPR-selector set, topology base (ANSN
 //!   sequencing) and duplicate set;
 //! * [`mpr`] — the classical RFC 3626 greedy MPR heuristic (the flooding
-//!   set every variant keeps);
+//!   set every variant keeps) and the bitset coverage rows it shares with
+//!   the QOLSR heuristics;
 //! * [`routing`] — RFC-style hop-count routing-table calculation from
 //!   local links plus TC-learned topology;
 //! * [`intern`] / [`store`] — dense id interning and the network-shared

@@ -5,11 +5,12 @@
 //! some 2-hop neighbor, then repeatedly take the neighbor covering the
 //! most still-uncovered 2-hop neighbors. It is kept by every QoS variant
 //! as the *flooding* set; the QoS selectors in the `qolsr` core crate
-//! replace only the *routing* (advertised) set.
+//! replace only the *routing* (advertised) set. Both run on [`Coverage`].
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-use qolsr_graph::{LocalView, NodeId};
+use qolsr_graph::{LocalView, NeighborClass, NodeId};
 
 /// Computes the MPR set of the view's center using the RFC 3626 greedy
 /// heuristic.
@@ -37,58 +38,178 @@ use qolsr_graph::{LocalView, NodeId};
 /// }
 /// ```
 pub fn select_mprs(view: &LocalView) -> BTreeSet<NodeId> {
-    let g = view.graph();
-    let one_hop: Vec<u32> = view.one_hop_local().collect();
-    let two_hop: Vec<u32> = view.two_hop_local().collect();
-
-    let mut mprs: BTreeSet<u32> = BTreeSet::new();
-    let mut uncovered: BTreeSet<u32> = two_hop.iter().copied().collect();
-
-    // Coverage relation: neighbor v covers 2-hop node w iff (v, w) ∈ E_u.
-    let covers = |v: u32, w: u32| g.has_edge(v, w);
-
-    // Phase 1: neighbors that are the sole cover of some 2-hop node.
-    for &w in &two_hop {
-        let coverers: Vec<u32> = one_hop.iter().copied().filter(|&v| covers(v, w)).collect();
-        if coverers.len() == 1 {
-            mprs.insert(coverers[0]);
-        }
-    }
-    uncovered.retain(|&w| !one_hop.iter().any(|&v| mprs.contains(&v) && covers(v, w)));
+    let mut coverage = Coverage::new(view);
+    coverage.take_sole_covers();
 
     // Phase 2: greedy by newly-covered count; ties by total reachability,
     // then smallest global id.
-    while !uncovered.is_empty() {
-        let best = one_hop
-            .iter()
-            .copied()
-            .filter(|v| !mprs.contains(v))
-            .map(|v| {
-                let newly = uncovered.iter().filter(|&&w| covers(v, w)).count();
-                let total = two_hop.iter().filter(|&&w| covers(v, w)).count();
-                (newly, total, v)
-            })
-            .filter(|&(newly, _, _)| newly > 0)
-            // Max newly covered, then max total, then *smallest* id.
-            .max_by(|a, b| {
-                (a.0, a.1, std::cmp::Reverse(view.global_id(a.2))).cmp(&(
-                    b.0,
-                    b.1,
-                    std::cmp::Reverse(view.global_id(b.2)),
-                ))
-            });
+    while !coverage.all_covered() {
+        let best = coverage
+            .useful()
+            .max_by_key(|&(v, newly)| (newly, coverage.covered(v), Reverse(view.global_id(v))));
         match best {
-            Some((_, _, v)) => {
-                mprs.insert(v);
-                uncovered.retain(|&w| !covers(v, w));
-            }
+            Some((v, _)) => coverage.take(v),
             // Uncoverable 2-hop nodes cannot exist in well-formed views,
             // but learned views may transiently contain them.
             None => break,
         }
     }
 
-    mprs.into_iter().map(|v| view.global_id(v)).collect()
+    coverage
+        .taken()
+        .iter()
+        .map(|&v| view.global_id(v))
+        .collect()
+}
+
+/// The coverage relation of a view's MPR heuristics, with the state of a
+/// greedy selection over it.
+///
+/// Each 1-hop neighbor `v` of the center `u` has a row
+/// `N(v) ∩ N²(u)`: the 2-hop neighbors it covers, as a bitset over the
+/// view's local indices. A 2-hop neighbor stays *uncovered* until some
+/// *taken* neighbor covers it. Every method speaks local indices, and
+/// every count is a popcount. [`select_mprs`] and the QOLSR heuristics of
+/// the `qolsr` core crate all select on it.
+///
+/// # Examples
+///
+/// ```
+/// use qolsr_graph::{fixtures, LocalView};
+/// use qolsr_proto::mpr::Coverage;
+///
+/// let fig = fixtures::fig2();
+/// let view = LocalView::extract(&fig.topo, fig.u);
+/// let mut coverage = Coverage::new(&view);
+/// coverage.take_sole_covers();
+/// // Phase 2, taking the first useful neighbor each time.
+/// loop {
+///     let Some((v, _newly)) = coverage.useful().next() else { break };
+///     coverage.take(v);
+/// }
+/// assert!(coverage.all_covered());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Coverage {
+    /// Words per bitset: `⌈|V_u| / 64⌉`.
+    words: usize,
+    /// Local indices of `N(u)`, ascending; row `i` belongs to `one_hop[i]`.
+    one_hop: Vec<u32>,
+    rows: Vec<u64>,
+    uncovered: Vec<u64>,
+    taken: Vec<u32>,
+}
+
+impl Coverage {
+    /// Builds every 1-hop neighbor's row, with all of `N²(u)` uncovered
+    /// and nothing taken.
+    pub fn new(view: &LocalView) -> Self {
+        let words = view.len().div_ceil(64);
+        let is_two_hop = |w: u32| view.class(w) == NeighborClass::TwoHop;
+        let one_hop: Vec<u32> = view.one_hop_local().collect();
+        let mut rows = vec![0; one_hop.len() * words];
+        for (row, &v) in rows.chunks_exact_mut(words).zip(&one_hop) {
+            for &(w, _) in view.graph().neighbors(v) {
+                if is_two_hop(w) {
+                    set(row, w);
+                }
+            }
+        }
+        let mut uncovered = vec![0; words];
+        for w in view.two_hop_local() {
+            set(&mut uncovered, w);
+        }
+        Self {
+            words,
+            one_hop,
+            rows,
+            uncovered,
+            taken: Vec::new(),
+        }
+    }
+
+    /// Takes every 1-hop neighbor that is the only cover of some 2-hop
+    /// neighbor: the mandatory first phase of RFC 3626 and of QOLSR.
+    pub fn take_sole_covers(&mut self) {
+        let mut once = vec![0u64; self.words];
+        let mut twice = vec![0u64; self.words];
+        for row in self.rows.chunks_exact(self.words) {
+            for ((o, t), &bits) in once.iter_mut().zip(&mut twice).zip(row) {
+                *t |= *o & bits;
+                *o |= bits;
+            }
+        }
+        for i in 0..self.one_hop.len() {
+            let sole = self
+                .row(i)
+                .iter()
+                .zip(once.iter().zip(&twice))
+                .any(|(&bits, (&o, &t))| bits & o & !t != 0);
+            if sole {
+                self.take(self.one_hop[i]);
+            }
+        }
+    }
+
+    /// The 1-hop neighbors that still cover some uncovered 2-hop
+    /// neighbor, ascending by local index, each with how many it covers.
+    pub fn useful(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.one_hop.iter().enumerate().filter_map(|(i, &v)| {
+            let newly = (self.row(i).iter().zip(&self.uncovered))
+                .map(|(&bits, &open)| (bits & open).count_ones())
+                .sum::<u32>();
+            (newly > 0).then_some((v, newly))
+        })
+    }
+
+    /// How many 2-hop neighbors the 1-hop neighbor `v` covers in all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a 1-hop neighbor.
+    pub fn covered(&self, v: u32) -> u32 {
+        self.row(self.position(v))
+            .iter()
+            .map(|bits| bits.count_ones())
+            .sum()
+    }
+
+    /// Takes the 1-hop neighbor `v`: whatever it covers is covered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a 1-hop neighbor.
+    pub fn take(&mut self, v: u32) {
+        let i = self.position(v);
+        for (open, &bits) in self.uncovered.iter_mut().zip(&self.rows[i * self.words..]) {
+            *open &= !bits;
+        }
+        self.taken.push(v);
+    }
+
+    /// Returns `true` once no 2-hop neighbor is uncovered.
+    pub fn all_covered(&self) -> bool {
+        self.uncovered.iter().all(|&open| open == 0)
+    }
+
+    /// The taken 1-hop neighbors, in the order they were taken.
+    pub fn taken(&self) -> &[u32] {
+        &self.taken
+    }
+
+    fn position(&self, v: u32) -> usize {
+        self.one_hop
+            .binary_search(&v)
+            .expect("coverage rows exist for 1-hop neighbors only")
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..][..self.words]
+    }
+}
+
+fn set(bits: &mut [u64], w: u32) {
+    bits[w as usize / 64] |= 1 << (w % 64);
 }
 
 /// Checks the MPR coverage invariant: every 2-hop neighbor of the center

@@ -16,11 +16,13 @@
 //! must report the same changed pairs, and the two caches count alike:
 //! every query is a hit or a recompute, and a query inside the
 //! validity window with no change reported since the last recompute is
-//! a hit. The from-scratch [`compute_routes`] is pinned to the
-//! reference on the same inputs, [`compute_routes_keys_into`] on raw
-//! lists numbered from a drawn seed, and so are caches that share one
-//! thread's scratch, taking turns on one thread and recomputing at once
-//! on two.
+//! a hit. A second generator keeps every HELLO hold past every TC hold
+//! and refreshes live TC sets under earlier holds, so that a shortened
+//! TC hold is what lapses first. The from-scratch [`compute_routes`] is
+//! pinned to the reference on the same inputs,
+//! [`compute_routes_keys_into`] on raw lists numbered from a drawn seed,
+//! and so are caches that share one thread's scratch, taking turns on
+//! one thread and recomputing at once on two.
 //!
 //! [`OlsrNode`]: qolsr_proto::OlsrNode
 //! [`RouteCache`]: qolsr_proto::RouteCache
@@ -125,6 +127,64 @@ fn op() -> impl Strategy<Value = Op> {
 
 fn point_query() -> impl Strategy<Value = Op> {
     (0u32..13).prop_map(|d| Op::PointQuery(if d == 12 { 99 } else { d }))
+}
+
+/// A step of a history in which every HELLO hold outlasts every TC hold:
+/// one of [`op`]'s steps with its HELLO hold 20 s longer (24–29 s, past
+/// the longest TC hold), or a TC refresh. A refresh makes one of three
+/// originators a symmetric neighbor, integrates its set under an 8–11 s
+/// hold, queries the full table, integrates the same set again under a
+/// 1–3 s hold, waits past that hold and queries again.
+fn lapse_step() -> impl Strategy<Value = Vec<Op>> {
+    prop_oneof![
+        op().prop_map(|op| match op {
+            Op::Hello {
+                from,
+                lists_me,
+                mpr,
+                reports,
+                hold_s,
+            } => vec![Op::Hello {
+                from,
+                lists_me,
+                mpr,
+                reports,
+                hold_s: hold_s + 20,
+            }],
+            op => vec![op],
+        }),
+        (1u32..4, 0u16..3, 0u16..4, 8u64..12, 1u64..4, 0u64..2).prop_map(
+            |(orig, seq, ansn, hold_s, short_s, extra_s)| {
+                let advertised = vec![orig + 4, 9];
+                vec![
+                    Op::Hello {
+                        from: orig,
+                        lists_me: true,
+                        mpr: false,
+                        reports: Vec::new(),
+                        hold_s: 25,
+                    },
+                    Op::Tc {
+                        orig,
+                        seq,
+                        ansn,
+                        advertised: advertised.clone(),
+                        hold_s,
+                    },
+                    Op::Query,
+                    Op::Tc {
+                        orig,
+                        seq: seq + 1,
+                        ansn,
+                        advertised,
+                        hold_s: short_s,
+                    },
+                    Op::Advance(short_s + extra_s),
+                    Op::Query,
+                ]
+            }
+        ),
+    ]
 }
 
 fn hello_message(lists_me: bool, mpr: bool, reports: &[u32]) -> Hello {
@@ -266,6 +326,150 @@ fn check_query(
     model.query(before, cache.counters(), nt, tb, now)
 }
 
+/// Drives node 0's tables and two route caches through `ops`, checking
+/// every query against the reference and the counter model.
+fn run_history(ops: Vec<Op>, seeded_len: usize) -> Result<(), TestCaseError> {
+    let mut nt = NeighborTables::new();
+    let mut tb = TopologyBase::new();
+    // Seeds the ids `0..seeded_len`: none, some or all of the ids the
+    // history mentions (0..10), so ids sit on both sides of the seed.
+    let mut shared = SharedTopology::new(SharedLinkStore::seeded(seeded_len));
+    let mut cache = RouteCache::new();
+    let mut shared_cache = RouteCache::new();
+    let mut model = CounterModel::default();
+    let mut now = SimTime::ZERO;
+    for op in ops {
+        match op {
+            Op::Hello {
+                from,
+                lists_me,
+                mpr,
+                reports,
+                hold_s,
+            } => {
+                let hello = hello_message(lists_me, mpr, &reports);
+                let hold = now + SimDuration::from_secs(hold_s);
+                let from = NodeId(from);
+                let mut entered = false;
+                let sensing = SensingParams::default();
+                let qos = LinkQos::uniform(5);
+                let changed =
+                    nt.process_hello_reporting(ME, from, qos, &hello, now, hold, sensing, |n| {
+                        cache.link_changed(from, n, true);
+                        shared_cache.link_changed(from, n, true);
+                        entered = true;
+                    });
+                if changed {
+                    cache.invalidate();
+                    shared_cache.invalidate();
+                }
+                if changed || entered {
+                    model.changed();
+                }
+            }
+            Op::Tc {
+                orig,
+                seq,
+                ansn,
+                advertised,
+                hold_s,
+            } => {
+                let advertised: Vec<(NodeId, LinkQos)> = advertised
+                    .iter()
+                    .map(|&n| (NodeId(n), LinkQos::uniform(1)))
+                    .collect();
+                let hold = now + SimDuration::from_secs(hold_s);
+                let orig = NodeId(orig);
+                let (mut report, mut shared_report) = (Vec::new(), Vec::new());
+                let update =
+                    tb.process_tc_reporting(orig, ansn, &advertised, now, hold, |id, inserted| {
+                        cache.link_changed(orig, id, inserted);
+                        report.push((id, inserted));
+                    });
+                let shared_update = shared.process_tc_reporting(
+                    orig,
+                    seq,
+                    ansn,
+                    &advertised,
+                    now,
+                    hold,
+                    |id, inserted| {
+                        shared_cache.link_changed(orig, id, inserted);
+                        shared_report.push((id, inserted));
+                    },
+                );
+                prop_assert_eq!(update, shared_update);
+                prop_assert_eq!(
+                    &report,
+                    &shared_report,
+                    "the bases reported apart at {}",
+                    now
+                );
+                prop_assert_eq!(update.links_changed, !report.is_empty());
+                if update.links_changed {
+                    model.changed();
+                }
+            }
+            Op::Sweep => {
+                // Sweeps only drop already-expired tuples; the cache
+                // must stay exact *without* an invalidation here —
+                // exactly how `OlsrNode`'s sweep timer behaves.
+                nt.sweep(now);
+                tb.sweep(now);
+                shared.sweep(now);
+            }
+            Op::Advance(secs) => now += SimDuration::from_secs(secs),
+            Op::PointQuery(dest) => {
+                let dest = Some(NodeId(dest));
+                check_query(
+                    [&mut cache, &mut shared_cache],
+                    &mut model,
+                    &nt,
+                    &tb,
+                    &shared,
+                    dest,
+                    now,
+                )?;
+            }
+            Op::Query => {
+                check_query(
+                    [&mut cache, &mut shared_cache],
+                    &mut model,
+                    &nt,
+                    &tb,
+                    &shared,
+                    None,
+                    now,
+                )?;
+                let scratch = compute_routes(
+                    ME,
+                    seeded_len,
+                    &nt.symmetric_neighbors(now),
+                    &nt.reported_links(now),
+                    &tb.links(now),
+                );
+                prop_assert_eq!(
+                    &scratch,
+                    &from_scratch(&nt, &tb, now),
+                    "interned BFS diverged at {}",
+                    now
+                );
+            }
+        }
+    }
+    // Final query so every history ends verified.
+    check_query(
+        [&mut cache, &mut shared_cache],
+        &mut model,
+        &nt,
+        &tb,
+        &shared,
+        None,
+        now,
+    )?;
+    Ok(())
+}
+
 proptest! {
     /// Cached/incremental `routes()` ≡ from-scratch `compute_routes` ≡
     /// the original reference, after arbitrary HELLO/TC/sweep histories,
@@ -275,88 +479,20 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..60),
         seeded_len in 0usize..12,
     ) {
-        let mut nt = NeighborTables::new();
-        let mut tb = TopologyBase::new();
-        // Seeds the ids `0..seeded_len`: none, some or all of the ids the
-        // history mentions (0..10), so ids sit on both sides of the seed.
-        let mut shared = SharedTopology::new(SharedLinkStore::seeded(seeded_len));
-        let mut cache = RouteCache::new();
-        let mut shared_cache = RouteCache::new();
-        let mut model = CounterModel::default();
-        let mut now = SimTime::ZERO;
-        for op in ops {
-            match op {
-                Op::Hello { from, lists_me, mpr, reports, hold_s } => {
-                    let hello = hello_message(lists_me, mpr, &reports);
-                    let hold = now + SimDuration::from_secs(hold_s);
-                    let from = NodeId(from);
-                    let mut entered = false;
-                    let sensing = SensingParams::default();
-                    let qos = LinkQos::uniform(5);
-                    let changed = nt.process_hello_reporting(ME, from, qos, &hello, now, hold, sensing, |n| {
-                        cache.link_changed(from, n, true);
-                        shared_cache.link_changed(from, n, true);
-                        entered = true;
-                    });
-                    if changed {
-                        cache.invalidate();
-                        shared_cache.invalidate();
-                    }
-                    if changed || entered {
-                        model.changed();
-                    }
-                }
-                Op::Tc { orig, seq, ansn, advertised, hold_s } => {
-                    let advertised: Vec<(NodeId, LinkQos)> = advertised
-                        .iter()
-                        .map(|&n| (NodeId(n), LinkQos::uniform(1)))
-                        .collect();
-                    let hold = now + SimDuration::from_secs(hold_s);
-                    let orig = NodeId(orig);
-                    let (mut report, mut shared_report) = (Vec::new(), Vec::new());
-                    let update = tb.process_tc_reporting(orig, ansn, &advertised, now, hold, |id, inserted| {
-                        cache.link_changed(orig, id, inserted);
-                        report.push((id, inserted));
-                    });
-                    let shared_update = shared.process_tc_reporting(orig, seq, ansn, &advertised, now, hold, |id, inserted| {
-                        shared_cache.link_changed(orig, id, inserted);
-                        shared_report.push((id, inserted));
-                    });
-                    prop_assert_eq!(update, shared_update);
-                    prop_assert_eq!(&report, &shared_report, "the bases reported apart at {}", now);
-                    prop_assert_eq!(update.links_changed, !report.is_empty());
-                    if update.links_changed {
-                        model.changed();
-                    }
-                }
-                Op::Sweep => {
-                    // Sweeps only drop already-expired tuples; the cache
-                    // must stay exact *without* an invalidation here —
-                    // exactly how `OlsrNode`'s sweep timer behaves.
-                    nt.sweep(now);
-                    tb.sweep(now);
-                    shared.sweep(now);
-                }
-                Op::Advance(secs) => now += SimDuration::from_secs(secs),
-                Op::PointQuery(dest) => {
-                    let dest = Some(NodeId(dest));
-                    check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, dest, now)?;
-                }
-                Op::Query => {
-                    check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, None, now)?;
-                    let scratch = compute_routes(
-                        ME,
-                        seeded_len,
-                        &nt.symmetric_neighbors(now),
-                        &nt.reported_links(now),
-                        &tb.links(now),
-                    );
-                    prop_assert_eq!(&scratch, &from_scratch(&nt, &tb, now), "interned BFS diverged at {}", now);
-                }
-            }
-        }
-        // Final query so every history ends verified.
-        check_query([&mut cache, &mut shared_cache], &mut model, &nt, &tb, &shared, None, now)?;
+        run_history(ops, seeded_len)?;
+    }
+
+    /// The same, over histories in which every HELLO hold outlasts every
+    /// TC hold and TCs refresh live sets with earlier holds: a
+    /// recompute's window then ends at a TC tuple, so the shortened set
+    /// is what lapses first, and a cache not told of it would answer from
+    /// the expired set.
+    #[test]
+    fn cache_equals_scratch_when_tc_holds_lapse_first(
+        steps in proptest::collection::vec(lapse_step(), 1..20),
+        seeded_len in 0usize..12,
+    ) {
+        run_history(steps.into_iter().flatten().collect(), seeded_len)?;
     }
 
     /// The from-scratch BFS matches the reference formulation on raw
