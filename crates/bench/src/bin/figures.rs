@@ -265,6 +265,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         }
     }
     let command = command.unwrap_or_else(|| "all".to_owned());
+    if command != "help" && !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command {command}"));
+    }
     let applies_to = if command == "scale" && values.contains_key("--live") {
         LIVE
     } else {
@@ -359,6 +362,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.command == "help" {
+        out!("{}\n", help());
+        return ExitCode::SUCCESS;
+    }
     let defaults = FigureOptions::default();
     let opts = FigureOptions {
         runs: args.get("--runs").unwrap_or(defaults.runs),
@@ -395,7 +402,6 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
     let metric = args.get("--metric").unwrap_or_default();
     let shards = args.get("--shards").unwrap_or(1);
     match args.command.as_str() {
-        "help" => out!("{}\n", help()),
         cmd @ ("fig6" | "fig7" | "fig8" | "fig9" | "all") => {
             let mut figures = Vec::new();
             if matches!(cmd, "fig6" | "fig8" | "all") {
@@ -588,7 +594,7 @@ fn run(args: &Args, opts: &FigureOptions) -> Result<(), String> {
             out!("{}", scale::report(&points));
             emit(scale::figures(&points));
         }
-        other => return Err(format!("unknown command {other}")),
+        other => unreachable!("parse_args accepted the command {other}"),
     }
     Ok(())
 }

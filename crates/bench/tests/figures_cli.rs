@@ -1,16 +1,19 @@
 //! The `figures` binary's exit codes: a rejected argument exits 1 with an
 //! `error:` line, and a closed stdout ends the run with 141; never a panic.
+//! Only a command that runs prints the run header.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 
-fn figures(args: &[&str]) -> (Option<i32>, String) {
+/// Runs `figures` to its end: the exit code, stdout and stderr.
+fn figures(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(args)
         .output()
         .expect("the figures binary runs");
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
@@ -22,7 +25,7 @@ fn zero_sizes_exit_1_instead_of_panicking() {
         &["scale", "--live", "--sizes", "250,0", "--no-csv"],
         &["overhead", "--sizes", "0", "--no-csv"],
     ] {
-        let (code, stderr) = figures(args);
+        let (code, _, stderr) = figures(args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: bad --sizes value"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
@@ -31,12 +34,38 @@ fn zero_sizes_exit_1_instead_of_panicking() {
 
 #[test]
 fn misplaced_and_unknown_flags_exit_1() {
-    let (code, stderr) = figures(&["fig6", "--nodes", "40"]);
+    let (code, _, stderr) = figures(&["fig6", "--nodes", "40"]);
     assert_eq!(code, Some(1));
     assert!(stderr.contains("--nodes only applies to"), "{stderr}");
-    let (code, stderr) = figures(&["fig6", "--bogus"]);
+    let (code, _, stderr) = figures(&["fig6", "--bogus"]);
     assert_eq!(code, Some(1));
     assert!(stderr.contains("unknown argument: --bogus"), "{stderr}");
+}
+
+#[test]
+fn help_prints_only_the_usage_line() {
+    for args in [&["--help"][..], &["-h"], &["help"]] {
+        let (code, stdout, stderr) = figures(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+        assert_eq!(stdout.lines().count(), 1, "{args:?}: {stdout}");
+        assert!(stdout.starts_with("commands: fig6 "), "{args:?}: {stdout}");
+        assert!(
+            stdout.contains("; options: --runs N "),
+            "{args:?}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn an_unknown_command_exits_1_before_the_run_header() {
+    let (code, stdout, stderr) = figures(&["fig10", "--no-csv"]);
+    assert_eq!(code, Some(1));
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with("error: unknown command fig10"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -60,9 +60,6 @@ pub trait EvalMetric: Metric {
         match Self::kind() {
             MetricKind::Concave => (opt - got) / opt,
             MetricKind::Additive => (got - opt) / opt,
-            MetricKind::Composite => {
-                unreachable!("EvalMetric is only implemented for scalar metrics")
-            }
         }
     }
 }

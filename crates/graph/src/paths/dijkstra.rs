@@ -229,7 +229,7 @@ pub fn best_paths_avoiding<M: Metric>(
 /// exact. For concave metrics prefix-optimality fails (the widest path to
 /// an intermediate node may hijack reconstruction), so the hop count is
 /// minimized by a BFS restricted to links that sustain the optimal
-/// bottleneck. Composite metrics fall back to an arbitrary optimal path.
+/// bottleneck.
 pub fn best_route<M: Metric>(g: &CompactGraph, src: u32, dst: u32) -> Option<(M::Value, Vec<u32>)> {
     if src == dst {
         return Some((M::empty_path(), vec![src]));
@@ -240,9 +240,7 @@ pub fn best_route<M: Metric>(g: &CompactGraph, src: u32, dst: u32) -> Option<(M:
     }
     let best = bp.value(dst);
     match M::kind() {
-        qolsr_metrics::MetricKind::Additive | qolsr_metrics::MetricKind::Composite => {
-            Some((best, bp.path_to(dst).expect("reachable")))
-        }
+        qolsr_metrics::MetricKind::Additive => Some((best, bp.path_to(dst).expect("reachable"))),
         qolsr_metrics::MetricKind::Concave => {
             // Minimal hops over links that keep the bottleneck at `best`.
             let usable = |qos: &qolsr_metrics::LinkQos| !M::better(best, M::link_value(qos));

@@ -33,15 +33,11 @@
 //!   every forest. The argument needs [`MetricKind::Concave`]'s law:
 //!   `extend` keeps the worse of its two arguments. Cost: one sort of the
 //!   links plus one `O(n)` walk per neighbor, `O(m log m + d·n)`.
-//! * **Additive** metrics (delay) and **composite** (lexicographic) ones
-//!   run one Dijkstra on `G − u` per neighbor, `O(d·m log n)`. The forest
-//!   argument fails for them: a sum is worse than each of its links, and
-//!   a componentwise pair can equal neither of its inputs, so a path is
-//!   not as good as its worst link and the best paths of different
-//!   sources share no one tree. For additive metrics the per-neighbor
-//!   Dijkstra is exact; for lexicographic ones it is exact in the primary
-//!   criterion only, since a lexicographically better path can extend to
-//!   a worse one.
+//! * **Additive** metrics (delay) run one Dijkstra on `G − u` per
+//!   neighbor, `O(d·m log n)`, which is exact for them. The forest
+//!   argument fails here: a sum is worse than each of its links, so a path
+//!   is not as good as its worst link and the best paths of different
+//!   sources share no one tree.
 //!
 //! Both feed the same candidate fold, and the table stores every `fP` set
 //! in one flat array. The tests check both paths against brute-force path
@@ -151,7 +147,7 @@ pub fn first_hop_table<M: Metric>(g: &CompactGraph, u: u32) -> FirstHopTable<M> 
     };
     match M::kind() {
         MetricKind::Concave => forest_walks::<M>(g, u, &firsts, &mut offer),
-        MetricKind::Additive | MetricKind::Composite => {
+        MetricKind::Additive => {
             for (i, &(w, _)) in firsts.iter().enumerate() {
                 let sub = best_paths_avoiding::<M>(g, w, Some(u));
                 for v in (0..n as u32).filter(|&v| v != u && sub.reachable(v)) {

@@ -12,7 +12,7 @@ use std::fmt::Debug;
 use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
 use qolsr_graph::paths::{best_paths_avoiding, first_hop_table};
 use qolsr_graph::{CompactGraph, LocalView};
-use qolsr_metrics::{BandwidthMetric, DelayMetric, Lex2, Metric, ResidualEnergyMetric};
+use qolsr_metrics::{BandwidthMetric, DelayMetric, Metric, ResidualEnergyMetric};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -71,8 +71,6 @@ fn check_world(mean_degree: f64, seed: u64) {
         check::<BandwidthMetric>(&view);
         check::<ResidualEnergyMetric>(&view);
         check::<DelayMetric>(&view);
-        // Composite metrics stay on the per-neighbor Dijkstra.
-        check::<Lex2<BandwidthMetric, DelayMetric>>(&view);
     }
 }
 

@@ -14,8 +14,7 @@ use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
 use qolsr_graph::reduction::rng_reduce;
 use qolsr_graph::{CompactGraph, LocalView, NeighborClass, NodeId, Topology};
 use qolsr_metrics::{
-    Bandwidth, BandwidthMetric, Delay, DelayMetric, Energy, Lex2, LinkQos, Metric,
-    ResidualEnergyMetric,
+    Bandwidth, BandwidthMetric, Delay, DelayMetric, Energy, LinkQos, Metric, ResidualEnergyMetric,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -238,7 +237,6 @@ fn check_world(mean_degree: f64, seed: u64) {
         check_reduction::<BandwidthMetric>(g, &at);
         check_reduction::<DelayMetric>(g, &at);
         check_reduction::<ResidualEnergyMetric>(g, &at);
-        check_reduction::<Lex2<BandwidthMetric, DelayMetric>>(g, &at);
     }
 }
 

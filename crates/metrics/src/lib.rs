@@ -29,16 +29,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod composite;
 mod link;
 mod metric;
 mod pref;
 mod value;
 
-pub use composite::Lex2;
 pub use link::LinkQos;
 pub use metric::{
     path_value, BandwidthMetric, DelayMetric, Metric, MetricKind, ResidualEnergyMetric,
 };
-pub use pref::{best_by_preference, compare_preference, Preference};
+pub use pref::{best_by_preference, compare_preference};
 pub use value::{Bandwidth, Delay, Energy};

@@ -20,9 +20,6 @@ pub enum MetricKind {
     /// read off a maximum spanning forest, which is how `qolsr-graph`
     /// computes first-hop sets for concave metrics.
     Concave,
-    /// Lexicographic combination of two metrics (the paper's future-work
-    /// multi-criterion direction).
-    Composite,
 }
 
 /// A QoS path metric.
@@ -59,7 +56,7 @@ pub trait Metric: Copy + Debug + Default + Send + Sync + 'static {
     /// Human-readable metric name (used in reports and figures).
     const NAME: &'static str;
 
-    /// Whether the metric is additive, concave or composite.
+    /// Whether the metric is additive or concave.
     fn kind() -> MetricKind;
 
     /// Value of the empty path (identity of [`extend`](Metric::extend)).
@@ -187,9 +184,8 @@ impl Metric for DelayMetric {
 }
 
 /// Residual-energy metric (concave): the energy of a path is the minimum
-/// residual energy along it; larger is better. Implements the paper's
-/// future-work direction ("minimizing energy-consumption while providing
-/// good bandwidth") together with [`Lex2`](crate::Lex2).
+/// residual energy along it; larger is better. It models the paper's
+/// future-work direction of energy-aware selection.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResidualEnergyMetric;
 

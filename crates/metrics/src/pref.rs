@@ -12,47 +12,6 @@ use std::cmp::Ordering;
 
 use crate::metric::Metric;
 
-/// A `(link value, node id)` pair ordered by the paper's `≺u` operator.
-///
-/// # Examples
-///
-/// ```
-/// use qolsr_metrics::{Bandwidth, BandwidthMetric, Preference};
-///
-/// let a = Preference::<BandwidthMetric, u32>::new(Bandwidth(10), 4);
-/// let b = Preference::<BandwidthMetric, u32>::new(Bandwidth(10), 2);
-/// // Same bandwidth: the smaller id (2) is preferred.
-/// assert!(b.is_preferred_over(&a));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Preference<M: Metric, I> {
-    value: M::Value,
-    id: I,
-}
-
-impl<M: Metric, I: Ord + Copy> Preference<M, I> {
-    /// Creates a preference key from a direct-link value and a node id.
-    pub fn new(value: M::Value, id: I) -> Self {
-        Self { value, id }
-    }
-
-    /// The link value of this key.
-    pub fn value(&self) -> M::Value {
-        self.value
-    }
-
-    /// The node id of this key.
-    pub fn id(&self) -> I {
-        self.id
-    }
-
-    /// Returns `true` if `self` is strictly preferred over `other`
-    /// (better link value, or equal value and smaller id).
-    pub fn is_preferred_over(&self, other: &Self) -> bool {
-        compare_preference::<M, I>((self.value, self.id), (other.value, other.id)) == Ordering::Less
-    }
-}
-
 /// Compares two `(link value, id)` pairs under `≺u`: [`Ordering::Less`]
 /// means the first is preferred.
 pub fn compare_preference<M: Metric, I: Ord>(a: (M::Value, I), b: (M::Value, I)) -> Ordering {
@@ -135,19 +94,14 @@ mod tests {
         // On Fig. 2 the paper states v5 ≺u v1 is *false*: BW(u,v5)=1 is less
         // than BW(u,v1)=5, so v1 is preferred; and v1 ≺u v2 because both
         // links have bandwidth 5 and v1 has the smaller id.
-        let v1 = Preference::<BandwidthMetric, u32>::new(Bandwidth(5), 1);
-        let v2 = Preference::<BandwidthMetric, u32>::new(Bandwidth(5), 2);
-        let v5 = Preference::<BandwidthMetric, u32>::new(Bandwidth(1), 5);
-        assert!(v1.is_preferred_over(&v5));
-        assert!(v1.is_preferred_over(&v2));
-        assert!(v2.is_preferred_over(&v5));
-    }
-
-    #[test]
-    fn preference_accessors() {
-        let p = Preference::<BandwidthMetric, u32>::new(Bandwidth(3), 11);
-        assert_eq!(p.value(), Bandwidth(3));
-        assert_eq!(p.id(), 11);
+        let v1 = (Bandwidth(5), 1u32);
+        let v2 = (Bandwidth(5), 2u32);
+        let v5 = (Bandwidth(1), 5u32);
+        let cmp = compare_preference::<BandwidthMetric, u32>;
+        assert_eq!(cmp(v1, v5), Ordering::Less);
+        assert_eq!(cmp(v5, v1), Ordering::Greater);
+        assert_eq!(cmp(v1, v2), Ordering::Less);
+        assert_eq!(cmp(v2, v5), Ordering::Less);
     }
 
     #[test]

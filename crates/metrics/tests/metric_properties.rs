@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use qolsr_metrics::{
-    path_value, Bandwidth, BandwidthMetric, Delay, DelayMetric, Lex2, Metric, ResidualEnergyMetric,
+    path_value, Bandwidth, BandwidthMetric, Delay, DelayMetric, Metric, ResidualEnergyMetric,
 };
 
 proptest! {
@@ -53,22 +53,6 @@ proptest! {
             && BandwidthMetric::better(Bandwidth(b), Bandwidth(c))
         {
             prop_assert!(BandwidthMetric::better(Bandwidth(a), Bandwidth(c)));
-        }
-    }
-
-    #[test]
-    fn lex2_better_is_strict_weak_order(
-        a in (0u64..50, 0u64..50),
-        b in (0u64..50, 0u64..50),
-    ) {
-        type M = Lex2<BandwidthMetric, DelayMetric>;
-        let a = (Bandwidth(a.0), Delay(a.1));
-        let b = (Bandwidth(b.0), Delay(b.1));
-        // Asymmetry.
-        prop_assert!(!(M::better(a, b) && M::better(b, a)));
-        // Totality up to equivalence.
-        if a != b {
-            prop_assert!(M::better(a, b) || M::better(b, a) || (a.0 == b.0 && a.1 == b.1));
         }
     }
 

@@ -9,9 +9,10 @@
 //! ([`SharedLinkStore::seeded`]), so each of those ids is its own dense
 //! index and every store of one network numbers them alike; the store
 //! removes an id past them once it holds nothing of it, and the next new
-//! id takes its index. The route BFS numbers its ids the same way
-//! without a table: an id below `n` is its own index, and only the ids
-//! past `n` go through [`RouteScratch`]'s own small hashed table.
+//! id takes its index. The route BFS numbers its ids the same way: an
+//! id below `n` is its own index, and only the ids past `n` go through
+//! an [`InternTable`] of [`RouteScratch`]'s, cleared per computation, so
+//! they take `n, n + 1, …` in arrival order.
 //!
 //! [`LinkSetStore`]: crate::store::LinkSetStore
 //! [`SharedLinkStore::seeded`]: crate::store::SharedLinkStore::seeded
@@ -47,7 +48,7 @@ use qolsr_graph::NodeId;
 /// assert_eq!(t.get(NodeId(7)), None);
 /// assert_eq!(t.intern(NodeId(9)), a, "a removed id's index is reused");
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct InternTable {
     /// Dense index → id, in arrival order.
     ids: Vec<NodeId>,
@@ -119,11 +120,36 @@ impl InternTable {
         self.index.is_empty()
     }
 
+    /// Forgets every id, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.index.clear();
+        self.free.clear();
+    }
+
     /// Approximate heap bytes held by the table.
     pub fn approx_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
             + self.index.capacity() * std::mem::size_of::<(NodeId, u32)>()
             + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+impl Clone for InternTable {
+    fn clone(&self) -> Self {
+        Self {
+            ids: self.ids.clone(),
+            index: self.index.clone(),
+            free: self.free.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffers, so a table copied again and
+    /// again allocates only as it grows.
+    fn clone_from(&mut self, source: &Self) {
+        self.ids.clone_from(&source.ids);
+        self.index.clone_from(&source.index);
+        self.free.clone_from(&source.free);
     }
 }
 
@@ -147,5 +173,9 @@ mod tests {
         assert_eq!(t.get(NodeId(1)), Some(1));
         assert_eq!(t.len(), 2);
         assert!(t.approx_bytes() > 0);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.get(NodeId(5)), None);
+        assert_eq!(t.intern(NodeId(1)), 0, "a cleared table numbers from 0");
     }
 }

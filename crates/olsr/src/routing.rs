@@ -34,8 +34,9 @@
 //! in the CSR rows and in the route table, so numbering it is one
 //! comparison and looking it up one index. An id at or past `n` — only
 //! a corrupted frame that passes the checksum mints one — takes the next
-//! of `n, n + 1, …` in arrival order through a small hashed table, which
-//! is reset and grown only when such an id appears.
+//! of `n, n + 1, …` in arrival order through an [`InternTable`], which
+//! each computation clears and which is filled only when such an id
+//! appears.
 //!
 //! # Determinism
 //!
@@ -59,6 +60,7 @@ use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_sim::SimTime;
 
+use crate::intern::InternTable;
 use crate::tables::{NeighborTables, TopologyLinks};
 
 /// One routing-table entry.
@@ -72,15 +74,8 @@ pub struct RouteEntry {
     pub hops: u32,
 }
 
-/// Dense index marking a free slot of the past-seed table.
-const FREE: u32 = u32::MAX;
-
 /// BFS hop count of an unreached index.
 const UNREACHED: u32 = u32::MAX;
-
-/// Slots of the past-seed table when a graph's first id past the seed
-/// resets it.
-const PAST_SLOTS: usize = 8;
 
 /// What one BFS found for one dense index.
 #[derive(Debug, Clone, Copy)]
@@ -121,10 +116,10 @@ impl Slot {
 struct Numbering {
     /// Ids below this are their own dense index.
     seeded: u32,
-    /// The ids at or past `seeded`, in arrival order: `past[i]` has
-    /// dense index `seeded + i`. Empty unless a corrupted frame minted
-    /// such an id.
-    past: Vec<NodeId>,
+    /// The ids at or past `seeded`, interned in arrival order: the id
+    /// of past index `i` has dense index `seeded + i`. Empty unless a
+    /// corrupted frame minted such an id.
+    past: InternTable,
 }
 
 impl Numbering {
@@ -137,27 +132,26 @@ impl Numbering {
     fn id(&self, dense: u32) -> NodeId {
         match dense.checked_sub(self.seeded) {
             None => NodeId(dense),
-            Some(i) => self.past[i as usize],
+            Some(i) => self.past.resolve(i),
         }
     }
 
     /// The dense index of `id`, if numbered: its own value below the
-    /// seed, a scan of the (normally empty) past-seed ids beyond it.
+    /// seed, a binary search of the (normally empty) past-seed ids beyond
+    /// it.
     fn find(&self, id: NodeId) -> Option<u32> {
         if id.0 < self.seeded {
             Some(id.0)
         } else {
-            let i = self.past.iter().position(|&p| p == id)?;
-            Some(self.seeded + i as u32)
+            Some(self.seeded + self.past.get(id)?)
         }
     }
 }
 
 /// Reusable buffers for [`compute_routes_keys_into`]: the numbered
-/// input graph, the table numbering its ids past the seed, CSR
-/// adjacency and BFS state (see the [module docs](self) for the
-/// numbering). One instance amortizes every allocation of repeated
-/// route computations to zero.
+/// input graph, CSR adjacency and BFS state (see the [module docs](self)
+/// for the numbering). One instance amortizes every allocation of
+/// repeated route computations to zero.
 #[derive(Debug, Default, Clone)]
 pub struct RouteScratch {
     /// The numbering of the input graph's ids.
@@ -166,13 +160,6 @@ pub struct RouteScratch {
     root: u32,
     /// One dense index pair per input link.
     edges: Vec<(u32, u32)>,
-    /// Open-addressing `(id, dense index)` table of `numbering.past`,
-    /// linear probing, a power of two long and at most half full; a
-    /// slot whose index is [`FREE`] is empty. While `numbering.past` is
-    /// empty it holds an earlier graph's ids, never read.
-    slots: Vec<(NodeId, u32)>,
-    /// `64 - log2(slots.len())`: turns a 64-bit hash into a slot.
-    shift: u32,
     /// CSR row offsets into `adj` (len = dense indices + 1).
     offsets: Vec<u32>,
     /// CSR adjacency. Rows are unordered and may repeat an index.
@@ -191,22 +178,6 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// Empties the past-seed table at `len` (a power of two) slots.
-    fn reset_past(&mut self, len: usize) {
-        self.slots.clear();
-        self.slots.resize(len, (NodeId(0), FREE));
-        self.shift = 64 - len.trailing_zeros();
-    }
-
-    /// The slot a probe for `id` starts at.
-    fn home(&self, id: NodeId) -> usize {
-        // The ids are assigned by the simulator's own deployment and
-        // carried over the simulated radio, not taken from outside input,
-        // so a fixed multiplicative hash is safe from crafted collisions;
-        // linear probing at load ≤ 1/2 keeps the probe runs short.
-        (u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
     /// Dense index of `id`: its own value below the seed.
     fn intern(&mut self, id: NodeId) -> u32 {
         if id.0 < self.numbering.seeded {
@@ -220,38 +191,7 @@ impl RouteScratch {
     /// on first sight.
     #[cold]
     fn intern_past(&mut self, id: NodeId) -> u32 {
-        if self.numbering.past.is_empty() {
-            self.reset_past(PAST_SLOTS);
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(id);
-        loop {
-            let (held, dense) = self.slots[slot];
-            if dense == FREE {
-                break;
-            }
-            if held == id {
-                return dense;
-            }
-            slot = (slot + 1) & mask;
-        }
-        let dense = self.numbering.len() as u32;
-        self.slots[slot] = (id, dense);
-        self.numbering.past.push(id);
-        if 2 * self.numbering.past.len() > self.slots.len() {
-            // Over half full: double the table and re-place every id.
-            self.reset_past(2 * self.slots.len());
-            let mask = self.slots.len() - 1;
-            let seeded = self.numbering.seeded;
-            for (i, &past) in self.numbering.past.iter().enumerate() {
-                let mut slot = self.home(past);
-                while self.slots[slot].1 != FREE {
-                    slot = (slot + 1) & mask;
-                }
-                self.slots[slot] = (past, seeded + i as u32);
-            }
-        }
-        dense
+        self.numbering.seeded + self.numbering.past.intern(id)
     }
 
     /// Starts a new input graph rooted at `me` holding the neighbor-table
@@ -931,33 +871,9 @@ mod tests {
     }
 
     #[test]
-    fn colliding_ids_probe_past_the_table_end() {
-        // `me` plus three neighbors, all past an empty seed, fill the
-        // past-seed table to half its first eight slots; all four ids
-        // below start probing at the last one, so three wrap.
-        let mut scratch = RouteScratch::new();
-        scratch.reset_past(PAST_SLOTS);
-        let last = PAST_SLOTS - 1;
-        let ids: Vec<NodeId> = (0u32..)
-            .map(NodeId)
-            .filter(|&id| scratch.home(id) == last)
-            .take(4)
-            .collect();
-        let (me, sym) = (ids[0], &ids[1..]);
-        let mut out = Vec::new();
-        compute_routes_keys_into(me, 0, sym, &[], &[], &mut scratch, &mut out);
-        assert_eq!(scratch.slots.len(), PAST_SLOTS);
-        let sym_q: Vec<(NodeId, LinkQos)> = sym.iter().map(|&n| (n, q())).collect();
-        let reference: Vec<RouteEntry> = reference_routes(me, &sym_q, &[], &[])
-            .into_values()
-            .collect();
-        assert_eq!(out, reference);
-    }
-
-    #[test]
     fn past_seed_table_grows_past_half_full() {
-        // A chain 0 — 1 — … — 40 past a seed of 3: 38 ids past it double
-        // the table from 8 slots to 128 while the chain is numbered.
+        // A chain 0 — 1 — … — 40 past a seed of 3: the 38 ids past it
+        // grow the past-seed table while the chain is numbered.
         let chain: Vec<(NodeId, NodeId, LinkQos)> =
             (1..40).map(|i| (NodeId(i), NodeId(i + 1), q())).collect();
         let keys: Vec<(NodeId, NodeId)> = chain.iter().map(|&(a, b, _)| (a, b)).collect();
@@ -973,7 +889,6 @@ mod tests {
             &mut out,
         );
         assert_eq!(scratch.numbering.past.len(), 38);
-        assert_eq!(scratch.slots.len(), 128);
         let reference = reference_routes(NodeId(0), &[(NodeId(1), q())], &[], &chain);
         assert_eq!(out.len(), 40);
         for e in &out {
@@ -1013,6 +928,9 @@ mod tests {
             hops: 1,
         };
         assert_eq!(out, [one_hop(2), one_hop(7)]);
+        // Past the seed, ids are numbered in arrival order.
+        let ids: Vec<NodeId> = (0..3).map(|i| scratch.numbering.id(i)).collect();
+        assert_eq!(ids, [NodeId(5), NodeId(2), NodeId(7)]);
         // Then one seeded past every id it mentions.
         compute_routes_keys_into(NodeId(5), 8, &[NodeId(7)], &[], &[], &mut scratch, &mut out);
         assert_eq!(out, [one_hop(7)]);

@@ -546,8 +546,8 @@ fn any_id() -> impl Strategy<Value = u32> {
 }
 
 /// Ids over the whole `u32` range: arbitrary values, `u32::MAX`, and ids
-/// that differ only in their high bits (`k << 20`), so that hashed slots
-/// collide.
+/// that differ only in their high bits (`k << 20`), which a numbering
+/// that looked at the low bits alone would confuse.
 fn wide_id() -> impl Strategy<Value = u32> {
     prop_oneof![
         any::<u32>(),

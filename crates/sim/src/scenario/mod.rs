@@ -63,7 +63,7 @@ mod waypoint;
 pub use churn::PoissonChurn;
 pub use drift::GaussMarkovDrift;
 pub use faults::{CrashStorm, PartitionWindow, RegionalBlackout};
-pub use waypoint::{RandomWaypoint, WaypointSampling};
+pub use waypoint::RandomWaypoint;
 
 use qolsr_graph::{DynamicTopology, Topology, WorldEvent};
 

@@ -16,26 +16,8 @@ struct NodeMotion {
     pause_until: SimTime,
 }
 
-/// How waypoints are drawn from the field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WaypointSampling {
-    /// The classic model: waypoints uniform over the field. Straight
-    /// legs between uniform waypoints cross the middle of the field
-    /// disproportionately often, so the time-averaged node density peaks
-    /// at the center — the well-known RWP center-density bias.
-    #[default]
-    Uniform,
-    /// Border-aware rejection sampling that damps the center bias: a
-    /// uniform candidate at Chebyshev border-closeness `c ∈ [0, 1]`
-    /// (0 at the field center, 1 on the border) is accepted with
-    /// probability `c`, pushing waypoints — and with them the legs that
-    /// would otherwise pile up mid-field — outward. Draws stay inside
-    /// the field, so field containment is unchanged.
-    BorderAware,
-}
-
-/// The classic random-waypoint model: every node picks a waypoint in the
-/// field (see [`WaypointSampling`]) and a uniform speed, travels there in
+/// The classic random-waypoint model: every node picks a waypoint
+/// uniformly in the field and a uniform speed, travels there in
 /// straight-line steps of one `tick`, pauses, and repeats. After each
 /// tick the unit-disk link set is re-synced against the new positions:
 /// links that left the radius go down, pairs that entered it come up with
@@ -56,7 +38,6 @@ pub struct RandomWaypoint {
     speed: (f64, f64),
     pause: SimDuration,
     weights: UniformWeights,
-    sampling: WaypointSampling,
     next: SimTime,
     motion: Vec<NodeMotion>,
     /// Activity as of the last activation; a false→true flip marks the
@@ -112,7 +93,6 @@ impl RandomWaypoint {
             speed,
             pause,
             weights,
-            sampling: WaypointSampling::Uniform,
             next: SimTime::ZERO,
             motion: Vec::new(),
             active: Vec::new(),
@@ -122,29 +102,9 @@ impl RandomWaypoint {
         }
     }
 
-    /// Selects the waypoint distribution (default: uniform).
-    pub fn with_sampling(mut self, sampling: WaypointSampling) -> Self {
-        self.sampling = sampling;
-        self
-    }
-
     fn draw_waypoint(&self, rng: &mut SimRng) -> Point2 {
         let (w, h) = self.field;
-        let mut p = Point2::new(rng.next_f64() * w, rng.next_f64() * h);
-        if self.sampling == WaypointSampling::BorderAware {
-            // Mean acceptance is E[max(|U|,|V|)] = 2/3, so 16 rounds
-            // leave a < 10⁻⁷ residue of uniform draws — bounded work per
-            // waypoint.
-            for _ in 0..16 {
-                let cx = (2.0 * p.x / w - 1.0).abs();
-                let cy = (2.0 * p.y / h - 1.0).abs();
-                if rng.next_f64() <= cx.max(cy) {
-                    break;
-                }
-                p = Point2::new(rng.next_f64() * w, rng.next_f64() * h);
-            }
-        }
-        p
+        Point2::new(rng.next_f64() * w, rng.next_f64() * h)
     }
 
     fn draw_speed(&self, rng: &mut SimRng) -> f64 {
@@ -489,21 +449,6 @@ mod tests {
                 naive,
                 "external moves break the recorded naive trace (seed {seed})"
             );
-        }
-    }
-
-    #[test]
-    fn border_aware_sampling_stays_in_field() {
-        let topo = world();
-        let s = ScenarioBuilder::new(&topo, 8)
-            .with(model().with_sampling(WaypointSampling::BorderAware))
-            .generate(SimDuration::from_secs(40));
-        assert!(s.summary().moves > 0);
-        for te in s.events() {
-            if let WorldEvent::Move { to, .. } = te.event {
-                assert!((0.0..=200.0).contains(&to.x), "x out of field: {to}");
-                assert!((0.0..=200.0).contains(&to.y), "y out of field: {to}");
-            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Mobile mesh tour of the scenario engine: a Poisson deployment under
-//! all three dynamics models at once — random-waypoint motion with
-//! border-aware waypoint sampling (links follow the radio radius through
-//! the world's `SpatialGrid` index), Poisson node churn (power cycles),
-//! and Gauss–Markov link-weight drift — driving a live OLSR network.
+//! all three dynamics models at once — random-waypoint motion (links
+//! follow the radio radius through the world's `SpatialGrid` index),
+//! Poisson node churn (power cycles), and Gauss–Markov link-weight drift
+//! — driving a live OLSR network.
 //!
 //! Shows the world evolving mid-simulation, the protocol re-converging
 //! after each disturbance, and the exact reproducibility of the whole
@@ -19,9 +19,7 @@ use qolsr_graph::NodeId;
 use qolsr_metrics::BandwidthMetric;
 use qolsr_proto::network::OlsrNetwork;
 use qolsr_proto::{AdvertisePolicy, OlsrConfig};
-use qolsr_sim::scenario::{
-    GaussMarkovDrift, PoissonChurn, RandomWaypoint, ScenarioBuilder, WaypointSampling,
-};
+use qolsr_sim::scenario::{GaussMarkovDrift, PoissonChurn, RandomWaypoint, ScenarioBuilder};
 use qolsr_sim::{RadioConfig, Scenario, SimDuration, SimRng};
 
 const SEED: u64 = 77;
@@ -43,18 +41,13 @@ fn build_world() -> (qolsr_graph::Topology, Scenario) {
         &mut rng,
     );
     let scenario = ScenarioBuilder::new(&topo, SEED)
-        .with(
-            // Border-aware sampling damps the classic RWP center-density
-            // pile-up, keeping the mesh spread over the whole field.
-            RandomWaypoint::new(
-                FIELD,
-                SimDuration::from_secs(1),
-                (3.0, 12.0),
-                SimDuration::from_secs(3),
-                weights,
-            )
-            .with_sampling(WaypointSampling::BorderAware),
-        )
+        .with(RandomWaypoint::new(
+            FIELD,
+            SimDuration::from_secs(1),
+            (3.0, 12.0),
+            SimDuration::from_secs(3),
+            weights,
+        ))
         .with(PoissonChurn::new(0.15, SimDuration::from_secs(6), weights))
         .with(GaussMarkovDrift::new(
             SimDuration::from_secs(2),
