@@ -25,11 +25,11 @@ use qolsr_graph::NodeId;
 use qolsr_metrics::{BandwidthMetric, LinkQos};
 use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState, Message, Tc};
 use qolsr_proto::network::OlsrNetwork;
-use qolsr_proto::routing::{compute_routes, compute_routes_keys_into, reference_routes};
+use qolsr_proto::routing::{compute_routes_keys_into, reference_routes};
 use qolsr_proto::store::{SharedLinkStore, SharedTopology};
 use qolsr_proto::tables::NeighborTables;
 use qolsr_proto::wire;
-use qolsr_proto::{RouteCache, RouteScratch};
+use qolsr_proto::{RouteCache, RouteScratch, SensingParams};
 use qolsr_sim::queue::{QueueItem, TimerWheel};
 use qolsr_sim::{SimDuration, SimRng, SimTime};
 use std::hint::black_box;
@@ -160,17 +160,6 @@ fn bench_compute_routes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("reference_btreemap", n), &n, |b, _| {
             b.iter(|| black_box(reference_routes(NodeId(0), &sym, &reported, &advertised)));
         });
-        group.bench_with_input(BenchmarkId::new("interned_alloc", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(compute_routes(
-                    NodeId(0),
-                    n as usize,
-                    &sym,
-                    &reported,
-                    &advertised,
-                ))
-            });
-        });
         group.bench_with_input(BenchmarkId::new("interned_scratch", n), &n, |b, _| {
             let mut scratch = RouteScratch::new();
             let mut out = Vec::new();
@@ -198,6 +187,7 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) 
     let mut nt = NeighborTables::new();
     let now = SimTime::ZERO;
     let hold = now + SimDuration::from_secs(6);
+    let sensing = SensingParams::default();
     for &(v, qos) in &sym {
         let mut neighbors = vec![HelloNeighbor {
             id: NodeId(0),
@@ -214,14 +204,15 @@ fn primed_tables(n: u32, deg: u32) -> (NeighborTables, SharedTopology, SimTime) 
                     qos,
                 }),
         );
-        nt.process_hello(NodeId(0), v, qos, &Hello { neighbors }, now, hold);
+        let hello = Hello { neighbors };
+        nt.process_hello(NodeId(0), v, qos, &hello, now, hold, sensing, |_| {});
     }
     let mut tb = SharedTopology::new(SharedLinkStore::seeded(n as usize));
     let t_hold = now + SimDuration::from_secs(15);
     for chunk in advertised.chunks(4) {
         let orig = chunk[0].0;
         let adv: Vec<(NodeId, LinkQos)> = chunk.iter().map(|&(_, b, q)| (b, q)).collect();
-        tb.process_tc_tracked(orig, 1, 1, &adv, now, t_hold);
+        tb.process_tc(orig, 1, 1, &adv, now, t_hold, |_, _| {});
     }
     (nt, tb, now)
 }
@@ -238,6 +229,7 @@ fn mobile_node_tables() -> (NeighborTables, SharedTopology, SimTime) {
     let mut rng = SimRng::seed_from_u64(0x0152);
     let now = SimTime::ZERO;
     let hold = now + SimDuration::from_secs(6);
+    let sensing = SensingParams::default();
     let q = LinkQos::uniform(3);
     let mut nt = NeighborTables::new();
     for v in 1..=10u32 {
@@ -254,7 +246,8 @@ fn mobile_node_tables() -> (NeighborTables, SharedTopology, SimTime) {
                 qos: q,
             });
         }
-        nt.process_hello(NodeId(0), NodeId(v), q, &Hello { neighbors }, now, hold);
+        let hello = Hello { neighbors };
+        nt.process_hello(NodeId(0), NodeId(v), q, &hello, now, hold, sensing, |_| {});
     }
     let mut tb = SharedTopology::new(SharedLinkStore::seeded(500));
     let t_hold = now + SimDuration::from_secs(15);
@@ -267,7 +260,7 @@ fn mobile_node_tables() -> (NeighborTables, SharedTopology, SimTime) {
                 (NodeId(id), LinkQos::uniform(1 + rng.next_below(200)))
             })
             .collect();
-        tb.process_tc_tracked(NodeId(orig), 1, 1, &adv, now, t_hold);
+        tb.process_tc(NodeId(orig), 1, 1, &adv, now, t_hold, |_, _| {});
     }
     (nt, tb, now)
 }
@@ -345,7 +338,7 @@ fn radius_hit(b: &mut Bencher, nt: &NeighborTables, tb: &mut SharedTopology, que
             .map(|l| (l.1, l.2)),
     );
     let hold = query_at + SimDuration::from_secs(15);
-    tb.process_tc_reporting(far.dest, 9, 9, &adv, query_at, hold, |id, inserted| {
+    tb.process_tc(far.dest, 9, 9, &adv, query_at, hold, |id, inserted| {
         cache.link_changed(far.dest, id, inserted)
     });
     let mut queries = 0;
@@ -401,7 +394,7 @@ fn cut_hit(b: &mut Bencher, nt: &NeighborTables, tb: &mut SharedTopology, query_
             .filter(|&i| links[i].0 == orig && !cut[i])
             .map(|i| (links[i].1, links[i].2))
             .collect();
-        tb.process_tc_reporting(orig, 10, 10, &adv, query_at, hold, |id, inserted| {
+        tb.process_tc(orig, 10, 10, &adv, query_at, hold, |id, inserted| {
             cache.link_changed(orig, id, inserted)
         });
     }
@@ -462,6 +455,8 @@ fn bench_table_integration(c: &mut Criterion) {
                 &hello,
                 now,
                 now + SimDuration::from_secs(6),
+                SensingParams::default(),
+                |_| {},
             ))
         });
     });
@@ -476,13 +471,14 @@ fn bench_table_integration(c: &mut Criterion) {
         b.iter(|| {
             now += SimDuration::from_micros(10);
             ansn = ansn.wrapping_add(1);
-            black_box(tb.process_tc_tracked(
+            black_box(tb.process_tc(
                 NodeId(42),
                 ansn,
                 ansn,
                 &advertised,
                 now,
                 now + SimDuration::from_secs(15),
+                |_, _| {},
             ))
         });
     });
@@ -515,7 +511,7 @@ fn bench_topology_lookup(c: &mut Criterion) {
         (0..N).map(|_| SharedTopology::new(store.clone())).collect();
     for base in &mut bases {
         for (o, set) in sets.iter().enumerate() {
-            base.process_tc_tracked(NodeId(o as u32), 1, 1, set, now, hold);
+            base.process_tc(NodeId(o as u32), 1, 1, set, now, hold, |_, _| {});
         }
     }
     // The originator base `i` is asked about in round `round`: 617 is
@@ -541,8 +537,8 @@ fn bench_topology_lookup(c: &mut Criterion) {
                 .enumerate()
                 .map(|(i, base)| {
                     let o = orig(i, round);
-                    let up = base.process_tc_tracked(NodeId(o), 1, 1, &sets[o as usize], now, hold);
-                    usize::from(up.applied)
+                    let set = &sets[o as usize];
+                    usize::from(base.process_tc(NodeId(o), 1, 1, set, now, hold, |_, _| {}))
                 })
                 .sum::<usize>()
         });

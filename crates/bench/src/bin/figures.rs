@@ -79,6 +79,22 @@ const LIVE: &str = "scale --live";
 /// The commands that drive the engine, hence take `--shards`.
 const SHARDED: &[&str] = &[LIVE, "overhead", "churn", "loss", "faults", "traffic"];
 
+/// The commands that spread their work over worker threads, hence take
+/// `--threads`.
+const THREADED: &[&str] = &[
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "all",
+    "ablations",
+    "churn",
+    "scale",
+    "loss",
+    "faults",
+    "traffic",
+];
+
 /// The live experiments whose selectors take a runtime QoS metric.
 const METRIC: &[&str] = &["churn", "loss", "faults", "traffic"];
 /// The live experiments whose worlds are sized by a node count.
@@ -120,7 +136,7 @@ const fn switch(name: &'static str, commands: &'static [&'static str]) -> Flag {
 const FLAGS: &[Flag] = &[
     flag("--runs", "N", parses::<u32>, &[]),
     flag("--seed", "S", |v| parse_seed(v).map(drop), &[]),
-    flag("--threads", "T", parses::<usize>, &[]),
+    flag("--threads", "T", parses::<usize>, THREADED),
     flag("--metric", "bandwidth|delay", parses::<QosMetric>, METRIC),
     switch("--live", &[LIVE]),
     flag("--sizes", "L", node_counts, &["scale", LIVE, "overhead"]),
@@ -637,10 +653,25 @@ mod tests {
             "faults",
             "traffic",
         ];
+        // `robustness`, `overhead` and `scale --live` run their worlds
+        // one after another.
+        let threaded: &[&str] = &[
+            "fig6",
+            "fig7",
+            "fig8",
+            "fig9",
+            "all",
+            "ablations",
+            "churn",
+            "scale",
+            "loss",
+            "faults",
+            "traffic",
+        ];
         let expected: &[(&str, &str, &[&str])] = &[
             ("--runs", "3", ALL),
             ("--seed", "0x1f", ALL),
-            ("--threads", "2", ALL),
+            ("--threads", "2", threaded),
             ("--metric", "delay", &["churn", "loss", "faults", "traffic"]),
             ("--live", "", &["scale", "scale --live"]),
             ("--sizes", "40,80", &["scale", "scale --live", "overhead"]),

@@ -40,6 +40,21 @@ fn misplaced_and_unknown_flags_exit_1() {
     let (code, _, stderr) = figures(&["fig6", "--bogus"]);
     assert_eq!(code, Some(1));
     assert!(stderr.contains("unknown argument: --bogus"), "{stderr}");
+    // These run their worlds one after another, so they take no thread
+    // count.
+    for args in [
+        &["robustness", "--threads", "2"][..],
+        &["overhead", "--threads", "2"],
+        &["scale", "--live", "--threads", "2"],
+    ] {
+        let (code, stdout, stderr) = figures(args);
+        assert_eq!(code, Some(1), "{args:?}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(
+            stderr.starts_with("error: --threads only applies to"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

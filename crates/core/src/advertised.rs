@@ -3,11 +3,10 @@
 //! to every node in the network.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 use qolsr_graph::{CompactGraph, LocalView, NodeId, Topology};
 
+use crate::eval::sharded_runs;
 use crate::selector::AnsSelector;
 
 /// The advertised links of a whole network under one selector, plus
@@ -19,18 +18,6 @@ pub struct AdvertisedTopology {
 }
 
 impl AdvertisedTopology {
-    /// Assembles an advertised topology from an already-built link graph
-    /// and per-node set sizes (used by the experiment harness, which
-    /// interleaves several selectors over one pass of the topology).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sizes` does not have one entry per graph node.
-    pub fn from_parts(graph: CompactGraph, sizes: Vec<usize>) -> Self {
-        assert_eq!(graph.len(), sizes.len(), "one size per node");
-        Self { graph, sizes }
-    }
-
     /// The advertised link graph over the topology's node indices
     /// (links are bidirectional, per the paper's link model).
     pub fn graph(&self) -> &CompactGraph {
@@ -58,126 +45,85 @@ impl AdvertisedTopology {
 }
 
 /// Runs `selector` at every node of `topo` (each node sees only its own
-/// `G_u`) and unions the advertised links.
-///
-/// Work is spread over `threads` crossbeam-scoped workers when
-/// `threads > 1`; results are deterministic regardless of thread count.
+/// `G_u`) and unions the advertised links: [`build_advertised_all`] with
+/// one selector.
 pub fn build_advertised(
     topo: &Topology,
     selector: &dyn AnsSelector,
     threads: usize,
 ) -> AdvertisedTopology {
-    let n = topo.len();
-    let selections = select_all(topo, selector, threads);
-
-    let mut graph = CompactGraph::with_nodes(n);
-    let mut sizes = vec![0usize; n];
-    for (u, ans) in selections {
-        sizes[u.index()] = ans.len();
-        for w in ans {
-            let qos = topo
-                .link_qos(u, w)
-                .expect("selectors only advertise 1-hop neighbors");
-            graph.add_undirected(u.0, w.0, qos);
-        }
-    }
-    AdvertisedTopology { graph, sizes }
+    let mut one = build_advertised_all(topo, &[selector], threads);
+    one.pop().expect("one topology per selector")
 }
 
-/// Computes every node's selection, in node order.
-fn select_all(
-    topo: &Topology,
-    selector: &dyn AnsSelector,
-    threads: usize,
-) -> Vec<(NodeId, BTreeSet<NodeId>)> {
-    let selectors = [selector];
-    select_all_multi(topo, &selectors, threads)
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut per_sel)| (NodeId(i as u32), per_sel.swap_remove(0)))
-        .collect()
-}
-
-/// The generic per-node fan-out behind [`select_all`], the experiment
-/// harness and the scale sweep: runs *every* selector at *every* node
-/// (views extracted once per node and shared across selectors), spread
-/// over `threads` crossbeam-scoped workers, returning `[node][selector]`
-/// selections in node order — deterministic regardless of thread count.
-pub(crate) fn select_all_multi(
+/// Runs every one of `selectors` at every node of `topo` and unions each
+/// selector's advertised links: one topology per selector, in order.
+/// Each node's `G_u` is extracted once and shared by the selectors, and
+/// each graph gets its links node by node, ascending.
+///
+/// Work is spread over `threads` crossbeam-scoped workers from 64 nodes
+/// up; results are deterministic regardless of thread count.
+pub fn build_advertised_all(
     topo: &Topology,
     selectors: &[&dyn AnsSelector],
     threads: usize,
-) -> Vec<Vec<BTreeSet<NodeId>>> {
+) -> Vec<AdvertisedTopology> {
     let n = topo.len();
-    let run_one = |u: NodeId| -> Vec<BTreeSet<NodeId>> {
+    let selections = per_node(n, threads, |u| {
         let view = LocalView::extract(topo, u);
-        selectors.iter().map(|sel| sel.select(&view)).collect()
-    };
-    run_indexed(n, threads, run_one)
+        selectors
+            .iter()
+            .map(|sel| sel.select(&view))
+            .collect::<Vec<_>>()
+    });
+    let mut out: Vec<AdvertisedTopology> = selectors
+        .iter()
+        .map(|_| AdvertisedTopology {
+            graph: CompactGraph::with_nodes(n),
+            sizes: vec![0; n],
+        })
+        .collect();
+    for (u, per_selector) in topo.nodes().zip(selections) {
+        for (adv, ans) in out.iter_mut().zip(per_selector) {
+            adv.sizes[u.index()] = ans.len();
+            for w in ans {
+                let qos = topo
+                    .link_qos(u, w)
+                    .expect("selectors only advertise 1-hop neighbors");
+                adv.graph.add_undirected(u.0, w.0, qos);
+            }
+        }
+    }
+    out
 }
 
 /// Runs `selector` over pre-extracted per-node views on `threads`
-/// workers, results in job order. The single-large-world path of the
-/// churn experiment uses this to fan its selection-drift measurement out
-/// without re-extracting the world's epoch-cached views.
+/// workers, results in view order. The churn experiment fans its
+/// selection-drift measurement out through this.
 pub(crate) fn select_on_views(
     selector: &dyn AnsSelector,
-    views: &[Arc<LocalView>],
+    views: &[LocalView],
     threads: usize,
 ) -> Vec<BTreeSet<NodeId>> {
-    run_indexed(views.len(), threads, |u| selector.select(&views[u.index()]))
+    per_node(views.len(), threads, |u| selector.select(&views[u.index()]))
 }
 
-/// Shared indexed fan-out: computes `run_one(NodeId(i))` for `i < n` on
-/// up to `threads` workers (sequentially for small inputs, where spawn
-/// overhead dominates) and returns results in index order.
-fn run_indexed<T: Send>(n: usize, threads: usize, run_one: impl Fn(NodeId) -> T + Sync) -> Vec<T> {
-    if threads <= 1 || n < 64 {
-        return (0..n).map(|i| run_one(NodeId(i as u32))).collect();
-    }
-
-    let next = &AtomicU32::new(0);
-    let run_one = &run_one;
-    let buckets: Vec<Vec<(u32, T)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i as usize >= n {
-                            break;
-                        }
-                        local.push((i, run_one(NodeId(i))));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("selection workers do not panic"))
-            .collect()
-    })
-    .expect("selection workers do not panic");
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for bucket in buckets {
-        for (i, result) in bucket {
-            slots[i as usize] = Some(result);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every node index is processed"))
-        .collect()
+/// `run_one(NodeId(i))` for every `i < n`, in index order, on up to
+/// `threads` workers — sequentially below 64 nodes, where spawning
+/// costs more than it saves.
+fn per_node<T: Send>(n: usize, threads: usize, run_one: impl Fn(NodeId) -> T + Sync) -> Vec<T> {
+    let workers = if n < 64 { 1 } else { threads };
+    sharded_runs(n as u32, workers, |i| run_one(NodeId(i)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::selector::{Fnbp, TopologyFiltering};
+    use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
     use qolsr_graph::fixtures;
     use qolsr_metrics::BandwidthMetric;
+    use qolsr_sim::SimRng;
 
     #[test]
     fn advertised_links_are_real_links() {
@@ -203,14 +149,25 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let f = fixtures::fig1();
-        let sel = TopologyFiltering::<BandwidthMetric>::new();
-        let seq = build_advertised(&f.topo, &sel, 1);
-        // Force the parallel path despite the small node count by using
-        // select_all directly.
-        let par = select_all(&f.topo, &sel, 4);
-        let seq_sel = select_all(&f.topo, &sel, 1);
-        assert_eq!(par, seq_sel);
-        assert_eq!(seq.sizes().len(), f.topo.len());
+        // A network past the sequential cutoff, so four threads fan out.
+        let deployment = Deployment {
+            width: 600.0,
+            height: 600.0,
+            radius: 100.0,
+            mean_degree: 10.0,
+        };
+        let weights = UniformWeights::paper_defaults();
+        let topo = deploy(&deployment, &weights, &mut SimRng::seed_from_u64(21));
+        assert!(topo.len() >= 64);
+        let fnbp = Fnbp::<BandwidthMetric>::new();
+        let tf = TopologyFiltering::<BandwidthMetric>::new();
+        let selectors: [&dyn AnsSelector; 2] = [&fnbp, &tf];
+        let seq = build_advertised_all(&topo, &selectors, 1);
+        let par = build_advertised_all(&topo, &selectors, 4);
+        for (s, p) in seq.iter().zip(&par) {
+            assert_eq!(s.graph(), p.graph());
+            assert_eq!(s.sizes(), p.sizes());
+        }
+        assert_eq!(seq[1].sizes().len(), topo.len());
     }
 }

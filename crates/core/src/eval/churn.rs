@@ -17,16 +17,14 @@
 //!   advertised sets (TC content) that no longer exist in ground truth;
 //! * **selection drift** — how far each node's advertised set has
 //!   diverged from what its selector would choose on the *current*
-//!   ground-truth view (Jaccard distance), computed over the world's
-//!   epoch-cached `LocalView`s.
+//!   ground-truth view (Jaccard distance), each view extracted afresh
+//!   from the world's graph at every sample.
 //!
 //! Every selector replays the *same* deployments and the same world
 //! evolution (scenario generation is independent of the protocol), so
 //! curves differ only by selection policy. Runs shard over the
 //! [`sweep`](crate::eval) driver's worker threads; per-run aggregation is
 //! ordered, making results independent of thread count.
-
-use std::sync::Arc;
 
 use qolsr_graph::deploy::{deploy, Deployment, UniformWeights};
 use qolsr_graph::{LocalView, NodeId, Topology};
@@ -317,11 +315,15 @@ fn sample_network(
         }
     }
 
-    // Ground-truth views come from the world's epoch cache, so quiet
-    // stretches (warm-up, waypoint pauses) re-use extractions across
-    // samples; the per-node selector runs fan out over the views.
+    // Ground-truth views, extracted from the world's current graph;
+    // waypoint motion changes the world between any two samples, so no
+    // view outlives its sample. The per-node selector runs fan out over
+    // the views.
     let active: Vec<NodeId> = world.nodes().filter(|&u| world.is_active(u)).collect();
-    let views: Vec<Arc<LocalView>> = active.iter().map(|&u| world.local_view(u)).collect();
+    let views: Vec<LocalView> = active
+        .iter()
+        .map(|&u| LocalView::extract_graph(world.graph(), u))
+        .collect();
     // Selectors are pure functions of the view and every node of a churn
     // network is built with the same kind, so one node's instance stands
     // in for all of them.

@@ -36,7 +36,7 @@ use qolsr_proto::OlsrConfig;
 use qolsr_sim::stats::{HotPathCounters, OnlineStats};
 use qolsr_sim::{LossyPhy, PhyModel, RadioConfig, SchedulerKind, SimDuration, SimRng, SimTime};
 
-use crate::advertised::AdvertisedTopology;
+use crate::advertised::build_advertised_all;
 use crate::policy::SelectorPolicy;
 use crate::report::Figure;
 use crate::routing::{optimal_value, route, RouteStrategy};
@@ -286,7 +286,8 @@ impl ShardPlan {
 /// threads and returns the results **in run order**, regardless of
 /// scheduling. Keeping aggregation in run order is what makes results
 /// independent of thread count (floating-point merges are
-/// order-sensitive).
+/// order-sensitive). The per-node selection fan-out
+/// ([`crate::advertised`]) runs through it too, one index per node.
 ///
 /// All worker state — the spawned threads and their result buckets — is
 /// sized by the *clamped* worker count `min(workers, runs)`: configuring
@@ -692,11 +693,6 @@ impl ExperimentResult {
     pub fn delivery_figure(&self, title: &str) -> Figure {
         self.figure(title, "delivery rate", |d| &d.delivery)
     }
-
-    /// Hop-count figure (ablations).
-    pub fn hops_figure(&self, title: &str) -> Figure {
-        self.figure(title, "route hops", |d| &d.hops)
-    }
 }
 
 /// SplitMix64-style seed derivation so every (density, run) pair gets an
@@ -782,28 +778,11 @@ fn single_run<M: EvalMetric>(
 
     // Per-node selections; views are extracted once and shared across
     // selectors, nodes spread across the inner fan-out.
-    let mut advertised: Vec<AdvertisedTopology> = Vec::with_capacity(selectors.len());
-    {
-        let refs: Vec<&dyn AnsSelector> = selectors.iter().map(|(_, sel)| sel.as_ref()).collect();
-        let selections = crate::advertised::select_all_multi(&topo, &refs, inner_threads);
-        let mut graphs: Vec<qolsr_graph::CompactGraph> = selectors
-            .iter()
-            .map(|_| qolsr_graph::CompactGraph::with_nodes(topo.len()))
-            .collect();
-        let mut sizes: Vec<Vec<usize>> =
-            selectors.iter().map(|_| vec![0usize; topo.len()]).collect();
-        for u in topo.nodes() {
-            for (si, ans) in selections[u.index()].iter().enumerate() {
-                sizes[si][u.index()] = ans.len();
-                accum[si].ans_size.push(ans.len() as f64);
-                for w in ans {
-                    let qos = topo.link_qos(u, *w).expect("ANS members are neighbors");
-                    graphs[si].add_undirected(u.0, w.0, qos);
-                }
-            }
-        }
-        for (graph, size) in graphs.into_iter().zip(sizes) {
-            advertised.push(AdvertisedTopology::from_parts(graph, size));
+    let refs: Vec<&dyn AnsSelector> = selectors.iter().map(|(_, sel)| sel.as_ref()).collect();
+    let advertised = build_advertised_all(&topo, &refs, inner_threads);
+    for (adv, measures) in advertised.iter().zip(accum.iter_mut()) {
+        for &size in adv.sizes() {
+            measures.ans_size.push(size as f64);
         }
     }
 

@@ -16,13 +16,15 @@
 //! compression.
 
 use qolsr_graph::deploy::{deploy, Deployment};
-use qolsr_graph::{CompactGraph, LocalView, NodeId, Topology, TopologyBuilder};
+use qolsr_graph::{CompactGraph, NodeId, Topology, TopologyBuilder};
 use qolsr_sim::stats::OnlineStats;
 use qolsr_sim::SimRng;
 
+use crate::advertised::build_advertised_all;
 use crate::eval::{connected_pairs, EvalConfig, EvalMetric, SelectorKind};
 use crate::report::Figure;
 use crate::routing::{optimal_value, route, RouteStrategy};
+use crate::selector::AnsSelector;
 
 /// Result of a robustness sweep for one selector.
 #[derive(Debug, Clone)]
@@ -58,6 +60,7 @@ pub fn link_failure_study<M: EvalMetric>(
         .collect();
 
     let selectors: Vec<_> = kinds.iter().map(|&k| k.instantiate::<M>()).collect();
+    let refs: Vec<&dyn AnsSelector> = selectors.iter().map(|sel| sel.as_ref()).collect();
 
     for run in 0..cfg.runs {
         let mut rng = SimRng::seed_from_u64(cfg.seed ^ (0xF001 + run as u64) << 8);
@@ -73,26 +76,14 @@ pub fn link_failure_study<M: EvalMetric>(
         }
 
         // Advertise on the intact network.
-        let advertised: Vec<CompactGraph> = selectors
-            .iter()
-            .map(|sel| {
-                let mut g = CompactGraph::with_nodes(topo.len());
-                for u in topo.nodes() {
-                    let view = LocalView::extract(&topo, u);
-                    for w in sel.select(&view) {
-                        g.add_undirected(u.0, w.0, topo.link_qos(u, w).expect("neighbor"));
-                    }
-                }
-                g
-            })
-            .collect();
+        let advertised = build_advertised_all(&topo, &refs, 1);
 
         for (fi, &p) in fractions.iter().enumerate() {
             let degraded = fail_links(&topo, p, &mut rng);
             // Stale advertised graphs: drop failed links.
             let stale: Vec<CompactGraph> = advertised
                 .iter()
-                .map(|adv| intersect_links(adv, &degraded))
+                .map(|adv| intersect_links(adv.graph(), &degraded))
                 .collect();
 
             for _ in 0..4 {

@@ -55,7 +55,6 @@
 pub mod advertised;
 pub mod eval;
 pub mod policy;
-pub mod qos_routes;
 pub mod report;
 pub mod routing;
 pub mod selector;

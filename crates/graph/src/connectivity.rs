@@ -1,4 +1,4 @@
-//! Connectivity analysis: components and hop distances.
+//! Connectivity analysis: connected components.
 //!
 //! The evaluation samples random source/destination pairs; at low
 //! densities the Poisson deployments are frequently disconnected, so pairs
@@ -82,30 +82,6 @@ impl Components {
     }
 }
 
-/// BFS hop distance between two nodes (`None` if disconnected).
-pub fn hop_distance(topo: &Topology, a: NodeId, b: NodeId) -> Option<usize> {
-    if a == b {
-        return Some(0);
-    }
-    let n = topo.len();
-    let mut dist = vec![usize::MAX; n];
-    dist[a.index()] = 0;
-    let mut queue = VecDeque::from([a.0]);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        for &(w, _) in topo.graph().neighbors(v) {
-            if dist[w as usize] == usize::MAX {
-                dist[w as usize] = d + 1;
-                if w == b.0 {
-                    return Some(d + 1);
-                }
-                queue.push_back(w);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,15 +114,6 @@ mod tests {
         let c = Components::compute(&t);
         let l = c.largest().unwrap();
         assert_eq!(c.members(l), vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn hop_distances() {
-        let t = two_components();
-        assert_eq!(hop_distance(&t, NodeId(0), NodeId(2)), Some(2));
-        assert_eq!(hop_distance(&t, NodeId(0), NodeId(0)), Some(0));
-        assert_eq!(hop_distance(&t, NodeId(0), NodeId(4)), None);
-        assert_eq!(hop_distance(&t, NodeId(3), NodeId(4)), Some(1));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! but QOLSR exists for mobile ad-hoc networks where links appear and die
 //! under motion. [`DynamicTopology`] is the mutable world the simulation
 //! engine runs against: it applies [`WorldEvent`]s (link up/down, QoS
-//! drift, node motion, join/leave), bumps an epoch counter on every
-//! change, and serves per-node [`LocalView`]s from an epoch-keyed cache so
-//! repeated extraction between world changes stays cheap on the hot path.
+//! drift, node motion, join/leave) and bumps an epoch counter on every
+//! change. A node's ground-truth view `G_u` is
+//! [`LocalView::extract_graph`](crate::LocalView::extract_graph) over
+//! [`DynamicTopology::graph`].
 //!
 //! The node-id space is fixed at construction: nodes never disappear from
 //! the index range, they only toggle between active and inactive (an
@@ -37,7 +38,6 @@
 //! ```
 
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
 
 use qolsr_metrics::LinkQos;
 
@@ -46,7 +46,6 @@ use crate::geometry::Point2;
 use crate::ids::NodeId;
 use crate::spatial::SpatialGrid;
 use crate::topology::{Topology, TopologyBuilder};
-use crate::view::LocalView;
 
 /// One atomic change to the simulated world.
 ///
@@ -164,21 +163,14 @@ impl fmt::Display for WorldEvent {
     }
 }
 
-type CachedView = Option<(u64, Arc<LocalView>)>;
-
 /// An epoch-versioned mutable topology (see the [module docs](self)).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DynamicTopology {
     graph: CompactGraph,
     positions: Vec<Point2>,
     active: Vec<bool>,
     radius: f64,
     epoch: u64,
-    /// Epoch-keyed per-node view cache. A `Mutex` (not `RefCell`) so the
-    /// world is `Sync` and can be shared read-only across shard worker
-    /// threads; it is uncontended in practice — view extraction happens
-    /// between engine steps, not inside parallel windows.
-    views: Mutex<Vec<CachedView>>,
     /// Spatial index over `positions` (inactive nodes included — they
     /// keep travelling while powered off). Maintained incrementally by
     /// `Move` events so every scenario model shares one up-to-date grid
@@ -193,22 +185,6 @@ pub struct DynamicTopology {
     /// Read-only for the engines (via [`DynamicTopology::partitioned`])
     /// so the cross-cut drop check commutes with parallel windows.
     partition_cut: Option<f64>,
-}
-
-impl Clone for DynamicTopology {
-    fn clone(&self) -> Self {
-        Self {
-            graph: self.graph.clone(),
-            positions: self.positions.clone(),
-            active: self.active.clone(),
-            radius: self.radius,
-            epoch: self.epoch,
-            views: Mutex::new(vec![None; self.positions.len()]),
-            grid: self.grid.clone(),
-            position_epochs: self.position_epochs.clone(),
-            partition_cut: self.partition_cut,
-        }
-    }
 }
 
 /// Builds the world's spatial index: cells of side `radius` over the
@@ -241,7 +217,6 @@ impl DynamicTopology {
             active: vec![true; n],
             radius: initial.radius(),
             epoch: 0,
-            views: Mutex::new(vec![None; n]),
             grid,
             position_epochs: vec![0; n],
             partition_cut: None,
@@ -449,35 +424,13 @@ impl DynamicTopology {
             }
             // The graph is untouched by a crash — the node keeps its id,
             // links and position — but the epoch still advances (below)
-            // so cached views and world-change counters register the
-            // fault. The engines own the protocol-state wipe.
+            // so world-change counters register the fault. The engines own the protocol-state wipe.
             WorldEvent::Crash { node } => self.active[node.index()],
         };
         if changed {
             self.epoch += 1;
         }
         changed
-    }
-
-    /// Applies a batch of events; returns how many changed the world.
-    pub fn apply_all<'a>(&mut self, events: impl IntoIterator<Item = &'a WorldEvent>) -> usize {
-        events.into_iter().filter(|ev| self.apply(ev)).count()
-    }
-
-    /// The current local view `G_u` of node `u`, extracted from ground
-    /// truth and cached per `(node, epoch)`: repeated calls between world
-    /// changes return the same `Arc` without re-extraction.
-    pub fn local_view(&self, u: NodeId) -> Arc<LocalView> {
-        let mut views = self.views.lock().unwrap_or_else(PoisonError::into_inner);
-        let slot = &mut views[u.index()];
-        if let Some((epoch, view)) = slot {
-            if *epoch == self.epoch {
-                return Arc::clone(view);
-            }
-        }
-        let view = Arc::new(LocalView::extract_graph(&self.graph, u));
-        *slot = Some((self.epoch, Arc::clone(&view)));
-        view
     }
 
     /// Rebuilds an immutable [`Topology`] from the current state. Inactive
@@ -505,6 +458,7 @@ impl From<Topology> for DynamicTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::LocalView;
 
     fn qos(w: u64) -> LinkQos {
         LinkQos::uniform(w)
@@ -649,21 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn local_views_are_cached_per_epoch() {
-        let mut world = triangle();
-        let v1 = world.local_view(NodeId(0));
-        let v2 = world.local_view(NodeId(0));
-        assert!(Arc::ptr_eq(&v1, &v2), "same epoch must share the view");
-        world.apply(&WorldEvent::LinkDown {
-            a: NodeId(0),
-            b: NodeId(1),
-        });
-        let v3 = world.local_view(NodeId(0));
-        assert!(!Arc::ptr_eq(&v1, &v3), "epoch bump must invalidate");
-        assert_eq!(v3.one_hop().collect::<Vec<_>>(), vec![NodeId(2)]);
-    }
-
-    #[test]
     fn views_match_snapshot_extraction() {
         let mut world = triangle();
         world.apply(&WorldEvent::LinkDown {
@@ -672,7 +611,7 @@ mod tests {
         });
         let snap = world.snapshot();
         for n in world.nodes() {
-            let dynamic = world.local_view(n);
+            let dynamic = LocalView::extract_graph(world.graph(), n);
             let fresh = LocalView::extract(&snap, n);
             assert!(dynamic.same_knowledge(&fresh), "node {n} view diverges");
         }

@@ -12,8 +12,7 @@
 //! * [`LocalView`] — the partial graph `G_u = (V_u, E_u)` a node learns
 //!   from HELLO exchanges (its 1-hop and 2-hop neighborhood);
 //! * [`DynamicTopology`] — the epoch-versioned mutable world behind
-//!   mobility/churn scenarios, mutated by [`WorldEvent`]s and serving
-//!   epoch-cached local views;
+//!   mobility/churn scenarios, mutated by [`WorldEvent`]s;
 //! * [`SpatialGrid`] — the uniform-cell spatial index behind every
 //!   radius-based neighbor query (deployment linking, waypoint link
 //!   recomputation, churn relinking), incremental and provably exact;

@@ -207,11 +207,6 @@ impl SpatialGrid {
         self.len == 0
     }
 
-    /// The cell side the grid was built with.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Current indexed position of `n`, or `None` while absent.
     pub fn position(&self, n: NodeId) -> Option<Point2> {
         self.slots.get(n.index()).and_then(|s| s.map(|s| s.pos))

@@ -1,7 +1,8 @@
 //! Property tests for [`DynamicTopology`]: after *any* event sequence,
 //! the incremental world must equal a naive reference model replayed from
 //! scratch — same surviving links, same activity, same positions — and
-//! its epoch-cached local views must match fresh extraction (no staleness).
+//! the local views extracted from its live graph must match extraction
+//! from a snapshot (no staleness).
 
 use std::collections::BTreeMap;
 
@@ -157,8 +158,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// After any event sequence, `snapshot()` must equal the topology a
-    /// naive reference model builds from scratch: no epoch-cache
-    /// staleness, no incremental drift in links, activity or positions.
+    /// naive reference model builds from scratch: no incremental drift
+    /// in links, activity or positions.
     #[test]
     fn snapshot_equals_reference_rebuild((n, links, events) in world_and_events()) {
         let mut world = make_world(n, &links);
@@ -186,27 +187,19 @@ proptest! {
         }
     }
 
-    /// Cached local views must always match fresh extraction from the
-    /// snapshot, even when queried repeatedly between events.
+    /// Local views extracted from the live graph after any event
+    /// sequence match extraction from the snapshot.
     #[test]
     fn cached_views_never_go_stale((n, links, events) in world_and_events()) {
         let mut world = make_world(n, &links);
-        // Warm the cache before any event, then interleave queries with
-        // mutations so stale entries would be detected.
-        for node in world.nodes() {
-            let _ = world.local_view(node);
-        }
-        for (i, ev) in events.iter().enumerate() {
+        for ev in &events {
             world.apply(ev);
-            // Query a rotating subset mid-sequence.
-            let probe = NodeId(i as u32 % n);
-            let _ = world.local_view(probe);
         }
         let snap = world.snapshot();
         for node in world.nodes() {
-            let cached = world.local_view(node);
+            let live = LocalView::extract_graph(world.graph(), node);
             let fresh = LocalView::extract(&snap, node);
-            prop_assert!(cached.same_knowledge(&fresh), "view of {} is stale", node);
+            prop_assert!(live.same_knowledge(&fresh), "view of {} is stale", node);
         }
     }
 

@@ -333,8 +333,8 @@ impl OlsrConfig {
     }
 
     /// The link-sensing knobs
-    /// [`crate::tables::NeighborTables::process_hello_sensed`] needs,
-    /// bundled as one `Copy` value.
+    /// [`crate::tables::NeighborTables::process_hello`] needs, bundled
+    /// as one `Copy` value.
     pub fn sensing(&self) -> SensingParams {
         SensingParams {
             expected_interval: self.hello_interval,

@@ -291,11 +291,6 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
             .collect()
     }
 
-    /// The most recently computed MPR (flooding) set.
-    pub fn mpr_set(&self) -> &BTreeSet<NodeId> {
-        &self.mprs
-    }
-
     /// The most recently advertised neighbor set (TC content).
     pub fn advertised(&self) -> &[(NodeId, LinkQos)] {
         &self.last_ans
@@ -304,11 +299,6 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
     /// Neighbors currently selecting this node as MPR.
     pub fn mpr_selectors(&self, now: SimTime) -> Vec<NodeId> {
         self.neighbors.mpr_selectors(now)
-    }
-
-    /// Advertised links this node has learned from TC flooding.
-    pub fn topology_links(&self, now: SimTime) -> Vec<(NodeId, NodeId, LinkQos)> {
-        self.topology.links(now)
     }
 
     /// Node-local resident footprint of the protocol tables. This counts
@@ -706,7 +696,7 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
                 .routes
                 .get_mut()
                 .unwrap_or_else(PoisonError::into_inner);
-            self.topology.process_tc_reporting(
+            self.topology.process_tc(
                 orig,
                 peek.seq,
                 tc.ansn,
@@ -748,7 +738,7 @@ impl<P: AdvertisePolicy> OlsrNode<P> {
             .routes
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        if self.neighbors.process_hello_reporting(
+        if self.neighbors.process_hello(
             self.id,
             from,
             qos,
@@ -915,7 +905,7 @@ mod tests {
     fn node_construction() {
         let node = OlsrNode::new(NodeId(4), OlsrConfig::default(), MprSelectorPolicy);
         assert_eq!(node.id(), NodeId(4));
-        assert!(node.mpr_set().is_empty());
+        assert!(node.mprs.is_empty());
         assert!(node.advertised().is_empty());
         assert_eq!(node.stats(), NodeStats::default());
     }
@@ -928,7 +918,7 @@ mod tests {
         node.mprs.insert(NodeId(2));
         node.last_ans.push((NodeId(2), LinkQos::uniform(1)));
         node.on_reset();
-        assert!(node.mpr_set().is_empty());
+        assert!(node.mprs.is_empty());
         assert!(node.advertised().is_empty());
         assert_eq!(node.next_seq(), 42, "msg_seq survives reboot");
         assert_eq!(node.ansn, 7, "ansn survives reboot");
@@ -941,7 +931,7 @@ mod tests {
         node.ansn = 7;
         node.mprs.insert(NodeId(2));
         node.on_crash();
-        assert!(node.mpr_set().is_empty());
+        assert!(node.mprs.is_empty());
         assert_eq!(node.next_seq(), 1, "msg_seq restarts at zero");
         assert_eq!(node.ansn, 0, "ansn restarts at zero");
     }

@@ -4,14 +4,14 @@
 //!
 //! Two layers live here:
 //!
-//! * [`compute_routes`] / [`compute_routes_keys_into`] — the from-scratch
-//!   BFS: ids are numbered the way the network's stores number
-//!   originators, the undirected adjacency is laid out as CSR by
-//!   counting sort, and only the root's row is ever sorted, all in
-//!   reusable [`RouteScratch`] buffers. The table comes out in BFS
-//!   order, not sorted by destination (the original `BTreeMap`-per-call
-//!   formulation survives as [`reference_routes`], the oracle the
-//!   differential suites compare against);
+//! * [`compute_routes_keys_into`] — the from-scratch BFS: ids are
+//!   numbered the way the network's stores number originators, the
+//!   undirected adjacency is laid out as CSR by counting sort, and only
+//!   the root's row is ever sorted, all in reusable [`RouteScratch`]
+//!   buffers. The table comes out in BFS order, not sorted by
+//!   destination (the original `BTreeMap`-per-call formulation survives
+//!   as [`reference_routes`], the oracle the differential suites compare
+//!   against);
 //! * [`RouteCache`] — the incremental layer [`OlsrNode`] owns: one dense
 //!   table per node, indexed by the numbering, holding each index's hop
 //!   count, first hop and BFS parent. The table is exact out to a
@@ -336,37 +336,6 @@ pub fn compute_routes_keys_into(
         table[x as usize].route(dest)
     }));
     scratch.table = table;
-}
-
-/// Computes hop-count routes from `me` given its symmetric neighbors, the
-/// links its neighbors reported, and the advertised links learned from
-/// TCs, numbering ids below `seeded` by their own value (see
-/// [`compute_routes_keys_into`]). Returns a map keyed by destination.
-///
-/// Determinism: equal-length routes resolve to the smallest-id next hop.
-pub fn compute_routes(
-    me: NodeId,
-    seeded: usize,
-    sym_neighbors: &[(NodeId, LinkQos)],
-    reported_links: &[(NodeId, NodeId, LinkQos)],
-    advertised_links: &[(NodeId, NodeId, LinkQos)],
-) -> BTreeMap<NodeId, RouteEntry> {
-    let sym: Vec<NodeId> = sym_neighbors.iter().map(|&(n, _)| n).collect();
-    let reported: Vec<(NodeId, NodeId)> = reported_links.iter().map(|&(a, b, _)| (a, b)).collect();
-    let advertised: Vec<(NodeId, NodeId)> =
-        advertised_links.iter().map(|&(a, b, _)| (a, b)).collect();
-    let mut scratch = RouteScratch::new();
-    let mut out = Vec::new();
-    compute_routes_keys_into(
-        me,
-        seeded,
-        &sym,
-        &reported,
-        &advertised,
-        &mut scratch,
-        &mut out,
-    );
-    out.into_iter().map(|e| (e.dest, e)).collect()
 }
 
 /// The original `BTreeMap`-based formulation, kept verbatim as the
@@ -723,15 +692,33 @@ mod tests {
         LinkQos::uniform(1)
     }
 
-    #[test]
-    fn one_hop_routes() {
-        let routes = compute_routes(
+    /// The from-scratch BFS from node 0 over the ids and pairs given,
+    /// numbered from [`SEED`], keyed by destination.
+    fn bfs(
+        sym: &[u32],
+        reported: &[(u32, u32)],
+        advertised: &[(u32, u32)],
+    ) -> BTreeMap<NodeId, RouteEntry> {
+        let sym: Vec<NodeId> = sym.iter().map(|&n| NodeId(n)).collect();
+        let pairs = |ps: &[(u32, u32)]| -> Vec<(NodeId, NodeId)> {
+            ps.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect()
+        };
+        let mut out = Vec::new();
+        compute_routes_keys_into(
             NodeId(0),
             SEED,
-            &[(NodeId(1), q()), (NodeId(2), q())],
-            &[],
-            &[],
+            &sym,
+            &pairs(reported),
+            &pairs(advertised),
+            &mut RouteScratch::new(),
+            &mut out,
         );
+        out.into_iter().map(|e| (e.dest, e)).collect()
+    }
+
+    #[test]
+    fn one_hop_routes() {
+        let routes = bfs(&[1, 2], &[], &[]);
         assert_eq!(routes[&NodeId(1)].hops, 1);
         assert_eq!(routes[&NodeId(1)].next_hop, NodeId(1));
         assert_eq!(routes.len(), 2);
@@ -739,52 +726,34 @@ mod tests {
 
     #[test]
     fn two_hop_via_reported_links() {
-        let routes = compute_routes(
-            NodeId(0),
-            SEED,
-            &[(NodeId(1), q())],
-            &[(NodeId(1), NodeId(2), q())],
-            &[],
-        );
+        let routes = bfs(&[1], &[(1, 2)], &[]);
         let r = routes[&NodeId(2)];
         assert_eq!((r.hops, r.next_hop), (2, NodeId(1)));
     }
 
     #[test]
     fn multi_hop_via_advertised_links() {
-        let routes = compute_routes(
-            NodeId(0),
-            SEED,
-            &[(NodeId(1), q())],
-            &[(NodeId(1), NodeId(2), q())],
-            &[(NodeId(2), NodeId(3), q()), (NodeId(3), NodeId(4), q())],
-        );
+        let routes = bfs(&[1], &[(1, 2)], &[(2, 3), (3, 4)]);
         assert_eq!(routes[&NodeId(4)].hops, 4);
         assert_eq!(routes[&NodeId(4)].next_hop, NodeId(1));
     }
 
     #[test]
     fn unknown_destination_absent() {
-        let routes = compute_routes(NodeId(0), SEED, &[(NodeId(1), q())], &[], &[]);
+        let routes = bfs(&[1], &[], &[]);
         assert!(!routes.contains_key(&NodeId(9)));
     }
 
     #[test]
     fn tie_breaks_to_smallest_next_hop() {
         // Two equal 2-hop routes to 3: via 1 and via 2.
-        let routes = compute_routes(
-            NodeId(0),
-            SEED,
-            &[(NodeId(1), q()), (NodeId(2), q())],
-            &[(NodeId(1), NodeId(3), q()), (NodeId(2), NodeId(3), q())],
-            &[],
-        );
+        let routes = bfs(&[1, 2], &[(1, 3), (2, 3)], &[]);
         assert_eq!(routes[&NodeId(3)].next_hop, NodeId(1));
     }
 
     #[test]
     fn self_is_not_a_destination() {
-        let routes = compute_routes(NodeId(0), SEED, &[(NodeId(1), q())], &[], &[]);
+        let routes = bfs(&[1], &[], &[]);
         assert!(!routes.contains_key(&NodeId(0)));
     }
 
@@ -808,10 +777,27 @@ mod tests {
                 vec![(NodeId(1), NodeId(2), q()), (NodeId(1), NodeId(2), q())],
             ),
         ];
+        let pairs = |links: &Labeled| -> Vec<(NodeId, NodeId)> {
+            links.iter().map(|&(a, b, _)| (a, b)).collect()
+        };
+        let mut scratch = RouteScratch::new();
+        let mut out = Vec::new();
         for (sym, rep, adv) in cases {
+            let ids: Vec<NodeId> = sym.iter().map(|&(n, _)| n).collect();
             for seeded in 0..11 {
+                compute_routes_keys_into(
+                    NodeId(0),
+                    seeded,
+                    &ids,
+                    &pairs(rep),
+                    &pairs(adv),
+                    &mut scratch,
+                    &mut out,
+                );
+                let routes: BTreeMap<NodeId, RouteEntry> =
+                    out.iter().map(|&e| (e.dest, e)).collect();
                 assert_eq!(
-                    compute_routes(NodeId(0), seeded, sym, rep, adv),
+                    routes,
                     reference_routes(NodeId(0), sym, rep, adv),
                     "seeded {seeded}"
                 );
@@ -847,22 +833,45 @@ mod tests {
         let me = NodeId(0);
         let mut nt = NeighborTables::new();
         let mut tb = SharedTopology::new(SharedLinkStore::new());
-        nt.process_hello(me, NodeId(1), q(), &hello(me, &[2]), t(0), t(6));
+        let sensing = SensingParams::default();
+        nt.process_hello(
+            me,
+            NodeId(1),
+            q(),
+            &hello(me, &[2]),
+            t(0),
+            t(6),
+            sensing,
+            |_| {},
+        );
         let mut cache = RouteCache::new();
         cache.ensure(me, &nt, &tb, t(1));
         assert_eq!(cache.counters(), (1, 0));
         // Keep 1 symmetric past t(6) without reporting 2 again.
-        nt.process_hello(me, NodeId(1), q(), &hello(me, &[]), t(4), t(14));
-        let update = tb.process_tc_reporting(
+        nt.process_hello(
+            me,
+            NodeId(1),
+            q(),
+            &hello(me, &[]),
+            t(4),
+            t(14),
+            sensing,
+            |_| {},
+        );
+        let mut changed = false;
+        tb.process_tc(
             NodeId(1),
             1,
             1,
             &[(NodeId(2), q())],
             t(5),
             t(20),
-            |adv, inserted| cache.link_changed(NodeId(1), adv, inserted),
+            |adv, inserted| {
+                changed = true;
+                cache.link_changed(NodeId(1), adv, inserted)
+            },
         );
-        assert!(update.links_changed);
+        assert!(changed);
         assert_eq!(cache.radius, EXACT);
         // At t(7) the reported copy expired and the advertised one holds.
         cache.ensure(me, &nt, &tb, t(7));
@@ -964,7 +973,17 @@ mod tests {
         fn new(tcs: &[(u32, &[u32])]) -> Self {
             let mut nt = NeighborTables::new();
             for n in [1, 2] {
-                nt.process_hello(ME, NodeId(n), q(), &hello(ME, &[]), t(0), t(100));
+                let sensing = SensingParams::default();
+                nt.process_hello(
+                    ME,
+                    NodeId(n),
+                    q(),
+                    &hello(ME, &[]),
+                    t(0),
+                    t(100),
+                    sensing,
+                    |_| {},
+                );
             }
             let mut f = Fixture {
                 nt,
@@ -990,7 +1009,7 @@ mod tests {
             self.ansn += 1;
             let adv: Vec<(NodeId, LinkQos)> = adv.iter().map(|&n| (NodeId(n), q())).collect();
             let cache = &mut self.cache;
-            self.tb.process_tc_reporting(
+            self.tb.process_tc(
                 NodeId(orig),
                 self.ansn,
                 self.ansn,
@@ -1005,7 +1024,7 @@ mod tests {
         /// `reports` at t(1), held like the fixture's first ones.
         fn hello(&mut self, from: u32, reports: &[u32]) {
             let (from, cache) = (NodeId(from), &mut self.cache);
-            if self.nt.process_hello_reporting(
+            if self.nt.process_hello(
                 ME,
                 from,
                 q(),

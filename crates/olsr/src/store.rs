@@ -69,7 +69,7 @@ use qolsr_metrics::{Bandwidth, Delay, Energy, LinkQos};
 use qolsr_sim::SimTime;
 
 use crate::intern::InternTable;
-use crate::tables::{seq_newer, TcUpdate, FAR_FUTURE};
+use crate::tables::{seq_newer, FAR_FUTURE};
 
 /// Appends `v` as an LEB128 varint.
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -432,18 +432,17 @@ impl Overlay {
 /// Calls `changed(id, inserted)` for every id in exactly one of the
 /// ascending, repeat-free lists `old` and `new`, ascending: `inserted`
 /// says it is in `new`. With `shortened`, an id in both is reported too,
-/// as removed. Returns whether any id was reported.
+/// as removed.
 fn diff_ascending(
     old: impl Iterator<Item = NodeId>,
     new: impl Iterator<Item = NodeId>,
     shortened: bool,
     mut changed: impl FnMut(NodeId, bool),
-) -> bool {
+) {
     let (mut old, mut new) = (old.peekable(), new.peekable());
-    let mut any = false;
     loop {
         let inserted = match (old.peek(), new.peek()) {
-            (None, None) => return any,
+            (None, None) => return,
             (Some(a), Some(b)) if a == b => {
                 new.next();
                 if !shortened {
@@ -458,7 +457,6 @@ fn diff_ascending(
         };
         let id = if inserted { new.next() } else { old.next() };
         changed(id.expect("peeked"), inserted);
-        any = true;
     }
 }
 
@@ -564,39 +562,19 @@ impl SharedTopology {
     /// the live ANSN record; otherwise it replaces the originator's
     /// advertised set, sorted by id with the *last* occurrence of a
     /// duplicate id kept. `seq` additionally keys the store's content
-    /// dedup. The update reports whether the originator's *live* (at
-    /// `now`) advertised link pairs changed.
-    pub fn process_tc_tracked(
-        &mut self,
-        originator: NodeId,
-        seq: u16,
-        ansn: u16,
-        advertised: &[(NodeId, LinkQos)],
-        now: SimTime,
-        hold_until: SimTime,
-    ) -> TcUpdate {
-        self.process_tc_reporting(
-            originator,
-            seq,
-            ansn,
-            advertised,
-            now,
-            hold_until,
-            |_, _| {},
-        )
-    }
-
-    /// [`SharedTopology::process_tc_tracked`], also calling
-    /// `changed(id, inserted)` for every advertised id in exactly one of
-    /// the originator's old live set and the new one, ascending by id:
-    /// `inserted` says it is in the new one. These are the link pairs
-    /// `(originator, id)` the TC changed — what route caches keep their
-    /// tables exact by. A TC that moves a live set's hold earlier also
-    /// reports each id it keeps, as removed: that pair now lapses before
-    /// the hold a route computation read, so no cached route may rest
-    /// on it.
+    /// dedup. Returns whether the TC was applied.
+    ///
+    /// `changed(id, inserted)` is called for every advertised id in
+    /// exactly one of the originator's old live (at `now`) set and the
+    /// new one, ascending by id: `inserted` says it is in the new one.
+    /// These are the link pairs `(originator, id)` the TC changed — what
+    /// route caches keep their tables exact by; a pure refresh (same
+    /// pairs, a later hold, new QoS) names none. A TC that moves a live
+    /// set's hold earlier also reports each id it keeps, as removed:
+    /// that pair now lapses before the hold a route computation read, so
+    /// no cached route may rest on it.
     #[allow(clippy::too_many_arguments)]
-    pub fn process_tc_reporting(
+    pub fn process_tc(
         &mut self,
         originator: NodeId,
         seq: u16,
@@ -605,13 +583,10 @@ impl SharedTopology {
         now: SimTime,
         hold_until: SimTime,
         changed: impl FnMut(NodeId, bool),
-    ) -> TcUpdate {
+    ) -> bool {
         let old = self.overlay(originator);
         if old.until > now && seq_newer(old.ansn, ansn) {
-            return TcUpdate {
-                applied: false,
-                links_changed: false,
-            };
+            return false;
         }
         // Sort the incoming list by advertised id, keeping the *last*
         // occurrence of duplicate ids (map-insert semantics).
@@ -635,7 +610,7 @@ impl SharedTopology {
             .flatten();
         let new_ids = self.scratch.iter().map(|&(n, _)| n);
         let shortened = old.until > now && hold_until < old.until;
-        let links_changed = diff_ascending(old_live, new_ids, shortened, changed);
+        diff_ascending(old_live, new_ids, shortened, changed);
         let fresh = st.acquire(originator, seq, &self.scratch);
         self.count += self.scratch.len();
         if old.held() {
@@ -650,10 +625,7 @@ impl SharedTopology {
             set: fresh,
             ansn,
         };
-        TcUpdate {
-            applied: true,
-            links_changed,
-        }
+        true
     }
 
     /// Discards expired overlays, releasing their set references — the
@@ -1024,26 +996,42 @@ mod tests {
         }
     }
 
+    /// Integrates a TC from `orig` at `now`; returns whether it was
+    /// applied and whether it named a changed link pair.
+    fn tc(
+        tb: &mut SharedTopology,
+        orig: NodeId,
+        seq: u16,
+        ansn: u16,
+        adv: &[(NodeId, LinkQos)],
+        now: SimTime,
+        hold: SimTime,
+    ) -> (bool, bool) {
+        let mut changed = false;
+        let applied = tb.process_tc(orig, seq, ansn, adv, now, hold, |_, _| changed = true);
+        (applied, changed)
+    }
+
     #[test]
     fn shared_topology_tracks_reference_semantics() {
         let store = SharedLinkStore::new();
         let mut tb = SharedTopology::new(store.clone());
         let adv = [(NodeId(2), q(1)), (NodeId(3), q(2))];
-        let up = tb.process_tc_tracked(NodeId(1), 1, 1, &adv, t(0), t(10));
-        assert!(up.applied && up.links_changed);
+        let up = tc(&mut tb, NodeId(1), 1, 1, &adv, t(0), t(10));
+        assert_eq!(up, (true, true));
         assert_eq!(tb.len(), 2);
         // Same pairs, new QoS: applied but not a link change.
         let adv_q = [(NodeId(2), q(9)), (NodeId(3), q(9))];
-        let up = tb.process_tc_tracked(NodeId(1), 2, 2, &adv_q, t(1), t(11));
-        assert!(up.applied && !up.links_changed);
+        let up = tc(&mut tb, NodeId(1), 2, 2, &adv_q, t(1), t(11));
+        assert_eq!(up, (true, false));
         // Stale ANSN while live: rejected.
-        let up = tb.process_tc_tracked(NodeId(1), 3, 1, &adv, t(2), t(12));
-        assert!(!up.applied);
+        let up = tc(&mut tb, NodeId(1), 3, 1, &adv, t(2), t(12));
+        assert!(!up.0);
         assert!(!tb.accepts_ansn(NodeId(1), 1, t(2)));
         // After expiry the record is dead: any ANSN is re-learned.
         assert!(tb.accepts_ansn(NodeId(1), 1, t(12)));
-        let up = tb.process_tc_tracked(NodeId(1), 4, 0, &adv, t(12), t(20));
-        assert!(up.applied && up.links_changed);
+        let up = tc(&mut tb, NodeId(1), 4, 0, &adv, t(12), t(20));
+        assert_eq!(up, (true, true));
 
         tb.sweep(t(30));
         assert!(tb.is_empty());
@@ -1057,11 +1045,10 @@ mod tests {
         let mut tc = |ansn: u16, adv: &[u32], now: u64, hold: u64| {
             let adv: Vec<(NodeId, LinkQos)> = adv.iter().map(|&n| (NodeId(n), q(1))).collect();
             let mut named = Vec::new();
-            let up =
-                tb.process_tc_reporting(NodeId(1), ansn, ansn, &adv, t(now), t(hold), |id, ins| {
-                    named.push((id.0, ins))
-                });
-            (up.links_changed, named)
+            tb.process_tc(NodeId(1), ansn, ansn, &adv, t(now), t(hold), |id, ins| {
+                named.push((id.0, ins))
+            });
+            (!named.is_empty(), named)
         };
         assert_eq!(tc(1, &[2, 3], 0, 10), (true, vec![(2, true), (3, true)]));
         // A later hold: only the ids that changed.
@@ -1083,7 +1070,7 @@ mod tests {
         let store = SharedLinkStore::seeded(4);
         let mut tb = SharedTopology::new(store.clone());
         let adv = [(NodeId(3), q(1))];
-        tb.process_tc_tracked(NodeId(2), 1, 1, &adv, t(0), t(100));
+        tb.process_tc(NodeId(2), 1, 1, &adv, t(0), t(100), |_, _| {});
         let seeded = tb.footprint();
         assert_eq!(seeded.0, 1);
         // Ids a corrupted frame could mint, never the same one twice.
@@ -1093,7 +1080,7 @@ mod tests {
             for k in 0..20 {
                 let junk = NodeId(1000 + 20 * round as u32 + k);
                 assert!(tb.accepts_ansn(junk, 1, now));
-                assert!(tb.process_tc_tracked(junk, 1, 1, &adv, now, hold).applied);
+                assert!(tb.process_tc(junk, 1, 1, &adv, now, hold, |_, _| {}));
             }
             assert_eq!(tb.originators(), 21);
             assert_eq!(tb.links(now).len(), 21);
@@ -1115,8 +1102,8 @@ mod tests {
         let mut a = SharedTopology::new(store.clone());
         let mut b = SharedTopology::new(store.clone());
         let adv = [(NodeId(7), q(2))];
-        a.process_tc_tracked(NodeId(1), 5, 1, &adv, t(0), t(10));
-        b.process_tc_tracked(NodeId(1), 5, 1, &adv, t(0), t(10));
+        a.process_tc(NodeId(1), 5, 1, &adv, t(0), t(10), |_, _| {});
+        b.process_tc(NodeId(1), 5, 1, &adv, t(0), t(10), |_, _| {});
         let g = store.gauges();
         assert_eq!(g.live_slots, 1, "one slot for both receivers");
         assert_eq!(g.dedup_hits, 1);

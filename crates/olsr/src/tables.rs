@@ -1,8 +1,12 @@
 //! Protocol information bases: link set, neighbor set, 2-hop set,
 //! MPR-selector set and duplicate set — all with RFC-style validity
-//! times — plus the interface of the topology base ([`TcUpdate`],
-//! [`TopologyLinks`]), which [`SharedTopology`] implements over the
-//! network-shared store.
+//! times — plus the interface of the topology base ([`TopologyLinks`]),
+//! which [`SharedTopology`] implements over the network-shared store.
+//!
+//! Each message kind has one integration call, as RFC 3626 gives it one
+//! processing rule: [`NeighborTables::process_hello`] (§7 link sensing)
+//! and [`SharedTopology::process_tc`] (§9.5). Both report the link pairs
+//! they change, which is what keeps a node's route cache exact.
 //!
 //! Storage is id-sorted flat vectors (binary-search point lookups,
 //! in-order scans) rather than `BTreeMap`s: the per-message hot path
@@ -173,75 +177,25 @@ impl NeighborTables {
     /// MPR-selector tuple. Links the announcer reports as symmetric are
     /// recorded for 2-hop neighborhood and `G_u` construction.
     ///
-    /// Returns `true` when the *route-relevant* content changed at
-    /// `now` — the symmetric-neighbor set gained or lost a member, a
-    /// reported link appeared that was absent or expired, or a hold in
-    /// the route inputs moved earlier — so callers can update derived
-    /// state (the routing cache) only when needed. Pure lifetime
-    /// refreshes return `false`. [`NeighborTables::process_hello_reporting`]
-    /// names each reported link that appeared.
-    pub fn process_hello(
-        &mut self,
-        me: NodeId,
-        from: NodeId,
-        measured_qos: LinkQos,
-        hello: &Hello,
-        now: SimTime,
-        hold_until: SimTime,
-    ) -> bool {
-        self.process_hello_sensed(
-            me,
-            from,
-            measured_qos,
-            hello,
-            now,
-            hold_until,
-            SensingParams::default(),
-        )
-    }
-
-    /// [`NeighborTables::process_hello`] with explicit link-sensing
-    /// parameters: the quality EWMA, RFC §14 hysteresis gating and the
-    /// ETX metric mapping all live here. The default parameters (no
-    /// hysteresis, measured metric) reproduce the plain variant exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_hello_sensed(
-        &mut self,
-        me: NodeId,
-        from: NodeId,
-        measured_qos: LinkQos,
-        hello: &Hello,
-        now: SimTime,
-        hold_until: SimTime,
-        sensing: SensingParams,
-    ) -> bool {
-        let mut entered = false;
-        let changed = self.process_hello_reporting(
-            me,
-            from,
-            measured_qos,
-            hello,
-            now,
-            hold_until,
-            sensing,
-            |_| entered = true,
-        );
-        changed || entered
-    }
-
-    /// [`NeighborTables::process_hello_sensed`], naming the links the
-    /// HELLO brings into the route inputs: `entered(n)` for every
-    /// reported link `from — n` that is new or had expired, while `from`
-    /// is a symmetric neighbor after the HELLO.
+    /// `sensing` sets the quality EWMA, RFC §14 hysteresis gating and the
+    /// ETX metric mapping, which all live here. The default parameters
+    /// (no hysteresis, measured metric) advertise the measured QoS and
+    /// never hold a link back; the quality estimate ticks along unused.
+    ///
+    /// `entered(n)` names the links the HELLO brings into the route
+    /// inputs: every reported link `from — n` that is new or had expired,
+    /// while `from` is a symmetric neighbor after the HELLO.
     ///
     /// Returns `true` when the HELLO changed the route inputs in a way
     /// those pairs do not name: the symmetric-neighbor set gained or lost
     /// a member, or the hold of a symmetric link or of a reported link
     /// in the inputs moved earlier. A route computation's validity window
     /// ends at the earliest hold it read, so a shortened hold has to be
-    /// reported. Pure lifetime refreshes return `false` and name nothing.
+    /// reported. Pure lifetime refreshes return `false` and name nothing,
+    /// so callers update derived state (the routing cache) only when
+    /// needed.
     #[allow(clippy::too_many_arguments)]
-    pub fn process_hello_reporting(
+    pub fn process_hello(
         &mut self,
         me: NodeId,
         from: NodeId,
@@ -481,14 +435,6 @@ impl NeighborTables {
         out
     }
 
-    /// Neighbors heard but not (yet) verified bidirectional, ascending by
-    /// id.
-    pub fn asymmetric_neighbors(&self, now: SimTime) -> Vec<(NodeId, LinkQos)> {
-        let mut out = Vec::new();
-        self.asymmetric_into(now, &mut out);
-        out
-    }
-
     /// Links reported by current symmetric neighbors, as
     /// `(reporter, other end, qos)`.
     pub fn reported_links(&self, now: SimTime) -> Vec<(NodeId, NodeId, LinkQos)> {
@@ -532,20 +478,6 @@ fn symmetric_until(keys: &[(NodeId, SimTime)], n: NodeId, now: SimTime) -> Optio
 /// (RFC 3626 §19 wraparound comparison).
 pub fn seq_newer(a: u16, b: u16) -> bool {
     a != b && a.wrapping_sub(b) < 0x8000
-}
-
-/// Outcome of integrating a TC message into a node's topology base
-/// ([`SharedTopology::process_tc_tracked`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TcUpdate {
-    /// The message was fresh (not discarded by the ANSN check) and its
-    /// advertised set replaced the originator's stored set.
-    pub applied: bool,
-    /// The *live link pairs* contributed by the originator actually
-    /// changed, or the TC moved their hold earlier — a pure refresh
-    /// (same pairs, a later hold, new QoS) leaves this `false`.
-    /// [`SharedTopology::process_tc_reporting`] names each changed pair.
-    pub links_changed: bool,
 }
 
 /// Read access to the live advertised-link content of a topology base —
@@ -838,10 +770,33 @@ mod tests {
         SharedTopology::new(SharedLinkStore::new())
     }
 
-    /// Integrates a TC with no time of its own (nothing recorded is
-    /// live-checked against it), reusing the ANSN as the message
+    /// Integrates a TC at `now`, reusing the ANSN as the message
     /// sequence number the store keys its dedup on. Returns whether the
-    /// message updated the base.
+    /// message was applied and whether it named a changed link pair.
+    fn tc_at(
+        tb: &mut SharedTopology,
+        originator: NodeId,
+        ansn: u16,
+        advertised: &[(NodeId, LinkQos)],
+        now: SimTime,
+        hold_until: SimTime,
+    ) -> (bool, bool) {
+        let mut changed = false;
+        let applied = tb.process_tc(
+            originator,
+            ansn,
+            ansn,
+            advertised,
+            now,
+            hold_until,
+            |_, _| changed = true,
+        );
+        (applied, changed)
+    }
+
+    /// Integrates a TC with no time of its own (nothing recorded is
+    /// live-checked against it). Returns whether the message updated
+    /// the base.
     fn process_tc(
         tb: &mut SharedTopology,
         originator: NodeId,
@@ -849,15 +804,26 @@ mod tests {
         advertised: &[(NodeId, LinkQos)],
         hold_until: SimTime,
     ) -> bool {
-        tb.process_tc_tracked(
-            originator,
-            ansn,
-            ansn,
-            advertised,
-            SimTime::ZERO,
-            hold_until,
-        )
-        .applied
+        tc_at(tb, originator, ansn, advertised, SimTime::ZERO, hold_until).0
+    }
+
+    /// Integrates a HELLO under the default link sensing. Returns
+    /// whether it changed the route inputs, the links it names included.
+    fn process_hello(
+        nt: &mut NeighborTables,
+        me: NodeId,
+        from: NodeId,
+        qos: LinkQos,
+        hello: &Hello,
+        now: SimTime,
+        hold_until: SimTime,
+    ) -> bool {
+        let sensing = SensingParams::default();
+        let mut named = Vec::new();
+        let changed = nt.process_hello(me, from, qos, hello, now, hold_until, sensing, |n| {
+            named.push(n)
+        });
+        changed || !named.is_empty()
     }
 
     fn hello_listing(ids: &[(u32, LinkState)]) -> Hello {
@@ -878,7 +844,8 @@ mod tests {
         let mut nt = NeighborTables::new();
         let me = NodeId(0);
         // First hello from 1 does not list us: asymmetric.
-        nt.process_hello(
+        process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -888,7 +855,8 @@ mod tests {
         );
         assert!(nt.symmetric_neighbors(t(1)).is_empty());
         // Second hello lists us: symmetric.
-        nt.process_hello(
+        process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -908,7 +876,8 @@ mod tests {
     fn links_expire() {
         let mut nt = NeighborTables::new();
         let me = NodeId(0);
-        nt.process_hello(
+        process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -926,7 +895,8 @@ mod tests {
     fn mpr_selector_tracking() {
         let mut nt = NeighborTables::new();
         let me = NodeId(0);
-        nt.process_hello(
+        process_hello(
+            &mut nt,
             me,
             NodeId(2),
             LinkQos::uniform(5),
@@ -944,7 +914,8 @@ mod tests {
     fn reported_links_feed_local_view() {
         let mut nt = NeighborTables::new();
         let me = NodeId(0);
-        nt.process_hello(
+        process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -961,7 +932,8 @@ mod tests {
     fn asymmetric_reported_links_are_ignored() {
         let mut nt = NeighborTables::new();
         let me = NodeId(0);
-        nt.process_hello(
+        process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -983,14 +955,16 @@ mod tests {
     }
 
     /// One mutual HELLO from `NodeId(1)` at `now` held for `hold_secs`,
-    /// sensed.
+    /// sensed. Returns whether it changed the route inputs, the links it
+    /// names included.
     fn mutual_hello_held(
         nt: &mut NeighborTables,
         now: SimTime,
         hold_secs: u64,
         s: SensingParams,
     ) -> bool {
-        nt.process_hello_sensed(
+        let mut named = Vec::new();
+        let changed = nt.process_hello(
             NodeId(0),
             NodeId(1),
             LinkQos::uniform(5),
@@ -998,7 +972,9 @@ mod tests {
             now,
             now + SimDuration::from_secs(hold_secs),
             s,
-        )
+            |n| named.push(n),
+        );
+        changed || !named.is_empty()
     }
 
     /// One mutual HELLO from `NodeId(1)` at `now`, sensed, RFC hold.
@@ -1077,7 +1053,16 @@ mod tests {
         let measured = LinkQos::with_energy(Bandwidth(100), Delay(10), Energy(7));
         let mut nt = NeighborTables::new();
         let hello = hello_listing(&[(0, LinkState::Symmetric)]);
-        nt.process_hello_sensed(NodeId(0), NodeId(1), measured, &hello, t(0), t(6), s);
+        nt.process_hello(
+            NodeId(0),
+            NodeId(1),
+            measured,
+            &hello,
+            t(0),
+            t(6),
+            s,
+            |_| {},
+        );
         // First arrival: q = 0.3, q² = 0.09 → bandwidth 100·0.09 = 9,
         // delay 10/0.09 = 111; energy untouched.
         let first = nt.symmetric_neighbors(t(1));
@@ -1090,7 +1075,16 @@ mod tests {
         );
         // Second clean arrival: q = 0.51, q² = 0.2601 → the estimate
         // improves and so does the effective QoS.
-        nt.process_hello_sensed(NodeId(0), NodeId(1), measured, &hello, t(2), t(8), s);
+        nt.process_hello(
+            NodeId(0),
+            NodeId(1),
+            measured,
+            &hello,
+            t(2),
+            t(8),
+            s,
+            |_| {},
+        );
         let second = nt.symmetric_neighbors(t(3));
         assert_eq!(
             second,
@@ -1103,11 +1097,11 @@ mod tests {
 
     #[test]
     fn default_sensing_tracks_quality_without_behavior_change() {
-        // The plain `process_hello` wrapper (default sensing: Off /
-        // Measured) must advertise the measured QoS verbatim and never
+        // Default sensing (Off / Measured) must advertise the measured QoS verbatim and never
         // pend a link — the quality estimate ticks along unused.
         let mut nt = NeighborTables::new();
-        nt.process_hello(
+        process_hello(
+            &mut nt,
             NodeId(0),
             NodeId(1),
             LinkQos::uniform(5),
@@ -1128,7 +1122,8 @@ mod tests {
         // Asymmetric link appears, even with reported links: not
         // route-relevant (an asymmetric reporter's links never enter
         // route inputs).
-        assert!(!nt.process_hello(
+        assert!(!process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -1137,7 +1132,8 @@ mod tests {
             t(6),
         ));
         // Link turns symmetric and reports a new link: change.
-        assert!(nt.process_hello(
+        assert!(process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -1146,7 +1142,8 @@ mod tests {
             t(7),
         ));
         // Pure refresh of the same knowledge: no change.
-        assert!(!nt.process_hello(
+        assert!(!process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -1156,7 +1153,8 @@ mod tests {
         ));
         // The reported link expired in the meantime: its refresh is a
         // reappearance, hence a change.
-        assert!(nt.process_hello(
+        assert!(process_hello(
+            &mut nt,
             me,
             NodeId(1),
             LinkQos::uniform(5),
@@ -1174,7 +1172,7 @@ mod tests {
         let two_only = hello_listing(&[(2, LinkState::Symmetric)]);
         let mut hello = |hello: &Hello, now: u64, hold: u64| {
             let mut named = Vec::new();
-            let changed = nt.process_hello_reporting(
+            let changed = nt.process_hello(
                 NodeId(0),
                 NodeId(1),
                 LinkQos::uniform(5),
@@ -1212,7 +1210,8 @@ mod tests {
             (3, vec![(4, LinkState::Symmetric)]),
             (5, vec![(0, LinkState::Mpr), (1, LinkState::Symmetric)]),
         ] {
-            nt.process_hello(
+            process_hello(
+                &mut nt,
                 me,
                 NodeId(from),
                 LinkQos::uniform(u64::from(from)),
@@ -1231,7 +1230,11 @@ mod tests {
         let rep_exp = nt.reported_into(now, &mut rep);
         nt.selectors_into(now, &mut sel);
         assert_eq!(sym, nt.symmetric_neighbors(now));
-        assert_eq!(asym, nt.asymmetric_neighbors(now));
+        assert_eq!(
+            asym,
+            vec![(NodeId(3), LinkQos::uniform(3))],
+            "3 never lists 0"
+        );
         assert_eq!(rep, nt.reported_links(now));
         assert_eq!(sel, nt.mpr_selectors(now));
         assert_eq!(sym_exp, t(6), "symmetric links all expire at hold");
@@ -1289,14 +1292,8 @@ mod tests {
         assert!(tb.accepts_ansn(NodeId(1), 5u16.wrapping_add(0x7FFF), now));
         assert!(!tb.accepts_ansn(NodeId(1), 5u16.wrapping_add(0x8001), now));
         // The query must agree with what process_tc actually does.
-        assert!(
-            !tb.process_tc_tracked(NodeId(1), 4, 4, &[], now, t(10))
-                .applied
-        );
-        assert!(
-            tb.process_tc_tracked(NodeId(1), 5, 5, &[], now, t(10))
-                .applied
-        );
+        assert!(!tc_at(&mut tb, NodeId(1), 4, &[], now, t(10)).0);
+        assert!(tc_at(&mut tb, NodeId(1), 5, &[], now, t(10)).0);
     }
 
     /// The power-cycle regression: an originator that reboots resets
@@ -1312,26 +1309,22 @@ mod tests {
         assert!(process_tc(&mut tb, NodeId(1), 50, &adv, t(10)));
         // While the record lives, the reset ANSN is (correctly) stale.
         assert!(!tb.accepts_ansn(NodeId(1), 0, t(5)));
-        assert!(
-            !tb.process_tc_tracked(NodeId(1), 0, 0, &adv, t(5), t(20))
-                .applied
-        );
+        assert!(!tc_at(&mut tb, NodeId(1), 0, &adv, t(5), t(20)).0);
         // Power cycle: silence past the hold time, tuples expire.
         tb.sweep(t(11));
         // The reborn originator announces ANSN 0 and is re-learned at
         // once.
         assert!(tb.accepts_ansn(NodeId(1), 0, t(12)));
-        let up = tb.process_tc_tracked(NodeId(1), 0, 0, &adv, t(12), t(27));
-        assert!(up.applied && up.links_changed);
+        assert_eq!(
+            tc_at(&mut tb, NodeId(1), 0, &adv, t(12), t(27)),
+            (true, true)
+        );
         assert_eq!(tb.links(t(13)).len(), 1);
         // Even without an intervening sweep, expiry alone suffices.
         let mut tb2 = topology();
         assert!(process_tc(&mut tb2, NodeId(1), 50, &adv, t(10)));
         assert!(tb2.accepts_ansn(NodeId(1), 0, t(11)));
-        assert!(
-            tb2.process_tc_tracked(NodeId(1), 0, 0, &adv, t(11), t(26))
-                .applied
-        );
+        assert!(tc_at(&mut tb2, NodeId(1), 0, &adv, t(11), t(26)).0);
     }
 
     /// The churn-leak regression: sweeps must reclaim per-originator
@@ -1475,30 +1468,33 @@ mod tests {
             (NodeId(2), LinkQos::uniform(1)),
             (NodeId(3), LinkQos::uniform(2)),
         ];
-        let up = tb.process_tc_tracked(NodeId(1), 1, 1, &adv, t(0), t(10));
-        assert!(up.applied && up.links_changed);
+        let changed = (true, true);
+        assert_eq!(tc_at(&mut tb, NodeId(1), 1, &adv, t(0), t(10)), changed);
         // Same pairs, refreshed lifetimes and different QoS: applied but
         // not a link change.
         let adv_q = [
             (NodeId(2), LinkQos::uniform(9)),
             (NodeId(3), LinkQos::uniform(9)),
         ];
-        let up = tb.process_tc_tracked(NodeId(1), 2, 2, &adv_q, t(1), t(11));
-        assert!(up.applied && !up.links_changed);
+        let refreshed = (true, false);
+        assert_eq!(tc_at(&mut tb, NodeId(1), 2, &adv_q, t(1), t(11)), refreshed);
         // Dropped member: change.
-        let up = tb.process_tc_tracked(NodeId(1), 3, 3, &[adv[0]], t(2), t(12));
-        assert!(up.applied && up.links_changed);
+        assert_eq!(
+            tc_at(&mut tb, NodeId(1), 3, &[adv[0]], t(2), t(12)),
+            changed
+        );
         // Stale: neither.
-        let up = tb.process_tc_tracked(NodeId(1), 1, 1, &adv, t(3), t(13));
-        assert!(!up.applied && !up.links_changed);
+        assert_eq!(
+            tc_at(&mut tb, NodeId(1), 1, &adv, t(3), t(13)),
+            (false, false)
+        );
         // An unsorted list with duplicate ids keeps the last occurrence.
         let dup = [
             (NodeId(5), LinkQos::uniform(1)),
             (NodeId(4), LinkQos::uniform(1)),
             (NodeId(5), LinkQos::uniform(7)),
         ];
-        let up = tb.process_tc_tracked(NodeId(2), 1, 1, &dup, t(0), t(10));
-        assert!(up.applied && up.links_changed);
+        assert_eq!(tc_at(&mut tb, NodeId(2), 1, &dup, t(0), t(10)), changed);
         let links = tb.links(t(0));
         assert!(links.contains(&(NodeId(2), NodeId(5), LinkQos::uniform(7))));
         assert_eq!(links.iter().filter(|l| l.0 == NodeId(2)).count(), 2);

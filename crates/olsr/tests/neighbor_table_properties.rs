@@ -146,7 +146,7 @@ proptest! {
                     if let Some(state) = listing(me) {
                         neighbors.push(HelloNeighbor { id: ME, state, qos: LinkQos::uniform(qos) });
                     }
-                    nt.process_hello_sensed(
+                    nt.process_hello(
                         ME,
                         NodeId(from),
                         LinkQos::uniform(qos),
@@ -154,6 +154,7 @@ proptest! {
                         now,
                         now + SimDuration::from_micros(hold),
                         params,
+                        |_| {},
                     );
                 }
                 Step::Sweep { advance } => {

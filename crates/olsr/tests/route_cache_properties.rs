@@ -18,17 +18,16 @@
 //! validity window with no change reported since the last recompute is
 //! a hit. A second generator keeps every HELLO hold past every TC hold
 //! and refreshes live TC sets under earlier holds, so that a shortened
-//! TC hold is what lapses first. The from-scratch [`compute_routes`] is
-//! pinned to the reference on the same inputs,
-//! [`compute_routes_keys_into`] on raw lists numbered from a drawn seed,
-//! and so are caches that share one thread's scratch, taking turns on
-//! one thread and recomputing at once on two.
+//! TC hold is what lapses first. The from-scratch
+//! [`compute_routes_keys_into`] is pinned to the reference on the same
+//! inputs and on raw lists numbered from a drawn seed, and so are caches
+//! that share one thread's scratch, taking turns on one thread and
+//! recomputing at once on two.
 //!
 //! [`OlsrNode`]: qolsr_proto::OlsrNode
 //! [`RouteCache`]: qolsr_proto::RouteCache
 //! [`SharedLinkStore`]: qolsr_proto::store::SharedLinkStore
 //! [`SharedTopology`]: qolsr_proto::store::SharedTopology
-//! [`compute_routes`]: qolsr_proto::routing::compute_routes
 //! [`compute_routes_keys_into`]: qolsr_proto::routing::compute_routes_keys_into
 //! [`reference_routes`]: qolsr_proto::routing::reference_routes
 
@@ -41,7 +40,7 @@ use proptest::prelude::*;
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
 use qolsr_proto::messages::{Hello, HelloNeighbor, LinkState};
-use qolsr_proto::routing::{compute_routes, compute_routes_keys_into, reference_routes};
+use qolsr_proto::routing::{compute_routes_keys_into, reference_routes};
 use qolsr_proto::store::{SharedLinkStore, SharedTopology};
 use qolsr_proto::tables::NeighborTables;
 use qolsr_proto::{RouteCache, RouteEntry, RouteScratch, SensingParams};
@@ -223,6 +222,32 @@ fn from_scratch(
     )
 }
 
+/// The from-scratch BFS over the same live tables' keys, numbered from
+/// `seeded`, keyed by destination.
+fn scratch_routes(
+    nt: &NeighborTables,
+    tb: &TopologyBase,
+    seeded: usize,
+    now: SimTime,
+) -> BTreeMap<NodeId, RouteEntry> {
+    let (mut sym, mut reported, mut advertised) = (Vec::new(), Vec::new(), Vec::new());
+    nt.symmetric_keys_into(now, &mut sym);
+    nt.reported_keys_into(now, &mut reported);
+    tb.for_each_link_key(now, |a, b| advertised.push((a, b)));
+    let mut out = Vec::new();
+    let mut scratch = RouteScratch::new();
+    compute_routes_keys_into(
+        ME,
+        seeded,
+        &sym,
+        &reported,
+        &advertised,
+        &mut scratch,
+        &mut out,
+    );
+    out.into_iter().map(|e| (e.dest, e)).collect()
+}
+
 /// What a [`RouteCache`] must count, from its freshness rules alone:
 /// every query is a hit or a recompute, and a query inside the validity
 /// window of the last recompute, with no change reported to the cache
@@ -353,12 +378,11 @@ fn run_history(ops: Vec<Op>, seeded_len: usize) -> Result<(), TestCaseError> {
                 let mut entered = false;
                 let sensing = SensingParams::default();
                 let qos = LinkQos::uniform(5);
-                let changed =
-                    nt.process_hello_reporting(ME, from, qos, &hello, now, hold, sensing, |n| {
-                        cache.link_changed(from, n, true);
-                        shared_cache.link_changed(from, n, true);
-                        entered = true;
-                    });
+                let changed = nt.process_hello(ME, from, qos, &hello, now, hold, sensing, |n| {
+                    cache.link_changed(from, n, true);
+                    shared_cache.link_changed(from, n, true);
+                    entered = true;
+                });
                 if changed {
                     cache.invalidate();
                     shared_cache.invalidate();
@@ -381,32 +405,23 @@ fn run_history(ops: Vec<Op>, seeded_len: usize) -> Result<(), TestCaseError> {
                 let hold = now + SimDuration::from_secs(hold_s);
                 let orig = NodeId(orig);
                 let (mut report, mut shared_report) = (Vec::new(), Vec::new());
-                let update =
-                    tb.process_tc_reporting(orig, ansn, &advertised, now, hold, |id, inserted| {
-                        cache.link_changed(orig, id, inserted);
-                        report.push((id, inserted));
-                    });
-                let shared_update = shared.process_tc_reporting(
-                    orig,
-                    seq,
-                    ansn,
-                    &advertised,
-                    now,
-                    hold,
-                    |id, inserted| {
+                let applied = tb.process_tc(orig, ansn, &advertised, now, hold, |id, inserted| {
+                    cache.link_changed(orig, id, inserted);
+                    report.push((id, inserted));
+                });
+                let shared_applied =
+                    shared.process_tc(orig, seq, ansn, &advertised, now, hold, |id, inserted| {
                         shared_cache.link_changed(orig, id, inserted);
                         shared_report.push((id, inserted));
-                    },
-                );
-                prop_assert_eq!(update, shared_update);
+                    });
+                prop_assert_eq!(applied, shared_applied);
                 prop_assert_eq!(
                     &report,
                     &shared_report,
                     "the bases reported apart at {}",
                     now
                 );
-                prop_assert_eq!(update.links_changed, !report.is_empty());
-                if update.links_changed {
+                if !report.is_empty() {
                     model.changed();
                 }
             }
@@ -441,13 +456,7 @@ fn run_history(ops: Vec<Op>, seeded_len: usize) -> Result<(), TestCaseError> {
                     None,
                     now,
                 )?;
-                let scratch = compute_routes(
-                    ME,
-                    seeded_len,
-                    &nt.symmetric_neighbors(now),
-                    &nt.reported_links(now),
-                    &tb.links(now),
-                );
+                let scratch = scratch_routes(&nt, &tb, seeded_len, now);
                 prop_assert_eq!(
                     &scratch,
                     &from_scratch(&nt, &tb, now),
@@ -471,9 +480,10 @@ fn run_history(ops: Vec<Op>, seeded_len: usize) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    /// Cached/incremental `routes()` ≡ from-scratch `compute_routes` ≡
-    /// the original reference, after arbitrary HELLO/TC/sweep histories,
-    /// over the per-node base and over the shared store alike.
+    /// Cached/incremental `routes()` ≡ from-scratch
+    /// `compute_routes_keys_into` ≡ the original reference, after
+    /// arbitrary HELLO/TC/sweep histories, over the per-node base and over
+    /// the shared store alike.
     #[test]
     fn cache_equals_scratch_after_arbitrary_histories(
         ops in proptest::collection::vec(op(), 1..60),
@@ -582,7 +592,17 @@ impl TcDriven {
         };
         let hold = SimTime::ZERO + SimDuration::from_secs(1000);
         for &n in nbrs {
-            nt.process_hello(me, n, LinkQos::uniform(1), &hello, SimTime::ZERO, hold);
+            let sensing = SensingParams::default();
+            nt.process_hello(
+                me,
+                n,
+                LinkQos::uniform(1),
+                &hello,
+                SimTime::ZERO,
+                hold,
+                sensing,
+                |_| {},
+            );
         }
         Self {
             me,
@@ -605,12 +625,13 @@ impl TcDriven {
             .collect();
         let hold = now + SimDuration::from_secs(1000);
         let (cache, orig) = (&mut self.cache, self.orig);
-        let update =
-            self.tb
-                .process_tc_reporting(orig, s as u16, &advertised, now, hold, |id, inserted| {
-                    cache.link_changed(orig, id, inserted)
-                });
-        assert!(update.links_changed);
+        let mut changed = false;
+        self.tb
+            .process_tc(orig, s as u16, &advertised, now, hold, |id, inserted| {
+                changed = true;
+                cache.link_changed(orig, id, inserted)
+            });
+        assert!(changed);
         self.cache.ensure(self.me, &self.nt, &self.tb, now);
         assert_eq!(self.cache.counters().0, s as u64 + 1, "TC {s} recomputed");
         let cached: BTreeMap<NodeId, RouteEntry> =

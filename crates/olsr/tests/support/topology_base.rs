@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use qolsr_graph::NodeId;
 use qolsr_metrics::LinkQos;
-use qolsr_proto::tables::{seq_newer, TcUpdate, TopologyLinks};
+use qolsr_proto::tables::{seq_newer, TopologyLinks};
 use qolsr_sim::SimTime;
 
 /// "Never expires": the min-expiry of an empty scan.
@@ -51,20 +51,6 @@ impl TopologyBase {
         Self::default()
     }
 
-    /// Integrates a TC from `originator`. Per RFC 3626 §9.5: discard if
-    /// older than the recorded ANSN; otherwise replace the originator's
-    /// advertised set. Returns `true` if the message updated the base.
-    pub fn process_tc(
-        &mut self,
-        originator: NodeId,
-        ansn: u16,
-        advertised: &[(NodeId, LinkQos)],
-        hold_until: SimTime,
-    ) -> bool {
-        self.process_tc_tracked(originator, ansn, advertised, SimTime::ZERO, hold_until)
-            .applied
-    }
-
     /// Returns `true` when a TC from `originator` carrying `ansn` would
     /// be accepted at `now` (RFC 3626 §9.5: not older than the recorded
     /// ANSN) — the non-mutating query the peek-decode fast path asks
@@ -81,27 +67,16 @@ impl TopologyBase {
         }
     }
 
-    /// Like [`TopologyBase::process_tc`], additionally reporting whether
-    /// the originator's set of *live* (at `now`) advertised link pairs
-    /// changed.
-    pub fn process_tc_tracked(
-        &mut self,
-        originator: NodeId,
-        ansn: u16,
-        advertised: &[(NodeId, LinkQos)],
-        now: SimTime,
-        hold_until: SimTime,
-    ) -> TcUpdate {
-        self.process_tc_reporting(originator, ansn, advertised, now, hold_until, |_, _| {})
-    }
-
-    /// [`TopologyBase::process_tc_tracked`], also calling
-    /// `changed(id, inserted)` for every id in the symmetric difference
-    /// of the originator's old live advertised ids and the new ones,
-    /// ascending: `inserted` says it is a new one. When the TC moves
-    /// the old live ids' hold earlier, the ids in both are reported as
-    /// well, as removed.
-    pub fn process_tc_reporting(
+    /// Integrates a TC from `originator` (RFC 3626 §9.5): discarded if
+    /// older than the live ANSN record; otherwise it replaces the
+    /// originator's advertised set. Returns whether the TC was applied.
+    ///
+    /// `changed(id, inserted)` is called for every id in the symmetric
+    /// difference of the originator's old live (at `now`) advertised ids
+    /// and the new ones, ascending: `inserted` says it is a new one. When
+    /// the TC moves the old live ids' hold earlier, the ids in both are
+    /// reported as well, as removed.
+    pub fn process_tc(
         &mut self,
         originator: NodeId,
         ansn: u16,
@@ -109,17 +84,14 @@ impl TopologyBase {
         now: SimTime,
         hold_until: SimTime,
         mut changed: impl FnMut(NodeId, bool),
-    ) -> TcUpdate {
+    ) -> bool {
         match self.ansn.binary_search_by_key(&originator, |a| a.0) {
             Ok(i) => {
                 // A live record enforces the ordering; an expired one is
                 // as if the originator was never heard (see
                 // [`TopologyBase::accepts_ansn`]).
                 if self.ansn[i].2 > now && seq_newer(self.ansn[i].1, ansn) {
-                    return TcUpdate {
-                        applied: false,
-                        links_changed: false,
-                    };
+                    return false;
                 }
                 self.ansn[i].1 = ansn;
                 self.ansn[i].2 = hold_until;
@@ -154,12 +126,10 @@ impl TopologyBase {
             .collect();
         let shortened = set.iter().any(|l| l.until > now && hold_until < l.until);
         let new_ids: BTreeSet<NodeId> = self.scratch.iter().map(|&(n, _)| n).collect();
-        let mut links_changed = false;
         for &id in old_live.union(&new_ids) {
             let inserted = !old_live.contains(&id);
             if inserted || shortened || !new_ids.contains(&id) {
                 changed(id, inserted);
-                links_changed = true;
             }
         }
         self.count -= set.len();
@@ -170,10 +140,7 @@ impl TopologyBase {
             qos,
             until: hold_until,
         }));
-        TcUpdate {
-            applied: true,
-            links_changed,
-        }
+        true
     }
 
     /// Discards expired tuples — and, once an originator's every tuple

@@ -208,21 +208,32 @@ proptest! {
                         per_node_a.accepts_ansn(o, ansn, now),
                         "seeded accept predicate diverged at {}", now
                     );
-                    let (mut s_report, mut p_report) = (Vec::new(), Vec::new());
-                    let su = shared_a.process_tc_reporting(o, seq, ansn, &adv, now, hold, |id, ins| {
+                    let mut s_report = Vec::new();
+                    let mut c_report = Vec::new();
+                    let mut p_report = Vec::new();
+                    let su = shared_a.process_tc(o, seq, ansn, &adv, now, hold, |id, ins| {
                         s_report.push((id, ins))
                     });
-                    let su_c = shared_c.process_tc_tracked(o, seq, ansn, &adv, now, hold);
-                    let pu = per_node_a.process_tc_reporting(o, ansn, &adv, now, hold, |id, ins| {
+                    let su_c = shared_c.process_tc(o, seq, ansn, &adv, now, hold, |id, ins| {
+                        c_report.push((id, ins))
+                    });
+                    let pu = per_node_a.process_tc(o, ansn, &adv, now, hold, |id, ins| {
                         p_report.push((id, ins))
                     });
-                    prop_assert_eq!(su, pu, "TcUpdate diverged at {}", now);
-                    prop_assert_eq!(s_report, p_report, "changed pairs diverged at {}", now);
-                    prop_assert_eq!(su_c, pu, "seeded TcUpdate diverged at {}", now);
+                    prop_assert_eq!(su, pu, "applied flag diverged at {}", now);
+                    prop_assert_eq!(&s_report, &p_report, "changed pairs diverged at {}", now);
+                    prop_assert_eq!(su_c, pu, "seeded applied flag diverged at {}", now);
+                    prop_assert_eq!(&c_report, &p_report, "seeded changed pairs diverged at {}", now);
                     // Receiver B sees the same flood one delivery later.
-                    let su_b = shared_b.process_tc_tracked(o, seq, ansn, &adv, now, hold);
-                    let pu_b = per_node_b.process_tc_tracked(o, ansn, &adv, now, hold);
+                    let (mut s_report_b, mut p_report_b) = (Vec::new(), Vec::new());
+                    let su_b = shared_b.process_tc(o, seq, ansn, &adv, now, hold, |id, ins| {
+                        s_report_b.push((id, ins))
+                    });
+                    let pu_b = per_node_b.process_tc(o, ansn, &adv, now, hold, |id, ins| {
+                        p_report_b.push((id, ins))
+                    });
                     prop_assert_eq!(su_b, pu_b, "receiver B diverged at {}", now);
+                    prop_assert_eq!(s_report_b, p_report_b, "receiver B pairs diverged at {}", now);
                 }
                 Op::Sweep => {
                     shared_a.sweep(now);
@@ -300,10 +311,10 @@ proptest! {
             };
             prop_assert_eq!(shared.accepts_ansn(o, ansn, now), expect, "shared step {}", i);
             prop_assert_eq!(per_node.accepts_ansn(o, ansn, now), expect, "per-node step {}", i);
-            let su = shared.process_tc_tracked(o, i as u16, ansn, &adv, now, hold);
-            let pu = per_node.process_tc_tracked(o, ansn, &adv, now, hold);
-            prop_assert_eq!(su.applied, expect);
-            prop_assert_eq!(pu.applied, expect);
+            let su = shared.process_tc(o, i as u16, ansn, &adv, now, hold, |_, _| {});
+            let pu = per_node.process_tc(o, ansn, &adv, now, hold, |_, _| {});
+            prop_assert_eq!(su, expect);
+            prop_assert_eq!(pu, expect);
             if expect {
                 naive.insert(orig, (ansn, hold));
             }
@@ -312,7 +323,7 @@ proptest! {
 
     /// The non-mutating accept predicate IS the mutating path's accept
     /// decision: for every TC in any history, `accepts_ansn` queried
-    /// immediately before `process_tc_tracked` equals the returned
+    /// immediately before `process_tc` equals the returned
     /// `applied` — in both formulations. The peek-decode fast path
     /// drops TC bodies on the strength of `accepts_ansn` alone, so any
     /// daylight between the two is a lost (or phantom) topology update.
@@ -359,17 +370,17 @@ proptest! {
             let o = NodeId(orig);
             let shared_accepts = shared.accepts_ansn(o, ansn, now);
             let per_node_accepts = per_node.accepts_ansn(o, ansn, now);
-            let su = shared.process_tc_tracked(o, i as u16, ansn, &adv, now, hold);
-            let pu = per_node.process_tc_tracked(o, ansn, &adv, now, hold);
+            let su = shared.process_tc(o, i as u16, ansn, &adv, now, hold, |_, _| {});
+            let pu = per_node.process_tc(o, ansn, &adv, now, hold, |_, _| {});
             prop_assert_eq!(
-                shared_accepts, su.applied,
+                shared_accepts, su,
                 "shared accepts_ansn lied about apply at {} (step {})", now, i
             );
             prop_assert_eq!(
-                per_node_accepts, pu.applied,
+                per_node_accepts, pu,
                 "per-node accepts_ansn lied about apply at {} (step {})", now, i
             );
-            prop_assert_eq!(su.applied, pu.applied, "formulations diverged at {}", now);
+            prop_assert_eq!(su, pu, "formulations diverged at {}", now);
             if sweep {
                 shared.sweep(now);
                 per_node.sweep(now);
@@ -602,8 +613,8 @@ fn long_churn_keeps_tables_and_store_bounded() {
         let adv = advertised_links(&[round + 1, round + 2]);
         let hold = now + SimDuration::from_secs(HOLD_S);
         let seq = round as u16;
-        shared.process_tc_tracked(orig, seq, 0, &adv, now, hold);
-        per_node.process_tc_tracked(orig, 0, &adv, now, hold);
+        shared.process_tc(orig, seq, 0, &adv, now, hold, |_, _| {});
+        per_node.process_tc(orig, 0, &adv, now, hold, |_, _| {});
         dup.fresh(orig, seq, hold);
         now += SimDuration::from_secs(1);
         shared.sweep(now);
@@ -672,16 +683,8 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
     for seq in 0u16..3 {
         assert!(dup_set.fresh(o, seq, dup_hold(t0)));
     }
-    assert!(
-        shared
-            .process_tc_tracked(o, 2, 20_000, &pre_crash, t0, topo_hold(t0))
-            .applied
-    );
-    assert!(
-        per_node
-            .process_tc_tracked(o, 20_000, &pre_crash, t0, topo_hold(t0))
-            .applied
-    );
+    assert!(shared.process_tc(o, 2, 20_000, &pre_crash, t0, topo_hold(t0), |_, _| {}));
+    assert!(per_node.process_tc(o, 20_000, &pre_crash, t0, topo_hold(t0), |_, _| {}));
 
     // Crash + reboot one second later: the reborn node floods seq 0 /
     // ANSN 0. Every store must suppress it — the old records live on.
@@ -689,16 +692,8 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
     assert!(!dup_set.fresh(o, 0, dup_hold(t1)), "seq 0 is still held");
     assert!(!shared.accepts_ansn(o, 0, t1), "ANSN 0 looks stale");
     assert!(!per_node.accepts_ansn(o, 0, t1), "ANSN 0 looks stale");
-    assert!(
-        !shared
-            .process_tc_tracked(o, 0, 0, &post_crash, t1, topo_hold(t1))
-            .applied
-    );
-    assert!(
-        !per_node
-            .process_tc_tracked(o, 0, &post_crash, t1, topo_hold(t1))
-            .applied
-    );
+    assert!(!shared.process_tc(o, 0, 0, &post_crash, t1, topo_hold(t1), |_, _| {}));
+    assert!(!per_node.process_tc(o, 0, &post_crash, t1, topo_hold(t1), |_, _| {}));
 
     // The topology record expires first: at exactly `t0 + hold` the
     // expired entry counts as never-heard (no sweep required) and the
@@ -709,16 +704,8 @@ fn crash_reboot_at_seq_zero_recovers_within_the_holds() {
         "expired record = never heard"
     );
     assert!(per_node.accepts_ansn(o, 0, t2));
-    assert!(
-        shared
-            .process_tc_tracked(o, 1, 0, &post_crash, t2, topo_hold(t2))
-            .applied
-    );
-    assert!(
-        per_node
-            .process_tc_tracked(o, 0, &post_crash, t2, topo_hold(t2))
-            .applied
-    );
+    assert!(shared.process_tc(o, 1, 0, &post_crash, t2, topo_hold(t2), |_, _| {}));
+    assert!(per_node.process_tc(o, 0, &post_crash, t2, topo_hold(t2), |_, _| {}));
     assert_eq!(
         sorted_links(shared.links(t2)),
         sorted_links(per_node.links(t2)),
@@ -756,11 +743,11 @@ fn visit_order_does_not_depend_on_store_arrival_order() {
     let mut other_y = SharedTopology::new(store_y.clone());
     for &o in &met {
         let adv = advertised_links(&[o + 1]);
-        other_x.process_tc_tracked(NodeId(o), 1, 1, &adv, t(0), hold);
+        other_x.process_tc(NodeId(o), 1, 1, &adv, t(0), hold, |_, _| {});
     }
     for &o in met.iter().rev() {
         let adv = advertised_links(&[o + 1]);
-        other_y.process_tc_tracked(NodeId(o), 1, 1, &adv, t(0), hold);
+        other_y.process_tc(NodeId(o), 1, 1, &adv, t(0), hold, |_, _| {});
     }
 
     let mut x = SharedTopology::new(store_x);
@@ -769,9 +756,9 @@ fn visit_order_does_not_depend_on_store_arrival_order() {
     for (seq, o) in [50u32, 7, 20, 1, 3, 6].into_iter().enumerate() {
         let adv = advertised_links(&[o + 2, o + 1]);
         let seq = seq as u16;
-        x.process_tc_tracked(NodeId(o), seq, 1, &adv, t(1), hold);
-        y.process_tc_tracked(NodeId(o), seq, 1, &adv, t(1), hold);
-        oracle.process_tc_tracked(NodeId(o), 1, &adv, t(1), hold);
+        x.process_tc(NodeId(o), seq, 1, &adv, t(1), hold, |_, _| {});
+        y.process_tc(NodeId(o), seq, 1, &adv, t(1), hold, |_, _| {});
+        oracle.process_tc(NodeId(o), 1, &adv, t(1), hold, |_, _| {});
     }
     let walk = link_keys(&x, t(2));
     assert_eq!(

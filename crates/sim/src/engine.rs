@@ -402,12 +402,6 @@ impl<M> Context<'_, M> {
         self.world.link_qos(self.node, to)
     }
 
-    /// Current radio neighbors of this node with measured link QoS,
-    /// ascending by id.
-    pub fn radio_neighbors(&self) -> Vec<(NodeId, LinkQos)> {
-        self.world.neighbors(self.node).collect()
-    }
-
     /// This node's private deterministic random stream.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
@@ -834,7 +828,6 @@ mod tests {
                 if ctx.node_id() == NodeId(1) {
                     assert_eq!(ctx.link_qos(NodeId(0)), Some(LinkQos::uniform(1)));
                     assert_eq!(ctx.link_qos(NodeId(1)), None);
-                    assert_eq!(ctx.radio_neighbors().len(), 2);
                 }
             }
             fn on_timer(&mut self, _c: &mut Context<'_, ()>, _t: TimerId) {}

@@ -44,16 +44,6 @@ impl PartitionWindow {
             phase: 0,
         }
     }
-
-    /// The instant the partition activates.
-    pub fn partition_at(&self) -> SimTime {
-        self.at
-    }
-
-    /// The instant the partition heals.
-    pub fn heal_at(&self) -> SimTime {
-        self.heal_at
-    }
 }
 
 impl MobilityModel for PartitionWindow {

@@ -722,14 +722,6 @@ impl<A: Actor> Simulator<A> {
         &self.world
     }
 
-    /// Mutable access to the world, for out-of-band mutation between
-    /// `run_*` calls (scheduled [`WorldEvent`]s via
-    /// [`Simulator::schedule_world`] are the deterministic way to change
-    /// the world mid-run).
-    pub fn world_mut(&mut self) -> &mut DynamicTopology {
-        &mut self.world
-    }
-
     /// Number of node slots.
     pub fn node_count(&self) -> usize {
         self.locs.len()
