@@ -424,7 +424,8 @@ impl DynamicTopology {
             }
             // The graph is untouched by a crash — the node keeps its id,
             // links and position — but the epoch still advances (below)
-            // so world-change counters register the fault. The engines own the protocol-state wipe.
+            // so world-change counters register the fault. The engines
+            // own the protocol-state wipe.
             WorldEvent::Crash { node } => self.active[node.index()],
         };
         if changed {

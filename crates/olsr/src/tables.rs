@@ -1097,8 +1097,9 @@ mod tests {
 
     #[test]
     fn default_sensing_tracks_quality_without_behavior_change() {
-        // Default sensing (Off / Measured) must advertise the measured QoS verbatim and never
-        // pend a link — the quality estimate ticks along unused.
+        // Default sensing (Off / Measured) must advertise the measured
+        // QoS verbatim and never pend a link — the quality estimate
+        // ticks along unused.
         let mut nt = NeighborTables::new();
         process_hello(
             &mut nt,

@@ -827,6 +827,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
                 if ctx.node_id() == NodeId(1) {
                     assert_eq!(ctx.link_qos(NodeId(0)), Some(LinkQos::uniform(1)));
+                    assert_eq!(ctx.link_qos(NodeId(2)), Some(LinkQos::uniform(1)));
                     assert_eq!(ctx.link_qos(NodeId(1)), None);
                 }
             }
